@@ -75,7 +75,6 @@ def _canonical_config(args, grid, metric) -> dict:
         "box": list(grid.box),
         "metric": metric.g_lower.tolist(),
         "seed": args.seed,
-        "threads": args.threads,
         "version": __version__,
     }
     for key in ("what", "cases", "tol", "p0", "k", "branch", "n", "perturb", "h"):
@@ -190,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metric", default="identity",
                        help="identity | diag:a,b,c | full:g11,g12,g13,g22,g23,g33")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (delegated to numpy)")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run a named invariant suite")

@@ -53,6 +53,25 @@ def _check_nonvanishing(s: np.ndarray, floor_rel: float = 1e-12) -> None:
             f"spinor magnitude too small: min s = {np.min(s):.3e}, max s = {smax:.3e}")
 
 
+def _check_real_covector(v_complex: np.ndarray, scale: float) -> None:
+    v_imag = float(np.abs(v_complex.imag).max())
+    if v_imag > _REALITY_TOL * scale:
+        raise ValueError(f"bilinear covector failed reality check: {v_imag:.3e}")
+
+
+def _axial_density(eta: np.ndarray, deta: np.ndarray, pauli: PauliSet) -> np.ndarray:
+    """A = (i/2)(etabar sigma^a d_a eta - c.c.) from eta and its
+    gradient stack (axis first), pointwise over any leading shape."""
+    t = np.einsum("...a,nab,n...b->...", eta.conj(), pauli.sigma_upper, deta)
+    # A = (i/2)(t - conj(t)) = -Im(t), exactly real by construction
+    return -t.imag
+
+
+def _stationary_density(s, A, p0: float, metric: Metric3):
+    """16/(9 s) (A^2 - (p0 s)^2) sqrt(det g) from the bilinears."""
+    return (16.0 / (9.0 * s)) * (A**2 - (p0 * s) ** 2) * metric.sqrt_det
+
+
 def spinor_gradient(eta: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Stack of spectral partials (d_1 eta, d_2 eta, d_3 eta), shape
     (3,) + dims + (2,)."""
@@ -70,14 +89,9 @@ def bilinears(eta: np.ndarray, pauli: PauliSet, grid: TorusGrid,
     if require_nonvanishing:
         _check_nonvanishing(s)
     v_complex = np.einsum("...a,nab,...b->...n", eta.conj(), pauli.sigma_lower, eta)
-    scale = max(float(np.max(s)), np.finfo(float).tiny)
-    v_imag = float(np.abs(v_complex.imag).max())
-    if v_imag > _REALITY_TOL * scale:
-        raise ValueError(f"bilinear covector failed reality check: {v_imag:.3e}")
-    deta = spinor_gradient(eta, grid)
-    t = np.einsum("...a,nab,n...b->...", eta.conj(), pauli.sigma_upper, deta)
-    # A = (i/2)(t - conj(t)) = -Im(t), exactly real by construction
-    return SpinorBilinears(s=s, v=v_complex.real, A=-t.imag)
+    _check_real_covector(v_complex, max(float(np.max(s)), np.finfo(float).tiny))
+    A = _axial_density(eta, spinor_gradient(eta, grid), pauli)
+    return SpinorBilinears(s=s, v=v_complex.real, A=A)
 
 
 def lagrangian_stationary(eta: np.ndarray, p0: float, pauli: PauliSet,
@@ -87,7 +101,7 @@ def lagrangian_stationary(eta: np.ndarray, p0: float, pauli: PauliSet,
     if p0 == 0.0:
         raise ZeroFrequency("p0 must be nonzero")
     b = bilinears(eta, pauli, grid, require_nonvanishing=True)
-    return (16.0 / (9.0 * b.s)) * (b.A**2 - (p0 * b.s) ** 2) * metric.sqrt_det
+    return _stationary_density(b.s, b.A, p0, metric)
 
 
 def lagrangian_weyl(eta: np.ndarray, p0: float, sign: int, pauli: PauliSet,
@@ -122,7 +136,7 @@ def factorization_residual(eta: np.ndarray, p0: float, pauli: PauliSet,
     if np.any(bad):
         raise DegenerateDenominator(
             f"|L+ - L-| below threshold at {int(bad.sum())} grid points")
-    lag = (16.0 / (9.0 * b.s)) * (b.A**2 - (p0 * b.s) ** 2) * metric.sqrt_det
+    lag = _stationary_density(b.s, b.A, p0, metric)
     lp = (b.A + p0 * b.s) * metric.sqrt_det
     lm = (b.A - p0 * b.s) * metric.sqrt_det
     quotient = (-32.0 * p0 / 9.0) * lp * lm / denom

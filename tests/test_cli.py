@@ -47,6 +47,14 @@ class TestExitCodes:
             assert main(argv) == 2, argv
             assert "error:" in capsys.readouterr().err
 
+    def test_removed_threads_option_rejected(self, capsys):
+        for argv in (["verify", "fierz", "--threads", "2", *SMALL],
+                     ["theorem", "--n", "1", "--threads", "1", *SMALL]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "--threads" in capsys.readouterr().err
+
 
 class TestVerifyReports:
     def test_report_embeds_config_and_sign(self, tmp_path):
@@ -127,3 +135,6 @@ class TestTheorem:
         assert code == 0
         assert report["verdict"] == "pass"
         assert report["factorization_sign"] == -1
+        cfg = report["config"]
+        assert cfg["fd_probes"] == 16 and cfg["max_mode"] == 3
+        assert "threads" not in cfg

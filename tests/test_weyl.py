@@ -1,22 +1,59 @@
 """Plane-wave Weyl solutions, the dispersion relation, variational
 gradients and the solution/stationary-point witness suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cosserat_weyl import (
     Metric3,
+    TorusGrid,
+    VanishingSpinor,
+    ZeroFrequency,
     ZeroWavevector,
     build_pauli,
     el_gradient,
     el_gradient_fd_check,
     el_residual,
+    lagrangian_stationary,
     planewave_solution,
     theorem_witness_suite,
     weyl_residual,
     weyl_residual_norm,
 )
+from cosserat_weyl.geometry import integrate
 from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric
+from cosserat_weyl.weyl import _fd_gradient_at_dofs, _gradient_scale, _sample_dofs
+
+TWO_PI = 2.0 * np.pi
+
+
+def _full_grid_fd(eta, p0, pauli, metric, grid, dofs):
+    """Oracle: central differences of the action from two full-grid
+    Lagrangians per probe."""
+    eps_cbrt = float(np.cbrt(np.finfo(float).eps))
+    values = []
+    for point, comp, part in dofs:
+        idx = point + (comp,)
+        step = eps_cbrt * (1.0 + abs(eta[idx]))
+        plus, minus = eta.copy(), eta.copy()
+        plus[idx] += step if part == 0 else 1j * step
+        minus[idx] -= step if part == 0 else 1j * step
+        diff = lagrangian_stationary(plus, p0, pauli, metric, grid) \
+            - lagrangian_stationary(minus, p0, pauli, metric, grid)
+        values.append(integrate(diff, grid) / (2.0 * step) / (2.0 * grid.cell_volume))
+    return np.array(values)
+
+
+def _edge_dofs(grid):
+    """Probes at index 0 and N-1 on every axis, so the periodic wrap of
+    each grid line is exercised, for both components and parts."""
+    n1, n2, n3 = grid.dims
+    points = [(0, 0, 0), (n1 - 1, n2 - 1, n3 - 1), (0, n2 - 1, n3 // 2),
+              (n1 - 1, 1, 0)]
+    return [(point, comp, part) for point in points
+            for comp in (0, 1) for part in (0, 1)]
 
 
 class TestWeylResidual:
@@ -113,6 +150,82 @@ class TestVariationalGradient:
                         mode="nope")
 
 
+class TestLocalFiniteDifferences:
+    """The FD gradient evaluates each probe on the three grid lines
+    through its point; the full-grid evaluation is the oracle."""
+
+    @pytest.mark.parametrize("dims,box,plane_wave", [
+        ((8, 8, 8), (TWO_PI,) * 3, None),
+        ((12, 12, 12), (TWO_PI,) * 3, None),
+        ((4, 6, 8), (5.0, 7.0, 9.0), None),
+        ((8, 8, 8), (TWO_PI,) * 3, (3, 1, 0)),
+        ((12, 12, 12), (TWO_PI,) * 3, (5, -1, 2)),
+        ((4, 6, 8), (5.0, 7.0, 9.0), (1, 2, -3)),
+        ((16, 16, 16), (TWO_PI,) * 3, (7, 1, 0)),
+    ])
+    def test_matches_full_grid_oracle(self, dims, box, plane_wave):
+        grid = TorusGrid(dims, box)
+        rng = np.random.default_rng(sum(dims))
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        if plane_wave is None:
+            eta, p0 = random_nonvanishing_spinor(grid, rng, max_mode=1), 0.8
+        else:
+            spec, eta = planewave_solution(plane_wave, 1, metric, grid)
+            p0 = abs(spec.p0)
+        dofs = _edge_dofs(grid) + _sample_dofs(eta, 16, seed=7)
+        local = _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs)
+        oracle = _full_grid_fd(eta, p0, pauli, metric, grid, dofs)
+        assert np.abs(local - oracle).max() <= 1e-9 * _gradient_scale(eta, p0, metric)
+
+    @pytest.mark.parametrize("dims,box", [
+        ((4, 4, 4), (TWO_PI,) * 3),
+        ((6, 6, 6), (TWO_PI,) * 3),
+        ((4, 6, 8), (5.0, 7.0, 9.0)),
+    ])
+    def test_every_dof_matches_analytic_gradient(self, dims, box):
+        grid = TorusGrid(dims, box)
+        rng = np.random.default_rng(11)
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        eta = random_nonvanishing_spinor(grid, rng, max_mode=1)
+        assert el_gradient_fd_check(eta, 0.5, pauli, metric, grid,
+                                    probes=4 * grid.num_points, seed=2) <= 1e-7
+
+    def test_guards_of_full_grid_path_still_fire(self, grid8):
+        rng = np.random.default_rng(13)
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        eta = random_nonvanishing_spinor(grid8, rng)
+        with pytest.raises(ZeroFrequency):
+            el_residual(eta, 0.0, pauli, metric, grid8, mode="fd", probes=4)
+        near_zero = eta.copy()
+        near_zero[2, 5, 7] *= 1e-7
+        with pytest.raises(VanishingSpinor):
+            el_residual(near_zero, 0.8, pauli, metric, grid8, mode="fd", probes=8)
+        complex_v = dataclasses.replace(pauli, sigma_lower=1j * pauli.sigma_lower)
+        for fd in (_fd_gradient_at_dofs, _full_grid_fd):
+            with pytest.raises(ValueError, match="reality check"):
+                fd(eta, 0.8, complex_v, metric, grid8, _edge_dofs(grid8)[:1])
+
+    @pytest.mark.parametrize("amplitude,raises", [(1.0, False), (10.0, True)])
+    def test_vanishing_floor_is_relative_to_perturbed_field(self, grid8, amplitude,
+                                                            raises):
+        # eta vanishes at one point; probing there lifts s to step^2 ~ 3.7e-11,
+        # which is above the 1e-12 floor for max s = 1 and below it for 100
+        eta = np.zeros(grid8.shape + (2,), dtype=complex)
+        eta[..., 0] = amplitude
+        eta[3, 0, 7] = 0.0
+        metric = Metric3.identity()
+        args = (0.8, build_pauli(metric), metric, grid8, [((3, 0, 7), 0, 0)])
+        for fd in (_fd_gradient_at_dofs, _full_grid_fd):
+            if raises:
+                with pytest.raises(VanishingSpinor):
+                    fd(eta, *args)
+            else:
+                assert np.isfinite(fd(eta, *args)).all()
+
+
 class TestWitnessSuite:
     def test_small_suite_passes_and_is_consistent(self, grid8, identity_metric):
         report = theorem_witness_suite(3, grid8, identity_metric, n_cases=2,
@@ -128,6 +241,8 @@ class TestWitnessSuite:
         for c in perturbed:
             assert c["el_residual"] >= 1e-3 and c["weyl_residual"] >= 1e-3
         assert set(report["branch_pairing"]) == {"branch+1", "branch-1"}
+        assert report["config"]["fd_probes"] == 4
+        assert report["config"]["max_mode"] == 2
 
     def test_report_is_json_serialisable(self, grid8, identity_metric):
         import json

@@ -57,6 +57,7 @@ from .geometry import (
 from .spinor import (
     FACTORIZATION_SIGN,
     SpinorBilinears,
+    SpinorField,
     bilinears,
     factorization_residual,
     fierz_residual,

@@ -20,7 +20,8 @@ from .cwf import write_field, write_scalar_csv
 from .errors import ConfigError, ModelError
 from .geometry import Metric3, TorusGrid, build_pauli
 from .minilang import parse_scalar_expr
-from .spinor import FACTORIZATION_SIGN, lagrangian_stationary, lagrangian_weyl
+from .spinor import (FACTORIZATION_SIGN, SpinorField, lagrangian_stationary,
+                     lagrangian_weyl)
 from .suites import VERIFIERS
 from .weyl import el_residual, planewave_solution, theorem_witness_suite, weyl_residual_norm
 
@@ -68,15 +69,16 @@ def _build_grid(args) -> TorusGrid:
         raise ConfigError(str(exc)) from None
 
 
-def _canonical_config(args, grid, metric) -> dict:
+def _canonical_config(args, grid, metric=None) -> dict:
     cfg = {
         "command": args.command,
         "grid": list(grid.dims),
         "box": list(grid.box),
-        "metric": metric.g_lower.tolist(),
         "seed": args.seed,
         "version": __version__,
     }
+    if metric is not None:
+        cfg["metric"] = metric.g_lower.tolist()
     for key in ("what", "cases", "tol", "p0", "k", "branch", "n", "perturb", "h"):
         if hasattr(args, key) and getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
@@ -100,8 +102,10 @@ def _finish(report: dict, args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.metric is not None:
+        raise ConfigError("verify takes no --metric: every suite draws its own "
+                          "random metrics, and conformal uses the identity")
     grid = _build_grid(args)
-    metric = _parse_metric(args.metric)
     if args.tol is not None and args.tol <= 0.0:
         raise ConfigError("--tol must be positive")
     kwargs = {}
@@ -123,7 +127,7 @@ def _cmd_verify(args) -> int:
             kwargs["h_field"] = parse_scalar_expr(args.h, grid)
         result = VERIFIERS[args.what](grid, args.seed, **kwargs)
     report = {
-        "config": _canonical_config(args, grid, metric),
+        "config": _canonical_config(args, grid),
         "factorization_sign": FACTORIZATION_SIGN,
         "result": result,
         "verdict": "pass" if result["pass"] else "fail",
@@ -140,12 +144,13 @@ def _cmd_planewave(args) -> int:
     pauli = build_pauli(metric)
     if args.eta_out:
         write_field(args.eta_out, "spinor", eta, grid)
-    lag = lagrangian_stationary(eta, spec.p0, pauli, metric, grid)
-    lpm = lagrangian_weyl(eta, spec.p0, spec.weyl_sign, pauli, metric, grid)
+    field = SpinorField(eta, pauli, grid)
+    lag = lagrangian_stationary(field, spec.p0, pauli, metric, grid)
+    lpm = lagrangian_weyl(field, spec.p0, spec.weyl_sign, pauli, metric, grid)
     if args.density_csv:
         write_scalar_csv(args.density_csv, lag, grid)
-    wres = weyl_residual_norm(eta, spec.p0, spec.weyl_sign, pauli, grid)
-    eres = el_residual(eta, spec.p0, pauli, metric, grid, mode="analytic")
+    wres = weyl_residual_norm(field, spec.p0, spec.weyl_sign, pauli, grid)
+    eres = el_residual(field, spec.p0, pauli, metric, grid, mode="analytic")
     report = {
         "config": _canonical_config(args, grid, metric),
         "factorization_sign": FACTORIZATION_SIGN,
@@ -181,13 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, metric=True):
         p.add_argument("--grid", default="16,16,16",
                        help="grid dims N1,N2,N3 (even, >= 4)")
         p.add_argument("--box", default=f"{TWO_PI},{TWO_PI},{TWO_PI}",
                        help="coordinate periods L1,L2,L3")
-        p.add_argument("--metric", default="identity",
-                       help="identity | diag:a,b,c | full:g11,g12,g13,g22,g23,g33")
+        if metric:
+            p.add_argument("--metric", default="identity",
+                           help="identity | diag:a,b,c | full:g11,g12,g13,g22,g23,g33")
+        else:
+            # parsed only so that _cmd_verify can reject it with exit code 2
+            p.add_argument("--metric", help=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
@@ -197,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, help="override the tolerance")
     p_verify.add_argument("--h", help="scalar expression, e.g. '0.3*cos(x2)' "
                                       "(for scaling: h; for conformal: e^h)")
-    add_common(p_verify)
+    add_common(p_verify, metric=False)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_pw = sub.add_parser("planewave", help="generate an exact plane-wave "

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosserat import orthonormality_residual
-from .errors import NonPositiveDensity, NotOrthonormal, VanishingSpinor
+from .errors import NonPositiveDensity, NotOrthonormal
 from .geometry import Metric3, PauliSet, TorusGrid
+from .spinor import SpinorField, _check_nonvanishing, _field, _sandwich
 
 # d0 (theta^1 + i theta^2) = PHASE_RATE * i * p0 * (theta^1 + i theta^2)
 PHASE_RATE = -2.0
@@ -38,27 +39,21 @@ class FramePacket:
     rho: np.ndarray
 
 
-def _scalar_bilinear(xi: np.ndarray) -> np.ndarray:
-    return np.einsum("...a,...a->...", xi.conj(), xi).real
-
-
 def _conjugate_spinor(xi: np.ndarray) -> np.ndarray:
     # xihat^1 = conj(xi_2), xihat^2 = -conj(xi_1)
     return np.stack([xi[..., 1].conj(), -xi[..., 0].conj()], axis=-1)
 
 
-def spinor_to_frame(xi: np.ndarray, pauli: PauliSet, metric: Metric3,
-                    grid: TorusGrid, floor_rel: float = 1e-12) -> FramePacket:
+def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
+                    metric: Metric3, grid: TorusGrid,
+                    floor_rel: float = 1e-12) -> FramePacket:
     """Map a nonvanishing spinor field to its coframe + density."""
-    s = _scalar_bilinear(xi)
-    smax = float(np.max(s))
-    if smax <= 0.0 or float(np.min(s)) <= floor_rel * smax:
-        raise VanishingSpinor(f"min s = {np.min(s):.3e} too small")
-    v = np.einsum("...a,nab,...b->...n", xi.conj(), pauli.sigma_lower, xi).real
-    xihat = _conjugate_spinor(xi)
-    w = np.einsum("...a,nab,...b->...n", xihat.conj(), pauli.sigma_lower, xi)
+    field = _field(xi, pauli, grid)
+    s = field.s
+    _check_nonvanishing(s, floor_rel)
+    w = _sandwich(_conjugate_spinor(field.eta), pauli.sigma_lower, field.eta)
     sinv = 1.0 / s[..., np.newaxis]
-    theta = np.stack([w.real * sinv, w.imag * sinv, v * sinv])
+    theta = np.stack([w.real * sinv, w.imag * sinv, field.v * sinv])
     rho = s * metric.sqrt_det
     return FramePacket(theta=theta, rho=rho)
 
@@ -103,7 +98,7 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
 
     # fix the U(1) phase from w: w(e^{i phi} xi0) = e^{2 i phi} w(xi0)
     xihat0 = _conjugate_spinor(xi0)
-    w0 = np.einsum("...a,nab,...b->...n", xihat0.conj(), pauli.sigma_lower, xi0)
+    w0 = _sandwich(xihat0, pauli.sigma_lower, xi0)
     pick = np.argmax(np.abs(w0), axis=-1)
     ratio = (np.take_along_axis(w_target, pick[..., np.newaxis], axis=-1)
              / np.take_along_axis(w0, pick[..., np.newaxis], axis=-1))[..., 0]
@@ -125,7 +120,7 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
     return xi
 
 
-def stationary_frame_path(eta: np.ndarray, p0: float, pauli: PauliSet,
+def stationary_frame_path(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
                           metric: Metric3, grid: TorusGrid):
     """Coframe path of the stationary ansatz xi = e^{-i p0 x0} eta,
     evaluated at x0 = 0.

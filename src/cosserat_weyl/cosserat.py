@@ -14,6 +14,7 @@ from .errors import NonPositiveDensity
 from .geometry import (
     Metric3,
     TorusGrid,
+    _norm2_2form,
     exterior_derivative,
     integrate,
     wedge_1_1,
@@ -37,25 +38,24 @@ def induced_metric(theta: np.ndarray):
     theta -> e^h theta, rho -> e^{2h} rho (the rescaled coframe is
     orthonormal for e^{2h} g, not for g).
     """
-    g_ind = np.einsum("j...a,j...b->...ab", theta, theta)
-    return g_ind, np.linalg.inv(g_ind), np.linalg.det(g_ind)
+    g_ind = _gram(theta)
+    return g_ind, np.linalg.inv(g_ind), _induced_det(theta)
+
+
+def _gram(theta: np.ndarray) -> np.ndarray:
+    """delta_jk theta^j_a theta^k_b, pointwise."""
+    return np.einsum("j...a,j...b->...ab", theta, theta)
+
+
+def _induced_det(theta: np.ndarray) -> np.ndarray:
+    """Determinant of the induced metric, the squared triple product
+    (theta^1 . theta^2 x theta^3)^2. The energetics need no inverse of
+    the induced metric: the 2-form norm is W^T g W / det g."""
+    return np.sum(theta[0] * np.cross(theta[1], theta[2]), axis=-1) ** 2
 
 
 def _norm2_3form_induced(f: np.ndarray, det_ind: np.ndarray) -> np.ndarray:
     return f * f / det_ind
-
-
-def _norm2_2form_induced(omega: np.ndarray, g_ind_upper: np.ndarray) -> np.ndarray:
-    w23, w31, w12 = omega[..., 0], omega[..., 1], omega[..., 2]
-    full = np.zeros(omega.shape[:-1] + (3, 3), dtype=omega.dtype)
-    full[..., 1, 2] = w23
-    full[..., 2, 1] = -w23
-    full[..., 2, 0] = w31
-    full[..., 0, 2] = -w31
-    full[..., 0, 1] = w12
-    full[..., 1, 0] = -w12
-    return 0.5 * np.einsum("...ab,...cd,...ac,...bd->...",
-                           full, full, g_ind_upper, g_ind_upper)
 
 
 def orthonormality_residual(theta: np.ndarray, metric: Metric3) -> np.ndarray:
@@ -64,8 +64,7 @@ def orthonormality_residual(theta: np.ndarray, metric: Metric3) -> np.ndarray:
     Zero iff the coframe satisfies the orthonormality constraint at
     that point.
     """
-    gram = np.einsum("j...a,j...b->...ab", theta, theta)
-    residual = np.abs(gram - metric.g_lower)
+    residual = np.abs(_gram(theta) - metric.g_lower)
     return residual.max(axis=(-2, -1))
 
 
@@ -87,8 +86,7 @@ def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
     """
     check_density(rho)
     f = axial_torsion(theta, grid)
-    _, _, det_ind = induced_metric(theta)
-    return integrate(_norm2_3form_induced(f, det_ind) * rho, grid)
+    return integrate(_norm2_3form_induced(f, _induced_det(theta)) * rho, grid)
 
 
 def conformal_rescale(theta: np.ndarray, rho: np.ndarray, h: np.ndarray):
@@ -112,8 +110,8 @@ def kinetic_energy(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
     norm, as in `potential_energy`)."""
     check_density(rho)
     omega = kinetic_2form(theta, dtheta0)
-    _, g_ind_upper, _ = induced_metric(theta)
-    return integrate(_norm2_2form_induced(omega, g_ind_upper) * rho, grid)
+    norm2 = _norm2_2form(omega, _gram(theta), _induced_det(theta))
+    return integrate(norm2 * rho, grid)
 
 
 def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
@@ -121,7 +119,7 @@ def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
     """Pointwise dynamic Lagrangian density
     (|T_ax|^2 - |theta_dot|^2) rho; its integral is P - K."""
     check_density(rho)
-    _, g_ind_upper, det_ind = induced_metric(theta)
+    det_ind = _induced_det(theta)
     potential = _norm2_3form_induced(axial_torsion(theta, grid), det_ind)
-    kinetic = _norm2_2form_induced(kinetic_2form(theta, dtheta0), g_ind_upper)
+    kinetic = _norm2_2form(kinetic_2form(theta, dtheta0), _gram(theta), det_ind)
     return (potential - kinetic) * rho

@@ -29,8 +29,6 @@ def _pack(kind: str, values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     if kind == "coframe":
         # (3, dims, 3) -> (dims, 9), frame index slowest within the point
         flat = np.moveaxis(values, 0, -2).reshape(grid.shape + (9,))
-    elif comps == 1:
-        flat = values.reshape(grid.shape + (1,))
     else:
         flat = values.reshape(grid.shape + (comps,))
     return np.ascontiguousarray(flat)

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,15 +127,22 @@ class TorusGrid:
         """Physical wavenumbers for FFT output along ``axis``.
 
         The Nyquist mode is zeroed so that derivatives of real fields
-        stay real.
+        stay real. The array is computed once per grid and shared, so
+        it is read-only.
         """
         if axis not in (1, 2, 3):
             raise InvalidAxis(f"axis must be 1, 2 or 3, got {axis}")
-        n = self.dims[axis - 1]
-        length = self.box[axis - 1]
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / length
-        k[n // 2] = 0.0
-        return k
+        return self._wavenumbers[axis - 1]
+
+    @cached_property
+    def _wavenumbers(self) -> tuple:
+        out = []
+        for n, length in zip(self.dims, self.box):
+            k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / length
+            k[n // 2] = 0.0
+            k.flags.writeable = False
+            out.append(k)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -216,18 +224,22 @@ def wedge_1_2(a: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, omega)
 
 
+def _norm2_2form(omega: np.ndarray, g_lower: np.ndarray, det_g) -> np.ndarray:
+    """Pointwise squared norm (1/2!) w_ab w_cd g^ac g^bd as
+    W^T g W / det g, with W = (w_23, w_31, w_12) and g either one 3x3
+    matrix or one per point (shape (..., 3, 3), det_g of shape (...)).
+
+    In three dimensions the pairs (ab) = (23), (31), (12) index W, and
+    the induced inverse metric on 2-forms is the cofactor matrix of
+    g^-1, which is g / det g.
+    """
+    gw = np.matmul(g_lower, omega[..., np.newaxis])[..., 0]
+    return np.sum(gw * omega, axis=-1) / det_g
+
+
 def norm2_2form(omega: np.ndarray, metric: Metric3) -> np.ndarray:
     """Pointwise squared norm (1/2!) w_ab w_cd g^ac g^bd."""
-    w23, w31, w12 = omega[..., 0], omega[..., 1], omega[..., 2]
-    full = np.zeros(omega.shape[:-1] + (3, 3), dtype=omega.dtype)
-    full[..., 1, 2] = w23
-    full[..., 2, 1] = -w23
-    full[..., 2, 0] = w31
-    full[..., 0, 2] = -w31
-    full[..., 0, 1] = w12
-    full[..., 1, 0] = -w12
-    gu = metric.g_upper
-    return 0.5 * np.einsum("...ab,...cd,ac,bd->...", full, full, gu, gu)
+    return _norm2_2form(omega, metric.g_lower, metric.det_g)
 
 
 def norm2_3form(f: np.ndarray, metric: Metric3) -> np.ndarray:

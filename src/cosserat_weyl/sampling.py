@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import VanishingSpinor
 from .geometry import Metric3, TorusGrid
+from .spinor import _scalar_density
 
 
 def random_spd_metric(rng: np.random.Generator, eig_low: float = 0.5,
@@ -71,8 +72,7 @@ def random_nonvanishing_spinor(grid: TorusGrid, rng: np.random.Generator,
     eta = np.broadcast_to(u, grid.shape + (2,)).copy()
     eta += random_bandlimited_spinor(grid, rng, max_mode=max_mode,
                                      amplitude=amplitude)
-    s = np.einsum("...a,...a->...", eta.conj(), eta).real
-    if float(np.min(s)) <= 0.05:
+    if float(np.min(_scalar_density(eta))) <= 0.05:
         raise VanishingSpinor("generated spinor is not safely nonvanishing")
     return eta
 

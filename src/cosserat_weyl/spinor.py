@@ -9,7 +9,8 @@ spectral partials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -39,11 +40,48 @@ class SpinorBilinears:
     s = etabar sigma_0 eta (real, > 0 for nonvanishing spinors),
     v_a = etabar sigma_a eta (real covector),
     A = (i/2)(etabar sigma^a d_a eta - c.c.) (real scalar).
+
+    The arrays are those cached on the field's `SpinorField`, shared
+    with every other check made on that field: treat them as read-only.
     """
 
     s: np.ndarray
     v: np.ndarray
     A: np.ndarray
+
+
+def _sandwich(eta: np.ndarray, sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """etabar sigma_n xi for each 2x2 matrix sigma[n], n = 0, 1, 2,
+    pointwise over any leading shape; returns shape (..., 3), complex.
+
+    Written out in components: sigma_n xi first, then the conjugated
+    inner product with eta.
+    """
+    e1, e2 = eta[..., 0].conj(), eta[..., 1].conj()
+    # contiguous copies: the twelve products below run faster on them
+    x1, x2 = xi[..., 0].copy(), xi[..., 1].copy()
+    return np.stack([e1 * (m[0, 0] * x1 + m[0, 1] * x2)
+                     + e2 * (m[1, 0] * x1 + m[1, 1] * x2) for m in sigma], axis=-1)
+
+
+def _slash(sigma: np.ndarray, deta: np.ndarray) -> np.ndarray:
+    """sigma^n d_n eta = sum over n of sigma[n] applied to deta[n], from
+    a gradient stack with the axis index first; returns shape
+    deta.shape[1:]."""
+    d1, d2 = deta[..., 0], deta[..., 1]
+    rows = []
+    for i in (0, 1):
+        acc = sigma[0, i, 0] * d1[0] + sigma[0, i, 1] * d2[0]
+        for n in (1, 2):
+            acc += sigma[n, i, 0] * d1[n]
+            acc += sigma[n, i, 1] * d2[n]
+        rows.append(acc)
+    return np.stack(rows, axis=-1)
+
+
+def _scalar_density(eta: np.ndarray) -> np.ndarray:
+    """s = etabar sigma_0 eta = |eta_1|^2 + |eta_2|^2."""
+    return np.einsum("...a,...a->...", eta.conj(), eta).real
 
 
 def _check_nonvanishing(s: np.ndarray, floor_rel: float = 1e-12) -> None:
@@ -59,17 +97,26 @@ def _check_real_covector(v_complex: np.ndarray, scale: float) -> None:
         raise ValueError(f"bilinear covector failed reality check: {v_imag:.3e}")
 
 
-def _axial_density(eta: np.ndarray, deta: np.ndarray, pauli: PauliSet) -> np.ndarray:
-    """A = (i/2)(etabar sigma^a d_a eta - c.c.) from eta and its
-    gradient stack (axis first), pointwise over any leading shape."""
-    t = np.einsum("...a,nab,n...b->...", eta.conj(), pauli.sigma_upper, deta)
+def _axial_density(eta: np.ndarray, slash: np.ndarray) -> np.ndarray:
+    """A = (i/2)(etabar sigma^a d_a eta - c.c.) from eta and
+    sigma^a d_a eta, pointwise over any leading shape."""
     # A = (i/2)(t - conj(t)) = -Im(t), exactly real by construction
-    return -t.imag
+    return -np.einsum("...a,...a->...", eta.conj(), slash).imag
 
 
 def _stationary_density(s, A, p0: float, metric: Metric3):
     """16/(9 s) (A^2 - (p0 s)^2) sqrt(det g) from the bilinears."""
     return (16.0 / (9.0 * s)) * (A**2 - (p0 * s) ** 2) * metric.sqrt_det
+
+
+def _weyl_density(s, A, p0: float, sign: int, metric: Metric3):
+    """(A + sign p0 s) sqrt(det g) from the bilinears."""
+    return (A + sign * p0 * s) * metric.sqrt_det
+
+
+def _metric_norm2(w: np.ndarray, g_upper: np.ndarray) -> np.ndarray:
+    """g^ab w_a w_b for a real covector field w."""
+    return np.sum((w @ g_upper) * w, axis=-1)
 
 
 def spinor_gradient(eta: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -78,23 +125,84 @@ def spinor_gradient(eta: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.stack([spectral_partial(eta, i, grid) for i in (1, 2, 3)])
 
 
-def bilinears(eta: np.ndarray, pauli: PauliSet, grid: TorusGrid,
-              require_nonvanishing: bool = False) -> SpinorBilinears:
-    """Compute (s, v, A) for a spinor field.
+class SpinorField:
+    """A spinor field eta with the Pauli set and grid it is evaluated on.
 
-    Imaginary parts are discarded after a reality check at 1e-13
-    relative to the field scale.
+    Each derived quantity (s, v, the spectral gradient,
+    sigma^a d_a eta and A) is computed at most once, when first asked
+    for, so every check made on one field shares one spectral
+    gradient. Every function of this package that takes a spinor field
+    together with a Pauli set and a grid also accepts a `SpinorField`
+    in place of the array; it raises ValueError if the field was built
+    for a different Pauli set or grid. The cached arrays are shared:
+    treat them, and eta, as read-only.
     """
-    s = np.einsum("...a,...a->...", eta.conj(), eta).real
+
+    def __init__(self, eta: np.ndarray, pauli: PauliSet, grid: TorusGrid):
+        self.eta = eta
+        self.pauli = pauli
+        self.grid = grid
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return _scalar_density(self.eta)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        """Real covector v_a, after a reality check at 1e-13 relative
+        to max s."""
+        v_complex = _sandwich(self.eta, self.pauli.sigma_lower, self.eta)
+        _check_real_covector(v_complex,
+                             max(float(np.max(self.s)), np.finfo(float).tiny))
+        return v_complex.real
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        return spinor_gradient(self.eta, self.grid)
+
+    @cached_property
+    def slash(self) -> np.ndarray:
+        """sigma^a d_a eta."""
+        return _slash(self.pauli.sigma_upper, self.gradient)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return _axial_density(self.eta, self.slash)
+
+
+def _same_pauli(a: PauliSet, b: PauliSet) -> bool:
+    return a is b or all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+                         for f in fields(PauliSet))
+
+
+def _field(eta: np.ndarray | SpinorField, pauli: PauliSet,
+           grid: TorusGrid) -> SpinorField:
+    """eta as a `SpinorField` on (pauli, grid); a given field must have
+    been built for both."""
+    if not isinstance(eta, SpinorField):
+        return SpinorField(eta, pauli, grid)
+    if eta.grid != grid or not _same_pauli(eta.pauli, pauli):
+        raise ValueError("spinor field was built for a different Pauli set or grid")
+    return eta
+
+
+def bilinears(eta: np.ndarray | SpinorField, pauli: PauliSet, grid: TorusGrid,
+              require_nonvanishing: bool = False) -> SpinorBilinears:
+    """Compute (s, v, A) for a spinor field (an array or a
+    `SpinorField`).
+
+    Imaginary parts of v are discarded after a reality check at 1e-13
+    relative to the field scale. Given a `SpinorField`, the bilinears
+    are taken from its cache, so repeated calls share one spectral
+    gradient.
+    """
+    field = _field(eta, pauli, grid)
     if require_nonvanishing:
-        _check_nonvanishing(s)
-    v_complex = np.einsum("...a,nab,...b->...n", eta.conj(), pauli.sigma_lower, eta)
-    _check_real_covector(v_complex, max(float(np.max(s)), np.finfo(float).tiny))
-    A = _axial_density(eta, spinor_gradient(eta, grid), pauli)
-    return SpinorBilinears(s=s, v=v_complex.real, A=A)
+        _check_nonvanishing(field.s)
+    return SpinorBilinears(s=field.s, v=field.v, A=field.A)
 
 
-def lagrangian_stationary(eta: np.ndarray, p0: float, pauli: PauliSet,
+def lagrangian_stationary(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
                           metric: Metric3, grid: TorusGrid) -> np.ndarray:
     """Stationary Lagrangian density
     16/(9 s) (A^2 - (p0 s)^2) sqrt(det g)."""
@@ -104,18 +212,18 @@ def lagrangian_stationary(eta: np.ndarray, p0: float, pauli: PauliSet,
     return _stationary_density(b.s, b.A, p0, metric)
 
 
-def lagrangian_weyl(eta: np.ndarray, p0: float, sign: int, pauli: PauliSet,
-                    metric: Metric3, grid: TorusGrid) -> np.ndarray:
+def lagrangian_weyl(eta: np.ndarray | SpinorField, p0: float, sign: int,
+                    pauli: PauliSet, metric: Metric3, grid: TorusGrid) -> np.ndarray:
     """Weyl Lagrangian density L_pm = (A pm p0 s) sqrt(det g)."""
     if p0 == 0.0:
         raise ZeroFrequency("p0 must be nonzero")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     b = bilinears(eta, pauli, grid, require_nonvanishing=True)
-    return (b.A + sign * p0 * b.s) * metric.sqrt_det
+    return _weyl_density(b.s, b.A, p0, sign, metric)
 
 
-def factorization_residual(eta: np.ndarray, p0: float, pauli: PauliSet,
+def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
                            metric: Metric3, grid: TorusGrid,
                            denominator_floor_rel: float = 1e-12):
     """Pointwise residual of the factorisation of the stationary
@@ -137,15 +245,15 @@ def factorization_residual(eta: np.ndarray, p0: float, pauli: PauliSet,
         raise DegenerateDenominator(
             f"|L+ - L-| below threshold at {int(bad.sum())} grid points")
     lag = _stationary_density(b.s, b.A, p0, metric)
-    lp = (b.A + p0 * b.s) * metric.sqrt_det
-    lm = (b.A - p0 * b.s) * metric.sqrt_det
+    lp = _weyl_density(b.s, b.A, p0, 1, metric)
+    lm = _weyl_density(b.s, b.A, p0, -1, metric)
     quotient = (-32.0 * p0 / 9.0) * lp * lm / denom
     residuals = {kappa: np.abs(lag - kappa * quotient) for kappa in (1, -1)}
     sign_used = min(residuals, key=lambda kappa: float(residuals[kappa].max()))
     return residuals[sign_used], sign_used
 
 
-def scaling_covariance_residual(eta: np.ndarray, h: np.ndarray, p0: float,
+def scaling_covariance_residual(eta: np.ndarray | SpinorField, h: np.ndarray, p0: float,
                                 sign: int, pauli: PauliSet, metric: Metric3,
                                 grid: TorusGrid) -> float:
     """Max-norm residual of L_pm(e^h eta) = e^{2h} L_pm(eta), relative
@@ -154,9 +262,11 @@ def scaling_covariance_residual(eta: np.ndarray, h: np.ndarray, p0: float,
     Exact pointwise in the continuum; on the grid limited only by
     aliasing of e^h eta, so use a band-limit safety factor >= 4.
     """
+    field = _field(eta, pauli, grid)
     eh = np.exp(h)
-    lhs = lagrangian_weyl(eta * eh[..., np.newaxis], p0, sign, pauli, metric, grid)
-    rhs = eh * eh * lagrangian_weyl(eta, p0, sign, pauli, metric, grid)
+    lhs = lagrangian_weyl(field.eta * eh[..., np.newaxis], p0, sign, pauli,
+                          metric, grid)
+    rhs = eh * eh * lagrangian_weyl(field, p0, sign, pauli, metric, grid)
     scale = max(float(np.abs(rhs).max()), np.finfo(float).tiny)
     return float(np.abs(lhs - rhs).max()) / scale
 
@@ -167,7 +277,7 @@ def stationary_ansatz(eta: np.ndarray, p0: float):
     return eta, -1j * p0 * eta
 
 
-def lagrangian_dynamic(xi: np.ndarray, dxi0: np.ndarray, pauli: PauliSet,
+def lagrangian_dynamic(xi: np.ndarray | SpinorField, dxi0: np.ndarray, pauli: PauliSet,
                        metric: Metric3, grid: TorusGrid) -> np.ndarray:
     """Dynamic Lagrangian density at a fixed time, given the field and
     its time derivative on that slice:
@@ -179,18 +289,20 @@ def lagrangian_dynamic(xi: np.ndarray, dxi0: np.ndarray, pauli: PauliSet,
     this reduces pointwise to `lagrangian_stationary` (via the Fierz
     identity g^ab v_a v_b = s^2).
     """
-    b = bilinears(xi, pauli, grid, require_nonvanishing=True)
+    field = _field(xi, pauli, grid)
+    b = bilinears(field, pauli, grid, require_nonvanishing=True)
     space_term = 2.0 * b.A
-    t = np.einsum("...a,nab,...b->...n", xi.conj(), pauli.sigma_lower, dxi0)
+    t = _sandwich(field.eta, pauli.sigma_lower, dxi0)
     w = -2.0 * t.imag  # i(xibar sigma_a d0 xi - c.c.), real covector
-    wnorm2 = np.einsum("...a,ab,...b->...", w, metric.g_upper, w)
+    wnorm2 = _metric_norm2(w, metric.g_upper)
     return (4.0 / (9.0 * b.s)) * (space_term**2 - wnorm2) * metric.sqrt_det
 
 
-def fierz_residual(eta: np.ndarray, pauli: PauliSet, metric: Metric3,
+def fierz_residual(eta: np.ndarray | SpinorField, pauli: PauliSet, metric: Metric3,
                    grid: TorusGrid) -> float:
-    """Max-norm residual of g^ab v_a v_b = s^2, relative to max s^2."""
-    b = bilinears(eta, pauli, grid)
-    vv = np.einsum("...a,ab,...b->...", b.v, metric.g_upper, b.v)
-    scale = max(float(np.max(b.s) ** 2), np.finfo(float).tiny)
-    return float(np.abs(vv - b.s**2).max()) / scale
+    """Max-norm residual of g^ab v_a v_b = s^2, relative to max s^2.
+    Needs no derivative of eta."""
+    field = _field(eta, pauli, grid)
+    vv = _metric_norm2(field.v, metric.g_upper)
+    scale = max(float(np.max(field.s) ** 2), np.finfo(float).tiny)
+    return float(np.abs(vv - field.s**2).max()) / scale

@@ -20,6 +20,7 @@ from .sampling import (
     rotating_coframe,
 )
 from .spinor import (
+    SpinorField,
     bilinears,
     factorization_residual,
     fierz_residual,
@@ -56,10 +57,10 @@ def verify_factorization(grid: TorusGrid, seed: int, n_cases: int = 100,
     for i in range(n_cases):
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
-        eta = random_nonvanishing_spinor(grid, rng)
+        field = SpinorField(random_nonvanishing_spinor(grid, rng), pauli, grid)
         p0 = _P0_CYCLE[i % len(_P0_CYCLE)]
-        res, sign_used = factorization_residual(eta, p0, pauli, metric, grid)
-        lag = lagrangian_stationary(eta, p0, pauli, metric, grid)
+        res, sign_used = factorization_residual(field, p0, pauli, metric, grid)
+        lag = lagrangian_stationary(field, p0, pauli, metric, grid)
         rel = float(res.max()) / max(float(np.abs(lag).max()), np.finfo(float).tiny)
         signs.add(sign_used)
         cases.append({"case": i, "p0": p0, "sign": sign_used, "residual": rel})
@@ -85,12 +86,13 @@ def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
     for i in range(n_cases):
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
-        eta = random_nonvanishing_spinor(grid, rng, max_mode=1)
+        field = SpinorField(random_nonvanishing_spinor(grid, rng, max_mode=1),
+                            pauli, grid)
         h = h_field if h_field is not None else \
             random_bandlimited_scalar(grid, rng, max_mode=1, amplitude=h_amplitude)
         p0 = _P0_CYCLE[i % len(_P0_CYCLE)]
         for sign in (1, -1):
-            res = scaling_covariance_residual(eta, h, p0, sign, pauli, metric, grid)
+            res = scaling_covariance_residual(field, h, p0, sign, pauli, metric, grid)
             cases.append({"case": i, "p0": p0, "weyl_sign": sign, "residual": res})
     return _report("scaling", cases, tol)
 
@@ -126,8 +128,8 @@ def verify_fierz(grid: TorusGrid, seed: int, n_cases: int = 50,
     for i in range(n_cases):
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
-        eta = random_nonvanishing_spinor(grid, rng)
-        res = fierz_residual(eta, pauli, metric, grid)
+        field = SpinorField(random_nonvanishing_spinor(grid, rng), pauli, grid)
+        res = fierz_residual(field, pauli, metric, grid)
         cases.append({"case": i, "residual": res})
     return _report("fierz", cases, tol)
 
@@ -142,16 +144,17 @@ def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20,
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid, rng)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        rotated = phase * eta
+        field = SpinorField(eta, pauli, grid)
+        rotated = SpinorField(phase * eta, pauli, grid)
         p0 = _P0_CYCLE[i % len(_P0_CYCLE)]
-        b0 = bilinears(eta, pauli, grid)
+        b0 = bilinears(field, pauli, grid)
         b1 = bilinears(rotated, pauli, grid)
         worst = 0.0
         for lhs, rhs in ((b0.s, b1.s), (b0.v, b1.v), (b0.A, b1.A)):
             scale = max(float(np.abs(lhs).max()), np.finfo(float).tiny)
             worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
         for sign in (1, -1):
-            lhs = lagrangian_weyl(eta, p0, sign, pauli, metric, grid)
+            lhs = lagrangian_weyl(field, p0, sign, pauli, metric, grid)
             rhs = lagrangian_weyl(rotated, p0, sign, pauli, metric, grid)
             scale = max(float(np.abs(lhs).max()), np.finfo(float).tiny)
             worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)

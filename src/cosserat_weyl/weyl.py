@@ -13,14 +13,18 @@ from .errors import ZeroFrequency, ZeroWavevector
 from .geometry import Metric3, PauliSet, TorusGrid, build_pauli, integrate, spectral_partial
 from .sampling import random_bandlimited_spinor, random_wavevector
 from .spinor import (
+    SpinorField,
     _axial_density,
     _check_nonvanishing,
     _check_real_covector,
+    _field,
+    _sandwich,
+    _scalar_density,
+    _slash,
     _stationary_density,
     bilinears,
     lagrangian_stationary,
     lagrangian_weyl,
-    spinor_gradient,
 )
 
 
@@ -44,22 +48,21 @@ class PlaneWaveSpec:
     dispersion_residual: float
 
 
-def weyl_residual(eta: np.ndarray, p0: float, sign: int, pauli: PauliSet,
-                  grid: TorusGrid) -> np.ndarray:
+def weyl_residual(eta: np.ndarray | SpinorField, p0: float, sign: int,
+                  pauli: PauliSet, grid: TorusGrid) -> np.ndarray:
     """Residual spinor field of the stationary Weyl operator,
     r = sign * p0 sigma^0 eta + i sigma^a d_a eta."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    deta = spinor_gradient(eta, grid)
-    slash = np.einsum("nab,n...b->...a", pauli.sigma_upper, deta)
-    return sign * p0 * eta + 1j * slash
+    field = _field(eta, pauli, grid)
+    return sign * p0 * field.eta + 1j * field.slash
 
 
-def weyl_residual_norm(eta: np.ndarray, p0: float, sign: int, pauli: PauliSet,
-                       grid: TorusGrid) -> float:
+def weyl_residual_norm(eta: np.ndarray | SpinorField, p0: float, sign: int,
+                       pauli: PauliSet, grid: TorusGrid) -> float:
     """Max over grid points of the pointwise 2-norm of the residual."""
     r = weyl_residual(eta, p0, sign, pauli, grid)
-    return float(np.sqrt(np.einsum("...a,...a->...", r.conj(), r).real).max())
+    return float(np.sqrt(_scalar_density(r)).max())
 
 
 def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
@@ -87,7 +90,8 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     phase = np.exp(1j * (k[0] * x1 + k[1] * x2 + k[2] * x3))
     eta = phase[..., np.newaxis] * u
     dispersion_residual = abs(p0 * p0 - float(k @ metric.g_upper @ k))
-    residuals = {s: weyl_residual_norm(eta, p0, s, pauli, grid) for s in (1, -1)}
+    field = SpinorField(eta, pauli, grid)
+    residuals = {s: weyl_residual_norm(field, p0, s, pauli, grid) for s in (1, -1)}
     weyl_sign = min(residuals, key=residuals.get)
     spec = PlaneWaveSpec(k_modes=tuple(int(m) for m in k_modes), branch=branch,
                          u=u, p0=p0, weyl_sign=weyl_sign,
@@ -98,8 +102,8 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
 _PREFACTOR = 16.0 / 9.0
 
 
-def el_gradient(eta: np.ndarray, p0: float, pauli: PauliSet, metric: Metric3,
-                grid: TorusGrid) -> np.ndarray:
+def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
+                metric: Metric3, grid: TorusGrid) -> np.ndarray:
     """Variational derivative of the discrete stationary action with
     respect to etabar, as a spinor field w.
 
@@ -109,24 +113,26 @@ def el_gradient(eta: np.ndarray, p0: float, pauli: PauliSet, metric: Metric3,
     L = c (A^2/s - p0^2 s) sqrt(det g), c = 16/9, and using that the
     spectral derivative matrix is real and antisymmetric:
 
-        w = (i/2) [ G sigma^a d_a eta + d_a (G sigma^a eta) ] + H eta,
+        w = (i/2) [ G sigma^a d_a eta + sigma^a d_a (G eta) ] + H eta,
         G = 2 c A sqrt(det g) / s,
-        H = c (-(A/s)^2 - p0^2) sqrt(det g).
+        H = c (-(A/s)^2 - p0^2) sqrt(det g),
+
+    where the second term is d_a (G sigma^a eta) with the constant
+    sigma^a taken out of the derivative.
     """
-    b = bilinears(eta, pauli, grid, require_nonvanishing=True)
+    field = _field(eta, pauli, grid)
+    b = bilinears(field, pauli, grid, require_nonvanishing=True)
     g_coef = 2.0 * _PREFACTOR * b.A * metric.sqrt_det / b.s
     h_coef = _PREFACTOR * (-((b.A / b.s) ** 2) - p0 * p0) * metric.sqrt_det
-    deta = spinor_gradient(eta, grid)
-    term1 = g_coef[..., np.newaxis] * np.einsum(
-        "nab,n...b->...a", pauli.sigma_upper, deta)
-    inner = g_coef[..., np.newaxis] * np.einsum(
-        "nab,...b->n...a", pauli.sigma_upper, eta)
-    term2 = sum(spectral_partial(inner[n], n + 1, grid) for n in range(3))
-    return 0.5j * (term1 + term2) + h_coef[..., np.newaxis] * eta
+    g_eta = g_coef[..., np.newaxis] * field.eta
+    d_g_eta = np.stack([spectral_partial(g_eta, n, grid) for n in (1, 2, 3)])
+    term1 = g_coef[..., np.newaxis] * field.slash
+    term2 = _slash(pauli.sigma_upper, d_g_eta)
+    return 0.5j * (term1 + term2) + h_coef[..., np.newaxis] * field.eta
 
 
 def _gradient_scale(eta: np.ndarray, p0: float, metric: Metric3) -> float:
-    smax = float(np.einsum("...a,...a->...", eta.conj(), eta).real.max())
+    smax = float(_scalar_density(eta).max())
     return _PREFACTOR * metric.sqrt_det * (1.0 + p0 * p0) * np.sqrt(smax)
 
 
@@ -192,8 +198,8 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
     eps_cbrt = float(np.cbrt(np.finfo(float).eps))
     offsets, weights = _line_stencil(grid)
     dims = np.asarray(grid.dims)[:, np.newaxis]
-    deta = spinor_gradient(eta, grid)
-    s_flat = np.einsum("...a,...a->...", eta.conj(), eta).real.ravel()
+    field = _field(eta, pauli, grid)
+    eta, deta, s_flat = field.eta, field.gradient, field.s.ravel()
     order = np.argsort(s_flat)
     signs = np.array([1.0, -1.0])
     values = np.empty(len(dofs))
@@ -205,7 +211,7 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
         eta_pm[:, 0, comp] += delta
         deta_pm = np.stack([deta[(slice(None),) + pts]] * 2, axis=1)
         deta_pm[..., comp] += weights[:, np.newaxis] * delta[:, np.newaxis]
-        s_pm = np.einsum("...a,...a->...", eta_pm.conj(), eta_pm).real
+        s_pm = _scalar_density(eta_pm)
         # s is unchanged away from p: the floor needs only the extremes elsewhere
         flat_p = np.ravel_multi_index(point, grid.dims)
         lo = order[1] if order[0] == flat_p else order[0]
@@ -213,19 +219,18 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
         for k in range(2):
             at_p = eta_pm[k, 0]
             _check_nonvanishing(np.array([s_pm[k, 0], s_flat[lo], s_flat[hi]]))
-            _check_real_covector(
-                np.einsum("a,nab,b->n", at_p.conj(), pauli.sigma_lower, at_p),
-                max(s_pm[k, 0], s_flat[hi], np.finfo(float).tiny))
-        lag_pm = _stationary_density(s_pm, _axial_density(eta_pm, deta_pm, pauli),
-                                     p0, metric)
+            _check_real_covector(_sandwich(at_p, pauli.sigma_lower, at_p),
+                                 max(s_pm[k, 0], s_flat[hi], np.finfo(float).tiny))
+        axial = _axial_density(eta_pm, _slash(pauli.sigma_upper, deta_pm))
+        lag_pm = _stationary_density(s_pm, axial, p0, metric)
         grad = integrate(lag_pm[0] - lag_pm[1], grid) / (2.0 * step)
         values[i] = grad / (2.0 * grid.cell_volume)
     return values
 
 
-def el_residual(eta: np.ndarray, p0: float, pauli: PauliSet, metric: Metric3,
-                grid: TorusGrid, mode: str = "analytic", probes: int = 64,
-                seed: int = 0) -> float:
+def el_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
+                metric: Metric3, grid: TorusGrid, mode: str = "analytic",
+                probes: int = 64, seed: int = 0) -> float:
     """Scale-normalised max-norm of the gradient of the discrete
     stationary action.
 
@@ -237,26 +242,28 @@ def el_residual(eta: np.ndarray, p0: float, pauli: PauliSet, metric: Metric3,
     point, so each costs O(N1 + N2 + N3) on top of one spectral
     gradient of eta (see `_fd_gradient_at_dofs`).
     """
-    ref = _gradient_scale(eta, p0, metric)
+    field = _field(eta, pauli, grid)
+    ref = _gradient_scale(field.eta, p0, metric)
     if mode == "analytic":
-        w = el_gradient(eta, p0, pauli, metric, grid)
+        w = el_gradient(field, p0, pauli, metric, grid)
         return float(max(np.abs(w.real).max(), np.abs(w.imag).max())) / ref
     if mode == "fd":
-        dofs = _sample_dofs(eta, probes, seed)
-        values = _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs)
+        dofs = _sample_dofs(field.eta, probes, seed)
+        values = _fd_gradient_at_dofs(field, p0, pauli, metric, grid, dofs)
         return float(np.abs(values).max()) / ref
     raise ValueError(f"mode must be 'analytic' or 'fd', got {mode!r}")
 
 
-def el_gradient_fd_check(eta: np.ndarray, p0: float, pauli: PauliSet,
-                         metric: Metric3, grid: TorusGrid, probes: int = 64,
-                         seed: int = 0) -> float:
+def el_gradient_fd_check(eta: np.ndarray | SpinorField, p0: float,
+                         pauli: PauliSet, metric: Metric3, grid: TorusGrid,
+                         probes: int = 64, seed: int = 0) -> float:
     """Relative max-norm disagreement between the analytic and the
     finite-difference gradients on a common random subsample of
     degrees of freedom."""
-    dofs = _sample_dofs(eta, probes, seed)
-    fd = _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs)
-    w = el_gradient(eta, p0, pauli, metric, grid)
+    field = _field(eta, pauli, grid)
+    dofs = _sample_dofs(field.eta, probes, seed)
+    fd = _fd_gradient_at_dofs(field, p0, pauli, metric, grid, dofs)
+    w = el_gradient(field, p0, pauli, metric, grid)
     analytic = np.array([
         w[point + (comp,)].real if part == 0 else w[point + (comp,)].imag
         for point, comp, part in dofs])
@@ -294,12 +301,13 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
             spec, eta = planewave_solution(k, sign, metric, grid)
             p0 = abs(spec.p0)  # sign-s equation at positive frequency
             branch_pairing[f"branch{sign:+d}"] = f"weyl{sign:+d}"
-            wres = weyl_residual_norm(eta, p0, sign, pauli, grid)
-            eres = el_residual(eta, p0, pauli, metric, grid, mode="analytic")
-            eres_fd = el_residual(eta, p0, pauli, metric, grid, mode="fd",
+            field = SpinorField(eta, pauli, grid)
+            wres = weyl_residual_norm(field, p0, sign, pauli, grid)
+            eres = el_residual(field, p0, pauli, metric, grid, mode="analytic")
+            eres_fd = el_residual(field, p0, pauli, metric, grid, mode="fd",
                                   probes=fd_probes, seed=int(rng.integers(2**31)))
-            lag = lagrangian_stationary(eta, p0, pauli, metric, grid)
-            lpm = lagrangian_weyl(eta, p0, sign, pauli, metric, grid)
+            lag = lagrangian_stationary(field, p0, pauli, metric, grid)
+            lpm = lagrangian_weyl(field, p0, sign, pauli, metric, grid)
             case = {
                 "kind": "solution",
                 "k": [int(m) for m in k],
@@ -320,10 +328,9 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
             noise = random_bandlimited_spinor(
                 grid, np.random.default_rng(int(rng.integers(2**31))),
                 max_mode=2, amplitude=perturb)
-            eta_bad = eta + noise
-            wres_bad = weyl_residual_norm(eta_bad, p0, sign, pauli, grid)
-            eres_bad = el_residual(eta_bad, p0, pauli, metric, grid,
-                                   mode="analytic")
+            bad = SpinorField(eta + noise, pauli, grid)
+            wres_bad = weyl_residual_norm(bad, p0, sign, pauli, grid)
+            eres_bad = el_residual(bad, p0, pauli, metric, grid, mode="analytic")
             bad_case = {
                 "kind": "perturbed",
                 "k": [int(m) for m in k],
@@ -332,9 +339,9 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
                 "weyl_residual": wres_bad,
                 "el_residual": eres_bad,
                 "L_max": float(np.abs(lagrangian_stationary(
-                    eta_bad, p0, pauli, metric, grid)).max()),
+                    bad, p0, pauli, metric, grid)).max()),
                 "Lpm_max": float(np.abs(lagrangian_weyl(
-                    eta_bad, p0, sign, pauli, metric, grid)).max()),
+                    bad, p0, sign, pauli, metric, grid)).max()),
             }
             bad_case["pass"] = bool(eres_bad >= nonsolution_floor
                                     and wres_bad >= nonsolution_floor)

@@ -47,6 +47,13 @@ class TestExitCodes:
             assert main(argv) == 2, argv
             assert "error:" in capsys.readouterr().err
 
+    def test_verify_rejects_metric(self, capsys):
+        # every suite draws its own metrics, so a given one would be ignored
+        for argv in (["verify", "fierz", "--metric", "diag:1,4,9", *SMALL],
+                     ["verify", "conformal", "--metric", "identity", *SMALL]):
+            assert main(argv) == 2, argv
+            assert "--metric" in capsys.readouterr().err
+
     def test_removed_threads_option_rejected(self, capsys):
         for argv in (["verify", "fierz", "--threads", "2", *SMALL],
                      ["theorem", "--n", "1", "--threads", "1", *SMALL]):
@@ -65,7 +72,7 @@ class TestVerifyReports:
         cfg = report["config"]
         assert cfg["seed"] == 7
         assert cfg["grid"] == [8, 8, 8]
-        assert cfg["metric"] == np.eye(3).tolist()
+        assert "metric" not in cfg  # suites draw their own metrics
         assert "timestamp" in report
 
     def test_determinism_modulo_timestamp(self, tmp_path):

@@ -19,7 +19,8 @@ from cosserat_weyl import (
     norm2_3form,
     spectral_partial,
 )
-from cosserat_weyl.geometry import PAULI_1, PAULI_2, PAULI_3
+from cosserat_weyl.cosserat import induced_metric, kinetic_2form, kinetic_energy
+from cosserat_weyl.geometry import PAULI_1, PAULI_2, PAULI_3, _norm2_2form
 from cosserat_weyl.sampling import random_bandlimited_scalar, random_spd_metric
 
 TWO_PI = 2.0 * np.pi
@@ -55,6 +56,16 @@ class TestTorusGrid:
             TorusGrid((2, 16, 16), (1.0, 1.0, 1.0))  # too small
         with pytest.raises(ValueError):
             TorusGrid((8, 8, 8), (1.0, -1.0, 1.0))  # bad box
+
+    def test_wavenumbers_cached_and_read_only(self):
+        g = TorusGrid((4, 6, 8), (5.0, 7.0, 9.0))
+        k = g.wavenumber(2)
+        assert k is g.wavenumber(2)
+        assert k[3] == 0.0 and k[1] == pytest.approx(TWO_PI / 7.0)
+        with pytest.raises(ValueError):
+            k[1] = 0.0
+        with pytest.raises(InvalidAxis):
+            g.wavenumber(4)
 
     def test_cell_volume(self):
         g = TorusGrid((8, 4, 16), (1.0, 2.0, 4.0))
@@ -199,6 +210,46 @@ class TestFormNorms:
         omega = np.zeros(grid8.shape + (3,))
         omega[..., 2] = 3.0
         assert np.abs(norm2_2form(omega, identity_metric) - 9.0).max() <= 1e-14
+
+
+def _norm2_2form_full(omega, g_upper):
+    """Oracle: (1/2) w_ab w_cd g^ac g^bd from the full antisymmetric
+    matrix; g_upper is one 3x3 matrix or one per point."""
+    w23, w31, w12 = omega[..., 0], omega[..., 1], omega[..., 2]
+    full = np.zeros(omega.shape[:-1] + (3, 3))
+    full[..., 1, 2], full[..., 2, 1] = w23, -w23
+    full[..., 2, 0], full[..., 0, 2] = w31, -w31
+    full[..., 0, 1], full[..., 1, 0] = w12, -w12
+    return 0.5 * np.einsum("...ab,...cd,...ac,...bd->...", full, full, g_upper, g_upper)
+
+
+class TestTwoFormNormOracle:
+    def test_random_spd_metrics(self, grid8):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            metric = random_spd_metric(rng, eig_low=0.05, eig_high=20.0)
+            omega = rng.normal(size=grid8.shape + (3,))
+            oracle = _norm2_2form_full(omega, metric.g_upper)
+            assert np.abs(norm2_2form(omega, metric) - oracle).max() \
+                <= 1e-13 * np.abs(oracle).max()
+
+    def test_induced_metrics(self, grid8):
+        # per-point metrics of random (non-orthonormal) coframes, as the
+        # coframe energetics use them
+        rng = np.random.default_rng(19)
+        theta = np.eye(3)[:, np.newaxis, np.newaxis, np.newaxis, :] \
+            + 0.2 * rng.normal(size=(3,) + grid8.shape + (3,))
+        dtheta0 = rng.normal(size=theta.shape)
+        rho = 1.0 + 0.5 * rng.uniform(size=grid8.shape)
+        g_ind, g_ind_upper, det_ind = induced_metric(theta)
+        omega = kinetic_2form(theta, dtheta0)
+        oracle = _norm2_2form_full(omega, g_ind_upper)
+        assert np.abs(_norm2_2form(omega, g_ind, det_ind) - oracle).max() \
+            <= 1e-12 * np.abs(oracle).max()
+        k_oracle = integrate(oracle * rho, grid8)
+        k = kinetic_energy(theta, dtheta0, rho, Metric3.identity(), grid8)
+        assert abs(k - k_oracle) <= 1e-12 * abs(k_oracle)
+        assert np.abs(det_ind - np.linalg.det(g_ind)).max() <= 1e-12 * np.abs(det_ind).max()
 
 
 class TestIntegrate:

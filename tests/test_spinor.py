@@ -1,27 +1,39 @@
 """Spinor bilinears, the stationary and Weyl Lagrangian densities, the
 factorisation identity, scaling covariance and the dynamic reduction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cosserat_weyl.spinor as spinor_module
 from cosserat_weyl import (
     DegenerateDenominator,
     FACTORIZATION_SIGN,
+    SpinorField,
     TorusGrid,
     VanishingSpinor,
     ZeroFrequency,
     bilinears,
     build_pauli,
+    el_gradient,
+    el_residual,
     factorization_residual,
     fierz_residual,
     lagrangian_dynamic,
     lagrangian_stationary,
     lagrangian_weyl,
+    planewave_solution,
     scaling_covariance_residual,
+    spinor_to_frame,
     stationary_ansatz,
+    weyl_residual,
+    weyl_residual_norm,
 )
+from cosserat_weyl.correspondence import _conjugate_spinor
+from cosserat_weyl.spinor import _sandwich, _slash, spinor_gradient
 from cosserat_weyl.sampling import (
     random_bandlimited_scalar,
     random_nonvanishing_spinor,
@@ -179,3 +191,137 @@ class TestDynamicReduction:
             stat = lagrangian_stationary(eta, p0, pauli, metric, grid16)
             scale = np.abs(stat).max()
             assert np.abs(dyn - stat).max() / scale <= 1e-13
+
+
+# -- explicit Pauli arithmetic and the shared field ---------------------------
+
+GRID_468 = TorusGrid((4, 6, 8), (5.0, 7.0, 9.0))
+
+
+def _oracle_sandwich(eta, sigma, xi):
+    return np.einsum("...a,nab,...b->...n", eta.conj(), sigma, xi)
+
+
+def _oracle_slash(sigma, deta):
+    return np.einsum("nab,n...b->...a", sigma, deta)
+
+
+def _oracle_axial(eta, deta, sigma_upper):
+    return -np.einsum("...a,nab,n...b->...", eta.conj(), sigma_upper, deta).imag
+
+
+def _metric_pauli_and_fields(seed):
+    """A metric-adapted Pauli set and two spinor fields on the (4,6,8)
+    grid: a random one and a plane wave with modes (1,2,3), the highest
+    below Nyquist on every axis."""
+    rng = np.random.default_rng(seed)
+    metric = random_spd_metric(rng)
+    pauli = build_pauli(metric)
+    eta = random_nonvanishing_spinor(GRID_468, rng, max_mode=1)
+    _, wave = planewave_solution((1, 2, 3), 1 if seed % 2 else -1, metric, GRID_468)
+    return metric, pauli, rng, (eta, wave)
+
+
+def _rel(value, oracle):
+    return np.abs(value - oracle).max() / max(np.abs(oracle).max(), np.finfo(float).tiny)
+
+
+class TestPauliArithmetic:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_helpers_match_einsum_oracle(self, seed):
+        metric, pauli, rng, fields = _metric_pauli_and_fields(seed)
+        skew = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        for eta in fields:
+            other = random_nonvanishing_spinor(GRID_468, rng)
+            deta = spinor_gradient(eta, GRID_468)
+            for sigma in (pauli.sigma_lower, pauli.sigma_upper, skew):
+                for xi in (eta, other, _conjugate_spinor(eta)):
+                    assert _rel(_sandwich(eta, sigma, xi),
+                                _oracle_sandwich(eta, sigma, xi)) <= 1e-14
+                assert _rel(_slash(sigma, deta), _oracle_slash(sigma, deta)) <= 1e-14
+            b = bilinears(eta, pauli, GRID_468)
+            assert _rel(b.v, _oracle_sandwich(eta, pauli.sigma_lower, eta).real) <= 1e-14
+            assert _rel(b.A, _oracle_axial(eta, deta, pauli.sigma_upper)) <= 1e-14
+
+    def test_plane_wave_axial_density_is_minus_p0_s(self):
+        # (k.sigma) u = p0 u gives sigma^a d_a eta = i p0 eta, so A = -p0 s
+        metric, pauli, _, (_, wave) = _metric_pauli_and_fields(1)
+        k = 2.0 * np.pi * np.array([1, 2, 3]) / np.asarray(GRID_468.box)
+        p0 = float(np.sqrt(k @ metric.g_upper @ k))
+        b = bilinears(wave, pauli, GRID_468)
+        assert np.abs(b.A + p0 * b.s).max() <= 1e-12
+
+
+class TestSpinorField:
+    def _setup(self, seed=5):
+        metric, pauli, _, (eta, _) = _metric_pauli_and_fields(seed)
+        return metric, pauli, eta
+
+    def test_field_and_array_give_identical_results(self):
+        metric, pauli, eta = self._setup()
+        grid = GRID_468
+        field = SpinorField(eta, pauli, grid)
+        _, dxi0 = stationary_ansatz(eta, 0.7)
+        for fn in (
+            lambda e: bilinears(e, pauli, grid).A,
+            lambda e: bilinears(e, pauli, grid).v,
+            lambda e: lagrangian_stationary(e, 0.7, pauli, metric, grid),
+            lambda e: lagrangian_weyl(e, 0.7, -1, pauli, metric, grid),
+            lambda e: factorization_residual(e, 0.7, pauli, metric, grid)[0],
+            lambda e: fierz_residual(e, pauli, metric, grid),
+            lambda e: lagrangian_dynamic(e, dxi0, pauli, metric, grid),
+            lambda e: weyl_residual(e, 0.7, 1, pauli, grid),
+            lambda e: el_gradient(e, 0.7, pauli, metric, grid),
+            lambda e: el_residual(e, 0.7, pauli, metric, grid, mode="fd", probes=8),
+            lambda e: spinor_to_frame(e, pauli, metric, grid).theta,
+        ):
+            assert np.array_equal(fn(field), fn(eta))
+
+    def test_each_quantity_is_computed_once(self, monkeypatch):
+        metric, pauli, eta = self._setup()
+        calls = []
+        original = spinor_module.spinor_gradient
+        monkeypatch.setattr(spinor_module, "spinor_gradient",
+                            lambda *args: calls.append(1) or original(*args))
+        fierz_residual(SpinorField(eta, pauli, GRID_468), pauli, metric, GRID_468)
+        assert calls == []  # the Fierz identity needs no derivative
+        field = SpinorField(eta, pauli, GRID_468)
+        lagrangian_stationary(field, 0.5, pauli, metric, GRID_468)
+        lagrangian_weyl(field, 0.5, 1, pauli, metric, GRID_468)
+        weyl_residual_norm(field, 0.5, 1, pauli, GRID_468)
+        el_residual(field, 0.5, pauli, metric, GRID_468)
+        el_residual(field, 0.5, pauli, metric, GRID_468, mode="fd", probes=4)
+        assert len(calls) == 1
+
+    def test_field_for_other_pauli_set_or_grid_rejected(self):
+        metric, pauli, eta = self._setup()
+        other_pauli = build_pauli(random_spd_metric(np.random.default_rng(99)))
+        other_grid = TorusGrid((4, 6, 8), (5.0, 7.0, 9.5))
+        field = SpinorField(eta, pauli, GRID_468)
+        calls = [
+            lambda p, g: bilinears(field, p, g),
+            lambda p, g: lagrangian_stationary(field, 0.5, p, metric, g),
+            lambda p, g: fierz_residual(field, p, metric, g),
+            lambda p, g: weyl_residual_norm(field, 0.5, 1, p, g),
+            lambda p, g: el_residual(field, 0.5, p, metric, g),
+            lambda p, g: spinor_to_frame(field, p, metric, g),
+        ]
+        for call in calls:
+            for p, g in ((other_pauli, GRID_468), (pauli, other_grid)):
+                with pytest.raises(ValueError, match="different Pauli set or grid"):
+                    call(p, g)
+            # an equal Pauli set built separately is the same Pauli set
+            call(build_pauli(metric), TorusGrid((4, 6, 8), (5.0, 7.0, 9.0)))
+
+    def test_non_hermitian_pauli_set_fails_reality_check(self):
+        metric, pauli, eta = self._setup()
+        complex_v = dataclasses.replace(pauli, sigma_lower=1j * pauli.sigma_lower)
+        for call in (
+            lambda: bilinears(eta, complex_v, GRID_468),
+            lambda: fierz_residual(eta, complex_v, metric, GRID_468),
+            lambda: spinor_to_frame(eta, complex_v, metric, GRID_468),
+            lambda: el_residual(eta, 0.5, complex_v, metric, GRID_468,
+                                mode="fd", probes=4),
+        ):
+            with pytest.raises(ValueError, match="reality check"):
+                call()

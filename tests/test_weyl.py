@@ -22,7 +22,8 @@ from cosserat_weyl import (
     weyl_residual,
     weyl_residual_norm,
 )
-from cosserat_weyl.geometry import integrate
+import cosserat_weyl.spinor as spinor_module
+from cosserat_weyl.geometry import integrate, spectral_partial
 from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric
 from cosserat_weyl.weyl import _fd_gradient_at_dofs, _gradient_scale, _sample_dofs
 
@@ -150,6 +151,36 @@ class TestVariationalGradient:
                         mode="nope")
 
 
+def _el_gradient_oracle(eta, p0, pauli, metric, grid):
+    """The closed-form gradient with einsum contractions and the second
+    term as d_a (G sigma^a eta), one axis at a time."""
+    c = 16.0 / 9.0
+    s = np.einsum("...a,...a->...", eta.conj(), eta).real
+    deta = np.stack([spectral_partial(eta, n, grid) for n in (1, 2, 3)])
+    slash = np.einsum("nab,n...b->...a", pauli.sigma_upper, deta)
+    A = -np.einsum("...a,...a->...", eta.conj(), slash).imag
+    g_coef = (2.0 * c * A * metric.sqrt_det / s)[..., np.newaxis]
+    h_coef = (c * (-((A / s) ** 2) - p0 * p0) * metric.sqrt_det)[..., np.newaxis]
+    inner = g_coef * np.einsum("nab,...b->n...a", pauli.sigma_upper, eta)
+    term2 = sum(spectral_partial(inner[n], n + 1, grid) for n in range(3))
+    return 0.5j * (g_coef * slash + term2) + h_coef * eta
+
+
+class TestAnalyticGradientOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_einsum_form(self, seed):
+        grid = TorusGrid((4, 6, 8), (5.0, 7.0, 9.0))
+        rng = np.random.default_rng(seed)
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        _, wave = planewave_solution((1, 2, 3), 1, metric, grid)
+        for eta in (random_nonvanishing_spinor(grid, rng, max_mode=1),
+                    wave + random_nonvanishing_spinor(grid, rng, amplitude=0.1)):
+            oracle = _el_gradient_oracle(eta, 0.8, pauli, metric, grid)
+            w = el_gradient(eta, 0.8, pauli, metric, grid)
+            assert np.abs(w - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
 class TestLocalFiniteDifferences:
     """The FD gradient evaluates each probe on the three grid lines
     through its point; the full-grid evaluation is the oracle."""
@@ -243,6 +274,18 @@ class TestWitnessSuite:
         assert set(report["branch_pairing"]) == {"branch+1", "branch-1"}
         assert report["config"]["fd_probes"] == 4
         assert report["config"]["max_mode"] == 2
+
+    def test_one_spectral_gradient_per_field(self, grid8, monkeypatch):
+        # each solution field is differentiated once inside
+        # planewave_solution (both sign residuals) and once by the suite;
+        # each perturbed field once: 3 gradients per pair of cases
+        calls = []
+        original = spinor_module.spinor_gradient
+        monkeypatch.setattr(spinor_module, "spinor_gradient",
+                            lambda *args: calls.append(1) or original(*args))
+        metric = random_spd_metric(np.random.default_rng(4))
+        report = theorem_witness_suite(4, grid8, metric, n_cases=2, fd_probes=4)
+        assert len(calls) / len(report["cases"]) <= 1.5
 
     def test_report_is_json_serialisable(self, grid8, identity_metric):
         import json

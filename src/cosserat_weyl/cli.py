@@ -18,12 +18,12 @@ import numpy as np
 from . import __version__
 from .cwf import write_field, write_scalar_csv
 from .errors import ConfigError, ModelError
-from .geometry import Metric3, TorusGrid, build_pauli
+from .geometry import Metric3, TorusGrid
 from .minilang import parse_scalar_expr
-from .spinor import (FACTORIZATION_SIGN, SpinorField, lagrangian_stationary,
-                     lagrangian_weyl)
+from .spinor import FACTORIZATION_SIGN
 from .suites import VERIFIERS
-from .weyl import el_residual, planewave_solution, theorem_witness_suite, weyl_residual_norm
+from .weyl import (EL_TOL, LAGRANGIAN_TOL, WEYL_TOL, _residuals, planewave_solution,
+                   theorem_witness_suite)
 
 TWO_PI = 2.0 * np.pi
 
@@ -140,30 +140,23 @@ def _cmd_planewave(args) -> int:
     metric = _parse_metric(args.metric)
     k = _parse_triple(args.k, int, "--k")
     branch = {"+": 1, "-": -1}[args.branch]
-    spec, eta = planewave_solution(k, branch, metric, grid)
-    pauli = build_pauli(metric)
+    spec, field = planewave_solution(k, branch, metric, grid)
     if args.eta_out:
-        write_field(args.eta_out, "spinor", eta, grid)
-    field = SpinorField(eta, pauli, grid)
-    lag = lagrangian_stationary(field, spec.p0, pauli, metric, grid)
-    lpm = lagrangian_weyl(field, spec.p0, spec.weyl_sign, pauli, metric, grid)
+        write_field(args.eta_out, "spinor", field.eta, grid)
+    res, lag = _residuals(field, spec.p0, spec.weyl_sign, metric)
     if args.density_csv:
         write_scalar_csv(args.density_csv, lag, grid)
-    wres = weyl_residual_norm(field, spec.p0, spec.weyl_sign, pauli, grid)
-    eres = el_residual(field, spec.p0, pauli, metric, grid, mode="analytic")
     report = {
         "config": _canonical_config(args, grid, metric),
         "factorization_sign": FACTORIZATION_SIGN,
         "p0": spec.p0,
         "weyl_sign": spec.weyl_sign,
         "dispersion_residual": spec.dispersion_residual,
-        "weyl_residual": wres,
-        "el_residual": eres,
-        "L_max": float(np.abs(lag).max()),
-        "Lpm_max": float(np.abs(lpm).max()),
-        "verdict": "pass" if (spec.dispersion_residual <= 1e-12
-                              and wres <= 1e-12 and eres <= 1e-8
-                              and float(np.abs(lag).max()) <= 1e-12) else "fail",
+        **res,
+        "verdict": "pass" if (spec.dispersion_residual <= WEYL_TOL
+                              and res["weyl_residual"] <= WEYL_TOL
+                              and res["el_residual"] <= EL_TOL
+                              and res["L_max"] <= LAGRANGIAN_TOL) else "fail",
     }
     return _finish(report, args)
 

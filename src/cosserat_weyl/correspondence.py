@@ -29,6 +29,9 @@ from .spinor import SpinorField, _check_nonvanishing, _field, _sandwich
 # d0 (theta^1 + i theta^2) = PHASE_RATE * i * p0 * (theta^1 + i theta^2)
 PHASE_RATE = -2.0
 
+# largest orthonormality residual `frame_to_spinor` accepts
+_ORTHO_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class FramePacket:
@@ -45,12 +48,11 @@ def _conjugate_spinor(xi: np.ndarray) -> np.ndarray:
 
 
 def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
-                    metric: Metric3, grid: TorusGrid,
-                    floor_rel: float = 1e-12) -> FramePacket:
+                    metric: Metric3, grid: TorusGrid) -> FramePacket:
     """Map a nonvanishing spinor field to its coframe + density."""
     field = _field(xi, pauli, grid)
     s = field.s
-    _check_nonvanishing(s, floor_rel)
+    _check_nonvanishing(s)
     w = _sandwich(_conjugate_spinor(field.eta), pauli.sigma_lower, field.eta)
     sinv = 1.0 / s[..., np.newaxis]
     theta = np.stack([w.real * sinv, w.imag * sinv, field.v * sinv])
@@ -59,8 +61,7 @@ def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
 
 
 def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
-                    metric: Metric3, grid: TorusGrid,
-                    ortho_tol: float = 1e-6) -> np.ndarray:
+                    metric: Metric3, grid: TorusGrid) -> np.ndarray:
     """Invert `spinor_to_frame` up to a global sign.
 
     The per-point spinor is recovered from the rank-1 Hermitian matrix
@@ -70,8 +71,8 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
     is globally consistent on the torus for smooth nonvanishing fields.
     """
     worst = float(orthonormality_residual(theta, metric).max())
-    if worst > ortho_tol:
-        raise NotOrthonormal(f"orthonormality residual {worst:.3e} > {ortho_tol:.1e}")
+    if worst > _ORTHO_TOL:
+        raise NotOrthonormal(f"orthonormality residual {worst:.3e} > {_ORTHO_TOL:.1e}")
     if float(np.min(rho)) <= 0.0:
         raise NonPositiveDensity(f"min rho = {np.min(rho):.3e}")
 

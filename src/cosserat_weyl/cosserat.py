@@ -15,6 +15,7 @@ from .geometry import (
     Metric3,
     TorusGrid,
     _norm2_2form,
+    _norm2_3form,
     exterior_derivative,
     integrate,
     wedge_1_1,
@@ -54,10 +55,6 @@ def _induced_det(theta: np.ndarray) -> np.ndarray:
     return np.sum(theta[0] * np.cross(theta[1], theta[2]), axis=-1) ** 2
 
 
-def _norm2_3form_induced(f: np.ndarray, det_ind: np.ndarray) -> np.ndarray:
-    return f * f / det_ind
-
-
 def orthonormality_residual(theta: np.ndarray, metric: Metric3) -> np.ndarray:
     """Pointwise max entry of |g_ab - delta_jk theta^j_a theta^k_b|.
 
@@ -86,7 +83,7 @@ def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
     """
     check_density(rho)
     f = axial_torsion(theta, grid)
-    return integrate(_norm2_3form_induced(f, _induced_det(theta)) * rho, grid)
+    return integrate(_norm2_3form(f, _induced_det(theta)) * rho, grid)
 
 
 def conformal_rescale(theta: np.ndarray, rho: np.ndarray, h: np.ndarray):
@@ -120,6 +117,6 @@ def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
     (|T_ax|^2 - |theta_dot|^2) rho; its integral is P - K."""
     check_density(rho)
     det_ind = _induced_det(theta)
-    potential = _norm2_3form_induced(axial_torsion(theta, grid), det_ind)
+    potential = _norm2_3form(axial_torsion(theta, grid), det_ind)
     kinetic = _norm2_2form(kinetic_2form(theta, dtheta0), _gram(theta), det_ind)
     return (potential - kinetic) * rho

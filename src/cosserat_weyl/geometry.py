@@ -27,7 +27,6 @@ from .errors import InvalidAxis, MetricNotSPD
 PAULI_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_0 = np.eye(2, dtype=complex)
 
 _PAULI_STANDARD = np.stack([PAULI_1, PAULI_2, PAULI_3])
 
@@ -97,10 +96,6 @@ class TorusGrid:
         return self.dims
 
     @property
-    def spacing(self) -> tuple:
-        return tuple(length / n for length, n in zip(self.box, self.dims))
-
-    @property
     def cell_volume(self) -> float:
         vol = 1.0
         for length, n in zip(self.box, self.dims):
@@ -151,12 +146,12 @@ class PauliSet:
 
     sigma_upper[a] are Hermitian 2x2 matrices satisfying
     sigma^a sigma^b + sigma^b sigma^a = 2 g^ab Id; sigma_lower is the
-    index-lowered triple and sigma0 the identity (sigma^0 = sigma_0).
+    index-lowered triple. sigma^0 = sigma_0 is the identity and is not
+    stored.
     """
 
     sigma_upper: np.ndarray
     sigma_lower: np.ndarray
-    sigma0: np.ndarray
 
 
 def build_pauli(metric: Metric3) -> PauliSet:
@@ -168,7 +163,7 @@ def build_pauli(metric: Metric3) -> PauliSet:
     factor = np.linalg.cholesky(metric.g_upper)
     sigma_upper = np.einsum("aj,jkl->akl", factor, _PAULI_STANDARD)
     sigma_lower = np.einsum("ab,bkl->akl", metric.g_lower, sigma_upper)
-    return PauliSet(sigma_upper=sigma_upper, sigma_lower=sigma_lower, sigma0=SIGMA_0.copy())
+    return PauliSet(sigma_upper=sigma_upper, sigma_lower=sigma_lower)
 
 
 def anticommutator_residual(pauli: PauliSet, metric: Metric3) -> float:
@@ -242,9 +237,15 @@ def norm2_2form(omega: np.ndarray, metric: Metric3) -> np.ndarray:
     return _norm2_2form(omega, metric.g_lower, metric.det_g)
 
 
+def _norm2_3form(f: np.ndarray, det_g) -> np.ndarray:
+    """Pointwise squared norm f^2 / det g of f dx1^dx2^dx3, with det_g
+    one number or one per point."""
+    return f * f / det_g
+
+
 def norm2_3form(f: np.ndarray, metric: Metric3) -> np.ndarray:
     """Pointwise squared norm of f dx1^dx2^dx3, equal to f^2 / det g."""
-    return f * f / metric.det_g
+    return _norm2_3form(f, metric.det_g)
 
 
 def integrate(field: np.ndarray, grid: TorusGrid) -> float:

@@ -13,6 +13,10 @@ from .errors import VanishingSpinor
 from .geometry import Metric3, TorusGrid
 from .spinor import _scalar_density
 
+# Fourier terms per real scalar field and per spinor component
+_SCALAR_TERMS = 6
+_SPINOR_TERMS = 4
+
 
 def random_spd_metric(rng: np.random.Generator, eig_low: float = 0.5,
                       eig_high: float = 2.0) -> Metric3:
@@ -30,13 +34,12 @@ def _angular_coords(grid: TorusGrid):
 
 
 def random_bandlimited_scalar(grid: TorusGrid, rng: np.random.Generator,
-                              max_mode: int = 2, n_terms: int = 6,
-                              amplitude: float = 1.0) -> np.ndarray:
+                              max_mode: int = 2, amplitude: float = 1.0) -> np.ndarray:
     """Real trigonometric polynomial with per-axis mode numbers
     bounded by ``max_mode``."""
     xt = _angular_coords(grid)
     field = np.zeros(grid.shape)
-    for _ in range(n_terms):
+    for _ in range(_SCALAR_TERMS):
         modes = rng.integers(-max_mode, max_mode + 1, size=3)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         coeff = rng.normal()
@@ -47,13 +50,12 @@ def random_bandlimited_scalar(grid: TorusGrid, rng: np.random.Generator,
 
 
 def random_bandlimited_spinor(grid: TorusGrid, rng: np.random.Generator,
-                              max_mode: int = 2, n_terms: int = 4,
-                              amplitude: float = 1.0) -> np.ndarray:
+                              max_mode: int = 2, amplitude: float = 1.0) -> np.ndarray:
     """Complex 2-component trigonometric polynomial."""
     xt = _angular_coords(grid)
     field = np.zeros(grid.shape + (2,), dtype=complex)
     for comp in range(2):
-        for _ in range(n_terms):
+        for _ in range(_SPINOR_TERMS):
             modes = rng.integers(-max_mode, max_mode + 1, size=3)
             coeff = rng.normal() + 1j * rng.normal()
             field[..., comp] += coeff * np.exp(

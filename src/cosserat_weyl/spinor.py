@@ -32,6 +32,9 @@ FACTORIZATION_SIGN = -1
 
 _REALITY_TOL = 1e-13
 
+# |L+ - L-| below this fraction of its max raises DegenerateDenominator
+_DENOMINATOR_FLOOR_REL = 1e-12
+
 
 @dataclass(frozen=True)
 class SpinorBilinears:
@@ -84,9 +87,9 @@ def _scalar_density(eta: np.ndarray) -> np.ndarray:
     return np.einsum("...a,...a->...", eta.conj(), eta).real
 
 
-def _check_nonvanishing(s: np.ndarray, floor_rel: float = 1e-12) -> None:
+def _check_nonvanishing(s: np.ndarray) -> None:
     smax = float(np.max(s))
-    if smax <= 0.0 or float(np.min(s)) <= floor_rel * smax:
+    if smax <= 0.0 or float(np.min(s)) <= 1e-12 * smax:
         raise VanishingSpinor(
             f"spinor magnitude too small: min s = {np.min(s):.3e}, max s = {smax:.3e}")
 
@@ -224,8 +227,7 @@ def lagrangian_weyl(eta: np.ndarray | SpinorField, p0: float, sign: int,
 
 
 def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
-                           metric: Metric3, grid: TorusGrid,
-                           denominator_floor_rel: float = 1e-12):
+                           metric: Metric3, grid: TorusGrid):
     """Pointwise residual of the factorisation of the stationary
     density through L_+ and L_-.
 
@@ -239,7 +241,7 @@ def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: Paul
         raise ZeroFrequency("p0 must be nonzero")
     b = bilinears(eta, pauli, grid)
     denom = 2.0 * p0 * b.s * metric.sqrt_det  # = L+ - L-
-    floor = denominator_floor_rel * float(np.abs(denom).max())
+    floor = _DENOMINATOR_FLOOR_REL * float(np.abs(denom).max())
     bad = np.abs(denom) <= floor
     if np.any(bad):
         raise DegenerateDenominator(

@@ -27,6 +27,14 @@ from .spinor import (
     lagrangian_weyl,
 )
 
+# Gates of the solution <-> stationary-point witness, shared by
+# `theorem_witness_suite` and the `planewave` command. EL_TOL sits above
+# the finite-difference rounding floor, about 4e-11.
+WEYL_TOL = 1e-12
+EL_TOL = 1e-8
+LAGRANGIAN_TOL = 1e-12
+NONSOLUTION_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class PlaneWaveSpec:
@@ -69,9 +77,12 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     """Exact plane-wave Weyl solution for integer mode vector
     ``k_modes``.
 
-    Returns ``(spec, eta)`` with eta = u e^{i k.x}, where u is the unit
-    eigenvector of the Hermitian matrix k_a sigma^a for the eigenvalue
-    p0 = branch * sqrt(g^ab k_a k_b).
+    Returns ``(spec, field)``: a `SpinorField` of eta = u e^{i k.x} on
+    the Pauli set of ``metric``, where u is the unit eigenvector of the
+    Hermitian matrix k_a sigma^a for the eigenvalue
+    p0 = branch * sqrt(g^ab k_a k_b). The field's spectral gradient,
+    taken to choose ``weyl_sign``, stays cached on it; ``field.eta`` is
+    the array.
     """
     k_modes = np.asarray(k_modes, dtype=int)
     if not np.any(k_modes != 0):
@@ -96,7 +107,7 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     spec = PlaneWaveSpec(k_modes=tuple(int(m) for m in k_modes), branch=branch,
                          u=u, p0=p0, weyl_sign=weyl_sign,
                          dispersion_residual=dispersion_residual)
-    return spec, eta
+    return spec, field
 
 
 _PREFACTOR = 16.0 / 9.0
@@ -272,85 +283,73 @@ def el_gradient_fd_check(eta: np.ndarray | SpinorField, p0: float,
     return float(np.abs(fd - analytic).max()) / scale
 
 
+def _residuals(field: SpinorField, p0: float, sign: int, metric: Metric3,
+               fd_probes: int = 0, fd_seed: int | None = None):
+    """Residuals of one field for the sign-``sign`` Weyl equation at
+    frequency p0, all from the field's one spectral gradient.
+
+    Returns ``(residuals, lag)``: a dict with ``weyl_residual``,
+    ``el_residual``, ``el_residual_fd`` (only given an ``fd_seed``),
+    ``L_max`` and ``Lpm_max``, and the stationary density itself.
+    """
+    pauli, grid = field.pauli, field.grid
+    out = {"weyl_residual": weyl_residual_norm(field, p0, sign, pauli, grid),
+           "el_residual": el_residual(field, p0, pauli, metric, grid, mode="analytic")}
+    if fd_seed is not None:
+        out["el_residual_fd"] = el_residual(field, p0, pauli, metric, grid, mode="fd",
+                                            probes=fd_probes, seed=fd_seed)
+    lag = lagrangian_stationary(field, p0, pauli, metric, grid)
+    out["L_max"] = float(np.abs(lag).max())
+    out["Lpm_max"] = float(np.abs(lagrangian_weyl(field, p0, sign, pauli, metric,
+                                                  grid)).max())
+    return out, lag
+
+
 def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
                           n_cases: int = 16, perturb: float = 0.1,
-                          max_mode: int = 3, weyl_tol: float = 1e-12,
-                          el_tol: float = 1e-8, lagrangian_tol: float = 1e-12,
-                          nonsolution_floor: float = 1e-3,
-                          fd_probes: int = 16) -> dict:
+                          max_mode: int = 3, fd_probes: int = 16) -> dict:
     """Numerical witness for the solution <-> stationary-point
     equivalence.
 
     Per Weyl-equation sign: ``n_cases`` exact plane-wave solutions must
-    have small Weyl, variational (analytic and finite-difference) and
-    Lagrangian residuals; ``n_cases`` perturbed non-solutions must have
-    large Weyl and variational residuals. The converse direction is
-    only falsification-style: sampling cannot certify that every
-    stationary point is a Weyl solution, so non-solutions are checked
-    to be non-stationary, and the two residuals' zero-sets are required
-    to agree on every tested sample.
+    have Weyl, variational (analytic and finite-difference) and
+    Lagrangian residuals within `WEYL_TOL`, `EL_TOL` and
+    `LAGRANGIAN_TOL`; ``n_cases`` perturbed non-solutions must have
+    Weyl and variational residuals of at least `NONSOLUTION_FLOOR`. The
+    converse direction is only falsification-style: sampling cannot
+    certify that every stationary point is a Weyl solution, so
+    non-solutions are checked to be non-stationary, and the two
+    residuals' zero-sets are required to agree on every tested sample.
     """
     rng = np.random.default_rng(seed)
-    pauli = build_pauli(metric)
     cases = []
     branch_pairing = {}
-    consistent = True
     for sign in (1, -1):
         for _ in range(n_cases):
             k = random_wavevector(rng, max_mode=max_mode)
-            spec, eta = planewave_solution(k, sign, metric, grid)
+            spec, field = planewave_solution(k, sign, metric, grid)
             p0 = abs(spec.p0)  # sign-s equation at positive frequency
             branch_pairing[f"branch{sign:+d}"] = f"weyl{sign:+d}"
-            field = SpinorField(eta, pauli, grid)
-            wres = weyl_residual_norm(field, p0, sign, pauli, grid)
-            eres = el_residual(field, p0, pauli, metric, grid, mode="analytic")
-            eres_fd = el_residual(field, p0, pauli, metric, grid, mode="fd",
-                                  probes=fd_probes, seed=int(rng.integers(2**31)))
-            lag = lagrangian_stationary(field, p0, pauli, metric, grid)
-            lpm = lagrangian_weyl(field, p0, sign, pauli, metric, grid)
-            case = {
-                "kind": "solution",
-                "k": [int(m) for m in k],
-                "branch": sign,
-                "p0": p0,
-                "weyl_residual": wres,
-                "el_residual": eres,
-                "el_residual_fd": eres_fd,
-                "L_max": float(np.abs(lag).max()),
-                "Lpm_max": float(np.abs(lpm).max()),
-            }
-            case["pass"] = bool(wres <= weyl_tol
-                                and eres <= el_tol and eres_fd <= el_tol
-                                and case["L_max"] <= lagrangian_tol
-                                and case["Lpm_max"] <= lagrangian_tol)
-            cases.append(case)
+            head = {"k": [int(m) for m in k], "branch": sign, "p0": p0}
+            res, _ = _residuals(field, p0, sign, metric, fd_probes,
+                                fd_seed=int(rng.integers(2**31)))
+            cases.append({"kind": "solution", **head, **res,
+                          "pass": bool(res["weyl_residual"] <= WEYL_TOL
+                                       and res["el_residual"] <= EL_TOL
+                                       and res["el_residual_fd"] <= EL_TOL
+                                       and res["L_max"] <= LAGRANGIAN_TOL
+                                       and res["Lpm_max"] <= LAGRANGIAN_TOL)})
 
             noise = random_bandlimited_spinor(
                 grid, np.random.default_rng(int(rng.integers(2**31))),
                 max_mode=2, amplitude=perturb)
-            bad = SpinorField(eta + noise, pauli, grid)
-            wres_bad = weyl_residual_norm(bad, p0, sign, pauli, grid)
-            eres_bad = el_residual(bad, p0, pauli, metric, grid, mode="analytic")
-            bad_case = {
-                "kind": "perturbed",
-                "k": [int(m) for m in k],
-                "branch": sign,
-                "p0": p0,
-                "weyl_residual": wres_bad,
-                "el_residual": eres_bad,
-                "L_max": float(np.abs(lagrangian_stationary(
-                    bad, p0, pauli, metric, grid)).max()),
-                "Lpm_max": float(np.abs(lagrangian_weyl(
-                    bad, p0, sign, pauli, metric, grid)).max()),
-            }
-            bad_case["pass"] = bool(eres_bad >= nonsolution_floor
-                                    and wres_bad >= nonsolution_floor)
-            cases.append(bad_case)
-    for case in cases:
-        solves_weyl = case["weyl_residual"] <= weyl_tol
-        is_stationary = case["el_residual"] <= el_tol
-        if solves_weyl != is_stationary:
-            consistent = False
+            bad, _ = _residuals(SpinorField(field.eta + noise, field.pauli, grid),
+                                p0, sign, metric)
+            cases.append({"kind": "perturbed", **head, **bad,
+                          "pass": bool(bad["el_residual"] >= NONSOLUTION_FLOOR
+                                       and bad["weyl_residual"] >= NONSOLUTION_FLOOR)})
+    consistent = all((c["weyl_residual"] <= WEYL_TOL) == (c["el_residual"] <= EL_TOL)
+                     for c in cases)
     verdict = "pass" if consistent and all(c["pass"] for c in cases) else "fail"
     return {
         "config": {
@@ -362,10 +361,10 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
             "perturb": perturb,
             "max_mode": max_mode,
             "fd_probes": fd_probes,
-            "weyl_tol": weyl_tol,
-            "el_tol": el_tol,
-            "lagrangian_tol": lagrangian_tol,
-            "nonsolution_floor": nonsolution_floor,
+            "weyl_tol": WEYL_TOL,
+            "el_tol": EL_TOL,
+            "lagrangian_tol": LAGRANGIAN_TOL,
+            "nonsolution_floor": NONSOLUTION_FLOOR,
         },
         "branch_pairing": branch_pairing,
         "converse_check": "falsification-only (sampled non-solutions)",

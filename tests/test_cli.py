@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cosserat_weyl import read_field
+import cosserat_weyl.spinor as spinor_module
 from cosserat_weyl.cli import main
 
 
@@ -134,6 +135,19 @@ class TestPlanewave:
                             "--branch", "-", *SMALL)
         assert code == 0
         assert report["p0"] == pytest.approx(-np.sqrt(2.0), abs=1e-13)
+
+    def test_one_spectral_gradient_per_job(self, tmp_path, monkeypatch):
+        # the field planewave_solution differentiates to choose weyl_sign
+        # serves every residual of the report and the density dump
+        calls = []
+        original = spinor_module.spinor_gradient
+        monkeypatch.setattr(spinor_module, "spinor_gradient",
+                            lambda *args: calls.append(1) or original(*args))
+        code, report = _run(tmp_path, "planewave", "--k", "1,2,0",
+                            "--metric", "full:1.3,0.2,-0.1,0.9,0.15,1.1",
+                            "--density-csv", str(tmp_path / "density.csv"), *SMALL)
+        assert code == 0 and report["verdict"] == "pass"
+        assert len(calls) == 1
 
 
 class TestTheorem:

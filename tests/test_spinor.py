@@ -219,7 +219,7 @@ def _metric_pauli_and_fields(seed):
     pauli = build_pauli(metric)
     eta = random_nonvanishing_spinor(GRID_468, rng, max_mode=1)
     _, wave = planewave_solution((1, 2, 3), 1 if seed % 2 else -1, metric, GRID_468)
-    return metric, pauli, rng, (eta, wave)
+    return metric, pauli, rng, (eta, wave.eta)
 
 
 def _rel(value, oracle):

@@ -175,7 +175,7 @@ class TestAnalyticGradientOracle:
         pauli = build_pauli(metric)
         _, wave = planewave_solution((1, 2, 3), 1, metric, grid)
         for eta in (random_nonvanishing_spinor(grid, rng, max_mode=1),
-                    wave + random_nonvanishing_spinor(grid, rng, amplitude=0.1)):
+                    wave.eta + random_nonvanishing_spinor(grid, rng, amplitude=0.1)):
             oracle = _el_gradient_oracle(eta, 0.8, pauli, metric, grid)
             w = el_gradient(eta, 0.8, pauli, metric, grid)
             assert np.abs(w - oracle).max() <= 1e-13 * np.abs(oracle).max()
@@ -202,8 +202,8 @@ class TestLocalFiniteDifferences:
         if plane_wave is None:
             eta, p0 = random_nonvanishing_spinor(grid, rng, max_mode=1), 0.8
         else:
-            spec, eta = planewave_solution(plane_wave, 1, metric, grid)
-            p0 = abs(spec.p0)
+            spec, wave = planewave_solution(plane_wave, 1, metric, grid)
+            eta, p0 = wave.eta, abs(spec.p0)
         dofs = _edge_dofs(grid) + _sample_dofs(eta, 16, seed=7)
         local = _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs)
         oracle = _full_grid_fd(eta, p0, pauli, metric, grid, dofs)
@@ -274,18 +274,20 @@ class TestWitnessSuite:
         assert set(report["branch_pairing"]) == {"branch+1", "branch-1"}
         assert report["config"]["fd_probes"] == 4
         assert report["config"]["max_mode"] == 2
+        gates = ("weyl_tol", "el_tol", "lagrangian_tol", "nonsolution_floor")
+        assert [report["config"][g] for g in gates] == [1e-12, 1e-8, 1e-12, 1e-3]
 
     def test_one_spectral_gradient_per_field(self, grid8, monkeypatch):
-        # each solution field is differentiated once inside
-        # planewave_solution (both sign residuals) and once by the suite;
-        # each perturbed field once: 3 gradients per pair of cases
+        # each solution field is differentiated once, inside
+        # planewave_solution, and its case reuses that gradient; each
+        # perturbed field once: one gradient per case
         calls = []
         original = spinor_module.spinor_gradient
         monkeypatch.setattr(spinor_module, "spinor_gradient",
                             lambda *args: calls.append(1) or original(*args))
         metric = random_spd_metric(np.random.default_rng(4))
         report = theorem_witness_suite(4, grid8, metric, n_cases=2, fd_probes=4)
-        assert len(calls) / len(report["cases"]) <= 1.5
+        assert len(calls) == len(report["cases"])
 
     def test_report_is_json_serialisable(self, grid8, identity_metric):
         import json

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import inspect
 import json
 import sys
 
@@ -74,12 +75,11 @@ def _canonical_config(args, grid, metric=None) -> dict:
         "command": args.command,
         "grid": list(grid.dims),
         "box": list(grid.box),
-        "seed": args.seed,
         "version": __version__,
     }
     if metric is not None:
         cfg["metric"] = metric.g_lower.tolist()
-    for key in ("what", "cases", "tol", "p0", "k", "branch", "n", "perturb", "h"):
+    for key in ("what", "seed", "cases", "tol", "k", "branch", "n", "perturb", "h"):
         if hasattr(args, key) and getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     return dict(sorted(cfg.items()))
@@ -101,31 +101,28 @@ def _finish(report: dict, args) -> int:
     return 0 if report.get("verdict") == "pass" else 1
 
 
+# verify option -> the suite keyword that honours it. No suite takes a
+# metric: each draws its own, and conformal uses the identity.
+_VERIFY_KEYWORDS = {"seed": "seed", "cases": "n_cases", "tol": "tol",
+                    "h": "h_field", "metric": "metric"}
+
+
 def _cmd_verify(args) -> int:
-    if args.metric is not None:
-        raise ConfigError("verify takes no --metric: every suite draws its own "
-                          "random metrics, and conformal uses the identity")
+    suite = VERIFIERS[args.what]
+    accepted = inspect.signature(suite).parameters
+    if "seed" in accepted and args.seed is None:
+        args.seed = 0  # run, and record in config, the default seed
+    given = {opt: getattr(args, opt) for opt in _VERIFY_KEYWORDS
+             if getattr(args, opt) is not None}
+    for opt in given:
+        if _VERIFY_KEYWORDS[opt] not in accepted:
+            raise ConfigError(f"verify {args.what} takes no --{opt}")
     grid = _build_grid(args)
     if args.tol is not None and args.tol <= 0.0:
         raise ConfigError("--tol must be positive")
-    kwargs = {}
-    if args.what == "conformal":
-        if args.h is not None:
-            kwargs["scale_field"] = parse_scalar_expr(args.h, grid)
-        if args.tol is not None:
-            kwargs["tol"] = args.tol
-        result = VERIFIERS["conformal"](grid, **kwargs)
-    else:
-        if args.cases is not None:
-            kwargs["n_cases"] = args.cases
-        if args.tol is not None:
-            if args.what == "correspondence":
-                kwargs["roundtrip_tol"] = args.tol
-            else:
-                kwargs["tol"] = args.tol
-        if args.what == "scaling" and args.h is not None:
-            kwargs["h_field"] = parse_scalar_expr(args.h, grid)
-        result = VERIFIERS[args.what](grid, args.seed, **kwargs)
+    if args.h is not None:
+        given["h"] = parse_scalar_expr(args.h, grid)
+    result = suite(grid, **{_VERIFY_KEYWORDS[opt]: v for opt, v in given.items()})
     report = {
         "config": _canonical_config(args, grid),
         "factorization_sign": FACTORIZATION_SIGN,
@@ -190,11 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             # parsed only so that _cmd_verify can reject it with exit code 2
             p.add_argument("--metric", help=argparse.SUPPRESS)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run a named invariant suite")
     p_verify.add_argument("what", choices=sorted(VERIFIERS))
+    p_verify.add_argument("--seed", type=int, help="seed of the random cases (default 0)")
     p_verify.add_argument("--cases", type=int, help="number of seeded cases")
     p_verify.add_argument("--tol", type=float, help="override the tolerance")
     p_verify.add_argument("--h", help="scalar expression, e.g. '0.3*cos(x2)' "
@@ -213,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_thm = sub.add_parser("theorem", help="run the solution/stationary-point "
                                            "witness suite")
+    p_thm.add_argument("--seed", type=int, default=0)
     p_thm.add_argument("--n", type=int, default=16, help="cases per sign")
     p_thm.add_argument("--perturb", type=float, default=0.1,
                        help="amplitude of the non-solution perturbations")
@@ -226,9 +224,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

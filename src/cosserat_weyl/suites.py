@@ -32,18 +32,26 @@ from .spinor import (
 _P0_CYCLE = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 
 
-def _report(what, cases, tol, extra=None):
+def _report(what, cases, tol, other_gates=True, **extra):
+    """The suite's report; it passes if every residual is within ``tol``
+    and ``other_gates`` holds."""
     worst = max((c["residual"] for c in cases), default=0.0)
-    report = {
-        "what": what,
-        "cases": cases,
-        "max_residual": worst,
-        "tolerance": tol,
-        "pass": bool(worst <= tol),
-    }
-    if extra:
-        report.update(extra)
-    return report
+    return {"what": what, "cases": cases, "max_residual": worst, "tolerance": tol,
+            "pass": bool(worst <= tol and other_gates), **extra}
+
+
+def _seeded_cases(grid: TorusGrid, seed: int, n_cases: int, **spinor_kw):
+    """Yield ``(i, metric, pauli, field, p0, rng)`` per case: a random SPD
+    metric and a nonvanishing spinor from one RNG seeded with ``seed``,
+    and p0 from {+-0.5, +-1, +-2}. A suite that needs more random input
+    per case draws it from ``rng`` before asking for the next case."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_cases):
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        field = SpinorField(random_nonvanishing_spinor(grid, rng, **spinor_kw),
+                            pauli, grid)
+        yield i, metric, pauli, field, _P0_CYCLE[i % len(_P0_CYCLE)], rng
 
 
 def verify_factorization(grid: TorusGrid, seed: int, n_cases: int = 100,
@@ -51,24 +59,17 @@ def verify_factorization(grid: TorusGrid, seed: int, n_cases: int = 100,
     """Pointwise relative factorisation residual on random nonvanishing
     band-limited spinors, random SPD metrics and p0 in {+-0.5, +-1, +-2},
     requiring a single global reconciling sign."""
-    rng = np.random.default_rng(seed)
     cases = []
     signs = set()
-    for i in range(n_cases):
-        metric = random_spd_metric(rng)
-        pauli = build_pauli(metric)
-        field = SpinorField(random_nonvanishing_spinor(grid, rng), pauli, grid)
-        p0 = _P0_CYCLE[i % len(_P0_CYCLE)]
+    for i, metric, pauli, field, p0, _ in _seeded_cases(grid, seed, n_cases):
         res, sign_used = factorization_residual(field, p0, pauli, metric, grid)
         lag = lagrangian_stationary(field, p0, pauli, metric, grid)
         rel = float(res.max()) / max(float(np.abs(lag).max()), np.finfo(float).tiny)
         signs.add(sign_used)
         cases.append({"case": i, "p0": p0, "sign": sign_used, "residual": rel})
-    report = _report("factorization", cases, tol,
-                     extra={"factorization_sign": sorted(signs)[0] if signs else None,
-                            "single_sign": len(signs) <= 1})
-    report["pass"] = bool(report["pass"] and len(signs) <= 1)
-    return report
+    return _report("factorization", cases, tol, other_gates=len(signs) <= 1,
+                   factorization_sign=sorted(signs)[0] if signs else None,
+                   single_sign=len(signs) <= 1)
 
 
 def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
@@ -81,39 +82,35 @@ def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
     residual is set by aliasing of e^h eta, so h must stay small and
     smooth relative to the Nyquist mode (band-limit safety factor 4).
     """
-    rng = np.random.default_rng(seed)
     cases = []
-    for i in range(n_cases):
-        metric = random_spd_metric(rng)
-        pauli = build_pauli(metric)
-        field = SpinorField(random_nonvanishing_spinor(grid, rng, max_mode=1),
-                            pauli, grid)
+    for i, metric, pauli, field, p0, rng in _seeded_cases(grid, seed, n_cases,
+                                                          max_mode=1):
         h = h_field if h_field is not None else \
             random_bandlimited_scalar(grid, rng, max_mode=1, amplitude=h_amplitude)
-        p0 = _P0_CYCLE[i % len(_P0_CYCLE)]
         for sign in (1, -1):
             res = scaling_covariance_residual(field, h, p0, sign, pauli, metric, grid)
             cases.append({"case": i, "p0": p0, "weyl_sign": sign, "residual": res})
     return _report("scaling", cases, tol)
 
 
-def verify_conformal(grid: TorusGrid, scale_field: np.ndarray = None,
+def verify_conformal(grid: TorusGrid, h_field: np.ndarray = None,
                      tol: float = 1e-8) -> dict:
     """Conformal invariance of the potential energy on a rotating
     coframe, P(e^h theta, e^{2h} rho) = P(theta, rho).
 
-    ``scale_field`` is e^h (default 1.5 + cos x1); it must be positive.
+    ``h_field`` is the scale e^h (default 1.5 + cos x1); it must be
+    positive.
     """
     x1, _, x3 = grid.coords()
-    if scale_field is None:
-        scale_field = 1.5 + np.cos(2.0 * np.pi * x1 / grid.box[0])
-    if float(np.min(scale_field)) <= 0.0:
+    if h_field is None:
+        h_field = 1.5 + np.cos(2.0 * np.pi * x1 / grid.box[0])
+    if float(np.min(h_field)) <= 0.0:
         raise ConfigError("conformal scale e^h must be positive everywhere")
     metric = Metric3.identity()
     theta = rotating_coframe(grid, 2.0 * np.pi * x3 / grid.box[2])
     rho = np.ones(grid.shape)
     p_base = potential_energy(theta, rho, metric, grid)
-    theta2, rho2 = conformal_rescale(theta, rho, np.log(scale_field))
+    theta2, rho2 = conformal_rescale(theta, rho, np.log(h_field))
     p_scaled = potential_energy(theta2, rho2, metric, grid)
     rel = abs(p_scaled - p_base) / max(abs(p_base), np.finfo(float).tiny)
     cases = [{"P": p_base, "P_rescaled": p_scaled, "residual": rel}]
@@ -123,30 +120,18 @@ def verify_conformal(grid: TorusGrid, scale_field: np.ndarray = None,
 def verify_fierz(grid: TorusGrid, seed: int, n_cases: int = 50,
                  tol: float = 1e-12) -> dict:
     """Fierz identity g^ab v_a v_b = s^2 on random spinors and metrics."""
-    rng = np.random.default_rng(seed)
-    cases = []
-    for i in range(n_cases):
-        metric = random_spd_metric(rng)
-        pauli = build_pauli(metric)
-        field = SpinorField(random_nonvanishing_spinor(grid, rng), pauli, grid)
-        res = fierz_residual(field, pauli, metric, grid)
-        cases.append({"case": i, "residual": res})
+    cases = [{"case": i, "residual": fierz_residual(field, pauli, metric, grid)}
+             for i, metric, pauli, field, _, _ in _seeded_cases(grid, seed, n_cases)]
     return _report("fierz", cases, tol)
 
 
 def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20,
               tol: float = 1e-13) -> dict:
     """Invariance of all spinor-module outputs under a constant phase."""
-    rng = np.random.default_rng(seed)
     cases = []
-    for i in range(n_cases):
-        metric = random_spd_metric(rng)
-        pauli = build_pauli(metric)
-        eta = random_nonvanishing_spinor(grid, rng)
+    for i, metric, pauli, field, p0, rng in _seeded_cases(grid, seed, n_cases):
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        field = SpinorField(eta, pauli, grid)
-        rotated = SpinorField(phase * eta, pauli, grid)
-        p0 = _P0_CYCLE[i % len(_P0_CYCLE)]
+        rotated = SpinorField(phase * field.eta, pauli, grid)
         b0 = bilinears(field, pauli, grid)
         b1 = bilinears(rotated, pauli, grid)
         worst = 0.0
@@ -162,18 +147,21 @@ def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20,
     return _report("u1", cases, tol)
 
 
+# Orthonormality gate of the correspondence suite
+_FRAME_ORTHO_TOL = 1e-12
+
+
 def verify_correspondence(grid: TorusGrid, seed: int, n_cases: int = 50,
-                          ortho_tol: float = 1e-12,
-                          roundtrip_tol: float = 1e-10) -> dict:
-    """Orthonormality of the spinor-to-frame map and both round trips,
-    modulo the global sign of the spinor."""
-    rng = np.random.default_rng(seed)
+                          tol: float = 1e-10) -> dict:
+    """Orthonormality of the spinor-to-frame map (at 1e-12) and both
+    round trips (at ``tol``), modulo the global sign of the spinor."""
     cases = []
     worst_ortho = 0.0
-    for i in range(n_cases):
-        metric = random_spd_metric(rng)
-        pauli = build_pauli(metric)
-        xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
+    for i, metric, pauli, field, _, _ in _seeded_cases(grid, seed, n_cases,
+                                                       amplitude=0.15, max_mode=1):
+        # the array, not the field, which would keep the bilinears that
+        # spinor_to_frame takes alive through frame_to_spinor
+        xi = field.eta
         packet = spinor_to_frame(xi, pauli, metric, grid)
         ortho = float(orthonormality_residual(packet.theta, metric).max())
         xi_rec = frame_to_spinor(packet.theta, packet.rho, pauli, metric, grid)
@@ -182,11 +170,10 @@ def verify_correspondence(grid: TorusGrid, seed: int, n_cases: int = 50,
                         float(np.abs(xi_rec + xi).max())) / scale
         worst_ortho = max(worst_ortho, ortho)
         cases.append({"case": i, "orthonormality": ortho, "residual": roundtrip})
-    report = _report("correspondence", cases, roundtrip_tol,
-                     extra={"max_orthonormality": worst_ortho,
-                            "orthonormality_tolerance": ortho_tol})
-    report["pass"] = bool(report["pass"] and worst_ortho <= ortho_tol)
-    return report
+    return _report("correspondence", cases, tol,
+                   other_gates=worst_ortho <= _FRAME_ORTHO_TOL,
+                   max_orthonormality=worst_ortho,
+                   orthonormality_tolerance=_FRAME_ORTHO_TOL)
 
 
 VERIFIERS = {

@@ -131,6 +131,8 @@ def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     where the second term is d_a (G sigma^a eta) with the constant
     sigma^a taken out of the derivative.
     """
+    if p0 == 0.0:
+        raise ZeroFrequency("p0 must be nonzero")
     field = _field(eta, pauli, grid)
     b = bilinears(field, pauli, grid, require_nonvanishing=True)
     g_coef = 2.0 * _PREFACTOR * b.A * metric.sqrt_det / b.s

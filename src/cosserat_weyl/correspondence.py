@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosserat import orthonormality_residual
-from .errors import NonPositiveDensity, NotOrthonormal
+from .cosserat import check_density, orthonormality_residual
+from .errors import NotOrthonormal
 from .geometry import Metric3, PauliSet, TorusGrid
-from .spinor import SpinorField, _check_nonvanishing, _field, _sandwich
+from .spinor import SpinorField, _nonvanishing, _sandwich
 
 # d0 (theta^1 + i theta^2) = PHASE_RATE * i * p0 * (theta^1 + i theta^2)
 PHASE_RATE = -2.0
@@ -50,61 +50,39 @@ def _conjugate_spinor(xi: np.ndarray) -> np.ndarray:
 def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
                     metric: Metric3, grid: TorusGrid) -> FramePacket:
     """Map a nonvanishing spinor field to its coframe + density."""
-    field = _field(xi, pauli, grid)
-    s = field.s
-    _check_nonvanishing(s)
+    field = _nonvanishing(xi, pauli, grid)
     w = _sandwich(_conjugate_spinor(field.eta), pauli.sigma_lower, field.eta)
-    sinv = 1.0 / s[..., np.newaxis]
+    sinv = 1.0 / field.s[..., np.newaxis]
     theta = np.stack([w.real * sinv, w.imag * sinv, field.v * sinv])
-    rho = s * metric.sqrt_det
-    return FramePacket(theta=theta, rho=rho)
+    return FramePacket(theta=theta, rho=field.s * metric.sqrt_det)
 
 
 def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
                     metric: Metric3, grid: TorusGrid) -> np.ndarray:
-    """Invert `spinor_to_frame` up to a global sign.
+    """Invert `spinor_to_frame` on the given Pauli set, up to a global sign.
 
-    The per-point spinor is recovered from the rank-1 Hermitian matrix
-    xi xi^dagger (built from s and v) with its phase fixed by
-    theta^1 + i theta^2; the residual per-point sign ambiguity is
-    resolved by a continuity sweep through the (flattened) grid, which
-    is globally consistent on the torus for smooth nonvanishing fields.
+    xihat^dagger = xi^T J with J = [[0, -1], [1, 0]], so w_a = xi^T J sigma_a xi
+    is linear in xi xi^T: one 3x3 solve gives (xi_1^2, xi_1 xi_2, xi_2^2)
+    from w = s (theta^1 + i theta^2). theta^3 enters only through the
+    orthonormality check. A continuity sweep through the flattened grid
+    fixes the per-point sign, consistently on the torus for smooth fields.
     """
     worst = float(orthonormality_residual(theta, metric).max())
     if worst > _ORTHO_TOL:
         raise NotOrthonormal(f"orthonormality residual {worst:.3e} > {_ORTHO_TOL:.1e}")
-    if float(np.min(rho)) <= 0.0:
-        raise NonPositiveDensity(f"min rho = {np.min(rho):.3e}")
+    check_density(rho)
 
     s = rho / metric.sqrt_det
-    v = s[..., np.newaxis] * theta[2]
-    w_target = s[..., np.newaxis] * (theta[0] + 1j * theta[1])
-
-    # flat-frame components of v: v_a = (F^-T)_{aj} b_j with F F^T = g_upper
-    factor = np.linalg.cholesky(metric.g_upper)
-    b = np.einsum("ja,...a->...j", factor.T, v)
-
-    # m = xi xi^dagger = (s Id + b_j pauli_std^j) / 2; columns are
-    # xi * conj(xi_j), so the dominant column recovers xi up to phase
-    m00 = 0.5 * (s + b[..., 2])
-    m11 = 0.5 * (s - b[..., 2])
-    m01 = 0.5 * (b[..., 0] - 1j * b[..., 1])  # = xi_1 conj(xi_2)
-    use0 = m00 >= m11
-    norm0 = np.sqrt(np.maximum(m00, 0.0))
-    norm1 = np.sqrt(np.maximum(m11, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi0 = np.where(use0[..., np.newaxis],
-                       np.stack([m00 / norm0, m01.conj() / norm0], axis=-1),
-                       np.stack([m01 / norm1, m11 / norm1], axis=-1))
-
-    # fix the U(1) phase from w: w(e^{i phi} xi0) = e^{2 i phi} w(xi0)
-    xihat0 = _conjugate_spinor(xi0)
-    w0 = _sandwich(xihat0, pauli.sigma_lower, xi0)
-    pick = np.argmax(np.abs(w0), axis=-1)
-    ratio = (np.take_along_axis(w_target, pick[..., np.newaxis], axis=-1)
-             / np.take_along_axis(w0, pick[..., np.newaxis], axis=-1))[..., 0]
-    phi = 0.5 * np.angle(ratio)
-    xi = np.exp(1j * phi)[..., np.newaxis] * xi0
+    w = s[..., np.newaxis] * (theta[0] + 1j * theta[1])
+    jsigma = np.array([[0.0, -1.0], [1.0, 0.0]]) @ pauli.sigma_lower
+    quad = np.stack([jsigma[:, 0, 0], jsigma[:, 0, 1] + jsigma[:, 1, 0],
+                     jsigma[:, 1, 1]], axis=-1)
+    x11, x12, x22 = np.linalg.solve(quad, w.reshape(-1, 3).T).reshape((3,) + s.shape)
+    # |xi_1^2| + |xi_2^2| = s, so the larger square has modulus >= s / 2
+    use1 = (np.abs(x11) >= np.abs(x22))[..., np.newaxis]
+    root = np.sqrt(np.where(use1[..., 0], x11, x22))
+    other = x12 / root
+    xi = np.where(use1, np.stack([root, other], axis=-1), np.stack([other, root], axis=-1))
 
     # continuity sweep: align consecutive points in C-order
     flat = xi.reshape(-1, 2)
@@ -116,9 +94,7 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
     # canonical overall sign: first point's dominant component has Re >= 0
     anchor = xi.reshape(-1, 2)[0]
     lead = anchor[int(np.argmax(np.abs(anchor)))]
-    if lead.real < 0.0:
-        xi = -xi
-    return xi
+    return -xi if lead.real < 0.0 else xi
 
 
 def stationary_frame_path(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,

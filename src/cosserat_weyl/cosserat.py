@@ -28,9 +28,9 @@ def check_density(rho: np.ndarray) -> None:
         raise NonPositiveDensity(f"density must be positive, min = {np.min(rho)}")
 
 
-def induced_metric(theta: np.ndarray):
-    """Pointwise metric induced by the coframe, delta_jk theta^j theta^k,
-    with its inverse and determinant.
+def _gram(theta: np.ndarray) -> np.ndarray:
+    """Pointwise metric induced by the coframe,
+    delta_jk theta^j_a theta^k_b.
 
     For an admissible coframe this equals the prescribed metric. The
     energetics below measure form norms against the induced metric:
@@ -39,12 +39,6 @@ def induced_metric(theta: np.ndarray):
     theta -> e^h theta, rho -> e^{2h} rho (the rescaled coframe is
     orthonormal for e^{2h} g, not for g).
     """
-    g_ind = _gram(theta)
-    return g_ind, np.linalg.inv(g_ind), _induced_det(theta)
-
-
-def _gram(theta: np.ndarray) -> np.ndarray:
-    """delta_jk theta^j_a theta^k_b, pointwise."""
     return np.einsum("j...a,j...b->...ab", theta, theta)
 
 
@@ -74,6 +68,16 @@ def axial_torsion(theta: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return f / 3.0
 
 
+def _torsion_norm2(theta: np.ndarray, grid: TorusGrid, det_ind) -> np.ndarray:
+    """|T_ax|^2 pointwise, on the induced metric of determinant det_ind."""
+    return _norm2_3form(axial_torsion(theta, grid), det_ind)
+
+
+def _velocity_norm2(theta: np.ndarray, dtheta0: np.ndarray, det_ind) -> np.ndarray:
+    """|theta_dot|^2 pointwise, on the induced metric of determinant det_ind."""
+    return _norm2_2form(kinetic_2form(theta, dtheta0), _gram(theta), det_ind)
+
+
 def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
                      grid: TorusGrid) -> float:
     """P = integral of |T_ax|^2 rho over the torus.
@@ -82,8 +86,7 @@ def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
     admissible coframes), so P is exactly conformally invariant.
     """
     check_density(rho)
-    f = axial_torsion(theta, grid)
-    return integrate(_norm2_3form(f, _induced_det(theta)) * rho, grid)
+    return integrate(_torsion_norm2(theta, grid, _induced_det(theta)) * rho, grid)
 
 
 def conformal_rescale(theta: np.ndarray, rho: np.ndarray, h: np.ndarray):
@@ -106,9 +109,7 @@ def kinetic_energy(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
     """K = integral of |theta_dot|^2 rho over the torus (induced-metric
     norm, as in `potential_energy`)."""
     check_density(rho)
-    omega = kinetic_2form(theta, dtheta0)
-    norm2 = _norm2_2form(omega, _gram(theta), _induced_det(theta))
-    return integrate(norm2 * rho, grid)
+    return integrate(_velocity_norm2(theta, dtheta0, _induced_det(theta)) * rho, grid)
 
 
 def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
@@ -117,6 +118,5 @@ def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
     (|T_ax|^2 - |theta_dot|^2) rho; its integral is P - K."""
     check_density(rho)
     det_ind = _induced_det(theta)
-    potential = _norm2_3form(axial_torsion(theta, grid), det_ind)
-    kinetic = _norm2_2form(kinetic_2form(theta, dtheta0), _gram(theta), det_ind)
-    return (potential - kinetic) * rho
+    return (_torsion_norm2(theta, grid, det_ind)
+            - _velocity_norm2(theta, dtheta0, det_ind)) * rho

@@ -86,8 +86,8 @@ class TorusGrid:
             if n < 4 or n % 2 != 0:
                 raise ValueError(f"grid dims must be even and >= 4, got {dims}")
         for length in box:
-            if length <= 0.0:
-                raise ValueError(f"box lengths must be positive, got {box}")
+            if not 0.0 < length < np.inf:
+                raise ValueError(f"box lengths must be finite and positive, got {box}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "box", box)
 

@@ -9,7 +9,7 @@ spectral partials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from functools import cached_property
 
 import numpy as np
@@ -31,26 +31,6 @@ from .geometry import Metric3, PauliSet, TorusGrid, spectral_partial
 FACTORIZATION_SIGN = -1
 
 _REALITY_TOL = 1e-13
-
-# |L+ - L-| below this fraction of its max raises DegenerateDenominator
-_DENOMINATOR_FLOOR_REL = 1e-12
-
-
-@dataclass(frozen=True)
-class SpinorBilinears:
-    """Pointwise bilinears of a spinor field.
-
-    s = etabar sigma_0 eta (real, > 0 for nonvanishing spinors),
-    v_a = etabar sigma_a eta (real covector),
-    A = (i/2)(etabar sigma^a d_a eta - c.c.) (real scalar).
-
-    The arrays are those cached on the field's `SpinorField`, shared
-    with every other check made on that field: treat them as read-only.
-    """
-
-    s: np.ndarray
-    v: np.ndarray
-    A: np.ndarray
 
 
 def _sandwich(eta: np.ndarray, sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -94,6 +74,11 @@ def _check_nonvanishing(s: np.ndarray) -> None:
             f"spinor magnitude too small: min s = {np.min(s):.3e}, max s = {smax:.3e}")
 
 
+def _relative_max(diff, ref) -> float:
+    """max|diff| / max|ref|, the denominator floored at the tiniest float."""
+    return float(np.abs(diff).max()) / max(float(np.abs(ref).max()), np.finfo(float).tiny)
+
+
 def _check_real_covector(v_complex: np.ndarray, scale: float) -> None:
     v_imag = float(np.abs(v_complex.imag).max())
     if v_imag > _REALITY_TOL * scale:
@@ -129,12 +114,13 @@ def spinor_gradient(eta: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 class SpinorField:
-    """A spinor field eta with the Pauli set and grid it is evaluated on.
+    """A spinor field eta with the Pauli set and grid it is evaluated on,
+    and its bilinears s = etabar sigma_0 eta, the real covector
+    v_a = etabar sigma_a eta and A = (i/2)(etabar sigma^a d_a eta - c.c.).
 
-    Each derived quantity (s, v, the spectral gradient,
-    sigma^a d_a eta and A) is computed at most once, when first asked
-    for, so every check made on one field shares one spectral
-    gradient. Every function of this package that takes a spinor field
+    Each of them, the spectral gradient and sigma^a d_a eta is computed
+    at most once, when first asked for, so every check made on one field
+    shares one spectral gradient. Every function of this package that takes a spinor field
     together with a Pauli set and a grid also accepts a `SpinorField`
     in place of the array; it raises ValueError if the field was built
     for a different Pauli set or grid. The cached arrays are shared:
@@ -189,20 +175,21 @@ def _field(eta: np.ndarray | SpinorField, pauli: PauliSet,
     return eta
 
 
-def bilinears(eta: np.ndarray | SpinorField, pauli: PauliSet, grid: TorusGrid,
-              require_nonvanishing: bool = False) -> SpinorBilinears:
-    """Compute (s, v, A) for a spinor field (an array or a
-    `SpinorField`).
-
-    Imaginary parts of v are discarded after a reality check at 1e-13
-    relative to the field scale. Given a `SpinorField`, the bilinears
-    are taken from its cache, so repeated calls share one spectral
-    gradient.
-    """
+def bilinears(eta: np.ndarray | SpinorField, pauli: PauliSet,
+              grid: TorusGrid) -> SpinorField:
+    """The `SpinorField` of eta (an array or a field), which carries the
+    bilinears ``s``, ``v`` and ``A``, after the reality check of v."""
     field = _field(eta, pauli, grid)
-    if require_nonvanishing:
-        _check_nonvanishing(field.s)
-    return SpinorBilinears(s=field.s, v=field.v, A=field.A)
+    field.v  # computing v runs its reality check
+    return field
+
+
+def _nonvanishing(eta: np.ndarray | SpinorField, pauli: PauliSet,
+                  grid: TorusGrid) -> SpinorField:
+    """`bilinears`, then the nonvanishing floor on s."""
+    field = bilinears(eta, pauli, grid)
+    _check_nonvanishing(field.s)
+    return field
 
 
 def lagrangian_stationary(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
@@ -211,7 +198,7 @@ def lagrangian_stationary(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
     16/(9 s) (A^2 - (p0 s)^2) sqrt(det g)."""
     if p0 == 0.0:
         raise ZeroFrequency("p0 must be nonzero")
-    b = bilinears(eta, pauli, grid, require_nonvanishing=True)
+    b = _nonvanishing(eta, pauli, grid)
     return _stationary_density(b.s, b.A, p0, metric)
 
 
@@ -222,7 +209,7 @@ def lagrangian_weyl(eta: np.ndarray | SpinorField, p0: float, sign: int,
         raise ZeroFrequency("p0 must be nonzero")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    b = bilinears(eta, pauli, grid, require_nonvanishing=True)
+    b = _nonvanishing(eta, pauli, grid)
     return _weyl_density(b.s, b.A, p0, sign, metric)
 
 
@@ -239,13 +226,11 @@ def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: Paul
     """
     if p0 == 0.0:
         raise ZeroFrequency("p0 must be nonzero")
-    b = bilinears(eta, pauli, grid)
-    denom = 2.0 * p0 * b.s * metric.sqrt_det  # = L+ - L-
-    floor = _DENOMINATOR_FLOOR_REL * float(np.abs(denom).max())
-    bad = np.abs(denom) <= floor
-    if np.any(bad):
-        raise DegenerateDenominator(
-            f"|L+ - L-| below threshold at {int(bad.sum())} grid points")
+    try:  # L+ - L- = 2 p0 s sqrt(det g) vanishes where s does
+        b = _nonvanishing(eta, pauli, grid)
+    except VanishingSpinor as exc:
+        raise DegenerateDenominator(f"|L+ - L-| below threshold: {exc}") from None
+    denom = 2.0 * p0 * b.s * metric.sqrt_det
     lag = _stationary_density(b.s, b.A, p0, metric)
     lp = _weyl_density(b.s, b.A, p0, 1, metric)
     lm = _weyl_density(b.s, b.A, p0, -1, metric)
@@ -269,8 +254,7 @@ def scaling_covariance_residual(eta: np.ndarray | SpinorField, h: np.ndarray, p0
     lhs = lagrangian_weyl(field.eta * eh[..., np.newaxis], p0, sign, pauli,
                           metric, grid)
     rhs = eh * eh * lagrangian_weyl(field, p0, sign, pauli, metric, grid)
-    scale = max(float(np.abs(rhs).max()), np.finfo(float).tiny)
-    return float(np.abs(lhs - rhs).max()) / scale
+    return _relative_max(lhs - rhs, rhs)
 
 
 def stationary_ansatz(eta: np.ndarray, p0: float):
@@ -291,13 +275,12 @@ def lagrangian_dynamic(xi: np.ndarray | SpinorField, dxi0: np.ndarray, pauli: Pa
     this reduces pointwise to `lagrangian_stationary` (via the Fierz
     identity g^ab v_a v_b = s^2).
     """
-    field = _field(xi, pauli, grid)
-    b = bilinears(field, pauli, grid, require_nonvanishing=True)
-    space_term = 2.0 * b.A
+    field = _nonvanishing(xi, pauli, grid)
+    space_term = 2.0 * field.A
     t = _sandwich(field.eta, pauli.sigma_lower, dxi0)
     w = -2.0 * t.imag  # i(xibar sigma_a d0 xi - c.c.), real covector
     wnorm2 = _metric_norm2(w, metric.g_upper)
-    return (4.0 / (9.0 * b.s)) * (space_term**2 - wnorm2) * metric.sqrt_det
+    return (4.0 / (9.0 * field.s)) * (space_term**2 - wnorm2) * metric.sqrt_det
 
 
 def fierz_residual(eta: np.ndarray | SpinorField, pauli: PauliSet, metric: Metric3,
@@ -305,6 +288,5 @@ def fierz_residual(eta: np.ndarray | SpinorField, pauli: PauliSet, metric: Metri
     """Max-norm residual of g^ab v_a v_b = s^2, relative to max s^2.
     Needs no derivative of eta."""
     field = _field(eta, pauli, grid)
-    vv = _metric_norm2(field.v, metric.g_upper)
-    scale = max(float(np.max(field.s) ** 2), np.finfo(float).tiny)
-    return float(np.abs(vv - field.s**2).max()) / scale
+    s2 = field.s**2
+    return _relative_max(_metric_norm2(field.v, metric.g_upper) - s2, s2)

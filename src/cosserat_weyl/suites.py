@@ -21,6 +21,7 @@ from .sampling import (
 )
 from .spinor import (
     SpinorField,
+    _relative_max,
     bilinears,
     factorization_residual,
     fierz_residual,
@@ -64,9 +65,9 @@ def verify_factorization(grid: TorusGrid, seed: int, n_cases: int = 100,
     for i, metric, pauli, field, p0, _ in _seeded_cases(grid, seed, n_cases):
         res, sign_used = factorization_residual(field, p0, pauli, metric, grid)
         lag = lagrangian_stationary(field, p0, pauli, metric, grid)
-        rel = float(res.max()) / max(float(np.abs(lag).max()), np.finfo(float).tiny)
         signs.add(sign_used)
-        cases.append({"case": i, "p0": p0, "sign": sign_used, "residual": rel})
+        cases.append({"case": i, "p0": p0, "sign": sign_used,
+                      "residual": _relative_max(res, lag)})
     return _report("factorization", cases, tol, other_gates=len(signs) <= 1,
                    factorization_sign=sorted(signs)[0] if signs else None,
                    single_sign=len(signs) <= 1)
@@ -112,8 +113,8 @@ def verify_conformal(grid: TorusGrid, h_field: np.ndarray = None,
     p_base = potential_energy(theta, rho, metric, grid)
     theta2, rho2 = conformal_rescale(theta, rho, np.log(h_field))
     p_scaled = potential_energy(theta2, rho2, metric, grid)
-    rel = abs(p_scaled - p_base) / max(abs(p_base), np.finfo(float).tiny)
-    cases = [{"P": p_base, "P_rescaled": p_scaled, "residual": rel}]
+    cases = [{"P": p_base, "P_rescaled": p_scaled,
+              "residual": _relative_max(p_scaled - p_base, p_base)}]
     return _report("conformal", cases, tol)
 
 
@@ -134,15 +135,11 @@ def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20,
         rotated = SpinorField(phase * field.eta, pauli, grid)
         b0 = bilinears(field, pauli, grid)
         b1 = bilinears(rotated, pauli, grid)
-        worst = 0.0
-        for lhs, rhs in ((b0.s, b1.s), (b0.v, b1.v), (b0.A, b1.A)):
-            scale = max(float(np.abs(lhs).max()), np.finfo(float).tiny)
-            worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
+        pairs = [(b0.s, b1.s), (b0.v, b1.v), (b0.A, b1.A)]
         for sign in (1, -1):
-            lhs = lagrangian_weyl(field, p0, sign, pauli, metric, grid)
-            rhs = lagrangian_weyl(rotated, p0, sign, pauli, metric, grid)
-            scale = max(float(np.abs(lhs).max()), np.finfo(float).tiny)
-            worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
+            pairs.append([lagrangian_weyl(f, p0, sign, pauli, metric, grid)
+                          for f in (field, rotated)])
+        worst = max(_relative_max(lhs - rhs, lhs) for lhs, rhs in pairs)
         cases.append({"case": i, "p0": p0, "residual": worst})
     return _report("u1", cases, tol)
 

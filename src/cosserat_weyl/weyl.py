@@ -18,11 +18,11 @@ from .spinor import (
     _check_nonvanishing,
     _check_real_covector,
     _field,
+    _nonvanishing,
     _sandwich,
     _scalar_density,
     _slash,
     _stationary_density,
-    bilinears,
     lagrangian_stationary,
     lagrangian_weyl,
 )
@@ -133,10 +133,9 @@ def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     """
     if p0 == 0.0:
         raise ZeroFrequency("p0 must be nonzero")
-    field = _field(eta, pauli, grid)
-    b = bilinears(field, pauli, grid, require_nonvanishing=True)
-    g_coef = 2.0 * _PREFACTOR * b.A * metric.sqrt_det / b.s
-    h_coef = _PREFACTOR * (-((b.A / b.s) ** 2) - p0 * p0) * metric.sqrt_det
+    field = _nonvanishing(eta, pauli, grid)
+    g_coef = 2.0 * _PREFACTOR * field.A * metric.sqrt_det / field.s
+    h_coef = _PREFACTOR * (-((field.A / field.s) ** 2) - p0 * p0) * metric.sqrt_det
     g_eta = g_coef[..., np.newaxis] * field.eta
     d_g_eta = np.stack([spectral_partial(g_eta, n, grid) for n in (1, 2, 3)])
     term1 = g_coef[..., np.newaxis] * field.slash
@@ -144,9 +143,9 @@ def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     return 0.5j * (term1 + term2) + h_coef[..., np.newaxis] * field.eta
 
 
-def _gradient_scale(eta: np.ndarray, p0: float, metric: Metric3) -> float:
-    smax = float(_scalar_density(eta).max())
-    return _PREFACTOR * metric.sqrt_det * (1.0 + p0 * p0) * np.sqrt(smax)
+def _gradient_scale(eta: np.ndarray | SpinorField, p0: float, metric: Metric3) -> float:
+    s = eta.s if isinstance(eta, SpinorField) else _scalar_density(eta)  # a field's cache
+    return _PREFACTOR * metric.sqrt_det * (1.0 + p0 * p0) * np.sqrt(float(s.max()))
 
 
 def _sample_dofs(eta: np.ndarray, probes: int, seed: int):
@@ -256,7 +255,7 @@ def el_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     gradient of eta (see `_fd_gradient_at_dofs`).
     """
     field = _field(eta, pauli, grid)
-    ref = _gradient_scale(field.eta, p0, metric)
+    ref = _gradient_scale(field, p0, metric)
     if mode == "analytic":
         w = el_gradient(field, p0, pauli, metric, grid)
         return float(max(np.abs(w.real).max(), np.abs(w.imag).max())) / ref

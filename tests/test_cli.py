@@ -54,6 +54,20 @@ class TestExitCodes:
         ):
             assert main(argv) == 2, argv
             assert "error:" in capsys.readouterr().err
+        # inputs that would check nothing, or write NaN into the report
+        for argv, option in (
+            (["verify", "fierz", "--cases", "0", *SMALL], "--cases"),
+            (["verify", "fierz", "--cases", "-3", *SMALL], "--cases"),
+            (["theorem", "--n", "0", *SMALL], "--n"),
+            (["verify", "fierz", "--tol", "inf", *SMALL], "--tol"),
+            (["verify", "fierz", "--tol", "nan", *SMALL], "--tol"),
+            (["theorem", "--n", "1", "--perturb", "nan", *SMALL], "--perturb"),
+            (["verify", "fierz", "--box", "nan,1,1", *SMALL], "box"),
+            (["verify", "fierz", "--box", "inf,1,1", *SMALL], "box"),
+            (["verify", "conformal", "--h", "1e999", *SMALL], "finite"),
+        ):
+            assert main(argv) == 2, argv
+            assert option in capsys.readouterr().err, argv
         # options the suite does not use are rejected, not ignored
         for argv, option in (
             *((["verify", what, "--h", "1.0", *SMALL], "--h")

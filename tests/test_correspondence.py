@@ -1,6 +1,8 @@
 """Spinor <-> coframe dictionary: frozen examples, orthonormality,
 round trips, phase behaviour and the stationary frame path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from cosserat_weyl import (
     NonPositiveDensity,
     NotOrthonormal,
     PHASE_RATE,
+    TorusGrid,
     VanishingSpinor,
     build_pauli,
     frame_to_spinor,
@@ -84,6 +87,35 @@ class TestFrameToSpinor:
             rec = frame_to_spinor(packet.theta, packet.rho, pauli, metric, grid8)
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
             assert err / np.abs(xi).max() <= 1e-11
+
+    def test_round_trip_on_su2_conjugated_pauli_sets(self):
+        # U sigma U^dagger with U in SU(2) is another valid Pauli set for
+        # the same metric; the inverse must use the set it is given
+        grid = TorusGrid((12, 16, 8), (2 * np.pi,) * 3)
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            metric = random_spd_metric(rng)
+            pauli = build_pauli(metric)
+            a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+            norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            u = np.array([[a, -b.conjugate()], [b, a.conjugate()]]) / norm
+            conj = dataclasses.replace(
+                pauli, sigma_upper=u @ pauli.sigma_upper @ u.conj().T,
+                sigma_lower=u @ pauli.sigma_lower @ u.conj().T)
+            xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
+            packet = spinor_to_frame(xi, conj, metric, grid)
+            rec = frame_to_spinor(packet.theta, packet.rho, conj, metric, grid)
+            err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
+            assert err / np.abs(xi).max() <= 1e-14
+
+    def test_spin_up_frozen_frame_inverts(self, grid8, pauli_identity,
+                                          identity_metric):
+        # xi = (1, 0) has xi_2 = 0 everywhere: only the root of xi_1^2 works
+        packet = spinor_to_frame(_constant_spinor(grid8), pauli_identity,
+                                 identity_metric, grid8)
+        rec = frame_to_spinor(packet.theta, packet.rho, pauli_identity,
+                              identity_metric, grid8)
+        assert np.abs(rec - _constant_spinor(grid8)).max() <= 1e-15
 
     def test_forward_of_inverse_is_identity(self, grid8, pauli_identity,
                                             identity_metric):

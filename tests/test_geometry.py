@@ -19,7 +19,7 @@ from cosserat_weyl import (
     norm2_3form,
     spectral_partial,
 )
-from cosserat_weyl.cosserat import induced_metric, kinetic_2form, kinetic_energy
+from cosserat_weyl.cosserat import _gram, _induced_det, kinetic_2form, kinetic_energy
 from cosserat_weyl.geometry import PAULI_1, PAULI_2, PAULI_3, _norm2_2form
 from cosserat_weyl.sampling import random_bandlimited_scalar, random_spd_metric
 
@@ -56,6 +56,11 @@ class TestTorusGrid:
             TorusGrid((2, 16, 16), (1.0, 1.0, 1.0))  # too small
         with pytest.raises(ValueError):
             TorusGrid((8, 8, 8), (1.0, -1.0, 1.0))  # bad box
+
+    @pytest.mark.parametrize("length", [float("nan"), float("inf")])
+    def test_rejects_non_finite_box(self, length):
+        with pytest.raises(ValueError, match="finite"):
+            TorusGrid((8, 8, 8), (1.0, length, 1.0))
 
     def test_wavenumbers_cached_and_read_only(self):
         g = TorusGrid((4, 6, 8), (5.0, 7.0, 9.0))
@@ -241,7 +246,8 @@ class TestTwoFormNormOracle:
             + 0.2 * rng.normal(size=(3,) + grid8.shape + (3,))
         dtheta0 = rng.normal(size=theta.shape)
         rho = 1.0 + 0.5 * rng.uniform(size=grid8.shape)
-        g_ind, g_ind_upper, det_ind = induced_metric(theta)
+        g_ind, det_ind = _gram(theta), _induced_det(theta)
+        g_ind_upper = np.linalg.inv(g_ind)
         omega = kinetic_2form(theta, dtheta0)
         oracle = _norm2_2form_full(omega, g_ind_upper)
         assert np.abs(_norm2_2form(omega, g_ind, det_ind) - oracle).max() \

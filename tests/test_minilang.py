@@ -62,3 +62,11 @@ def test_rejects_out_of_grammar(grid, bad):
 def test_rejects_non_integer_period(grid):
     with pytest.raises(ConfigError):
         parse_scalar_expr("cos(1.5*x1)", grid)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", ["1e999", "1e999*cos(x1)", f"cos({'9' * 400}*x1)",
+                                 "1e308+1e308"], ids=["const", "coef", "mode", "sum"])
+def test_rejects_non_finite_values(grid, bad):
+    with pytest.raises(ConfigError, match="finite|overflows"):
+        parse_scalar_expr(bad, grid)

@@ -63,12 +63,12 @@ class TestBilinears:
         b = bilinears(eta, pauli_identity, grid8)
         assert np.abs(b.A + b.s).max() <= 1e-13
 
-    def test_vanishing_guard(self, grid8, pauli_identity):
+    def test_vanishing_guard(self, grid8, pauli_identity, identity_metric):
         x1 = grid8.coords()[0]
         eta = np.zeros(grid8.shape + (2,), dtype=complex)
         eta[..., 0] = np.cos(x1)  # vanishes on a plane
         with pytest.raises(VanishingSpinor):
-            bilinears(eta, pauli_identity, grid8, require_nonvanishing=True)
+            lagrangian_stationary(eta, 1.0, pauli_identity, identity_metric, grid8)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -98,6 +98,19 @@ class TestLagrangians:
             lagrangian_stationary(eta, 0.0, pauli_identity, identity_metric, grid8)
         with pytest.raises(ZeroFrequency):
             lagrangian_weyl(eta, 0.0, 1, pauli_identity, identity_metric, grid8)
+
+    def test_vanishing_spinor_rejected(self, grid8, pauli_identity, identity_metric):
+        x1 = grid8.coords()[0]
+        eta = np.zeros(grid8.shape + (2,), dtype=complex)
+        eta[..., 0] = np.cos(x1)  # vanishes on a plane
+        for call in (
+            lambda: lagrangian_weyl(eta, 1.0, -1, pauli_identity, identity_metric, grid8),
+            lambda: lagrangian_dynamic(*stationary_ansatz(eta, 1.0), pauli_identity,
+                                       identity_metric, grid8),
+            lambda: el_gradient(eta, 1.0, pauli_identity, identity_metric, grid8),
+        ):
+            with pytest.raises(VanishingSpinor):
+                call()
 
     def test_bad_weyl_sign_rejected(self, grid8, pauli_identity, identity_metric):
         with pytest.raises(ValueError):
@@ -322,6 +335,12 @@ class TestSpinorField:
             lambda: spinor_to_frame(eta, complex_v, metric, GRID_468),
             lambda: el_residual(eta, 0.5, complex_v, metric, GRID_468,
                                 mode="fd", probes=4),
+            lambda: lagrangian_stationary(eta, 0.5, complex_v, metric, GRID_468),
+            lambda: lagrangian_weyl(eta, 0.5, 1, complex_v, metric, GRID_468),
+            lambda: lagrangian_dynamic(*stationary_ansatz(eta, 0.5), complex_v,
+                                       metric, GRID_468),
+            lambda: el_gradient(eta, 0.5, complex_v, metric, GRID_468),
+            lambda: factorization_residual(eta, 0.5, complex_v, metric, GRID_468),
         ):
             with pytest.raises(ValueError, match="reality check"):
                 call()

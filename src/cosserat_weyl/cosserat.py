@@ -68,16 +68,6 @@ def axial_torsion(theta: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return f / 3.0
 
 
-def _torsion_norm2(theta: np.ndarray, grid: TorusGrid, det_ind) -> np.ndarray:
-    """|T_ax|^2 pointwise, on the induced metric of determinant det_ind."""
-    return _norm2_3form(axial_torsion(theta, grid), det_ind)
-
-
-def _velocity_norm2(theta: np.ndarray, dtheta0: np.ndarray, det_ind) -> np.ndarray:
-    """|theta_dot|^2 pointwise, on the induced metric of determinant det_ind."""
-    return _norm2_2form(kinetic_2form(theta, dtheta0), _gram(theta), det_ind)
-
-
 def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
                      grid: TorusGrid) -> float:
     """P = integral of |T_ax|^2 rho over the torus.
@@ -86,7 +76,8 @@ def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
     admissible coframes), so P is exactly conformally invariant.
     """
     check_density(rho)
-    return integrate(_torsion_norm2(theta, grid, _induced_det(theta)) * rho, grid)
+    f = axial_torsion(theta, grid)
+    return integrate(_norm2_3form(f, _induced_det(theta)) * rho, grid)
 
 
 def conformal_rescale(theta: np.ndarray, rho: np.ndarray, h: np.ndarray):
@@ -109,7 +100,9 @@ def kinetic_energy(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
     """K = integral of |theta_dot|^2 rho over the torus (induced-metric
     norm, as in `potential_energy`)."""
     check_density(rho)
-    return integrate(_velocity_norm2(theta, dtheta0, _induced_det(theta)) * rho, grid)
+    omega = kinetic_2form(theta, dtheta0)
+    norm2 = _norm2_2form(omega, _gram(theta), _induced_det(theta))
+    return integrate(norm2 * rho, grid)
 
 
 def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
@@ -118,5 +111,6 @@ def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
     (|T_ax|^2 - |theta_dot|^2) rho; its integral is P - K."""
     check_density(rho)
     det_ind = _induced_det(theta)
-    return (_torsion_norm2(theta, grid, det_ind)
-            - _velocity_norm2(theta, dtheta0, det_ind)) * rho
+    potential = _norm2_3form(axial_torsion(theta, grid), det_ind)
+    kinetic = _norm2_2form(kinetic_2form(theta, dtheta0), _gram(theta), det_ind)
+    return (potential - kinetic) * rho

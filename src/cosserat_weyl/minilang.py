@@ -47,13 +47,6 @@ def _split_terms(text: str):
     return terms
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ConfigError(f"number {text!r} in field expression is not finite")
-    return value
-
-
 def parse_scalar_expr(text: str, grid: TorusGrid) -> np.ndarray:
     """Evaluate an expression like ``0.5*cos(2*x1)+sin(x3)-0.25`` on
     the grid. Raises ConfigError on anything outside the grammar or not finite."""
@@ -62,14 +55,16 @@ def parse_scalar_expr(text: str, grid: TorusGrid) -> np.ndarray:
     for sign, term in _split_terms(text):
         const = _CONST_TERM.match(term)
         if const:
-            field += sign * _finite(term)
+            field += sign * float(term)
             continue
         match = _TRIG_TERM.match(term)
         if not match:
             raise ConfigError(
                 f"term {term!r} not in the c*cos/sin(n*xi) + const grammar")
-        coef = _finite(match.group("coef") or "1")
-        freq = _finite(match.group("mode") or "1")
+        coef = float(match.group("coef") or 1.0)
+        freq = float(match.group("mode") or 1.0)
+        if not np.isfinite(freq):  # round() below would raise on it
+            raise ConfigError(f"term {term!r}: frequency is not finite")
         axis = int(match.group("var")[1])
         # require an integer number of periods over the box
         cycles = freq * grid.box[axis - 1] / (2.0 * np.pi)
@@ -80,5 +75,5 @@ def parse_scalar_expr(text: str, grid: TorusGrid) -> np.ndarray:
         fn = np.cos if match.group("fn") == "cos" else np.sin
         field += sign * coef * fn(freq * coords[axis - 1])
     if not np.all(np.isfinite(field)):
-        raise ConfigError(f"field expression {text!r} overflows")
+        raise ConfigError(f"field expression {text!r} is not finite")
     return field

@@ -143,9 +143,8 @@ def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     return 0.5j * (term1 + term2) + h_coef[..., np.newaxis] * field.eta
 
 
-def _gradient_scale(eta: np.ndarray | SpinorField, p0: float, metric: Metric3) -> float:
-    s = eta.s if isinstance(eta, SpinorField) else _scalar_density(eta)  # a field's cache
-    return _PREFACTOR * metric.sqrt_det * (1.0 + p0 * p0) * np.sqrt(float(s.max()))
+def _gradient_scale(field: SpinorField, p0: float, metric: Metric3) -> float:
+    return _PREFACTOR * metric.sqrt_det * (1.0 + p0 * p0) * np.sqrt(float(field.s.max()))
 
 
 def _sample_dofs(eta: np.ndarray, probes: int, seed: int):

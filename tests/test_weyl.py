@@ -8,6 +8,7 @@ import pytest
 
 from cosserat_weyl import (
     Metric3,
+    SpinorField,
     TorusGrid,
     VanishingSpinor,
     ZeroFrequency,
@@ -207,7 +208,8 @@ class TestLocalFiniteDifferences:
         dofs = _edge_dofs(grid) + _sample_dofs(eta, 16, seed=7)
         local = _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs)
         oracle = _full_grid_fd(eta, p0, pauli, metric, grid, dofs)
-        assert np.abs(local - oracle).max() <= 1e-9 * _gradient_scale(eta, p0, metric)
+        scale = _gradient_scale(SpinorField(eta, pauli, grid), p0, metric)
+        assert np.abs(local - oracle).max() <= 1e-9 * scale
 
     @pytest.mark.parametrize("dims,box", [
         ((4, 4, 4), (TWO_PI,) * 3),

@@ -34,6 +34,7 @@ from .errors import (
     MetricNotSPD,
     ModelError,
     NonPositiveDensity,
+    NoSpinLift,
     NotOrthonormal,
     VanishingSpinor,
     ZeroFrequency,
@@ -43,12 +44,9 @@ from .geometry import (
     Metric3,
     PauliSet,
     TorusGrid,
-    anticommutator_residual,
     build_pauli,
     exterior_derivative,
     integrate,
-    norm2_2form,
-    norm2_3form,
     spectral_partial,
     wedge_1_1,
     wedge_1_2,

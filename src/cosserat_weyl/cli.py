@@ -136,14 +136,15 @@ def _cmd_planewave(args) -> int:
     spec, field = planewave_solution(k, branch, metric, grid)
     if args.eta_out:
         write_field(args.eta_out, "spinor", field.eta, grid)
-    res, lag = _residuals(field, spec.p0, spec.weyl_sign, metric)
+    # the wave solves the sign-+1 equation at its signed p0 (PlaneWaveSpec)
+    res, lag = _residuals(field, spec.p0, 1, metric)
     if args.density_csv:
         write_scalar_csv(args.density_csv, lag, grid)
     report = {
         "config": _canonical_config(args, grid, metric),
         "factorization_sign": FACTORIZATION_SIGN,
         "p0": spec.p0,
-        "weyl_sign": spec.weyl_sign,
+        "weyl_sign": 1,
         "dispersion_residual": spec.dispersion_residual,
         **res,
         "verdict": "pass" if (spec.dispersion_residual <= WEYL_TOL

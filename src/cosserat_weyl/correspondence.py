@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosserat import check_density, orthonormality_residual
-from .errors import NotOrthonormal
+from .cosserat import _triple_product, check_density, orthonormality_residual
+from .errors import NoSpinLift, NotOrthonormal
 from .geometry import Metric3, PauliSet, TorusGrid
-from .spinor import SpinorField, _nonvanishing, _sandwich
+from .spinor import SpinorField, _nonvanishing
 
 # d0 (theta^1 + i theta^2) = PHASE_RATE * i * p0 * (theta^1 + i theta^2)
 PHASE_RATE = -2.0
@@ -42,41 +42,52 @@ class FramePacket:
     rho: np.ndarray
 
 
-def _conjugate_spinor(xi: np.ndarray) -> np.ndarray:
-    # xihat^1 = conj(xi_2), xihat^2 = -conj(xi_1)
-    return np.stack([xi[..., 1].conj(), -xi[..., 0].conj()], axis=-1)
+def _quadratic_map(pauli: PauliSet) -> np.ndarray:
+    """The 3x3 matrix Q with w_a = Q[a] . (xi_1^2, xi_1 xi_2, xi_2^2).
+
+    xihat^dagger = xi^T J with J = [[0, -1], [1, 0]], so
+    w_a = xi^T J sigma_a xi is linear in the entries of xi xi^T.
+    """
+    jsigma = np.array([[0.0, -1.0], [1.0, 0.0]]) @ pauli.sigma_lower
+    return np.stack([jsigma[:, 0, 0], jsigma[:, 0, 1] + jsigma[:, 1, 0],
+                     jsigma[:, 1, 1]], axis=-1)
 
 
 def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
                     metric: Metric3, grid: TorusGrid) -> FramePacket:
     """Map a nonvanishing spinor field to its coframe + density."""
     field = _nonvanishing(xi, pauli, grid)
-    w = _sandwich(_conjugate_spinor(field.eta), pauli.sigma_lower, field.eta)
+    x1, x2 = field.eta[..., 0], field.eta[..., 1]
+    squares = np.stack([x1 * x1, x1 * x2, x2 * x2], axis=-1)
+    w = (squares.reshape(-1, 3) @ _quadratic_map(pauli).T).reshape(squares.shape)
     sinv = 1.0 / field.s[..., np.newaxis]
     theta = np.stack([w.real * sinv, w.imag * sinv, field.v * sinv])
     return FramePacket(theta=theta, rho=field.s * metric.sqrt_det)
 
 
 def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
-                    metric: Metric3, grid: TorusGrid) -> np.ndarray:
+                    metric: Metric3) -> np.ndarray:
     """Invert `spinor_to_frame` on the given Pauli set, up to a global sign.
 
-    xihat^dagger = xi^T J with J = [[0, -1], [1, 0]], so w_a = xi^T J sigma_a xi
-    is linear in xi xi^T: one 3x3 solve gives (xi_1^2, xi_1 xi_2, xi_2^2)
-    from w = s (theta^1 + i theta^2). theta^3 enters only through the
-    orthonormality check. A continuity sweep through the flattened grid
-    fixes the per-point sign, consistently on the torus for smooth fields.
+    One 3x3 solve with `_quadratic_map` gives (xi_1^2, xi_1 xi_2, xi_2^2)
+    from w = s (theta^1 + i theta^2). theta^3 enters through the
+    orthonormality check and the handedness check: every frame
+    `spinor_to_frame` makes on a Pauli set has the handedness of its
+    frame at xi = (1, 0), and a frame of the other one has no spin lift.
+    A continuity sweep through the flattened grid fixes the per-point
+    sign, consistently on the torus for smooth fields.
     """
     worst = float(orthonormality_residual(theta, metric).max())
     if worst > _ORTHO_TOL:
         raise NotOrthonormal(f"orthonormality residual {worst:.3e} > {_ORTHO_TOL:.1e}")
+    quad = _quadratic_map(pauli)
+    spin_up = np.stack([quad[:, 0].real, quad[:, 0].imag, pauli.sigma_lower[:, 0, 0].real])
+    if np.any(_triple_product(theta) * _triple_product(spin_up) < 0.0):
+        raise NoSpinLift("coframe is not of the handedness this Pauli set maps spinors to")
     check_density(rho)
 
     s = rho / metric.sqrt_det
     w = s[..., np.newaxis] * (theta[0] + 1j * theta[1])
-    jsigma = np.array([[0.0, -1.0], [1.0, 0.0]]) @ pauli.sigma_lower
-    quad = np.stack([jsigma[:, 0, 0], jsigma[:, 0, 1] + jsigma[:, 1, 0],
-                     jsigma[:, 1, 1]], axis=-1)
     x11, x12, x22 = np.linalg.solve(quad, w.reshape(-1, 3).T).reshape((3,) + s.shape)
     # |xi_1^2| + |xi_2^2| = s, so the larger square has modulus >= s / 2
     use1 = (np.abs(x11) >= np.abs(x22))[..., np.newaxis]

@@ -42,11 +42,16 @@ def _gram(theta: np.ndarray) -> np.ndarray:
     return np.einsum("j...a,j...b->...ab", theta, theta)
 
 
+def _triple_product(theta: np.ndarray) -> np.ndarray:
+    """Pointwise theta^1 . theta^2 x theta^3: its sign is the handedness
+    of the coframe, its square the determinant of the induced metric."""
+    return np.sum(theta[0] * np.cross(theta[1], theta[2]), axis=-1)
+
+
 def _induced_det(theta: np.ndarray) -> np.ndarray:
-    """Determinant of the induced metric, the squared triple product
-    (theta^1 . theta^2 x theta^3)^2. The energetics need no inverse of
-    the induced metric: the 2-form norm is W^T g W / det g."""
-    return np.sum(theta[0] * np.cross(theta[1], theta[2]), axis=-1) ** 2
+    """Determinant of the induced metric. The energetics need no inverse
+    of the induced metric: the 2-form norm is W^T g W / det g."""
+    return _triple_product(theta) ** 2
 
 
 def orthonormality_residual(theta: np.ndarray, metric: Metric3) -> np.ndarray:

@@ -23,6 +23,9 @@ KIND_COMPONENTS = {
 
 _COMPLEX_KINDS = {"spinor"}
 
+# header dtype -> numpy dtype of the payload
+_DTYPES = {"c128": "<c16", "f64": "<f8"}
+
 
 def _pack(kind: str, values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     comps = KIND_COMPONENTS[kind]
@@ -45,15 +48,14 @@ def _unpack(kind: str, flat: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def write_field(path, kind: str, values: np.ndarray, grid: TorusGrid) -> None:
     if kind not in KIND_COMPONENTS:
         raise ValueError(f"unknown field kind {kind!r}")
-    complex_data = kind in _COMPLEX_KINDS or np.iscomplexobj(values)
-    dtype = "<c16" if complex_data else "<f8"
-    flat = _pack(kind, values, grid).astype(dtype, copy=False)
+    dtype = "c128" if kind in _COMPLEX_KINDS or np.iscomplexobj(values) else "f64"
+    flat = _pack(kind, values, grid).astype(_DTYPES[dtype], copy=False)
     header = {
         "kind": kind,
         "dims": list(grid.dims),
         "box": list(grid.box),
         "components": KIND_COMPONENTS[kind],
-        "dtype": "c128" if complex_data else "f64",
+        "dtype": dtype,
         "byte_order": "little",
     }
     with open(path, "wb") as handle:
@@ -70,15 +72,17 @@ def read_field(path):
     header = json.loads(head.decode("ascii"))
     if header.get("byte_order") != "little":
         raise ValueError("only little-endian CWF files are supported")
-    grid = TorusGrid(dims=tuple(header["dims"]), box=tuple(header["box"]))
-    dtype = "<c16" if header["dtype"] == "c128" else "<f8"
-    comps = header["components"]
-    expected = KIND_COMPONENTS.get(header["kind"])
-    if expected is not None and comps != expected:
-        raise ValueError(f"kind {header['kind']!r} expects {expected} components, "
+    kind, dtype, comps = header["kind"], header["dtype"], header["components"]
+    if kind not in KIND_COMPONENTS:
+        raise ValueError(f"unknown field kind {kind!r} in the header")
+    if dtype not in _DTYPES:
+        raise ValueError(f"unknown dtype {dtype!r} in the header (use c128 or f64)")
+    if comps != KIND_COMPONENTS[kind]:
+        raise ValueError(f"kind {kind!r} expects {KIND_COMPONENTS[kind]} components, "
                          f"header says {comps}")
-    flat = np.frombuffer(payload, dtype=dtype).reshape(grid.shape + (comps,))
-    return header["kind"], _unpack(header["kind"], flat.copy(), grid), grid
+    grid = TorusGrid(dims=tuple(header["dims"]), box=tuple(header["box"]))
+    flat = np.frombuffer(payload, dtype=_DTYPES[dtype]).reshape(grid.shape + (comps,))
+    return kind, _unpack(kind, flat.copy(), grid), grid
 
 
 def write_scalar_csv(path, field: np.ndarray, grid: TorusGrid) -> None:

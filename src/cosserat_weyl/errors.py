@@ -38,5 +38,9 @@ class NotOrthonormal(ModelError):
     """Coframe fails the orthonormality constraint."""
 
 
+class NoSpinLift(ModelError):
+    """Coframe has no spinor preimage (e.g. the wrong handedness)."""
+
+
 class ConfigError(ModelError):
     """Invalid run configuration (CLI exit code 2)."""

@@ -166,18 +166,6 @@ def build_pauli(metric: Metric3) -> PauliSet:
     return PauliSet(sigma_upper=sigma_upper, sigma_lower=sigma_lower)
 
 
-def anticommutator_residual(pauli: PauliSet, metric: Metric3) -> float:
-    """Max entrywise |sigma^a sigma^b + sigma^b sigma^a - 2 g^ab Id|."""
-    worst = 0.0
-    for a in range(3):
-        for b in range(3):
-            anti = pauli.sigma_upper[a] @ pauli.sigma_upper[b] \
-                + pauli.sigma_upper[b] @ pauli.sigma_upper[a]
-            target = 2.0 * metric.g_upper[a, b] * np.eye(2)
-            worst = max(worst, float(np.abs(anti - target).max()))
-    return worst
-
-
 def spectral_partial(values: np.ndarray, axis: int, grid: TorusGrid) -> np.ndarray:
     """Spectral (FFT) partial derivative along grid axis 1, 2 or 3.
 
@@ -232,20 +220,10 @@ def _norm2_2form(omega: np.ndarray, g_lower: np.ndarray, det_g) -> np.ndarray:
     return np.sum(gw * omega, axis=-1) / det_g
 
 
-def norm2_2form(omega: np.ndarray, metric: Metric3) -> np.ndarray:
-    """Pointwise squared norm (1/2!) w_ab w_cd g^ac g^bd."""
-    return _norm2_2form(omega, metric.g_lower, metric.det_g)
-
-
 def _norm2_3form(f: np.ndarray, det_g) -> np.ndarray:
     """Pointwise squared norm f^2 / det g of f dx1^dx2^dx3, with det_g
     one number or one per point."""
     return f * f / det_g
-
-
-def norm2_3form(f: np.ndarray, metric: Metric3) -> np.ndarray:
-    """Pointwise squared norm of f dx1^dx2^dx3, equal to f^2 / det g."""
-    return _norm2_3form(f, metric.det_g)
 
 
 def integrate(field: np.ndarray, grid: TorusGrid) -> float:

@@ -161,7 +161,7 @@ def verify_correspondence(grid: TorusGrid, seed: int, n_cases: int = 50,
         xi = field.eta
         packet = spinor_to_frame(xi, pauli, metric, grid)
         ortho = float(orthonormality_residual(packet.theta, metric).max())
-        xi_rec = frame_to_spinor(packet.theta, packet.rho, pauli, metric, grid)
+        xi_rec = frame_to_spinor(packet.theta, packet.rho, pauli, metric)
         scale = float(np.abs(xi).max())
         roundtrip = min(float(np.abs(xi_rec - xi).max()),
                         float(np.abs(xi_rec + xi).max())) / scale

@@ -42,17 +42,16 @@ class PlaneWaveSpec:
     equation.
 
     ``k_modes`` are integer Fourier modes (physical wavevector is
-    2 pi k_modes / box), ``p0`` the signed eigenvalue of k_a sigma^a on
-    ``u`` (branch selects its sign), and ``weyl_sign`` records which of
-    the two Weyl operators, evaluated at this p0, annihilates the field
-    (determined empirically per Pauli set).
+    2 pi k_modes / box) and ``p0`` the signed eigenvalue of k_a sigma^a
+    on ``u`` (branch selects its sign). Since i sigma^a d_a eta =
+    -k_a sigma^a eta = -p0 eta, the wave solves the sign-+1 equation at
+    this signed p0, which is the sign-``branch`` equation at |p0|.
     """
 
     k_modes: tuple
     branch: int
     u: np.ndarray
     p0: float
-    weyl_sign: int
     dispersion_residual: float
 
 
@@ -80,9 +79,7 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     Returns ``(spec, field)``: a `SpinorField` of eta = u e^{i k.x} on
     the Pauli set of ``metric``, where u is the unit eigenvector of the
     Hermitian matrix k_a sigma^a for the eigenvalue
-    p0 = branch * sqrt(g^ab k_a k_b). The field's spectral gradient,
-    taken to choose ``weyl_sign``, stays cached on it; ``field.eta`` is
-    the array.
+    p0 = branch * sqrt(g^ab k_a k_b); ``field.eta`` is the array.
     """
     k_modes = np.asarray(k_modes, dtype=int)
     if not np.any(k_modes != 0):
@@ -101,13 +98,9 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     phase = np.exp(1j * (k[0] * x1 + k[1] * x2 + k[2] * x3))
     eta = phase[..., np.newaxis] * u
     dispersion_residual = abs(p0 * p0 - float(k @ metric.g_upper @ k))
-    field = SpinorField(eta, pauli, grid)
-    residuals = {s: weyl_residual_norm(field, p0, s, pauli, grid) for s in (1, -1)}
-    weyl_sign = min(residuals, key=residuals.get)
     spec = PlaneWaveSpec(k_modes=tuple(int(m) for m in k_modes), branch=branch,
-                         u=u, p0=p0, weyl_sign=weyl_sign,
-                         dispersion_residual=dispersion_residual)
-    return spec, field
+                         u=u, p0=p0, dispersion_residual=dispersion_residual)
+    return spec, SpinorField(eta, pauli, grid)
 
 
 _PREFACTOR = 16.0 / 9.0
@@ -323,13 +316,11 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
     """
     rng = np.random.default_rng(seed)
     cases = []
-    branch_pairing = {}
     for sign in (1, -1):
         for _ in range(n_cases):
             k = random_wavevector(rng, max_mode=max_mode)
             spec, field = planewave_solution(k, sign, metric, grid)
             p0 = abs(spec.p0)  # sign-s equation at positive frequency
-            branch_pairing[f"branch{sign:+d}"] = f"weyl{sign:+d}"
             head = {"k": [int(m) for m in k], "branch": sign, "p0": p0}
             res, _ = _residuals(field, p0, sign, metric, fd_probes,
                                 fd_seed=int(rng.integers(2**31)))
@@ -366,7 +357,7 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
             "lagrangian_tol": LAGRANGIAN_TOL,
             "nonsolution_floor": NONSOLUTION_FLOOR,
         },
-        "branch_pairing": branch_pairing,
+        "branch_pairing": {"branch+1": "weyl+1", "branch-1": "weyl-1"},
         "converse_check": "falsification-only (sampled non-solutions)",
         "cases": cases,
         "verdict": verdict,

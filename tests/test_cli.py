@@ -170,10 +170,12 @@ class TestPlanewave:
                             "--branch", "-", *SMALL)
         assert code == 0
         assert report["p0"] == pytest.approx(-np.sqrt(2.0), abs=1e-13)
+        # every plane wave solves the sign-+1 equation at its signed p0
+        assert report["weyl_sign"] == 1
 
     def test_one_spectral_gradient_per_job(self, tmp_path, monkeypatch):
-        # the field planewave_solution differentiates to choose weyl_sign
-        # serves every residual of the report and the density dump
+        # the plane wave's one spectral gradient serves every residual of
+        # the report and the density dump
         calls = []
         original = spinor_module.spinor_gradient
         monkeypatch.setattr(spinor_module, "spinor_gradient",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cosserat_weyl import (
+    NoSpinLift,
     NonPositiveDensity,
     NotOrthonormal,
     PHASE_RATE,
@@ -21,6 +22,12 @@ from cosserat_weyl import (
     stationary_frame_path,
 )
 from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric
+
+
+def _complex_conjugate(pauli):
+    # conj(sigma) is another valid Pauli set; its frames are left-handed
+    return dataclasses.replace(pauli, sigma_upper=pauli.sigma_upper.conj(),
+                               sigma_lower=pauli.sigma_lower.conj())
 
 
 def _constant_spinor(grid, u=(1.0, 0.0)):
@@ -41,6 +48,19 @@ class TestSpinorToFrame:
         expected[2, ..., 2] = 1.0
         assert np.abs(packet.theta - expected).max() <= 1e-15
         assert np.abs(packet.rho - 1.0).max() <= 1e-15
+
+    def test_matches_conjugate_spinor_sandwich(self, grid8):
+        # oracle: w_a = xihat^dagger sigma_a xi, xihat = (conj xi_2, -conj xi_1)
+        rng = np.random.default_rng(53)
+        for _ in range(3):
+            metric = random_spd_metric(rng)
+            pauli = build_pauli(metric)
+            xi = random_nonvanishing_spinor(grid8, rng)
+            xihat = np.stack([xi[..., 1].conj(), -xi[..., 0].conj()], axis=-1)
+            w = np.einsum("...i,aij,...j->...a", xihat.conj(), pauli.sigma_lower, xi)
+            s = np.einsum("...i,...i->...", xi.conj(), xi).real[..., np.newaxis]
+            theta = spinor_to_frame(xi, pauli, metric, grid8).theta
+            assert np.abs(theta[0] + 1j * theta[1] - w / s).max() <= 1e-13
 
     def test_image_is_orthonormal(self, grid8):
         rng = np.random.default_rng(17)
@@ -84,7 +104,7 @@ class TestFrameToSpinor:
             pauli = build_pauli(metric)
             xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
             packet = spinor_to_frame(xi, pauli, metric, grid8)
-            rec = frame_to_spinor(packet.theta, packet.rho, pauli, metric, grid8)
+            rec = frame_to_spinor(packet.theta, packet.rho, pauli, metric)
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
             assert err / np.abs(xi).max() <= 1e-11
 
@@ -104,17 +124,40 @@ class TestFrameToSpinor:
                 sigma_lower=u @ pauli.sigma_lower @ u.conj().T)
             xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
             packet = spinor_to_frame(xi, conj, metric, grid)
-            rec = frame_to_spinor(packet.theta, packet.rho, conj, metric, grid)
+            rec = frame_to_spinor(packet.theta, packet.rho, conj, metric)
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
             assert err / np.abs(xi).max() <= 1e-14
+
+    def test_round_trip_on_complex_conjugate_pauli_set(self, grid8):
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            metric = random_spd_metric(rng)
+            conj = _complex_conjugate(build_pauli(metric))
+            xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
+            packet = spinor_to_frame(xi, conj, metric, grid8)
+            rec = frame_to_spinor(packet.theta, packet.rho, conj, metric)
+            err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
+            assert err / np.abs(xi).max() <= 1e-14
+
+    def test_rejects_other_handedness(self, grid8):
+        # an orthonormal frame with theta^3 flipped has no spin lift
+        rng = np.random.default_rng(47)
+        metric = random_spd_metric(rng)
+        for pauli in (build_pauli(metric), _complex_conjugate(build_pauli(metric))):
+            xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
+            packet = spinor_to_frame(xi, pauli, metric, grid8)
+            flipped = packet.theta.copy()
+            flipped[2] *= -1.0
+            assert orthonormality_residual(flipped, metric).max() <= 1e-13
+            with pytest.raises(NoSpinLift):
+                frame_to_spinor(flipped, packet.rho, pauli, metric)
 
     def test_spin_up_frozen_frame_inverts(self, grid8, pauli_identity,
                                           identity_metric):
         # xi = (1, 0) has xi_2 = 0 everywhere: only the root of xi_1^2 works
         packet = spinor_to_frame(_constant_spinor(grid8), pauli_identity,
                                  identity_metric, grid8)
-        rec = frame_to_spinor(packet.theta, packet.rho, pauli_identity,
-                              identity_metric, grid8)
+        rec = frame_to_spinor(packet.theta, packet.rho, pauli_identity, identity_metric)
         assert np.abs(rec - _constant_spinor(grid8)).max() <= 1e-15
 
     def test_forward_of_inverse_is_identity(self, grid8, pauli_identity,
@@ -123,8 +166,7 @@ class TestFrameToSpinor:
         rng = np.random.default_rng(29)
         xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
         packet = spinor_to_frame(xi, pauli_identity, identity_metric, grid8)
-        rec = frame_to_spinor(packet.theta, packet.rho, pauli_identity,
-                              identity_metric, grid8)
+        rec = frame_to_spinor(packet.theta, packet.rho, pauli_identity, identity_metric)
         packet2 = spinor_to_frame(rec, pauli_identity, identity_metric, grid8)
         assert np.abs(packet2.theta - packet.theta).max() <= 1e-12
         assert np.abs(packet2.rho - packet.rho).max() <= 1e-12
@@ -135,8 +177,7 @@ class TestFrameToSpinor:
         for j in range(3):
             theta[j, ..., j] = 2.0
         with pytest.raises(NotOrthonormal):
-            frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity,
-                            identity_metric, grid8)
+            frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity, identity_metric)
 
     def test_rejects_nonpositive_density(self, grid8, pauli_identity,
                                          identity_metric):
@@ -147,7 +188,7 @@ class TestFrameToSpinor:
         rho = np.ones(grid8.shape)
         rho[0, 0, 0] = -1.0
         with pytest.raises(NonPositiveDensity):
-            frame_to_spinor(theta, rho, pauli_identity, identity_metric, grid8)
+            frame_to_spinor(theta, rho, pauli_identity, identity_metric)
 
 
 class TestStationaryFramePath:

@@ -89,6 +89,18 @@ def test_component_count_mismatch_rejected(grid, tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("field, value", [("kind", "foo"), ("dtype", "f32")])
+def test_unreadable_header_field_rejected(field, value, grid, tmp_path):
+    path = tmp_path / "h.cwf"
+    write_field(path, "scalar", np.zeros(grid.shape), grid)
+    head, _, payload = path.read_bytes().partition(b"\n\n")
+    header = json.loads(head)
+    header[field] = value
+    path.write_bytes(json.dumps(header).encode() + b"\n\n" + payload)
+    with pytest.raises(ValueError, match=field):
+        read_field(path)
+
+
 def test_scalar_csv(grid, tmp_path):
     x1, x2, x3 = grid.coords()
     field = np.sin(x1) + x2

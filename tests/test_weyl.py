@@ -78,8 +78,7 @@ class TestPlaneWaves:
         assert spec.p0 == pytest.approx(1.0, abs=1e-14)
         assert spec.dispersion_residual <= 1e-13
         pauli = build_pauli(identity_metric)
-        assert weyl_residual_norm(eta, spec.p0, spec.weyl_sign, pauli,
-                                  grid8) <= 1e-13
+        assert weyl_residual_norm(eta, spec.p0, 1, pauli, grid8) <= 1e-13
 
     def test_anisotropic_metric_frequency(self, grid8):
         # k = (0,0,1), g = diag(1,1,4): p0 = sqrt(g^33) = 1/2
@@ -95,7 +94,7 @@ class TestPlaneWaves:
         # exact solution of one equation misses the other by 2 |p0| sqrt(s)
         spec, eta = planewave_solution((0, 0, 2), 1, identity_metric, grid8)
         pauli = build_pauli(identity_metric)
-        wrong = weyl_residual_norm(eta, spec.p0, -spec.weyl_sign, pauli, grid8)
+        wrong = weyl_residual_norm(eta, spec.p0, -1, pauli, grid8)
         assert wrong == pytest.approx(2.0 * abs(spec.p0), rel=1e-12)
 
     def test_zero_mode_rejected(self, grid8, identity_metric):
@@ -112,8 +111,13 @@ class TestPlaneWaves:
             if not np.any(k):
                 continue
             for branch in (1, -1):
-                spec, _ = planewave_solution(k, branch, metric, grid8)
+                spec, field = planewave_solution(k, branch, metric, grid8)
                 assert spec.dispersion_residual <= 1e-12
+                # the wave solves the sign-+1 equation at its signed p0 and
+                # misses the other one by 2 |p0| (|eta| = 1 pointwise)
+                assert weyl_residual_norm(field, spec.p0, 1, field.pauli, grid8) <= 1e-12
+                assert weyl_residual_norm(field, spec.p0, -1, field.pauli, grid8) \
+                    == pytest.approx(2.0 * abs(spec.p0), rel=1e-12)
 
 
 class TestVariationalGradient:
@@ -284,9 +288,9 @@ class TestWitnessSuite:
         assert [report["config"][g] for g in gates] == [1e-12, 1e-8, 1e-12, 1e-3]
 
     def test_one_spectral_gradient_per_field(self, grid8, monkeypatch):
-        # each solution field is differentiated once, inside
-        # planewave_solution, and its case reuses that gradient; each
-        # perturbed field once: one gradient per case
+        # each solution field and each perturbed field is differentiated
+        # once, and every residual of its case reuses that gradient: one
+        # gradient per case
         calls = []
         original = spinor_module.spinor_gradient
         monkeypatch.setattr(spinor_module, "spinor_gradient",

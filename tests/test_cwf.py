@@ -101,6 +101,73 @@ def test_unreadable_header_field_rejected(field, value, grid, tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("field", ["kind", "dtype", "components", "dims", "box"])
+def test_missing_header_field_rejected(field, grid, tmp_path):
+    path = tmp_path / "m.cwf"
+    write_field(path, "scalar", np.zeros(grid.shape), grid)
+    head, _, payload = path.read_bytes().partition(b"\n\n")
+    header = json.loads(head)
+    del header[field]
+    path.write_bytes(json.dumps(header).encode() + b"\n\n" + payload)
+    with pytest.raises(ValueError, match=f"no '{field}' field"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("extra", [-8, 8])
+def test_payload_size_mismatch_rejected(extra, tmp_path):
+    grid = TorusGrid((4, 4, 4), (2 * np.pi,) * 3)
+    path = tmp_path / "p.cwf"
+    write_field(path, "scalar", np.zeros(grid.shape), grid)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:extra] if extra < 0 else blob + bytes(extra))
+    with pytest.raises(ValueError, match=f"payload is {512 + extra} bytes, "
+                                         f"the header implies 512"):
+        read_field(path)
+
+
+def _savetxt_csv(path, field, grid):
+    """The writer's former body: the byte oracle for ``write_scalar_csv``."""
+    x1, x2, x3 = grid.coords()
+    data = np.column_stack([x1.ravel(), x2.ravel(), x3.ravel(),
+                            np.asarray(field).ravel()])
+    np.savetxt(path, data, delimiter=",", header="x1,x2,x3,value", comments="")
+
+
+_SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("dims, box", [
+    ((4, 4, 4), (2 * np.pi,) * 3),
+    ((12, 16, 8), (1.0, 2.5, 7.0)),
+    ((6, 4, 10), (2 * np.pi,) * 3),
+])
+@pytest.mark.parametrize("flat", [False, True])
+def test_scalar_csv_matches_savetxt_bytes(dims, box, flat, tmp_path):
+    grid = TorusGrid(dims, box)
+    rng = np.random.default_rng(grid.num_points)
+    field = rng.normal(size=grid.shape) * 10.0 ** rng.integers(-300, 300, grid.shape)
+    # spread over the slabs, the first and the last point included
+    spots = np.linspace(0, grid.num_points - 1, len(_SPECIAL_VALUES)).astype(int)
+    field.flat[spots] = _SPECIAL_VALUES
+    if flat:
+        field = field.ravel()
+    write_scalar_csv(tmp_path / "new.csv", field, grid)
+    _savetxt_csv(tmp_path / "old.csv", field, grid)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("field, message", [
+    (np.zeros((4, 8, 4), dtype=complex), "real field"),
+    (np.zeros((4, 8, 3)), "the grid has 128 points"),
+    (np.zeros(129), "the grid has 128 points"),
+])
+def test_scalar_csv_rejects_unwritable_field(field, message, grid, tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=message):
+        write_scalar_csv(path, field, grid)
+    assert not path.exists()
+
+
 def test_scalar_csv(grid, tmp_path):
     x1, x2, x3 = grid.coords()
     field = np.sin(x1) + x2

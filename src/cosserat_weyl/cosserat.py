@@ -28,6 +28,10 @@ def check_density(rho: np.ndarray) -> None:
         raise NonPositiveDensity(f"density must be positive, min = {np.min(rho)}")
 
 
+# the entries a <= b of a symmetric 3x3 matrix
+_GRAM_PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]
+
+
 def _gram(theta: np.ndarray) -> np.ndarray:
     """Pointwise metric induced by the coframe,
     delta_jk theta^j_a theta^k_b.
@@ -41,13 +45,16 @@ def _gram(theta: np.ndarray) -> np.ndarray:
     """
     # six explicit sums, mirrored: the einsum's bits in two thirds of its time
     gram = np.empty(theta.shape[1:] + (3,), dtype=theta.dtype)
-    for a in range(3):
-        for b in range(a, 3):
-            gram[..., a, b] = gram[..., b, a] = (
-                theta[0, ..., a] * theta[0, ..., b]
-                + theta[1, ..., a] * theta[1, ..., b]
-                + theta[2, ..., a] * theta[2, ..., b])
+    for a, b in _GRAM_PAIRS:
+        gram[..., a, b] = gram[..., b, a] = _gram_entry(theta, a, b)
     return gram
+
+
+def _gram_entry(theta: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Entry (a, b) of the induced metric, delta_jk theta^j_a theta^k_b."""
+    return (theta[0, ..., a] * theta[0, ..., b]
+            + theta[1, ..., a] * theta[1, ..., b]
+            + theta[2, ..., a] * theta[2, ..., b])
 
 
 def _triple_product(theta: np.ndarray) -> np.ndarray:
@@ -68,8 +75,11 @@ def orthonormality_residual(theta: np.ndarray, metric: Metric3) -> np.ndarray:
     Zero iff the coframe satisfies the orthonormality constraint at
     that point.
     """
-    residual = np.abs(_gram(theta) - metric.g_lower)
-    return residual.max(axis=(-2, -1))
+    # both sides are symmetric, so the six entries a <= b suffice
+    worst = 0.0
+    for a, b in _GRAM_PAIRS:
+        worst = np.maximum(worst, np.abs(_gram_entry(theta, a, b) - metric.g_lower[a, b]))
+    return worst
 
 
 def axial_torsion(theta: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -40,14 +40,24 @@ def _pack(kind: str, values: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def _unpack(kind: str, flat: np.ndarray, grid: TorusGrid) -> np.ndarray:
     if kind == "coframe":
         return np.moveaxis(flat.reshape(grid.shape + (3, 3)), -2, 0)
-    if KIND_COMPONENTS[kind] == 1:
-        return flat.reshape(grid.shape)
-    return flat
+    return flat.reshape(_field_shape(kind, grid))
+
+
+def _field_shape(kind: str, grid: TorusGrid) -> tuple:
+    """Array shape of a field of ``kind``, as `read_field` returns it."""
+    if kind == "coframe":
+        return (3,) + grid.shape + (3,)
+    comps = KIND_COMPONENTS[kind]
+    return grid.shape if comps == 1 else grid.shape + (comps,)
 
 
 def write_field(path, kind: str, values: np.ndarray, grid: TorusGrid) -> None:
     if kind not in KIND_COMPONENTS:
         raise ValueError(f"unknown field kind {kind!r}")
+    expected = _field_shape(kind, grid)
+    if np.shape(values) != expected:
+        raise ValueError(f"a {kind} field on a {grid.dims} grid has shape "
+                         f"{expected}, got {np.shape(values)}")
     dtype = "c128" if kind in _COMPLEX_KINDS or np.iscomplexobj(values) else "f64"
     flat = _pack(kind, values, grid).astype(_DTYPES[dtype], copy=False)
     header = {

@@ -27,41 +27,51 @@ def random_spd_metric(rng: np.random.Generator, eig_low: float = 0.5,
     return Metric3.from_matrix(q @ np.diag(eigs) @ q.T)
 
 
-def _angular_coords(grid: TorusGrid):
-    # coordinates rescaled to period 2 pi per axis
-    return [2.0 * np.pi * x / length
-            for x, length in zip(grid.coords(), grid.box)]
+def _plane_wave(grid: TorusGrid, modes: np.ndarray, coeff: complex) -> np.ndarray:
+    """coeff * exp(i m . x') on the grid, x' the coordinates rescaled to
+    period 2 pi per axis.
+
+    Built as the broadcast product of one 1-D exponential per axis, with
+    the coefficient folded into the first: the full grid costs one
+    complex product instead of a complex exp.
+    """
+    e1, e2, e3 = (np.exp(1j * (m * (2.0 * np.pi / n)) * np.arange(n))
+                  for m, n in zip(modes, grid.dims))
+    return (coeff * e1)[:, None, None] * e2[:, None] * e3
 
 
 def random_bandlimited_scalar(grid: TorusGrid, rng: np.random.Generator,
                               max_mode: int = 2, amplitude: float = 1.0) -> np.ndarray:
     """Real trigonometric polynomial with per-axis mode numbers
-    bounded by ``max_mode``."""
-    xt = _angular_coords(grid)
-    field = np.zeros(grid.shape)
+    bounded by ``max_mode``: the sum of coeff * cos(m . x' + phase),
+    taken as the real part of the sum of coeff e^{i phase} e^{i m . x'}."""
+    waves = np.zeros(grid.shape, dtype=complex)
     for _ in range(_SCALAR_TERMS):
         modes = rng.integers(-max_mode, max_mode + 1, size=3)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         coeff = rng.normal()
-        field += coeff * np.cos(modes[0] * xt[0] + modes[1] * xt[1]
-                                + modes[2] * xt[2] + phase)
+        waves += _plane_wave(grid, modes, coeff * np.exp(1j * phase))
+    field = waves.real
     peak = max(float(np.abs(field).max()), np.finfo(float).tiny)
-    return amplitude * field / peak
+    return field * (amplitude / peak)
 
 
 def random_bandlimited_spinor(grid: TorusGrid, rng: np.random.Generator,
                               max_mode: int = 2, amplitude: float = 1.0) -> np.ndarray:
     """Complex 2-component trigonometric polynomial."""
-    xt = _angular_coords(grid)
-    field = np.zeros(grid.shape + (2,), dtype=complex)
-    for comp in range(2):
+    # sum each component in a contiguous array (field[..., c] is strided)
+    comps = []
+    for _ in range(2):
+        comp = np.zeros(grid.shape, dtype=complex)
         for _ in range(_SPINOR_TERMS):
             modes = rng.integers(-max_mode, max_mode + 1, size=3)
             coeff = rng.normal() + 1j * rng.normal()
-            field[..., comp] += coeff * np.exp(
-                1j * (modes[0] * xt[0] + modes[1] * xt[1] + modes[2] * xt[2]))
+            comp += _plane_wave(grid, modes, coeff)
+        comps.append(comp)
+    field = np.stack(comps, axis=-1)
     peak = max(float(np.abs(field).max()), np.finfo(float).tiny)
-    return amplitude * field / peak
+    field *= amplitude / peak
+    return field
 
 
 def random_nonvanishing_spinor(grid: TorusGrid, rng: np.random.Generator,

@@ -17,7 +17,7 @@ from cosserat_weyl import (
     potential_energy,
 )
 from cosserat_weyl.cosserat import _gram, _induced_det
-from cosserat_weyl.sampling import rotating_coframe
+from cosserat_weyl.sampling import random_spd_metric, rotating_coframe
 
 TWO_PI = 2.0 * np.pi
 
@@ -60,6 +60,17 @@ class TestOrthonormality:
             assert gram.shape == shape + (3, 3)
             assert np.abs(gram - oracle).max() <= 1e-15 * np.abs(theta).max() ** 2
             assert np.array_equal(gram, np.swapaxes(gram, -1, -2))
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (4, 6, 10)])
+    def test_residual_matches_full_gram_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        metric = random_spd_metric(rng)
+        for scale in (1e-3, 1.0, 1e4):
+            theta = scale * rng.normal(size=(3,) + shape + (3,))
+            oracle = np.abs(_gram(theta) - metric.g_lower).max(axis=(-2, -1))
+            res = orthonormality_residual(theta, metric)
+            assert res.shape == shape
+            assert np.array_equal(res, oracle)  # bit for bit
 
 
 class TestAxialTorsion:

@@ -2,6 +2,7 @@
 dumps."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,20 @@ def test_spinor_payload_is_complex128(grid, tmp_path):
 def test_unknown_kind_rejected(grid, tmp_path):
     with pytest.raises(ValueError):
         write_field(tmp_path / "x.cwf", "tensor", np.zeros(grid.shape), grid)
+
+
+@pytest.mark.parametrize("kind, shape, expected", [
+    ("covector", (3, 4, 8, 4), (4, 8, 4, 3)),   # component-first
+    ("scalar", (129,), (4, 8, 4)),
+    ("scalar", (4, 8, 4, 1), (4, 8, 4)),
+    ("coframe", (4, 8, 4, 3, 3), (3, 4, 8, 4, 3)),
+])
+def test_wrong_shape_rejected_before_writing(kind, shape, expected, grid, tmp_path):
+    path = tmp_path / "w.cwf"
+    message = f"a {kind} field on a (4, 8, 4) grid has shape {expected}, got {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_field(path, kind, np.zeros(shape), grid)
+    assert not path.exists()
 
 
 def test_wrong_byte_order_rejected(grid, tmp_path):

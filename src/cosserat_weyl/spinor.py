@@ -67,11 +67,17 @@ def _scalar_density(eta: np.ndarray) -> np.ndarray:
     return np.einsum("...a,...a->...", eta.conj(), eta).real
 
 
+def _vanishing(s: np.ndarray, axis=None):
+    """Whether s fails the nonvanishing floor along ``axis`` (all of it
+    by default): max s <= 0, or min s <= 1e-12 max s."""
+    smax = np.max(s, axis=axis)
+    return (smax <= 0.0) | (np.min(s, axis=axis) <= 1e-12 * smax)
+
+
 def _check_nonvanishing(s: np.ndarray) -> None:
-    smax = float(np.max(s))
-    if smax <= 0.0 or float(np.min(s)) <= 1e-12 * smax:
+    if _vanishing(s):
         raise VanishingSpinor(
-            f"spinor magnitude too small: min s = {np.min(s):.3e}, max s = {smax:.3e}")
+            f"spinor magnitude too small: min s = {np.min(s):.3e}, max s = {np.max(s):.3e}")
 
 
 def _relative_max(diff, ref) -> float:
@@ -79,10 +85,16 @@ def _relative_max(diff, ref) -> float:
     return float(np.abs(diff).max()) / max(float(np.abs(ref).max()), np.finfo(float).tiny)
 
 
+def _complex_covector(v_complex: np.ndarray, scale, axis=None):
+    """Whether max |Im v| along ``axis`` (all of it by default) exceeds
+    1e-13 times ``scale``."""
+    return np.abs(v_complex.imag).max(axis=axis) > _REALITY_TOL * scale
+
+
 def _check_real_covector(v_complex: np.ndarray, scale: float) -> None:
-    v_imag = float(np.abs(v_complex.imag).max())
-    if v_imag > _REALITY_TOL * scale:
-        raise ValueError(f"bilinear covector failed reality check: {v_imag:.3e}")
+    if _complex_covector(v_complex, scale):
+        raise ValueError("bilinear covector failed reality check: "
+                         f"{np.abs(v_complex.imag).max():.3e}")
 
 
 def _axial_density(eta: np.ndarray, slash: np.ndarray) -> np.ndarray:
@@ -249,12 +261,22 @@ def scaling_covariance_residual(eta: np.ndarray | SpinorField, h: np.ndarray, p0
     Exact pointwise in the continuum; on the grid limited only by
     aliasing of e^h eta, so use a band-limit safety factor >= 4.
     """
-    field = _field(eta, pauli, grid)
+    return _scaling_residuals(_field(eta, pauli, grid), h, p0, (sign,), metric)[0]
+
+
+def _scaling_residuals(field: SpinorField, h: np.ndarray, p0: float, signs,
+                       metric: Metric3) -> list:
+    """`scaling_covariance_residual` for each Weyl sign in ``signs``, all
+    from one field of e^h eta, so it is differentiated once."""
+    pauli, grid = field.pauli, field.grid
     eh = np.exp(h)
-    lhs = lagrangian_weyl(field.eta * eh[..., np.newaxis], p0, sign, pauli,
-                          metric, grid)
-    rhs = eh * eh * lagrangian_weyl(field, p0, sign, pauli, metric, grid)
-    return _relative_max(lhs - rhs, rhs)
+    scaled = SpinorField(field.eta * eh[..., np.newaxis], pauli, grid)
+    residuals = []
+    for sign in signs:
+        lhs = lagrangian_weyl(scaled, p0, sign, pauli, metric, grid)
+        rhs = eh * eh * lagrangian_weyl(field, p0, sign, pauli, metric, grid)
+        residuals.append(_relative_max(lhs - rhs, rhs))
+    return residuals
 
 
 def stationary_ansatz(eta: np.ndarray, p0: float):

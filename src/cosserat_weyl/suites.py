@@ -22,12 +22,12 @@ from .sampling import (
 from .spinor import (
     SpinorField,
     _relative_max,
+    _scaling_residuals,
     bilinears,
     factorization_residual,
     fierz_residual,
     lagrangian_stationary,
     lagrangian_weyl,
-    scaling_covariance_residual,
 )
 
 _P0_CYCLE = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
@@ -84,12 +84,11 @@ def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
     smooth relative to the Nyquist mode (band-limit safety factor 4).
     """
     cases = []
-    for i, metric, pauli, field, p0, rng in _seeded_cases(grid, seed, n_cases,
-                                                          max_mode=1):
+    for i, metric, _, field, p0, rng in _seeded_cases(grid, seed, n_cases,
+                                                      max_mode=1):
         h = h_field if h_field is not None else \
             random_bandlimited_scalar(grid, rng, max_mode=1, amplitude=h_amplitude)
-        for sign in (1, -1):
-            res = scaling_covariance_residual(field, h, p0, sign, pauli, metric, grid)
+        for sign, res in zip((1, -1), _scaling_residuals(field, h, p0, (1, -1), metric)):
             cases.append({"case": i, "p0": p0, "weyl_sign": sign, "residual": res})
     return _report("scaling", cases, tol)
 

@@ -1,11 +1,13 @@
-"""The seeded case generator shared by the `verify` suites."""
+"""The seeded case generator shared by the `verify` suites, and the
+work the scaling suite does per case."""
 
 import numpy as np
 import pytest
 
-from cosserat_weyl import build_pauli
+import cosserat_weyl.spinor as spinor_module
+from cosserat_weyl import TorusGrid, build_pauli, scaling_covariance_residual
 from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric
-from cosserat_weyl.suites import _seeded_cases
+from cosserat_weyl.suites import _seeded_cases, verify_scaling
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -35,3 +37,24 @@ def test_seeded_cases_keep_the_explicit_draw_order(grid8, seed):
         np.testing.assert_array_equal(s0.sigma_upper, s1.sigma_upper)
         np.testing.assert_array_equal(e0, e1)
         assert (p0, u0) == (p1, u1)
+
+
+def test_one_spectral_gradient_per_scaled_field(monkeypatch):
+    # a scaling case differentiates eta and e^h eta once each, for both
+    # Weyl signs, and reports what the public residual gives per sign
+    grid = TorusGrid((12, 16, 8), (6.0, 7.0, 5.0))
+    calls = []
+    original = spinor_module.spinor_gradient
+    monkeypatch.setattr(spinor_module, "spinor_gradient",
+                        lambda *args: calls.append(1) or original(*args))
+    h = 0.1 * np.cos(2.0 * np.pi * grid.coords()[1] / grid.box[1])
+    report = verify_scaling(grid, 4, n_cases=3, h_field=h)
+    assert len(calls) == 2 * 3
+    monkeypatch.undo()
+    expected = [{"case": i, "p0": p0, "weyl_sign": sign,
+                 "residual": scaling_covariance_residual(field, h, p0, sign, pauli,
+                                                         metric, grid)}
+                for i, metric, pauli, field, p0, _ in _seeded_cases(grid, 4, 3,
+                                                                    max_mode=1)
+                for sign in (1, -1)]
+    assert report["cases"] == expected

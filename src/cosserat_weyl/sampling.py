@@ -79,14 +79,26 @@ def random_nonvanishing_spinor(grid: TorusGrid, rng: np.random.Generator,
                                max_mode: int = 2) -> np.ndarray:
     """Constant unit spinor plus a band-limited perturbation small
     enough to keep s = etabar eta bounded away from zero."""
+    eta = _perturbed_unit_spinor(grid, rng, amplitude, max_mode)
+    _check_safely_nonvanishing(_scalar_density(eta))
+    return eta
+
+
+def _perturbed_unit_spinor(grid: TorusGrid, rng: np.random.Generator,
+                           amplitude: float = 0.25, max_mode: int = 2) -> np.ndarray:
+    """The draw of `random_nonvanishing_spinor`, before its guard."""
     u = rng.normal(size=2) + 1j * rng.normal(size=2)
     u /= np.linalg.norm(u)
     eta = np.broadcast_to(u, grid.shape + (2,)).copy()
     eta += random_bandlimited_spinor(grid, rng, max_mode=max_mode,
                                      amplitude=amplitude)
-    if float(np.min(_scalar_density(eta))) <= 0.05:
-        raise VanishingSpinor("generated spinor is not safely nonvanishing")
     return eta
+
+
+def _check_safely_nonvanishing(s: np.ndarray) -> None:
+    """The guard of `random_nonvanishing_spinor` on the draw's s."""
+    if float(np.min(s)) <= 0.05:
+        raise VanishingSpinor("generated spinor is not safely nonvanishing")
 
 
 def random_wavevector(rng: np.random.Generator, max_mode: int = 3) -> np.ndarray:

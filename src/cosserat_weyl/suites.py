@@ -14,8 +14,9 @@ from .cosserat import orthonormality_residual, conformal_rescale, potential_ener
 from .errors import ConfigError
 from .geometry import Metric3, TorusGrid, build_pauli
 from .sampling import (
+    _check_safely_nonvanishing,
+    _perturbed_unit_spinor,
     random_bandlimited_scalar,
-    random_nonvanishing_spinor,
     random_spd_metric,
     rotating_coframe,
 )
@@ -50,8 +51,10 @@ def _seeded_cases(grid: TorusGrid, seed: int, n_cases: int, **spinor_kw):
     for i in range(n_cases):
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
-        field = SpinorField(random_nonvanishing_spinor(grid, rng, **spinor_kw),
-                            pauli, grid)
+        # the draw of random_nonvanishing_spinor, its guard run on the
+        # field's s, which every check of the case then reuses
+        field = SpinorField(_perturbed_unit_spinor(grid, rng, **spinor_kw), pauli, grid)
+        _check_safely_nonvanishing(field.s)
         yield i, metric, pauli, field, _P0_CYCLE[i % len(_P0_CYCLE)], rng
 
 

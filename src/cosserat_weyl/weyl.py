@@ -19,6 +19,7 @@ from .spinor import (
     _check_nonvanishing,
     _check_real_covector,
     _complex_covector,
+    _dirac,
     _field,
     _nonvanishing,
     _sandwich,
@@ -125,17 +126,17 @@ def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
         H = c (-(A/s)^2 - p0^2) sqrt(det g),
 
     where the second term is d_a (G sigma^a eta) with the constant
-    sigma^a taken out of the derivative.
+    sigma^a taken out of the derivative. Both sigma^a d_a are applied
+    as one Fourier symbol (`_dirac`): the first is the field's cached
+    one, the second is the only transform this function adds.
     """
     if p0 == 0.0:
         raise ZeroFrequency("p0 must be nonzero")
     field = _nonvanishing(eta, pauli, grid)
     g_coef = 2.0 * _PREFACTOR * field.A * metric.sqrt_det / field.s
     h_coef = _PREFACTOR * (-((field.A / field.s) ** 2) - p0 * p0) * metric.sqrt_det
-    g_eta = g_coef[..., np.newaxis] * field.eta
-    d_g_eta = np.stack([spectral_partial(g_eta, n, grid) for n in (1, 2, 3)])
     term1 = g_coef[..., np.newaxis] * field.slash
-    term2 = _slash(pauli.sigma_upper, d_g_eta)
+    term2 = _dirac(g_coef[..., np.newaxis] * field.eta, pauli.sigma_upper, grid)
     return 0.5j * (term1 + term2) + h_coef[..., np.newaxis] * field.eta
 
 
@@ -272,13 +273,16 @@ def el_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     every grid point; mode "fd" probes ``probes`` (at least 1) seeded
     random real degrees of freedom with central differences of the
     discrete action (step scaled by the cube root of machine epsilon).
-    A probe changes the density only on the three grid lines through
-    its point, so the probes cost O(N1 + N2 + N3) each on top of one
-    spectral gradient of eta, and they are evaluated together, both
-    signs at once, in one pass of array operations per block of
-    `_FD_BLOCK` probes (see `_fd_gradient_at_dofs`). With the gradient
-    at hand, 16 probes at 16^3 take about 0.6 ms and 64 about 2 ms
-    (2-CPU Xeon, numpy 2.4, minimum of repeated calls).
+    Mode "analytic" applies sigma^a d_a as one Fourier symbol, to eta
+    (shared with every other check of the field) and to G eta. A probe
+    changes the density only on the three grid lines through its point,
+    so the probes cost O(N1 + N2 + N3) each on top of one stack of
+    per-axis spectral partials of eta, which only mode "fd" builds; they
+    are evaluated together, both signs at once, in one pass of array
+    operations per block of `_FD_BLOCK` probes (see
+    `_fd_gradient_at_dofs`). With the stack at hand, 16 probes at 16^3
+    take about 0.6 ms and 64 about 2 ms (2-CPU Xeon, numpy 2.4, minimum
+    of repeated calls).
     """
     field = _field(eta, pauli, grid)
     ref = _gradient_scale(field, p0, metric)
@@ -313,7 +317,8 @@ def el_gradient_fd_check(eta: np.ndarray | SpinorField, p0: float,
 def _residuals(field: SpinorField, p0: float, sign: int, metric: Metric3,
                fd_probes: int = 0, fd_seed: int | None = None):
     """Residuals of one field for the sign-``sign`` Weyl equation at
-    frequency p0, all from the field's one spectral gradient.
+    frequency p0, all from the field's one sigma^a d_a eta (and its
+    gradient stack, for the FD probes).
 
     Returns ``(residuals, lag)``: a dict with ``weyl_residual``,
     ``el_residual``, ``el_residual_fd`` (only given an ``fd_seed``),

@@ -24,3 +24,18 @@ def identity_metric():
 @pytest.fixture
 def pauli_identity(identity_metric):
     return build_pauli(identity_metric)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(name, *modules)`` replaces the function ``name`` in
+    each of ``modules`` (every module that binds it) by one wrapper, and
+    returns the list that wrapper appends one entry to per call."""
+    def patch(name, *modules):
+        calls = []
+        original = getattr(modules[0], name)
+        wrapper = lambda *args: calls.append(1) or original(*args)
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+    return patch

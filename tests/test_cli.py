@@ -8,6 +8,7 @@ import pytest
 
 from cosserat_weyl import read_field
 import cosserat_weyl.spinor as spinor_module
+import cosserat_weyl.weyl as weyl_module
 from cosserat_weyl.cli import main
 
 
@@ -173,18 +174,19 @@ class TestPlanewave:
         # every plane wave solves the sign-+1 equation at its signed p0
         assert report["weyl_sign"] == 1
 
-    def test_one_spectral_gradient_per_job(self, tmp_path, monkeypatch):
-        # the plane wave's one spectral gradient serves every residual of
-        # the report and the density dump
-        calls = []
-        original = spinor_module.spinor_gradient
-        monkeypatch.setattr(spinor_module, "spinor_gradient",
-                            lambda *args: calls.append(1) or original(*args))
+    def test_one_spectral_gradient_per_job(self, tmp_path, count_calls):
+        # sigma^a d_a is applied once to the plane wave, and that result
+        # serves every residual of the report and the density dump; the
+        # closed-form EL gradient applies it once more, to G eta. The job
+        # takes no FD probe, so it needs no gradient stack.
+        dirac = count_calls("_dirac", spinor_module, weyl_module)
+        gradients = count_calls("spinor_gradient", spinor_module)
         code, report = _run(tmp_path, "planewave", "--k", "1,2,0",
                             "--metric", "full:1.3,0.2,-0.1,0.9,0.15,1.1",
                             "--density-csv", str(tmp_path / "density.csv"), *SMALL)
         assert code == 0 and report["verdict"] == "pass"
-        assert len(calls) == 1
+        assert len(dirac) == 2
+        assert gradients == []
 
 
 class TestTheorem:

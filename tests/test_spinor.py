@@ -5,13 +5,15 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cosserat_weyl.spinor as spinor_module
+import cosserat_weyl.weyl as weyl_module
 from cosserat_weyl import (
     DegenerateDenominator,
     FACTORIZATION_SIGN,
+    Metric3,
     SpinorField,
     TorusGrid,
     VanishingSpinor,
@@ -32,7 +34,8 @@ from cosserat_weyl import (
     weyl_residual,
     weyl_residual_norm,
 )
-from cosserat_weyl.spinor import _sandwich, _slash, spinor_gradient
+from cosserat_weyl.geometry import spectral_partial
+from cosserat_weyl.spinor import _dirac, _sandwich, _slash, spinor_gradient
 from cosserat_weyl.sampling import (
     random_bandlimited_scalar,
     random_nonvanishing_spinor,
@@ -265,6 +268,101 @@ class TestPauliArithmetic:
         assert np.abs(b.A + p0 * b.s).max() <= 1e-12
 
 
+def _ill_conditioned_metric(rng, log10_cond):
+    """Q diag(e) Q^T with seeded orthogonal Q and eigenvalues spread
+    over ``log10_cond`` decades."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    g = q @ np.diag(10.0 ** (log10_cond * rng.uniform(-0.5, 0.5, size=3))) @ q.T
+    return Metric3.from_matrix(0.5 * (g + g.T))
+
+
+def _su2(rng):
+    """A random SU(2) matrix [[a, -conj b], [b, conj a]], |a|^2 + |b|^2 = 1."""
+    a, b = (rng.normal(size=2) + 1j * rng.normal(size=2)) / np.sqrt(2.0)
+    norm = np.hypot(abs(a), abs(b))
+    a, b = a / norm, b / norm
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+
+
+def _near_nyquist_spinor(grid, rng, terms=6):
+    """A sum of random 2-spinor plane waves whose mode on each axis is
+    drawn from 0, +-1, +-(N/2 - 1) and the Nyquist mode N/2, plus one
+    wave with every mode below Nyquist and nonzero."""
+    def wave(modes):
+        e1, e2, e3 = (np.exp(2j * np.pi * m * np.arange(n) / n)
+                      for m, n in zip(modes, grid.dims))
+        return (e1[:, None, None] * e2[:, None] * e3)[..., np.newaxis] \
+            * (rng.normal(size=2) + 1j * rng.normal(size=2))
+    eta = wave([n // 2 - 1 for n in grid.dims])
+    for _ in range(terms):
+        eta += wave([rng.choice([0, 1, -1, n // 2 - 1, 1 - n // 2, n // 2])
+                     for n in grid.dims])
+    return eta
+
+
+def _dirac_case(dims, box, seed, log10_cond):
+    """(eta, sigma sets, grid) of one `_dirac` property case: the Pauli
+    set of an ill-conditioned metric, both index placements, an
+    SU(2)-conjugated copy of it and a random complex triple."""
+    grid = TorusGrid(dims, box)
+    rng = np.random.default_rng(seed)
+    pauli = build_pauli(_ill_conditioned_metric(rng, log10_cond))
+    u = _su2(rng)
+    conjugated = u @ pauli.sigma_upper @ u.conj().T
+    skew = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    sigmas = (pauli.sigma_upper, pauli.sigma_lower, conjugated, skew)
+    return _near_nyquist_spinor(grid, rng), sigmas, grid
+
+
+class TestDiracSymbol:
+    """sigma^a d_a as one Fourier symbol against sigma^a applied to the
+    stack of per-axis spectral partials."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(*[st.integers(2, 8).map(lambda half: 2 * half)] * 3),
+           st.tuples(*[st.floats(0.5, 10.0)] * 3),
+           st.integers(0, 2**31 - 1),
+           st.floats(0.0, 6.0))
+    @example((4, 4, 4), (2.0 * np.pi,) * 3, 0, 0.0)
+    @example((12, 16, 8), (5.0, 7.0, 9.0), 1, 6.0)
+    @example((4, 6, 8), (5.0, 7.0, 9.0), 2, 3.0)
+    def test_matches_per_axis_partials(self, dims, box, seed, log10_cond):
+        eta, sigmas, grid = _dirac_case(dims, box, seed, log10_cond)
+        deta = spinor_gradient(eta, grid)
+        for sigma in sigmas:
+            assert _rel(_dirac(eta, sigma, grid), _slash(sigma, deta)) <= 1e-13
+
+    @pytest.mark.parametrize("mutant", [
+        lambda sigma: sigma * np.array([1.0, 0.0, 1.0])[:, None, None],  # sigma[1] dropped
+        lambda sigma: -sigma.conj(),  # the symbol conjugated: conj(i k sigma)
+        lambda sigma: sigma.transpose(0, 2, 1),  # entries (0, 1) and (1, 0) swapped
+        lambda sigma: sigma[[1, 0, 2]],  # sigma paired with the wrong axes
+    ])
+    def test_catches_a_wrong_symbol(self, mutant):
+        # the comparison of the property above fails by O(1) when the
+        # symbol is built wrong
+        eta, sigmas, grid = _dirac_case((12, 16, 8), (5.0, 7.0, 9.0), 1, 2.0)
+        deta = spinor_gradient(eta, grid)
+        for sigma in sigmas[:3]:
+            assert _rel(_dirac(eta, mutant(sigma), grid), _slash(sigma, deta)) > 1e-2
+
+    @pytest.mark.parametrize("dims,box", [((4, 4, 4), (2.0 * np.pi,) * 3),
+                                          ((12, 16, 8), (5.0, 7.0, 9.0)),
+                                          ((16, 16, 16), (2.0 * np.pi, 3.0, 5.0))])
+    def test_gradient_is_the_stack_of_partials_bit_for_bit(self, dims, box):
+        grid = TorusGrid(dims, box)
+        eta = _near_nyquist_spinor(grid, np.random.default_rng(sum(dims)))
+        for field in (eta, eta.real):  # a real array is a spinor field too
+            stack = np.stack([spectral_partial(field, a, grid) for a in (1, 2, 3)])
+            assert np.array_equal(spinor_gradient(field, grid), stack)
+
+    def test_real_array_is_differentiated_as_its_complex_copy(self):
+        eta, sigmas, grid = _dirac_case((4, 6, 8), (5.0, 7.0, 9.0), 4, 1.0)
+        for sigma in sigmas:
+            assert np.array_equal(_dirac(eta.real, sigma, grid),
+                                  _dirac(eta.real.astype(complex), sigma, grid))
+
+
 class TestSpinorField:
     def _setup(self, seed=5):
         metric, pauli, _, (eta, _) = _metric_pauli_and_fields(seed)
@@ -290,21 +388,23 @@ class TestSpinorField:
         ):
             assert np.array_equal(fn(field), fn(eta))
 
-    def test_each_quantity_is_computed_once(self, monkeypatch):
+    def test_each_quantity_is_computed_once(self, count_calls):
         metric, pauli, eta = self._setup()
-        calls = []
-        original = spinor_module.spinor_gradient
-        monkeypatch.setattr(spinor_module, "spinor_gradient",
-                            lambda *args: calls.append(1) or original(*args))
+        dirac = count_calls("_dirac", spinor_module, weyl_module)
+        gradients = count_calls("spinor_gradient", spinor_module)
         fierz_residual(SpinorField(eta, pauli, GRID_468), pauli, metric, GRID_468)
-        assert calls == []  # the Fierz identity needs no derivative
+        assert dirac == gradients == []  # the Fierz identity needs no derivative
         field = SpinorField(eta, pauli, GRID_468)
         lagrangian_stationary(field, 0.5, pauli, metric, GRID_468)
         lagrangian_weyl(field, 0.5, 1, pauli, metric, GRID_468)
         weyl_residual_norm(field, 0.5, 1, pauli, GRID_468)
         el_residual(field, 0.5, pauli, metric, GRID_468)
+        assert gradients == []  # no check so far needs the gradient stack
         el_residual(field, 0.5, pauli, metric, GRID_468, mode="fd", probes=4)
-        assert len(calls) == 1
+        # sigma^a d_a eta once for the field and once for G eta in the EL
+        # gradient; the gradient stack once, for the FD probes
+        assert len(dirac) == 2
+        assert len(gradients) == 1
 
     def test_field_for_other_pauli_set_or_grid_rejected(self):
         metric, pauli, eta = self._setup()

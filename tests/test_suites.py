@@ -4,10 +4,17 @@ work the scaling suite does per case."""
 import numpy as np
 import pytest
 
+import cosserat_weyl.sampling as sampling_module
 import cosserat_weyl.spinor as spinor_module
-from cosserat_weyl import TorusGrid, build_pauli, scaling_covariance_residual
+import cosserat_weyl.weyl as weyl_module
+from cosserat_weyl import (
+    TorusGrid,
+    VanishingSpinor,
+    build_pauli,
+    scaling_covariance_residual,
+)
 from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric
-from cosserat_weyl.suites import _seeded_cases, verify_scaling
+from cosserat_weyl.suites import VERIFIERS, _seeded_cases, verify_scaling
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -39,18 +46,17 @@ def test_seeded_cases_keep_the_explicit_draw_order(grid8, seed):
         assert (p0, u0) == (p1, u1)
 
 
-def test_one_spectral_gradient_per_scaled_field(monkeypatch):
-    # a scaling case differentiates eta and e^h eta once each, for both
-    # Weyl signs, and reports what the public residual gives per sign
+def test_one_spectral_gradient_per_scaled_field(count_calls):
+    # a scaling case applies sigma^a d_a to eta and to e^h eta once each,
+    # for both Weyl signs, and reports what the public residual gives per
+    # sign; it takes no FD probe, so it builds no gradient stack
     grid = TorusGrid((12, 16, 8), (6.0, 7.0, 5.0))
-    calls = []
-    original = spinor_module.spinor_gradient
-    monkeypatch.setattr(spinor_module, "spinor_gradient",
-                        lambda *args: calls.append(1) or original(*args))
+    dirac = count_calls("_dirac", spinor_module, weyl_module)
+    gradients = count_calls("spinor_gradient", spinor_module)
     h = 0.1 * np.cos(2.0 * np.pi * grid.coords()[1] / grid.box[1])
     report = verify_scaling(grid, 4, n_cases=3, h_field=h)
-    assert len(calls) == 2 * 3
-    monkeypatch.undo()
+    assert len(dirac) == 2 * 3
+    assert gradients == []
     expected = [{"case": i, "p0": p0, "weyl_sign": sign,
                  "residual": scaling_covariance_residual(field, h, p0, sign, pauli,
                                                          metric, grid)}
@@ -58,3 +64,45 @@ def test_one_spectral_gradient_per_scaled_field(monkeypatch):
                                                                     max_mode=1)
                 for sign in (1, -1)]
     assert report["cases"] == expected
+
+
+@pytest.mark.parametrize("suite,per_case", [("factorization", 1), ("fierz", 0),
+                                            ("u1", 2), ("correspondence", 0)])
+def test_seeded_suites_build_no_gradient_stack(count_calls, suite, per_case):
+    # no seeded suite takes FD probes (scaling: see above): sigma^a d_a is
+    # applied once per field that needs A (u1 has the field and its
+    # phase-rotated copy), and the gradient stack is never built
+    grid = TorusGrid((12, 16, 8), (6.0, 7.0, 5.0))
+    dirac = count_calls("_dirac", spinor_module, weyl_module)
+    gradients = count_calls("spinor_gradient", spinor_module)
+    VERIFIERS[suite](grid, 2, n_cases=3)
+    assert len(dirac) == per_case * 3
+    assert gradients == []
+
+
+def test_seeded_case_guard_reads_the_fields_density(count_calls):
+    # the 0.05 guard of random_nonvanishing_spinor runs on the case
+    # field's own s, so s is computed once per case, not once for the
+    # guard and again for the checks
+    densities = count_calls("_scalar_density", spinor_module, sampling_module)
+    for _, _, _, field, _, _ in _seeded_cases(TorusGrid((8, 8, 8), (6.0,) * 3), 3, 4):
+        field.s
+    assert len(densities) == 4
+
+
+def test_seeded_case_guard_rejects_a_vanishing_draw():
+    # amplitude 1 perturbs the unit spinor by as much as itself: some
+    # draw comes within 0.05 of zero, and the case raises as the public
+    # sampler does on the same draw
+    grid = TorusGrid((8, 8, 8), (6.0,) * 3)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        random_spd_metric(rng)
+        try:
+            random_nonvanishing_spinor(grid, rng, amplitude=1.0)
+        except VanishingSpinor:
+            break
+    else:
+        pytest.fail("no vanishing draw among the seeds")
+    with pytest.raises(VanishingSpinor, match="not safely nonvanishing"):
+        list(_seeded_cases(grid, seed, 1, amplitude=1.0))

@@ -34,7 +34,6 @@ from cosserat_weyl import (
     weyl_residual,
     weyl_residual_norm,
 )
-from cosserat_weyl.geometry import spectral_partial
 from cosserat_weyl.spinor import _dirac, _sandwich, _slash, spinor_gradient
 from cosserat_weyl.sampling import (
     random_bandlimited_scalar,
@@ -345,16 +344,6 @@ class TestDiracSymbol:
         deta = spinor_gradient(eta, grid)
         for sigma in sigmas[:3]:
             assert _rel(_dirac(eta, mutant(sigma), grid), _slash(sigma, deta)) > 1e-2
-
-    @pytest.mark.parametrize("dims,box", [((4, 4, 4), (2.0 * np.pi,) * 3),
-                                          ((12, 16, 8), (5.0, 7.0, 9.0)),
-                                          ((16, 16, 16), (2.0 * np.pi, 3.0, 5.0))])
-    def test_gradient_is_the_stack_of_partials_bit_for_bit(self, dims, box):
-        grid = TorusGrid(dims, box)
-        eta = _near_nyquist_spinor(grid, np.random.default_rng(sum(dims)))
-        for field in (eta, eta.real):  # a real array is a spinor field too
-            stack = np.stack([spectral_partial(field, a, grid) for a in (1, 2, 3)])
-            assert np.array_equal(spinor_gradient(field, grid), stack)
 
     def test_real_array_is_differentiated_as_its_complex_copy(self):
         eta, sigmas, grid = _dirac_case((4, 6, 8), (5.0, 7.0, 9.0), 4, 1.0)

@@ -21,6 +21,8 @@ _TRIG_TERM = re.compile(
     r"(?:(?P<mode>[0-9]*\.?[0-9]+)\*)?"
     r"(?P<var>x[123])\)$")
 _CONST_TERM = re.compile(r"^[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?$")
+# a term ending like this ("1e", "2.E") is a number whose exponent's sign comes next
+_OPEN_EXPONENT = re.compile(r"[0-9.][eE]$")
 
 
 def _split_terms(text: str):
@@ -31,7 +33,7 @@ def _split_terms(text: str):
     sign = 1.0
     buf = ""
     for ch in text:
-        if ch in "+-" and buf:
+        if ch in "+-" and buf and not _OPEN_EXPONENT.search(buf):
             terms.append((sign, buf))
             sign = -1.0 if ch == "-" else 1.0
             buf = ""

@@ -4,8 +4,8 @@ factorisation identity and scaling covariance.
 
 With a constant metric on a flat torus the spinor covariant derivative
 reduces to the partial derivative, so all derivatives here are
-spectral: sigma^a d_a is one Fourier symbol, and the per-axis partials
-are taken only where a caller needs them one by one.
+spectral. Every derivative the model needs is sigma^a d_a of a field,
+applied as one Fourier symbol (`_dirac`); no per-axis gradient is built.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDenominator, VanishingSpinor, ZeroFrequency
-from .geometry import Metric3, PauliSet, TorusGrid, spectral_partial
+from .geometry import Metric3, PauliSet, TorusGrid
 
 # Global sign reconciling the stationary Lagrangian with its
 # factorisation through the two Weyl densities, relative to the
@@ -46,21 +46,6 @@ def _sandwich(eta: np.ndarray, sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
     x1, x2 = xi[..., 0].copy(), xi[..., 1].copy()
     return np.stack([e1 * (m[0, 0] * x1 + m[0, 1] * x2)
                      + e2 * (m[1, 0] * x1 + m[1, 1] * x2) for m in sigma], axis=-1)
-
-
-def _slash(sigma: np.ndarray, deta: np.ndarray) -> np.ndarray:
-    """sigma^n d_n eta = sum over n of sigma[n] applied to deta[n], from
-    a gradient stack with the axis index first; returns shape
-    deta.shape[1:]."""
-    d1, d2 = deta[..., 0], deta[..., 1]
-    rows = []
-    for i in (0, 1):
-        acc = sigma[0, i, 0] * d1[0] + sigma[0, i, 1] * d2[0]
-        for n in (1, 2):
-            acc += sigma[n, i, 0] * d1[n]
-            acc += sigma[n, i, 1] * d2[n]
-        rows.append(acc)
-    return np.stack(rows, axis=-1)
 
 
 def _scalar_density(eta: np.ndarray) -> np.ndarray:
@@ -120,12 +105,6 @@ def _metric_norm2(w: np.ndarray, g_upper: np.ndarray) -> np.ndarray:
     return np.sum((w @ g_upper) * w, axis=-1)
 
 
-def spinor_gradient(eta: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Stack of spectral partials (d_1 eta, d_2 eta, d_3 eta), shape
-    (3,) + dims + (2,)."""
-    return np.stack([spectral_partial(eta, i, grid) for i in (1, 2, 3)])
-
-
 def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """sigma^a d_a eta as one Fourier multiplier, F^-1[(i k_a sigma^a) F eta],
     for any 2x2 matrices sigma[a], a = 0, 1, 2 (index a for axis a + 1).
@@ -170,16 +149,16 @@ class SpinorField:
     and its bilinears s = etabar sigma_0 eta, the real covector
     v_a = etabar sigma_a eta and A = (i/2)(etabar sigma^a d_a eta - c.c.).
 
-    Each of them, sigma^a d_a eta and the spectral gradient is computed
-    at most once, when first asked for, so every check made on one field
-    shares one sigma^a d_a eta. That is applied as one Fourier symbol
-    (`_dirac`); the gradient stack (d_1 eta, d_2 eta, d_3 eta) is built
-    only for the finite-difference probes, which perturb it along grid
-    lines. Every function of this package that takes a spinor field
-    together with a Pauli set and a grid also accepts a `SpinorField`
-    in place of the array; it raises ValueError if the field was built
-    for a different Pauli set or grid. The cached arrays are shared:
-    treat them, and eta, as read-only.
+    Each of them and sigma^a d_a eta is computed at most once, when
+    first asked for, so every check made on one field shares one
+    sigma^a d_a eta, applied as one Fourier symbol (`_dirac`). The
+    finite-difference probes perturb that cached array too, on the grid
+    lines through each probed point, so the field is differentiated
+    once whatever checks it. Every function of this package that takes
+    a spinor field together with a Pauli set and a grid also accepts a
+    `SpinorField` in place of the array; it raises ValueError if the
+    field was built for a different Pauli set or grid. The cached
+    arrays are shared: treat them, and eta, as read-only.
     """
 
     def __init__(self, eta: np.ndarray, pauli: PauliSet, grid: TorusGrid):
@@ -199,12 +178,6 @@ class SpinorField:
         _check_real_covector(v_complex,
                              max(float(np.max(self.s)), np.finfo(float).tiny))
         return v_complex.real
-
-    @cached_property
-    def gradient(self) -> np.ndarray:
-        """The stack of spectral partials, for the finite-difference
-        probes; nothing else asks for it."""
-        return spinor_gradient(self.eta, self.grid)
 
     @cached_property
     def slash(self) -> np.ndarray:

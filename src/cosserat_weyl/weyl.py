@@ -24,7 +24,6 @@ from .spinor import (
     _nonvanishing,
     _sandwich,
     _scalar_density,
-    _slash,
     _stationary_density,
     _vanishing,
     lagrangian_stationary,
@@ -159,13 +158,14 @@ def _sample_dofs(eta: np.ndarray, probes: int, seed: int):
 
 @lru_cache(maxsize=8)
 def _line_stencil(grid: TorusGrid):
-    """Offsets and derivative weights of the points whose spectral
-    gradient moves when eta changes at one grid point p.
+    """Offsets and derivative weights of the points where sigma^a d_a eta
+    moves when eta changes at one grid point p.
 
     Returns ``(offsets, weights)``: point m of the stencil is
     p + offsets[:, m] (mod dims), and d_a eta there changes by
-    weights[a, m] times the change of eta at p. The stencil is p
-    followed by the rest of the grid line through p along each axis.
+    weights[a, m] times the change of eta at p, so sigma^a d_a eta
+    changes by sum_a weights[a, m] sigma^a applied to it. The stencil is
+    p followed by the rest of the grid line through p along each axis.
     Weight row a is one column of the periodic spectral
     differentiation matrix along axis a, taken by differentiating a
     unit vector. Cached per grid; the arrays are read-only.
@@ -201,15 +201,20 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
     partials act along one axis at a time, so d_a eta moves only on the
     grid line through p along axis a, and L_+ - L_- is exactly zero off
     the three lines through p. The density is therefore evaluated on
-    those N1 + N2 + N3 - 2 points only, from one spectral gradient of
-    eta and a fixed kernel per axis: O(N) work per probe instead of two
-    full-grid Lagrangians. All probes of a block of `_FD_BLOCK`, with
-    both signs, go through one pass of array operations of shape
-    (probe, sign, stencil point, ...). L_+ - L_- is taken pointwise
-    before summing. Each perturbed field passes the guards of
-    `lagrangian_stationary`: nonzero p0, the nonvanishing floor relative
-    to that field's max s, and the reality of v at the perturbed point;
-    the first probe, in the order given, that fails one raises its error.
+    those N1 + N2 + N3 - 2 points only: O(N) work per probe instead of
+    two full-grid Lagrangians. sigma^a d_a eta there is the field's
+    cached one plus the probe's change, which is exact because the
+    operator is linear: the step times the stencil weights of
+    `_line_stencil` contracted with column comp of sigma^a. So the
+    probes differentiate the action `lagrangian_stationary` evaluates
+    and take no transform of their own. All probes of a block of
+    `_FD_BLOCK`, with both signs, go through one pass of array
+    operations of shape (probe, sign, stencil point, component).
+    L_+ - L_- is taken pointwise before summing. Each perturbed field
+    passes the guards of `lagrangian_stationary`: nonzero p0, the
+    nonvanishing floor relative to that field's max s, and the reality
+    of v at the perturbed point; the first probe, in the order given,
+    that fails one raises its error.
     """
     if p0 == 0.0:
         raise ZeroFrequency("p0 must be nonzero")
@@ -217,7 +222,7 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
     offsets, weights = _line_stencil(grid)
     dims = np.asarray(grid.dims)[:, np.newaxis]
     field = _field(eta, pauli, grid)
-    eta, deta, s_flat = field.eta, field.gradient, field.s.ravel()
+    eta, slash, s_flat = field.eta, field.slash, field.s.ravel()
     # s is unchanged away from p, so the floor of a perturbed field needs
     # only the extremes of s elsewhere: the second one where p holds the first
     i_lo, i_hi = np.argmin(s_flat), np.argmax(s_flat)
@@ -239,10 +244,11 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
         # (probe, sign, stencil point, component)
         eta_pm = np.repeat(eta[pts][:, np.newaxis], 2, axis=1)
         eta_pm[probe[:, np.newaxis], [0, 1], 0, comp[:, np.newaxis]] += delta
-        # (axis, probe, sign, stencil point, component)
-        deta_pm = np.repeat(deta[(slice(None),) + pts][:, :, np.newaxis], 2, axis=2)
-        deta_pm[:, probe, :, :, comp] += \
-            weights[:, np.newaxis] * delta[:, np.newaxis, :, np.newaxis]
+        # sigma^a d_a is linear: delta on component comp at p moves
+        # sigma^a d_a eta at stencil point m by delta sum_a weights[a, m] sigma^a[:, comp]
+        column = np.einsum("am,aip->pmi", weights, pauli.sigma_upper[:, :, comp])
+        slash_pm = slash[pts][:, np.newaxis] + delta[:, :, np.newaxis, np.newaxis] \
+            * column[:, np.newaxis]
         s_pm = _scalar_density(eta_pm)
         flat_p = np.ravel_multi_index(tuple(point.T), grid.dims)
         lo = np.where(flat_p == i_lo, lo_else, s_flat[i_lo])[:, np.newaxis]
@@ -256,7 +262,7 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
             for k in range(2):  # raise as the checks of the perturbed fields would
                 _check_nonvanishing(extremes[i, k])
                 _check_real_covector(v_p[i, k], scale[i, k])
-        axial = _axial_density(eta_pm, _slash(pauli.sigma_upper, deta_pm))
+        axial = _axial_density(eta_pm, slash_pm)
         lag_pm = _stationary_density(s_pm, axial, p0, metric)
         grad = grid.cell_volume * (lag_pm[:, 0] - lag_pm[:, 1]).sum(axis=-1) / (2.0 * step)
         values[block] = grad / (2.0 * grid.cell_volume)
@@ -276,13 +282,13 @@ def el_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     Mode "analytic" applies sigma^a d_a as one Fourier symbol, to eta
     (shared with every other check of the field) and to G eta. A probe
     changes the density only on the three grid lines through its point,
-    so the probes cost O(N1 + N2 + N3) each on top of one stack of
-    per-axis spectral partials of eta, which only mode "fd" builds; they
-    are evaluated together, both signs at once, in one pass of array
+    so the probes cost O(N1 + N2 + N3) each on top of the field's
+    sigma^a d_a eta, which they perturb and do not recompute; they are
+    evaluated together, both signs at once, in one pass of array
     operations per block of `_FD_BLOCK` probes (see
-    `_fd_gradient_at_dofs`). With the stack at hand, 16 probes at 16^3
-    take about 0.6 ms and 64 about 2 ms (2-CPU Xeon, numpy 2.4, minimum
-    of repeated calls).
+    `_fd_gradient_at_dofs`). With sigma^a d_a eta at hand, 16 probes at
+    16^3 take about 0.45 ms and 64 about 1.2 ms (2-CPU Xeon, numpy 2.4,
+    minimum of repeated calls).
     """
     field = _field(eta, pauli, grid)
     ref = _gradient_scale(field, p0, metric)
@@ -317,8 +323,8 @@ def el_gradient_fd_check(eta: np.ndarray | SpinorField, p0: float,
 def _residuals(field: SpinorField, p0: float, sign: int, metric: Metric3,
                fd_probes: int = 0, fd_seed: int | None = None):
     """Residuals of one field for the sign-``sign`` Weyl equation at
-    frequency p0, all from the field's one sigma^a d_a eta (and its
-    gradient stack, for the FD probes).
+    frequency p0, all from the field's one sigma^a d_a eta, which the FD
+    probes perturb too.
 
     Returns ``(residuals, lag)``: a dict with ``weyl_residual``,
     ``el_residual``, ``el_residual_fd`` (only given an ``fd_seed``),

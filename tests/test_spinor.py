@@ -21,6 +21,7 @@ from cosserat_weyl import (
     bilinears,
     build_pauli,
     el_gradient,
+    el_gradient_fd_check,
     el_residual,
     factorization_residual,
     fierz_residual,
@@ -34,7 +35,8 @@ from cosserat_weyl import (
     weyl_residual,
     weyl_residual_norm,
 )
-from cosserat_weyl.spinor import _dirac, _sandwich, _slash, spinor_gradient
+from cosserat_weyl.geometry import spectral_partial
+from cosserat_weyl.spinor import _dirac, _sandwich
 from cosserat_weyl.sampling import (
     random_bandlimited_scalar,
     random_nonvanishing_spinor,
@@ -216,6 +218,11 @@ def _oracle_sandwich(eta, sigma, xi):
     return np.einsum("...a,nab,...b->...n", eta.conj(), sigma, xi)
 
 
+def _gradient_stack(eta, grid):
+    """(d_1 eta, d_2 eta, d_3 eta) from the public per-axis partial."""
+    return np.stack([spectral_partial(eta, a, grid) for a in (1, 2, 3)])
+
+
 def _oracle_slash(sigma, deta):
     return np.einsum("nab,n...b->...a", sigma, deta)
 
@@ -247,13 +254,12 @@ class TestPauliArithmetic:
         skew = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
         for eta in fields:
             other = random_nonvanishing_spinor(GRID_468, rng)
-            deta = spinor_gradient(eta, GRID_468)
+            deta = _gradient_stack(eta, GRID_468)
             conjugate = np.stack([eta[..., 1].conj(), -eta[..., 0].conj()], axis=-1)
             for sigma in (pauli.sigma_lower, pauli.sigma_upper, skew):
                 for xi in (eta, other, conjugate):
                     assert _rel(_sandwich(eta, sigma, xi),
                                 _oracle_sandwich(eta, sigma, xi)) <= 1e-14
-                assert _rel(_slash(sigma, deta), _oracle_slash(sigma, deta)) <= 1e-14
             b = bilinears(eta, pauli, GRID_468)
             assert _rel(b.v, _oracle_sandwich(eta, pauli.sigma_lower, eta).real) <= 1e-14
             assert _rel(b.A, _oracle_axial(eta, deta, pauli.sigma_upper)) <= 1e-14
@@ -327,9 +333,9 @@ class TestDiracSymbol:
     @example((4, 6, 8), (5.0, 7.0, 9.0), 2, 3.0)
     def test_matches_per_axis_partials(self, dims, box, seed, log10_cond):
         eta, sigmas, grid = _dirac_case(dims, box, seed, log10_cond)
-        deta = spinor_gradient(eta, grid)
+        deta = _gradient_stack(eta, grid)
         for sigma in sigmas:
-            assert _rel(_dirac(eta, sigma, grid), _slash(sigma, deta)) <= 1e-13
+            assert _rel(_dirac(eta, sigma, grid), _oracle_slash(sigma, deta)) <= 1e-13
 
     @pytest.mark.parametrize("mutant", [
         lambda sigma: sigma * np.array([1.0, 0.0, 1.0])[:, None, None],  # sigma[1] dropped
@@ -341,15 +347,60 @@ class TestDiracSymbol:
         # the comparison of the property above fails by O(1) when the
         # symbol is built wrong
         eta, sigmas, grid = _dirac_case((12, 16, 8), (5.0, 7.0, 9.0), 1, 2.0)
-        deta = spinor_gradient(eta, grid)
+        deta = _gradient_stack(eta, grid)
         for sigma in sigmas[:3]:
-            assert _rel(_dirac(eta, mutant(sigma), grid), _slash(sigma, deta)) > 1e-2
+            assert _rel(_dirac(eta, mutant(sigma), grid), _oracle_slash(sigma, deta)) > 1e-2
 
     def test_real_array_is_differentiated_as_its_complex_copy(self):
         eta, sigmas, grid = _dirac_case((4, 6, 8), (5.0, 7.0, 9.0), 4, 1.0)
         for sigma in sigmas:
             assert np.array_equal(_dirac(eta.real, sigma, grid),
                                   _dirac(eta.real.astype(complex), sigma, grid))
+
+
+_EDGE_EXAMPLES = [((4, 4, 4), (2.0 * np.pi,) * 3, 0, 0.0, 1.0),
+                  ((4, 6, 10), (0.5, 10.0, 3.0), 1, 6.0, -2.0),
+                  ((10, 10, 10), (10.0, 0.5, 5.0), 2, 6.0, 0.5),
+                  ((4, 4, 4), (0.5,) * 3, 4, 6.0, 2.0)]
+
+
+def _el_fd_disagreement(dims, box, seed, log10_cond, p0):
+    """`el_gradient_fd_check` with 64 probes on a random nonvanishing
+    spinor and the Pauli set of an ill-conditioned metric."""
+    grid = TorusGrid(dims, box)
+    rng = np.random.default_rng(seed)
+    metric = _ill_conditioned_metric(rng, log10_cond)
+    eta = random_nonvanishing_spinor(grid, rng, max_mode=1)
+    return el_gradient_fd_check(eta, p0, build_pauli(metric), metric, grid,
+                                probes=64, seed=seed)
+
+
+class TestELGradientAtTheEdges:
+    """The closed-form EL gradient against central differences of the
+    discrete action on small and non-cubic grids, boxes far from 2 pi,
+    metrics up to six decades of condition and both signs of p0."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.tuples(*[st.integers(2, 5).map(lambda half: 2 * half)] * 3),
+           st.tuples(*[st.floats(0.5, 10.0)] * 3),
+           st.integers(0, 2**31 - 1),
+           st.floats(0.0, 6.0),
+           st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
+    @example(*_EDGE_EXAMPLES[0])
+    @example(*_EDGE_EXAMPLES[1])
+    @example(*_EDGE_EXAMPLES[2])
+    @example(*_EDGE_EXAMPLES[3])
+    def test_matches_finite_differences(self, dims, box, seed, log10_cond, p0):
+        assert _el_fd_disagreement(dims, box, seed, log10_cond, p0) <= 1e-7
+
+    @pytest.mark.parametrize("case", _EDGE_EXAMPLES)
+    def test_catches_a_dropped_term(self, monkeypatch, case):
+        # weyl's own _dirac applies sigma^a d_a only to G eta in
+        # el_gradient (the field's sigma^a d_a eta, which the probes
+        # perturb, comes from spinor's), so zeroing it drops that term
+        monkeypatch.setattr(weyl_module, "_dirac",
+                            lambda eta, sigma, grid: np.zeros(eta.shape, dtype=complex))
+        assert _el_fd_disagreement(*case) > 1e-3
 
 
 class TestSpinorField:
@@ -380,20 +431,17 @@ class TestSpinorField:
     def test_each_quantity_is_computed_once(self, count_calls):
         metric, pauli, eta = self._setup()
         dirac = count_calls("_dirac", spinor_module, weyl_module)
-        gradients = count_calls("spinor_gradient", spinor_module)
         fierz_residual(SpinorField(eta, pauli, GRID_468), pauli, metric, GRID_468)
-        assert dirac == gradients == []  # the Fierz identity needs no derivative
+        assert dirac == []  # the Fierz identity needs no derivative
         field = SpinorField(eta, pauli, GRID_468)
         lagrangian_stationary(field, 0.5, pauli, metric, GRID_468)
         lagrangian_weyl(field, 0.5, 1, pauli, metric, GRID_468)
         weyl_residual_norm(field, 0.5, 1, pauli, GRID_468)
         el_residual(field, 0.5, pauli, metric, GRID_468)
-        assert gradients == []  # no check so far needs the gradient stack
         el_residual(field, 0.5, pauli, metric, GRID_468, mode="fd", probes=4)
-        # sigma^a d_a eta once for the field and once for G eta in the EL
-        # gradient; the gradient stack once, for the FD probes
+        # sigma^a d_a eta once for the field, shared by the FD probes, and
+        # once for G eta in the EL gradient
         assert len(dirac) == 2
-        assert len(gradients) == 1
 
     def test_field_for_other_pauli_set_or_grid_rejected(self):
         metric, pauli, eta = self._setup()

@@ -49,14 +49,12 @@ def test_seeded_cases_keep_the_explicit_draw_order(grid8, seed):
 def test_one_spectral_gradient_per_scaled_field(count_calls):
     # a scaling case applies sigma^a d_a to eta and to e^h eta once each,
     # for both Weyl signs, and reports what the public residual gives per
-    # sign; it takes no FD probe, so it builds no gradient stack
+    # sign
     grid = TorusGrid((12, 16, 8), (6.0, 7.0, 5.0))
     dirac = count_calls("_dirac", spinor_module, weyl_module)
-    gradients = count_calls("spinor_gradient", spinor_module)
     h = 0.1 * np.cos(2.0 * np.pi * grid.coords()[1] / grid.box[1])
     report = verify_scaling(grid, 4, n_cases=3, h_field=h)
     assert len(dirac) == 2 * 3
-    assert gradients == []
     expected = [{"case": i, "p0": p0, "weyl_sign": sign,
                  "residual": scaling_covariance_residual(field, h, p0, sign, pauli,
                                                          metric, grid)}
@@ -69,15 +67,13 @@ def test_one_spectral_gradient_per_scaled_field(count_calls):
 @pytest.mark.parametrize("suite,per_case", [("factorization", 1), ("fierz", 0),
                                             ("u1", 2), ("correspondence", 0)])
 def test_seeded_suites_build_no_gradient_stack(count_calls, suite, per_case):
-    # no seeded suite takes FD probes (scaling: see above): sigma^a d_a is
-    # applied once per field that needs A (u1 has the field and its
-    # phase-rotated copy), and the gradient stack is never built
+    # sigma^a d_a, the only derivative of a spinor field, is applied once
+    # per field that needs A (u1 has the field and its phase-rotated
+    # copy; scaling: see above)
     grid = TorusGrid((12, 16, 8), (6.0, 7.0, 5.0))
     dirac = count_calls("_dirac", spinor_module, weyl_module)
-    gradients = count_calls("spinor_gradient", spinor_module)
     VERIFIERS[suite](grid, 2, n_cases=3)
     assert len(dirac) == per_case * 3
-    assert gradients == []
 
 
 def test_seeded_case_guard_reads_the_fields_density(count_calls):

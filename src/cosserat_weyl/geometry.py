@@ -140,6 +140,19 @@ class TorusGrid:
         return tuple(out)
 
 
+def _plane_wave(grid: TorusGrid, modes, coeff: complex) -> np.ndarray:
+    """coeff * exp(i m . x') on the grid for integer modes m, x' the
+    coordinates rescaled to period 2 pi per axis; every trigonometric
+    field of the package is built here. One 1-D exponential per axis,
+    the coefficient folded into the first: the full grid costs one
+    complex product, not a complex exp, and its rounding stays separable
+    (so the FFT of a plane wave stays near its mode).
+    """
+    e1, e2, e3 = (np.exp(1j * (m * (2.0 * np.pi / n)) * np.arange(n))
+                  for m, n in zip(modes, grid.dims))
+    return (coeff * e1)[:, None, None] * e2[:, None] * e3
+
+
 @dataclass(frozen=True)
 class PauliSet:
     """Metric-adapted Pauli matrices.

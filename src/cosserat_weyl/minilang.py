@@ -13,19 +13,22 @@ import re
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import TorusGrid
+from .geometry import TorusGrid, _plane_wave
 
+# coefficient, mode and constant; a sign before a term is `_split_terms`'s
+_NUMBER = r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"
 _TRIG_TERM = re.compile(
-    r"^(?:(?P<coef>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\*)?"
+    rf"^(?:(?P<coef>{_NUMBER})\*)?"
     r"(?P<fn>cos|sin)\("
-    r"(?:(?P<mode>[0-9]*\.?[0-9]+)\*)?"
+    rf"(?:(?P<mode>{_NUMBER})\*)?"
     r"(?P<var>x[123])\)$")
-_CONST_TERM = re.compile(r"^[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?$")
+_CONST_TERM = re.compile(rf"^{_NUMBER}$")
 # a term ending like this ("1e", "2.E") is a number whose exponent's sign comes next
 _OPEN_EXPONENT = re.compile(r"[0-9.][eE]$")
 
 
 def _split_terms(text: str):
+    """(sign, term) pairs; a run of signs may precede any term."""
     text = text.replace(" ", "")
     if not text:
         raise ConfigError("empty field expression")
@@ -33,14 +36,12 @@ def _split_terms(text: str):
     sign = 1.0
     buf = ""
     for ch in text:
-        if ch in "+-" and buf and not _OPEN_EXPONENT.search(buf):
-            terms.append((sign, buf))
-            sign = -1.0 if ch == "-" else 1.0
-            buf = ""
-        elif ch == "-" and not buf and not terms:
-            sign = -sign
-        elif ch == "+" and not buf:
-            continue
+        if ch in "+-" and not _OPEN_EXPONENT.search(buf):
+            if buf:
+                terms.append((sign, buf))
+                sign, buf = 1.0, ""
+            if ch == "-":
+                sign = -sign
         else:
             buf += ch
     if not buf:
@@ -51,12 +52,11 @@ def _split_terms(text: str):
 
 def parse_scalar_expr(text: str, grid: TorusGrid) -> np.ndarray:
     """Evaluate an expression like ``0.5*cos(2*x1)+sin(x3)-0.25`` on
-    the grid. Raises ConfigError on anything outside the grammar or not finite."""
-    coords = grid.coords()
+    the grid. Raises ConfigError on anything outside the grammar or not finite.
+    c*cos(n*xi) is Re c e^{i m xi'} (sin: Im) with m = round(n L_i / 2 pi)."""
     field = np.zeros(grid.shape)
     for sign, term in _split_terms(text):
-        const = _CONST_TERM.match(term)
-        if const:
+        if _CONST_TERM.match(term):
             field += sign * float(term)
             continue
         match = _TRIG_TERM.match(term)
@@ -65,17 +65,19 @@ def parse_scalar_expr(text: str, grid: TorusGrid) -> np.ndarray:
                 f"term {term!r} not in the c*cos/sin(n*xi) + const grammar")
         coef = float(match.group("coef") or 1.0)
         freq = float(match.group("mode") or 1.0)
-        if not np.isfinite(freq):  # round() below would raise on it
-            raise ConfigError(f"term {term!r}: frequency is not finite")
         axis = int(match.group("var")[1])
         # require an integer number of periods over the box
         cycles = freq * grid.box[axis - 1] / (2.0 * np.pi)
+        # inf * e^{i0} is nan, and round(inf) raises
+        if not (np.isfinite(coef) and np.isfinite(cycles)):
+            raise ConfigError(f"term {term!r}: coefficient or frequency is not finite")
         if abs(cycles - round(cycles)) > 1e-9:
             raise ConfigError(
                 f"term {term!r}: frequency {freq} is not periodic on box "
                 f"length {grid.box[axis - 1]}")
-        fn = np.cos if match.group("fn") == "cos" else np.sin
-        field += sign * coef * fn(freq * coords[axis - 1])
+        modes = [round(cycles) if a == axis else 0 for a in (1, 2, 3)]
+        wave = _plane_wave(grid, modes, sign * coef)
+        field += wave.real if match.group("fn") == "cos" else wave.imag
     if not np.all(np.isfinite(field)):
         raise ConfigError(f"field expression {text!r} is not finite")
     return field

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import VanishingSpinor
-from .geometry import Metric3, TorusGrid
+from .geometry import Metric3, TorusGrid, _plane_wave
 from .spinor import _scalar_density
 
 # Fourier terms per real scalar field and per spinor component
@@ -25,19 +25,6 @@ def random_spd_metric(rng: np.random.Generator, eig_low: float = 0.5,
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     eigs = rng.uniform(eig_low, eig_high, size=3)
     return Metric3.from_matrix(q @ np.diag(eigs) @ q.T)
-
-
-def _plane_wave(grid: TorusGrid, modes: np.ndarray, coeff: complex) -> np.ndarray:
-    """coeff * exp(i m . x') on the grid, x' the coordinates rescaled to
-    period 2 pi per axis.
-
-    Built as the broadcast product of one 1-D exponential per axis, with
-    the coefficient folded into the first: the full grid costs one
-    complex product instead of a complex exp.
-    """
-    e1, e2, e3 = (np.exp(1j * (m * (2.0 * np.pi / n)) * np.arange(n))
-                  for m, n in zip(modes, grid.dims))
-    return (coeff * e1)[:, None, None] * e2[:, None] * e3
 
 
 def random_bandlimited_scalar(grid: TorusGrid, rng: np.random.Generator,
@@ -111,7 +98,7 @@ def random_wavevector(rng: np.random.Generator, max_mode: int = 3) -> np.ndarray
 
 def rotating_coframe(grid: TorusGrid, angle: np.ndarray) -> np.ndarray:
     """Coframe rotating about the third axis by the scalar field
-    ``angle``:
+    ``angle`` (any array that broadcasts to the grid shape):
 
         theta^1 = cos(angle) dx1 + sin(angle) dx2
         theta^2 = -sin(angle) dx1 + cos(angle) dx2

@@ -12,7 +12,7 @@ import numpy as np
 from .correspondence import frame_to_spinor, spinor_to_frame
 from .cosserat import orthonormality_residual, conformal_rescale, potential_energy
 from .errors import ConfigError
-from .geometry import Metric3, TorusGrid, build_pauli
+from .geometry import Metric3, TorusGrid, _plane_wave, build_pauli
 from .sampling import (
     _check_safely_nonvanishing,
     _perturbed_unit_spinor,
@@ -104,13 +104,12 @@ def verify_conformal(grid: TorusGrid, h_field: np.ndarray = None,
     ``h_field`` is the scale e^h (default 1.5 + cos x1); it must be
     positive.
     """
-    x1, _, x3 = grid.coords()
     if h_field is None:
-        h_field = 1.5 + np.cos(2.0 * np.pi * x1 / grid.box[0])
+        h_field = 1.5 + _plane_wave(grid, (1, 0, 0), 1.0).real
     if float(np.min(h_field)) <= 0.0:
         raise ConfigError("conformal scale e^h must be positive everywhere")
     metric = Metric3.identity()
-    theta = rotating_coframe(grid, 2.0 * np.pi * x3 / grid.box[2])
+    theta = rotating_coframe(grid, 2.0 * np.pi * grid.axis_coords(3) / grid.box[2])
     rho = np.ones(grid.shape)
     p_base = potential_energy(theta, rho, metric, grid)
     theta2, rho2 = conformal_rescale(theta, rho, np.log(h_field))
@@ -158,10 +157,8 @@ def verify_correspondence(grid: TorusGrid, seed: int, n_cases: int = 50,
     worst_ortho = 0.0
     for i, metric, pauli, field, _, _ in _seeded_cases(grid, seed, n_cases,
                                                        amplitude=0.15, max_mode=1):
-        # the array, not the field, which would keep the bilinears that
-        # spinor_to_frame takes alive through frame_to_spinor
         xi = field.eta
-        packet = spinor_to_frame(xi, pauli, metric, grid)
+        packet = spinor_to_frame(field, pauli, metric, grid)
         ortho = float(orthonormality_residual(packet.theta, metric).max())
         xi_rec = frame_to_spinor(packet.theta, packet.rho, pauli, metric)
         scale = float(np.abs(xi).max())

@@ -11,7 +11,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ZeroFrequency, ZeroWavevector
-from .geometry import Metric3, PauliSet, TorusGrid, build_pauli, spectral_partial
+from .geometry import (Metric3, PauliSet, TorusGrid, _plane_wave, build_pauli,
+                       spectral_partial)
 from .sampling import random_bandlimited_spinor, random_wavevector
 from .spinor import (
     SpinorField,
@@ -97,9 +98,7 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     idx = int(np.argmin(np.abs(eigvals - p0)))
     u = eigvecs[:, idx]
     u = u / np.sqrt(np.vdot(u, u).real)
-    x1, x2, x3 = grid.coords()
-    phase = np.exp(1j * (k[0] * x1 + k[1] * x2 + k[2] * x3))
-    eta = phase[..., np.newaxis] * u
+    eta = _plane_wave(grid, k_modes, 1.0)[..., np.newaxis] * u
     dispersion_residual = abs(p0 * p0 - float(k @ metric.g_upper @ k))
     spec = PlaneWaveSpec(k_modes=tuple(int(m) for m in k_modes), branch=branch,
                          u=u, p0=p0, dispersion_residual=dispersion_residual)

@@ -95,3 +95,56 @@ def test_bad_numbers_exit_2_from_the_cli(bad, capsys):
     # a sign kept in its number's exponent lets no malformed term through
     assert main(["verify", "conformal", "--h", bad, "--grid", "8,8,8"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("cos(2e0*x1)", lambda x1, x2, x3: np.cos(2 * x1)),
+    ("0.5*sin(3E+0*x3)", lambda x1, x2, x3: 0.5 * np.sin(3 * x3)),
+    ("cos(x1)--2", lambda x1, x2, x3: np.cos(x1) + 2.0),
+    ("cos(x1)+-1", lambda x1, x2, x3: np.cos(x1) - 1.0),
+    ("1-+-2", lambda x1, x2, x3: np.full_like(x1, 3.0)),
+    ("--cos(x1)", lambda x1, x2, x3: np.cos(x1)),
+    ("-+-sin(x2)---0.5", lambda x1, x2, x3: np.sin(x2) - 0.5),
+    ("0.1*cos(1e0*x2)--0.05", lambda x1, x2, x3: 0.1 * np.cos(x2) + 0.05),
+])
+def test_numbers_and_sign_runs_are_the_same_everywhere(grid, text, expected):
+    # one number pattern for coefficient, mode and constant, and any run
+    # of signs before any term, its minus signs multiplying
+    assert np.abs(parse_scalar_expr(text, grid) - expected(*grid.coords())).max() <= 1e-15
+
+
+@pytest.mark.parametrize("bad", ["cos(x1)-+", "--", "cos(-x1)", "cos(2e*x1)", "cos(1.e0*x1)"])
+def test_sign_runs_and_mode_exponents_keep_bad_input_out(grid, bad):
+    with pytest.raises(ConfigError):
+        parse_scalar_expr(bad, grid)
+
+
+@pytest.mark.parametrize("dims,box", [((8, 8, 8), (2 * np.pi,) * 3),
+                                      ((12, 16, 8), (5.0, 7.0, 9.0)),
+                                      ((16, 16, 16), (1.0, 2.0, 3.0))])
+@pytest.mark.parametrize("terms", [
+    [(0.3, "cos", 1, 2)],
+    [(0.5, "cos", 2, 1), (-1.0, "sin", 1, 3)],
+    [(-0.25, "cos", 1, 1), (0.1, "sin", 2, 2), (2.0, "cos", 1, 3)],
+    [(1.0, "cos", 3, 3), (0.7, "sin", 2, 1)],
+])
+def test_matches_full_grid_evaluation(dims, box, terms):
+    # the full-grid c * cos(n x) that the plane-wave evaluation replaced,
+    # for (coefficient, function, cycles over the box, axis) terms; that
+    # body rounds its argument n x, up to 2 pi times the cycle count, at
+    # every point, hence a bound that grows with the modes
+    grid = TorusGrid(dims, box)
+    coords = grid.coords()
+    text = "".join(f"{c:+}*{fn}({2 * np.pi * n / box[a - 1]!r}*x{a})"
+                   for c, fn, n, a in terms)
+    oracle = sum(c * getattr(np, fn)(2 * np.pi * n / box[a - 1] * coords[a - 1])
+                 for c, fn, n, a in terms)
+    tol = max(1e-15, np.finfo(float).eps * sum(abs(c) * 2 * np.pi * n
+                                               for c, _, n, _ in terms))
+    assert np.abs(parse_scalar_expr(text, grid) - oracle).max() <= tol
+
+
+def test_frequency_near_an_integer_cycle_count_gives_the_exact_mode(grid):
+    # within the 1e-9 periodicity check, the term is the grid's mode
+    np.testing.assert_array_equal(parse_scalar_expr("cos(1.0000000001*x1)", grid),
+                                  parse_scalar_expr("cos(x1)", grid))

@@ -86,6 +86,15 @@ def test_seeded_case_guard_reads_the_fields_density(count_calls):
     assert len(densities) == 4
 
 
+def test_correspondence_computes_s_once_per_case(count_calls):
+    # spinor_to_frame takes the case field, whose s the seeded guard has
+    # already computed
+    densities = count_calls("_scalar_density", spinor_module, sampling_module,
+                            weyl_module)
+    VERIFIERS["correspondence"](TorusGrid((8, 8, 8), (6.0,) * 3), 1, n_cases=3)
+    assert len(densities) == 3
+
+
 def test_seeded_case_guard_rejects_a_vanishing_draw():
     # amplitude 1 perturbs the unit spinor by as much as itself: some
     # draw comes within 0.05 of zero, and the case raises as the public

@@ -39,6 +39,7 @@ from cosserat_weyl.spinor import (
     _stationary_density,
 )
 from cosserat_weyl.weyl import (
+    LAGRANGIAN_TOL,
     _FD_BLOCK,
     _fd_gradient_at_dofs,
     _gradient_scale,
@@ -213,6 +214,34 @@ class TestPlaneWaves:
                 assert weyl_residual_norm(field, spec.p0, 1, field.pauli, grid8) <= 1e-12
                 assert weyl_residual_norm(field, spec.p0, -1, field.pauli, grid8) \
                     == pytest.approx(2.0 * abs(spec.p0), rel=1e-12)
+
+
+    @pytest.mark.parametrize("dims,box,metric", [
+        ((16, 16, 16), (2 * np.pi,) * 3, Metric3.diagonal(1.0, 4.0, 9.0)),
+        ((12, 16, 8), (5.0, 7.0, 9.0),
+         Metric3.from_matrix([[1.3, 0.2, -0.1], [0.2, 0.9, 0.15], [-0.1, 0.15, 1.1]])),
+        ((64, 64, 64), (2 * np.pi,) * 3, Metric3.identity()),
+    ], ids=["16-diag", "12x16x8-full", "64-identity"])
+    def test_matches_full_grid_exponential(self, dims, box, metric):
+        # the full-grid exp(i k.x) u that the per-axis product replaced
+        grid = TorusGrid(dims, box)
+        x1, x2, x3 = grid.coords()
+        for k in ((1, 0, 0), (3, 2, 1), (-2, 3, -4), (3, 3, 3)):
+            for branch in (1, -1):
+                spec, field = planewave_solution(k, branch, metric, grid)
+                kphys = 2.0 * np.pi * np.asarray(k) / np.asarray(box)
+                phase = np.exp(1j * (kphys[0] * x1 + kphys[1] * x2 + kphys[2] * x3))
+                assert np.abs(field.eta - phase[..., None] * spec.u).max() <= 2e-14
+
+    @pytest.mark.parametrize("k", [(-3, -3, -3), (3, 3, 1), (-3, -3, -2), (3, 2, 3)])
+    @pytest.mark.parametrize("branch", [1, -1])
+    def test_lagrangian_at_the_rounding_floor(self, grid16, k, branch):
+        # with exp(i k.x) evaluated on the full grid, these waves had
+        # L_max 1.1e-12 - 1.4e-12 at 16^3 on diag(1,4,9), over the gate
+        metric = Metric3.diagonal(1.0, 4.0, 9.0)
+        spec, field = planewave_solution(k, branch, metric, grid16)
+        lag = lagrangian_stationary(field, spec.p0, field.pauli, metric, grid16)
+        assert np.abs(lag).max() <= LAGRANGIAN_TOL
 
 
 class TestVariationalGradient:

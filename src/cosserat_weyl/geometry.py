@@ -45,6 +45,8 @@ class Metric3:
         g = np.array(g, dtype=float)
         if g.shape != (3, 3):
             raise MetricNotSPD(f"expected a 3x3 matrix, got shape {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise MetricNotSPD(f"metric matrix has non-finite entries: {g.tolist()}")
         if not np.allclose(g, g.T, rtol=0.0, atol=1e-13):
             raise MetricNotSPD("metric matrix is not symmetric")
         g = 0.5 * (g + g.T)
@@ -138,6 +140,12 @@ class TorusGrid:
             k.flags.writeable = False
             out.append(k)
         return tuple(out)
+
+
+def _highest_mode(grid: TorusGrid) -> tuple:
+    """Highest resolved |mode| per axis, N/2 - 1: a mode at or above the
+    Nyquist mode N/2 aliases onto a lower one."""
+    return tuple(n // 2 - 1 for n in grid.dims)
 
 
 def _plane_wave(grid: TorusGrid, modes, coeff: complex) -> np.ndarray:

@@ -3,7 +3,7 @@
 Only sums of terms ``c*cos(n*xi)``, ``c*sin(n*xi)`` and constants are
 accepted, which guarantees band-limited fields (so identity checks
 stay exact on the grid). Mode numbers must correspond to integer
-Fourier modes of the grid box.
+Fourier modes of the grid box, below the Nyquist mode of their axis.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import re
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import TorusGrid, _plane_wave
+from .geometry import TorusGrid, _highest_mode, _plane_wave
 
 # coefficient, mode and constant; a sign before a term is `_split_terms`'s
 _NUMBER = r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?"
@@ -52,9 +52,11 @@ def _split_terms(text: str):
 
 def parse_scalar_expr(text: str, grid: TorusGrid) -> np.ndarray:
     """Evaluate an expression like ``0.5*cos(2*x1)+sin(x3)-0.25`` on
-    the grid. Raises ConfigError on anything outside the grammar or not finite.
+    the grid. Raises ConfigError on anything outside the grammar, not
+    finite, or at or above the Nyquist mode of its axis.
     c*cos(n*xi) is Re c e^{i m xi'} (sin: Im) with m = round(n L_i / 2 pi)."""
     field = np.zeros(grid.shape)
+    highest = _highest_mode(grid)
     for sign, term in _split_terms(text):
         if _CONST_TERM.match(term):
             field += sign * float(term)
@@ -75,7 +77,12 @@ def parse_scalar_expr(text: str, grid: TorusGrid) -> np.ndarray:
             raise ConfigError(
                 f"term {term!r}: frequency {freq} is not periodic on box "
                 f"length {grid.box[axis - 1]}")
-        modes = [round(cycles) if a == axis else 0 for a in (1, 2, 3)]
+        mode = round(cycles)
+        if mode > highest[axis - 1]:
+            raise ConfigError(
+                f"term {term!r}: mode {mode} is at or above the Nyquist mode "
+                f"{highest[axis - 1] + 1} of axis {axis} and would alias")
+        modes = [mode if a == axis else 0 for a in (1, 2, 3)]
         wave = _plane_wave(grid, modes, sign * coef)
         field += wave.real if match.group("fn") == "cos" else wave.imag
     if not np.all(np.isfinite(field)):

@@ -16,14 +16,15 @@ from .spinor import _scalar_density
 # Fourier terms per real scalar field and per spinor component
 _SCALAR_TERMS = 6
 _SPINOR_TERMS = 4
+# Eigenvalue range of `random_spd_metric`
+_EIG_LOW, _EIG_HIGH = 0.5, 2.0
 
 
-def random_spd_metric(rng: np.random.Generator, eig_low: float = 0.5,
-                      eig_high: float = 2.0) -> Metric3:
+def random_spd_metric(rng: np.random.Generator) -> Metric3:
     """Random well-conditioned SPD metric: Q diag(e) Q^T with seeded
-    orthogonal Q and eigenvalues in [eig_low, eig_high]."""
+    orthogonal Q and eigenvalues in [0.5, 2]."""
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    eigs = rng.uniform(eig_low, eig_high, size=3)
+    eigs = rng.uniform(_EIG_LOW, _EIG_HIGH, size=3)
     return Metric3.from_matrix(q @ np.diag(eigs) @ q.T)
 
 
@@ -88,7 +89,7 @@ def _check_safely_nonvanishing(s: np.ndarray) -> None:
         raise VanishingSpinor("generated spinor is not safely nonvanishing")
 
 
-def random_wavevector(rng: np.random.Generator, max_mode: int = 3) -> np.ndarray:
+def random_wavevector(rng: np.random.Generator, max_mode: int) -> np.ndarray:
     """Nonzero integer mode vector with entries in [-max_mode, max_mode]."""
     while True:
         k = rng.integers(-max_mode, max_mode + 1, size=3)

@@ -2,7 +2,7 @@
 
 Each suite runs a named invariant on seeded random fields and returns
 a JSON-ready report: per-case residuals, the worst residual, the
-tolerance, and a pass flag.
+suite's fixed tolerance, and a pass flag.
 """
 
 from __future__ import annotations
@@ -33,11 +33,18 @@ from .spinor import (
 
 _P0_CYCLE = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 
+# Gate of each suite's residual, by the report's "what"
+_SUITE_TOL = {"factorization": 1e-10, "scaling": 1e-10, "conformal": 1e-8,
+              "fierz": 1e-12, "u1": 1e-13, "correspondence": 1e-10}
+# Orthonormality gate of the correspondence suite
+_FRAME_ORTHO_TOL = 1e-12
 
-def _report(what, cases, tol, other_gates=True, **extra):
-    """The suite's report; it passes if every residual is within ``tol``
-    and ``other_gates`` holds."""
+
+def _report(what, cases, other_gates=True, **extra):
+    """The suite's report; it passes if every residual is within the
+    suite's gate in `_SUITE_TOL` and ``other_gates`` holds."""
     worst = max((c["residual"] for c in cases), default=0.0)
+    tol = _SUITE_TOL[what]
     return {"what": what, "cases": cases, "max_residual": worst, "tolerance": tol,
             "pass": bool(worst <= tol and other_gates), **extra}
 
@@ -58,8 +65,7 @@ def _seeded_cases(grid: TorusGrid, seed: int, n_cases: int, **spinor_kw):
         yield i, metric, pauli, field, _P0_CYCLE[i % len(_P0_CYCLE)], rng
 
 
-def verify_factorization(grid: TorusGrid, seed: int, n_cases: int = 100,
-                         tol: float = 1e-10) -> dict:
+def verify_factorization(grid: TorusGrid, seed: int, n_cases: int = 100) -> dict:
     """Pointwise relative factorisation residual on random nonvanishing
     band-limited spinors, random SPD metrics and p0 in {+-0.5, +-1, +-2},
     requiring a single global reconciling sign."""
@@ -71,14 +77,13 @@ def verify_factorization(grid: TorusGrid, seed: int, n_cases: int = 100,
         signs.add(sign_used)
         cases.append({"case": i, "p0": p0, "sign": sign_used,
                       "residual": _relative_max(res, lag)})
-    return _report("factorization", cases, tol, other_gates=len(signs) <= 1,
+    return _report("factorization", cases, other_gates=len(signs) <= 1,
                    factorization_sign=sorted(signs)[0] if signs else None,
                    single_sign=len(signs) <= 1)
 
 
 def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
-                   tol: float = 1e-10, h_field: np.ndarray = None,
-                   h_amplitude: float = 0.2) -> dict:
+                   h_field: np.ndarray = None, h_amplitude: float = 0.2) -> dict:
     """Scaling covariance of both Weyl densities, L_pm(e^h eta) =
     e^{2h} L_pm(eta), on seeded (eta, h) pairs.
 
@@ -93,11 +98,10 @@ def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
             random_bandlimited_scalar(grid, rng, max_mode=1, amplitude=h_amplitude)
         for sign, res in zip((1, -1), _scaling_residuals(field, h, p0, (1, -1), metric)):
             cases.append({"case": i, "p0": p0, "weyl_sign": sign, "residual": res})
-    return _report("scaling", cases, tol)
+    return _report("scaling", cases)
 
 
-def verify_conformal(grid: TorusGrid, h_field: np.ndarray = None,
-                     tol: float = 1e-8) -> dict:
+def verify_conformal(grid: TorusGrid, h_field: np.ndarray = None) -> dict:
     """Conformal invariance of the potential energy on a rotating
     coframe, P(e^h theta, e^{2h} rho) = P(theta, rho).
 
@@ -116,19 +120,17 @@ def verify_conformal(grid: TorusGrid, h_field: np.ndarray = None,
     p_scaled = potential_energy(theta2, rho2, metric, grid)
     cases = [{"P": p_base, "P_rescaled": p_scaled,
               "residual": _relative_max(p_scaled - p_base, p_base)}]
-    return _report("conformal", cases, tol)
+    return _report("conformal", cases)
 
 
-def verify_fierz(grid: TorusGrid, seed: int, n_cases: int = 50,
-                 tol: float = 1e-12) -> dict:
+def verify_fierz(grid: TorusGrid, seed: int, n_cases: int = 50) -> dict:
     """Fierz identity g^ab v_a v_b = s^2 on random spinors and metrics."""
     cases = [{"case": i, "residual": fierz_residual(field, pauli, metric, grid)}
              for i, metric, pauli, field, _, _ in _seeded_cases(grid, seed, n_cases)]
-    return _report("fierz", cases, tol)
+    return _report("fierz", cases)
 
 
-def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20,
-              tol: float = 1e-13) -> dict:
+def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20) -> dict:
     """Invariance of all spinor-module outputs under a constant phase."""
     cases = []
     for i, metric, pauli, field, p0, rng in _seeded_cases(grid, seed, n_cases):
@@ -142,17 +144,12 @@ def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20,
                           for f in (field, rotated)])
         worst = max(_relative_max(lhs - rhs, lhs) for lhs, rhs in pairs)
         cases.append({"case": i, "p0": p0, "residual": worst})
-    return _report("u1", cases, tol)
+    return _report("u1", cases)
 
 
-# Orthonormality gate of the correspondence suite
-_FRAME_ORTHO_TOL = 1e-12
-
-
-def verify_correspondence(grid: TorusGrid, seed: int, n_cases: int = 50,
-                          tol: float = 1e-10) -> dict:
+def verify_correspondence(grid: TorusGrid, seed: int, n_cases: int = 50) -> dict:
     """Orthonormality of the spinor-to-frame map (at 1e-12) and both
-    round trips (at ``tol``), modulo the global sign of the spinor."""
+    round trips (at 1e-10), modulo the global sign of the spinor."""
     cases = []
     worst_ortho = 0.0
     for i, metric, pauli, field, _, _ in _seeded_cases(grid, seed, n_cases,
@@ -166,7 +163,7 @@ def verify_correspondence(grid: TorusGrid, seed: int, n_cases: int = 50,
                         float(np.abs(xi_rec + xi).max())) / scale
         worst_ortho = max(worst_ortho, ortho)
         cases.append({"case": i, "orthonormality": ortho, "residual": roundtrip})
-    return _report("correspondence", cases, tol,
+    return _report("correspondence", cases,
                    other_gates=worst_ortho <= _FRAME_ORTHO_TOL,
                    max_orthonormality=worst_ortho,
                    orthonormality_tolerance=_FRAME_ORTHO_TOL)

@@ -11,8 +11,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ZeroFrequency, ZeroWavevector
-from .geometry import (Metric3, PauliSet, TorusGrid, _plane_wave, build_pauli,
-                       spectral_partial)
+from .geometry import (Metric3, PauliSet, TorusGrid, _highest_mode, _plane_wave,
+                       build_pauli, spectral_partial)
 from .sampling import random_bandlimited_spinor, random_wavevector
 from .spinor import (
     SpinorField,
@@ -38,6 +38,27 @@ WEYL_TOL = 1e-12
 EL_TOL = 1e-8
 LAGRANGIAN_TOL = 1e-12
 NONSOLUTION_FLOOR = 1e-3
+# The gate of each named residual, read by every verdict of this module
+# and of the `planewave` command
+_GATES = {"dispersion_residual": WEYL_TOL, "weyl_residual": WEYL_TOL,
+          "el_residual": EL_TOL, "el_residual_fd": EL_TOL,
+          "L_max": LAGRANGIAN_TOL, "Lpm_max": LAGRANGIAN_TOL}
+# A theorem solution case gates every residual of `_residuals`; a
+# planewave verdict gates its dispersion too, and leaves Lpm_max ungated.
+_SOLUTION_GATED = ("weyl_residual", "el_residual", "el_residual_fd", "L_max", "Lpm_max")
+_PLANEWAVE_GATED = ("dispersion_residual", "weyl_residual", "el_residual", "L_max")
+
+# Knobs of the theorem witness: the amplitude of the non-solution
+# perturbations, the FD probes per solution case, and the highest |mode|
+# per axis of its plane waves on grids whose axes resolve it
+_PERTURB = 0.1
+_FD_PROBES = 16
+_MAX_MODE = 3
+
+
+def _within_gates(residuals: dict, names) -> bool:
+    """Whether each residual named in ``names`` is within its gate."""
+    return all(residuals[name] <= _GATES[name] for name in names)
 
 
 @dataclass(frozen=True)
@@ -320,21 +341,22 @@ def el_gradient_fd_check(eta: np.ndarray | SpinorField, p0: float,
 
 
 def _residuals(field: SpinorField, p0: float, sign: int, metric: Metric3,
-               fd_probes: int = 0, fd_seed: int | None = None):
+               fd_seed: int | None = None):
     """Residuals of one field for the sign-``sign`` Weyl equation at
     frequency p0, all from the field's one sigma^a d_a eta, which the FD
     probes perturb too.
 
     Returns ``(residuals, lag)``: a dict with ``weyl_residual``,
-    ``el_residual``, ``el_residual_fd`` (only given an ``fd_seed``),
-    ``L_max`` and ``Lpm_max``, and the stationary density itself.
+    ``el_residual``, ``el_residual_fd`` (`_FD_PROBES` probes, only given
+    an ``fd_seed``), ``L_max`` and ``Lpm_max``, and the stationary
+    density itself.
     """
     pauli, grid = field.pauli, field.grid
     out = {"weyl_residual": weyl_residual_norm(field, p0, sign, pauli, grid),
            "el_residual": el_residual(field, p0, pauli, metric, grid, mode="analytic")}
     if fd_seed is not None:
         out["el_residual_fd"] = el_residual(field, p0, pauli, metric, grid, mode="fd",
-                                            probes=fd_probes, seed=fd_seed)
+                                            probes=_FD_PROBES, seed=fd_seed)
     lag = lagrangian_stationary(field, p0, pauli, metric, grid)
     out["L_max"] = float(np.abs(lag).max())
     out["Lpm_max"] = float(np.abs(lagrangian_weyl(field, p0, sign, pauli, metric,
@@ -343,8 +365,7 @@ def _residuals(field: SpinorField, p0: float, sign: int, metric: Metric3,
 
 
 def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
-                          n_cases: int = 16, perturb: float = 0.1,
-                          max_mode: int = 3, fd_probes: int = 16) -> dict:
+                          n_cases: int = 16) -> dict:
     """Numerical witness for the solution <-> stationary-point
     equivalence.
 
@@ -357,9 +378,10 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
     certify that every stationary point is a Weyl solution, so
     non-solutions are checked to be non-stationary, and the two
     residuals' zero-sets are required to agree on every tested sample.
+    The plane waves' modes stay below the Nyquist mode of every axis:
+    at most 3, or N/2 - 1 on an axis of N < 8 points.
     """
-    if fd_probes < 1:
-        raise ValueError(f"fd_probes must be at least 1, got {fd_probes}")
+    max_mode = min(_MAX_MODE, *_highest_mode(grid))
     rng = np.random.default_rng(seed)
     cases = []
     for sign in (1, -1):
@@ -368,25 +390,20 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
             spec, field = planewave_solution(k, sign, metric, grid)
             p0 = abs(spec.p0)  # sign-s equation at positive frequency
             head = {"k": [int(m) for m in k], "branch": sign, "p0": p0}
-            res, _ = _residuals(field, p0, sign, metric, fd_probes,
-                                fd_seed=int(rng.integers(2**31)))
+            res, _ = _residuals(field, p0, sign, metric, fd_seed=int(rng.integers(2**31)))
             cases.append({"kind": "solution", **head, **res,
-                          "pass": bool(res["weyl_residual"] <= WEYL_TOL
-                                       and res["el_residual"] <= EL_TOL
-                                       and res["el_residual_fd"] <= EL_TOL
-                                       and res["L_max"] <= LAGRANGIAN_TOL
-                                       and res["Lpm_max"] <= LAGRANGIAN_TOL)})
+                          "pass": _within_gates(res, _SOLUTION_GATED)})
 
             noise = random_bandlimited_spinor(
                 grid, np.random.default_rng(int(rng.integers(2**31))),
-                max_mode=2, amplitude=perturb)
+                max_mode=2, amplitude=_PERTURB)
             bad, _ = _residuals(SpinorField(field.eta + noise, field.pauli, grid),
                                 p0, sign, metric)
             cases.append({"kind": "perturbed", **head, **bad,
                           "pass": bool(bad["el_residual"] >= NONSOLUTION_FLOOR
                                        and bad["weyl_residual"] >= NONSOLUTION_FLOOR)})
-    consistent = all((c["weyl_residual"] <= WEYL_TOL) == (c["el_residual"] <= EL_TOL)
-                     for c in cases)
+    consistent = all(_within_gates(c, ("weyl_residual",))
+                     == _within_gates(c, ("el_residual",)) for c in cases)
     verdict = "pass" if consistent and all(c["pass"] for c in cases) else "fail"
     return {
         "config": {
@@ -395,9 +412,9 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
             "box": list(grid.box),
             "metric": metric.g_lower.tolist(),
             "n_cases": n_cases,
-            "perturb": perturb,
+            "perturb": _PERTURB,
             "max_mode": max_mode,
-            "fd_probes": fd_probes,
+            "fd_probes": _FD_PROBES,
             "weyl_tol": WEYL_TOL,
             "el_tol": EL_TOL,
             "lagrangian_tol": LAGRANGIAN_TOL,

@@ -51,7 +51,7 @@ def test_acceptance_1_factorization():
     p0 in {+-0.5, +-1, +-2} on a 16^3 grid: pointwise relative
     factorisation residual <= 1e-10 with one global sign."""
     start = time.perf_counter()
-    result = verify_factorization(_grid(16), SEED, n_cases=100, tol=1e-10)
+    result = verify_factorization(_grid(16), SEED, n_cases=100)
     elapsed = time.perf_counter() - start
     ok = result["pass"] and result["single_sign"] and elapsed <= 30.0
     _report(1, "factorization identity", ok,
@@ -64,8 +64,7 @@ def test_acceptance_2_scaling_covariance():
     L_pm(e^h eta) = e^{2h} L_pm(eta) to 1e-10."""
     # max_mode 1 fields on a 24^3 grid keep products of e^h with the
     # spinor far below the Nyquist mode
-    result = verify_scaling(_grid(24), SEED, n_cases=20, tol=1e-10,
-                            h_amplitude=0.3)
+    result = verify_scaling(_grid(24), SEED, n_cases=20, h_amplitude=0.3)
     _report(2, "scaling covariance", result["pass"],
             f"max residual {result['max_residual']:.3e}")
 
@@ -129,7 +128,7 @@ def test_acceptance_5_dispersion_relation():
 def test_acceptance_6_correspondence():
     """50 seeded spinors: orthonormality of the frame image <= 1e-12
     and sign-blind round trip <= 1e-10."""
-    result = verify_correspondence(_grid(16), SEED, n_cases=50, tol=1e-10)
+    result = verify_correspondence(_grid(16), SEED, n_cases=50)
     _report(6, "spinor <-> coframe dictionary", result["pass"],
             f"max orthonormality {result['max_orthonormality']:.3e}, "
             f"max round trip {result['max_residual']:.3e}")

@@ -29,18 +29,13 @@ class TestExitCodes:
         assert code == 0
         assert report["verdict"] == "pass"
 
-    def test_verify_fail_on_impossible_tolerance(self, tmp_path):
-        code, report = _run(tmp_path, "verify", "factorization",
-                            "--cases", "2", "--tol", "1e-30", *SMALL)
+    def test_verify_fail_exits_1(self, tmp_path):
+        # e^h eta with h = 0.5 cos(3 x1) aliases on an 8-point axis
+        code, report = _run(tmp_path, "verify", "scaling", "--cases", "1",
+                            "--h", "0.5*cos(3*x1)", *SMALL)
         assert code == 1
         assert report["verdict"] == "fail"
-        # --tol reaches every suite; conformal runs one case and takes no --cases
-        for argv in (*(["verify", what, "--cases", "2"]
-                       for what in ("fierz", "u1", "scaling", "correspondence")),
-                     ["verify", "conformal"]):
-            code, report = _run(tmp_path, *argv, "--tol", "1e-30", *SMALL)
-            assert code == 1, argv
-            assert report["verdict"] == "fail", argv
+        assert report["result"]["max_residual"] > report["result"]["tolerance"]
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
         for argv in (
@@ -48,7 +43,6 @@ class TestExitCodes:
             ["verify", "fierz", "--metric", "diag:1,2"],
             ["verify", "fierz", "--metric", "full:1,2,3"],
             ["verify", "fierz", "--metric", "bogus"],
-            ["verify", "fierz", "--tol", "-1", *SMALL],
             ["verify", "conformal", "--h", "tan(x1)", *SMALL],
             ["planewave", "--k", "0,0,0", *SMALL],
             ["planewave", "--k", "1,2", *SMALL],
@@ -60,12 +54,25 @@ class TestExitCodes:
             (["verify", "fierz", "--cases", "0", *SMALL], "--cases"),
             (["verify", "fierz", "--cases", "-3", *SMALL], "--cases"),
             (["theorem", "--n", "0", *SMALL], "--n"),
-            (["verify", "fierz", "--tol", "inf", *SMALL], "--tol"),
-            (["verify", "fierz", "--tol", "nan", *SMALL], "--tol"),
-            (["theorem", "--n", "1", "--perturb", "nan", *SMALL], "--perturb"),
             (["verify", "fierz", "--box", "nan,1,1", *SMALL], "box"),
             (["verify", "fierz", "--box", "inf,1,1", *SMALL], "box"),
             (["verify", "conformal", "--h", "1e999", *SMALL], "finite"),
+            (["planewave", "--k", "1,0,0", "--metric", "diag:inf,1,1", *SMALL], "finite"),
+            (["theorem", "--n", "1", "--metric", "diag:inf,1,1", *SMALL], "finite"),
+            (["planewave", "--k", "1,0,0", "--metric", "diag:nan,1,1", *SMALL], "finite"),
+            (["planewave", "--k", "1,0,0", "--metric", "full:1,0,0,1,0,inf", *SMALL],
+             "finite"),
+        ):
+            assert main(argv) == 2, argv
+            assert option in capsys.readouterr().err, argv
+        # modes at or above the Nyquist mode N/2 would alias
+        for argv, option in (
+            (["planewave", "--k", "8,0,0", "--grid", "16,16,16"], "--k"),
+            (["planewave", "--k", "9,0,0", "--grid", "16,16,16"], "--k"),
+            (["planewave", "--k", "1,-4,0", *SMALL], "--k"),
+            (["verify", "scaling", "--cases", "1", "--h", "0.1*cos(5*x1)", *SMALL],
+             "0.1*cos(5*x1)"),
+            (["verify", "conformal", "--h", "2+sin(4*x3)", *SMALL], "sin(4*x3)"),
         ):
             assert main(argv) == 2, argv
             assert option in capsys.readouterr().err, argv
@@ -87,12 +94,18 @@ class TestExitCodes:
             assert "--metric" in capsys.readouterr().err
 
     def test_removed_threads_option_rejected(self, capsys):
-        for argv in (["verify", "fierz", "--threads", "2", *SMALL],
-                     ["theorem", "--n", "1", "--threads", "1", *SMALL]):
+        # removed options exit 2 naming the option; --tol and --perturb
+        # went when every gate and witness knob became fixed
+        for argv, option in (
+            (["verify", "fierz", "--threads", "2", *SMALL], "--threads"),
+            (["theorem", "--n", "1", "--threads", "1", *SMALL], "--threads"),
+            (["verify", "fierz", "--tol", "1e-3", *SMALL], "--tol"),
+            (["theorem", "--n", "1", "--perturb", "0.2", *SMALL], "--perturb"),
+        ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
-            assert "--threads" in capsys.readouterr().err
+            assert option in capsys.readouterr().err, argv
         # planewave draws nothing at random, so it parses no --seed
         with pytest.raises(SystemExit) as exc:
             main(["planewave", "--k", "1,0,0", "--seed", "3", *SMALL])

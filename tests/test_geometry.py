@@ -43,6 +43,9 @@ class TestMetric3:
             Metric3.from_matrix([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(MetricNotSPD):
             Metric3.from_matrix(np.zeros((2, 2)))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(MetricNotSPD, match="non-finite"):
+                Metric3.from_matrix(np.diag([bad, 1.0, 1.0]))
 
 
 class TestTorusGrid:
@@ -236,7 +239,9 @@ class TestTwoFormNormOracle:
     def test_random_spd_metrics(self, grid8):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            metric = random_spd_metric(rng, eig_low=0.05, eig_high=20.0)
+            # the draws of random_spd_metric, with eigenvalues in [0.05, 20]
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            metric = Metric3.from_matrix(q @ np.diag(rng.uniform(0.05, 20.0, size=3)) @ q.T)
             omega = rng.normal(size=grid8.shape + (3,))
             oracle = _norm2_2form_full(omega, metric.g_upper)
             assert np.abs(_norm2_2form(omega, metric.g_lower, metric.det_g) - oracle).max() \

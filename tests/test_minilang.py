@@ -59,6 +59,10 @@ def test_non_2pi_box_accepts_matching_frequency():
     "cos(-x1)",
     "cos(2e*x1)",
     "cos(1.e0*x1)",
+    # at or above the Nyquist mode 4 of an 8-point axis, which would alias
+    "cos(5*x1)",
+    "0.1*sin(4*x2)",
+    "1+cos(4e0*x3)",
 ])
 def test_rejects_out_of_grammar(grid, bad):
     with pytest.raises(ConfigError):

@@ -547,14 +547,11 @@ class TestBatchedProbes:
             el_residual(eta, p0, pauli, metric, grid8, mode="fd", probes=probes)
         with pytest.raises(ValueError, match="probes must be at least 1"):
             el_gradient_fd_check(eta, p0, pauli, metric, grid8, probes=probes)
-        with pytest.raises(ValueError, match="fd_probes must be at least 1"):
-            theorem_witness_suite(0, grid8, metric, n_cases=1, fd_probes=probes)
 
 
 class TestWitnessSuite:
     def test_small_suite_passes_and_is_consistent(self, grid8, identity_metric):
-        report = theorem_witness_suite(3, grid8, identity_metric, n_cases=2,
-                                       max_mode=2, fd_probes=4)
+        report = theorem_witness_suite(3, grid8, identity_metric, n_cases=2)
         assert report["verdict"] == "pass"
         solutions = [c for c in report["cases"] if c["kind"] == "solution"]
         perturbed = [c for c in report["cases"] if c["kind"] == "perturbed"]
@@ -566,8 +563,9 @@ class TestWitnessSuite:
         for c in perturbed:
             assert c["el_residual"] >= 1e-3 and c["weyl_residual"] >= 1e-3
         assert set(report["branch_pairing"]) == {"branch+1", "branch-1"}
-        assert report["config"]["fd_probes"] == 4
-        assert report["config"]["max_mode"] == 2
+        assert report["config"]["fd_probes"] == 16
+        assert report["config"]["max_mode"] == 3
+        assert report["config"]["perturb"] == 0.1
         gates = ("weyl_tol", "el_tol", "lagrangian_tol", "nonsolution_floor")
         assert [report["config"][g] for g in gates] == [1e-12, 1e-8, 1e-12, 1e-3]
 
@@ -578,7 +576,7 @@ class TestWitnessSuite:
         # EL gradient
         dirac = count_calls("_dirac", spinor_module, weyl_module)
         metric = random_spd_metric(np.random.default_rng(4))
-        report = theorem_witness_suite(4, grid8, metric, n_cases=2, fd_probes=4)
+        report = theorem_witness_suite(4, grid8, metric, n_cases=2)
         kinds = [c["kind"] for c in report["cases"]]
         assert kinds.count("solution") == 4
         assert len(dirac) == 2 * len(kinds)
@@ -586,6 +584,18 @@ class TestWitnessSuite:
     def test_report_is_json_serialisable(self, grid8, identity_metric):
         import json
 
-        report = theorem_witness_suite(1, grid8, identity_metric, n_cases=1,
-                                       max_mode=1, fd_probes=2)
+        report = theorem_witness_suite(1, grid8, identity_metric, n_cases=1)
         json.dumps(report)
+
+    @pytest.mark.parametrize("dims,box", [((4, 4, 4), (TWO_PI,) * 3),
+                                          ((4, 6, 8), (5.0, 7.0, 9.0))])
+    def test_modes_stay_below_nyquist_on_small_grids(self, dims, box):
+        # mode 3 reaches the Nyquist mode of an axis below 8 points, where
+        # an exact plane wave aliases and fails its Weyl residual
+        grid = TorusGrid(dims, box)
+        for seed in range(3):
+            metric = random_spd_metric(np.random.default_rng(seed))
+            report = theorem_witness_suite(seed, grid, metric, n_cases=8)
+            assert report["config"]["max_mode"] == 1
+            assert max(abs(m) for c in report["cases"] for m in c["k"]) <= 1
+            assert report["verdict"] == "pass", seed

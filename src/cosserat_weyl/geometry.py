@@ -191,19 +191,25 @@ def spectral_partial(values: np.ndarray, axis: int, grid: TorusGrid) -> np.ndarr
     """Spectral (FFT) partial derivative along grid axis 1, 2 or 3.
 
     Exact for trigonometric polynomials band-limited below Nyquist.
-    Trailing component axes pass through unchanged.
+    Trailing component axes pass through unchanged. A real field takes
+    a real-to-complex transform along the axis, `rfft`, the wavenumbers
+    k[:N/2 + 1] with the Nyquist one zeroed, and `irfft` back, so its
+    derivative is real by construction and no complex grid is built; a
+    complex field takes `fft` and `ifft`.
     """
     if axis not in (1, 2, 3):
         raise InvalidAxis(f"axis must be 1, 2 or 3, got {axis}")
     ax = axis - 1
     k = grid.wavenumber(axis)
+    n = len(k)
     shape = [1] * values.ndim
     shape[ax] = -1
-    fhat = np.fft.fft(values, axis=ax)
-    out = np.fft.ifft(1j * k.reshape(shape) * fhat, axis=ax)
     if np.isrealobj(values):
-        return np.ascontiguousarray(out.real)
-    return out
+        fhat = np.fft.rfft(values, axis=ax)
+        fhat *= 1j * k[: n // 2 + 1].reshape(shape)
+        return np.ascontiguousarray(np.fft.irfft(fhat, n=n, axis=ax))
+    fhat = np.fft.fft(values, axis=ax)
+    return np.fft.ifft(1j * k.reshape(shape) * fhat, axis=ax)
 
 
 def exterior_derivative(theta: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -6,6 +6,13 @@ With a constant metric on a flat torus the spinor covariant derivative
 reduces to the partial derivative, so all derivatives here are
 spectral. Every derivative the model needs is sigma^a d_a of a field,
 applied as one Fourier symbol (`_dirac`); no per-axis gradient is built.
+
+The covector v_a = etabar sigma_a eta is quadratic in eta: it is one
+real 4x3 matrix applied to four real densities of eta
+(`_covector_map`, `_bilinear_covector`). Its reality check costs nothing
+when the imaginary part of that matrix is exactly zero, as it is for
+every `build_pauli` set, and v itself is built only where a residual
+reads it.
 """
 
 from __future__ import annotations
@@ -46,6 +53,32 @@ def _sandwich(eta: np.ndarray, sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
     x1, x2 = xi[..., 0].copy(), xi[..., 1].copy()
     return np.stack([e1 * (m[0, 0] * x1 + m[0, 1] * x2)
                      + e2 * (m[1, 0] * x1 + m[1, 1] * x2) for m in sigma], axis=-1)
+
+
+def _covector_map(sigma: np.ndarray) -> np.ndarray:
+    """The 4x3 matrix M with etabar sigma[n] eta = (d M)[n] for the
+    densities d of `_bilinear_covector`. Row by row,
+
+        etabar m eta = m00 d0 + m11 d1 + (m01 + m10) d2 + i (m01 - m10) d3,
+
+    so P = Re M gives Re v and Q = Im M gives Im v. Q is exactly zero
+    when each sigma[n] is exactly Hermitian, as every `build_pauli` set
+    is, bit for bit.
+    """
+    m00, m01, m10, m11 = sigma[:, 0, 0], sigma[:, 0, 1], sigma[:, 1, 0], sigma[:, 1, 1]
+    return np.array([m00, m11, m01 + m10, 1j * (m01 - m10)])
+
+
+def _bilinear_covector(eta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """d m for the real densities
+    d = (|eta_1|^2, |eta_2|^2, Re etabar_1 eta_2, Im etabar_1 eta_2)
+    of eta, pointwise over any leading shape, and a 4x3 matrix m from
+    `_covector_map` (its real part gives the real covector v)."""
+    e1, e2 = eta[..., 0], eta[..., 1]
+    z = e1.conj() * e2
+    d = np.stack([e1.real**2 + e1.imag**2, e2.real**2 + e2.imag**2, z.real, z.imag],
+                 axis=-1)
+    return d @ m
 
 
 def _scalar_density(eta: np.ndarray) -> np.ndarray:
@@ -150,15 +183,20 @@ class SpinorField:
     v_a = etabar sigma_a eta and A = (i/2)(etabar sigma^a d_a eta - c.c.).
 
     Each of them and sigma^a d_a eta is computed at most once, when
-    first asked for, so every check made on one field shares one
-    sigma^a d_a eta, applied as one Fourier symbol (`_dirac`). The
-    finite-difference probes perturb that cached array too, on the grid
-    lines through each probed point, so the field is differentiated
-    once whatever checks it. Every function of this package that takes
-    a spinor field together with a Pauli set and a grid also accepts a
-    `SpinorField` in place of the array; it raises ValueError if the
-    field was built for a different Pauli set or grid. The cached
-    arrays are shared: treat them, and eta, as read-only.
+    first asked for; v only where a residual reads it. The reality
+    check of v, which every check of the field runs, does not build v:
+    with the exactly Hermitian sigma_a of a `build_pauli` set Im v
+    vanishes identically and the check takes no work, and otherwise it
+    checks Im v of the complex d M (`_covector_map`). Every check made
+    on one field shares one sigma^a d_a eta, applied as one Fourier
+    symbol (`_dirac`). The finite-difference probes perturb that cached
+    array too, on the grid lines through each probed point, so the
+    field is differentiated once whatever checks it. Every function of
+    this package that takes a spinor field together with a Pauli set
+    and a grid also accepts a `SpinorField` in place of the array; it
+    raises ValueError if the field was built for a different Pauli set
+    or grid. The cached arrays are shared: treat them, and eta, as
+    read-only.
     """
 
     def __init__(self, eta: np.ndarray, pauli: PauliSet, grid: TorusGrid):
@@ -171,13 +209,20 @@ class SpinorField:
         return _scalar_density(self.eta)
 
     @cached_property
+    def _real_map(self) -> np.ndarray:
+        """P = Re M of `_covector_map`, after the reality check of
+        v = d M at 1e-13 relative to max s. With Im M exactly zero v is
+        real by construction and nothing is computed."""
+        m = _covector_map(self.pauli.sigma_lower)
+        if m.imag.any():
+            _check_real_covector(_bilinear_covector(self.eta, m),
+                                 max(float(np.max(self.s)), np.finfo(float).tiny))
+        return m.real
+
+    @cached_property
     def v(self) -> np.ndarray:
-        """Real covector v_a, after a reality check at 1e-13 relative
-        to max s."""
-        v_complex = _sandwich(self.eta, self.pauli.sigma_lower, self.eta)
-        _check_real_covector(v_complex,
-                             max(float(np.max(self.s)), np.finfo(float).tiny))
-        return v_complex.real
+        """Real covector v_a = d P, after its reality check."""
+        return _bilinear_covector(self.eta, self._real_map)
 
     @cached_property
     def slash(self) -> np.ndarray:
@@ -210,7 +255,7 @@ def bilinears(eta: np.ndarray | SpinorField, pauli: PauliSet,
     """The `SpinorField` of eta (an array or a field), which carries the
     bilinears ``s``, ``v`` and ``A``, after the reality check of v."""
     field = _field(eta, pauli, grid)
-    field.v  # computing v runs its reality check
+    field._real_map  # runs the reality check of v
     return field
 
 

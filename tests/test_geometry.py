@@ -17,7 +17,8 @@ from cosserat_weyl import (
     spectral_partial,
 )
 from cosserat_weyl.cosserat import _gram, _induced_det, kinetic_2form, kinetic_energy
-from cosserat_weyl.geometry import PAULI_1, PAULI_2, PAULI_3, _norm2_2form, _norm2_3form
+from cosserat_weyl.geometry import (PAULI_1, PAULI_2, PAULI_3, _norm2_2form, _norm2_3form,
+                                    _plane_wave)
 from cosserat_weyl.sampling import random_bandlimited_scalar, random_spd_metric
 
 TWO_PI = 2.0 * np.pi
@@ -144,6 +145,41 @@ class TestSpectralPartial:
         for axis in (1, 2, 3):
             expected = 1j * k[axis - 1] * f
             assert np.abs(spectral_partial(f, axis, grid8) - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (12, 16, 8), (4, 6, 8), (16, 12, 20)])
+    def test_real_branch_matches_complex_path(self, dims):
+        # a random real field holds every mode up to N/2 - 1 and the
+        # Nyquist mode on each axis; the rfft branch must agree with the
+        # fft of its complex copy and stay a contiguous real array
+        g = TorusGrid(dims, (5.0, 0.7, 9.0))
+        rng = np.random.default_rng(sum(dims))
+        for f in (rng.normal(size=dims), rng.normal(size=dims + (3,))):
+            for axis in (1, 2, 3):
+                got = spectral_partial(f, axis, g)
+                want = spectral_partial(f.astype(complex), axis, g)
+                assert got.dtype == float and got.flags.c_contiguous
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (12, 16, 8), (4, 6, 8)])
+    def test_real_branch_at_the_highest_modes(self, dims):
+        # cos and sin of mode N/2 - 1 along each axis differentiate
+        # exactly; the real Nyquist mode has zero derivative, as its
+        # wavenumber is zeroed
+        g = TorusGrid(dims, (5.0, 0.7, 9.0))
+        for axis in (1, 2, 3):
+            n, length = dims[axis - 1], g.box[axis - 1]
+            modes = [0, 0, 0]
+            modes[axis - 1] = n // 2 - 1
+            wave = _plane_wave(g, modes, 1.0)
+            k = 2.0 * np.pi * (n // 2 - 1) / length
+            for f, df in ((wave.real, -k * wave.imag), (wave.imag, k * wave.real)):
+                assert np.abs(spectral_partial(f, axis, g) - df).max() <= 1e-14 * k
+            modes[axis - 1] = n // 2
+            nyquist = _plane_wave(g, modes, 1.0).real
+            k_nyq = np.pi * n / length
+            assert np.abs(spectral_partial(nyquist, axis, g)).max() <= 1e-14 * k_nyq
+            assert np.abs(spectral_partial(nyquist.astype(complex), axis, g)).max() \
+                <= 1e-14 * k_nyq
 
     def test_invalid_axis(self, grid8):
         with pytest.raises(InvalidAxis):

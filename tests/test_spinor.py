@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cosserat_weyl.correspondence as correspondence_module
 import cosserat_weyl.spinor as spinor_module
 import cosserat_weyl.weyl as weyl_module
 from cosserat_weyl import (
@@ -32,11 +33,12 @@ from cosserat_weyl import (
     scaling_covariance_residual,
     spinor_to_frame,
     stationary_ansatz,
+    theorem_witness_suite,
     weyl_residual,
     weyl_residual_norm,
 )
 from cosserat_weyl.geometry import spectral_partial
-from cosserat_weyl.spinor import _dirac, _sandwich
+from cosserat_weyl.spinor import _bilinear_covector, _covector_map, _dirac, _sandwich
 from cosserat_weyl.sampling import (
     random_bandlimited_scalar,
     random_nonvanishing_spinor,
@@ -358,6 +360,53 @@ class TestDiracSymbol:
                                   _dirac(eta.real.astype(complex), sigma, grid))
 
 
+class TestCovectorMap:
+    """v_n = etabar sigma[n] eta as the real densities of eta times the
+    4x3 matrix of `_covector_map`, against the complex sandwich."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(*[st.integers(2, 8).map(lambda half: 2 * half)] * 3),
+           st.tuples(*[st.floats(0.5, 10.0)] * 3),
+           st.integers(0, 2**31 - 1),
+           st.floats(0.0, 6.0))
+    @example((4, 4, 4), (2.0 * np.pi,) * 3, 0, 0.0)
+    @example((12, 16, 8), (5.0, 7.0, 9.0), 1, 6.0)
+    @example((4, 6, 8), (5.0, 7.0, 9.0), 2, 3.0)
+    def test_real_and_imaginary_parts_match_sandwich_oracle(self, dims, box, seed,
+                                                            log10_cond):
+        # metric-adapted sets of both index placements, an SU(2)-conjugated
+        # copy and a non-Hermitian triple
+        eta, sigmas, _ = _dirac_case(dims, box, seed, log10_cond)
+        for sigma in sigmas:
+            m = _covector_map(sigma)
+            oracle = _oracle_sandwich(eta, sigma, eta)
+            scale = np.abs(oracle).max()
+            assert np.abs(_bilinear_covector(eta, m.real) - oracle.real).max() <= 1e-14 * scale
+            assert np.abs(_bilinear_covector(eta, m.imag) - oracle.imag).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("mutant", [
+        lambda m: m[[0, 1, 3, 2]],  # Re and Im of etabar_1 eta_2 swapped
+        lambda m: m * np.array([1.0, 1.0, 1.0, -1.0])[:, None],  # the i (m01 - m10) row negated
+        lambda m: m[[1, 0, 2, 3]],  # |eta_1|^2 and |eta_2|^2 swapped
+    ])
+    def test_catches_a_wrong_map(self, mutant):
+        eta, sigmas, _ = _dirac_case((12, 16, 8), (5.0, 7.0, 9.0), 1, 2.0)
+        for sigma in sigmas[:3]:
+            oracle = _oracle_sandwich(eta, sigma, eta).real
+            wrong = _bilinear_covector(eta, mutant(_covector_map(sigma)).real)
+            assert _rel(wrong, oracle) > 1e-2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.floats(0.0, 6.0))
+    @example(0, 6.0)
+    def test_build_pauli_sets_have_exactly_real_v(self, seed, log10_cond):
+        rng = np.random.default_rng(seed)
+        for metric in (random_spd_metric(rng), _ill_conditioned_metric(rng, log10_cond)):
+            pauli = build_pauli(metric)
+            for sigma in (pauli.sigma_lower, pauli.sigma_upper):
+                assert not _covector_map(sigma).imag.any()
+
+
 _EDGE_EXAMPLES = [((4, 4, 4), (2.0 * np.pi,) * 3, 0, 0.0, 1.0),
                   ((4, 6, 10), (0.5, 10.0, 3.0), 1, 6.0, -2.0),
                   ((10, 10, 10), (10.0, 0.5, 5.0), 2, 6.0, 0.5),
@@ -442,6 +491,27 @@ class TestSpinorField:
         # sigma^a d_a eta once for the field, shared by the FD probes, and
         # once for G eta in the EL gradient
         assert len(dirac) == 2
+
+    def test_v_is_built_only_where_read(self, count_calls):
+        metric, pauli, eta = self._setup()
+        maps = count_calls("_bilinear_covector", spinor_module, weyl_module,
+                           correspondence_module)
+        field = SpinorField(eta, pauli, GRID_468)
+        bilinears(field, pauli, GRID_468)
+        lagrangian_stationary(field, 0.5, pauli, metric, GRID_468)
+        factorization_residual(field, 0.5, pauli, metric, GRID_468)
+        scaling_covariance_residual(field, 0.1 * field.s, 0.5, 1, pauli, metric, GRID_468)
+        el_gradient(field, 0.5, pauli, metric, GRID_468)
+        el_residual(field, 0.5, pauli, metric, GRID_468, mode="fd", probes=8)
+        theorem_witness_suite(1, GRID_468, metric, n_cases=2)
+        assert maps == []  # the reality check of a build_pauli set takes no work
+        fierz_residual(field, pauli, metric, GRID_468)
+        fierz_residual(field, pauli, metric, GRID_468)
+        assert len(maps) == 1  # built on the first read, then cached
+        other = SpinorField(eta, pauli, GRID_468)
+        spinor_to_frame(other, pauli, metric, GRID_468)
+        assert len(maps) == 2
+        assert "v" not in vars(other)  # the caller's field does not keep it
 
     def test_field_for_other_pauli_set_or_grid_rejected(self):
         metric, pauli, eta = self._setup()

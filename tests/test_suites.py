@@ -4,6 +4,7 @@ work the scaling suite does per case."""
 import numpy as np
 import pytest
 
+import cosserat_weyl.correspondence as correspondence_module
 import cosserat_weyl.sampling as sampling_module
 import cosserat_weyl.spinor as spinor_module
 import cosserat_weyl.weyl as weyl_module
@@ -74,6 +75,21 @@ def test_seeded_suites_build_no_gradient_stack(count_calls, suite, per_case):
     dirac = count_calls("_dirac", spinor_module, weyl_module)
     VERIFIERS[suite](grid, 2, n_cases=3)
     assert len(dirac) == per_case * 3
+
+
+@pytest.mark.parametrize("suite,per_case", [("factorization", 0), ("scaling", 0),
+                                            ("fierz", 1), ("u1", 2),
+                                            ("correspondence", 1)])
+def test_seeded_suites_build_v_only_where_read(count_calls, suite, per_case):
+    # the covector v is built once per field whose residual reads it: the
+    # Fierz identity, the phase check of u1 (the field and its rotated
+    # copy) and theta^3 of spinor_to_frame; the other suites only run its
+    # reality check, which a build_pauli set passes without work
+    grid = TorusGrid((12, 16, 8), (6.0, 7.0, 5.0))
+    maps = count_calls("_bilinear_covector", spinor_module, weyl_module,
+                       correspondence_module)
+    VERIFIERS[suite](grid, 2, n_cases=3)
+    assert len(maps) == per_case * 3
 
 
 def test_seeded_case_guard_reads_the_fields_density(count_calls):

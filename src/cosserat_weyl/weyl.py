@@ -248,10 +248,7 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
     # only the extremes of s elsewhere: the second one where p holds the first
     i_lo, i_hi = np.argmin(s_flat), np.argmax(s_flat)
     lo_else, hi_else = np.delete(s_flat, i_lo).min(), np.delete(s_flat, i_hi).max()
-    # v at p is real by construction when Im M = 0 (every build_pauli
-    # set), and only then are the probes spared its reality check
     v_map = _covector_map(pauli.sigma_lower)
-    real_v = not v_map.imag.any()
     signs = np.array([1.0, -1.0])
     points, comps, parts = dofs
     values = np.empty(len(comps))
@@ -280,7 +277,7 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
         hi = np.where(flat_p == i_hi, hi_else, s_flat[i_hi])[:, np.newaxis]
         extremes = np.stack(np.broadcast_arrays(s_pm[..., 0], lo, hi), axis=-1)
         at_p = eta_pm[:, :, 0]
-        v_p = np.zeros(at_p.shape[:-1] + (3,)) if real_v else _bilinear_covector(at_p, v_map)
+        v_p = _bilinear_covector(at_p, v_map)
         scale = np.maximum(np.maximum(s_pm[..., 0], hi), np.finfo(float).tiny)
         failed = _vanishing(extremes, axis=-1) | _complex_covector(v_p, scale, axis=-1)
         for i in np.flatnonzero(failed.any(axis=1)):

@@ -494,8 +494,10 @@ class TestSpinorField:
 
     def test_v_is_built_only_where_read(self, count_calls):
         metric, pauli, eta = self._setup()
-        maps = count_calls("_bilinear_covector", spinor_module, weyl_module,
-                           correspondence_module)
+        maps = count_calls("_bilinear_covector", spinor_module, correspondence_module)
+        # the FD probes build v only at their perturbed points, once per
+        # block of probes
+        probe_maps = count_calls("_bilinear_covector", weyl_module)
         field = SpinorField(eta, pauli, GRID_468)
         bilinears(field, pauli, GRID_468)
         lagrangian_stationary(field, 0.5, pauli, metric, GRID_468)
@@ -503,6 +505,7 @@ class TestSpinorField:
         scaling_covariance_residual(field, 0.1 * field.s, 0.5, 1, pauli, metric, GRID_468)
         el_gradient(field, 0.5, pauli, metric, GRID_468)
         el_residual(field, 0.5, pauli, metric, GRID_468, mode="fd", probes=8)
+        assert len(probe_maps) == 1
         theorem_witness_suite(1, GRID_468, metric, n_cases=2)
         assert maps == []  # the reality check of a build_pauli set takes no work
         fierz_residual(field, pauli, metric, GRID_468)

@@ -53,9 +53,11 @@ def test_one_spectral_gradient_per_scaled_field(count_calls):
     # sign
     grid = TorusGrid((12, 16, 8), (6.0, 7.0, 5.0))
     dirac = count_calls("_dirac", spinor_module, weyl_module)
+    maps = count_calls("_bilinear_covector", spinor_module, weyl_module)
     h = 0.1 * np.cos(2.0 * np.pi * grid.coords()[1] / grid.box[1])
     report = verify_scaling(grid, 4, n_cases=3, h_field=h)
     assert len(dirac) == 2 * 3
+    assert maps == []  # nothing reads v
     expected = [{"case": i, "p0": p0, "weyl_sign": sign,
                  "residual": scaling_covariance_residual(field, h, p0, sign, pauli,
                                                          metric, grid)}
@@ -70,26 +72,18 @@ def test_one_spectral_gradient_per_scaled_field(count_calls):
 def test_seeded_suites_build_no_gradient_stack(count_calls, suite, per_case):
     # sigma^a d_a, the only derivative of a spinor field, is applied once
     # per field that needs A (u1 has the field and its phase-rotated
-    # copy; scaling: see above)
+    # copy; scaling: see above). The covector v is built once per field
+    # whose residual reads it: the Fierz identity, the phase check of u1
+    # and theta^3 of spinor_to_frame; factorization only runs its reality
+    # check, which a build_pauli set passes without work
     grid = TorusGrid((12, 16, 8), (6.0, 7.0, 5.0))
     dirac = count_calls("_dirac", spinor_module, weyl_module)
-    VERIFIERS[suite](grid, 2, n_cases=3)
-    assert len(dirac) == per_case * 3
-
-
-@pytest.mark.parametrize("suite,per_case", [("factorization", 0), ("scaling", 0),
-                                            ("fierz", 1), ("u1", 2),
-                                            ("correspondence", 1)])
-def test_seeded_suites_build_v_only_where_read(count_calls, suite, per_case):
-    # the covector v is built once per field whose residual reads it: the
-    # Fierz identity, the phase check of u1 (the field and its rotated
-    # copy) and theta^3 of spinor_to_frame; the other suites only run its
-    # reality check, which a build_pauli set passes without work
-    grid = TorusGrid((12, 16, 8), (6.0, 7.0, 5.0))
     maps = count_calls("_bilinear_covector", spinor_module, weyl_module,
                        correspondence_module)
     VERIFIERS[suite](grid, 2, n_cases=3)
-    assert len(maps) == per_case * 3
+    assert len(dirac) == per_case * 3
+    v_per_case = {"factorization": 0, "fierz": 1, "u1": 2, "correspondence": 1}[suite]
+    assert len(maps) == v_per_case * 3
 
 
 def test_seeded_case_guard_reads_the_fields_density(count_calls):

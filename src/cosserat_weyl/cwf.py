@@ -6,6 +6,7 @@ component index fastest. Complex values are stored as (re, im) pairs.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -71,35 +72,40 @@ def write_field(path, kind: str, values: np.ndarray, grid: TorusGrid) -> None:
     with open(path, "wb") as handle:
         handle.write(json.dumps(header).encode("ascii"))
         handle.write(b"\n\n")
-        handle.write(flat.tobytes())
+        handle.write(flat.data)
 
 
 def read_field(path):
-    """Read a CWF v1 file; returns ``(kind, values, grid)``."""
+    """Read a CWF v1 file; returns ``(kind, values, grid)``. The payload
+    is read once, straight into the returned array."""
     with open(path, "rb") as handle:
-        blob = handle.read()
-    head, _, payload = blob.partition(b"\n\n")
-    header = json.loads(head.decode("ascii"))
-    if header.get("byte_order") != "little":
-        raise ValueError("only little-endian CWF files are supported")
-    for key in ("kind", "dtype", "components", "dims", "box"):
-        if key not in header:
-            raise ValueError(f"CWF header has no {key!r} field")
-    kind, dtype, comps = header["kind"], header["dtype"], header["components"]
-    if kind not in KIND_COMPONENTS:
-        raise ValueError(f"unknown field kind {kind!r} in the header")
-    if dtype not in _DTYPES:
-        raise ValueError(f"unknown dtype {dtype!r} in the header (use c128 or f64)")
-    if comps != KIND_COMPONENTS[kind]:
-        raise ValueError(f"kind {kind!r} expects {KIND_COMPONENTS[kind]} components, "
-                         f"header says {comps}")
-    grid = TorusGrid(dims=tuple(header["dims"]), box=tuple(header["box"]))
-    expected = grid.num_points * comps * np.dtype(_DTYPES[dtype]).itemsize
-    if len(payload) != expected:
-        raise ValueError(f"payload is {len(payload)} bytes, the header implies "
-                         f"{expected} ({grid.dims}, {comps} x {dtype})")
-    flat = np.frombuffer(payload, dtype=_DTYPES[dtype]).reshape(grid.shape + (comps,))
-    return kind, _unpack(kind, flat.copy(), grid), grid
+        head = handle.readline()
+        if handle.readline() != b"\n":
+            raise ValueError("the CWF header line is not followed by a blank line")
+        header = json.loads(head.decode("ascii"))
+        if header.get("byte_order") != "little":
+            raise ValueError("only little-endian CWF files are supported")
+        for key in ("kind", "dtype", "components", "dims", "box"):
+            if key not in header:
+                raise ValueError(f"CWF header has no {key!r} field")
+        kind, dtype, comps = header["kind"], header["dtype"], header["components"]
+        if kind not in KIND_COMPONENTS:
+            raise ValueError(f"unknown field kind {kind!r} in the header")
+        if dtype not in _DTYPES:
+            raise ValueError(f"unknown dtype {dtype!r} in the header (use c128 or f64)")
+        if comps != KIND_COMPONENTS[kind]:
+            raise ValueError(f"kind {kind!r} expects {KIND_COMPONENTS[kind]} components, "
+                             f"header says {comps}")
+        grid = TorusGrid(dims=tuple(header["dims"]), box=tuple(header["box"]))
+        expected = grid.num_points * comps * np.dtype(_DTYPES[dtype]).itemsize
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size == expected:
+            flat = np.empty(grid.shape + (comps,), dtype=_DTYPES[dtype])
+            size = handle.readinto(flat)  # short only if the file shrank meanwhile
+        if size != expected:
+            raise ValueError(f"payload is {size} bytes, the header implies "
+                             f"{expected} ({grid.dims}, {comps} x {dtype})")
+    return kind, _unpack(kind, flat, grid), grid
 
 
 def write_scalar_csv(path, field: np.ndarray, grid: TorusGrid) -> None:

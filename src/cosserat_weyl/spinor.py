@@ -145,12 +145,12 @@ def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid) -> np.ndarray:
     One `fftn` per spinor component, in place on a contiguous complex
     copy of it (eta may be real) less its mean, and one `ifftn` per
     output component, also in place (the `out=` of NumPy 2; with fresh
-    outputs a call takes half as long again at 64^3). The wavenumbers
-    are those of `spectral_partial` (Nyquist zeroed), so this is
-    sum_a sigma[a] applied to the spectral partial d_a eta, up to
-    rounding. Each of the four entries of the symbol is built per call
-    from three 1-D arrays, in one pass over the grid into one of two
-    reused buffers; no symbol is kept between calls.
+    outputs a call takes 5-20% longer at 16^3-64^3, `BENCH_17.json`).
+    The wavenumbers are those of `spectral_partial` (Nyquist zeroed),
+    so this is sum_a sigma[a] applied to the spectral partial d_a eta,
+    up to rounding. Each of the four entries of the symbol is built per
+    call from three 1-D arrays, in one pass over the grid into one of
+    two reused buffers; no symbol is kept between calls.
 
     The mean has zero derivative. Removing it first keeps the rounding
     of a large constant part, such as the unit spinor of a nonvanishing

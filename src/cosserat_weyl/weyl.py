@@ -309,8 +309,9 @@ def el_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     evaluated together, both signs at once, in one pass of array
     operations per block of `_FD_BLOCK` probes (see
     `_fd_gradient_at_dofs`). With sigma^a d_a eta at hand, 16 probes at
-    16^3 take about 0.45 ms and 64 about 1.2 ms (2-CPU Xeon, numpy 2.4,
-    minimum of repeated calls).
+    16^3 take about 0.35 ms and 64 about 0.75 ms, against 0.93 ms for one
+    `el_gradient` (`BENCH_17.json`: 2-CPU Xeon, numpy 2.4, minimum of
+    repeated calls after a CLI job has pinned the malloc thresholds).
     """
     field = _field(eta, pauli, grid)
     ref = _gradient_scale(field, p0, metric)

@@ -2,11 +2,17 @@
 field outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cosserat_weyl
 from cosserat_weyl import read_field
+import cosserat_weyl.cli as cli_module
 import cosserat_weyl.spinor as spinor_module
 import cosserat_weyl.weyl as weyl_module
 from cosserat_weyl.cli import main
@@ -208,3 +214,58 @@ class TestTheorem:
         cfg = report["config"]
         assert cfg["fd_probes"] == 16 and cfg["max_mode"] == 3
         assert "threads" not in cfg
+
+
+# Two identical jobs in one fresh interpreter; prints the minor page
+# faults of the second.
+_REPEATED_JOB = """\
+import contextlib, io, resource
+from cosserat_weyl.cli import main
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "u1", "--cases", "1", "--grid", "32,32,32"]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[1])
+"""
+
+
+def _on_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestFreedMemoryStaysMapped:
+    @pytest.mark.skipif(not _on_glibc(), reason="pins glibc's malloc thresholds")
+    def test_repeated_job_faults_in_few_pages(self):
+        # with glibc's dynamic thresholds the second job faults in ~2000
+        # pages that the first handed back to the OS
+        src = str(Path(cosserat_weyl.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _REPEATED_JOB], env=env, check=True,
+                              capture_output=True, text=True, timeout=300)
+        assert int(proc.stdout) < 100
+
+    @pytest.mark.parametrize("libc", ["raise", "musl 1.2.4", None])
+    def test_other_libc_left_alone(self, monkeypatch, tmp_path, libc):
+        def confstr(name):
+            if libc == "raise":
+                raise ValueError("unrecognized configuration name")
+            return libc
+
+        def no_cdll(*args):
+            raise AssertionError("mallopt looked up off glibc")
+
+        monkeypatch.setattr(cli_module.os, "confstr", confstr)
+        monkeypatch.setattr(cli_module.ctypes, "CDLL", no_cdll)
+        keep = cli_module._keep_freed_memory_mapped
+        keep.cache_clear()  # an earlier main() in this process has run it
+        try:
+            code, report = _run(tmp_path, "verify", "fierz", "--cases", "1", *SMALL)
+        finally:
+            keep.cache_clear()
+        assert code == 0 and report["verdict"] == "pass"

@@ -128,6 +128,16 @@ def test_missing_header_field_rejected(field, grid, tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("separator", [b"\n", b"\nx", b""])
+def test_header_without_blank_line_rejected(separator, grid, tmp_path):
+    path = tmp_path / "n.cwf"
+    write_field(path, "scalar", np.zeros(grid.shape), grid)
+    head, _, payload = path.read_bytes().partition(b"\n\n")
+    path.write_bytes(head + separator + payload)
+    with pytest.raises(ValueError, match="not followed by a blank line"):
+        read_field(path)
+
+
 @pytest.mark.parametrize("extra", [-8, 8])
 def test_payload_size_mismatch_rejected(extra, tmp_path):
     grid = TorusGrid((4, 4, 4), (2 * np.pi,) * 3)

@@ -5,10 +5,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosserat_weyl import (
+    DegenerateDenominator,
     Metric3,
     SpinorField,
     TorusGrid,
@@ -19,8 +20,10 @@ from cosserat_weyl import (
     el_gradient,
     el_gradient_fd_check,
     el_residual,
+    factorization_residual,
     lagrangian_stationary,
     planewave_solution,
+    spinor_to_frame,
     theorem_witness_suite,
     weyl_residual,
     weyl_residual_norm,
@@ -37,6 +40,7 @@ from cosserat_weyl.spinor import (
     _sandwich,
     _scalar_density,
     _stationary_density,
+    _vanishing,
 )
 from cosserat_weyl.weyl import (
     LAGRANGIAN_TOL,
@@ -547,6 +551,61 @@ class TestBatchedProbes:
             el_residual(eta, p0, pauli, metric, grid8, mode="fd", probes=probes)
         with pytest.raises(ValueError, match="probes must be at least 1"):
             el_gradient_fd_check(eta, p0, pauli, metric, grid8, probes=probes)
+
+
+_NEAR_VANISHING_GRIDS = [((4, 4, 4), (TWO_PI,) * 3),
+                         ((12, 16, 8), (TWO_PI, 3.0, 5.0)),
+                         ((4, 6, 8), (5.0, 7.0, 9.0))]
+
+
+class TestNearVanishingSpinors:
+    """A random nonvanishing spinor with one point scaled by
+    10^U(-8, -4), so that min s / max s falls on either side of the
+    1e-12 floor. Every function of the field returns finite values, or
+    raises the typed error of the floor; it raises exactly when
+    `_vanishing(s)` holds. The FD probes evaluate perturbed fields, so
+    they raise exactly when one of those vanishes (the full-grid oracle
+    says which), and so always when the field itself does; some land on
+    the argmin of s."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(_NEAR_VANISHING_GRIDS), st.integers(0, 2**31 - 1),
+           st.floats(-8.0, -4.0))
+    @example(_NEAR_VANISHING_GRIDS[0], 1, -8.0)   # below the floor
+    @example(_NEAR_VANISHING_GRIDS[1], 2, -4.0)   # above it
+    def test_finite_or_typed_error(self, case, seed, log10_scale):
+        grid = TorusGrid(*case)
+        eta, p0, pauli, metric = _random_case(grid, seed)
+        # the probes el_residual draws for this seed; plant at the first
+        dofs = _sample_dofs(eta, 16, seed)
+        eta[tuple(dofs[0][0])] *= 10.0 ** log10_scale
+        s = _scalar_density(eta)
+        assert np.argmin(s) == np.ravel_multi_index(tuple(dofs[0][0]), grid.dims)
+        vanishing = bool(_vanishing(s))
+        args = (pauli, metric, grid)
+        calls = {
+            "lagrangian_stationary": lambda: lagrangian_stationary(eta, p0, *args),
+            "factorization_residual": lambda: factorization_residual(eta, p0, *args)[0],
+            "el_gradient": lambda: el_gradient(eta, p0, *args),
+            "spinor_to_frame": lambda: spinor_to_frame(eta, *args).theta,
+        }
+        for name, call in calls.items():
+            if vanishing:
+                with pytest.raises((VanishingSpinor, DegenerateDenominator)):
+                    call()
+            else:
+                assert np.isfinite(call()).all(), name
+        try:
+            _full_grid_fd(eta, p0, pauli, metric, grid, dofs)
+            perturbed_vanishing = False
+        except VanishingSpinor:
+            perturbed_vanishing = True
+        assert perturbed_vanishing or not vanishing
+        if perturbed_vanishing:
+            with pytest.raises(VanishingSpinor):
+                el_residual(eta, p0, *args, mode="fd", probes=16, seed=seed)
+        else:
+            assert np.isfinite(el_residual(eta, p0, *args, mode="fd", probes=16, seed=seed))
 
 
 class TestWitnessSuite:

@@ -35,6 +35,7 @@ from .errors import (
     ModelError,
     NonPositiveDensity,
     NoSpinLift,
+    NotHermitian,
     NotOrthonormal,
     VanishingSpinor,
     ZeroFrequency,

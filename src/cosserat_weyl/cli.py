@@ -2,9 +2,10 @@
 JSON reports.
 
 Exit codes: 0 all residuals within tolerance, 1 verification failure,
-2 configuration/usage error. The tolerances are fixed in the library;
-no option moves one. Identical config and seed produce byte-identical
-reports up to the ``timestamp`` field.
+2 configuration/usage error or an unwritable output file. The
+tolerances are fixed in the library; no option moves one. Identical
+config and seed produce byte-identical reports up to the ``timestamp``
+field.
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ def _build_grid(args) -> TorusGrid:
         raise ConfigError(str(exc)) from None
 
 
+def _check_seed(seed) -> None:
+    if seed is not None and seed < 0:  # numpy's generators take none
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+
+
 def _canonical_config(args, grid, metric=None) -> dict:
     cfg = {
         "command": args.command,
@@ -151,6 +157,7 @@ def _cmd_verify(args) -> int:
     grid = _build_grid(args)
     if args.cases is not None and args.cases < 1:
         raise ConfigError("--cases must be at least 1")
+    _check_seed(args.seed)
     if args.h is not None:
         given["h"] = parse_scalar_expr(args.h, grid)
     result = suite(grid, **{_VERIFY_KEYWORDS[opt]: v for opt, v in given.items()})
@@ -196,6 +203,7 @@ def _cmd_theorem(args) -> int:
     metric = _parse_metric(args.metric)
     if args.n < 1:
         raise ConfigError("--n must be at least 1")
+    _check_seed(args.seed)
     report = theorem_witness_suite(args.seed, grid, metric, n_cases=args.n)
     report["config"].update(_canonical_config(args, grid, metric))
     report["factorization_sign"] = FACTORIZATION_SIGN
@@ -256,7 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelError as exc:
+    except (ModelError, OSError) as exc:  # OSError: an output path cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ import numpy as np
 from .cosserat import _triple_product, check_density, orthonormality_residual
 from .errors import NoSpinLift, NotOrthonormal
 from .geometry import Metric3, PauliSet, TorusGrid
-from .spinor import SpinorField, _bilinear_covector, _nonvanishing
+from .spinor import SpinorField, _covector, _nonvanishing
 
 # d0 (theta^1 + i theta^2) = PHASE_RATE * i * p0 * (theta^1 + i theta^2)
 PHASE_RATE = -2.0
@@ -57,13 +57,13 @@ def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
                     metric: Metric3, grid: TorusGrid) -> FramePacket:
     """Map a nonvanishing spinor field to its coframe + density.
 
-    theta^3 = v / s takes v from the map of `spinor._bilinear_covector`
-    and does not cache it on a given field."""
+    theta^3 = v / s takes v from `spinor._covector` and does not cache
+    it on a given field."""
     field = _nonvanishing(xi, pauli, grid)
     x1, x2 = field.eta[..., 0], field.eta[..., 1]
     squares = np.stack([x1 * x1, x1 * x2, x2 * x2], axis=-1)
     w = (squares.reshape(-1, 3) @ _quadratic_map(pauli).T).reshape(squares.shape)
-    v = _bilinear_covector(field.eta, field._real_map)
+    v = _covector(field.eta, pauli)
     sinv = 1.0 / field.s[..., np.newaxis]
     theta = np.stack([w.real * sinv, w.imag * sinv, v * sinv])
     return FramePacket(theta=theta, rho=field.s * metric.sqrt_det)

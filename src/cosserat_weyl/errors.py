@@ -9,6 +9,10 @@ class MetricNotSPD(ModelError):
     """Metric matrix is not symmetric positive definite."""
 
 
+class NotHermitian(ModelError):
+    """Pauli set whose sigma_lower is not Hermitian: v would be complex."""
+
+
 class InvalidAxis(ModelError):
     """Differentiation axis must be 1, 2 or 3."""
 

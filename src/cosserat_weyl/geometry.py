@@ -22,13 +22,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidAxis, MetricNotSPD
+from .errors import InvalidAxis, MetricNotSPD, NotHermitian
 
 PAULI_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _PAULI_STANDARD = np.stack([PAULI_1, PAULI_2, PAULI_3])
+
+# largest max |sigma_n - sigma_n^dagger| a Pauli set's sigma_lower may have
+_HERMITIAN_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,12 @@ class Metric3:
         eigvals = np.linalg.eigvalsh(g)
         if eigvals[0] <= 0.0:
             raise MetricNotSPD(f"metric is not positive definite, eigenvalues {eigvals}")
-        return cls(g_lower=g, g_upper=np.linalg.inv(g), det_g=float(np.linalg.det(g)))
+        with np.errstate(all="ignore"):  # overflow and underflow are rejected below
+            g_upper, det_g = np.linalg.inv(g), float(np.linalg.det(g))
+        if not (np.finfo(float).tiny <= det_g < np.inf and np.isfinite(g_upper).all()):
+            raise MetricNotSPD(f"metric determinant {det_g:.3e} or inverse is not a finite "
+                               "normal float")
+        return cls(g_lower=g, g_upper=g_upper, det_g=det_g)
 
     @classmethod
     def identity(cls) -> "Metric3":
@@ -169,10 +177,21 @@ class PauliSet:
     sigma^a sigma^b + sigma^b sigma^a = 2 g^ab Id; sigma_lower is the
     index-lowered triple. sigma^0 = sigma_0 is the identity and is not
     stored.
+
+    sigma_lower must be Hermitian to 1e-13 in every entry (else
+    NotHermitian), so |Im etabar sigma_a eta| <= s max |sigma_a -
+    sigma_a^dagger| <= 1e-13 s: v is real on every field of the set.
     """
 
     sigma_upper: np.ndarray
     sigma_lower: np.ndarray
+
+    def __post_init__(self):
+        sigma = np.asarray(self.sigma_lower)
+        skew = float(np.abs(sigma - sigma.conj().swapaxes(-1, -2)).max())
+        if not skew <= _HERMITIAN_TOL:
+            raise NotHermitian(f"sigma_lower is not Hermitian: max |sigma - sigma^dagger| "
+                               f"= {skew:.3e} > {_HERMITIAN_TOL:.0e}")
 
 
 def build_pauli(metric: Metric3) -> PauliSet:

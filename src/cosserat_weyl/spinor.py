@@ -9,10 +9,9 @@ applied as one Fourier symbol (`_dirac`); no per-axis gradient is built.
 
 The covector v_a = etabar sigma_a eta is quadratic in eta: it is one
 real 4x3 matrix applied to four real densities of eta
-(`_covector_map`, `_bilinear_covector`). Its reality check costs nothing
-when the imaginary part of that matrix is exactly zero, as it is for
-every `build_pauli` set, and v itself is built only where a residual
-reads it.
+(`_covector_map`, `_bilinear_covector`, `_covector`). It is real because
+a `PauliSet` is Hermitian, which the set checks once when it is built,
+and it is built only where a residual reads it.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from .geometry import Metric3, PauliSet, TorusGrid
 # on every call and reports which sign reconciles.
 FACTORIZATION_SIGN = -1
 
-_REALITY_TOL = 1e-13
-
 
 def _sandwich(eta: np.ndarray, sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """etabar sigma_n xi for each 2x2 matrix sigma[n], n = 0, 1, 2,
@@ -63,7 +60,8 @@ def _covector_map(sigma: np.ndarray) -> np.ndarray:
 
     so P = Re M gives Re v and Q = Im M gives Im v. Q is exactly zero
     when each sigma[n] is exactly Hermitian, as every `build_pauli` set
-    is, bit for bit.
+    is, bit for bit, and at most max |sigma[n] - sigma[n]^dagger| per
+    unit of s for any `PauliSet` (see there).
     """
     m00, m01, m10, m11 = sigma[:, 0, 0], sigma[:, 0, 1], sigma[:, 1, 0], sigma[:, 1, 1]
     return np.array([m00, m11, m01 + m10, 1j * (m01 - m10)])
@@ -79,6 +77,12 @@ def _bilinear_covector(eta: np.ndarray, m: np.ndarray) -> np.ndarray:
     d = np.stack([e1.real**2 + e1.imag**2, e2.real**2 + e2.imag**2, z.real, z.imag],
                  axis=-1)
     return d @ m
+
+
+def _covector(eta: np.ndarray, pauli: PauliSet) -> np.ndarray:
+    """v_a = etabar sigma_a eta as d Re M, pointwise over any leading shape:
+    real, as |Im v| <= 1e-13 s for the Hermitian sigma_a of a `PauliSet`."""
+    return _bilinear_covector(eta, _covector_map(pauli.sigma_lower).real)
 
 
 def _scalar_density(eta: np.ndarray) -> np.ndarray:
@@ -102,18 +106,6 @@ def _check_nonvanishing(s: np.ndarray) -> None:
 def _relative_max(diff, ref) -> float:
     """max|diff| / max|ref|, the denominator floored at the tiniest float."""
     return float(np.abs(diff).max()) / max(float(np.abs(ref).max()), np.finfo(float).tiny)
-
-
-def _complex_covector(v_complex: np.ndarray, scale, axis=None):
-    """Whether max |Im v| along ``axis`` (all of it by default) exceeds
-    1e-13 times ``scale``."""
-    return np.abs(v_complex.imag).max(axis=axis) > _REALITY_TOL * scale
-
-
-def _check_real_covector(v_complex: np.ndarray, scale: float) -> None:
-    if _complex_covector(v_complex, scale):
-        raise ValueError("bilinear covector failed reality check: "
-                         f"{np.abs(v_complex.imag).max():.3e}")
 
 
 def _axial_density(eta: np.ndarray, slash: np.ndarray) -> np.ndarray:
@@ -183,11 +175,9 @@ class SpinorField:
     v_a = etabar sigma_a eta and A = (i/2)(etabar sigma^a d_a eta - c.c.).
 
     Each of them and sigma^a d_a eta is computed at most once, when
-    first asked for; v only where a residual reads it. The reality
-    check of v, which every check of the field runs, does not build v:
-    with the exactly Hermitian sigma_a of a `build_pauli` set Im v
-    vanishes identically and the check takes no work, and otherwise it
-    checks Im v of the complex d M (`_covector_map`). Every check made
+    first asked for; v only where a residual reads it. v is real
+    because the Pauli set is Hermitian, which `PauliSet` checks once
+    when it is built, so no field checks it again. Every check made
     on one field shares one sigma^a d_a eta, applied as one Fourier
     symbol (`_dirac`). The finite-difference probes perturb that cached
     array too, on the grid lines through each probed point, so the
@@ -209,20 +199,9 @@ class SpinorField:
         return _scalar_density(self.eta)
 
     @cached_property
-    def _real_map(self) -> np.ndarray:
-        """P = Re M of `_covector_map`, after the reality check of
-        v = d M at 1e-13 relative to max s. With Im M exactly zero v is
-        real by construction and nothing is computed."""
-        m = _covector_map(self.pauli.sigma_lower)
-        if m.imag.any():
-            _check_real_covector(_bilinear_covector(self.eta, m),
-                                 max(float(np.max(self.s)), np.finfo(float).tiny))
-        return m.real
-
-    @cached_property
     def v(self) -> np.ndarray:
-        """Real covector v_a = d P, after its reality check."""
-        return _bilinear_covector(self.eta, self._real_map)
+        """Real covector v_a (`_covector`)."""
+        return _covector(self.eta, self.pauli)
 
     @cached_property
     def slash(self) -> np.ndarray:
@@ -253,10 +232,8 @@ def _field(eta: np.ndarray | SpinorField, pauli: PauliSet,
 def bilinears(eta: np.ndarray | SpinorField, pauli: PauliSet,
               grid: TorusGrid) -> SpinorField:
     """The `SpinorField` of eta (an array or a field), which carries the
-    bilinears ``s``, ``v`` and ``A``, after the reality check of v."""
-    field = _field(eta, pauli, grid)
-    field._real_map  # runs the reality check of v
-    return field
+    bilinears ``s``, ``v`` and ``A``."""
+    return _field(eta, pauli, grid)
 
 
 def _nonvanishing(eta: np.ndarray | SpinorField, pauli: PauliSet,

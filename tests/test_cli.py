@@ -68,6 +68,17 @@ class TestExitCodes:
             (["planewave", "--k", "1,0,0", "--metric", "diag:nan,1,1", *SMALL], "finite"),
             (["planewave", "--k", "1,0,0", "--metric", "full:1,0,0,1,0,inf", *SMALL],
              "finite"),
+            # a determinant or inverse that overflows or underflows
+            (["planewave", "--k", "1,0,0", "--metric", "diag:1e300,1e300,1e300", *SMALL],
+             "determinant"),
+            (["planewave", "--k", "1,0,0", "--metric", "diag:1e-200,1e-200,1e-200",
+              *SMALL], "determinant"),
+            (["theorem", "--n", "1", "--metric", "diag:1,1,1e-320", *SMALL], "determinant"),
+            (["theorem", "--n", "1", "--metric", "diag:1e10,1e10,1e-309", *SMALL],
+             "inverse"),
+            # numpy's generators take no negative seed
+            (["verify", "fierz", "--seed", "-1", *SMALL], "--seed"),
+            (["theorem", "--n", "1", "--seed", "-1", *SMALL], "--seed"),
         ):
             assert main(argv) == 2, argv
             assert option in capsys.readouterr().err, argv
@@ -91,6 +102,18 @@ class TestExitCodes:
         ):
             assert main(argv) == 2, argv
             assert option in capsys.readouterr().err, argv
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "fierz", "--out"],
+        ["planewave", "--k", "1,0,0", "--eta-out"],
+        ["planewave", "--k", "1,0,0", "--density-csv"],
+    ])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "out"
+        assert main(argv + [str(path), *SMALL]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert not path.parent.exists()
 
     def test_verify_rejects_metric(self, capsys):
         # every suite draws its own metrics, so a given one would be ignored

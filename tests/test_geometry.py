@@ -1,15 +1,18 @@
 """Core geometry: metric, grid, Pauli matrices, spectral derivatives,
 form norms, integration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosserat_weyl import (
     InvalidAxis,
     Metric3,
     MetricNotSPD,
+    NotHermitian,
     TorusGrid,
     build_pauli,
     exterior_derivative,
@@ -19,7 +22,9 @@ from cosserat_weyl import (
 from cosserat_weyl.cosserat import _gram, _induced_det, kinetic_2form, kinetic_energy
 from cosserat_weyl.geometry import (PAULI_1, PAULI_2, PAULI_3, _norm2_2form, _norm2_3form,
                                     _plane_wave)
-from cosserat_weyl.sampling import random_bandlimited_scalar, random_spd_metric
+from cosserat_weyl.sampling import (random_bandlimited_scalar, random_nonvanishing_spinor,
+                                    random_spd_metric)
+from cosserat_weyl.spinor import _sandwich, _scalar_density
 
 TWO_PI = 2.0 * np.pi
 
@@ -47,6 +52,11 @@ class TestMetric3:
         for bad in (np.inf, np.nan):
             with pytest.raises(MetricNotSPD, match="non-finite"):
                 Metric3.from_matrix(np.diag([bad, 1.0, 1.0]))
+        # finite SPD entries whose determinant or inverse overflows or
+        # underflows (a subnormal determinant included)
+        for diag in ([1e300] * 3, [1e-200] * 3, [1.0, 1.0, 1e-320], [1e10, 1e10, 1e-309]):
+            with pytest.raises(MetricNotSPD, match="not a finite normal float"):
+                Metric3.from_matrix(np.diag(diag))
 
 
 class TestTorusGrid:
@@ -123,6 +133,73 @@ class TestBuildPauli:
     def test_rejects_non_spd(self):
         with pytest.raises(MetricNotSPD):
             build_pauli(Metric3.from_matrix(np.diag([1.0, 1.0, -2.0])))
+
+
+def _skew(sigma):
+    """max |sigma_n - sigma_n^dagger| over a triple of 2x2 matrices."""
+    return float(np.abs(sigma - sigma.conj().swapaxes(-1, -2)).max())
+
+
+def _su2_conjugate(pauli, rng):
+    """The set U sigma U^dagger for a random U in SU(2), both placements."""
+    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    u = np.array([[a, -b.conjugate()], [b, a.conjugate()]]) / np.hypot(abs(a), abs(b))
+    return dataclasses.replace(pauli, sigma_upper=u @ pauli.sigma_upper @ u.conj().T,
+                               sigma_lower=u @ pauli.sigma_lower @ u.conj().T)
+
+
+def _anti_hermitian(rng, skew):
+    """A random anti-Hermitian triple K with max |K - K^dagger| = skew."""
+    x = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    k = x - x.conj().swapaxes(-1, -2)
+    return k * (0.5 * skew / np.abs(k).max())
+
+
+class TestPauliSetHermitian:
+    """A `PauliSet` is built only with sigma_lower Hermitian to 1e-13, which
+    bounds |Im v| by 1e-13 s for every field: v needs no later check."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.floats(0.0, 6.0))
+    @example(0, 6.0)
+    def test_tolerance_and_im_v_bound(self, seed, log10_cond):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        g = q @ np.diag(10.0 ** (log10_cond * rng.uniform(-0.5, 0.5, size=3))) @ q.T
+        sets = []
+        for metric in (random_spd_metric(rng), Metric3.from_matrix(0.5 * (g + g.T))):
+            pauli = build_pauli(metric)
+            sets += [pauli, _su2_conjugate(pauli, rng)]  # both construct
+        # anti-Hermitian perturbations either side of the tolerance, on the
+        # sets of the random metric (entries of order 1, so rounding stays
+        # far below the 0.2e-13 margins)
+        for pauli in sets[:2]:
+            with pytest.raises(NotHermitian):
+                dataclasses.replace(pauli, sigma_lower=pauli.sigma_lower
+                                    + _anti_hermitian(rng, 1.2e-13))
+            sets.append(dataclasses.replace(
+                pauli, sigma_lower=pauli.sigma_lower + _anti_hermitian(rng, 0.8e-13)))
+        # |Im etabar sigma_n eta| <= s max |sigma - sigma^dagger| pointwise, on
+        # the accepted sets and on a random complex triple
+        grid = TorusGrid((4, 6, 8), (5.0, 7.0, 9.0))
+        eta = random_nonvanishing_spinor(grid, rng, amplitude=0.5, max_mode=2)
+        s = _scalar_density(eta)[..., np.newaxis]
+        eps = np.finfo(float).eps
+        for sigma in [p.sigma_lower for p in sets] + [rng.normal(size=(3, 2, 2))
+                                                     + 1j * rng.normal(size=(3, 2, 2))]:
+            im_v = np.abs(_sandwich(eta, sigma, eta).imag)
+            assert np.all(im_v <= (_skew(sigma) + 8.0 * eps * np.abs(sigma).max()) * s)
+
+    def test_skew_exactly_at_tolerance_accepted(self):
+        # the diagonal of a build_pauli set is real: an imaginary part of
+        # exactly half the tolerance gives exactly the tolerance
+        pauli = build_pauli(Metric3.identity())
+        at = pauli.sigma_lower + np.diag([0.5e-13j, 0.0])
+        assert _skew(at) == 1e-13
+        dataclasses.replace(pauli, sigma_lower=at)
+        above = pauli.sigma_lower + np.diag([np.nextafter(0.5e-13, 1.0) * 1j, 0.0])
+        with pytest.raises(NotHermitian, match="not Hermitian"):
+            dataclasses.replace(pauli, sigma_lower=above)
 
 
 class TestSpectralPartial:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cosserat_weyl import (
     DegenerateDenominator,
     Metric3,
+    NotHermitian,
     SpinorField,
     TorusGrid,
     VanishingSpinor,
@@ -35,9 +36,7 @@ from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric
 from cosserat_weyl.spinor import (
     _axial_density,
     _check_nonvanishing,
-    _check_real_covector,
     _nonvanishing,
-    _sandwich,
     _scalar_density,
     _stationary_density,
     _vanishing,
@@ -137,10 +136,7 @@ def _per_probe_fd(eta, p0, pauli, metric, grid, dofs):
         lo = order[1] if order[0] == flat_p else order[0]
         hi = order[-2] if order[-1] == flat_p else order[-1]
         for k in range(2):
-            at_p = eta_pm[k, 0]
             _check_nonvanishing(np.array([s_pm[k, 0], s_flat[lo], s_flat[hi]]))
-            _check_real_covector(_sandwich(at_p, pauli.sigma_lower, at_p),
-                                 max(s_pm[k, 0], s_flat[hi], np.finfo(float).tiny))
         axial = _axial_density(eta_pm, slash_pm)
         lag_pm = _stationary_density(s_pm, axial, p0, metric)
         grad = integrate(lag_pm[0] - lag_pm[1], grid) / (2.0 * step)
@@ -372,11 +368,9 @@ class TestLocalFiniteDifferences:
         near_zero[2, 5, 7] *= 1e-7
         with pytest.raises(VanishingSpinor):
             el_residual(near_zero, 0.8, pauli, metric, grid8, mode="fd", probes=8)
-        complex_v = dataclasses.replace(pauli, sigma_lower=1j * pauli.sigma_lower)
-        for fd in (_fd_gradient_at_dofs, _full_grid_fd):
-            with pytest.raises(ValueError, match="reality check"):
-                fd(eta, 0.8, complex_v, metric, grid8,
-                   tuple(a[:1] for a in _edge_dofs(grid8)))
+        # a set with complex v cannot be built, so no probe checks v
+        with pytest.raises(NotHermitian):
+            dataclasses.replace(pauli, sigma_lower=1j * pauli.sigma_lower)
 
     @pytest.mark.parametrize("amplitude,raises", [(1.0, False), (10.0, True)])
     def test_vanishing_floor_is_relative_to_perturbed_field(self, grid8, amplitude,
@@ -511,23 +505,24 @@ class TestBatchedProbes:
                 assert np.isfinite(fd(*args)).all()
 
     def test_first_failing_probe_sets_the_error(self, grid8):
-        # with a complex sigma_lower every probe fails the reality check;
-        # the plus probe of Re eta_1 at p, where eta = (-v, 0) with
-        # v = step(v), fails the floor before it
+        # the plus probes of Re eta_1 at p and at q both fail the floor,
+        # each with its own min s: at p, where eta = (-v, 0) with
+        # v = step(v), s drops to 0; at q, where eta = (-1.001 v, 0), to
+        # (0.001 c)^2, about 3.7e-17. The probe given first raises.
         c = float(np.cbrt(np.finfo(float).eps))
+        v = c / (1.0 - c)
         eta = np.zeros(grid8.shape + (2,), dtype=complex)
         eta[..., 0] = 1.0
-        p = (1, 6, 2)
-        eta[p + (0,)] = -c / (1.0 - c)
+        p, q = (1, 6, 2), (0, 0, 0)
+        eta[p + (0,)] = -v
+        eta[q + (0,)] = -1.001 * v
         metric = Metric3.identity()
-        pauli = build_pauli(metric)
-        complex_v = dataclasses.replace(pauli, sigma_lower=1j * pauli.sigma_lower)
-        other = ((0, 0, 0), 1, 0)
+        args = (eta, 0.8, build_pauli(metric), metric, grid8)
         for fd in (_fd_gradient_at_dofs, _per_probe_fd):
-            with pytest.raises(VanishingSpinor):
-                fd(eta, 0.8, complex_v, metric, grid8, _as_dofs([(p, 0, 0), other]))
-            with pytest.raises(ValueError, match="reality check"):
-                fd(eta, 0.8, complex_v, metric, grid8, _as_dofs([other, (p, 0, 0)]))
+            for first, min_s in ((p, r"0\.000e\+00,"), (q, r"3\.66.e-17,")):
+                second = q if first == p else p
+                with pytest.raises(VanishingSpinor, match=f"min s = {min_s}"):
+                    fd(*args, _as_dofs([(first, 0, 0), (second, 0, 0)]))
 
     def test_stencil_built_once_per_grid(self, monkeypatch):
         calls = []

@@ -107,6 +107,14 @@ def _check_seed(seed) -> None:
         raise ConfigError(f"--seed must be non-negative, got {seed}")
 
 
+def _check_output_dirs(args) -> None:
+    """Reject, before any work, an output path whose directory is missing."""
+    for key in ("out", "eta_out", "density_csv"):
+        path = getattr(args, key, None)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"--{key.replace('_', '-')} {path}: its directory does not exist")
+
+
 def _canonical_config(args, grid, metric=None) -> dict:
     cfg = {
         "command": args.command,
@@ -180,10 +188,10 @@ def _cmd_planewave(args) -> int:
                           f"N/2 of its axis, at most {list(highest)} here")
     branch = {"+": 1, "-": -1}[args.branch]
     spec, field = planewave_solution(k, branch, metric, grid)
-    if args.eta_out:
-        write_field(args.eta_out, "spinor", field.eta, grid)
     # the wave solves the sign-+1 equation at its signed p0 (PlaneWaveSpec)
     res, lag = _residuals(field, spec.p0, 1, metric)
+    if args.eta_out:
+        write_field(args.eta_out, "spinor", field.eta, grid)
     if args.density_csv:
         write_scalar_csv(args.density_csv, lag, grid)
     report = {
@@ -263,6 +271,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except (ModelError, OSError) as exc:  # OSError: an output path cannot be written
         print(f"error: {exc}", file=sys.stderr)

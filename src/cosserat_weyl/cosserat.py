@@ -4,23 +4,21 @@ A coframe is stored as an array of shape ``(3,) + dims + (3,)``:
 ``theta[j]`` is the j-th covector field. A coframe velocity (the time
 derivatives of the three covectors) has the same shape. Density is a
 positive scalar field of shape ``dims``.
+
+The energies take form norms in the coframe's induced metric
+g = Theta^T Theta (Theta the frame matrix, rows theta^j). It equals the
+prescribed metric on admissible coframes, and only it makes P exactly
+conformally invariant (e^h theta is orthonormal for e^{2h} g, not g).
+No per-point metric is built: det g = tau^2 with tau = theta^1 . theta^2
+x theta^3, and a 2-form W has W^T g W = sum_j (theta^j . W)^2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonPositiveDensity
-from .geometry import (
-    Metric3,
-    TorusGrid,
-    _norm2_2form,
-    _norm2_3form,
-    exterior_derivative,
-    integrate,
-    wedge_1_1,
-    wedge_1_2,
-)
+from .errors import DegenerateDenominator, NonPositiveDensity
+from .geometry import Metric3, TorusGrid, exterior_derivative, integrate, wedge_1_1, wedge_1_2
 
 
 def check_density(rho: np.ndarray) -> None:
@@ -30,24 +28,6 @@ def check_density(rho: np.ndarray) -> None:
 
 # the entries a <= b of a symmetric 3x3 matrix
 _GRAM_PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]
-
-
-def _gram(theta: np.ndarray) -> np.ndarray:
-    """Pointwise metric induced by the coframe,
-    delta_jk theta^j_a theta^k_b.
-
-    For an admissible coframe this equals the prescribed metric. The
-    energetics below measure form norms against the induced metric:
-    the two agree on admissible coframes, and only the induced one
-    makes the potential energy exactly conformally invariant under
-    theta -> e^h theta, rho -> e^{2h} rho (the rescaled coframe is
-    orthonormal for e^{2h} g, not for g).
-    """
-    # six explicit sums, mirrored: the einsum's bits in two thirds of its time
-    gram = np.empty(theta.shape[1:] + (3,), dtype=theta.dtype)
-    for a, b in _GRAM_PAIRS:
-        gram[..., a, b] = gram[..., b, a] = _gram_entry(theta, a, b)
-    return gram
 
 
 def _gram_entry(theta: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -64,9 +44,16 @@ def _triple_product(theta: np.ndarray) -> np.ndarray:
 
 
 def _induced_det(theta: np.ndarray) -> np.ndarray:
-    """Determinant of the induced metric. The energetics need no inverse
-    of the induced metric: the 2-form norm is W^T g W / det g."""
-    return _triple_product(theta) ** 2
+    """det g = tau^2 of the induced metric. Raises DegenerateDenominator
+    unless it is a finite normal float at every point, as Metric3 does
+    for det g: a degenerate or out-of-range coframe has NaN energies."""
+    with np.errstate(all="ignore"):  # overflow, underflow and NaN are rejected below
+        det = _triple_product(theta) ** 2
+        lo, hi = det.min(), det.max()
+    if not (np.finfo(float).tiny <= lo and hi < np.inf):
+        raise DegenerateDenominator(f"induced metric determinant spans [{lo:.3e}, {hi:.3e}]: "
+                                    "not a finite normal float at every point")
+    return det
 
 
 def orthonormality_residual(theta: np.ndarray, metric: Metric3) -> np.ndarray:
@@ -91,6 +78,12 @@ def axial_torsion(theta: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return f / 3.0
 
 
+def _potential_density(theta: np.ndarray, grid: TorusGrid, det_ind: np.ndarray) -> np.ndarray:
+    """Pointwise |T_ax|^2 = f^2 / det g_ind, f the axial torsion."""
+    f = axial_torsion(theta, grid)
+    return f * f / det_ind
+
+
 def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
                      grid: TorusGrid) -> float:
     """P = integral of |T_ax|^2 rho over the torus.
@@ -99,8 +92,7 @@ def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
     admissible coframes), so P is exactly conformally invariant.
     """
     check_density(rho)
-    f = axial_torsion(theta, grid)
-    return integrate(_norm2_3form(f, _induced_det(theta)) * rho, grid)
+    return integrate(_potential_density(theta, grid, _induced_det(theta)) * rho, grid)
 
 
 def conformal_rescale(theta: np.ndarray, rho: np.ndarray, h: np.ndarray):
@@ -118,14 +110,19 @@ def kinetic_2form(theta: np.ndarray, dtheta0: np.ndarray) -> np.ndarray:
     return omega / 3.0
 
 
+def _norm2_2form(omega: np.ndarray, theta: np.ndarray, det_ind: np.ndarray) -> np.ndarray:
+    """Pointwise (1/2!) w_ab w_cd g^ac g^bd in the induced metric g: the
+    metric on 2-forms is g / det g, so this is sum_j (theta^j . W)^2 / det g."""
+    return sum(wedge_1_2(theta_j, omega) ** 2 for theta_j in theta) / det_ind
+
+
 def kinetic_energy(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
                    metric: Metric3, grid: TorusGrid) -> float:
     """K = integral of |theta_dot|^2 rho over the torus (induced-metric
     norm, as in `potential_energy`)."""
     check_density(rho)
-    omega = kinetic_2form(theta, dtheta0)
-    norm2 = _norm2_2form(omega, _gram(theta), _induced_det(theta))
-    return integrate(norm2 * rho, grid)
+    det_ind = _induced_det(theta)
+    return integrate(_norm2_2form(kinetic_2form(theta, dtheta0), theta, det_ind) * rho, grid)
 
 
 def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
@@ -134,6 +131,6 @@ def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
     (|T_ax|^2 - |theta_dot|^2) rho; its integral is P - K."""
     check_density(rho)
     det_ind = _induced_det(theta)
-    potential = _norm2_3form(axial_torsion(theta, grid), det_ind)
-    kinetic = _norm2_2form(kinetic_2form(theta, dtheta0), _gram(theta), det_ind)
+    potential = _potential_density(theta, grid, det_ind)
+    kinetic = _norm2_2form(kinetic_2form(theta, dtheta0), theta, det_ind)
     return (potential - kinetic) * rho

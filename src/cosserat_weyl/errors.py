@@ -31,7 +31,10 @@ class ZeroFrequency(ModelError):
 
 
 class DegenerateDenominator(ModelError):
-    """Denominator of the factorisation identity is below threshold."""
+    """Denominator of the factorisation identity is below threshold, or
+    the determinant of a coframe's induced metric is not a finite normal
+    float at every point (a degenerate coframe, or one scaled out of
+    range)."""
 
 
 class ZeroWavevector(ModelError):

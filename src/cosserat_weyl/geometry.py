@@ -1,5 +1,5 @@
 """Geometric substrate: constant metric, periodic grid, metric-adapted
-Pauli matrices, spectral differentiation, form norms and integration.
+Pauli matrices, spectral differentiation, wedges and integration.
 
 Conventions used throughout the package:
 
@@ -11,7 +11,8 @@ Conventions used throughout the package:
 * a 3-form is stored by the single coefficient f of f dx1^dx2^dx3;
 * a spinor field has shape ``dims + (2,)``, complex128;
 * the 2-form norm uses the 1/2! convention,
-  ``|w|^2 = (1/2) w_ab w_cd g^ac g^bd``;
+  ``|w|^2 = (1/2) w_ab w_cd g^ac g^bd`` (the coframe energetics take it
+  in the coframe's induced metric, in frame components: see cosserat);
 * dx1^dx2^dx3 is the positive orientation.
 """
 
@@ -53,9 +54,11 @@ class Metric3:
         if not np.allclose(g, g.T, rtol=0.0, atol=1e-13):
             raise MetricNotSPD("metric matrix is not symmetric")
         g = 0.5 * (g + g.T)
-        eigvals = np.linalg.eigvalsh(g)
-        if eigvals[0] <= 0.0:
-            raise MetricNotSPD(f"metric is not positive definite, eigenvalues {eigvals}")
+        try:  # Cholesky, unlike eigvalsh, keeps a tiny pivot such as 1e-309 beside 1e300
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise MetricNotSPD("metric is not positive definite, eigenvalues "
+                               f"{np.linalg.eigvalsh(g)}") from None
         with np.errstate(all="ignore"):  # overflow and underflow are rejected below
             g_upper, det_g = np.linalg.inv(g), float(np.linalg.det(g))
         if not (np.finfo(float).tiny <= det_g < np.inf and np.isfinite(g_upper).all()):
@@ -251,25 +254,6 @@ def wedge_1_2(a: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Wedge of a covector with a 2-form: coefficient of dx1^dx2^dx3,
     a_1 w_23 + a_2 w_31 + a_3 w_12."""
     return np.einsum("...i,...i->...", a, omega)
-
-
-def _norm2_2form(omega: np.ndarray, g_lower: np.ndarray, det_g) -> np.ndarray:
-    """Pointwise squared norm (1/2!) w_ab w_cd g^ac g^bd as
-    W^T g W / det g, with W = (w_23, w_31, w_12) and g either one 3x3
-    matrix or one per point (shape (..., 3, 3), det_g of shape (...)).
-
-    In three dimensions the pairs (ab) = (23), (31), (12) index W, and
-    the induced inverse metric on 2-forms is the cofactor matrix of
-    g^-1, which is g / det g.
-    """
-    gw = np.matmul(g_lower, omega[..., np.newaxis])[..., 0]
-    return np.sum(gw * omega, axis=-1) / det_g
-
-
-def _norm2_3form(f: np.ndarray, det_g) -> np.ndarray:
-    """Pointwise squared norm f^2 / det g of f dx1^dx2^dx3, with det_g
-    one number or one per point."""
-    return f * f / det_g
 
 
 def integrate(field: np.ndarray, grid: TorusGrid) -> float:

@@ -63,6 +63,9 @@ class TestExitCodes:
             (["verify", "fierz", "--box", "nan,1,1", *SMALL], "box"),
             (["verify", "fierz", "--box", "inf,1,1", *SMALL], "box"),
             (["verify", "conformal", "--h", "1e999", *SMALL], "finite"),
+            # a scale whose coframe's induced determinant under- or overflows
+            (["verify", "conformal", "--h", "1e-100", *SMALL], "finite normal"),
+            (["verify", "conformal", "--h", "1e100", *SMALL], "finite normal"),
             (["planewave", "--k", "1,0,0", "--metric", "diag:inf,1,1", *SMALL], "finite"),
             (["theorem", "--n", "1", "--metric", "diag:inf,1,1", *SMALL], "finite"),
             (["planewave", "--k", "1,0,0", "--metric", "diag:nan,1,1", *SMALL], "finite"),
@@ -114,6 +117,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
         assert not path.parent.exists()
+
+    def test_missing_output_directory_rejected_before_work(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # each output's directory is checked before the job runs, so a
+        # missing one wastes no work and leaves no other output behind
+        def never(*args, **kwargs):
+            raise AssertionError("the job ran")
+
+        monkeypatch.setattr(cli_module, "planewave_solution", never)
+        monkeypatch.setattr(cli_module, "theorem_witness_suite", never)
+        monkeypatch.setitem(cli_module.VERIFIERS, "fierz", never)
+        eta, missing = tmp_path / "e.cwf", tmp_path / "missing"
+        for argv, option in (
+            (["planewave", "--k", "1,0,0", "--eta-out", str(eta),
+              "--density-csv", str(missing / "d.csv")], "--density-csv"),
+            (["planewave", "--k", "1,0,0", "--eta-out", str(missing / "e.cwf")], "--eta-out"),
+            (["theorem", "--n", "1", "--out", str(missing / "r.json")], "--out"),
+            (["verify", "fierz", "--out", str(missing / "r.json")], "--out"),
+        ):
+            assert main(argv + SMALL) == 2, argv
+            assert f"error: {option} " in capsys.readouterr().err, argv
+        assert not eta.exists() and not missing.exists()
 
     def test_verify_rejects_metric(self, capsys):
         # every suite draws its own metrics, so a given one would be ignored

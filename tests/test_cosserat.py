@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cosserat_weyl import (
+    DegenerateDenominator,
     Metric3,
     NonPositiveDensity,
     TorusGrid,
@@ -16,7 +17,7 @@ from cosserat_weyl import (
     orthonormality_residual,
     potential_energy,
 )
-from cosserat_weyl.cosserat import _gram, _induced_det
+from cosserat_weyl.cosserat import _GRAM_PAIRS, _gram_entry, _induced_det
 from cosserat_weyl.sampling import random_spd_metric, rotating_coframe
 
 TWO_PI = 2.0 * np.pi
@@ -27,6 +28,11 @@ def _identity_coframe(grid):
     for j in range(3):
         theta[j, ..., j] = 1.0
     return theta
+
+
+def _einsum_gram(theta):
+    """Test-local oracle of the induced metric delta_jk theta^j_a theta^k_b."""
+    return np.einsum("j...a,j...b->...ab", theta, theta)
 
 
 class TestOrthonormality:
@@ -44,7 +50,7 @@ class TestOrthonormality:
     def test_induced_metric_matches_prescribed(self, grid8, identity_metric):
         x3 = grid8.coords()[2]
         theta = rotating_coframe(grid8, 2.0 * x3)
-        g_ind, det_ind = _gram(theta), _induced_det(theta)
+        g_ind, det_ind = _einsum_gram(theta), _induced_det(theta)
         g_ind_upper = np.linalg.inv(g_ind)
         assert np.abs(g_ind - np.eye(3)).max() <= 1e-14
         assert np.abs(g_ind_upper - np.eye(3)).max() <= 1e-13
@@ -55,11 +61,13 @@ class TestOrthonormality:
         rng = np.random.default_rng(len(shape))
         for scale in (1e-3, 1.0, 1e4):
             theta = scale * rng.normal(size=(3,) + shape + (3,))
-            gram = _gram(theta)
-            oracle = np.einsum("j...a,j...b->...ab", theta, theta)
-            assert gram.shape == shape + (3, 3)
-            assert np.abs(gram - oracle).max() <= 1e-15 * np.abs(theta).max() ** 2
-            assert np.array_equal(gram, np.swapaxes(gram, -1, -2))
+            oracle = _einsum_gram(theta)
+            for a, b in _GRAM_PAIRS:
+                entry = _gram_entry(theta, a, b)
+                assert entry.shape == shape
+                assert np.abs(entry - oracle[..., a, b]).max() \
+                    <= 1e-15 * np.abs(theta).max() ** 2
+                assert np.array_equal(entry, _gram_entry(theta, b, a))
 
     @pytest.mark.parametrize("shape", [(8, 8, 8), (4, 6, 10)])
     def test_residual_matches_full_gram_oracle(self, shape):
@@ -67,7 +75,7 @@ class TestOrthonormality:
         metric = random_spd_metric(rng)
         for scale in (1e-3, 1.0, 1e4):
             theta = scale * rng.normal(size=(3,) + shape + (3,))
-            oracle = np.abs(_gram(theta) - metric.g_lower).max(axis=(-2, -1))
+            oracle = np.abs(_einsum_gram(theta) - metric.g_lower).max(axis=(-2, -1))
             res = orthonormality_residual(theta, metric)
             assert res.shape == shape
             assert np.array_equal(res, oracle)  # bit for bit
@@ -142,6 +150,28 @@ class TestEnergies:
             potential_energy(theta, rho, identity_metric, grid8)
         with pytest.raises(NonPositiveDensity):
             kinetic_energy(theta, np.zeros_like(theta), rho, identity_metric, grid8)
+
+    def test_rejects_degenerate_or_out_of_range_coframe(self, grid8, identity_metric):
+        # det g_ind = tau^2 must be a finite normal float at every point:
+        # theta^1 = theta^2 gives 0, and scales 1e-100 and 1e100 under-
+        # and overflow it; each would make the energies NaN
+        degenerate = rotating_coframe(grid8, grid8.coords()[2])
+        degenerate[1] = degenerate[0]
+        rho = np.ones(grid8.shape)
+        for theta in (degenerate, 1e-100 * _identity_coframe(grid8),
+                      1e100 * _identity_coframe(grid8)):
+            dtheta0 = np.ones_like(theta)
+            for energy in (lambda: potential_energy(theta, rho, identity_metric, grid8),
+                           lambda: kinetic_energy(theta, dtheta0, rho, identity_metric, grid8),
+                           lambda: lagrangian_coframe(theta, dtheta0, rho, identity_metric,
+                                                      grid8)):
+                with pytest.raises(DegenerateDenominator, match="not a finite normal float"):
+                    energy()
+        # one degenerate point suffices
+        theta = _identity_coframe(grid8)
+        theta[1, 3, 2, 1] = theta[0, 3, 2, 1]
+        with pytest.raises(DegenerateDenominator):
+            potential_energy(theta, rho, identity_metric, grid8)
 
 
 class TestConformal:

@@ -19,11 +19,11 @@ from cosserat_weyl import (
     integrate,
     spectral_partial,
 )
-from cosserat_weyl.cosserat import _gram, _induced_det, kinetic_2form, kinetic_energy
-from cosserat_weyl.geometry import (PAULI_1, PAULI_2, PAULI_3, _norm2_2form, _norm2_3form,
-                                    _plane_wave)
+from cosserat_weyl.cosserat import (_induced_det, _norm2_2form, _potential_density,
+                                    kinetic_2form, kinetic_energy)
+from cosserat_weyl.geometry import PAULI_1, PAULI_2, PAULI_3, _plane_wave
 from cosserat_weyl.sampling import (random_bandlimited_scalar, random_nonvanishing_spinor,
-                                    random_spd_metric)
+                                    random_spd_metric, rotating_coframe)
 from cosserat_weyl.spinor import _sandwich, _scalar_density
 
 TWO_PI = 2.0 * np.pi
@@ -43,7 +43,7 @@ class TestMetric3:
             assert m.det_g > 0.0
 
     def test_rejects_non_spd(self):
-        with pytest.raises(MetricNotSPD):
+        with pytest.raises(MetricNotSPD, match=r"not positive definite, eigenvalues \[-1"):
             Metric3.from_matrix(np.diag([1.0, -1.0, 1.0]))
         with pytest.raises(MetricNotSPD):
             Metric3.from_matrix([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
@@ -54,7 +54,8 @@ class TestMetric3:
                 Metric3.from_matrix(np.diag([bad, 1.0, 1.0]))
         # finite SPD entries whose determinant or inverse overflows or
         # underflows (a subnormal determinant included)
-        for diag in ([1e300] * 3, [1e-200] * 3, [1.0, 1.0, 1e-320], [1e10, 1e10, 1e-309]):
+        for diag in ([1e300] * 3, [1e-200] * 3, [1.0, 1.0, 1e-320], [1e10, 1e10, 1e-309],
+                     [1.0, 1e300, 1e-309]):
             with pytest.raises(MetricNotSPD, match="not a finite normal float"):
                 Metric3.from_matrix(np.diag(diag))
 
@@ -306,34 +307,51 @@ class TestExteriorDerivative:
         assert np.abs(exterior_derivative(grad, grid8)).max() <= 1e-12
 
 
+def _constant_coframe(grid, frame):
+    """The coframe whose j-th covector is row j of ``frame`` at every point."""
+    return np.broadcast_to(np.asarray(frame)[:, np.newaxis, np.newaxis, np.newaxis, :],
+                           (3,) + grid.shape + (3,))
+
+
+def _einsum_gram(theta):
+    """Test-local oracle of the induced metric delta_jk theta^j_a theta^k_b."""
+    return np.einsum("j...a,j...b->...ab", theta, theta)
+
+
 class TestFormNorms:
-    def test_constant_3form(self, grid8, identity_metric):
-        f = np.full(grid8.shape, 2.0 / 3.0)
-        # f^2 / det g by hand
-        assert np.abs(_norm2_3form(f, identity_metric.det_g) - 4.0 / 9.0).max() <= 1e-15
+    """The coframe energetics' form norms, taken in the induced metric."""
+
+    def test_constant_3form(self, grid8):
+        # rotating coframe angle x3: f = -2/3, det g_ind = 1, so f^2 / det g = 4/9
+        theta = rotating_coframe(grid8, grid8.coords()[2])
+        norm2 = _potential_density(theta, grid8, _induced_det(theta))
+        assert np.abs(norm2 - 4.0 / 9.0).max() <= 1e-15
 
     def test_3form_metric_scaling(self, grid8):
-        # g -> c g scales det by c^3, hence the squared norm by c^-3
+        # theta -> sqrt(c) theta takes g_ind to c g_ind: det by c^3 and
+        # f by c, hence the squared norm by c^-1
         rng = np.random.default_rng(1)
-        base = random_spd_metric(rng)
+        mix = np.linalg.cholesky(random_spd_metric(rng).g_lower)
+        theta = np.einsum("jk,k...->j...", mix, rotating_coframe(grid8, grid8.coords()[2]))
         c = 1.7
-        scaled = Metric3.from_matrix(c * base.g_lower)
-        f = random_bandlimited_scalar(grid8, rng)
-        ratio = _norm2_3form(f, scaled.det_g) / _norm2_3form(f, base.det_g).clip(1e-300)
-        assert np.abs(ratio - c**-3).max() <= 1e-12
+        scaled = np.sqrt(c) * theta
+        ratio = (_potential_density(scaled, grid8, _induced_det(scaled))
+                 / _potential_density(theta, grid8, _induced_det(theta)).clip(1e-300))
+        assert np.abs(ratio - 1.0 / c).max() <= 1e-12
 
-    def test_zero_forms(self, grid8, identity_metric):
-        zero2 = np.zeros(grid8.shape + (3,))
-        zero3 = np.zeros(grid8.shape)
-        g, det_g = identity_metric.g_lower, identity_metric.det_g
-        assert np.abs(_norm2_2form(zero2, g, det_g)).max() == 0.0
-        assert np.abs(_norm2_3form(zero3, det_g)).max() == 0.0
+    def test_zero_forms(self, grid8):
+        theta = _constant_coframe(grid8, np.eye(3))
+        det_ind = _induced_det(theta)
+        assert np.abs(_norm2_2form(np.zeros(grid8.shape + (3,)), theta, det_ind)).max() == 0.0
+        # a constant coframe has no torsion
+        assert np.abs(_potential_density(theta, grid8, det_ind)).max() == 0.0
 
-    def test_2form_identity_metric(self, grid8, identity_metric):
+    def test_2form_identity_metric(self, grid8):
         # single component w_12 = 3: (1/2)(w_12^2 + w_21^2) = 9
         omega = np.zeros(grid8.shape + (3,))
         omega[..., 2] = 3.0
-        norm2 = _norm2_2form(omega, identity_metric.g_lower, identity_metric.det_g)
+        theta = _constant_coframe(grid8, np.eye(3))
+        norm2 = _norm2_2form(omega, theta, _induced_det(theta))
         assert np.abs(norm2 - 9.0).max() <= 1e-14
 
 
@@ -348,6 +366,23 @@ def _norm2_2form_full(omega, g_upper):
     return 0.5 * np.einsum("...ab,...cd,...ac,...bd->...", full, full, g_upper, g_upper)
 
 
+def _random_frames(rng, shape, scale, cond):
+    """Per point scale * U diag(sigma) V^T, U and V random rotations or
+    reflections and sigma log-uniform in [1, sqrt(cond)] with both ends
+    taken, so the induced metric has condition number cond; theta^1
+    flips sign at random points, so both handednesses occur."""
+    n = int(np.prod(shape))
+    u, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    sigma = np.exp(rng.uniform(0.0, 0.5 * np.log(cond), size=(n, 3)))
+    sigma[:, 0], sigma[:, 2] = 1.0, np.sqrt(cond)
+    frames = scale * (u * sigma[:, np.newaxis, :]) @ np.swapaxes(v, -1, -2)
+    sign = rng.choice([-1.0, 1.0], size=n)
+    sign[:2] = (-1.0, 1.0)
+    frames[:, 0] *= sign[:, np.newaxis]
+    return np.moveaxis(frames.reshape(shape + (3, 3)), -2, 0)
+
+
 class TestTwoFormNormOracle:
     def test_random_spd_metrics(self, grid8):
         rng = np.random.default_rng(17)
@@ -355,10 +390,27 @@ class TestTwoFormNormOracle:
             # the draws of random_spd_metric, with eigenvalues in [0.05, 20]
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             metric = Metric3.from_matrix(q @ np.diag(rng.uniform(0.05, 20.0, size=3)) @ q.T)
+            # the constant coframe Theta = L^T, g = L L^T, induces the metric
+            theta = _constant_coframe(grid8, np.linalg.cholesky(metric.g_lower).T)
             omega = rng.normal(size=grid8.shape + (3,))
             oracle = _norm2_2form_full(omega, metric.g_upper)
-            assert np.abs(_norm2_2form(omega, metric.g_lower, metric.det_g) - oracle).max() \
+            assert np.abs(_norm2_2form(omega, theta, _induced_det(theta)) - oracle).max() \
                 <= 1e-13 * np.abs(oracle).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([(4, 4, 4), (12, 16, 8), (4, 6, 8)]),
+           st.floats(-3.0, 3.0), st.floats(0.0, 3.0))
+    @example(0, (4, 4, 4), -3.0, 3.0)
+    @example(1, (12, 16, 8), 3.0, 3.0)
+    def test_frame_components_match_full_oracle(self, seed, shape, log_scale, log_cond):
+        # the induced metric's condition number stays <= 1e3: the oracle
+        # inverts it, so its own rounding grows with that number
+        rng = np.random.default_rng(seed)
+        theta = _random_frames(rng, shape, 10.0**log_scale, 10.0**log_cond)
+        omega = rng.normal(size=shape + (3,))
+        oracle = _norm2_2form_full(omega, np.linalg.inv(_einsum_gram(theta)))
+        norm2 = _norm2_2form(omega, theta, _induced_det(theta))
+        assert np.abs(norm2 - oracle).max() <= 1e-12 * oracle.max()
 
     def test_induced_metrics(self, grid8):
         # per-point metrics of random (non-orthonormal) coframes, as the
@@ -368,11 +420,10 @@ class TestTwoFormNormOracle:
             + 0.2 * rng.normal(size=(3,) + grid8.shape + (3,))
         dtheta0 = rng.normal(size=theta.shape)
         rho = 1.0 + 0.5 * rng.uniform(size=grid8.shape)
-        g_ind, det_ind = _gram(theta), _induced_det(theta)
-        g_ind_upper = np.linalg.inv(g_ind)
+        g_ind, det_ind = _einsum_gram(theta), _induced_det(theta)
         omega = kinetic_2form(theta, dtheta0)
-        oracle = _norm2_2form_full(omega, g_ind_upper)
-        assert np.abs(_norm2_2form(omega, g_ind, det_ind) - oracle).max() \
+        oracle = _norm2_2form_full(omega, np.linalg.inv(g_ind))
+        assert np.abs(_norm2_2form(omega, theta, det_ind) - oracle).max() \
             <= 1e-12 * np.abs(oracle).max()
         k_oracle = integrate(oracle * rho, grid8)
         k = kinetic_energy(theta, dtheta0, rho, Metric3.identity(), grid8)

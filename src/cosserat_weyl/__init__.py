@@ -69,6 +69,7 @@ from .weyl import (
     el_gradient,
     el_gradient_fd_check,
     el_residual,
+    el_residual_fd,
     planewave_solution,
     theorem_witness_suite,
     weyl_residual,

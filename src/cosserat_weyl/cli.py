@@ -146,10 +146,9 @@ def _finish(report: dict, args) -> int:
     return 0 if report.get("verdict") == "pass" else 1
 
 
-# verify option -> the suite keyword that honours it. No suite takes a
-# metric: each draws its own, and conformal uses the identity.
-_VERIFY_KEYWORDS = {"seed": "seed", "cases": "n_cases", "h": "h_field",
-                    "metric": "metric"}
+# verify option -> the suite keyword that honours it. verify has no
+# --metric: each suite draws its own, and conformal uses the identity.
+_VERIFY_KEYWORDS = {"seed": "seed", "cases": "n_cases", "h": "h_field"}
 
 
 def _cmd_verify(args) -> int:
@@ -234,9 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         if metric:
             p.add_argument("--metric", default="identity",
                            help="identity | diag:a,b,c | full:g11,g12,g13,g22,g23,g33")
-        else:
-            # parsed only so that _cmd_verify can reject it with exit code 2
-            p.add_argument("--metric", help=argparse.SUPPRESS)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run a named invariant suite")

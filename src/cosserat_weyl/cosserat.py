@@ -22,8 +22,11 @@ from .geometry import Metric3, TorusGrid, exterior_derivative, integrate, wedge_
 
 
 def check_density(rho: np.ndarray) -> None:
-    if np.min(rho) <= 0.0:
-        raise NonPositiveDensity(f"density must be positive, min = {np.min(rho)}")
+    """Raise NonPositiveDensity unless every value of rho is finite and
+    above zero."""
+    lo, hi = np.min(rho), np.max(rho)
+    if not (0.0 < lo and hi < np.inf):  # a NaN, propagated by min and max, fails both
+        raise NonPositiveDensity(f"density must be finite and positive, spans [{lo}, {hi}]")
 
 
 # the entries a <= b of a symmetric 3x3 matrix
@@ -98,7 +101,8 @@ def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
 def conformal_rescale(theta: np.ndarray, rho: np.ndarray, h: np.ndarray):
     """Rescale theta^j -> e^h theta^j and rho -> e^{2h} rho."""
     eh = np.exp(h)
-    return theta * eh[np.newaxis, ..., np.newaxis], rho * eh * eh
+    with np.errstate(over="ignore"):  # an infinite density fails check_density
+        return theta * eh[np.newaxis, ..., np.newaxis], rho * eh * eh
 
 
 def kinetic_2form(theta: np.ndarray, dtheta0: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ class InvalidAxis(ModelError):
 
 
 class NonPositiveDensity(ModelError):
-    """Density field must be strictly positive."""
+    """Density field must be finite and strictly positive at every point."""
 
 
 class VanishingSpinor(ModelError):

@@ -8,10 +8,10 @@ spectral. Every derivative the model needs is sigma^a d_a of a field,
 applied as one Fourier symbol (`_dirac`); no per-axis gradient is built.
 
 The covector v_a = etabar sigma_a eta is quadratic in eta: it is one
-real 4x3 matrix applied to four real densities of eta
-(`_covector_map`, `_bilinear_covector`, `_covector`). It is real because
-a `PauliSet` is Hermitian, which the set checks once when it is built,
-and it is built only where a residual reads it.
+real 4x3 matrix applied to four real densities of eta, in one function
+(`_covector`). It is real because a `PauliSet` is Hermitian, which the
+set checks once when it is built, and it is built only where a residual
+reads it.
 """
 
 from __future__ import annotations
@@ -52,37 +52,26 @@ def _sandwich(eta: np.ndarray, sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
                      + e2 * (m[1, 0] * x1 + m[1, 1] * x2) for m in sigma], axis=-1)
 
 
-def _covector_map(sigma: np.ndarray) -> np.ndarray:
-    """The 4x3 matrix M with etabar sigma[n] eta = (d M)[n] for the
-    densities d of `_bilinear_covector`. Row by row,
-
-        etabar m eta = m00 d0 + m11 d1 + (m01 + m10) d2 + i (m01 - m10) d3,
-
-    so P = Re M gives Re v and Q = Im M gives Im v. Q is exactly zero
-    when each sigma[n] is exactly Hermitian, as every `build_pauli` set
-    is, bit for bit, and at most max |sigma[n] - sigma[n]^dagger| per
-    unit of s for any `PauliSet` (see there).
-    """
-    m00, m01, m10, m11 = sigma[:, 0, 0], sigma[:, 0, 1], sigma[:, 1, 0], sigma[:, 1, 1]
-    return np.array([m00, m11, m01 + m10, 1j * (m01 - m10)])
-
-
-def _bilinear_covector(eta: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """d m for the real densities
+def _covector(eta: np.ndarray, pauli: PauliSet) -> np.ndarray:
+    """v_a = etabar sigma_a eta, pointwise over any leading shape, as
+    d P for the real densities
     d = (|eta_1|^2, |eta_2|^2, Re etabar_1 eta_2, Im etabar_1 eta_2)
-    of eta, pointwise over any leading shape, and a 4x3 matrix m from
-    `_covector_map` (its real part gives the real covector v)."""
+    and the real 4x3 matrix P with rows, for m = sigma_a,
+
+        Re m00, Re m11, Re (m01 + m10), Im (m10 - m01).
+
+    That is the real part of etabar m eta = m00 d0 + m11 d1
+    + (m01 + m10) d2 + i (m01 - m10) d3. The imaginary part is at most
+    max |m - m^dagger| per unit of s, which a `PauliSet` bounds by
+    1e-13 when it is built, and is exactly zero for a `build_pauli` set."""
+    m = pauli.sigma_lower
+    rows = np.array([m[:, 0, 0].real, m[:, 1, 1].real, (m[:, 0, 1] + m[:, 1, 0]).real,
+                     (m[:, 1, 0] - m[:, 0, 1]).imag])
     e1, e2 = eta[..., 0], eta[..., 1]
     z = e1.conj() * e2
     d = np.stack([e1.real**2 + e1.imag**2, e2.real**2 + e2.imag**2, z.real, z.imag],
                  axis=-1)
-    return d @ m
-
-
-def _covector(eta: np.ndarray, pauli: PauliSet) -> np.ndarray:
-    """v_a = etabar sigma_a eta as d Re M, pointwise over any leading shape:
-    real, as |Im v| <= 1e-13 s for the Hermitian sigma_a of a `PauliSet`."""
-    return _bilinear_covector(eta, _covector_map(pauli.sigma_lower).real)
+    return d @ rows
 
 
 def _scalar_density(eta: np.ndarray) -> np.ndarray:

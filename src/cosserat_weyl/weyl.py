@@ -281,37 +281,40 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
 
 
 def el_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
-                metric: Metric3, grid: TorusGrid, mode: str = "analytic",
-                probes: int = 64, seed: int = 0) -> float:
+                metric: Metric3, grid: TorusGrid) -> float:
     """Scale-normalised max-norm of the gradient of the discrete
-    stationary action.
+    stationary action: the closed-form variational derivative
+    (`el_gradient`) at every grid point. It applies sigma^a d_a as one
+    Fourier symbol, to eta (shared with every other check of the field)
+    and to G eta."""
+    field = _field(eta, pauli, grid)
+    w = el_gradient(field, p0, pauli, metric, grid)
+    worst = max(np.abs(w.real).max(), np.abs(w.imag).max())
+    return float(worst) / _gradient_scale(field, p0, metric)
 
-    mode "analytic" evaluates the closed-form variational derivative at
-    every grid point; mode "fd" probes ``probes`` (at least 1) seeded
-    random real degrees of freedom with central differences of the
-    discrete action (step scaled by the cube root of machine epsilon).
-    Mode "analytic" applies sigma^a d_a as one Fourier symbol, to eta
-    (shared with every other check of the field) and to G eta. A probe
-    changes the density only on the three grid lines through its point,
-    so the probes cost O(N1 + N2 + N3) each on top of the field's
-    sigma^a d_a eta, which they perturb and do not recompute; they are
-    evaluated together, both signs at once, in one pass of array
-    operations per block of `_FD_BLOCK` probes (see
+
+def el_residual_fd(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
+                   metric: Metric3, grid: TorusGrid, probes: int = 64,
+                   seed: int = 0) -> float:
+    """`el_residual` from finite differences: the max-norm of the
+    gradient at ``probes`` (at least 1) seeded random real degrees of
+    freedom, each a central difference of the discrete action (step
+    scaled by the cube root of machine epsilon), with the same scale.
+
+    A probe changes the density only on the three grid lines through
+    its point, so the probes cost O(N1 + N2 + N3) each on top of the
+    field's sigma^a d_a eta, which they perturb and do not recompute;
+    they are evaluated together, both signs at once, in one pass of
+    array operations per block of `_FD_BLOCK` probes (see
     `_fd_gradient_at_dofs`). With sigma^a d_a eta at hand, 16 probes at
-    16^3 take about 0.35 ms and 64 about 0.75 ms, against 0.93 ms for one
-    `el_gradient` (`BENCH_17.json`: 2-CPU Xeon, numpy 2.4, minimum of
-    repeated calls after a CLI job has pinned the malloc thresholds).
+    16^3 take 0.35 ms (minimum) and 0.60 ms (median) of repeated calls,
+    against 0.93 ms for one `el_gradient` (`BENCH_17.json`: 2-CPU Xeon,
+    numpy 2.4, after a CLI job has pinned the malloc thresholds).
     """
     field = _field(eta, pauli, grid)
-    ref = _gradient_scale(field, p0, metric)
-    if mode == "analytic":
-        w = el_gradient(field, p0, pauli, metric, grid)
-        return float(max(np.abs(w.real).max(), np.abs(w.imag).max())) / ref
-    if mode == "fd":
-        dofs = _sample_dofs(field.eta, probes, seed)
-        values = _fd_gradient_at_dofs(field, p0, pauli, metric, grid, dofs)
-        return float(np.abs(values).max()) / ref
-    raise ValueError(f"mode must be 'analytic' or 'fd', got {mode!r}")
+    dofs = _sample_dofs(field.eta, probes, seed)
+    values = _fd_gradient_at_dofs(field, p0, pauli, metric, grid, dofs)
+    return float(np.abs(values).max()) / _gradient_scale(field, p0, metric)
 
 
 def el_gradient_fd_check(eta: np.ndarray | SpinorField, p0: float,
@@ -345,10 +348,10 @@ def _residuals(field: SpinorField, p0: float, sign: int, metric: Metric3,
     """
     pauli, grid = field.pauli, field.grid
     out = {"weyl_residual": weyl_residual_norm(field, p0, sign, pauli, grid),
-           "el_residual": el_residual(field, p0, pauli, metric, grid, mode="analytic")}
+           "el_residual": el_residual(field, p0, pauli, metric, grid)}
     if fd_seed is not None:
-        out["el_residual_fd"] = el_residual(field, p0, pauli, metric, grid, mode="fd",
-                                            probes=_FD_PROBES, seed=fd_seed)
+        out["el_residual_fd"] = el_residual_fd(field, p0, pauli, metric, grid,
+                                               probes=_FD_PROBES, seed=fd_seed)
     lag = lagrangian_stationary(field, p0, pauli, metric, grid)
     out["L_max"] = float(np.abs(lag).max())
     out["Lpm_max"] = float(np.abs(lagrangian_weyl(field, p0, sign, pauli, metric,

@@ -30,11 +30,13 @@ def pauli_identity(identity_metric):
 def count_calls(monkeypatch):
     """``count_calls(name, *modules)`` replaces the function ``name`` in
     each of ``modules`` (every module that binds it) by one wrapper, and
-    returns the list that wrapper appends one entry to per call."""
+    returns the list that wrapper appends one ``(args, kwargs)`` entry
+    to per call."""
     def patch(name, *modules):
         calls = []
         original = getattr(modules[0], name)
-        wrapper = lambda *args: calls.append(1) or original(*args)
+        wrapper = lambda *args, **kwargs: (calls.append((args, kwargs))
+                                           or original(*args, **kwargs))
         for module in modules:
             monkeypatch.setattr(module, name, wrapper)
         return calls

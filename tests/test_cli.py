@@ -46,9 +46,6 @@ class TestExitCodes:
     def test_config_errors_exit_2(self, tmp_path, capsys):
         for argv in (
             ["verify", "fierz", "--grid", "15,16,16"],
-            ["verify", "fierz", "--metric", "diag:1,2"],
-            ["verify", "fierz", "--metric", "full:1,2,3"],
-            ["verify", "fierz", "--metric", "bogus"],
             ["verify", "conformal", "--h", "tan(x1)", *SMALL],
             ["planewave", "--k", "0,0,0", *SMALL],
             ["planewave", "--k", "1,2", *SMALL],
@@ -66,6 +63,9 @@ class TestExitCodes:
             # a scale whose coframe's induced determinant under- or overflows
             (["verify", "conformal", "--h", "1e-100", *SMALL], "finite normal"),
             (["verify", "conformal", "--h", "1e100", *SMALL], "finite normal"),
+            # a scale whose rescaled density overflows to inf
+            (["verify", "conformal", "--h", "1e155", *SMALL], "density must be finite"),
+            (["verify", "conformal", "--h", "1e200", *SMALL], "density must be finite"),
             (["planewave", "--k", "1,0,0", "--metric", "diag:inf,1,1", *SMALL], "finite"),
             (["theorem", "--n", "1", "--metric", "diag:inf,1,1", *SMALL], "finite"),
             (["planewave", "--k", "1,0,0", "--metric", "diag:nan,1,1", *SMALL], "finite"),
@@ -141,11 +141,16 @@ class TestExitCodes:
         assert not eta.exists() and not missing.exists()
 
     def test_verify_rejects_metric(self, capsys):
-        # every suite draws its own metrics, so a given one would be ignored
+        # every suite draws its own metrics, so verify parses no --metric
         for argv in (["verify", "fierz", "--metric", "diag:1,4,9", *SMALL],
-                     ["verify", "conformal", "--metric", "identity", *SMALL]):
-            assert main(argv) == 2, argv
-            assert "--metric" in capsys.readouterr().err
+                     ["verify", "conformal", "--metric", "identity", *SMALL],
+                     ["verify", "fierz", "--metric", "diag:1,2"],
+                     ["verify", "fierz", "--metric", "full:1,2,3"],
+                     ["verify", "fierz", "--metric", "bogus"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "--metric" in capsys.readouterr().err, argv
 
     def test_removed_threads_option_rejected(self, capsys):
         # removed options exit 2 naming the option; --tol and --perturb

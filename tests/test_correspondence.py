@@ -185,10 +185,11 @@ class TestFrameToSpinor:
         theta[0, ..., 0] = -1.0
         theta[1, ..., 1] = -1.0
         theta[2, ..., 2] = 1.0
-        rho = np.ones(grid8.shape)
-        rho[0, 0, 0] = -1.0
-        with pytest.raises(NonPositiveDensity):
-            frame_to_spinor(theta, rho, pauli_identity, identity_metric)
+        for value in (-1.0, np.nan, np.inf, -np.inf):
+            rho = np.ones(grid8.shape)
+            rho[0, 0, 0] = value
+            with pytest.raises(NonPositiveDensity, match="finite and positive"):
+                frame_to_spinor(theta, rho, pauli_identity, identity_metric)
 
 
 class TestStationaryFramePath:

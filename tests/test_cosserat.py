@@ -143,13 +143,18 @@ class TestEnergies:
         assert integrate(lag, grid8) == pytest.approx(p - k, rel=1e-12)
 
     def test_rejects_nonpositive_density(self, grid8, identity_metric):
+        # a density must be finite and positive at every point
         theta = _identity_coframe(grid8)
-        rho = np.ones(grid8.shape)
-        rho[0, 0, 0] = 0.0
-        with pytest.raises(NonPositiveDensity):
-            potential_energy(theta, rho, identity_metric, grid8)
-        with pytest.raises(NonPositiveDensity):
-            kinetic_energy(theta, np.zeros_like(theta), rho, identity_metric, grid8)
+        dtheta0 = np.zeros_like(theta)
+        for value in (0.0, np.nan, np.inf, -np.inf):
+            rho = np.ones(grid8.shape)
+            rho[0, 0, 0] = value
+            with pytest.raises(NonPositiveDensity, match="finite and positive"):
+                potential_energy(theta, rho, identity_metric, grid8)
+            with pytest.raises(NonPositiveDensity, match="finite and positive"):
+                kinetic_energy(theta, dtheta0, rho, identity_metric, grid8)
+            with pytest.raises(NonPositiveDensity, match="finite and positive"):
+                lagrangian_coframe(theta, dtheta0, rho, identity_metric, grid8)
 
     def test_rejects_degenerate_or_out_of_range_coframe(self, grid8, identity_metric):
         # det g_ind = tau^2 must be a finite normal float at every point:

@@ -2,12 +2,14 @@
 factorisation identity, scaling covariance and the dynamic reduction."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cosserat_weyl.correspondence as correspondence_module
 import cosserat_weyl.spinor as spinor_module
 import cosserat_weyl.weyl as weyl_module
 from cosserat_weyl import (
@@ -26,6 +28,7 @@ from cosserat_weyl import (
     el_gradient,
     el_gradient_fd_check,
     el_residual,
+    el_residual_fd,
     factorization_residual,
     fierz_residual,
     lagrangian_dynamic,
@@ -40,7 +43,7 @@ from cosserat_weyl import (
     weyl_residual_norm,
 )
 from cosserat_weyl.geometry import spectral_partial
-from cosserat_weyl.spinor import _bilinear_covector, _covector_map, _dirac, _sandwich
+from cosserat_weyl.spinor import _covector, _dirac, _sandwich
 from cosserat_weyl.sampling import (
     random_bandlimited_scalar,
     random_nonvanishing_spinor,
@@ -362,9 +365,15 @@ class TestDiracSymbol:
                                   _dirac(eta.real.astype(complex), sigma, grid))
 
 
+def _covector_of(eta, sigma):
+    """`_covector` for any triple sigma, Hermitian or not, in the role
+    of sigma_lower."""
+    return _covector(eta, SimpleNamespace(sigma_lower=sigma))
+
+
 class TestCovectorMap:
-    """v_n = etabar sigma[n] eta as the real densities of eta times the
-    4x3 matrix of `_covector_map`, against the complex sandwich."""
+    """Re v_n = Re etabar sigma[n] eta as the real densities of eta times
+    the real 4x3 matrix of `_covector`, against the complex sandwich."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.tuples(*[st.integers(2, 8).map(lambda half: 2 * half)] * 3),
@@ -374,29 +383,27 @@ class TestCovectorMap:
     @example((4, 4, 4), (2.0 * np.pi,) * 3, 0, 0.0)
     @example((12, 16, 8), (5.0, 7.0, 9.0), 1, 6.0)
     @example((4, 6, 8), (5.0, 7.0, 9.0), 2, 3.0)
-    def test_real_and_imaginary_parts_match_sandwich_oracle(self, dims, box, seed,
-                                                            log10_cond):
+    def test_real_part_matches_sandwich_oracle(self, dims, box, seed, log10_cond):
         # metric-adapted sets of both index placements, an SU(2)-conjugated
         # copy and a non-Hermitian triple
         eta, sigmas, _ = _dirac_case(dims, box, seed, log10_cond)
         for sigma in sigmas:
-            m = _covector_map(sigma)
             oracle = _oracle_sandwich(eta, sigma, eta)
             scale = np.abs(oracle).max()
-            assert np.abs(_bilinear_covector(eta, m.real) - oracle.real).max() <= 1e-14 * scale
-            assert np.abs(_bilinear_covector(eta, m.imag) - oracle.imag).max() <= 1e-14 * scale
+            assert np.abs(_covector_of(eta, sigma) - oracle.real).max() <= 1e-14 * scale
 
+    # each wrong map is the map of a wrong triple, so it goes through _covector
     @pytest.mark.parametrize("mutant", [
-        lambda m: m[[0, 1, 3, 2]],  # Re and Im of etabar_1 eta_2 swapped
-        lambda m: m * np.array([1.0, 1.0, 1.0, -1.0])[:, None],  # the i (m01 - m10) row negated
-        lambda m: m[[1, 0, 2, 3]],  # |eta_1|^2 and |eta_2|^2 swapped
+        # Re and Im of etabar_1 eta_2 swapped: m01 -> -i conj(m01), m10 -> i conj(m10)
+        lambda m: np.where(np.eye(2, dtype=bool), m, np.array([[0.0, -1j], [1j, 0.0]]) * m.conj()),
+        lambda m: m.transpose(0, 2, 1),  # the Im (m10 - m01) row negated
+        lambda m: m[:, ::-1, ::-1].transpose(0, 2, 1),  # |eta_1|^2 and |eta_2|^2 swapped
     ])
     def test_catches_a_wrong_map(self, mutant):
         eta, sigmas, _ = _dirac_case((12, 16, 8), (5.0, 7.0, 9.0), 1, 2.0)
         for sigma in sigmas[:3]:
             oracle = _oracle_sandwich(eta, sigma, eta).real
-            wrong = _bilinear_covector(eta, mutant(_covector_map(sigma)).real)
-            assert _rel(wrong, oracle) > 1e-2
+            assert _rel(_covector_of(eta, mutant(sigma)), oracle) > 1e-2
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.floats(0.0, 6.0))
@@ -405,8 +412,11 @@ class TestCovectorMap:
         rng = np.random.default_rng(seed)
         for metric in (random_spd_metric(rng), _ill_conditioned_metric(rng, log10_cond)):
             pauli = build_pauli(metric)
-            for sigma in (pauli.sigma_lower, pauli.sigma_upper):
-                assert not _covector_map(sigma).imag.any()
+            for m in (pauli.sigma_lower, pauli.sigma_upper):
+                # the parts of the complex map that `_covector` drops
+                dropped = np.array([m[:, 0, 0].imag, m[:, 1, 1].imag,
+                                    (m[:, 0, 1] + m[:, 1, 0]).imag, (m[:, 0, 1] - m[:, 1, 0]).real])
+                assert not dropped.any()
 
 
 _EDGE_EXAMPLES = [((4, 4, 4), (2.0 * np.pi,) * 3, 0, 0.0, 1.0),
@@ -474,7 +484,7 @@ class TestSpinorField:
             lambda e: lagrangian_dynamic(e, dxi0, pauli, metric, grid),
             lambda e: weyl_residual(e, 0.7, 1, pauli, grid),
             lambda e: el_gradient(e, 0.7, pauli, metric, grid),
-            lambda e: el_residual(e, 0.7, pauli, metric, grid, mode="fd", probes=8),
+            lambda e: el_residual_fd(e, 0.7, pauli, metric, grid, probes=8),
             lambda e: spinor_to_frame(e, pauli, metric, grid).theta,
         ):
             assert np.array_equal(fn(field), fn(eta))
@@ -489,21 +499,21 @@ class TestSpinorField:
         lagrangian_weyl(field, 0.5, 1, pauli, metric, GRID_468)
         weyl_residual_norm(field, 0.5, 1, pauli, GRID_468)
         el_residual(field, 0.5, pauli, metric, GRID_468)
-        el_residual(field, 0.5, pauli, metric, GRID_468, mode="fd", probes=4)
+        el_residual_fd(field, 0.5, pauli, metric, GRID_468, probes=4)
         # sigma^a d_a eta once for the field, shared by the FD probes, and
         # once for G eta in the EL gradient
         assert len(dirac) == 2
 
     def test_v_is_built_only_where_read(self, count_calls):
         metric, pauli, eta = self._setup()
-        maps = count_calls("_bilinear_covector", spinor_module)
+        maps = count_calls("_covector", spinor_module, correspondence_module)
         field = SpinorField(eta, pauli, GRID_468)
         bilinears(field, pauli, GRID_468)
         lagrangian_stationary(field, 0.5, pauli, metric, GRID_468)
         factorization_residual(field, 0.5, pauli, metric, GRID_468)
         scaling_covariance_residual(field, 0.1 * field.s, 0.5, 1, pauli, metric, GRID_468)
         el_gradient(field, 0.5, pauli, metric, GRID_468)
-        el_residual(field, 0.5, pauli, metric, GRID_468, mode="fd", probes=8)
+        el_residual_fd(field, 0.5, pauli, metric, GRID_468, probes=8)
         theorem_witness_suite(1, GRID_468, metric, n_cases=2)
         assert maps == []  # no check of the field or of a probe reads v
         fierz_residual(field, pauli, metric, GRID_468)

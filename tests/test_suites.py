@@ -4,6 +4,7 @@ work the scaling suite does per case."""
 import numpy as np
 import pytest
 
+import cosserat_weyl.correspondence as correspondence_module
 import cosserat_weyl.sampling as sampling_module
 import cosserat_weyl.spinor as spinor_module
 import cosserat_weyl.weyl as weyl_module
@@ -52,7 +53,7 @@ def test_one_spectral_gradient_per_scaled_field(count_calls):
     # sign
     grid = TorusGrid((12, 16, 8), (6.0, 7.0, 5.0))
     dirac = count_calls("_dirac", spinor_module, weyl_module)
-    maps = count_calls("_bilinear_covector", spinor_module)
+    maps = count_calls("_covector", spinor_module, correspondence_module)
     h = 0.1 * np.cos(2.0 * np.pi * grid.coords()[1] / grid.box[1])
     report = verify_scaling(grid, 4, n_cases=3, h_field=h)
     assert len(dirac) == 2 * 3
@@ -76,7 +77,7 @@ def test_seeded_suites_build_no_gradient_stack(count_calls, suite, per_case):
     # and theta^3 of spinor_to_frame; factorization reads none
     grid = TorusGrid((12, 16, 8), (6.0, 7.0, 5.0))
     dirac = count_calls("_dirac", spinor_module, weyl_module)
-    maps = count_calls("_bilinear_covector", spinor_module)
+    maps = count_calls("_covector", spinor_module, correspondence_module)
     VERIFIERS[suite](grid, 2, n_cases=3)
     assert len(dirac) == per_case * 3
     v_per_case = {"factorization": 0, "fierz": 1, "u1": 2, "correspondence": 1}[suite]

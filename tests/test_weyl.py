@@ -21,6 +21,7 @@ from cosserat_weyl import (
     el_gradient,
     el_gradient_fd_check,
     el_residual,
+    el_residual_fd,
     factorization_residual,
     lagrangian_stationary,
     planewave_solution,
@@ -250,10 +251,9 @@ class TestVariationalGradient:
         for k, branch in (((0, 0, 1), 1), ((1, -2, 1), -1)):
             spec, eta = planewave_solution(k, branch, identity_metric, grid16)
             p0 = abs(spec.p0)
-            assert el_residual(eta, p0, pauli, identity_metric, grid16,
-                               mode="analytic") <= 1e-13
-            assert el_residual(eta, p0, pauli, identity_metric, grid16,
-                               mode="fd", probes=8, seed=1) <= 1e-8
+            assert el_residual(eta, p0, pauli, identity_metric, grid16) <= 1e-13
+            assert el_residual_fd(eta, p0, pauli, identity_metric, grid16,
+                                  probes=8, seed=1) <= 1e-8
 
     def test_nonzero_away_from_solutions(self, grid8, identity_metric):
         pauli = build_pauli(identity_metric)
@@ -269,15 +269,11 @@ class TestVariationalGradient:
         assert el_gradient_fd_check(eta, 0.5, pauli, metric, grid8,
                                     probes=32, seed=3) <= 1e-7
 
-    def test_gradient_shape_and_mode_validation(self, grid8, pauli_identity,
-                                                identity_metric):
+    def test_gradient_shape(self, grid8, pauli_identity, identity_metric):
         eta = np.zeros(grid8.shape + (2,), dtype=complex)
         eta[..., 0] = 1.0
         w = el_gradient(eta, 1.0, pauli_identity, identity_metric, grid8)
         assert w.shape == eta.shape
-        with pytest.raises(ValueError):
-            el_residual(eta, 1.0, pauli_identity, identity_metric, grid8,
-                        mode="nope")
 
 
 def _el_gradient_oracle(eta, p0, pauli, metric, grid):
@@ -359,15 +355,15 @@ class TestLocalFiniteDifferences:
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid8, rng)
         with pytest.raises(ZeroFrequency):
-            el_residual(eta, 0.0, pauli, metric, grid8, mode="fd", probes=4)
+            el_residual_fd(eta, 0.0, pauli, metric, grid8, probes=4)
         with pytest.raises(ZeroFrequency):
-            el_residual(eta, 0.0, pauli, metric, grid8, mode="analytic")
+            el_residual(eta, 0.0, pauli, metric, grid8)
         with pytest.raises(ZeroFrequency):
             el_gradient(eta, 0.0, pauli, metric, grid8)
         near_zero = eta.copy()
         near_zero[2, 5, 7] *= 1e-7
         with pytest.raises(VanishingSpinor):
-            el_residual(near_zero, 0.8, pauli, metric, grid8, mode="fd", probes=8)
+            el_residual_fd(near_zero, 0.8, pauli, metric, grid8, probes=8)
         # a set with complex v cannot be built, so no probe checks v
         with pytest.raises(NotHermitian):
             dataclasses.replace(pauli, sigma_lower=1j * pauli.sigma_lower)
@@ -534,7 +530,7 @@ class TestBatchedProbes:
         for seed in (0, 1):  # two fields on two equal grids
             grid = TorusGrid(dims, box)
             eta, p0, pauli, metric = _random_case(grid, seed)
-            el_residual(eta, p0, pauli, metric, grid, mode="fd", probes=4, seed=seed)
+            el_residual_fd(eta, p0, pauli, metric, grid, probes=4, seed=seed)
         assert len(calls) == 3  # one kernel per axis
         offsets, weights = _line_stencil(TorusGrid(dims, box))
         assert not offsets.flags.writeable and not weights.flags.writeable
@@ -543,7 +539,7 @@ class TestBatchedProbes:
     def test_probe_count_below_one_rejected(self, grid8, probes):
         eta, p0, pauli, metric = _random_case(grid8, 3)
         with pytest.raises(ValueError, match="probes must be at least 1"):
-            el_residual(eta, p0, pauli, metric, grid8, mode="fd", probes=probes)
+            el_residual_fd(eta, p0, pauli, metric, grid8, probes=probes)
         with pytest.raises(ValueError, match="probes must be at least 1"):
             el_gradient_fd_check(eta, p0, pauli, metric, grid8, probes=probes)
 
@@ -571,7 +567,7 @@ class TestNearVanishingSpinors:
     def test_finite_or_typed_error(self, case, seed, log10_scale):
         grid = TorusGrid(*case)
         eta, p0, pauli, metric = _random_case(grid, seed)
-        # the probes el_residual draws for this seed; plant at the first
+        # the probes el_residual_fd draws for this seed; plant at the first
         dofs = _sample_dofs(eta, 16, seed)
         eta[tuple(dofs[0][0])] *= 10.0 ** log10_scale
         s = _scalar_density(eta)
@@ -598,9 +594,9 @@ class TestNearVanishingSpinors:
         assert perturbed_vanishing or not vanishing
         if perturbed_vanishing:
             with pytest.raises(VanishingSpinor):
-                el_residual(eta, p0, *args, mode="fd", probes=16, seed=seed)
+                el_residual_fd(eta, p0, *args, probes=16, seed=seed)
         else:
-            assert np.isfinite(el_residual(eta, p0, *args, mode="fd", probes=16, seed=seed))
+            assert np.isfinite(el_residual_fd(eta, p0, *args, probes=16, seed=seed))
 
 
 class TestWitnessSuite:
@@ -634,6 +630,23 @@ class TestWitnessSuite:
         kinds = [c["kind"] for c in report["cases"]]
         assert kinds.count("solution") == 4
         assert len(dirac) == 2 * len(kinds)
+
+    def test_fd_probes_run_once_per_solution_case(self, grid8, count_calls):
+        # the weyl.el_residual_fd span of a traced theorem job counts
+        # exactly these calls: one per solution case, none on a perturbed one
+        fd = count_calls("el_residual_fd", weyl_module)
+        metric = random_spd_metric(np.random.default_rng(6))
+        report = theorem_witness_suite(5, grid8, metric, n_cases=3)
+        solutions = [c for c in report["cases"] if c["kind"] == "solution"]
+        perturbed = [c for c in report["cases"] if c["kind"] == "perturbed"]
+        assert len(fd) == len(solutions) == len(perturbed) == 6
+        assert not any("el_residual_fd" in c for c in perturbed)
+        for (args, kwargs), case in zip(fd, solutions):
+            field, p0 = args[:2]
+            assert kwargs["probes"] == weyl_module._FD_PROBES
+            assert p0 == case["p0"]
+            assert weyl_residual_norm(field, p0, case["branch"], field.pauli, grid8) \
+                == case["weyl_residual"]
 
     def test_report_is_json_serialisable(self, grid8, identity_metric):
         import json

@@ -107,12 +107,22 @@ def _check_seed(seed) -> None:
         raise ConfigError(f"--seed must be non-negative, got {seed}")
 
 
-def _check_output_dirs(args) -> None:
-    """Reject, before any work, an output path whose directory is missing."""
+def _check_outputs(args) -> None:
+    """Reject, before any work, an output path whose directory is missing
+    and two outputs that resolve to one file (the later would overwrite
+    the earlier)."""
+    taken = {}
     for key in ("out", "eta_out", "density_csv"):
         path = getattr(args, key, None)
-        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise ConfigError(f"--{key.replace('_', '-')} {path}: its directory does not exist")
+        if not path:
+            continue
+        named = f"--{key.replace('_', '-')} {path}"
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"{named}: its directory does not exist")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ConfigError(f"{named}: the same file as {taken[real]}")
+        taken[real] = named
 
 
 def _canonical_config(args, grid, metric=None) -> dict:
@@ -267,7 +277,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_output_dirs(args)
+        _check_outputs(args)
         return args.func(args)
     except (ModelError, OSError) as exc:  # OSError: an output path cannot be written
         print(f"error: {exc}", file=sys.stderr)

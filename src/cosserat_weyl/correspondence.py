@@ -73,11 +73,12 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
                     metric: Metric3) -> np.ndarray:
     """Invert `spinor_to_frame` on the given Pauli set, up to a global sign.
 
-    One 3x3 solve with `_quadratic_map` gives (xi_1^2, xi_1 xi_2, xi_2^2)
-    from w = s (theta^1 + i theta^2). theta^3 enters through the
-    orthonormality check and the handedness check: every frame
-    `spinor_to_frame` makes on a Pauli set has the handedness of its
-    frame at xi = (1, 0), and a frame of the other one has no spin lift.
+    The inverse of `_quadratic_map`, applied as one matmul, gives
+    (xi_1^2, xi_1 xi_2, xi_2^2) from w = s (theta^1 + i theta^2).
+    theta^3 enters through the orthonormality check and the handedness
+    check: every frame `spinor_to_frame` makes on a Pauli set has the
+    handedness of its frame at xi = (1, 0), and a frame of the other one
+    has no spin lift.
     A continuity sweep through the flattened grid fixes the per-point
     sign, consistently on the torus for smooth fields.
     """
@@ -92,12 +93,12 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
 
     s = rho / metric.sqrt_det
     w = s[..., np.newaxis] * (theta[0] + 1j * theta[1])
-    x11, x12, x22 = np.linalg.solve(quad, w.reshape(-1, 3).T).reshape((3,) + s.shape)
+    x11, x12, x22 = (np.linalg.inv(quad) @ w.reshape(-1, 3).T).reshape((3,) + s.shape)
     # |xi_1^2| + |xi_2^2| = s, so the larger square has modulus >= s / 2
-    use1 = (np.abs(x11) >= np.abs(x22))[..., np.newaxis]
-    root = np.sqrt(np.where(use1[..., 0], x11, x22))
+    use1 = np.abs(x11) >= np.abs(x22)
+    root = np.sqrt(np.where(use1, x11, x22))
     other = x12 / root
-    xi = np.where(use1, np.stack([root, other], axis=-1), np.stack([other, root], axis=-1))
+    xi = np.stack([np.where(use1, root, other), np.where(use1, other, root)], axis=-1)
 
     # continuity sweep: align consecutive points in C-order
     flat = xi.reshape(-1, 2)

@@ -140,6 +140,27 @@ class TestExitCodes:
             assert f"error: {option} " in capsys.readouterr().err, argv
         assert not eta.exists() and not missing.exists()
 
+    def test_colliding_output_paths_exit_2(self, tmp_path, capsys, monkeypatch):
+        # two outputs that resolve to one file are rejected before the
+        # job runs, so neither is written
+        def never(*args, **kwargs):
+            raise AssertionError("the job ran")
+
+        monkeypatch.setattr(cli_module, "planewave_solution", never)
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "x"
+        (tmp_path / "link").symlink_to(target)
+        for first, second in ((["--eta-out", str(target)], ["--density-csv", str(target)]),
+                              (["--out", str(target)], ["--eta-out", "x"]),
+                              (["--out", "x"], ["--density-csv", str(tmp_path / "link")]),
+                              (["--density-csv", "./x"], ["--out", str(target)])):
+            argv = ["planewave", "--k", "1,0,0", *first, *second, *SMALL]
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "the same file as" in err, argv
+            assert f"{first[0]} {first[1]}" in err and f"{second[0]} {second[1]}" in err, argv
+            assert not target.exists(), argv
+
     def test_verify_rejects_metric(self, capsys):
         # every suite draws its own metrics, so verify parses no --metric
         for argv in (["verify", "fierz", "--metric", "diag:1,4,9", *SMALL],

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from cosserat_weyl import TorusGrid, read_field, write_field, write_scalar_csv
+from cosserat_weyl import (Metric3, TorusGrid, lagrangian_stationary, planewave_solution,
+                           read_field, write_field, write_scalar_csv)
 from cosserat_weyl.cwf import KIND_COMPONENTS
 
 
@@ -179,6 +180,53 @@ def test_scalar_csv_matches_savetxt_bytes(dims, box, flat, tmp_path):
     write_scalar_csv(tmp_path / "new.csv", field, grid)
     _savetxt_csv(tmp_path / "old.csv", field, grid)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _assert_csv_matches_savetxt(field, grid, tmp_path):
+    write_scalar_csv(tmp_path / "new.csv", field, grid)
+    _savetxt_csv(tmp_path / "old.csv", field, grid)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_scalar_csv_planewave_density_matches_savetxt(tmp_path):
+    # an exact solution's density is rounding noise around zero: few
+    # distinct values per slab, each formatted once
+    grid = TorusGrid((12, 16, 8), (1.0, 2.5, 7.0))
+    metric = Metric3.diagonal(1.0, 4.0, 9.0)
+    spec, field = planewave_solution((1, 2, 0), 1, metric, grid)
+    density = lagrangian_stationary(field, spec.p0, field.pauli, metric, grid)
+    assert np.unique(density).size < grid.num_points // 10
+    _assert_csv_matches_savetxt(density, grid, tmp_path)
+
+
+def test_scalar_csv_few_distinct_special_values_match_savetxt(tmp_path):
+    grid = TorusGrid((4, 6, 8), (2 * np.pi,) * 3)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+    palette = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, 1.5, -2.25e-17], nans])
+    rng = np.random.default_rng(7)
+    field = palette[rng.integers(palette.size, size=grid.shape)]
+    # 0.0 and -0.0 in one slab, and both NaN bit patterns in another
+    field[1, 0, :2] = 0.0, -0.0
+    field[2, 3, :2] = nans
+    _assert_csv_matches_savetxt(field, grid, tmp_path)
+
+
+def test_scalar_csv_strided_flat_input_matches_savetxt(tmp_path):
+    grid = TorusGrid((6, 4, 10), (1.0, 2.0, 3.0))
+    rng = np.random.default_rng(11)
+    values = rng.choice([0.0, -0.0, 1e-16, -3e-17, 2.0], size=2 * grid.num_points)
+    field = values[::2]
+    assert not field.flags.c_contiguous
+    _assert_csv_matches_savetxt(field, grid, tmp_path)
+
+
+def test_scalar_csv_float32_input_matches_savetxt(tmp_path):
+    grid = TorusGrid((4, 8, 4), (2 * np.pi, 1.0, 3.0))
+    rng = np.random.default_rng(13)
+    field = rng.choice(np.array([0.1, -0.0, 0.0, 3.0e-8, np.nan], dtype=np.float32),
+                       size=grid.shape)
+    assert field.dtype == np.float32
+    _assert_csv_matches_savetxt(field, grid, tmp_path)
 
 
 @pytest.mark.parametrize("field, message", [

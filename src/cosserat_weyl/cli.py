@@ -17,6 +17,7 @@ import functools
 import inspect
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -272,10 +273,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value may start with a minus sign, as "-1,0,2" or
+# "-0.1*cos(x2)" do; argparse takes such a token for an option unless it
+# is a plain negative number
+_SIGNED_VALUE_OPTIONS = ("--k", "--h")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Write ``--k -1,0,2`` as ``--k=-1,0,2``, the form argparse parses."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _SIGNED_VALUE_OPTIONS and re.match(r"-[0-9.]", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     _keep_freed_memory_mapped()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_outputs(args)
         return args.func(args)

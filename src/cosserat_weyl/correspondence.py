@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosserat import _triple_product, check_density, orthonormality_residual
+from .cosserat import check_density, orthonormality_residual
 from .errors import NoSpinLift, NotOrthonormal
 from .geometry import Metric3, PauliSet, TorusGrid
 from .spinor import SpinorField, _covector, _nonvanishing
@@ -69,48 +69,70 @@ def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
     return FramePacket(theta=theta, rho=field.s * metric.sqrt_det)
 
 
-def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
-                    metric: Metric3) -> np.ndarray:
-    """Invert `spinor_to_frame` on the given Pauli set, up to a global sign.
+def _sweep_signs(xi: np.ndarray) -> np.ndarray:
+    """Per-point signs that make the pointwise lift xi continuous.
 
-    The inverse of `_quadratic_map`, applied as one matmul, gives
-    (xi_1^2, xi_1 xi_2, xi_2^2) from w = s (theta^1 + i theta^2).
-    theta^3 enters through the orthonormality check and the handedness
-    check: every frame `spinor_to_frame` makes on a Pauli set has the
-    handedness of its frame at xi = (1, 0), and a frame of the other one
-    has no spin lift.
-    A continuity sweep through the flattened grid fixes the per-point
-    sign, consistently on the torus for smooth fields.
+    The sweep runs along the axes: every x3 line, then the x3 = 0 plane
+    along x2, then the x2 = x3 = 0 line along x1. Each flips the points
+    after a link where Re xibar xi' < 0. A line with an odd number of
+    such links, its periodic edge included, changes sign around its
+    torus cycle: the frame has no spin lift, and NoSpinLift names the
+    axis.
     """
+    sign = 1.0
+    for axis in (2, 1, 0):
+        line = xi[(slice(None),) * (axis + 1) + (0,) * (2 - axis)]
+        ahead = np.roll(line, -1, axis)
+        overlap = np.einsum("...i,...i->...", line.view(float), ahead.view(float))
+        flips = np.where(overlap < 0.0, -1.0, 1.0)
+        signs = np.cumprod(flips, axis=axis)
+        if np.any(np.take(signs, -1, axis) < 0.0):
+            raise NoSpinLift(f"no spin lift around the x{axis + 1} cycle: the lifted "
+                             "spinor changes sign across the periodic edge")
+        signs *= flips  # the sign of each point, before its own link
+        sign = sign * signs.reshape(signs.shape + (1,) * (2 - axis))
+    return sign
+
+
+def _lift(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
+          metric: Metric3) -> tuple[np.ndarray, float]:
+    """`frame_to_spinor`, and the orthonormality residual it checked."""
     worst = float(orthonormality_residual(theta, metric).max())
-    if worst > _ORTHO_TOL:
+    if not worst <= _ORTHO_TOL:  # a NaN fails too
         raise NotOrthonormal(f"orthonormality residual {worst:.3e} > {_ORTHO_TOL:.1e}")
-    quad = _quadratic_map(pauli)
-    spin_up = np.stack([quad[:, 0].real, quad[:, 0].imag, pauli.sigma_lower[:, 0, 0].real])
-    if np.any(_triple_product(theta) * _triple_product(spin_up) < 0.0):
-        raise NoSpinLift("coframe is not of the handedness this Pauli set maps spinors to")
     check_density(rho)
 
     s = rho / metric.sqrt_det
     w = s[..., np.newaxis] * (theta[0] + 1j * theta[1])
-    x11, x12, x22 = (np.linalg.inv(quad) @ w.reshape(-1, 3).T).reshape((3,) + s.shape)
+    quad_inv = np.linalg.inv(_quadratic_map(pauli))
+    x11, x12, x22 = (quad_inv @ w.reshape(-1, 3).T).reshape((3,) + s.shape)
     # |xi_1^2| + |xi_2^2| = s, so the larger square has modulus >= s / 2
     use1 = np.abs(x11) >= np.abs(x22)
     root = np.sqrt(np.where(use1, x11, x22))
     other = x12 / root
     xi = np.stack([np.where(use1, root, other), np.where(use1, other, root)], axis=-1)
+    if np.any(np.einsum("...a,...a->...", theta[2], _covector(xi, pauli)) < 0.0):
+        raise NoSpinLift("theta^3 points against v / s of the spinor lifted from the frame")
 
-    # continuity sweep: align consecutive points in C-order
-    flat = xi.reshape(-1, 2)
-    overlap = np.einsum("na,na->n", flat[:-1].conj(), flat[1:]).real
-    flips = np.where(overlap < 0.0, -1.0, 1.0)
-    signs = np.concatenate([[1.0], np.cumprod(flips)])
-    xi = (flat * signs[:, np.newaxis]).reshape(xi.shape)
+    xi = xi * _sweep_signs(xi)[..., np.newaxis]
 
     # canonical overall sign: first point's dominant component has Re >= 0
     anchor = xi.reshape(-1, 2)[0]
     lead = anchor[int(np.argmax(np.abs(anchor)))]
-    return -xi if lead.real < 0.0 else xi
+    return (-xi if lead.real < 0.0 else xi), worst
+
+
+def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
+                    metric: Metric3) -> np.ndarray:
+    """Invert `spinor_to_frame` on the given Pauli set, up to a global sign.
+
+    The inverse of `_quadratic_map` gives (xi_1^2, xi_1 xi_2, xi_2^2)
+    from w = s (theta^1 + i theta^2). On any Pauli set, a frame has a
+    spin lift only where theta^3 = v / s of that spinor, and only if a
+    sweep along the axes (`_sweep_signs`) can fix the per-point sign
+    around all three torus cycles.
+    """
+    return _lift(theta, rho, pauli, metric)[0]
 
 
 def stationary_frame_path(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,

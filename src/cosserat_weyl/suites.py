@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .correspondence import frame_to_spinor, spinor_to_frame
-from .cosserat import orthonormality_residual, conformal_rescale, potential_energy
+from .correspondence import _lift, spinor_to_frame
+from .cosserat import conformal_rescale, potential_energy
 from .errors import ConfigError
 from .geometry import Metric3, TorusGrid, _plane_wave, build_pauli
 from .sampling import (
@@ -156,8 +156,7 @@ def verify_correspondence(grid: TorusGrid, seed: int, n_cases: int = 50) -> dict
                                                        amplitude=0.15, max_mode=1):
         xi = field.eta
         packet = spinor_to_frame(field, pauli, metric, grid)
-        ortho = float(orthonormality_residual(packet.theta, metric).max())
-        xi_rec = frame_to_spinor(packet.theta, packet.rho, pauli, metric)
+        xi_rec, ortho = _lift(packet.theta, packet.rho, pauli, metric)
         scale = float(np.abs(xi).max())
         roundtrip = min(float(np.abs(xi_rec - xi).max()),
                         float(np.abs(xi_rec + xi).max())) / scale

@@ -193,6 +193,27 @@ class TestExitCodes:
         assert "--seed" in capsys.readouterr().err
 
 
+    def test_value_with_a_leading_minus(self, tmp_path, capsys):
+        # "--k -1,0,2" reads as "--k=-1,0,2", and so does a signed --h
+        # expression; a missing value still exits 2
+        spaced = _run(tmp_path, "planewave", "--k", "-1,0,2", *SMALL)
+        joined = _run(tmp_path, "planewave", "--k=-1,0,2", *SMALL)
+        assert spaced[0] == joined[0] == 0
+        assert spaced[1]["config"]["k"] == "-1,0,2"
+        for report in (spaced[1], joined[1]):
+            report.pop("timestamp")
+        assert spaced[1] == joined[1]
+        code, report = _run(tmp_path, "verify", "scaling", "--cases", "1",
+                            "--h", "-0.1*cos(x2)", "--grid", "16,16,16")
+        assert code == 0 and report["config"]["h"] == "-0.1*cos(x2)"
+        for argv in (["planewave", "--k"], ["planewave", *SMALL, "--k"],
+                     ["planewave", "--k", "--grid", "8,8,8"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "--k" in capsys.readouterr().err, argv
+
+
 class TestVerifyReports:
     def test_report_embeds_config_and_sign(self, tmp_path):
         code, report = _run(tmp_path, "verify", "u1", "--cases", "2",

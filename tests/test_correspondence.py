@@ -5,8 +5,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cosserat_weyl import (
+    Metric3,
+    ModelError,
     NoSpinLift,
     NonPositiveDensity,
     NotOrthonormal,
@@ -21,13 +25,22 @@ from cosserat_weyl import (
     spinor_to_frame,
     stationary_frame_path,
 )
-from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric
+from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric, rotating_coframe
 
 
 def _complex_conjugate(pauli):
     # conj(sigma) is another valid Pauli set; its frames are left-handed
     return dataclasses.replace(pauli, sigma_upper=pauli.sigma_upper.conj(),
                                sigma_lower=pauli.sigma_lower.conj())
+
+
+def _su2_conjugate(pauli, rng):
+    # U sigma U^dagger with U in SU(2) is another valid Pauli set for the
+    # same metric, with frames of the built set's handedness
+    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    u = np.array([[a, -b.conjugate()], [b, a.conjugate()]]) / np.hypot(abs(a), abs(b))
+    return dataclasses.replace(pauli, sigma_upper=u @ pauli.sigma_upper @ u.conj().T,
+                               sigma_lower=u @ pauli.sigma_lower @ u.conj().T)
 
 
 def _constant_spinor(grid, u=(1.0, 0.0)):
@@ -190,6 +203,83 @@ class TestFrameToSpinor:
             rho[0, 0, 0] = value
             with pytest.raises(NonPositiveDensity, match="finite and positive"):
                 frame_to_spinor(theta, rho, pauli_identity, identity_metric)
+
+
+class TestDictionaryAtTheEdges:
+    # a perturbation of at most 0.25 per component keeps every pair of
+    # points' overlap positive, so any sweep finds the spinor's own signs
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(4, 4, 4), (12, 16, 8), (4, 6, 8)]),
+           st.tuples(*[st.floats(0.5, 10.0)] * 3), st.floats(0.0, 6.0),
+           st.sampled_from(["built", "su2", "conjugate"]), st.floats(0.01, 0.25),
+           st.integers(0, 2**31 - 1))
+    @example((4, 4, 4), (0.5, 10.0, 0.5), 6.0, "conjugate", 0.25, 0)
+    @example((12, 16, 8), (5.0, 7.0, 9.0), 6.0, "su2", 0.25, 1)
+    def test_round_trip_or_typed_error(self, dims, box, log_cond, kind, amplitude, seed):
+        grid = TorusGrid(dims, box)
+        rng = np.random.default_rng(seed)
+        # eigenvalues spread over log_cond decades
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        g = q @ np.diag(10.0 ** (log_cond * rng.uniform(-0.5, 0.5, size=3))) @ q.T
+        metric = Metric3.from_matrix(0.5 * (g + g.T))
+        pauli = build_pauli(metric)
+        pauli = {"built": pauli, "su2": _su2_conjugate(pauli, rng),
+                 "conjugate": _complex_conjugate(pauli)}[kind]
+        # modes up to one below the Nyquist mode of the shortest axis
+        xi = random_nonvanishing_spinor(grid, rng, amplitude=amplitude,
+                                        max_mode=min(dims) // 2 - 1)
+        packet = spinor_to_frame(xi, pauli, metric, grid)
+        try:
+            rec = frame_to_spinor(packet.theta, packet.rho, pauli, metric)
+        except ModelError:
+            pass
+        else:
+            err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max()) / np.abs(xi).max()
+            assert err <= 1e-14 * np.sqrt(np.linalg.cond(metric.g_lower))
+        flipped = packet.theta.copy()
+        flipped[2] *= -1.0
+        with pytest.raises(NoSpinLift):
+            frame_to_spinor(flipped, packet.rho, pauli, metric)
+
+
+class TestSpinLiftAroundCycles:
+    # a frame turning n times about theta^3 along one axis lifts to a
+    # spinor turning n / 2 times: odd n has no spin lift around that cycle
+
+    @staticmethod
+    def _turning_frame(grid, axis, turns):
+        return rotating_coframe(grid, 2.0 * np.pi * turns * grid.coords()[axis - 1]
+                                / grid.box[axis - 1])
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_one_turn_has_no_lift(self, grid8, pauli_identity, identity_metric, axis):
+        theta = self._turning_frame(grid8, axis, 1)
+        assert orthonormality_residual(theta, identity_metric).max() <= 1e-15
+        with pytest.raises(NoSpinLift, match=f"x{axis} cycle"):
+            frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity, identity_metric)
+
+    def test_one_turn_on_a_non_cubic_grid(self, pauli_identity, identity_metric):
+        grid = TorusGrid((12, 16, 8), (5.0, 7.0, 9.0))
+        for axis in (1, 2, 3):
+            with pytest.raises(NoSpinLift, match=f"x{axis} cycle"):
+                frame_to_spinor(self._turning_frame(grid, axis, 3), np.ones(grid.shape),
+                                pauli_identity, identity_metric)
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_two_turns_lift(self, grid8, pauli_identity, identity_metric, axis):
+        theta = self._turning_frame(grid8, axis, 2)
+        rec = frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity, identity_metric)
+        packet = spinor_to_frame(rec, pauli_identity, identity_metric, grid8)
+        assert np.abs(packet.theta - theta).max() <= 1e-12
+        # continuous: neighbours along every axis, the periodic edge included
+        for ax in range(3):
+            assert np.abs(np.roll(rec, -1, ax) - rec).max() <= 0.8
+
+    def test_nan_frame_is_not_orthonormal(self, grid8, pauli_identity, identity_metric):
+        theta = self._turning_frame(grid8, 3, 2)
+        theta[0, 1, 2, 3, 0] = np.nan
+        with pytest.raises(NotOrthonormal):
+            frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity, identity_metric)
 
 
 class TestStationaryFramePath:

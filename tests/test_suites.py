@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import cosserat_weyl.correspondence as correspondence_module
+import cosserat_weyl.cosserat as cosserat_module
 import cosserat_weyl.sampling as sampling_module
 import cosserat_weyl.spinor as spinor_module
+import cosserat_weyl.suites as suites_module
 import cosserat_weyl.weyl as weyl_module
 from cosserat_weyl import (
     TorusGrid,
@@ -73,14 +75,15 @@ def test_seeded_suites_build_no_gradient_stack(count_calls, suite, per_case):
     # sigma^a d_a, the only derivative of a spinor field, is applied once
     # per field that needs A (u1 has the field and its phase-rotated
     # copy; scaling: see above). The covector v is built once per field
-    # whose residual reads it: the Fierz identity, the phase check of u1
-    # and theta^3 of spinor_to_frame; factorization reads none
+    # whose residual reads it: the Fierz identity, the phase check of u1,
+    # and in correspondence theta^3 of spinor_to_frame and the handedness
+    # check on the spinor frame_to_spinor lifts; factorization reads none
     grid = TorusGrid((12, 16, 8), (6.0, 7.0, 5.0))
     dirac = count_calls("_dirac", spinor_module, weyl_module)
     maps = count_calls("_covector", spinor_module, correspondence_module)
     VERIFIERS[suite](grid, 2, n_cases=3)
     assert len(dirac) == per_case * 3
-    v_per_case = {"factorization": 0, "fierz": 1, "u1": 2, "correspondence": 1}[suite]
+    v_per_case = {"factorization": 0, "fierz": 1, "u1": 2, "correspondence": 2}[suite]
     assert len(maps) == v_per_case * 3
 
 
@@ -101,6 +104,18 @@ def test_correspondence_computes_s_once_per_case(count_calls):
                             weyl_module)
     VERIFIERS["correspondence"](TorusGrid((8, 8, 8), (6.0,) * 3), 1, n_cases=3)
     assert len(densities) == 3
+
+
+def test_correspondence_checks_each_frame_once(count_calls):
+    # the report's orthonormality is the residual the inverse map checked
+    residual = cosserat_module.orthonormality_residual
+    bound = [m for m in (cosserat_module, correspondence_module, suites_module)
+             if hasattr(m, "orthonormality_residual")]
+    ortho = count_calls("orthonormality_residual", *bound)
+    report = VERIFIERS["correspondence"](TorusGrid((8, 8, 8), (6.0,) * 3), 1, n_cases=3)
+    assert len(ortho) == 3
+    assert [c["orthonormality"] for c in report["cases"]] == [
+        float(residual(theta, metric).max()) for (theta, metric), _ in ortho]
 
 
 def test_seeded_case_guard_rejects_a_vanishing_draw():

@@ -159,17 +159,49 @@ def _highest_mode(grid: TorusGrid) -> tuple:
     return tuple(n // 2 - 1 for n in grid.dims)
 
 
+def _axis_exponentials(grid: TorusGrid, modes) -> tuple:
+    """The 1-D exponentials exp(2 pi i m_a j / N_a), j = 0 .. N_a - 1, of
+    integer modes of shape (..., 3): three arrays of shape (..., N_a).
+    Every trigonometric field of the package is built from these."""
+    modes = np.asarray(modes)
+    return tuple(np.exp(1j * (modes[..., a, np.newaxis] * (2.0 * np.pi / n)) * np.arange(n))
+                 for a, n in enumerate(grid.dims))
+
+
 def _plane_wave(grid: TorusGrid, modes, coeff: complex) -> np.ndarray:
     """coeff * exp(i m . x') on the grid for integer modes m, x' the
-    coordinates rescaled to period 2 pi per axis; every trigonometric
-    field of the package is built here. One 1-D exponential per axis,
-    the coefficient folded into the first: the full grid costs one
+    coordinates rescaled to period 2 pi per axis. The broadcast product
+    ((coeff e1) e2) e3 of the 1-D exponentials: the full grid costs one
     complex product, not a complex exp, and its rounding stays separable
-    (so the FFT of a plane wave stays near its mode).
+    (so the FFT of a plane wave stays near its mode). Plane-wave
+    solutions are built here and not by `_plane_waves`, whose BLAS
+    product may round the last bit differently.
     """
-    e1, e2, e3 = (np.exp(1j * (m * (2.0 * np.pi / n)) * np.arange(n))
-                  for m, n in zip(modes, grid.dims))
+    e1, e2, e3 = _axis_exponentials(grid, modes)
     return (coeff * e1)[:, None, None] * e2[:, None] * e3
+
+
+def _plane_waves(grid: TorusGrid, modes, coeffs) -> np.ndarray:
+    """Sums of plane waves, sum_t coeffs[c, t] exp(i modes[c, t] . x') for
+    each component c: modes of shape (C, T, 3), coeffs of shape (C, T),
+    a complex result of shape dims + (C,).
+
+    Each term keeps `_plane_wave`'s association ((c e1) e2) e3, and the
+    sum over terms is one matrix product, (n1 n2 x C T) @ (C T x n3 C):
+    the left factor holds (c e1) e2 per term, the right one e3 in the
+    columns of the term's component (block-diagonal), so the grid is
+    written once, already in the interleaved component layout.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    n_comp, n_terms = coeffs.shape
+    n1, n2, n3 = grid.dims
+    e1, e2, e3 = _axis_exponentials(grid, np.reshape(modes, (-1, 3)))
+    left = (coeffs.reshape(-1, 1) * e1).T[:, None, :] * e2.T
+    right = np.zeros((n_comp, n_terms, n3, n_comp), dtype=complex)
+    for c, block in enumerate(e3.reshape(n_comp, n_terms, n3)):
+        right[c, :, :, c] = block
+    out = left.reshape(n1 * n2, -1) @ right.reshape(-1, n3 * n_comp)
+    return out.reshape(grid.dims + (n_comp,))
 
 
 @dataclass(frozen=True)

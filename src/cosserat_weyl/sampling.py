@@ -2,7 +2,10 @@
 
 Band-limited inputs keep every identity check exact on the grid, so
 residuals measure floating-point noise rather than discretisation
-error.
+error. A field sampler first draws a small spectral description, the
+mode vector and coefficient of each Fourier term in a fixed RNG order,
+and then evaluates all of its terms with one `geometry._plane_waves`
+call.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import VanishingSpinor
-from .geometry import Metric3, TorusGrid, _plane_wave
+from .geometry import Metric3, TorusGrid, _plane_waves
 from .spinor import _scalar_density
 
 # Fourier terms per real scalar field and per spinor component
@@ -33,30 +36,28 @@ def random_bandlimited_scalar(grid: TorusGrid, rng: np.random.Generator,
     """Real trigonometric polynomial with per-axis mode numbers
     bounded by ``max_mode``: the sum of coeff * cos(m . x' + phase),
     taken as the real part of the sum of coeff e^{i phase} e^{i m . x'}."""
-    waves = np.zeros(grid.shape, dtype=complex)
-    for _ in range(_SCALAR_TERMS):
-        modes = rng.integers(-max_mode, max_mode + 1, size=3)
+    modes = np.empty((1, _SCALAR_TERMS, 3), dtype=int)
+    coeffs = np.empty((1, _SCALAR_TERMS), dtype=complex)
+    for t in range(_SCALAR_TERMS):
+        modes[0, t] = rng.integers(-max_mode, max_mode + 1, size=3)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        coeff = rng.normal()
-        waves += _plane_wave(grid, modes, coeff * np.exp(1j * phase))
-    field = waves.real
+        coeffs[0, t] = rng.normal() * np.exp(1j * phase)
+    field = _plane_waves(grid, modes, coeffs)[..., 0].real
     peak = max(float(np.abs(field).max()), np.finfo(float).tiny)
     return field * (amplitude / peak)
 
 
 def random_bandlimited_spinor(grid: TorusGrid, rng: np.random.Generator,
                               max_mode: int = 2, amplitude: float = 1.0) -> np.ndarray:
-    """Complex 2-component trigonometric polynomial."""
-    # sum each component in a contiguous array (field[..., c] is strided)
-    comps = []
-    for _ in range(2):
-        comp = np.zeros(grid.shape, dtype=complex)
-        for _ in range(_SPINOR_TERMS):
-            modes = rng.integers(-max_mode, max_mode + 1, size=3)
-            coeff = rng.normal() + 1j * rng.normal()
-            comp += _plane_wave(grid, modes, coeff)
-        comps.append(comp)
-    field = np.stack(comps, axis=-1)
+    """Complex 2-component trigonometric polynomial with per-axis mode
+    numbers bounded by ``max_mode``, ``_SPINOR_TERMS`` terms per component."""
+    modes = np.empty((2, _SPINOR_TERMS, 3), dtype=int)
+    coeffs = np.empty((2, _SPINOR_TERMS), dtype=complex)
+    for c in range(2):
+        for t in range(_SPINOR_TERMS):
+            modes[c, t] = rng.integers(-max_mode, max_mode + 1, size=3)
+            coeffs[c, t] = rng.normal() + 1j * rng.normal()
+    field = _plane_waves(grid, modes, coeffs)
     peak = max(float(np.abs(field).max()), np.finfo(float).tiny)
     field *= amplitude / peak
     return field
@@ -77,9 +78,8 @@ def _perturbed_unit_spinor(grid: TorusGrid, rng: np.random.Generator,
     """The draw of `random_nonvanishing_spinor`, before its guard."""
     u = rng.normal(size=2) + 1j * rng.normal(size=2)
     u /= np.linalg.norm(u)
-    eta = np.broadcast_to(u, grid.shape + (2,)).copy()
-    eta += random_bandlimited_spinor(grid, rng, max_mode=max_mode,
-                                     amplitude=amplitude)
+    eta = random_bandlimited_spinor(grid, rng, max_mode=max_mode, amplitude=amplitude)
+    eta += u
     return eta
 
 

@@ -75,8 +75,9 @@ def _covector(eta: np.ndarray, pauli: PauliSet) -> np.ndarray:
 
 
 def _scalar_density(eta: np.ndarray) -> np.ndarray:
-    """s = etabar sigma_0 eta = |eta_1|^2 + |eta_2|^2."""
-    return np.einsum("...a,...a->...", eta.conj(), eta).real
+    """s = etabar sigma_0 eta = |eta_1|^2 + |eta_2|^2, in real arithmetic."""
+    e1, e2 = eta[..., 0], eta[..., 1]
+    return (e1.real**2 + e1.imag**2) + (e2.real**2 + e2.imag**2)
 
 
 def _vanishing(s: np.ndarray, axis=None):

@@ -21,7 +21,7 @@ from cosserat_weyl import (
 )
 from cosserat_weyl.cosserat import (_induced_det, _norm2_2form, _potential_density,
                                     kinetic_2form, kinetic_energy)
-from cosserat_weyl.geometry import PAULI_1, PAULI_2, PAULI_3, _plane_wave
+from cosserat_weyl.geometry import PAULI_1, PAULI_2, PAULI_3, _plane_wave, _plane_waves
 from cosserat_weyl.sampling import (random_bandlimited_scalar, random_nonvanishing_spinor,
                                     random_spd_metric, rotating_coframe)
 from cosserat_weyl.spinor import _sandwich, _scalar_density
@@ -273,6 +273,50 @@ class TestSpectralPartial:
         d12 = spectral_partial(spectral_partial(f, 1, g), 2, g)
         d21 = spectral_partial(spectral_partial(f, 2, g), 1, g)
         assert np.abs(d12 - d21).max() <= 1e-12
+
+
+PLANE_WAVE_GRIDS = [
+    TorusGrid((4, 4, 4), (TWO_PI,) * 3),
+    TorusGrid((12, 16, 8), (1.0, 2.5, 7.0)),
+    TorusGrid((64, 64, 64), (TWO_PI,) * 3),
+]
+
+
+def _edge_modes(grid, rng, n_comp, n_terms):
+    """Random modes within the resolved band, the first two terms of
+    each component at +-(N/2 - 1) on every axis."""
+    top = np.array([n // 2 - 1 for n in grid.dims])
+    modes = rng.integers(-top, top + 1, size=(n_comp, n_terms, 3))
+    modes[:, 0], modes[:, 1] = top, -top
+    return modes
+
+
+class TestPlaneWaves:
+    @pytest.mark.parametrize("grid", PLANE_WAVE_GRIDS, ids=lambda g: "x".join(map(str, g.dims)))
+    def test_single_wave_is_the_broadcast_product(self, grid):
+        # bit for bit: plane-wave solutions keep the separable rounding of
+        # ((c e1) e2) e3, which a BLAS product may change in the last bit
+        rng = np.random.default_rng(1)
+        for modes in _edge_modes(grid, rng, 1, 6)[0]:
+            coeff = complex(rng.normal(), rng.normal())
+            e1, e2, e3 = (np.exp(1j * (m * (2.0 * np.pi / n)) * np.arange(n))
+                          for m, n in zip(modes, grid.dims))
+            want = (coeff * e1)[:, None, None] * e2[:, None] * e3
+            for m in (modes, [int(x) for x in modes]):
+                assert np.array_equal(_plane_wave(grid, m, coeff), want)
+
+    @pytest.mark.parametrize("grid", PLANE_WAVE_GRIDS, ids=lambda g: "x".join(map(str, g.dims)))
+    @pytest.mark.parametrize("n_comp, n_terms", [(1, 6), (2, 4), (2, 1)])
+    def test_sum_matches_single_waves(self, grid, n_comp, n_terms):
+        rng = np.random.default_rng(n_comp * 10 + n_terms)
+        modes = _edge_modes(grid, rng, n_comp, max(n_terms, 2))[:, :n_terms]
+        coeffs = rng.normal(size=(n_comp, n_terms)) + 1j * rng.normal(size=(n_comp, n_terms))
+        got = _plane_waves(grid, modes, coeffs)
+        assert got.shape == grid.dims + (n_comp,)
+        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        for c in range(n_comp):
+            want = sum(_plane_wave(grid, m, coeff) for m, coeff in zip(modes[c], coeffs[c]))
+            assert np.abs(got[..., c] - want).max() <= 1e-14 * np.abs(coeffs[c]).sum()
 
 
 class TestExteriorDerivative:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosserat_weyl import TorusGrid
-from cosserat_weyl.sampling import random_bandlimited_scalar, random_bandlimited_spinor
+from cosserat_weyl.sampling import (_perturbed_unit_spinor, random_bandlimited_scalar,
+                                    random_bandlimited_spinor, random_nonvanishing_spinor)
 
 
 def _angular_coords(grid):
@@ -43,6 +44,13 @@ def _spinor_oracle(grid, rng, max_mode=2, amplitude=1.0):
     return amplitude * field / peak
 
 
+def _nonvanishing_oracle(grid, rng, amplitude=0.25, max_mode=2):
+    # a unit spinor u, then the scaled band-limited noise added to it
+    u = rng.normal(size=2) + 1j * rng.normal(size=2)
+    u /= np.linalg.norm(u)
+    return u + _spinor_oracle(grid, rng, max_mode=max_mode, amplitude=amplitude)
+
+
 GRIDS = [
     TorusGrid((4, 4, 4), (2 * np.pi,) * 3),
     TorusGrid((12, 16, 8), (1.0, 2.5, 7.0)),
@@ -56,13 +64,18 @@ GRIDS = [
     (random_bandlimited_spinor, _spinor_oracle, {"max_mode": 1, "amplitude": 0.25}),
     (random_bandlimited_scalar, _scalar_oracle, {}),
     (random_bandlimited_scalar, _scalar_oracle, {"max_mode": 1, "amplitude": 0.2}),
-], ids=["spinor", "spinor-small", "scalar", "scalar-small"])
+    (_perturbed_unit_spinor, _nonvanishing_oracle, {}),
+    (random_nonvanishing_spinor, _nonvanishing_oracle, {}),
+    (random_nonvanishing_spinor, _nonvanishing_oracle, {"max_mode": 1, "amplitude": 0.1}),
+], ids=["spinor", "spinor-small", "scalar", "scalar-small", "perturbed", "nonvanishing",
+        "nonvanishing-small"])
 def test_matches_full_grid_oracle(grid, sampler, oracle, kwargs):
     for seed in (0, 1):
         rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         field = sampler(grid, rng, **kwargs)
         expected = oracle(grid, rng_oracle, **kwargs)
         assert field.shape == expected.shape and field.dtype == expected.dtype
+        assert field.flags.c_contiguous
         peak = np.abs(expected).max()
         assert np.abs(field - expected).max() <= 1e-14 * peak
         # same draws in the same order: every later draw is unchanged

@@ -43,7 +43,7 @@ from cosserat_weyl import (
     weyl_residual_norm,
 )
 from cosserat_weyl.geometry import spectral_partial
-from cosserat_weyl.spinor import _covector, _dirac, _sandwich
+from cosserat_weyl.spinor import _covector, _dirac, _sandwich, _scalar_density
 from cosserat_weyl.sampling import (
     random_bandlimited_scalar,
     random_nonvanishing_spinor,
@@ -72,6 +72,18 @@ class TestBilinears:
         eta = np.exp(1j * x3)[..., np.newaxis] * u  # k = (0,0,1), p0 = 1
         b = bilinears(eta, pauli_identity, grid8)
         assert np.abs(b.A + b.s).max() <= 1e-13
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (12, 16, 8), (32, 32, 32)])
+    def test_scalar_density_matches_complex_form(self, dims):
+        # the real-arithmetic s against etabar eta summed as complex products
+        grid = TorusGrid(dims, (5.0, 0.7, 9.0))
+        rng = np.random.default_rng(sum(dims))
+        for eta in (random_nonvanishing_spinor(grid, rng),
+                    rng.normal(size=dims + (2,)) + 1j * rng.normal(size=dims + (2,))):
+            want = np.einsum("...a,...a->...", eta.conj(), eta).real
+            s = _scalar_density(eta)
+            assert s.dtype == float and s.shape == dims
+            assert np.all(np.abs(s - want) <= 2 * np.finfo(float).eps * want)
 
     def test_vanishing_guard(self, grid8, pauli_identity, identity_metric):
         x1 = grid8.coords()[0]

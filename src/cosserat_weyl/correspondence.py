@@ -32,6 +32,10 @@ PHASE_RATE = -2.0
 # largest orthonormality residual `frame_to_spinor` accepts
 _ORTHO_TOL = 1e-6
 
+# Grid points per x1 slab of the pointwise dictionary maps: their
+# temporaries stay O(_SLAB_POINTS) whatever the grid.
+_SLAB_POINTS = 2**15
+
 
 @dataclass(frozen=True)
 class FramePacket:
@@ -53,19 +57,32 @@ def _quadratic_map(pauli: PauliSet) -> np.ndarray:
                      jsigma[:, 1, 1]], axis=-1)
 
 
+def _slabs(dims: tuple) -> list[slice]:
+    """Slices of whole x1 planes, about `_SLAB_POINTS` points each (at
+    least one plane), that cover a grid of shape ``dims``."""
+    step = max(1, _SLAB_POINTS // (dims[1] * dims[2]))
+    return [slice(start, start + step) for start in range(0, dims[0], step)]
+
+
 def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
                     metric: Metric3, grid: TorusGrid) -> FramePacket:
-    """Map a nonvanishing spinor field to its coframe + density.
+    """Map a nonvanishing spinor field to its coframe + density, one
+    x1 slab (`_slabs`) at a time.
 
     theta^3 = v / s takes v from `spinor._covector` and does not cache
     it on a given field."""
     field = _nonvanishing(xi, pauli, grid)
-    x1, x2 = field.eta[..., 0], field.eta[..., 1]
-    squares = np.stack([x1 * x1, x1 * x2, x2 * x2], axis=-1)
-    w = (squares.reshape(-1, 3) @ _quadratic_map(pauli).T).reshape(squares.shape)
-    v = _covector(field.eta, pauli)
-    sinv = 1.0 / field.s[..., np.newaxis]
-    theta = np.stack([w.real * sinv, w.imag * sinv, v * sinv])
+    quad_t = _quadratic_map(pauli).T
+    theta = np.empty((3,) + field.s.shape + (3,))
+    for sl in _slabs(field.s.shape):
+        eta = field.eta[sl]
+        x1, x2 = eta[..., 0], eta[..., 1]
+        squares = np.stack([x1 * x1, x1 * x2, x2 * x2], axis=-1)
+        w = (squares.reshape(-1, 3) @ quad_t).reshape(squares.shape)
+        sinv = 1.0 / field.s[sl, ..., np.newaxis]
+        np.multiply(w.real, sinv, out=theta[0, sl])
+        np.multiply(w.imag, sinv, out=theta[1, sl])
+        np.multiply(_covector(eta, pauli), sinv, out=theta[2, sl])
     return FramePacket(theta=theta, rho=field.s * metric.sqrt_det)
 
 
@@ -96,30 +113,45 @@ def _sweep_signs(xi: np.ndarray) -> np.ndarray:
 
 def _lift(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
           metric: Metric3) -> tuple[np.ndarray, float]:
-    """`frame_to_spinor`, and the orthonormality residual it checked."""
-    worst = float(orthonormality_residual(theta, metric).max())
+    """`frame_to_spinor`, and the orthonormality residual it checked.
+
+    The pointwise checks and the lift run one x1 slab (`_slabs`) at a
+    time; only the sign sweep sees the whole grid."""
+    dims = theta.shape[1:-1]
+    if rho.shape != dims:
+        raise ValueError(f"density of shape {rho.shape} does not match the frame's "
+                         f"grid shape {dims}")
+    slabs = _slabs(dims)
+    # np.max, unlike Python's max, keeps a NaN in any slab
+    worst = float(np.max([orthonormality_residual(theta[:, sl], metric).max()
+                          for sl in slabs]))
     if not worst <= _ORTHO_TOL:  # a NaN fails too
         raise NotOrthonormal(f"orthonormality residual {worst:.3e} > {_ORTHO_TOL:.1e}")
     check_density(rho)
 
-    s = rho / metric.sqrt_det
-    w = s[..., np.newaxis] * (theta[0] + 1j * theta[1])
     quad_inv = np.linalg.inv(_quadratic_map(pauli))
-    x11, x12, x22 = (quad_inv @ w.reshape(-1, 3).T).reshape((3,) + s.shape)
-    # |xi_1^2| + |xi_2^2| = s, so the larger square has modulus >= s / 2
-    use1 = np.abs(x11) >= np.abs(x22)
-    root = np.sqrt(np.where(use1, x11, x22))
-    other = x12 / root
-    xi = np.stack([np.where(use1, root, other), np.where(use1, other, root)], axis=-1)
-    if np.any(np.einsum("...a,...a->...", theta[2], _covector(xi, pauli)) < 0.0):
-        raise NoSpinLift("theta^3 points against v / s of the spinor lifted from the frame")
+    xi = np.empty(dims + (2,), dtype=complex)
+    for sl in slabs:
+        s = rho[sl] / metric.sqrt_det
+        w = s[..., np.newaxis] * (theta[0, sl] + 1j * theta[1, sl])
+        x11, x12, x22 = (quad_inv @ w.reshape(-1, 3).T).reshape((3,) + s.shape)
+        # |xi_1^2| + |xi_2^2| = s, so the larger square has modulus >= s / 2
+        use1 = np.abs(x11) >= np.abs(x22)
+        root = np.sqrt(np.where(use1, x11, x22))
+        other = x12 / root
+        xi[sl, ..., 0] = np.where(use1, root, other)
+        xi[sl, ..., 1] = np.where(use1, other, root)
+        if np.any(np.einsum("...a,...a->...", theta[2, sl], _covector(xi[sl], pauli)) < 0.0):
+            raise NoSpinLift("theta^3 points against v / s of the spinor lifted from the frame")
 
-    xi = xi * _sweep_signs(xi)[..., np.newaxis]
+    xi *= _sweep_signs(xi)[..., np.newaxis]
 
     # canonical overall sign: first point's dominant component has Re >= 0
     anchor = xi.reshape(-1, 2)[0]
     lead = anchor[int(np.argmax(np.abs(anchor)))]
-    return (-xi if lead.real < 0.0 else xi), worst
+    if lead.real < 0.0:
+        np.negative(xi, out=xi)
+    return xi, worst
 
 
 def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
@@ -130,7 +162,8 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
     from w = s (theta^1 + i theta^2). On any Pauli set, a frame has a
     spin lift only where theta^3 = v / s of that spinor, and only if a
     sweep along the axes (`_sweep_signs`) can fix the per-point sign
-    around all three torus cycles.
+    around all three torus cycles. A density whose shape is not the
+    frame's grid shape ``theta.shape[1:-1]`` raises ValueError.
     """
     return _lift(theta, rho, pauli, metric)[0]
 
@@ -150,5 +183,7 @@ def stationary_frame_path(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
     theta = packet.theta
     # d0 (theta^1 + i theta^2) = -2 i p0 (theta^1 + i theta^2)
     rate = PHASE_RATE * p0
-    dtheta0 = np.stack([-rate * theta[1], rate * theta[0], np.zeros_like(theta[2])])
+    dtheta0 = np.zeros_like(theta)
+    np.multiply(-rate, theta[1], out=dtheta0[0])
+    np.multiply(rate, theta[0], out=dtheta0[1])
     return theta, dtheta0, packet.rho

@@ -43,7 +43,10 @@ def _gram_entry(theta: np.ndarray, a: int, b: int) -> np.ndarray:
 def _triple_product(theta: np.ndarray) -> np.ndarray:
     """Pointwise theta^1 . theta^2 x theta^3: its sign is the handedness
     of the coframe, its square the determinant of the induced metric."""
-    return np.sum(theta[0] * np.cross(theta[1], theta[2]), axis=-1)
+    a, b, c = theta
+    return (a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
+            + a[..., 1] * (b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2])
+            + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]))
 
 
 def _induced_det(theta: np.ndarray) -> np.ndarray:

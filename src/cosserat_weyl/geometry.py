@@ -279,7 +279,9 @@ def exterior_derivative(theta: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def wedge_1_1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Wedge of two covector fields as a 2-form (component order
     (w_23, w_31, w_12) makes this the pointwise cross product)."""
-    return np.cross(a, b)
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
 
 
 def wedge_1_2(a: np.ndarray, omega: np.ndarray) -> np.ndarray:

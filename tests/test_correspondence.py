@@ -2,12 +2,15 @@
 round trips, phase behaviour and the stationary frame path."""
 
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cosserat_weyl.correspondence as correspondence_module
 from cosserat_weyl import (
     Metric3,
     ModelError,
@@ -204,6 +207,86 @@ class TestFrameToSpinor:
             with pytest.raises(NonPositiveDensity, match="finite and positive"):
                 frame_to_spinor(theta, rho, pauli_identity, identity_metric)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (), (8, 8, 1), (4, 8, 8)])
+    def test_rejects_density_of_another_shape(self, grid8, pauli_identity,
+                                              identity_metric, shape):
+        packet = spinor_to_frame(_constant_spinor(grid8), pauli_identity,
+                                 identity_metric, grid8)
+        with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*"
+                           + re.escape(f"{grid8.shape}")):
+            frame_to_spinor(packet.theta, np.ones(shape), pauli_identity, identity_metric)
+
+
+class TestSlabs:
+    # Every other test's grid is a single slab of _SLAB_POINTS. These
+    # split (12,16,8) into x1 slabs of 5, 5 and 2 planes, and (4,6,10)
+    # into 3 and 1, so the last slab differs from the others.
+    CASES = [((12, 16, 8), 5 * 16 * 8), ((4, 6, 10), 3 * 6 * 10)]
+
+    @staticmethod
+    def _case(dims, monkeypatch, slab_points):
+        """A seeded spinor on ``dims`` with its one-slab frame, lift and
+        orthonormality residual, then ``slab_points`` patched in."""
+        grid = TorusGrid(dims, (5.0, 7.0, 9.0))
+        rng = np.random.default_rng(67)
+        metric = random_spd_metric(rng)
+        pauli = _su2_conjugate(build_pauli(metric), rng)
+        xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
+        assert len(correspondence_module._slabs(dims)) == 1
+        packet = spinor_to_frame(xi, pauli, metric, grid)
+        lift = correspondence_module._lift(packet.theta, packet.rho, pauli, metric)
+        monkeypatch.setattr(correspondence_module, "_SLAB_POINTS", slab_points)
+        slabs = correspondence_module._slabs(dims)
+        sizes = [len(range(dims[0])[sl]) for sl in slabs]
+        assert sum(sizes) == dims[0] and len(set(sizes)) == 2
+        return grid, metric, pauli, xi, packet, lift, slabs
+
+    @pytest.mark.parametrize("dims,slab_points", CASES)
+    def test_slabs_match_one_slab_bit_for_bit(self, monkeypatch, dims, slab_points):
+        grid, metric, pauli, xi, packet, (xi_rec, ortho), _ = self._case(
+            dims, monkeypatch, slab_points)
+        sliced = spinor_to_frame(xi, pauli, metric, grid)
+        assert np.array_equal(sliced.theta, packet.theta)
+        assert np.array_equal(sliced.rho, packet.rho)
+        lift = correspondence_module._lift(sliced.theta, sliced.rho, pauli, metric)
+        assert np.array_equal(lift[0], xi_rec)
+        assert lift[1] == ortho
+
+    @pytest.mark.parametrize("dims,slab_points", CASES)
+    def test_nan_in_the_last_slab_is_not_orthonormal(self, monkeypatch, dims, slab_points):
+        _, metric, pauli, _, packet, _, slabs = self._case(dims, monkeypatch, slab_points)
+        theta = packet.theta.copy()
+        theta[0, slabs[-1].start, 1, 2, 0] = np.nan
+        with pytest.raises(NotOrthonormal):
+            frame_to_spinor(theta, packet.rho, pauli, metric)
+
+    @pytest.mark.parametrize("dims,slab_points", CASES)
+    def test_flip_in_the_last_slab_has_no_lift(self, monkeypatch, dims, slab_points):
+        _, metric, pauli, _, packet, _, slabs = self._case(dims, monkeypatch, slab_points)
+        theta = packet.theta.copy()
+        theta[2, slabs[-1]] *= -1.0
+        with pytest.raises(NoSpinLift, match="theta\\^3 points against"):
+            frame_to_spinor(theta, packet.rho, pauli, metric)
+
+    def test_multi_slab_lift_memory(self):
+        # (64,32,32) holds two slabs. Above its inputs, the lift peaks at
+        # 2.3 times the frame's bytes (xi and the whole-grid sign sweep);
+        # a whole-grid evaluation of the pointwise steps peaks at 3.35
+        grid = TorusGrid((64, 32, 32), (5.0, 7.0, 9.0))
+        assert len(correspondence_module._slabs(grid.shape)) == 2
+        rng = np.random.default_rng(71)
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
+        packet = spinor_to_frame(xi, pauli, metric, grid)
+        tracemalloc.start()
+        try:
+            frame_to_spinor(packet.theta, packet.rho, pauli, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * packet.theta.nbytes
+
 
 class TestDictionaryAtTheEdges:
     # a perturbation of at most 0.25 per component keeps every pair of
@@ -295,6 +378,16 @@ class TestStationaryFramePath:
         assert np.abs(dtheta0[1] - rate * theta[0]).max() <= 1e-14
         assert np.abs(dtheta0[2]).max() == 0.0
         assert np.abs(rho - 1.0).max() <= 1e-15
+
+    def test_velocity_is_the_rotated_frame_exactly(self, grid8):
+        rng = np.random.default_rng(73)
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        eta = random_nonvanishing_spinor(grid8, rng)
+        rate = PHASE_RATE * 0.7
+        theta, dtheta0, _ = stationary_frame_path(eta, 0.7, pauli, metric, grid8)
+        expected = np.stack([-rate * theta[1], rate * theta[0], np.zeros_like(theta[2])])
+        assert np.array_equal(dtheta0, expected)
 
     def test_coframe_lagrangian_matches_spinor_lagrangian(self):
         from cosserat_weyl import TorusGrid

@@ -18,9 +18,10 @@ from cosserat_weyl import (
     exterior_derivative,
     integrate,
     spectral_partial,
+    wedge_1_1,
 )
 from cosserat_weyl.cosserat import (_induced_det, _norm2_2form, _potential_density,
-                                    kinetic_2form, kinetic_energy)
+                                    _triple_product, kinetic_2form, kinetic_energy)
 from cosserat_weyl.geometry import PAULI_1, PAULI_2, PAULI_3, _plane_wave, _plane_waves
 from cosserat_weyl.sampling import (random_bandlimited_scalar, random_nonvanishing_spinor,
                                     random_spd_metric, rotating_coframe)
@@ -397,6 +398,17 @@ class TestFormNorms:
         theta = _constant_coframe(grid8, np.eye(3))
         norm2 = _norm2_2form(omega, theta, _induced_det(theta))
         assert np.abs(norm2 - 9.0).max() <= 1e-14
+
+    def test_wedge_and_triple_product_are_cross_products(self):
+        # written out component by component, bit for bit as np.cross,
+        # and the triple product sums its three terms left to right
+        rng = np.random.default_rng(7)
+        theta = rng.normal(size=(3, 12, 16, 8, 3))
+        cross = np.cross(theta[1], theta[2])
+        assert np.array_equal(wedge_1_1(theta[1], theta[2]), cross)
+        terms = theta[0] * cross
+        assert np.array_equal(_triple_product(theta),
+                              terms[..., 0] + terms[..., 1] + terms[..., 2])
 
 
 def _norm2_2form_full(omega, g_upper):

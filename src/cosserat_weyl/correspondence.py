@@ -23,7 +23,7 @@ import numpy as np
 
 from .cosserat import check_density, orthonormality_residual
 from .errors import NoSpinLift, NotOrthonormal
-from .geometry import Metric3, PauliSet, TorusGrid
+from .geometry import Metric3, PauliSet, TorusGrid, _slabs
 from .spinor import SpinorField, _covector, _nonvanishing
 
 # d0 (theta^1 + i theta^2) = PHASE_RATE * i * p0 * (theta^1 + i theta^2)
@@ -31,10 +31,6 @@ PHASE_RATE = -2.0
 
 # largest orthonormality residual `frame_to_spinor` accepts
 _ORTHO_TOL = 1e-6
-
-# Grid points per x1 slab of the pointwise dictionary maps: their
-# temporaries stay O(_SLAB_POINTS) whatever the grid.
-_SLAB_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -55,13 +51,6 @@ def _quadratic_map(pauli: PauliSet) -> np.ndarray:
     jsigma = np.array([[0.0, -1.0], [1.0, 0.0]]) @ pauli.sigma_lower
     return np.stack([jsigma[:, 0, 0], jsigma[:, 0, 1] + jsigma[:, 1, 0],
                      jsigma[:, 1, 1]], axis=-1)
-
-
-def _slabs(dims: tuple) -> list[slice]:
-    """Slices of whole x1 planes, about `_SLAB_POINTS` points each (at
-    least one plane), that cover a grid of shape ``dims``."""
-    step = max(1, _SLAB_POINTS // (dims[1] * dims[2]))
-    return [slice(start, start + step) for start in range(0, dims[0], step)]
 
 
 def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
@@ -86,28 +75,51 @@ def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
     return FramePacket(theta=theta, rho=field.s * metric.sqrt_det)
 
 
+def _line_signs(line: np.ndarray, axis: int) -> np.ndarray:
+    """Per-point signs (+-1) along ``axis`` that make the spinors
+    ``line`` continuous: each point's sign is the product of the flips
+    of the links before it, a link from a point to the next flipping
+    where Re xibar xi' < 0. Raises NoSpinLift if the flips of a line,
+    its periodic edge included, multiply to -1.
+
+    The overlaps of the interior links are taken from shifted slices
+    straight into the returned array, at the point after each link, and
+    the periodic edge's apart, so neither a rolled copy nor a separate
+    overlap array of the full size is made.
+    """
+    pairs = line.view(float)  # Re and Im of both components per point
+
+    def at(index):
+        return (slice(None),) * axis + (index,)
+
+    sign = np.empty(line.shape[:-1])
+    np.einsum("...i,...i->...", pairs[at(slice(None, -1))], pairs[at(slice(1, None))],
+              out=sign[at(slice(1, None))])
+    edge = np.einsum("...i,...i->...", pairs[at(-1)], pairs[at(0)])
+    sign[at(0)] = 1.0
+    flips = sign < 0.0
+    sign.fill(1.0)
+    np.copyto(sign, -1.0, where=flips)
+    np.cumprod(sign, axis=axis, out=sign)
+    if np.any((sign[at(-1)] < 0.0) != (edge < 0.0)):
+        raise NoSpinLift(f"no spin lift around the x{axis + 1} cycle: the lifted "
+                         "spinor changes sign across the periodic edge")
+    return sign
+
+
 def _sweep_signs(xi: np.ndarray) -> np.ndarray:
     """Per-point signs that make the pointwise lift xi continuous.
 
-    The sweep runs along the axes: every x3 line, then the x3 = 0 plane
-    along x2, then the x2 = x3 = 0 line along x1. Each flips the points
-    after a link where Re xibar xi' < 0. A line with an odd number of
-    such links, its periodic edge included, changes sign around its
-    torus cycle: the frame has no spin lift, and NoSpinLift names the
-    axis.
+    The sweep runs along the axes (`_line_signs`): every x3 line, then
+    the x3 = 0 plane along x2, then the x2 = x3 = 0 line along x1. Each
+    flips the points after a link where Re xibar xi' < 0. A line with an
+    odd number of such links, its periodic edge included, changes sign
+    around its torus cycle: the frame has no spin lift, and NoSpinLift
+    names the axis.
     """
-    sign = 1.0
-    for axis in (2, 1, 0):
-        line = xi[(slice(None),) * (axis + 1) + (0,) * (2 - axis)]
-        ahead = np.roll(line, -1, axis)
-        overlap = np.einsum("...i,...i->...", line.view(float), ahead.view(float))
-        flips = np.where(overlap < 0.0, -1.0, 1.0)
-        signs = np.cumprod(flips, axis=axis)
-        if np.any(np.take(signs, -1, axis) < 0.0):
-            raise NoSpinLift(f"no spin lift around the x{axis + 1} cycle: the lifted "
-                             "spinor changes sign across the periodic edge")
-        signs *= flips  # the sign of each point, before its own link
-        sign = sign * signs.reshape(signs.shape + (1,) * (2 - axis))
+    sign = _line_signs(xi, 2)
+    sign *= _line_signs(xi[:, :, 0], 1)[:, :, np.newaxis]
+    sign *= _line_signs(xi[:, 0, 0], 0)[:, np.newaxis, np.newaxis]
     return sign
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDenominator, VanishingSpinor, ZeroFrequency
-from .geometry import Metric3, PauliSet, TorusGrid
+from .geometry import Metric3, PauliSet, TorusGrid, _slabs
 
 # Global sign reconciling the stationary Lagrangian with its
 # factorisation through the two Weyl densities, relative to the
@@ -100,14 +100,35 @@ def _relative_max(diff, ref) -> float:
 
 def _axial_density(eta: np.ndarray, slash: np.ndarray) -> np.ndarray:
     """A = (i/2)(etabar sigma^a d_a eta - c.c.) from eta and
-    sigma^a d_a eta, pointwise over any leading shape."""
-    # A = (i/2)(t - conj(t)) = -Im(t), exactly real by construction
-    return -np.einsum("...a,...a->...", eta.conj(), slash).imag
+    sigma^a d_a eta, pointwise over any leading shape.
+
+    A = -Im(etabar . slash), exactly real by construction, taken from
+    the real and imaginary views of both arrays (no conjugate copy of
+    eta): per component, Im eta Re slash - Re eta Im slash.
+    """
+    e1, e2 = eta[..., 0], eta[..., 1]
+    d1, d2 = slash[..., 0], slash[..., 1]
+    axial = e1.imag * d1.real
+    axial -= e1.real * d1.imag
+    second = e2.imag * d2.real
+    second -= e2.real * d2.imag
+    axial += second
+    return axial
 
 
 def _stationary_density(s, A, p0: float, metric: Metric3):
-    """16/(9 s) (A^2 - (p0 s)^2) sqrt(det g) from the bilinears."""
-    return (16.0 / (9.0 * s)) * (A**2 - (p0 * s) ** 2) * metric.sqrt_det
+    """16/(9 s) (A^2 - (p0 s)^2) sqrt(det g) from the bilinear arrays,
+    each operation of that expression done in place, so only two arrays
+    of their size are made."""
+    difference = np.square(A)
+    density = p0 * s
+    np.square(density, out=density)
+    difference -= density
+    np.multiply(9.0, s, out=density)
+    np.divide(16.0, density, out=density)
+    density *= difference
+    density *= metric.sqrt_det
+    return density
 
 
 def _weyl_density(s, A, p0: float, sign: int, metric: Metric3):
@@ -124,15 +145,20 @@ def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """sigma^a d_a eta as one Fourier multiplier, F^-1[(i k_a sigma^a) F eta],
     for any 2x2 matrices sigma[a], a = 0, 1, 2 (index a for axis a + 1).
 
-    One `fftn` per spinor component, in place on a contiguous complex
-    copy of it (eta may be real) less its mean, and one `ifftn` per
-    output component, also in place (the `out=` of NumPy 2; with fresh
-    outputs a call takes 5-20% longer at 16^3-64^3, `BENCH_17.json`).
-    The wavenumbers are those of `spectral_partial` (Nyquist zeroed),
-    so this is sum_a sigma[a] applied to the spectral partial d_a eta,
-    up to rounding. Each of the four entries of the symbol is built per
-    call from three 1-D arrays, in one pass over the grid into one of
-    two reused buffers; no symbol is kept between calls.
+    Each spinor component less its mean is written into one contiguous
+    complex plane of a (2,) + dims block (eta may be real) and
+    transformed there by `fftn`, in place. The 2x2 symbol is then
+    applied one x1 slab (`geometry._slabs`) at a time: each of its four
+    entries is built for the slab from three 1-D arrays, in one pass
+    into one of two slab buffers, and both products of the slab are
+    written back into the two spectra. One `ifftn` per plane then
+    inverts it in place (the `out=` of NumPy 2). The result is that
+    block seen with its component axis last, dims + (2,): its two
+    component planes are contiguous, its points are not. So nothing
+    grid-sized is allocated beyond the result, and no symbol is kept
+    between calls. The wavenumbers are those of `spectral_partial`
+    (Nyquist zeroed), so this is sum_a sigma[a] applied to the spectral
+    partial d_a eta, up to rounding.
 
     The mean has zero derivative. Removing it first keeps the rounding
     of a large constant part, such as the unit spinor of a nonvanishing
@@ -140,23 +166,32 @@ def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid) -> np.ndarray:
     64^3 over seeds 0-7 is 1.6e-14 with it and 4.5e-14 without.
     """
     k1, k2, k3 = (grid.wavenumber(a) for a in (1, 2, 3))
-    fhat = [np.fft.fftn(comp, out=comp)
-            for comp in (eta[..., j] - complex(eta[..., j].mean()) for j in (0, 1))]
+    fhat = np.empty((2,) + eta.shape[:-1], dtype=complex)
+    for j in (0, 1):
+        np.subtract(eta[..., j], complex(eta[..., j].mean()), out=fhat[j])
+        np.fft.fftn(fhat[j], out=fhat[j])
+    slabs = _slabs(eta.shape[:-1])
+    buffers = np.empty((2, slabs[0].stop) + eta.shape[1:-1], dtype=complex)
 
-    def times_symbol(i, j, out):
-        """out = (i k_a sigma[a][i, j]) (F eta)_j."""
+    def times_symbol(i, j, sl, out):
+        """out = (i k_a sigma[a][i, j]) (F eta)_j on the slab sl."""
         c1, c2, c3 = 1j * sigma[:, i, j]
-        np.add((c1 * k1)[:, None, None] + (c2 * k2)[:, None], c3 * k3, out=out)
-        out *= fhat[j]
+        np.add((c1 * k1[sl])[:, None, None] + (c2 * k2)[:, None], c3 * k3, out=out)
+        out *= fhat[j, sl]
 
-    acc, term = np.empty_like(fhat[0]), np.empty_like(fhat[0])
-    out = np.empty(eta.shape, dtype=complex)
-    for i in (0, 1):
-        times_symbol(i, 0, acc)
-        times_symbol(i, 1, term)
-        acc += term
-        out[..., i] = np.fft.ifftn(acc, out=acc)
-    return out
+    for sl in slabs:
+        first, second = buffers[:, :sl.stop - sl.start]
+        times_symbol(0, 0, sl, first)
+        times_symbol(0, 1, sl, second)
+        first += second
+        times_symbol(1, 0, sl, second)  # reads (F eta)_0 before it is overwritten
+        fhat[0, sl] = first
+        times_symbol(1, 1, sl, first)
+        second += first
+        fhat[1, sl] = second
+    for j in (0, 1):
+        np.fft.ifftn(fhat[j], out=fhat[j])
+    return np.moveaxis(fhat, 0, -1)
 
 
 class SpinorField:

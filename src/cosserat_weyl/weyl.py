@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ZeroFrequency, ZeroWavevector
-from .geometry import (Metric3, PauliSet, TorusGrid, _highest_mode, _plane_wave,
+from .geometry import (Metric3, PauliSet, TorusGrid, _highest_mode, _plane_wave, _slabs,
                        build_pauli, spectral_partial)
 from .sampling import random_bandlimited_spinor, random_wavevector
 from .spinor import (
@@ -145,15 +145,26 @@ def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     sigma^a taken out of the derivative. Both sigma^a d_a are applied
     as one Fourier symbol (`_dirac`): the first is the field's cached
     one, the second is the only transform this function adds.
+
+    w is accumulated in place in the array of sigma^a d_a (G eta), one
+    x1 slab (`geometry._slabs`) and one component at a time:
+    += G sigma^a d_a eta, then *= i/2, then += H eta. So beyond G, G eta
+    and that `_dirac` call, only slab-sized temporaries are made.
     """
     if p0 == 0.0:
         raise ZeroFrequency("p0 must be nonzero")
     field = _nonvanishing(eta, pauli, grid)
     g_coef = 2.0 * _PREFACTOR * field.A * metric.sqrt_det / field.s
-    h_coef = _PREFACTOR * (-((field.A / field.s) ** 2) - p0 * p0) * metric.sqrt_det
-    term1 = g_coef[..., np.newaxis] * field.slash
-    term2 = _dirac(g_coef[..., np.newaxis] * field.eta, pauli.sigma_upper, grid)
-    return 0.5j * (term1 + term2) + h_coef[..., np.newaxis] * field.eta
+    w = _dirac(g_coef[..., np.newaxis] * field.eta, pauli.sigma_upper, grid)
+    for sl in _slabs(grid.shape):
+        g_slab, axial, s = g_coef[sl], field.A[sl], field.s[sl]
+        h_coef = _PREFACTOR * (-((axial / s) ** 2) - p0 * p0) * metric.sqrt_det
+        for j in (0, 1):  # one contiguous component plane of w (`_dirac`) at a time
+            w_plane = w[sl, ..., j]
+            w_plane += g_slab * field.slash[sl, ..., j]
+            w_plane *= 0.5j
+            w_plane += h_coef * field.eta[sl, ..., j]
+    return w
 
 
 def _gradient_scale(field: SpinorField, p0: float, metric: Metric3) -> float:

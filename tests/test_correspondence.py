@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cosserat_weyl.correspondence as correspondence_module
+import cosserat_weyl.geometry as geometry_module
 from cosserat_weyl import (
     Metric3,
     ModelError,
@@ -232,11 +233,11 @@ class TestSlabs:
         metric = random_spd_metric(rng)
         pauli = _su2_conjugate(build_pauli(metric), rng)
         xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
-        assert len(correspondence_module._slabs(dims)) == 1
+        assert len(geometry_module._slabs(dims)) == 1
         packet = spinor_to_frame(xi, pauli, metric, grid)
         lift = correspondence_module._lift(packet.theta, packet.rho, pauli, metric)
-        monkeypatch.setattr(correspondence_module, "_SLAB_POINTS", slab_points)
-        slabs = correspondence_module._slabs(dims)
+        monkeypatch.setattr(geometry_module, "_SLAB_POINTS", slab_points)
+        slabs = geometry_module._slabs(dims)
         sizes = [len(range(dims[0])[sl]) for sl in slabs]
         assert sum(sizes) == dims[0] and len(set(sizes)) == 2
         return grid, metric, pauli, xi, packet, lift, slabs
@@ -270,10 +271,11 @@ class TestSlabs:
 
     def test_multi_slab_lift_memory(self):
         # (64,32,32) holds two slabs. Above its inputs, the lift peaks at
-        # 2.3 times the frame's bytes (xi and the whole-grid sign sweep);
-        # a whole-grid evaluation of the pointwise steps peaks at 3.35
+        # 2.09 times the frame's bytes (xi and the temporaries of one
+        # half-grid slab; 2.3 with a rolled sign sweep); a whole-grid
+        # evaluation of the pointwise steps peaks at 3.35
         grid = TorusGrid((64, 32, 32), (5.0, 7.0, 9.0))
-        assert len(correspondence_module._slabs(grid.shape)) == 2
+        assert len(geometry_module._slabs(grid.shape)) == 2
         rng = np.random.default_rng(71)
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
@@ -286,6 +288,83 @@ class TestSlabs:
         finally:
             tracemalloc.stop()
         assert peak <= 2.75 * packet.theta.nbytes
+
+
+def _roll_sweep_signs(xi):
+    """Oracle of `_sweep_signs`: each sweep takes its overlaps against an
+    np.roll of the line and its signs from a cumulative product over
+    the flips of every link, periodic edge included."""
+    sign = 1.0
+    for axis in (2, 1, 0):
+        line = xi[(slice(None),) * (axis + 1) + (0,) * (2 - axis)]
+        ahead = np.roll(line, -1, axis)
+        overlap = np.einsum("...i,...i->...", line.view(float), ahead.view(float))
+        flips = np.where(overlap < 0.0, -1.0, 1.0)
+        signs = np.cumprod(flips, axis=axis)
+        if np.any(np.take(signs, -1, axis) < 0.0):
+            raise NoSpinLift(f"no spin lift around the x{axis + 1} cycle: the lifted "
+                             "spinor changes sign across the periodic edge")
+        signs *= flips
+        sign = sign * signs.reshape(signs.shape + (1,) * (2 - axis))
+    return sign
+
+
+def _half_turn(dims, axis):
+    """Unit spinors (cos, sin)(pi i / N) along ``axis``, i the grid index:
+    positive overlaps between neighbours, a negative one across the
+    periodic edge, so that cycle has no spin lift."""
+    angle = np.pi * np.arange(dims[axis]) / dims[axis]
+    shape = [1, 1, 1]
+    shape[axis] = -1
+    xi = np.zeros(tuple(dims) + (2,), dtype=complex)
+    xi[..., 0] = np.cos(angle).reshape(shape)
+    xi[..., 1] = np.sin(angle).reshape(shape)
+    return xi
+
+
+class TestSweepSigns:
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (12, 16, 8), (4, 6, 10), (8, 6, 4)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_roll_sweep(self, dims, seed):
+        # a continuous spinor with a random sign at every point: flips on
+        # every axis, an even number per cycle, so it lifts
+        rng = np.random.default_rng(seed)
+        grid = TorusGrid(dims, (5.0, 7.0, 9.0))
+        xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
+        xi *= rng.choice([-1.0, 1.0], size=dims)[..., np.newaxis]
+        oracle = _roll_sweep_signs(xi)
+        signs = correspondence_module._sweep_signs(xi)
+        assert signs.shape == dims
+        assert np.array_equal(signs, oracle)
+        smooth = xi * signs[..., np.newaxis]
+        assert np.array_equal(correspondence_module._sweep_signs(smooth), np.ones(dims))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("dims", [(8, 6, 4), (4, 6, 10)])
+    def test_no_lift_names_the_axis_as_the_roll_sweep(self, axis, dims):
+        xi = _half_turn(dims, axis)
+        messages = []
+        for sweep in (_roll_sweep_signs, correspondence_module._sweep_signs):
+            with pytest.raises(NoSpinLift, match=f"x{axis + 1} cycle") as info:
+                sweep(xi)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_memory_of_one_sweep(self):
+        # above its input, a (64,32,32) sweep peaks at 0.29 times the
+        # spinor's bytes: the signs and one boolean grid. The roll sweep
+        # peaked at 2.04
+        grid = TorusGrid((64, 32, 32), (5.0, 7.0, 9.0))
+        xi = random_nonvanishing_spinor(grid, np.random.default_rng(71), amplitude=0.15,
+                                        max_mode=1)
+        correspondence_module._sweep_signs(xi)  # one-time allocations untraced
+        tracemalloc.start()
+        try:
+            correspondence_module._sweep_signs(xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.4 * xi.nbytes
 
 
 class TestDictionaryAtTheEdges:

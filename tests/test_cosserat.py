@@ -1,6 +1,8 @@
 """Coframe energetics: torsion, potential/kinetic energies, conformal
 rescaling, orthonormality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,17 @@ from cosserat_weyl import (
     TorusGrid,
     axial_torsion,
     conformal_rescale,
+    exterior_derivative,
     kinetic_2form,
     kinetic_energy,
     lagrangian_coframe,
     orthonormality_residual,
     potential_energy,
+    spectral_partial,
+    wedge_1_2,
 )
 from cosserat_weyl.cosserat import _GRAM_PAIRS, _gram_entry, _induced_det
-from cosserat_weyl.sampling import random_spd_metric, rotating_coframe
+from cosserat_weyl.sampling import random_bandlimited_scalar, random_spd_metric, rotating_coframe
 
 TWO_PI = 2.0 * np.pi
 
@@ -105,6 +110,44 @@ class TestAxialTorsion:
         x3 = grid.coords()[2]
         f = axial_torsion(rotating_coframe(grid, np.sin(x3)), grid)
         assert np.abs(f - oracle(x3)).max() <= 1e-12
+
+    @staticmethod
+    def _random_coframe(grid, rng):
+        return np.stack([np.stack([random_bandlimited_scalar(grid, rng, max_mode=1)
+                                   for _ in range(3)], axis=-1) for _ in range(3)])
+
+    @pytest.mark.parametrize("dims", [(4, 6, 10), (12, 16, 8), (16, 16, 16)])
+    def test_matches_the_stacked_2form(self, dims):
+        # f summed straight from the paired partials, against
+        # (1/3) sum_j theta^j . d theta^j with d theta^j stacked from
+        # per-component partials, on a random non-orthonormal coframe
+        grid = TorusGrid(dims, (5.0, 7.0, 9.0))
+        theta = self._random_coframe(grid, np.random.default_rng(23))
+        oracle = np.zeros(dims)
+        for cov in theta:
+            d = lambda comp, axis: spectral_partial(cov[..., comp], axis, grid)
+            dcov = np.stack([d(2, 2) - d(1, 3), d(0, 3) - d(2, 1), d(1, 1) - d(0, 2)], axis=-1)
+            oracle += wedge_1_2(cov, dcov)
+        oracle /= 3.0
+        f = axial_torsion(theta, grid)
+        assert np.abs(f - oracle).max() <= 1e-14 * np.abs(oracle).max()
+        stacked = sum(wedge_1_2(cov, exterior_derivative(cov, grid)) for cov in theta) / 3.0
+        assert np.abs(f - stacked).max() <= 1e-14 * np.abs(oracle).max()
+
+    def test_memory_of_one_call(self):
+        # above its input, a (64,32,32) call peaks at 0.45 times the
+        # coframe's bytes: f, one complex field and one product. Stacking
+        # d theta^j from per-component real partials peaked at 0.78
+        grid = TorusGrid((64, 32, 32), (5.0, 7.0, 9.0))
+        theta = self._random_coframe(grid, np.random.default_rng(71))
+        axial_torsion(theta, grid)  # one-time allocations untraced
+        tracemalloc.start()
+        try:
+            axial_torsion(theta, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * theta.nbytes
 
 
 class TestEnergies:

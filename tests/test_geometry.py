@@ -351,6 +351,20 @@ class TestExteriorDerivative:
         grad = np.stack([spectral_partial(f, i, grid8) for i in (1, 2, 3)], axis=-1)
         assert np.abs(exterior_derivative(grad, grid8)).max() <= 1e-12
 
+    @pytest.mark.parametrize("dims", [(4, 6, 10), (12, 16, 8), (16, 16, 16)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_paired_partials_match_per_component_partials(self, dims, seed):
+        # each axis differentiates two components as one complex field;
+        # a real partial per component gives the same 2-form to rounding
+        grid = TorusGrid(dims, (5.0, 7.0, 9.0))
+        rng = np.random.default_rng(seed)
+        theta = np.stack([random_bandlimited_scalar(grid, rng, max_mode=1) for _ in range(3)],
+                         axis=-1)
+        d = lambda comp, axis: spectral_partial(theta[..., comp], axis, grid)
+        oracle = np.stack([d(2, 2) - d(1, 3), d(0, 3) - d(2, 1), d(1, 1) - d(0, 2)], axis=-1)
+        assert np.abs(exterior_derivative(theta, grid) - oracle).max() \
+            <= 1e-14 * np.abs(oracle).max()
+
 
 def _constant_coframe(grid, frame):
     """The coframe whose j-th covector is row j of ``frame`` at every point."""
@@ -409,6 +423,16 @@ class TestFormNorms:
         terms = theta[0] * cross
         assert np.array_equal(_triple_product(theta),
                               terms[..., 0] + terms[..., 1] + terms[..., 2])
+
+    def test_kinetic_2form_is_the_stacked_wedge_sum(self):
+        # each wedge component is added in place, bit for bit as the sum
+        # of the three stacked wedges
+        rng = np.random.default_rng(8)
+        theta, dtheta0 = rng.normal(size=(2, 3, 12, 16, 8, 3))
+        stacked = np.zeros(theta.shape[1:])
+        for j in range(3):
+            stacked += wedge_1_1(theta[j], dtheta0[j])
+        assert np.array_equal(kinetic_2form(theta, dtheta0), stacked / 3.0)
 
 
 def _norm2_2form_full(omega, g_upper):

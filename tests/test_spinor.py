@@ -2,6 +2,7 @@
 factorisation identity, scaling covariance and the dynamic reduction."""
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cosserat_weyl.correspondence as correspondence_module
+import cosserat_weyl.geometry as geometry_module
 import cosserat_weyl.spinor as spinor_module
 import cosserat_weyl.weyl as weyl_module
 from cosserat_weyl import (
@@ -43,7 +45,7 @@ from cosserat_weyl import (
     weyl_residual_norm,
 )
 from cosserat_weyl.geometry import spectral_partial
-from cosserat_weyl.spinor import _covector, _dirac, _sandwich, _scalar_density
+from cosserat_weyl.spinor import _axial_density, _covector, _dirac, _sandwich, _scalar_density
 from cosserat_weyl.sampling import (
     random_bandlimited_scalar,
     random_nonvanishing_spinor,
@@ -375,6 +377,82 @@ class TestDiracSymbol:
         for sigma in sigmas:
             assert np.array_equal(_dirac(eta.real, sigma, grid),
                                   _dirac(eta.real.astype(complex), sigma, grid))
+
+    # x1 slabs of 5, 5 and 2 planes on (12,16,8), and of 3 and 1 on
+    # (4,6,10): every other test's grid is one slab of _SLAB_POINTS
+    @pytest.mark.parametrize("dims,slab_points", [((12, 16, 8), 5 * 16 * 8),
+                                                  ((4, 6, 10), 3 * 6 * 10)])
+    def test_slabs_match_one_slab_bit_for_bit(self, monkeypatch, dims, slab_points):
+        eta, sigmas, grid = _dirac_case(dims, (5.0, 7.0, 9.0), 5, 2.0)
+        whole = [_dirac(eta, sigma, grid) for sigma in sigmas]
+        monkeypatch.setattr(geometry_module, "_SLAB_POINTS", slab_points)
+        sizes = [len(range(dims[0])[sl]) for sl in geometry_module._slabs(dims)]
+        assert sum(sizes) == dims[0] and len(set(sizes)) == 2
+        for sigma, expected in zip(sigmas, whole):
+            assert np.array_equal(_dirac(eta, sigma, grid), expected)
+
+    def test_memory_of_a_multi_slab_call(self):
+        # (64,32,32) holds two slabs. Above its input, a call peaks at 1.63
+        # times the spinor's bytes: the two spectra, which become the
+        # result, and two slab buffers. With whole-grid symbol buffers and
+        # an output apart from the spectra it peaked at 3.14
+        grid = TorusGrid((64, 32, 32), (5.0, 7.0, 9.0))
+        assert len(geometry_module._slabs(grid.shape)) == 2
+        rng = np.random.default_rng(71)
+        pauli = build_pauli(random_spd_metric(rng))
+        eta = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
+        _dirac(eta, pauli.sigma_upper, grid)  # one-time allocations untraced
+        tracemalloc.start()
+        try:
+            _dirac(eta, pauli.sigma_upper, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.9 * eta.nbytes
+
+
+class TestAxialDensity:
+    """A from the real and imaginary views of eta and sigma^a d_a eta,
+    against the conjugate einsum form -Im(etabar . slash)."""
+
+    @staticmethod
+    def _einsum_form(eta, slash):
+        return -np.einsum("...a,...a->...", eta.conj(), slash).imag
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(4, 4, 4), (12, 16, 8), (4, 6, 10)]),
+           st.integers(0, 2**31 - 1), st.floats(0.0, 6.0))
+    @example((12, 16, 8), 1, 6.0)
+    def test_within_two_ulp_of_the_einsum_form(self, dims, seed, log10_cond):
+        eta, sigmas, grid = _dirac_case(dims, (5.0, 7.0, 9.0), seed, log10_cond)
+        for sigma in sigmas:
+            slash = _dirac(eta, sigma, grid)
+            oracle = self._einsum_form(eta, slash)
+            assert np.all(np.abs(_axial_density(eta, slash) - oracle)
+                          <= 2.0 * np.spacing(np.abs(oracle)))
+
+    def test_any_leading_shape_and_a_real_spinor(self):
+        # the finite-difference probes pass (probe, sign, point, 2) arrays
+        rng = np.random.default_rng(3)
+        eta = rng.normal(size=(5, 2, 7, 2)) + 1j * rng.normal(size=(5, 2, 7, 2))
+        slash = rng.normal(size=eta.shape) + 1j * rng.normal(size=eta.shape)
+        for spinor in (eta, eta.real):
+            oracle = self._einsum_form(spinor, slash)
+            axial = _axial_density(spinor, slash)
+            assert axial.shape == eta.shape[:-1]
+            assert np.all(np.abs(axial - oracle) <= 2.0 * np.spacing(np.abs(oracle)))
+
+
+def test_stationary_density_is_the_expression_bit_for_bit():
+    # each operation is done in place, in the order of the expression
+    rng = np.random.default_rng(4)
+    metric = random_spd_metric(rng)
+    s = rng.uniform(0.1, 2.0, size=(12, 16, 8))
+    axial = rng.normal(size=s.shape)
+    for p0 in (0.5, -2.0):
+        expression = (16.0 / (9.0 * s)) * (axial**2 - (p0 * s) ** 2) * metric.sqrt_det
+        assert np.array_equal(spinor_module._stationary_density(s, axial, p0, metric),
+                              expression)
 
 
 def _covector_of(eta, sigma):

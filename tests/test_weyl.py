@@ -2,6 +2,7 @@
 gradients and the solution/stationary-point witness suite."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from cosserat_weyl import (
     weyl_residual,
     weyl_residual_norm,
 )
+import cosserat_weyl.geometry as geometry_module
 import cosserat_weyl.spinor as spinor_module
 import cosserat_weyl.weyl as weyl_module
 from cosserat_weyl.geometry import integrate, spectral_partial
@@ -304,6 +306,45 @@ class TestAnalyticGradientOracle:
             oracle = _el_gradient_oracle(eta, 0.8, pauli, metric, grid)
             w = el_gradient(eta, 0.8, pauli, metric, grid)
             assert np.abs(w - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+class TestGradientInSlabs:
+    # x1 slabs of 5, 5 and 2 planes on (12,16,8), and of 3 and 1 on
+    # (4,6,10), for both sigma^a d_a calls and the in-place sums
+    @pytest.mark.parametrize("dims,slab_points", [((12, 16, 8), 5 * 16 * 8),
+                                                  ((4, 6, 10), 3 * 6 * 10)])
+    def test_slabs_match_one_slab_bit_for_bit(self, monkeypatch, dims, slab_points):
+        grid = TorusGrid(dims, (5.0, 7.0, 9.0))
+        rng = np.random.default_rng(29)
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        eta = random_nonvanishing_spinor(grid, rng, amplitude=0.3, max_mode=2)
+        whole = el_gradient(eta, -0.7, pauli, metric, grid)
+        monkeypatch.setattr(geometry_module, "_SLAB_POINTS", slab_points)
+        sizes = [len(range(dims[0])[sl]) for sl in geometry_module._slabs(dims)]
+        assert sum(sizes) == dims[0] and len(set(sizes)) == 2
+        assert np.array_equal(el_gradient(eta, -0.7, pauli, metric, grid), whole)
+
+    def test_memory_with_the_field_derivative_cached(self):
+        # (64,32,32) holds two slabs. Above its inputs, a call on a field
+        # whose sigma^a d_a eta and A are cached peaks at 2.88 times the
+        # spinor's bytes: G eta, its sigma^a d_a (the output), G and slab
+        # buffers. The whole-grid sums peaked at 5.64
+        grid = TorusGrid((64, 32, 32), (5.0, 7.0, 9.0))
+        assert len(geometry_module._slabs(grid.shape)) == 2
+        rng = np.random.default_rng(71)
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        field = SpinorField(random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1),
+                            pauli, grid)
+        el_gradient(field, 1.0, pauli, metric, grid)  # one-time allocations untraced
+        tracemalloc.start()
+        try:
+            el_gradient(field, 1.0, pauli, metric, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * field.eta.nbytes
 
 
 class TestLocalFiniteDifferences:

@@ -55,14 +55,12 @@ from .geometry import (
 from .spinor import (
     FACTORIZATION_SIGN,
     SpinorField,
-    bilinears,
     factorization_residual,
     fierz_residual,
     lagrangian_dynamic,
     lagrangian_stationary,
     lagrangian_weyl,
     scaling_covariance_residual,
-    stationary_ansatz,
 )
 from .weyl import (
     PlaneWaveSpec,

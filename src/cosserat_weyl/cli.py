@@ -151,6 +151,7 @@ def _emit(report: dict, out_path) -> None:
 
 
 def _finish(report: dict, args) -> int:
+    report["factorization_sign"] = FACTORIZATION_SIGN
     report["timestamp"] = datetime.datetime.now(
         datetime.timezone.utc).isoformat()
     _emit(report, args.out)
@@ -167,6 +168,8 @@ def _cmd_verify(args) -> int:
     accepted = inspect.signature(suite).parameters
     if "seed" in accepted and args.seed is None:
         args.seed = 0  # run, and record in config, the default seed
+    if "n_cases" in accepted and args.cases is None:
+        args.cases = accepted["n_cases"].default  # and the suite's case count
     given = {opt: getattr(args, opt) for opt in _VERIFY_KEYWORDS
              if getattr(args, opt) is not None}
     for opt in given:
@@ -181,7 +184,6 @@ def _cmd_verify(args) -> int:
     result = suite(grid, **{_VERIFY_KEYWORDS[opt]: v for opt, v in given.items()})
     report = {
         "config": _canonical_config(args, grid),
-        "factorization_sign": FACTORIZATION_SIGN,
         "result": result,
         "verdict": "pass" if result["pass"] else "fail",
     }
@@ -206,7 +208,6 @@ def _cmd_planewave(args) -> int:
         write_scalar_csv(args.density_csv, lag, grid)
     report = {
         "config": _canonical_config(args, grid, metric),
-        "factorization_sign": FACTORIZATION_SIGN,
         "p0": spec.p0,
         "weyl_sign": 1,
         "dispersion_residual": spec.dispersion_residual,
@@ -224,7 +225,6 @@ def _cmd_theorem(args) -> int:
     _check_seed(args.seed)
     report = theorem_witness_suite(args.seed, grid, metric, n_cases=args.n)
     report["config"].update(_canonical_config(args, grid, metric))
-    report["factorization_sign"] = FACTORIZATION_SIGN
     return _finish(report, args)
 
 

@@ -33,8 +33,8 @@ from .geometry import Metric3, PauliSet, TorusGrid, _slabs
 # so (+32 p0 / 9) times that quotient equals the stationary density
 #   L = 16/(9 s) (A^2 - p0^2 s^2) sqrt(det g)
 # identically. The printed constant -32 p0 / 9 therefore needs the
-# extra sign below; `factorization_residual` re-derives it empirically
-# on every call and reports which sign reconciles.
+# extra sign below. `factorization_residual` applies it and nothing
+# else, so a wrong sign fails the factorisation gate.
 FACTORIZATION_SIGN = -1
 
 
@@ -254,17 +254,10 @@ def _field(eta: np.ndarray | SpinorField, pauli: PauliSet,
     return eta
 
 
-def bilinears(eta: np.ndarray | SpinorField, pauli: PauliSet,
-              grid: TorusGrid) -> SpinorField:
-    """The `SpinorField` of eta (an array or a field), which carries the
-    bilinears ``s``, ``v`` and ``A``."""
-    return _field(eta, pauli, grid)
-
-
 def _nonvanishing(eta: np.ndarray | SpinorField, pauli: PauliSet,
                   grid: TorusGrid) -> SpinorField:
-    """`bilinears`, then the nonvanishing floor on s."""
-    field = bilinears(eta, pauli, grid)
+    """`_field`, then the nonvanishing floor on s."""
+    field = _field(eta, pauli, grid)
     _check_nonvanishing(field.s)
     return field
 
@@ -291,15 +284,11 @@ def lagrangian_weyl(eta: np.ndarray | SpinorField, p0: float, sign: int,
 
 
 def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
-                           metric: Metric3, grid: TorusGrid):
-    """Pointwise residual of the factorisation of the stationary
-    density through L_+ and L_-.
-
-    Returns ``(residual_field, sign_used)`` where sign_used in {+1, -1}
-    multiplies the printed constant -32 p0 / 9 and is chosen to
-    minimise the global residual. With the conventions of this package
-    the identity is algebraically exact for one sign, so the residual
-    is floating-point noise.
+                           metric: Metric3, grid: TorusGrid) -> np.ndarray:
+    """Pointwise residual of the factorisation of the stationary density
+    through L_+ and L_-, |L - FACTORIZATION_SIGN (-32 p0/9) L_+ L_- / (L_+ - L_-)|:
+    floating-point noise with the conventions of this package, and 2|L|
+    with the other sign.
     """
     if p0 == 0.0:
         raise ZeroFrequency("p0 must be nonzero")
@@ -312,42 +301,28 @@ def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: Paul
     lp = _weyl_density(b.s, b.A, p0, 1, metric)
     lm = _weyl_density(b.s, b.A, p0, -1, metric)
     quotient = (-32.0 * p0 / 9.0) * lp * lm / denom
-    residuals = {kappa: np.abs(lag - kappa * quotient) for kappa in (1, -1)}
-    sign_used = min(residuals, key=lambda kappa: float(residuals[kappa].max()))
-    return residuals[sign_used], sign_used
+    return np.abs(lag - FACTORIZATION_SIGN * quotient)
 
 
 def scaling_covariance_residual(eta: np.ndarray | SpinorField, h: np.ndarray, p0: float,
-                                sign: int, pauli: PauliSet, metric: Metric3,
-                                grid: TorusGrid) -> float:
-    """Max-norm residual of L_pm(e^h eta) = e^{2h} L_pm(eta), relative
-    to the field scale.
+                                pauli: PauliSet, metric: Metric3,
+                                grid: TorusGrid) -> tuple[float, float]:
+    """Max-norm residuals of L_pm(e^h eta) = e^{2h} L_pm(eta), relative
+    to the field scale, for the Weyl signs (+1, -1), both from one field
+    of e^h eta, so it is differentiated once.
 
     Exact pointwise in the continuum; on the grid limited only by
     aliasing of e^h eta, so use a band-limit safety factor >= 4.
     """
-    return _scaling_residuals(_field(eta, pauli, grid), h, p0, (sign,), metric)[0]
-
-
-def _scaling_residuals(field: SpinorField, h: np.ndarray, p0: float, signs,
-                       metric: Metric3) -> list:
-    """`scaling_covariance_residual` for each Weyl sign in ``signs``, all
-    from one field of e^h eta, so it is differentiated once."""
-    pauli, grid = field.pauli, field.grid
+    field = _field(eta, pauli, grid)
     eh = np.exp(h)
     scaled = SpinorField(field.eta * eh[..., np.newaxis], pauli, grid)
     residuals = []
-    for sign in signs:
+    for sign in (1, -1):
         lhs = lagrangian_weyl(scaled, p0, sign, pauli, metric, grid)
         rhs = eh * eh * lagrangian_weyl(field, p0, sign, pauli, metric, grid)
         residuals.append(_relative_max(lhs - rhs, rhs))
-    return residuals
-
-
-def stationary_ansatz(eta: np.ndarray, p0: float):
-    """Time slice of xi = e^{-i p0 x0} eta at x0 = 0: returns
-    (xi, d0 xi) = (eta, -i p0 eta)."""
-    return eta, -1j * p0 * eta
+    return tuple(residuals)
 
 
 def lagrangian_dynamic(xi: np.ndarray | SpinorField, dxi0: np.ndarray, pauli: PauliSet,

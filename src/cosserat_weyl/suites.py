@@ -23,12 +23,11 @@ from .sampling import (
 from .spinor import (
     SpinorField,
     _relative_max,
-    _scaling_residuals,
-    bilinears,
     factorization_residual,
     fierz_residual,
     lagrangian_stationary,
     lagrangian_weyl,
+    scaling_covariance_residual,
 )
 
 _P0_CYCLE = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
@@ -68,18 +67,13 @@ def _seeded_cases(grid: TorusGrid, seed: int, n_cases: int, **spinor_kw):
 def verify_factorization(grid: TorusGrid, seed: int, n_cases: int = 100) -> dict:
     """Pointwise relative factorisation residual on random nonvanishing
     band-limited spinors, random SPD metrics and p0 in {+-0.5, +-1, +-2},
-    requiring a single global reconciling sign."""
+    with the one global sign `spinor.FACTORIZATION_SIGN`."""
     cases = []
-    signs = set()
     for i, metric, pauli, field, p0, _ in _seeded_cases(grid, seed, n_cases):
-        res, sign_used = factorization_residual(field, p0, pauli, metric, grid)
+        res = factorization_residual(field, p0, pauli, metric, grid)
         lag = lagrangian_stationary(field, p0, pauli, metric, grid)
-        signs.add(sign_used)
-        cases.append({"case": i, "p0": p0, "sign": sign_used,
-                      "residual": _relative_max(res, lag)})
-    return _report("factorization", cases, other_gates=len(signs) <= 1,
-                   factorization_sign=sorted(signs)[0] if signs else None,
-                   single_sign=len(signs) <= 1)
+        cases.append({"case": i, "p0": p0, "residual": _relative_max(res, lag)})
+    return _report("factorization", cases)
 
 
 def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
@@ -92,11 +86,12 @@ def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
     smooth relative to the Nyquist mode (band-limit safety factor 4).
     """
     cases = []
-    for i, metric, _, field, p0, rng in _seeded_cases(grid, seed, n_cases,
-                                                      max_mode=1):
+    for i, metric, pauli, field, p0, rng in _seeded_cases(grid, seed, n_cases,
+                                                          max_mode=1):
         h = h_field if h_field is not None else \
             random_bandlimited_scalar(grid, rng, max_mode=1, amplitude=h_amplitude)
-        for sign, res in zip((1, -1), _scaling_residuals(field, h, p0, (1, -1), metric)):
+        residuals = scaling_covariance_residual(field, h, p0, pauli, metric, grid)
+        for sign, res in zip((1, -1), residuals):
             cases.append({"case": i, "p0": p0, "weyl_sign": sign, "residual": res})
     return _report("scaling", cases)
 
@@ -137,9 +132,7 @@ def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20) -> dict:
     for i, metric, pauli, field, p0, rng in _seeded_cases(grid, seed, n_cases):
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         rotated = SpinorField(phase * field.eta, pauli, grid)
-        b0 = bilinears(field, pauli, grid)
-        b1 = bilinears(rotated, pauli, grid)
-        pairs = [(b0.s, b1.s), (b0.v, b1.v), (b0.A, b1.A)]
+        pairs = [(field.s, rotated.s), (field.v, rotated.v), (field.A, rotated.A)]
         for sign in (1, -1):
             pairs.append([lagrangian_weyl(f, p0, sign, pauli, metric, grid)
                           for f in (field, rotated)])

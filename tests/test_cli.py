@@ -226,6 +226,22 @@ class TestVerifyReports:
         assert "metric" not in cfg  # suites draw their own metrics
         assert "timestamp" in report
 
+    def test_config_records_the_default_case_count(self, tmp_path):
+        # with no --cases, config.cases is the count the suite ran
+        code, report = _run(tmp_path, "verify", "fierz", *SMALL)
+        assert code == 0
+        assert report["config"]["cases"] == 50 == len(report["result"]["cases"])
+        assert report["config"]["seed"] == 0
+        _, report = _run(tmp_path, "verify", "conformal", *SMALL)
+        assert "cases" not in report["config"]  # conformal takes no case count
+
+    def test_factorization_sign_is_recorded_once(self, tmp_path):
+        code, report = _run(tmp_path, "verify", "factorization", "--cases", "2", *SMALL)
+        assert code == 0 and report["factorization_sign"] == -1
+        result = report["result"]
+        assert "factorization_sign" not in result and "single_sign" not in result
+        assert all("sign" not in case for case in result["cases"])
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         reports = []
         for _ in range(2):

@@ -17,7 +17,13 @@ from cosserat_weyl import (
     scaling_covariance_residual,
 )
 from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric
-from cosserat_weyl.suites import VERIFIERS, _seeded_cases, verify_scaling
+from cosserat_weyl.cli import main
+from cosserat_weyl.suites import (
+    VERIFIERS,
+    _seeded_cases,
+    verify_factorization,
+    verify_scaling,
+)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -60,12 +66,11 @@ def test_one_spectral_gradient_per_scaled_field(count_calls):
     report = verify_scaling(grid, 4, n_cases=3, h_field=h)
     assert len(dirac) == 2 * 3
     assert maps == []  # nothing reads v
-    expected = [{"case": i, "p0": p0, "weyl_sign": sign,
-                 "residual": scaling_covariance_residual(field, h, p0, sign, pauli,
-                                                         metric, grid)}
+    expected = [{"case": i, "p0": p0, "weyl_sign": sign, "residual": res}
                 for i, metric, pauli, field, p0, _ in _seeded_cases(grid, 4, 3,
                                                                     max_mode=1)
-                for sign in (1, -1)]
+                for sign, res in zip((1, -1), scaling_covariance_residual(
+                    field, h, p0, pauli, metric, grid))]
     assert report["cases"] == expected
 
 
@@ -134,3 +139,16 @@ def test_seeded_case_guard_rejects_a_vanishing_draw():
         pytest.fail("no vanishing draw among the seeds")
     with pytest.raises(VanishingSpinor, match="not safely nonvanishing"):
         list(_seeded_cases(grid, seed, 1, amplitude=1.0))
+
+
+def test_a_wrong_factorization_sign_fails_the_gate(monkeypatch, capsys):
+    # the residual uses the one constant and searches no sign, so with
+    # the other sign it is 2|L| and the suite and the command both fail
+    grid = TorusGrid((8, 8, 8), (2.0 * np.pi,) * 3)
+    assert verify_factorization(grid, 0, n_cases=4)["pass"]
+    monkeypatch.setattr(spinor_module, "FACTORIZATION_SIGN", 1)
+    report = verify_factorization(grid, 0, n_cases=4)
+    assert not report["pass"]
+    assert report["max_residual"] == pytest.approx(2.0)
+    assert main(["verify", "factorization", "--cases", "4", "--grid", "8,8,8"]) == 1
+    assert '"verdict": "fail"' in capsys.readouterr().out

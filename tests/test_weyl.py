@@ -617,7 +617,7 @@ class TestNearVanishingSpinors:
         args = (pauli, metric, grid)
         calls = {
             "lagrangian_stationary": lambda: lagrangian_stationary(eta, p0, *args),
-            "factorization_residual": lambda: factorization_residual(eta, p0, *args)[0],
+            "factorization_residual": lambda: factorization_residual(eta, p0, *args),
             "el_gradient": lambda: el_gradient(eta, p0, *args),
             "spinor_to_frame": lambda: spinor_to_frame(eta, *args).theta,
         }

@@ -37,6 +37,7 @@ from .errors import (
     NoSpinLift,
     NotHermitian,
     NotOrthonormal,
+    OutOfRange,
     VanishingSpinor,
     ZeroFrequency,
     ZeroWavevector,

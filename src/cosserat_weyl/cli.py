@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .cwf import write_field, write_scalar_csv
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, ModelError, OutOfRange
 from .geometry import Metric3, TorusGrid, _highest_mode
 from .minilang import parse_scalar_expr
 from .spinor import FACTORIZATION_SIGN
@@ -142,7 +142,12 @@ def _canonical_config(args, grid, metric=None) -> dict:
 
 
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Write the report as strict JSON: a NaN or an infinity in it raises
+    OutOfRange (exit 2) and the report is not written."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise OutOfRange(f"the report holds a value that is not finite: {exc}") from None
     if out_path:
         with open(out_path, "w") as handle:
             handle.write(text + "\n")
@@ -228,7 +233,11 @@ def _cmd_theorem(args) -> int:
     return _finish(report, args)
 
 
+@functools.cache  # process-wide: `main` parses each argv afresh with one parser
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process. Its suite names are
+    those of `VERIFIERS` when it is built; `main` looks each suite up
+    there when it runs it."""
     parser = argparse.ArgumentParser(
         prog="cosserat-weyl",
         description="Verification toolkit for the rotational-elasticity "

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cosserat import check_density, orthonormality_residual
 from .errors import NoSpinLift, NotOrthonormal
-from .geometry import Metric3, PauliSet, TorusGrid, _slabs
+from .geometry import Metric3, PauliSet, TorusGrid, _component_planes, _slabs
 from .spinor import SpinorField, _covector, _nonvanishing
 
 # d0 (theta^1 + i theta^2) = PHASE_RATE * i * p0 * (theta^1 + i theta^2)
@@ -75,6 +75,15 @@ def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
     return FramePacket(theta=theta, rho=field.s * metric.sqrt_det)
 
 
+def _real_parts(z: np.ndarray) -> np.ndarray:
+    """A read-only float view of a complex array with one more trailing
+    axis, (Re, Im), in any memory layout: ``.view(float)`` needs a
+    contiguous last axis, which a spinor in component planes has not."""
+    re = z.real
+    return np.lib.stride_tricks.as_strided(re, z.shape + (2,), re.strides + (re.itemsize,),
+                                           writeable=False)
+
+
 def _line_signs(line: np.ndarray, axis: int) -> np.ndarray:
     """Per-point signs (+-1) along ``axis`` that make the spinors
     ``line`` continuous: each point's sign is the product of the flips
@@ -85,17 +94,19 @@ def _line_signs(line: np.ndarray, axis: int) -> np.ndarray:
     The overlaps of the interior links are taken from shifted slices
     straight into the returned array, at the point after each link, and
     the periodic edge's apart, so neither a rolled copy nor a separate
-    overlap array of the full size is made.
+    overlap array of the full size is made. They read Re and Im of both
+    components through `_real_parts`, so a spinor in component planes
+    is read in place, as an interleaved one is.
     """
-    pairs = line.view(float)  # Re and Im of both components per point
+    pairs = _real_parts(line)
 
     def at(index):
         return (slice(None),) * axis + (index,)
 
     sign = np.empty(line.shape[:-1])
-    np.einsum("...i,...i->...", pairs[at(slice(None, -1))], pairs[at(slice(1, None))],
+    np.einsum("...cp,...cp->...", pairs[at(slice(None, -1))], pairs[at(slice(1, None))],
               out=sign[at(slice(1, None))])
-    edge = np.einsum("...i,...i->...", pairs[at(-1)], pairs[at(0)])
+    edge = np.einsum("...cp,...cp->...", pairs[at(-1)], pairs[at(0)])
     sign[at(0)] = 1.0
     flips = sign < 0.0
     sign.fill(1.0)
@@ -142,7 +153,7 @@ def _lift(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
     check_density(rho)
 
     quad_inv = np.linalg.inv(_quadratic_map(pauli))
-    xi = np.empty(dims + (2,), dtype=complex)
+    xi = _component_planes(dims)
     for sl in slabs:
         s = rho[sl] / metric.sqrt_det
         w = s[..., np.newaxis] * (theta[0, sl] + 1j * theta[1, sl])
@@ -156,10 +167,12 @@ def _lift(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
         if np.any(np.einsum("...a,...a->...", theta[2, sl], _covector(xi[sl], pauli)) < 0.0):
             raise NoSpinLift("theta^3 points against v / s of the spinor lifted from the frame")
 
-    xi *= _sweep_signs(xi)[..., np.newaxis]
+    sign = _sweep_signs(xi)
+    for c in (0, 1):
+        xi[..., c] *= sign
 
     # canonical overall sign: first point's dominant component has Re >= 0
-    anchor = xi.reshape(-1, 2)[0]
+    anchor = xi[0, 0, 0]
     lead = anchor[int(np.argmax(np.abs(anchor)))]
     if lead.real < 0.0:
         np.negative(xi, out=xi)

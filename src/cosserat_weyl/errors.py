@@ -37,6 +37,13 @@ class DegenerateDenominator(ModelError):
     range)."""
 
 
+class OutOfRange(ModelError):
+    """A value the model derives from its input is not a finite float in
+    the range it needs: a plane wave's squared frequency g^ab k_a k_b
+    (finite and normal), a scaling check's e^{2h} (finite), or a report
+    value (finite, as strict JSON requires)."""
+
+
 class ZeroWavevector(ModelError):
     """Plane-wave generation requires a nonzero wavevector."""
 

@@ -9,7 +9,9 @@ Conventions used throughout the package:
 * a 2-form is stored by its three independent components in the order
   (w_23, w_31, w_12), shape ``dims + (3,)``;
 * a 3-form is stored by the single coefficient f of f dx1^dx2^dx3;
-* a spinor field has shape ``dims + (2,)``, complex128;
+* a spinor field has shape ``dims + (2,)``, complex128. Every spinor
+  the package builds is stored as two component planes
+  (`_component_planes`); every function accepts any layout;
 * the 2-form norm uses the 1/2! convention,
   ``|w|^2 = (1/2) w_ab w_cd g^ac g^bd`` (the coframe energetics take it
   in the coframe's induced metric, in frame components: see cosserat);
@@ -199,27 +201,35 @@ def _plane_wave(grid: TorusGrid, modes, coeff: complex) -> np.ndarray:
     return (coeff * e1)[:, None, None] * e2[:, None] * e3
 
 
+def _component_planes(dims: tuple, n_comp: int = 2, dtype=complex) -> np.ndarray:
+    """An uninitialised field of shape dims + (n_comp,) stored as n_comp
+    component planes: the view, component axis last, of one
+    (n_comp,) + dims block, so each ``field[..., c]`` is C-contiguous.
+    A pointwise pass over one component then runs at unit stride."""
+    return np.moveaxis(np.empty((n_comp,) + tuple(dims), dtype=dtype), 0, -1)
+
+
 def _plane_waves(grid: TorusGrid, modes, coeffs) -> np.ndarray:
     """Sums of plane waves, sum_t coeffs[c, t] exp(i modes[c, t] . x') for
     each component c: modes of shape (C, T, 3), coeffs of shape (C, T),
-    a complex result of shape dims + (C,).
+    a complex result of shape dims + (C,) in component planes
+    (`_component_planes`).
 
-    Each term keeps `_plane_wave`'s association ((c e1) e2) e3, and the
-    sum over terms is one matrix product, (n1 n2 x C T) @ (C T x n3 C):
-    the left factor holds (c e1) e2 per term, the right one e3 in the
-    columns of the term's component (block-diagonal), so the grid is
-    written once, already in the interleaved component layout.
+    Each term keeps `_plane_wave`'s association ((c e1) e2) e3, and each
+    component's sum over its terms is one matrix product,
+    (n1 n2 x T) @ (T x n3): the left factor holds (c e1) e2 per term,
+    the right one e3, and the product is written straight into the
+    component's plane.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     n_comp, n_terms = coeffs.shape
     n1, n2, n3 = grid.dims
-    e1, e2, e3 = _axis_exponentials(grid, np.reshape(modes, (-1, 3)))
-    left = (coeffs.reshape(-1, 1) * e1).T[:, None, :] * e2.T
-    right = np.zeros((n_comp, n_terms, n3, n_comp), dtype=complex)
-    for c, block in enumerate(e3.reshape(n_comp, n_terms, n3)):
-        right[c, :, :, c] = block
-    out = left.reshape(n1 * n2, -1) @ right.reshape(-1, n3 * n_comp)
-    return out.reshape(grid.dims + (n_comp,))
+    e1, e2, e3 = _axis_exponentials(grid, np.reshape(modes, (n_comp, n_terms, 3)))
+    out = _component_planes(grid.dims, n_comp)
+    for c in range(n_comp):
+        left = (coeffs[c, :, np.newaxis] * e1[c]).T[:, None, :] * e2[c].T
+        np.matmul(left.reshape(n1 * n2, n_terms), e3[c], out=out[..., c].reshape(n1 * n2, n3))
+    return out
 
 
 @dataclass(frozen=True)

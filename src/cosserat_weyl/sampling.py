@@ -5,7 +5,7 @@ residuals measure floating-point noise rather than discretisation
 error. A field sampler first draws a small spectral description, the
 mode vector and coefficient of each Fourier term in a fixed RNG order,
 and then evaluates all of its terms with one `geometry._plane_waves`
-call.
+call, so a drawn spinor is stored as two component planes.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ def _perturbed_unit_spinor(grid: TorusGrid, rng: np.random.Generator,
     u = rng.normal(size=2) + 1j * rng.normal(size=2)
     u /= np.linalg.norm(u)
     eta = random_bandlimited_spinor(grid, rng, max_mode=max_mode, amplitude=amplitude)
-    eta += u
+    for c in (0, 1):  # one contiguous plane at a time
+        eta[..., c] += u[c]
     return eta
 
 

@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateDenominator, VanishingSpinor, ZeroFrequency
-from .geometry import Metric3, PauliSet, TorusGrid, _slabs
+from .errors import DegenerateDenominator, OutOfRange, VanishingSpinor, ZeroFrequency
+from .geometry import Metric3, PauliSet, TorusGrid, _component_planes, _slabs
 
 # Global sign reconciling the stationary Lagrangian with its
 # factorisation through the two Weyl densities, relative to the
@@ -54,7 +54,7 @@ def _sandwich(eta: np.ndarray, sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 def _covector(eta: np.ndarray, pauli: PauliSet) -> np.ndarray:
     """v_a = etabar sigma_a eta, pointwise over any leading shape, as
-    d P for the real densities
+    P^T d for the real densities
     d = (|eta_1|^2, |eta_2|^2, Re etabar_1 eta_2, Im etabar_1 eta_2)
     and the real 4x3 matrix P with rows, for m = sigma_a,
 
@@ -63,15 +63,26 @@ def _covector(eta: np.ndarray, pauli: PauliSet) -> np.ndarray:
     That is the real part of etabar m eta = m00 d0 + m11 d1
     + (m01 + m10) d2 + i (m01 - m10) d3. The imaginary part is at most
     max |m - m^dagger| per unit of s, which a `PauliSet` bounds by
-    1e-13 when it is built, and is exactly zero for a `build_pauli` set."""
+    1e-13 when it is built, and is exactly zero for a `build_pauli` set.
+
+    The four densities are written as four contiguous planes, and the
+    3x4 matrix P^T takes them, in one matrix product, straight into the
+    three component planes of v (`geometry._component_planes`)."""
     m = pauli.sigma_lower
     rows = np.array([m[:, 0, 0].real, m[:, 1, 1].real, (m[:, 0, 1] + m[:, 1, 0]).real,
                      (m[:, 1, 0] - m[:, 0, 1]).imag])
+    dims = eta.shape[:-1]
     e1, e2 = eta[..., 0], eta[..., 1]
+    d = np.empty((4,) + dims)
+    np.square(e1.real, out=d[0])
+    d[0] += np.square(e1.imag)
+    np.square(e2.real, out=d[1])
+    d[1] += np.square(e2.imag)
     z = e1.conj() * e2
-    d = np.stack([e1.real**2 + e1.imag**2, e2.real**2 + e2.imag**2, z.real, z.imag],
-                 axis=-1)
-    return d @ rows
+    d[2], d[3] = z.real, z.imag
+    v = _component_planes(dims, 3, float)
+    np.matmul(rows.T, d.reshape(4, -1), out=np.moveaxis(v, -1, 0).reshape(3, -1))
+    return v
 
 
 def _scalar_density(eta: np.ndarray) -> np.ndarray:
@@ -137,24 +148,31 @@ def _weyl_density(s, A, p0: float, sign: int, metric: Metric3):
 
 
 def _metric_norm2(w: np.ndarray, g_upper: np.ndarray) -> np.ndarray:
-    """g^ab w_a w_b for a real covector field w."""
-    return np.sum((w @ g_upper) * w, axis=-1)
+    """g^ab w_a w_b for a real covector field w, as the quadratic form
+    sum_a w_a (g^aa w_a + 2 sum_{b > a} g^ab w_b), one component plane
+    of w at a time."""
+    norm = np.zeros(w.shape[:-1])
+    for a in range(3):
+        row = g_upper[a, a] * w[..., a]
+        for b in range(a + 1, 3):
+            row += (2.0 * g_upper[a, b]) * w[..., b]
+        row *= w[..., a]
+        norm += row
+    return norm
 
 
 def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """sigma^a d_a eta as one Fourier multiplier, F^-1[(i k_a sigma^a) F eta],
     for any 2x2 matrices sigma[a], a = 0, 1, 2 (index a for axis a + 1).
 
-    Each spinor component less its mean is written into one contiguous
-    complex plane of a (2,) + dims block (eta may be real) and
+    Each spinor component less its mean is written into one component
+    plane of the result (`geometry._component_planes`; eta may be real) and
     transformed there by `fftn`, in place. The 2x2 symbol is then
     applied one x1 slab (`geometry._slabs`) at a time: each of its four
     entries is built for the slab from three 1-D arrays, in one pass
     into one of two slab buffers, and both products of the slab are
     written back into the two spectra. One `ifftn` per plane then
-    inverts it in place (the `out=` of NumPy 2). The result is that
-    block seen with its component axis last, dims + (2,): its two
-    component planes are contiguous, its points are not. So nothing
+    inverts it in place (the `out=` of NumPy 2). So nothing
     grid-sized is allocated beyond the result, and no symbol is kept
     between calls. The wavenumbers are those of `spectral_partial`
     (Nyquist zeroed), so this is sum_a sigma[a] applied to the spectral
@@ -166,7 +184,8 @@ def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid) -> np.ndarray:
     64^3 over seeds 0-7 is 1.6e-14 with it and 4.5e-14 without.
     """
     k1, k2, k3 = (grid.wavenumber(a) for a in (1, 2, 3))
-    fhat = np.empty((2,) + eta.shape[:-1], dtype=complex)
+    slash = _component_planes(eta.shape[:-1])
+    fhat = np.moveaxis(slash, -1, 0)  # the (2,) + dims block of both spectra
     for j in (0, 1):
         np.subtract(eta[..., j], complex(eta[..., j].mean()), out=fhat[j])
         np.fft.fftn(fhat[j], out=fhat[j])
@@ -191,7 +210,7 @@ def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid) -> np.ndarray:
         fhat[1, sl] = second
     for j in (0, 1):
         np.fft.ifftn(fhat[j], out=fhat[j])
-    return np.moveaxis(fhat, 0, -1)
+    return slash
 
 
 class SpinorField:
@@ -312,11 +331,19 @@ def scaling_covariance_residual(eta: np.ndarray | SpinorField, h: np.ndarray, p0
     of e^h eta, so it is differentiated once.
 
     Exact pointwise in the continuum; on the grid limited only by
-    aliasing of e^h eta, so use a band-limit safety factor >= 4.
+    aliasing of e^h eta, so use a band-limit safety factor >= 4. An h
+    whose e^{2h} overflows somewhere raises OutOfRange before e^h is
+    used.
     """
     field = _field(eta, pauli, grid)
-    eh = np.exp(h)
-    scaled = SpinorField(field.eta * eh[..., np.newaxis], pauli, grid)
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        eh = np.exp(h)
+    peak = float(np.max(eh))
+    if not peak * peak < np.inf:  # a NaN fails too
+        raise OutOfRange(f"scale e^(2h) is not finite: max h = {float(np.max(h)):.6g}")
+    scaled = SpinorField(_component_planes(grid.shape), pauli, grid)
+    for c in (0, 1):
+        np.multiply(field.eta[..., c], eh, out=scaled.eta[..., c])
     residuals = []
     for sign in (1, -1):
         lhs = lagrangian_weyl(scaled, p0, sign, pauli, metric, grid)

@@ -52,7 +52,9 @@ def _seeded_cases(grid: TorusGrid, seed: int, n_cases: int, **spinor_kw):
     """Yield ``(i, metric, pauli, field, p0, rng)`` per case: a random SPD
     metric and a nonvanishing spinor from one RNG seeded with ``seed``,
     and p0 from {+-0.5, +-1, +-2}. A suite that needs more random input
-    per case draws it from ``rng`` before asking for the next case."""
+    per case draws it from ``rng`` before asking for the next case. The
+    generator drops its own reference to a case's field before it draws
+    the next one (see `_each_case`)."""
     rng = np.random.default_rng(seed)
     for i in range(n_cases):
         metric = random_spd_metric(rng)
@@ -62,18 +64,31 @@ def _seeded_cases(grid: TorusGrid, seed: int, n_cases: int, **spinor_kw):
         field = SpinorField(_perturbed_unit_spinor(grid, rng, **spinor_kw), pauli, grid)
         _check_safely_nonvanishing(field.s)
         yield i, metric, pauli, field, _P0_CYCLE[i % len(_P0_CYCLE)], rng
+        del field
+
+
+def _each_case(case, grid: TorusGrid, seed: int, n_cases: int, **spinor_kw) -> list:
+    """What ``case(i, metric, pauli, field, p0, rng)`` returns on each case
+    of `_seeded_cases`, in order. Neither this loop nor the generator
+    holds a case's field, or anything ``case`` made, while the next
+    case is drawn."""
+    results = []
+    for args in _seeded_cases(grid, seed, n_cases, **spinor_kw):
+        results.append(case(*args))
+        del args
+    return results
 
 
 def verify_factorization(grid: TorusGrid, seed: int, n_cases: int = 100) -> dict:
     """Pointwise relative factorisation residual on random nonvanishing
     band-limited spinors, random SPD metrics and p0 in {+-0.5, +-1, +-2},
     with the one global sign `spinor.FACTORIZATION_SIGN`."""
-    cases = []
-    for i, metric, pauli, field, p0, _ in _seeded_cases(grid, seed, n_cases):
+    def case(i, metric, pauli, field, p0, _):
         res = factorization_residual(field, p0, pauli, metric, grid)
         lag = lagrangian_stationary(field, p0, pauli, metric, grid)
-        cases.append({"case": i, "p0": p0, "residual": _relative_max(res, lag)})
-    return _report("factorization", cases)
+        return {"case": i, "p0": p0, "residual": _relative_max(res, lag)}
+
+    return _report("factorization", _each_case(case, grid, seed, n_cases))
 
 
 def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
@@ -85,15 +100,15 @@ def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
     residual is set by aliasing of e^h eta, so h must stay small and
     smooth relative to the Nyquist mode (band-limit safety factor 4).
     """
-    cases = []
-    for i, metric, pauli, field, p0, rng in _seeded_cases(grid, seed, n_cases,
-                                                          max_mode=1):
+    def case(i, metric, pauli, field, p0, rng):
         h = h_field if h_field is not None else \
             random_bandlimited_scalar(grid, rng, max_mode=1, amplitude=h_amplitude)
         residuals = scaling_covariance_residual(field, h, p0, pauli, metric, grid)
-        for sign, res in zip((1, -1), residuals):
-            cases.append({"case": i, "p0": p0, "weyl_sign": sign, "residual": res})
-    return _report("scaling", cases)
+        return [{"case": i, "p0": p0, "weyl_sign": sign, "residual": res}
+                for sign, res in zip((1, -1), residuals)]
+
+    pairs = _each_case(case, grid, seed, n_cases, max_mode=1)
+    return _report("scaling", [c for pair in pairs for c in pair])
 
 
 def verify_conformal(grid: TorusGrid, h_field: np.ndarray = None) -> dict:
@@ -121,15 +136,15 @@ def verify_conformal(grid: TorusGrid, h_field: np.ndarray = None) -> dict:
 
 def verify_fierz(grid: TorusGrid, seed: int, n_cases: int = 50) -> dict:
     """Fierz identity g^ab v_a v_b = s^2 on random spinors and metrics."""
-    cases = [{"case": i, "residual": fierz_residual(field, pauli, metric, grid)}
-             for i, metric, pauli, field, _, _ in _seeded_cases(grid, seed, n_cases)]
-    return _report("fierz", cases)
+    def case(i, metric, pauli, field, _, __):
+        return {"case": i, "residual": fierz_residual(field, pauli, metric, grid)}
+
+    return _report("fierz", _each_case(case, grid, seed, n_cases))
 
 
 def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20) -> dict:
     """Invariance of all spinor-module outputs under a constant phase."""
-    cases = []
-    for i, metric, pauli, field, p0, rng in _seeded_cases(grid, seed, n_cases):
+    def case(i, metric, pauli, field, p0, rng):
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         rotated = SpinorField(phase * field.eta, pauli, grid)
         pairs = [(field.s, rotated.s), (field.v, rotated.v), (field.A, rotated.A)]
@@ -137,34 +152,31 @@ def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20) -> dict:
             pairs.append([lagrangian_weyl(f, p0, sign, pauli, metric, grid)
                           for f in (field, rotated)])
         worst = max(_relative_max(lhs - rhs, lhs) for lhs, rhs in pairs)
-        cases.append({"case": i, "p0": p0, "residual": worst})
-    return _report("u1", cases)
+        return {"case": i, "p0": p0, "residual": worst}
+
+    return _report("u1", _each_case(case, grid, seed, n_cases))
 
 
-def _correspondence_case(field: SpinorField, metric: Metric3) -> tuple[float, float]:
-    """``(orthonormality, round trip)`` of one correspondence case. The
+def _correspondence_case(i, metric, pauli, field, _, __) -> dict:
+    """One correspondence case: its orthonormality and round trip. The
     frame and density die before the round trip is measured, and the
-    lifted spinor when it returns, before the next case is drawn."""
+    lifted spinor when it returns."""
     xi = field.eta
-    packet = spinor_to_frame(field, field.pauli, metric, field.grid)
-    xi_rec, ortho = _lift(packet.theta, packet.rho, field.pauli, metric)
+    packet = spinor_to_frame(field, pauli, metric, field.grid)
+    xi_rec, ortho = _lift(packet.theta, packet.rho, pauli, metric)
     del packet
     scale = float(np.abs(xi).max())
     roundtrip = min(float(np.abs(xi_rec - xi).max()),
                     float(np.abs(xi_rec + xi).max())) / scale
-    return ortho, roundtrip
+    return {"case": i, "orthonormality": ortho, "residual": roundtrip}
 
 
 def verify_correspondence(grid: TorusGrid, seed: int, n_cases: int = 50) -> dict:
     """Orthonormality of the spinor-to-frame map (at 1e-12) and both
     round trips (at 1e-10), modulo the global sign of the spinor."""
-    cases = []
-    worst_ortho = 0.0
-    for i, metric, _, field, _, _ in _seeded_cases(grid, seed, n_cases,
-                                                   amplitude=0.15, max_mode=1):
-        ortho, roundtrip = _correspondence_case(field, metric)
-        worst_ortho = max(worst_ortho, ortho)
-        cases.append({"case": i, "orthonormality": ortho, "residual": roundtrip})
+    cases = _each_case(_correspondence_case, grid, seed, n_cases, amplitude=0.15,
+                       max_mode=1)
+    worst_ortho = max((c["orthonormality"] for c in cases), default=0.0)
     return _report("correspondence", cases,
                    other_gates=worst_ortho <= _FRAME_ORTHO_TOL,
                    max_orthonormality=worst_ortho,

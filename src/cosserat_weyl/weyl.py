@@ -10,9 +10,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ZeroFrequency, ZeroWavevector
-from .geometry import (Metric3, PauliSet, TorusGrid, _highest_mode, _plane_wave, _slabs,
-                       build_pauli, spectral_partial)
+from .errors import OutOfRange, ZeroFrequency, ZeroWavevector
+from .geometry import (Metric3, PauliSet, TorusGrid, _component_planes, _highest_mode,
+                       _plane_wave, _slabs, build_pauli, spectral_partial)
 from .sampling import random_bandlimited_spinor, random_wavevector
 from .spinor import (
     SpinorField,
@@ -101,23 +101,36 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     Returns ``(spec, field)``: a `SpinorField` of eta = u e^{i k.x} on
     the Pauli set of ``metric``, where u is the unit eigenvector of the
     Hermitian matrix k_a sigma^a for the eigenvalue
-    p0 = branch * sqrt(g^ab k_a k_b); ``field.eta`` is the array.
+    p0 = branch * sqrt(g^ab k_a k_b); ``field.eta`` is the array, in
+    component planes pw u[c] of the plane wave pw
+    (`geometry._component_planes`). A squared frequency g^ab k_a k_b
+    that is not a finite normal float (a box too small or too large
+    for the modes) raises OutOfRange.
     """
     k_modes = np.asarray(k_modes, dtype=int)
     if not np.any(k_modes != 0):
         raise ZeroWavevector("plane wave requires a nonzero mode vector")
     if branch not in (1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
+    with np.errstate(all="ignore"):  # an out-of-range frequency is rejected below
+        k = 2.0 * np.pi * k_modes / np.asarray(grid.box)
+        p0_squared = float(k @ metric.g_upper @ k)
+    if not np.finfo(float).tiny <= p0_squared < np.inf:  # a NaN fails too
+        raise OutOfRange(f"squared frequency g^ab k_a k_b = {p0_squared:.3e} of modes "
+                         f"{tuple(int(m) for m in k_modes)} on box {grid.box} is not "
+                         "a finite normal float")
     pauli = build_pauli(metric)
-    k = 2.0 * np.pi * k_modes / np.asarray(grid.box)
     kslash = np.einsum("n,nab->ab", k, pauli.sigma_upper)
-    p0 = branch * float(np.sqrt(k @ metric.g_upper @ k))
+    p0 = branch * float(np.sqrt(p0_squared))
     eigvals, eigvecs = np.linalg.eigh(kslash)
     idx = int(np.argmin(np.abs(eigvals - p0)))
     u = eigvecs[:, idx]
     u = u / np.sqrt(np.vdot(u, u).real)
-    eta = _plane_wave(grid, k_modes, 1.0)[..., np.newaxis] * u
-    dispersion_residual = abs(p0 * p0 - float(k @ metric.g_upper @ k))
+    wave = _plane_wave(grid, k_modes, 1.0)
+    eta = _component_planes(grid.shape)
+    for c in (0, 1):
+        np.multiply(wave, u[c], out=eta[..., c])
+    dispersion_residual = abs(p0 * p0 - p0_squared)
     spec = PlaneWaveSpec(k_modes=tuple(int(m) for m in k_modes), branch=branch,
                          u=u, p0=p0, dispersion_residual=dispersion_residual)
     return spec, SpinorField(eta, pauli, grid)

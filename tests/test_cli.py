@@ -327,6 +327,68 @@ class TestTheorem:
         assert "threads" not in cfg
 
 
+class TestOutOfRangeInputs:
+    # a squared frequency g^ab k_a k_b or a scale e^(2h) out of range
+    # raises a typed error: exit 2 with no NaN or Infinity written, and
+    # no RuntimeWarning (the test settings make one an error)
+    @pytest.mark.parametrize("argv, message", [
+        (["planewave", "--k", "1,0,0", "--box", "1e-200,1,1", *SMALL], "squared frequency"),
+        (["theorem", "--n", "1", "--box", "1e-300,1,1", *SMALL], "squared frequency"),
+        (["planewave", "--k", "1,0,0", "--box", "1e300,1,1", *SMALL], "squared frequency"),
+        (["verify", "scaling", "--cases", "1", "--h", "800*cos(x1)", *SMALL], "e^(2h)"),
+        (["verify", "scaling", "--cases", "1", "--h", "400*cos(x1)", *SMALL], "e^(2h)"),
+    ])
+    def test_exit_2_with_no_non_finite_value(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "RuntimeWarning" not in captured.err
+        assert "NaN" not in captured.out and "Infinity" not in captured.out
+
+    def test_a_non_finite_report_value_is_not_written(self, tmp_path, monkeypatch, capsys):
+        # strict JSON has no NaN: a report holding one exits 2, unwritten
+        monkeypatch.setattr(cli_module, "theorem_witness_suite",
+                            lambda *args, **kwargs: {"config": {}, "worst": float("nan")})
+        out = tmp_path / "report.json"
+        assert main(["theorem", "--n", "1", *SMALL, "--out", str(out)]) == 2
+        assert "not finite" in capsys.readouterr().err and not out.exists()
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        assert cli_module.build_parser() is cli_module.build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "fierz", "--cases", "2", *SMALL],
+        ["verify", "scaling", "--cases", "1", "--h", "0.1*cos(x2)", "--grid", "16,16,16"],
+        ["verify", "conformal", *SMALL],
+        ["planewave", "--k", "1,0,-1", "--metric", "diag:1,4,9", *SMALL],
+        ["theorem", "--n", "1", "--seed", "3", *SMALL],
+    ], ids=["fierz", "scaling", "conformal", "planewave", "theorem"])
+    def test_consecutive_calls_give_one_report(self, capsys, argv):
+        reports = []
+        for _ in range(2):
+            main(list(argv))
+            report = json.loads(capsys.readouterr().out)
+            report.pop("timestamp")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_options_of_one_call_do_not_reach_the_next(self, capsys):
+        main(["verify", "fierz", "--seed", "3", "--cases", "2", *SMALL])
+        capsys.readouterr()
+        main(["verify", "fierz", *SMALL])
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["seed"] == 0 and config["cases"] == 50
+
+    def test_a_suite_patched_after_the_first_call_runs(self, capsys, monkeypatch):
+        assert main(["verify", "fierz", "--cases", "1", *SMALL]) == 0
+        capsys.readouterr()
+        failing = lambda grid, seed, n_cases: {"cases": [], "pass": False}
+        monkeypatch.setitem(cli_module.VERIFIERS, "fierz", failing)
+        assert main(["verify", "fierz", "--cases", "1", *SMALL]) == 1
+        assert json.loads(capsys.readouterr().out)["result"] == {"cases": [], "pass": False}
+
+
 # Two identical jobs in one fresh interpreter; prints the minor page
 # faults of the second.
 _REPEATED_JOB = """\

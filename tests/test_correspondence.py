@@ -293,7 +293,9 @@ class TestSlabs:
 def _roll_sweep_signs(xi):
     """Oracle of `_sweep_signs`: each sweep takes its overlaps against an
     np.roll of the line and its signs from a cumulative product over
-    the flips of every link, periodic edge included."""
+    the flips of every link, periodic edge included. It reads a
+    contiguous copy of xi, since ``.view(float)`` needs one."""
+    xi = np.ascontiguousarray(xi)
     sign = 1.0
     for axis in (2, 1, 0):
         line = xi[(slice(None),) * (axis + 1) + (0,) * (2 - axis)]

@@ -314,7 +314,8 @@ class TestPlaneWaves:
         coeffs = rng.normal(size=(n_comp, n_terms)) + 1j * rng.normal(size=(n_comp, n_terms))
         got = _plane_waves(grid, modes, coeffs)
         assert got.shape == grid.dims + (n_comp,)
-        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        # each component plane C-contiguous, the sum a view of one (C,) + dims block
+        assert got.dtype == np.complex128 and np.moveaxis(got, -1, 0).flags.c_contiguous
         for c in range(n_comp):
             want = sum(_plane_wave(grid, m, coeff) for m, coeff in zip(modes[c], coeffs[c]))
             assert np.abs(got[..., c] - want).max() <= 1e-14 * np.abs(coeffs[c]).sum()

@@ -75,7 +75,9 @@ def test_matches_full_grid_oracle(grid, sampler, oracle, kwargs):
         field = sampler(grid, rng, **kwargs)
         expected = oracle(grid, rng_oracle, **kwargs)
         assert field.shape == expected.shape and field.dtype == expected.dtype
-        assert field.flags.c_contiguous
+        # a scalar is one contiguous grid; a spinor's component planes are
+        # each C-contiguous, the field a view of one (2,) + dims block
+        assert (field if field.ndim == 3 else np.moveaxis(field, -1, 0)).flags.c_contiguous
         peak = np.abs(expected).max()
         assert np.abs(field - expected).max() <= 1e-14 * peak
         # same draws in the same order: every later draw is unchanged

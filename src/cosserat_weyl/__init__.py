@@ -8,11 +8,12 @@ two Weyl Lagrangian densities, scaling covariance, and the vanishing of
 the variational residual at exact Weyl plane-wave solutions.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .correspondence import (
     PHASE_RATE,
-    FramePacket,
     frame_to_spinor,
     spinor_to_frame,
     stationary_frame_path,
@@ -21,7 +22,6 @@ from .cosserat import (
     axial_torsion,
     conformal_rescale,
     kinetic_2form,
-    kinetic_energy,
     lagrangian_coframe,
     orthonormality_residual,
     potential_energy,
@@ -50,7 +50,6 @@ from .geometry import (
     exterior_derivative,
     integrate,
     spectral_partial,
-    wedge_1_1,
     wedge_1_2,
 )
 from .spinor import (
@@ -75,4 +74,6 @@ from .weyl import (
     weyl_residual_norm,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API names: not the submodules that the imports above bind here
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -17,8 +17,6 @@ pinned cross-module by the Lagrangian-equivalence test):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cosserat import check_density, orthonormality_residual
@@ -33,15 +31,6 @@ PHASE_RATE = -2.0
 _ORTHO_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class FramePacket:
-    """Coframe + density image of a spinor field. The preimage is
-    determined only up to a global sign."""
-
-    theta: np.ndarray
-    rho: np.ndarray
-
-
 def _quadratic_map(pauli: PauliSet) -> np.ndarray:
     """The 3x3 matrix Q with w_a = Q[a] . (xi_1^2, xi_1 xi_2, xi_2^2).
 
@@ -54,9 +43,10 @@ def _quadratic_map(pauli: PauliSet) -> np.ndarray:
 
 
 def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
-                    metric: Metric3, grid: TorusGrid) -> FramePacket:
+                    metric: Metric3, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     """Map a nonvanishing spinor field to its coframe + density, one
-    x1 slab (`_slabs`) at a time.
+    x1 slab (`_slabs`) at a time. Returns ``(theta, rho)``; the spinor
+    they come from is determined by them only up to a global sign.
 
     theta^3 = v / s takes v from `spinor._covector` and does not cache
     it on a given field."""
@@ -72,7 +62,7 @@ def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
         np.multiply(w.real, sinv, out=theta[0, sl])
         np.multiply(w.imag, sinv, out=theta[1, sl])
         np.multiply(_covector(eta, pauli), sinv, out=theta[2, sl])
-    return FramePacket(theta=theta, rho=field.s * metric.sqrt_det)
+    return theta, field.s * metric.sqrt_det
 
 
 def _real_parts(z: np.ndarray) -> np.ndarray:
@@ -134,12 +124,24 @@ def _sweep_signs(xi: np.ndarray) -> np.ndarray:
     return sign
 
 
-def _lift(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
-          metric: Metric3) -> tuple[np.ndarray, float]:
-    """`frame_to_spinor`, and the orthonormality residual it checked.
+def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
+                    metric: Metric3) -> tuple[np.ndarray, float]:
+    """Invert `spinor_to_frame` on the given Pauli set, up to a global sign.
+
+    Returns ``(xi, orthonormality)``: the lifted spinor, in component
+    planes, and the frame's worst orthonormality residual, which must
+    not exceed `_ORTHO_TOL` (NotOrthonormal otherwise).
+
+    The inverse of `_quadratic_map` gives (xi_1^2, xi_1 xi_2, xi_2^2)
+    from w = s (theta^1 + i theta^2). On any Pauli set, a frame has a
+    spin lift only where theta^3 = v / s of that spinor, and only if a
+    sweep along the axes (`_sweep_signs`) can fix the per-point sign
+    around all three torus cycles. A density whose shape is not the
+    frame's grid shape ``theta.shape[1:-1]`` raises ValueError.
 
     The pointwise checks and the lift run one x1 slab (`_slabs`) at a
-    time; only the sign sweep sees the whole grid."""
+    time; only the sign sweep sees the whole grid.
+    """
     dims = theta.shape[1:-1]
     if rho.shape != dims:
         raise ValueError(f"density of shape {rho.shape} does not match the frame's "
@@ -179,20 +181,6 @@ def _lift(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
     return xi, worst
 
 
-def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
-                    metric: Metric3) -> np.ndarray:
-    """Invert `spinor_to_frame` on the given Pauli set, up to a global sign.
-
-    The inverse of `_quadratic_map` gives (xi_1^2, xi_1 xi_2, xi_2^2)
-    from w = s (theta^1 + i theta^2). On any Pauli set, a frame has a
-    spin lift only where theta^3 = v / s of that spinor, and only if a
-    sweep along the axes (`_sweep_signs`) can fix the per-point sign
-    around all three torus cycles. A density whose shape is not the
-    frame's grid shape ``theta.shape[1:-1]`` raises ValueError.
-    """
-    return _lift(theta, rho, pauli, metric)[0]
-
-
 def stationary_frame_path(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
                           metric: Metric3, grid: TorusGrid):
     """Coframe path of the stationary ansatz xi = e^{-i p0 x0} eta,
@@ -204,11 +192,10 @@ def stationary_frame_path(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
 
     Returns ``(theta, dtheta0, rho)``.
     """
-    packet = spinor_to_frame(eta, pauli, metric, grid)
-    theta = packet.theta
+    theta, rho = spinor_to_frame(eta, pauli, metric, grid)
     # d0 (theta^1 + i theta^2) = -2 i p0 (theta^1 + i theta^2)
     rate = PHASE_RATE * p0
     dtheta0 = np.zeros_like(theta)
     np.multiply(-rate, theta[1], out=dtheta0[0])
     np.multiply(rate, theta[0], out=dtheta0[1])
-    return theta, dtheta0, packet.rho
+    return theta, dtheta0, rho

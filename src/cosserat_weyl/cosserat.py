@@ -136,15 +136,6 @@ def _norm2_2form(omega: np.ndarray, theta: np.ndarray, det_ind: np.ndarray) -> n
     return sum(wedge_1_2(theta_j, omega) ** 2 for theta_j in theta) / det_ind
 
 
-def kinetic_energy(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
-                   metric: Metric3, grid: TorusGrid) -> float:
-    """K = integral of |theta_dot|^2 rho over the torus (induced-metric
-    norm, as in `potential_energy`)."""
-    check_density(rho)
-    det_ind = _induced_det(theta)
-    return integrate(_norm2_2form(kinetic_2form(theta, dtheta0), theta, det_ind) * rho, grid)
-
-
 def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
                        metric: Metric3, grid: TorusGrid) -> np.ndarray:
     """Pointwise dynamic Lagrangian density

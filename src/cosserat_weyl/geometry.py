@@ -345,12 +345,6 @@ def _wedge_component(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
     return a[..., j] * b[..., k] - a[..., k] * b[..., j]
 
 
-def wedge_1_1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wedge of two covector fields as a 2-form (component order
-    (w_23, w_31, w_12) makes this the pointwise cross product)."""
-    return np.stack([_wedge_component(a, b, i) for i in range(3)], axis=-1)
-
-
 def wedge_1_2(a: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Wedge of a covector with a 2-form: coefficient of dx1^dx2^dx3,
     a_1 w_23 + a_2 w_31 + a_3 w_12."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .correspondence import _lift, spinor_to_frame
+from .correspondence import frame_to_spinor, spinor_to_frame
 from .cosserat import conformal_rescale, potential_energy
 from .errors import ConfigError
 from .geometry import Metric3, TorusGrid, _plane_wave, build_pauli
@@ -162,9 +162,9 @@ def _correspondence_case(i, metric, pauli, field, _, __) -> dict:
     frame and density die before the round trip is measured, and the
     lifted spinor when it returns."""
     xi = field.eta
-    packet = spinor_to_frame(field, pauli, metric, field.grid)
-    xi_rec, ortho = _lift(packet.theta, packet.rho, pauli, metric)
-    del packet
+    theta, rho = spinor_to_frame(field, pauli, metric, field.grid)
+    xi_rec, ortho = frame_to_spinor(theta, rho, pauli, metric)
+    del theta, rho
     scale = float(np.abs(xi).max())
     roundtrip = min(float(np.abs(xi_rec - xi).max()),
                     float(np.abs(xi_rec + xi).max())) / scale

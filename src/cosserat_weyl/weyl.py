@@ -94,6 +94,9 @@ def weyl_residual_norm(eta: np.ndarray | SpinorField, p0: float, sign: int,
     return float(np.sqrt(_scalar_density(r)).max())
 
 
+_PREFACTOR = 16.0 / 9.0
+
+
 def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     """Exact plane-wave Weyl solution for integer mode vector
     ``k_modes``.
@@ -103,9 +106,13 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     Hermitian matrix k_a sigma^a for the eigenvalue
     p0 = branch * sqrt(g^ab k_a k_b); ``field.eta`` is the array, in
     component planes pw u[c] of the plane wave pw
-    (`geometry._component_planes`). A squared frequency g^ab k_a k_b
-    that is not a finite normal float (a box too small or too large
-    for the modes) raises OutOfRange.
+    (`geometry._component_planes`). OutOfRange is raised for a squared
+    frequency p0^2 = g^ab k_a k_b below the smallest normal float, or
+    one at which the residuals overflow (a box too large or too small
+    for the modes): their largest product is the spectral sum of G eta
+    in `el_gradient` times the symbol k_a sigma^a, which on the wave,
+    where |A| = |p0| s and the symbol has norm |p0|, is at most
+    2 _PREFACTOR num_points p0^2 sqrt(det g).
     """
     k_modes = np.asarray(k_modes, dtype=int)
     if not np.any(k_modes != 0):
@@ -115,10 +122,13 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     with np.errstate(all="ignore"):  # an out-of-range frequency is rejected below
         k = 2.0 * np.pi * k_modes / np.asarray(grid.box)
         p0_squared = float(k @ metric.g_upper @ k)
-    if not np.finfo(float).tiny <= p0_squared < np.inf:  # a NaN fails too
+        largest = 2.0 * _PREFACTOR * grid.num_points * p0_squared * metric.sqrt_det
+    if not (np.finfo(float).tiny <= p0_squared and largest < np.inf):  # a NaN fails too
         raise OutOfRange(f"squared frequency g^ab k_a k_b = {p0_squared:.3e} of modes "
-                         f"{tuple(int(m) for m in k_modes)} on box {grid.box} is not "
-                         "a finite normal float")
+                         f"{tuple(int(m) for m in k_modes)} on box {grid.box} is out of "
+                         "range: below the smallest normal float, or the residuals' "
+                         f"largest product (32/9) N p0^2 sqrt(det g) = {largest:.3e} "
+                         "overflows")
     pauli = build_pauli(metric)
     kslash = np.einsum("n,nab->ab", k, pauli.sigma_upper)
     p0 = branch * float(np.sqrt(p0_squared))
@@ -134,9 +144,6 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     spec = PlaneWaveSpec(k_modes=tuple(int(m) for m in k_modes), branch=branch,
                          u=u, p0=p0, dispersion_residual=dispersion_residual)
     return spec, SpinorField(eta, pauli, grid)
-
-
-_PREFACTOR = 16.0 / 9.0
 
 
 def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
@@ -299,8 +306,10 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
             _check_nonvanishing(extremes[i, k])  # as the perturbed field's check would
         axial = _axial_density(eta_pm, slash_pm)
         lag_pm = _stationary_density(s_pm, axial, p0, metric)
-        grad = grid.cell_volume * (lag_pm[:, 0] - lag_pm[:, 1]).sum(axis=-1) / (2.0 * step)
-        values[block] = grad / (2.0 * grid.cell_volume)
+        # the action's central difference, cell_volume sum(L_+ - L_-) / (2 step),
+        # over the 2 cell_volume of `el_gradient`'s scaling: the cell volume,
+        # which can under- or overflow, cancels and is not formed
+        values[block] = (lag_pm[:, 0] - lag_pm[:, 1]).sum(axis=-1) / (4.0 * step)
     return values
 
 
@@ -330,10 +339,7 @@ def el_residual_fd(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     field's sigma^a d_a eta, which they perturb and do not recompute;
     they are evaluated together, both signs at once, in one pass of
     array operations per block of `_FD_BLOCK` probes (see
-    `_fd_gradient_at_dofs`). With sigma^a d_a eta at hand, 16 probes at
-    16^3 take 0.35 ms (minimum) and 0.60 ms (median) of repeated calls,
-    against 0.93 ms for one `el_gradient` (`BENCH_17.json`: 2-CPU Xeon,
-    numpy 2.4, after a CLI job has pinned the malloc thresholds).
+    `_fd_gradient_at_dofs`).
     """
     field = _field(eta, pauli, grid)
     dofs = _sample_dofs(field.eta, probes, seed)

@@ -337,12 +337,38 @@ class TestOutOfRangeInputs:
         (["planewave", "--k", "1,0,0", "--box", "1e300,1,1", *SMALL], "squared frequency"),
         (["verify", "scaling", "--cases", "1", "--h", "800*cos(x1)", *SMALL], "e^(2h)"),
         (["verify", "scaling", "--cases", "1", "--h", "400*cos(x1)", *SMALL], "e^(2h)"),
+        # residuals whose largest product would overflow
+        (["planewave", "--k", "1,0,0", "--box", "1e-152,1,1", *SMALL], "squared frequency"),
+        (["theorem", "--n", "1", "--box", "1e-152,1,1", *SMALL], "squared frequency"),
     ])
     def test_exit_2_with_no_non_finite_value(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err and "RuntimeWarning" not in captured.err
         assert "NaN" not in captured.out and "Infinity" not in captured.out
+
+    @pytest.mark.parametrize("grid, accepted, rejected", [
+        ("8,8,8", "3.2e-152,1,1", "1e-152,1,1"),
+        ("32,32,32", "3.2e-151,1,1", "1e-151,1,1"),
+    ])
+    def test_planewave_frequency_bound(self, tmp_path, capsys, grid, accepted, rejected):
+        # (32/9) N p0^2 sqrt(det g) must be finite: on either side of that
+        # step a job ends with no RuntimeWarning, a finite report or exit 2
+        code, report = _run(tmp_path, "planewave", "--k", "1,0,0", "--grid", grid,
+                            "--box", accepted)
+        assert code == 1 and np.isfinite(report["el_residual"])
+        assert main(["planewave", "--k", "1,0,0", "--grid", grid, "--box", rejected]) == 2
+        captured = capsys.readouterr()
+        assert "squared frequency" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("box", ["1e150,1e150,1e150", "1e-140,1e-140,1e-140"])
+    def test_fd_probes_do_not_form_the_cell_volume(self, tmp_path, box):
+        # the cell volume of these boxes over- or underflows; the probes'
+        # central differences do not form it, so they stay finite
+        code, report = _run(tmp_path, "theorem", "--n", "1", "--box", box, *SMALL)
+        assert code in (0, 1)
+        solutions = [c for c in report["cases"] if c["kind"] == "solution"]
+        assert solutions and all(np.isfinite(c["el_residual_fd"]) for c in solutions)
 
     def test_a_non_finite_report_value_is_not_written(self, tmp_path, monkeypatch, capsys):
         # strict JSON has no NaN: a report holding one exits 2, unwritten

@@ -57,14 +57,14 @@ def _constant_spinor(grid, u=(1.0, 0.0)):
 class TestSpinorToFrame:
     def test_spin_up_frozen_frame(self, grid8, pauli_identity, identity_metric):
         # xi = (1, 0): theta^1 = -dx1, theta^2 = -dx2, theta^3 = dx3, rho = 1
-        packet = spinor_to_frame(_constant_spinor(grid8), pauli_identity,
-                                 identity_metric, grid8)
+        theta, rho = spinor_to_frame(_constant_spinor(grid8), pauli_identity,
+                                     identity_metric, grid8)
         expected = np.zeros((3,) + grid8.shape + (3,))
         expected[0, ..., 0] = -1.0
         expected[1, ..., 1] = -1.0
         expected[2, ..., 2] = 1.0
-        assert np.abs(packet.theta - expected).max() <= 1e-15
-        assert np.abs(packet.rho - 1.0).max() <= 1e-15
+        assert np.abs(theta - expected).max() <= 1e-15
+        assert np.abs(rho - 1.0).max() <= 1e-15
 
     def test_matches_conjugate_spinor_sandwich(self, grid8):
         # oracle: w_a = xihat^dagger sigma_a xi, xihat = (conj xi_2, -conj xi_1)
@@ -76,7 +76,7 @@ class TestSpinorToFrame:
             xihat = np.stack([xi[..., 1].conj(), -xi[..., 0].conj()], axis=-1)
             w = np.einsum("...i,aij,...j->...a", xihat.conj(), pauli.sigma_lower, xi)
             s = np.einsum("...i,...i->...", xi.conj(), xi).real[..., np.newaxis]
-            theta = spinor_to_frame(xi, pauli, metric, grid8).theta
+            theta, _ = spinor_to_frame(xi, pauli, metric, grid8)
             assert np.abs(theta[0] + 1j * theta[1] - w / s).max() <= 1e-13
 
     def test_image_is_orthonormal(self, grid8):
@@ -85,9 +85,9 @@ class TestSpinorToFrame:
             metric = random_spd_metric(rng)
             pauli = build_pauli(metric)
             xi = random_nonvanishing_spinor(grid8, rng)
-            packet = spinor_to_frame(xi, pauli, metric, grid8)
-            assert orthonormality_residual(packet.theta, metric).max() <= 1e-13
-            assert np.min(packet.rho) > 0.0
+            theta, rho = spinor_to_frame(xi, pauli, metric, grid8)
+            assert orthonormality_residual(theta, metric).max() <= 1e-13
+            assert np.min(rho) > 0.0
 
     def test_phase_rotates_first_two_covectors(self, grid8, pauli_identity,
                                                identity_metric):
@@ -95,14 +95,14 @@ class TestSpinorToFrame:
         rng = np.random.default_rng(4)
         xi = random_nonvanishing_spinor(grid8, rng)
         phi = 0.37
-        base = spinor_to_frame(xi, pauli_identity, identity_metric, grid8)
-        rot = spinor_to_frame(np.exp(1j * phi) * xi, pauli_identity,
-                              identity_metric, grid8)
-        w_base = base.theta[0] + 1j * base.theta[1]
-        w_rot = rot.theta[0] + 1j * rot.theta[1]
+        theta, rho = spinor_to_frame(xi, pauli_identity, identity_metric, grid8)
+        theta_rot, rho_rot = spinor_to_frame(np.exp(1j * phi) * xi, pauli_identity,
+                                             identity_metric, grid8)
+        w_base = theta[0] + 1j * theta[1]
+        w_rot = theta_rot[0] + 1j * theta_rot[1]
         assert np.abs(w_rot - np.exp(2j * phi) * w_base).max() <= 1e-13
-        assert np.abs(rot.theta[2] - base.theta[2]).max() <= 1e-14
-        assert np.abs(rot.rho - base.rho).max() <= 1e-14
+        assert np.abs(theta_rot[2] - theta[2]).max() <= 1e-14
+        assert np.abs(rho_rot - rho).max() <= 1e-14
 
     def test_vanishing_spinor_rejected(self, grid8, pauli_identity,
                                        identity_metric):
@@ -120,10 +120,12 @@ class TestFrameToSpinor:
             metric = random_spd_metric(rng)
             pauli = build_pauli(metric)
             xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
-            packet = spinor_to_frame(xi, pauli, metric, grid8)
-            rec = frame_to_spinor(packet.theta, packet.rho, pauli, metric)
+            theta, rho = spinor_to_frame(xi, pauli, metric, grid8)
+            rec, ortho = frame_to_spinor(theta, rho, pauli, metric)
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
             assert err / np.abs(xi).max() <= 1e-11
+            # the residual the lift checked is the frame's worst one
+            assert ortho == orthonormality_residual(theta, metric).max()
 
     def test_round_trip_on_su2_conjugated_pauli_sets(self):
         # U sigma U^dagger with U in SU(2) is another valid Pauli set for
@@ -140,8 +142,8 @@ class TestFrameToSpinor:
                 pauli, sigma_upper=u @ pauli.sigma_upper @ u.conj().T,
                 sigma_lower=u @ pauli.sigma_lower @ u.conj().T)
             xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
-            packet = spinor_to_frame(xi, conj, metric, grid)
-            rec = frame_to_spinor(packet.theta, packet.rho, conj, metric)
+            theta, rho = spinor_to_frame(xi, conj, metric, grid)
+            rec, _ = frame_to_spinor(theta, rho, conj, metric)
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
             assert err / np.abs(xi).max() <= 1e-14
 
@@ -151,8 +153,8 @@ class TestFrameToSpinor:
             metric = random_spd_metric(rng)
             conj = _complex_conjugate(build_pauli(metric))
             xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
-            packet = spinor_to_frame(xi, conj, metric, grid8)
-            rec = frame_to_spinor(packet.theta, packet.rho, conj, metric)
+            theta, rho = spinor_to_frame(xi, conj, metric, grid8)
+            rec, _ = frame_to_spinor(theta, rho, conj, metric)
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
             assert err / np.abs(xi).max() <= 1e-14
 
@@ -162,19 +164,19 @@ class TestFrameToSpinor:
         metric = random_spd_metric(rng)
         for pauli in (build_pauli(metric), _complex_conjugate(build_pauli(metric))):
             xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
-            packet = spinor_to_frame(xi, pauli, metric, grid8)
-            flipped = packet.theta.copy()
+            theta, rho = spinor_to_frame(xi, pauli, metric, grid8)
+            flipped = theta.copy()
             flipped[2] *= -1.0
             assert orthonormality_residual(flipped, metric).max() <= 1e-13
             with pytest.raises(NoSpinLift):
-                frame_to_spinor(flipped, packet.rho, pauli, metric)
+                frame_to_spinor(flipped, rho, pauli, metric)
 
     def test_spin_up_frozen_frame_inverts(self, grid8, pauli_identity,
                                           identity_metric):
         # xi = (1, 0) has xi_2 = 0 everywhere: only the root of xi_1^2 works
-        packet = spinor_to_frame(_constant_spinor(grid8), pauli_identity,
-                                 identity_metric, grid8)
-        rec = frame_to_spinor(packet.theta, packet.rho, pauli_identity, identity_metric)
+        theta, rho = spinor_to_frame(_constant_spinor(grid8), pauli_identity,
+                                     identity_metric, grid8)
+        rec, _ = frame_to_spinor(theta, rho, pauli_identity, identity_metric)
         assert np.abs(rec - _constant_spinor(grid8)).max() <= 1e-15
 
     def test_forward_of_inverse_is_identity(self, grid8, pauli_identity,
@@ -182,11 +184,11 @@ class TestFrameToSpinor:
         # the frame image is sign-blind, so this direction has no ambiguity
         rng = np.random.default_rng(29)
         xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
-        packet = spinor_to_frame(xi, pauli_identity, identity_metric, grid8)
-        rec = frame_to_spinor(packet.theta, packet.rho, pauli_identity, identity_metric)
-        packet2 = spinor_to_frame(rec, pauli_identity, identity_metric, grid8)
-        assert np.abs(packet2.theta - packet.theta).max() <= 1e-12
-        assert np.abs(packet2.rho - packet.rho).max() <= 1e-12
+        theta, rho = spinor_to_frame(xi, pauli_identity, identity_metric, grid8)
+        rec, _ = frame_to_spinor(theta, rho, pauli_identity, identity_metric)
+        theta2, rho2 = spinor_to_frame(rec, pauli_identity, identity_metric, grid8)
+        assert np.abs(theta2 - theta).max() <= 1e-12
+        assert np.abs(rho2 - rho).max() <= 1e-12
 
     def test_rejects_non_orthonormal_frame(self, grid8, pauli_identity,
                                            identity_metric):
@@ -211,11 +213,11 @@ class TestFrameToSpinor:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (), (8, 8, 1), (4, 8, 8)])
     def test_rejects_density_of_another_shape(self, grid8, pauli_identity,
                                               identity_metric, shape):
-        packet = spinor_to_frame(_constant_spinor(grid8), pauli_identity,
-                                 identity_metric, grid8)
+        theta, _ = spinor_to_frame(_constant_spinor(grid8), pauli_identity,
+                                   identity_metric, grid8)
         with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*"
                            + re.escape(f"{grid8.shape}")):
-            frame_to_spinor(packet.theta, np.ones(shape), pauli_identity, identity_metric)
+            frame_to_spinor(theta, np.ones(shape), pauli_identity, identity_metric)
 
 
 class TestSlabs:
@@ -234,40 +236,42 @@ class TestSlabs:
         pauli = _su2_conjugate(build_pauli(metric), rng)
         xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
         assert len(geometry_module._slabs(dims)) == 1
-        packet = spinor_to_frame(xi, pauli, metric, grid)
-        lift = correspondence_module._lift(packet.theta, packet.rho, pauli, metric)
+        frame = spinor_to_frame(xi, pauli, metric, grid)
+        lift = frame_to_spinor(*frame, pauli, metric)
         monkeypatch.setattr(geometry_module, "_SLAB_POINTS", slab_points)
         slabs = geometry_module._slabs(dims)
         sizes = [len(range(dims[0])[sl]) for sl in slabs]
         assert sum(sizes) == dims[0] and len(set(sizes)) == 2
-        return grid, metric, pauli, xi, packet, lift, slabs
+        return grid, metric, pauli, xi, frame, lift, slabs
 
     @pytest.mark.parametrize("dims,slab_points", CASES)
     def test_slabs_match_one_slab_bit_for_bit(self, monkeypatch, dims, slab_points):
-        grid, metric, pauli, xi, packet, (xi_rec, ortho), _ = self._case(
+        grid, metric, pauli, xi, (theta, rho), (xi_rec, ortho), _ = self._case(
             dims, monkeypatch, slab_points)
-        sliced = spinor_to_frame(xi, pauli, metric, grid)
-        assert np.array_equal(sliced.theta, packet.theta)
-        assert np.array_equal(sliced.rho, packet.rho)
-        lift = correspondence_module._lift(sliced.theta, sliced.rho, pauli, metric)
+        sliced_theta, sliced_rho = spinor_to_frame(xi, pauli, metric, grid)
+        assert np.array_equal(sliced_theta, theta)
+        assert np.array_equal(sliced_rho, rho)
+        lift = frame_to_spinor(sliced_theta, sliced_rho, pauli, metric)
         assert np.array_equal(lift[0], xi_rec)
         assert lift[1] == ortho
 
     @pytest.mark.parametrize("dims,slab_points", CASES)
     def test_nan_in_the_last_slab_is_not_orthonormal(self, monkeypatch, dims, slab_points):
-        _, metric, pauli, _, packet, _, slabs = self._case(dims, monkeypatch, slab_points)
-        theta = packet.theta.copy()
+        _, metric, pauli, _, (theta, rho), _, slabs = self._case(dims, monkeypatch,
+                                                                 slab_points)
+        theta = theta.copy()
         theta[0, slabs[-1].start, 1, 2, 0] = np.nan
         with pytest.raises(NotOrthonormal):
-            frame_to_spinor(theta, packet.rho, pauli, metric)
+            frame_to_spinor(theta, rho, pauli, metric)
 
     @pytest.mark.parametrize("dims,slab_points", CASES)
     def test_flip_in_the_last_slab_has_no_lift(self, monkeypatch, dims, slab_points):
-        _, metric, pauli, _, packet, _, slabs = self._case(dims, monkeypatch, slab_points)
-        theta = packet.theta.copy()
+        _, metric, pauli, _, (theta, rho), _, slabs = self._case(dims, monkeypatch,
+                                                                 slab_points)
+        theta = theta.copy()
         theta[2, slabs[-1]] *= -1.0
         with pytest.raises(NoSpinLift, match="theta\\^3 points against"):
-            frame_to_spinor(theta, packet.rho, pauli, metric)
+            frame_to_spinor(theta, rho, pauli, metric)
 
     def test_multi_slab_lift_memory(self):
         # (64,32,32) holds two slabs. Above its inputs, the lift peaks at
@@ -280,14 +284,14 @@ class TestSlabs:
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
         xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
-        packet = spinor_to_frame(xi, pauli, metric, grid)
+        theta, rho = spinor_to_frame(xi, pauli, metric, grid)
         tracemalloc.start()
         try:
-            frame_to_spinor(packet.theta, packet.rho, pauli, metric)
+            frame_to_spinor(theta, rho, pauli, metric)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * packet.theta.nbytes
+        assert peak <= 2.75 * theta.nbytes
 
 
 def _roll_sweep_signs(xi):
@@ -392,18 +396,18 @@ class TestDictionaryAtTheEdges:
         # modes up to one below the Nyquist mode of the shortest axis
         xi = random_nonvanishing_spinor(grid, rng, amplitude=amplitude,
                                         max_mode=min(dims) // 2 - 1)
-        packet = spinor_to_frame(xi, pauli, metric, grid)
+        theta, rho = spinor_to_frame(xi, pauli, metric, grid)
         try:
-            rec = frame_to_spinor(packet.theta, packet.rho, pauli, metric)
+            rec, _ = frame_to_spinor(theta, rho, pauli, metric)
         except ModelError:
             pass
         else:
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max()) / np.abs(xi).max()
             assert err <= 1e-14 * np.sqrt(np.linalg.cond(metric.g_lower))
-        flipped = packet.theta.copy()
+        flipped = theta.copy()
         flipped[2] *= -1.0
         with pytest.raises(NoSpinLift):
-            frame_to_spinor(flipped, packet.rho, pauli, metric)
+            frame_to_spinor(flipped, rho, pauli, metric)
 
 
 class TestSpinLiftAroundCycles:
@@ -432,9 +436,9 @@ class TestSpinLiftAroundCycles:
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_two_turns_lift(self, grid8, pauli_identity, identity_metric, axis):
         theta = self._turning_frame(grid8, axis, 2)
-        rec = frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity, identity_metric)
-        packet = spinor_to_frame(rec, pauli_identity, identity_metric, grid8)
-        assert np.abs(packet.theta - theta).max() <= 1e-12
+        rec, _ = frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity, identity_metric)
+        theta_rec, _ = spinor_to_frame(rec, pauli_identity, identity_metric, grid8)
+        assert np.abs(theta_rec - theta).max() <= 1e-12
         # continuous: neighbours along every axis, the periodic edge included
         for ax in range(3):
             assert np.abs(np.roll(rec, -1, ax) - rec).max() <= 0.8

@@ -306,12 +306,12 @@ class TestFloatKernelsAtExactPoints:
         # derivative of them
         case = _case(kind)
         grid = TorusGrid((4, 4, 4), (1.0, 1.0, 1.0))
-        packet = spinor_to_frame(case.array("eta").reshape(4, 4, 4, 2), case.pauli(),
-                                 case.metric(), grid)
-        theta = np.moveaxis(case.array("theta"), 0, 1).reshape(3, 4, 4, 4, 3)
-        _assert_close(packet.theta, theta)
-        rho = _as_array([p.s * case.sqrt_det for p in case.points]).reshape(4, 4, 4)
-        _assert_close(packet.rho, rho)
+        theta, rho = spinor_to_frame(case.array("eta").reshape(4, 4, 4, 2), case.pauli(),
+                                     case.metric(), grid)
+        exact = np.moveaxis(case.array("theta"), 0, 1).reshape(3, 4, 4, 4, 3)
+        _assert_close(theta, exact)
+        exact = _as_array([p.s * case.sqrt_det for p in case.points]).reshape(4, 4, 4)
+        _assert_close(rho, exact)
 
 
 @pytest.mark.parametrize("kind", ("standard", "cholesky"))

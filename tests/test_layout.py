@@ -115,8 +115,8 @@ class TestBuildersReturnPlanes:
         eta = _interleaved(random_nonvanishing_spinor(self.grid, rng, amplitude=0.15,
                                                       max_mode=1))
         assert _is_component_planes(_dirac(eta, pauli.sigma_upper, self.grid))
-        packet = spinor_to_frame(eta, pauli, metric, self.grid)
-        assert _is_component_planes(frame_to_spinor(packet.theta, packet.rho, pauli, metric))
+        theta, rho = spinor_to_frame(eta, pauli, metric, self.grid)
+        assert _is_component_planes(frame_to_spinor(theta, rho, pauli, metric)[0])
 
     def test_phase_and_scale_of_a_suite_case(self, monkeypatch):
         # the rotated field of verify u1 and e^h eta of verify scaling
@@ -182,7 +182,7 @@ class TestAnyLayoutIsAccepted:
              lambda e: el_residual_fd(e, 0.5, pauli, metric, grid, probes=8, seed=1)),
             ("el_gradient_fd_check",
              lambda e: el_gradient_fd_check(e, 1.0, pauli, metric, grid, probes=8)),
-            ("spinor_to_frame", lambda e: spinor_to_frame(e, pauli, metric, grid).theta),
+            ("spinor_to_frame", lambda e: spinor_to_frame(e, pauli, metric, grid)),
             ("stationary_frame_path",
              lambda e: stationary_frame_path(e, 1.0, pauli, metric, grid)),
         ]

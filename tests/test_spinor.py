@@ -564,7 +564,7 @@ class TestSpinorField:
             lambda e: weyl_residual(e, 0.7, 1, pauli, grid),
             lambda e: el_gradient(e, 0.7, pauli, metric, grid),
             lambda e: el_residual_fd(e, 0.7, pauli, metric, grid, probes=8),
-            lambda e: spinor_to_frame(e, pauli, metric, grid).theta,
+            lambda e: spinor_to_frame(e, pauli, metric, grid)[0],
         ):
             assert np.array_equal(fn(field), fn(eta))
 

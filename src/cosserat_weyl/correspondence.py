@@ -49,29 +49,54 @@ def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
     they come from is determined by them only up to a global sign.
 
     theta^3 = v / s takes v from `spinor._covector` and does not cache
-    it on a given field."""
+    it on a given field. theta is stored as component planes
+    (`geometry._component_planes`), and each plane theta^j_a is written
+    once per slab."""
     field = _nonvanishing(xi, pauli, grid)
     quad_t = _quadratic_map(pauli).T
-    theta = np.empty((3,) + field.s.shape + (3,))
+    theta = _component_planes(field.s.shape, (3, 3), float)
     for sl in _slabs(field.s.shape):
         eta = field.eta[sl]
         x1, x2 = eta[..., 0], eta[..., 1]
         squares = np.stack([x1 * x1, x1 * x2, x2 * x2], axis=-1)
         w = (squares.reshape(-1, 3) @ quad_t).reshape(squares.shape)
-        sinv = 1.0 / field.s[sl, ..., np.newaxis]
-        np.multiply(w.real, sinv, out=theta[0, sl])
-        np.multiply(w.imag, sinv, out=theta[1, sl])
-        np.multiply(_covector(eta, pauli), sinv, out=theta[2, sl])
+        sinv = 1.0 / field.s[sl]
+        for a in range(3):
+            np.multiply(w[..., a].real, sinv, out=theta[0, sl, ..., a])
+            np.multiply(w[..., a].imag, sinv, out=theta[1, sl, ..., a])
+        np.multiply(_covector(eta, pauli), sinv[..., np.newaxis], out=theta[2, sl])
     return theta, field.s * metric.sqrt_det
 
 
-def _real_parts(z: np.ndarray) -> np.ndarray:
-    """A read-only float view of a complex array with one more trailing
-    axis, (Re, Im), in any memory layout: ``.view(float)`` needs a
-    contiguous last axis, which a spinor in component planes has not."""
+# points per chunk of `_line_signs`' overlaps: their float temporary
+# stays a small share of the spinor's bytes
+_OVERLAP_POINTS = 2**12
+
+
+def _real_pairs(z: np.ndarray) -> np.ndarray:
+    """A read-only float view of a spinor field z of any layout, shape
+    (2,) + z.shape[:-1] + (2,): the component axis first, (Re, Im)
+    last. ``.view(float)`` needs a contiguous last axis, which a spinor
+    in component planes has not."""
     re = z.real
-    return np.lib.stride_tricks.as_strided(re, z.shape + (2,), re.strides + (re.itemsize,),
+    view = np.lib.stride_tricks.as_strided(re, z.shape + (2,), re.strides + (re.itemsize,),
                                            writeable=False)
+    return np.moveaxis(view, -2, 0)
+
+
+def _overlaps(pairs: np.ndarray, lo: tuple, hi: tuple, out: np.ndarray) -> None:
+    """out = Re xibar xi' from the points ``lo`` to the points ``hi``
+    (grid indices) of a spinor field given as its `_real_pairs` view.
+
+    One einsum sums the two components' products and keeps the (Re, Im)
+    axis, whose two terms are then added into ``out``. On a spinor in
+    component planes each (Re, Im) pair sits beside the next point's,
+    so the einsum's inner loop runs along the points at unit stride, not
+    over a length-2 axis.
+    """
+    products = np.einsum("c...,c...->...", pairs[(slice(None),) + lo],
+                         pairs[(slice(None),) + hi])
+    np.add(products[..., 0], products[..., 1], out=out)
 
 
 def _line_signs(line: np.ndarray, axis: int) -> np.ndarray:
@@ -81,22 +106,24 @@ def _line_signs(line: np.ndarray, axis: int) -> np.ndarray:
     where Re xibar xi' < 0. Raises NoSpinLift if the flips of a line,
     its periodic edge included, multiply to -1.
 
-    The overlaps of the interior links are taken from shifted slices
-    straight into the returned array, at the point after each link, and
-    the periodic edge's apart, so neither a rolled copy nor a separate
-    overlap array of the full size is made. They read Re and Im of both
-    components through `_real_parts`, so a spinor in component planes
-    is read in place, as an interleaved one is.
+    The overlaps of the interior links (`_overlaps`) are taken from
+    shifted slices straight into the returned array, at the point after
+    each link, in chunks of whole planes of the first axis (one chunk
+    when that is the link axis), and the periodic edge's apart, so
+    neither a rolled copy nor an overlap temporary of the full size is
+    made.
     """
-    pairs = _real_parts(line)
-
     def at(index):
         return (slice(None),) * axis + (index,)
 
+    pairs = _real_pairs(line)
     sign = np.empty(line.shape[:-1])
-    np.einsum("...cp,...cp->...", pairs[at(slice(None, -1))], pairs[at(slice(1, None))],
-              out=sign[at(slice(1, None))])
-    edge = np.einsum("...cp,...cp->...", pairs[at(-1)], pairs[at(0)])
+    chunks = [slice(None)] if axis == 0 else _slabs(sign.shape, _OVERLAP_POINTS)
+    for chunk in chunks:
+        _overlaps(pairs[:, chunk], at(slice(None, -1)), at(slice(1, None)),
+                  sign[chunk][at(slice(1, None))])
+    edge = np.empty(sign[at(0)].shape)
+    _overlaps(pairs, at(-1), at(0), edge)
     sign[at(0)] = 1.0
     flips = sign < 0.0
     sign.fill(1.0)
@@ -158,8 +185,13 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
     xi = _component_planes(dims)
     for sl in slabs:
         s = rho[sl] / metric.sqrt_det
-        w = s[..., np.newaxis] * (theta[0, sl] + 1j * theta[1, sl])
-        x11, x12, x22 = (quad_inv @ w.reshape(-1, 3).T).reshape((3,) + s.shape)
+        # w = s (theta^1 + i theta^2), the right factor of Q^-1 w, as three
+        # planes, Re and Im written straight from the frame's planes
+        w = np.empty((3,) + s.shape, dtype=complex)
+        for a in range(3):
+            np.multiply(s, theta[0, sl, ..., a], out=w[a].real)
+            np.multiply(s, theta[1, sl, ..., a], out=w[a].imag)
+        x11, x12, x22 = (quad_inv @ w.reshape(3, -1)).reshape(w.shape)
         # |xi_1^2| + |xi_2^2| = s, so the larger square has modulus >= s / 2
         use1 = np.abs(x11) >= np.abs(x22)
         root = np.sqrt(np.where(use1, x11, x22))
@@ -195,7 +227,8 @@ def stationary_frame_path(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
     theta, rho = spinor_to_frame(eta, pauli, metric, grid)
     # d0 (theta^1 + i theta^2) = -2 i p0 (theta^1 + i theta^2)
     rate = PHASE_RATE * p0
-    dtheta0 = np.zeros_like(theta)
+    dtheta0 = _component_planes(theta.shape[1:-1], (3, 3), float)
     np.multiply(-rate, theta[1], out=dtheta0[0])
     np.multiply(rate, theta[0], out=dtheta0[1])
+    dtheta0[2] = 0.0
     return theta, dtheta0, rho

@@ -1,8 +1,11 @@
 """Coframe kinematics and rotational-elasticity energetics.
 
-A coframe is stored as an array of shape ``(3,) + dims + (3,)``:
-``theta[j]`` is the j-th covector field. A coframe velocity (the time
-derivatives of the three covectors) has the same shape. Density is a
+A coframe is an array of shape ``(3,) + dims + (3,)``: ``theta[j]`` is
+the j-th covector field. A coframe velocity (the time derivatives of the
+three covectors) has the same shape. Every coframe the package builds is
+stored as nine component planes, the view of one ``(3, 3) + dims``
+block (`geometry._component_planes`), and every kernel here reads each
+theta^j_a as a plane view, so it accepts any layout. Density is a
 positive scalar field of shape ``dims``.
 
 The energies take form norms in the coframe's induced metric
@@ -18,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDenominator, NonPositiveDensity
-from .geometry import (Metric3, TorusGrid, _paired_partials, _wedge_component, integrate,
-                       wedge_1_2)
+from .geometry import (Metric3, TorusGrid, _component_planes, _paired_partials, _wedge_component,
+                       integrate, wedge_1_2)
 
 
 def check_density(rho: np.ndarray) -> None:
@@ -113,19 +116,25 @@ def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
 
 
 def conformal_rescale(theta: np.ndarray, rho: np.ndarray, h: np.ndarray):
-    """Rescale theta^j -> e^h theta^j and rho -> e^{2h} rho."""
+    """Rescale theta^j -> e^h theta^j and rho -> e^{2h} rho; the rescaled
+    coframe is stored as component planes."""
     eh = np.exp(h)
+    scaled = _component_planes(theta.shape[1:-1], (3, 3), float)
     with np.errstate(over="ignore"):  # an infinite density fails check_density
-        return theta * eh[np.newaxis, ..., np.newaxis], rho * eh * eh
+        np.multiply(theta, eh[np.newaxis, ..., np.newaxis], out=scaled)
+        return scaled, rho * eh * eh
 
 
 def kinetic_2form(theta: np.ndarray, dtheta0: np.ndarray) -> np.ndarray:
     """The 2-form (1/3) delta_jk theta^j ^ d0 theta^k, components
-    (w_23, w_31, w_12), each wedge component added in place."""
-    omega = np.zeros(theta.shape[1:])
-    for j in range(3):
-        for i in range(3):
-            omega[..., i] += _wedge_component(theta[j], dtheta0[j], i)
+    (w_23, w_31, w_12), stored as component planes: each plane sums its
+    three wedge components in place."""
+    omega = _component_planes(theta.shape[1:-1], (3,), float)
+    for i in range(3):
+        plane = omega[..., i]
+        plane[...] = _wedge_component(theta[0], dtheta0[0], i)
+        for j in (1, 2):
+            plane += _wedge_component(theta[j], dtheta0[j], i)
     omega /= 3.0
     return omega
 

@@ -9,9 +9,10 @@ Conventions used throughout the package:
 * a 2-form is stored by its three independent components in the order
   (w_23, w_31, w_12), shape ``dims + (3,)``;
 * a 3-form is stored by the single coefficient f of f dx1^dx2^dx3;
-* a spinor field has shape ``dims + (2,)``, complex128. Every spinor
-  the package builds is stored as two component planes
-  (`_component_planes`); every function accepts any layout;
+* a spinor field has shape ``dims + (2,)``, complex128, and a coframe
+  ``(3,) + dims + (3,)``, float64. Every spinor and every coframe the
+  package builds is stored as component planes (`_component_planes`);
+  every function accepts any layout;
 * the 2-form norm uses the 1/2! convention,
   ``|w|^2 = (1/2) w_ab w_cd g^ac g^bd`` (the coframe energetics take it
   in the coframe's induced metric, in frame components: see cosserat);
@@ -20,6 +21,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,12 +48,12 @@ _SLAB_POINTS = 2**15
 _CYCLIC_PAIRS = ((1, 2), (2, 0), (0, 1))
 
 
-def _slabs(dims: tuple) -> list[slice]:
-    """Slices of whole x1 planes, about `_SLAB_POINTS` points each (at
-    least one plane), that cover a grid of shape ``dims``. No slice
-    reaches past the grid, so the first one's stop is the plane count
-    of the largest slab."""
-    step = max(1, _SLAB_POINTS // (dims[1] * dims[2]))
+def _slabs(dims: tuple, points: int | None = None) -> list[slice]:
+    """Slices of whole x1 planes, about ``points`` points each
+    (`_SLAB_POINTS` by default; at least one plane), that cover a grid
+    of shape ``dims`` of any rank. No slice reaches past the grid, so
+    the first one's stop is the plane count of the largest slab."""
+    step = max(1, (points or _SLAB_POINTS) // math.prod(dims[1:]))
     return [slice(start, min(start + step, dims[0])) for start in range(0, dims[0], step)]
 
 
@@ -201,12 +203,14 @@ def _plane_wave(grid: TorusGrid, modes, coeff: complex) -> np.ndarray:
     return (coeff * e1)[:, None, None] * e2[:, None] * e3
 
 
-def _component_planes(dims: tuple, n_comp: int = 2, dtype=complex) -> np.ndarray:
-    """An uninitialised field of shape dims + (n_comp,) stored as n_comp
-    component planes: the view, component axis last, of one
-    (n_comp,) + dims block, so each ``field[..., c]`` is C-contiguous.
-    A pointwise pass over one component then runs at unit stride."""
-    return np.moveaxis(np.empty((n_comp,) + tuple(dims), dtype=dtype), 0, -1)
+def _component_planes(dims: tuple, lead: tuple = (2,), dtype=complex) -> np.ndarray:
+    """An uninitialised field stored as component planes: the view of one
+    ``lead + dims`` block with the block's last leading axis moved to the
+    end. With lead (n,) it is a field of shape dims + (n,) (a spinor, v),
+    with lead (3, 3) a coframe of shape (3,) + dims + (3,); either way
+    each plane ``field[..., c]`` or ``theta[j, ..., a]`` is C-contiguous,
+    so a pointwise pass over one component runs at unit stride."""
+    return np.moveaxis(np.empty(tuple(lead) + tuple(dims), dtype=dtype), len(lead) - 1, -1)
 
 
 def _plane_waves(grid: TorusGrid, modes, coeffs) -> np.ndarray:
@@ -225,7 +229,7 @@ def _plane_waves(grid: TorusGrid, modes, coeffs) -> np.ndarray:
     n_comp, n_terms = coeffs.shape
     n1, n2, n3 = grid.dims
     e1, e2, e3 = _axis_exponentials(grid, np.reshape(modes, (n_comp, n_terms, 3)))
-    out = _component_planes(grid.dims, n_comp)
+    out = _component_planes(grid.dims, (n_comp,))
     for c in range(n_comp):
         left = (coeffs[c, :, np.newaxis] * e1[c]).T[:, None, :] * e2[c].T
         np.matmul(left.reshape(n1 * n2, n_terms), e3[c], out=out[..., c].reshape(n1 * n2, n3))

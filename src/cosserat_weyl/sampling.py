@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import VanishingSpinor
-from .geometry import Metric3, TorusGrid, _plane_waves
+from .geometry import Metric3, TorusGrid, _component_planes, _plane_waves
 from .spinor import _scalar_density
 
 # Fourier terms per real scalar field and per spinor component
@@ -106,13 +106,12 @@ def rotating_coframe(grid: TorusGrid, angle: np.ndarray) -> np.ndarray:
         theta^2 = -sin(angle) dx1 + cos(angle) dx2
         theta^3 = dx3
 
-    Orthonormal for the identity metric.
+    Orthonormal for the identity metric. Stored as component planes
+    (`geometry._component_planes`), each written once.
     """
-    theta = np.zeros((3,) + grid.shape + (3,))
     c, s = np.cos(angle), np.sin(angle)
-    theta[0, ..., 0] = c
-    theta[0, ..., 1] = s
-    theta[1, ..., 0] = -s
-    theta[1, ..., 1] = c
-    theta[2, ..., 2] = 1.0
+    theta = _component_planes(grid.shape, (3, 3), float)
+    for j, row in enumerate(((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0))):
+        for a, value in enumerate(row):
+            theta[j, ..., a] = value
     return theta

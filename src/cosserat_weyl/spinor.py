@@ -80,7 +80,7 @@ def _covector(eta: np.ndarray, pauli: PauliSet) -> np.ndarray:
     d[1] += np.square(e2.imag)
     z = e1.conj() * e2
     d[2], d[3] = z.real, z.imag
-    v = _component_planes(dims, 3, float)
+    v = _component_planes(dims, (3,), float)
     np.matmul(rows.T, d.reshape(4, -1), out=np.moveaxis(v, -1, 0).reshape(3, -1))
     return v
 

@@ -51,6 +51,8 @@ _PLANEWAVE_GATED = ("dispersion_residual", "weyl_residual", "el_residual", "L_ma
 _PERTURB = 0.1
 _FD_PROBES = 16
 _MAX_MODE = 3
+# highest |mode| per axis of the non-solutions' perturbation
+_PERTURB_MAX_MODE = 2
 
 
 def _within_gates(residuals: dict, names) -> bool:
@@ -97,6 +99,35 @@ def weyl_residual_norm(eta: np.ndarray | SpinorField, p0: float, sign: int,
 _PREFACTOR = 16.0 / 9.0
 
 
+def _largest_product(p_squared, metric: Metric3, grid: TorusGrid):
+    """The residuals' largest product on a wave of squared frequency
+    ``p_squared`` (see `planewave_solution`): (32/9) N p^2 sqrt(det g).
+    Out of range, it is inf or NaN, which the callers reject."""
+    return 2.0 * _PREFACTOR * grid.num_points * p_squared * metric.sqrt_det
+
+
+# (m, +-m, +-m) for m = _PERTURB_MAX_MODE: the largest squared frequency
+# g^ab k_a k_b of the perturbation's modes, |k_a| <= m, lies at one of these
+# corners of its mode box, up to the sign of the whole vector
+_PERTURB_CORNERS = _PERTURB_MAX_MODE * np.array([(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)])
+
+
+def _check_perturbation_range(metric: Metric3, grid: TorusGrid) -> None:
+    """Raise OutOfRange if the non-solutions' perturbation, with modes up
+    to `_PERTURB_MAX_MODE` on every axis, could overflow the residuals:
+    the bound of `planewave_solution` at the largest squared frequency
+    of those modes (`_PERTURB_CORNERS`)."""
+    with np.errstate(all="ignore"):  # an out-of-range frequency is rejected below
+        k = 2.0 * np.pi * _PERTURB_CORNERS / np.asarray(grid.box)
+        p_squared = float(np.max(np.einsum("ia,ab,ib->i", k, metric.g_upper, k)))
+        largest = _largest_product(p_squared, metric, grid)
+    if not largest < np.inf:  # a NaN fails too
+        raise OutOfRange(f"squared frequency g^ab k_a k_b = {p_squared:.3e} of the "
+                         f"perturbation's modes, up to {_PERTURB_MAX_MODE} per axis, on box "
+                         f"{grid.box} is out of range: the residuals' largest product "
+                         f"(32/9) N p0^2 sqrt(det g) = {largest:.3e} overflows")
+
+
 def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     """Exact plane-wave Weyl solution for integer mode vector
     ``k_modes``.
@@ -122,7 +153,7 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     with np.errstate(all="ignore"):  # an out-of-range frequency is rejected below
         k = 2.0 * np.pi * k_modes / np.asarray(grid.box)
         p0_squared = float(k @ metric.g_upper @ k)
-        largest = 2.0 * _PREFACTOR * grid.num_points * p0_squared * metric.sqrt_det
+        largest = _largest_product(p0_squared, metric, grid)
     if not (np.finfo(float).tiny <= p0_squared and largest < np.inf):  # a NaN fails too
         raise OutOfRange(f"squared frequency g^ab k_a k_b = {p0_squared:.3e} of modes "
                          f"{tuple(int(m) for m in k_modes)} on box {grid.box} is out of "
@@ -404,8 +435,11 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
     non-solutions are checked to be non-stationary, and the two
     residuals' zero-sets are required to agree on every tested sample.
     The plane waves' modes stay below the Nyquist mode of every axis:
-    at most 3, or N/2 - 1 on an axis of N < 8 points.
+    at most 3, or N/2 - 1 on an axis of N < 8 points. A box on which the
+    perturbation's modes would overflow the residuals raises OutOfRange
+    before any case is drawn (`_check_perturbation_range`).
     """
+    _check_perturbation_range(metric, grid)
     max_mode = min(_MAX_MODE, *_highest_mode(grid))
     rng = np.random.default_rng(seed)
     cases = []
@@ -421,7 +455,7 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
 
             noise = random_bandlimited_spinor(
                 grid, np.random.default_rng(int(rng.integers(2**31))),
-                max_mode=2, amplitude=_PERTURB)
+                max_mode=_PERTURB_MAX_MODE, amplitude=_PERTURB)
             bad, _ = _residuals(SpinorField(field.eta + noise, field.pauli, grid),
                                 p0, sign, metric)
             cases.append({"kind": "perturbed", **head, **bad,

@@ -8,7 +8,6 @@ they are produced.
 import time
 
 import numpy as np
-import pytest
 
 from cosserat_weyl import (
     FACTORIZATION_SIGN,
@@ -25,7 +24,6 @@ from cosserat_weyl.sampling import (
     random_nonvanishing_spinor,
     random_spd_metric,
     random_wavevector,
-    rotating_coframe,
 )
 from cosserat_weyl.suites import (
     verify_conformal,

@@ -340,6 +340,10 @@ class TestOutOfRangeInputs:
         # residuals whose largest product would overflow
         (["planewave", "--k", "1,0,0", "--box", "1e-152,1,1", *SMALL], "squared frequency"),
         (["theorem", "--n", "1", "--box", "1e-152,1,1", *SMALL], "squared frequency"),
+        # a wave whose perturbed twin would overflow: the twin's modes reach
+        # 2 on the short axis, where the wave's k = (0, 0, 2) has none
+        (["theorem", "--n", "1", "--grid", "32,32,32", "--seed", "1", "--box", "1e-152,1,1"],
+         "perturbation's modes"),
     ])
     def test_exit_2_with_no_non_finite_value(self, capsys, argv, message):
         assert main(argv) == 2

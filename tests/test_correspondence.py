@@ -357,9 +357,9 @@ class TestSweepSigns:
         assert messages[0] == messages[1]
 
     def test_memory_of_one_sweep(self):
-        # above its input, a (64,32,32) sweep peaks at 0.29 times the
-        # spinor's bytes: the signs and one boolean grid. The roll sweep
-        # peaked at 2.04
+        # above its input, a (64,32,32) sweep peaks at 0.34 times the
+        # spinor's bytes: the signs, one boolean grid and one chunk's
+        # overlap products. The roll sweep peaked at 2.04
         grid = TorusGrid((64, 32, 32), (5.0, 7.0, 9.0))
         xi = random_nonvanishing_spinor(grid, np.random.default_rng(71), amplitude=0.15,
                                         max_mode=1)

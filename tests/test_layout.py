@@ -1,6 +1,7 @@
-"""Memory layout of spinor fields: every spinor the package builds is two
-component planes, C-contiguous each, of one (2,) + dims block, and every
-function gives the same result on an interleaved copy."""
+"""Memory layout of spinor fields and coframes: every spinor the package
+builds is two component planes, C-contiguous each, of one (2,) + dims
+block, every coframe nine planes theta^j_a of one (3, 3) + dims block, and
+every function gives the same result on an interleaved copy."""
 
 import numpy as np
 import pytest
@@ -12,23 +13,32 @@ from cosserat_weyl import (
     Metric3,
     SpinorField,
     TorusGrid,
+    axial_torsion,
     build_pauli,
+    conformal_rescale,
     el_gradient,
     el_gradient_fd_check,
     el_residual,
     el_residual_fd,
+    exterior_derivative,
     factorization_residual,
     fierz_residual,
     frame_to_spinor,
+    kinetic_2form,
+    lagrangian_coframe,
     lagrangian_dynamic,
     lagrangian_stationary,
     lagrangian_weyl,
+    orthonormality_residual,
     planewave_solution,
+    potential_energy,
+    read_field,
     scaling_covariance_residual,
     spinor_to_frame,
     stationary_frame_path,
     weyl_residual,
     weyl_residual_norm,
+    write_field,
 )
 from cosserat_weyl.geometry import _axis_exponentials, _plane_waves
 from cosserat_weyl.sampling import (
@@ -37,6 +47,7 @@ from cosserat_weyl.sampling import (
     random_bandlimited_spinor,
     random_nonvanishing_spinor,
     random_spd_metric,
+    rotating_coframe,
 )
 from cosserat_weyl.spinor import _covector, _dirac, _metric_norm2
 
@@ -44,6 +55,13 @@ from cosserat_weyl.spinor import _covector, _dirac, _metric_norm2
 def _is_component_planes(field):
     """Each field[..., c] C-contiguous, and the field a view of one block."""
     return np.moveaxis(field, -1, 0).flags.c_contiguous
+
+
+def _is_coframe_planes(theta):
+    """Each theta[j, ..., a] C-contiguous, and the coframe a view of one
+    (3, 3) + dims block."""
+    return theta.shape[0] == theta.shape[-1] == 3 \
+        and np.moveaxis(theta, -1, 1).flags.c_contiguous
 
 
 def _interleaved(field):
@@ -213,3 +231,103 @@ class TestAnyLayoutIsAccepted:
         signs = correspondence_module._sweep_signs(xi)
         assert np.array_equal(signs, correspondence_module._sweep_signs(_interleaved(xi)))
         assert np.array_equal(np.abs(signs), np.ones(dims))
+
+
+class TestCoframesAreBuiltAsPlanes:
+    grid = TorusGrid((12, 16, 8), (5.0, 7.0, 9.0))
+
+    def _frame_path(self, seed):
+        rng = np.random.default_rng(seed)
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        eta = random_nonvanishing_spinor(self.grid, rng, amplitude=0.15, max_mode=1)
+        return metric, pauli, eta
+
+    def test_the_dictionary(self):
+        metric, pauli, eta = self._frame_path(9)
+        for given in (eta, _interleaved(eta)):
+            theta, _ = spinor_to_frame(given, pauli, metric, self.grid)
+            assert _is_coframe_planes(theta)
+            theta, dtheta0, _ = stationary_frame_path(given, 1.0, pauli, metric, self.grid)
+            assert _is_coframe_planes(theta) and _is_coframe_planes(dtheta0)
+            assert np.array_equal(dtheta0[2], np.zeros_like(dtheta0[2]))
+
+    @pytest.mark.parametrize("angle", ["axis", "grid"])
+    def test_rotating_coframe(self, angle):
+        x3 = self.grid.axis_coords(3) if angle == "axis" else self.grid.coords()[2]
+        theta = rotating_coframe(self.grid, x3)
+        assert _is_coframe_planes(theta)
+        c, s = np.cos(x3), np.sin(x3)
+        rows = ((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0))
+        for j, row in enumerate(rows):
+            for a, value in enumerate(row):
+                assert np.array_equal(theta[j, ..., a], np.broadcast_to(value, self.grid.dims))
+
+    def test_conformal_rescale_of_either_layout(self):
+        theta = rotating_coframe(self.grid, self.grid.coords()[2])
+        rho = np.ones(self.grid.dims)
+        h = random_bandlimited_scalar(self.grid, np.random.default_rng(10), max_mode=1,
+                                      amplitude=0.3)
+        scaled, scaled_rho = conformal_rescale(theta, rho, h)
+        again, again_rho = conformal_rescale(_interleaved(theta), rho, h)
+        assert _is_coframe_planes(scaled) and _is_coframe_planes(again)
+        assert np.array_equal(scaled, again) and np.array_equal(scaled_rho, again_rho)
+
+    def test_kinetic_2form(self):
+        metric, pauli, eta = self._frame_path(11)
+        theta, dtheta0, _ = stationary_frame_path(eta, 0.5, pauli, metric, self.grid)
+        assert _is_component_planes(kinetic_2form(theta, dtheta0))
+
+    def test_the_coframes_of_a_suite_case(self, count_calls):
+        # the rotating coframe and its rescaling in verify conformal, and
+        # the frame verify correspondence lifts
+        energies = count_calls("potential_energy", suites_module)
+        lifts = count_calls("frame_to_spinor", suites_module)
+        suites_module.verify_conformal(self.grid)
+        suites_module.verify_correspondence(self.grid, 1, n_cases=2)
+        assert len(energies) == 2 and len(lifts) == 2
+        assert all(_is_coframe_planes(args[0]) for args, _ in energies + lifts)
+
+
+class TestCoframesOfAnyLayout:
+    # every coframe kernel reads theta^j_a through plane views, and the
+    # spectral ones copy each pair of planes into one complex buffer, so
+    # an interleaved copy gives the planar result bit for bit
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (4, 6, 10)])
+    def test_interleaved_input_gives_the_planar_result(self, dims):
+        grid = TorusGrid(dims, (5.0, 7.0, 9.0))
+        rng = np.random.default_rng(2 * sum(dims))
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        eta = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
+        theta, dtheta0, rho = stationary_frame_path(eta, 0.7, pauli, metric, grid)
+        assert _is_coframe_planes(theta) and _is_coframe_planes(dtheta0)
+        calls = [
+            ("orthonormality_residual", lambda t, d: orthonormality_residual(t, metric)),
+            ("axial_torsion", lambda t, d: axial_torsion(t, grid)),
+            ("exterior_derivative",
+             lambda t, d: [exterior_derivative(covector, grid) for covector in t]),
+            ("potential_energy", lambda t, d: potential_energy(t, rho, metric, grid)),
+            ("kinetic_2form", kinetic_2form),
+            ("lagrangian_coframe", lambda t, d: lagrangian_coframe(t, d, rho, metric, grid)),
+            ("frame_to_spinor", lambda t, d: frame_to_spinor(t, rho, pauli, metric)),
+        ]
+        interleaved = [(_interleaved(theta), dtheta0), (theta, _interleaved(dtheta0)),
+                       (_interleaved(theta), _interleaved(dtheta0))]
+        for name, call in calls:
+            want = call(theta, dtheta0)
+            for args in interleaved:
+                got = call(*args)
+                pairs = zip(got, want) if isinstance(want, (tuple, list)) else [(got, want)]
+                assert all(np.array_equal(g, w) for g, w in pairs), name
+
+    def test_write_field_keeps_its_bytes(self, tmp_path):
+        grid = TorusGrid((4, 6, 10), (5.0, 7.0, 9.0))
+        theta = rotating_coframe(grid, grid.coords()[0] + 2.0 * grid.coords()[2])
+        assert _is_coframe_planes(theta)
+        planar, interleaved = tmp_path / "planar.cwf", tmp_path / "interleaved.cwf"
+        write_field(planar, "coframe", theta, grid)
+        write_field(interleaved, "coframe", _interleaved(theta), grid)
+        assert planar.read_bytes() == interleaved.read_bytes()
+        kind, values, _ = read_field(planar)
+        assert kind == "coframe" and np.array_equal(values, theta)

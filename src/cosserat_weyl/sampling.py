@@ -86,7 +86,7 @@ def _perturbed_unit_spinor(grid: TorusGrid, rng: np.random.Generator,
 
 def _check_safely_nonvanishing(s: np.ndarray) -> None:
     """The guard of `random_nonvanishing_spinor` on the draw's s."""
-    if float(np.min(s)) <= 0.05:
+    if not float(np.min(s)) > 0.05:  # a NaN fails too
         raise VanishingSpinor("generated spinor is not safely nonvanishing")
 
 

@@ -93,15 +93,15 @@ def _scalar_density(eta: np.ndarray) -> np.ndarray:
 
 def _vanishing(s: np.ndarray, axis=None):
     """Whether s fails the nonvanishing floor along ``axis`` (all of it
-    by default): max s <= 0, or min s <= 1e-12 max s."""
-    smax = np.max(s, axis=axis)
-    return (smax <= 0.0) | (np.min(s, axis=axis) <= 1e-12 * smax)
+    by default): not min s > 1e-12 max s, which a NaN fails too (and
+    max s <= 0 implies)."""
+    return ~(np.min(s, axis=axis) > 1e-12 * np.max(s, axis=axis))
 
 
 def _check_nonvanishing(s: np.ndarray) -> None:
     if _vanishing(s):
-        raise VanishingSpinor(
-            f"spinor magnitude too small: min s = {np.min(s):.3e}, max s = {np.max(s):.3e}")
+        raise VanishingSpinor(f"spinor magnitude too small or not finite: "
+                              f"min s = {np.min(s):.3e}, max s = {np.max(s):.3e}")
 
 
 def _relative_max(diff, ref) -> float:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosserat_weyl import TorusGrid
-from cosserat_weyl.sampling import (_perturbed_unit_spinor, random_bandlimited_scalar,
+from cosserat_weyl import TorusGrid, VanishingSpinor
+from cosserat_weyl.sampling import (_check_safely_nonvanishing, _perturbed_unit_spinor, random_bandlimited_scalar,
                                     random_bandlimited_spinor, random_nonvanishing_spinor)
 
 
@@ -102,3 +102,10 @@ def test_spectrum_is_band_limited(dims, box, data, seed):
     for field in (scalar, spinor[..., 0], spinor[..., 1]):
         spectrum = np.fft.fftn(field) / grid.num_points
         assert np.abs(spectrum[outside]).max(initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("s", [[1.0, np.nan], [np.nan, np.nan], [0.05, 1.0]])
+def test_guard_rejects_a_non_finite_or_small_draw(s):
+    # not min s > 0.05, which a NaN fails too
+    with pytest.raises(VanishingSpinor):
+        _check_safely_nonvanishing(np.array(s))

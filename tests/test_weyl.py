@@ -13,6 +13,7 @@ from cosserat_weyl import (
     DegenerateDenominator,
     Metric3,
     NotHermitian,
+    OutOfRange,
     SpinorField,
     TorusGrid,
     VanishingSpinor,
@@ -25,6 +26,7 @@ from cosserat_weyl import (
     el_residual_fd,
     factorization_residual,
     lagrangian_stationary,
+    lagrangian_weyl,
     planewave_solution,
     spinor_to_frame,
     theorem_witness_suite,
@@ -35,7 +37,8 @@ import cosserat_weyl.geometry as geometry_module
 import cosserat_weyl.spinor as spinor_module
 import cosserat_weyl.weyl as weyl_module
 from cosserat_weyl.geometry import integrate, spectral_partial
-from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric
+from cosserat_weyl.sampling import (random_bandlimited_spinor, random_nonvanishing_spinor,
+                                    random_spd_metric)
 from cosserat_weyl.spinor import (
     _axial_density,
     _check_nonvanishing,
@@ -46,6 +49,7 @@ from cosserat_weyl.spinor import (
 )
 from cosserat_weyl.weyl import (
     LAGRANGIAN_TOL,
+    NONSOLUTION_FLOOR,
     _FD_BLOCK,
     _fd_gradient_at_dofs,
     _gradient_scale,
@@ -639,6 +643,30 @@ class TestNearVanishingSpinors:
             assert np.isfinite(el_residual_fd(eta, p0, *args, probes=16, seed=seed))
 
 
+class TestNonFiniteSpinors:
+    """One NaN or infinity at one grid point fails the nonvanishing
+    floor, whose comparison a NaN fails: every function of the field
+    raises VanishingSpinor instead of returning NaN. The FD probes check
+    the floor of each perturbed field on the probes' own arrays."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_typed_error(self, grid8, value):
+        eta, p0, pauli, metric = _random_case(grid8, 0)
+        eta[1, 2, 3, 0] = value
+        args = (pauli, metric, grid8)
+        calls = {
+            "lagrangian_stationary": lambda: lagrangian_stationary(eta, p0, *args),
+            "lagrangian_weyl": lambda: lagrangian_weyl(eta, p0, 1, *args),
+            "el_gradient": lambda: el_gradient(eta, p0, *args),
+            "el_residual_fd": lambda: el_residual_fd(eta, p0, *args, probes=16),
+            "spinor_to_frame": lambda: spinor_to_frame(eta, *args),
+        }
+        for name, call in calls.items():
+            with pytest.raises(VanishingSpinor, match="not finite"):
+                call()
+                pytest.fail(name)
+
+
 class TestWitnessSuite:
     def test_small_suite_passes_and_is_consistent(self, grid8, identity_metric):
         report = theorem_witness_suite(3, grid8, identity_metric, n_cases=2)
@@ -688,6 +716,43 @@ class TestWitnessSuite:
             assert weyl_residual_norm(field, p0, case["branch"], field.pauli, grid8) \
                 == case["weyl_residual"]
 
+    def test_verdict_is_every_case_passes(self, grid8, monkeypatch):
+        # a perturbed field planted as stationary, though no solution,
+        # fails its case and so the verdict: the verdict adds no gate of
+        # its own, with or without the plant
+        residuals = weyl_module._residuals
+        planted = []
+
+        def plant(field, p0, sign, metric, fd_seed=None):
+            res, lag = residuals(field, p0, sign, metric, fd_seed)
+            if fd_seed is None and not planted:  # the first perturbed case
+                planted.append(res)
+                res = {**res, "el_residual": 0.0}
+            return res, lag
+
+        for seed in range(3):
+            metric = random_spd_metric(np.random.default_rng(seed))
+            clean = theorem_witness_suite(seed, grid8, metric, n_cases=2)
+            with monkeypatch.context() as m:
+                m.setattr(weyl_module, "_residuals", plant)
+                planted.clear()
+                report = theorem_witness_suite(seed, grid8, metric, n_cases=2)
+            assert planted and planted[0]["weyl_residual"] >= NONSOLUTION_FLOOR
+            assert report["verdict"] == "fail" and clean["verdict"] == "pass"
+            for r in (clean, report):
+                assert (r["verdict"] == "pass") == all(c["pass"] for c in r["cases"])
+            assert [c["pass"] for c in report["cases"]].count(False) == 1
+
+    def test_out_of_range_perturbation_raises_before_any_case(self, identity_metric,
+                                                              count_calls):
+        # the wave k = (0, 0, 2) seed 1 draws first is within its own
+        # bound; the perturbation's modes reach the short axis and are not
+        waves = count_calls("planewave_solution", weyl_module)
+        grid = TorusGrid((32, 32, 32), (1e-152, 1.0, 1.0))
+        with pytest.raises(OutOfRange, match="perturbation's modes"):
+            theorem_witness_suite(1, grid, identity_metric, n_cases=1)
+        assert waves == []
+
     def test_report_is_json_serialisable(self, grid8, identity_metric):
         import json
 
@@ -706,3 +771,64 @@ class TestWitnessSuite:
             assert report["config"]["max_mode"] == 1
             assert max(abs(m) for c in report["cases"] for m in c["k"]) <= 1
             assert report["verdict"] == "pass", seed
+
+
+class _Accepted(Exception):
+    """Raised in place of the witness's first plane wave."""
+
+
+def _stop(*args, **kwargs):
+    raise _Accepted
+
+
+class TestTwinFrequencyBound:
+    """The witness's perturbed twins (a plane wave plus its perturbation)
+    on boxes (L1, 1, 1) it accepts, from the step of its frequency bound
+    up to twice it, compute every residual with no RuntimeWarning (the
+    test settings make one an error). The waves have k1 = 0, so only the
+    perturbation's modes reach the short axis: the bound at its corner
+    modes is what keeps the twins in range. The step is found from the
+    suite itself; a bound scaled by the perturbation's amplitude, ten
+    times tighter in L1, puts it where about a fifth of these twins
+    overflow."""
+
+    WAVES = [(0, 1, 0), (0, 0, 1), (0, 3, -2), (0, 1, 1)]
+
+    @staticmethod
+    def _step(dims, metric, monkeypatch) -> float:
+        """The least L1 (to a relative 1e-6) at which the witness draws a case."""
+        def accepts(l1):
+            with monkeypatch.context() as m:
+                m.setattr(weyl_module, "planewave_solution", _stop)
+                try:
+                    theorem_witness_suite(0, TorusGrid(dims, (l1, 1.0, 1.0)), metric, n_cases=1)
+                except _Accepted:
+                    return True
+                except OutOfRange:
+                    return False
+            raise AssertionError("the witness neither drew a case nor raised")
+
+        lo, hi = 1e-160, 1e-140
+        assert not accepts(lo) and accepts(hi)
+        while hi > lo * (1.0 + 1e-6):
+            mid = np.sqrt(lo * hi)
+            lo, hi = (lo, mid) if accepts(mid) else (mid, hi)
+        return hi
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (16, 16, 16)])
+    @pytest.mark.parametrize("metric", [Metric3.identity(), Metric3.from_matrix(
+        [[1.3, 0.2, -0.1], [0.2, 0.9, 0.15], [-0.1, 0.15, 1.1]])], ids=["identity", "full"])
+    def test_no_warning_from_the_step_to_twice_it(self, dims, metric, monkeypatch):
+        step = self._step(dims, metric, monkeypatch)
+        for factor in (1.0, 1.4, 2.0):
+            grid = TorusGrid(dims, (step * factor, 1.0, 1.0))
+            for k in self.WAVES:
+                for branch in (1, -1):
+                    spec, field = planewave_solution(k, branch, metric, grid)
+                    for seed in range(3):
+                        noise = random_bandlimited_spinor(
+                            grid, np.random.default_rng(seed),
+                            max_mode=weyl_module._PERTURB_MAX_MODE, amplitude=weyl_module._PERTURB)
+                        twin = SpinorField(field.eta + noise, field.pauli, grid)
+                        res, _ = weyl_module._residuals(twin, abs(spec.p0), branch, metric)
+                        assert all(np.isfinite(v) for v in res.values())

@@ -210,7 +210,9 @@ def _component_planes(dims: tuple, lead: tuple = (2,), dtype=complex) -> np.ndar
     with lead (3, 3) a coframe of shape (3,) + dims + (3,); either way
     each plane ``field[..., c]`` or ``theta[j, ..., a]`` is C-contiguous,
     so a pointwise pass over one component runs at unit stride."""
-    return np.moveaxis(np.empty(tuple(lead) + tuple(dims), dtype=dtype), len(lead) - 1, -1)
+    last = len(lead) - 1
+    order = [*range(last), *range(last + 1, last + 1 + len(dims)), last]
+    return np.empty(tuple(lead) + tuple(dims), dtype=dtype).transpose(order)
 
 
 def _plane_waves(grid: TorusGrid, modes, coeffs) -> np.ndarray:

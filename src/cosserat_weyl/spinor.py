@@ -91,11 +91,16 @@ def _scalar_density(eta: np.ndarray) -> np.ndarray:
     return (e1.real**2 + e1.imag**2) + (e2.real**2 + e2.imag**2)
 
 
-def _vanishing(s: np.ndarray, axis=None):
-    """Whether s fails the nonvanishing floor along ``axis`` (all of it
-    by default): not min s > 1e-12 max s, which a NaN fails too (and
-    max s <= 0 implies)."""
-    return ~(np.min(s, axis=axis) > 1e-12 * np.max(s, axis=axis))
+def _below_floor(low, high):
+    """Whether a field whose s has least value ``low`` and greatest
+    ``high`` fails the nonvanishing floor, elementwise: not
+    low > 1e-12 high, which a NaN fails too (and high <= 0 implies)."""
+    return ~(low > 1e-12 * high)
+
+
+def _vanishing(s: np.ndarray):
+    """Whether s fails the nonvanishing floor (`_below_floor`)."""
+    return _below_floor(s.min(), s.max())
 
 
 def _check_nonvanishing(s: np.ndarray) -> None:
@@ -167,47 +172,56 @@ def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
     Each spinor component less its mean is written into one component
     plane of the result (`geometry._component_planes`; eta may be real) and
-    transformed there by `fftn`, in place. The 2x2 symbol is then
-    applied one x1 slab (`geometry._slabs`) at a time: each of its four
-    entries is built for the slab from three 1-D arrays, in one pass
-    into one of two slab buffers, and both products of the slab are
-    written back into the two spectra. One `ifftn` per plane then
-    inverts it in place (the `out=` of NumPy 2). So nothing
+    transformed there by `fftn`, in place. The symbol is built in two
+    parts, each for all four of its entries in one operation: the
+    (x1, x2) part c1 k1 + c2 k2, of shape (2, 2, N1, N2), and the x3
+    part c3 k3, of shape (2, 2, N3), with c = i sigma. It is then applied
+    one x1 slab (`geometry._slabs`) at a time: each entry is one add of
+    its two parts, (c1 k1 + c2 k2) + c3 k3, and one multiply by a
+    spectrum, into one of two slab buffers or, once (F eta)_0 has been
+    read there for the last time, into that spectrum's slab, and each
+    row's sum is written straight into its spectrum. One `ifftn` per
+    plane then inverts it in place (the `out=` of NumPy 2). So nothing
     grid-sized is allocated beyond the result, and no symbol is kept
-    between calls. The wavenumbers are those of `spectral_partial`
-    (Nyquist zeroed), so this is sum_a sigma[a] applied to the spectral
-    partial d_a eta, up to rounding.
+    between calls. The wavenumbers are those of `spectral_partial` (Nyquist
+    zeroed), so this is sum_a sigma[a] applied to the spectral partial
+    d_a eta, up to rounding.
 
     The mean has zero derivative. Removing it first keeps the rounding
     of a large constant part, such as the unit spinor of a nonvanishing
     field, out of every other mode: the worst `verify u1` residual at
-    64^3 over seeds 0-7 is 1.6e-14 with it and 4.5e-14 without.
+    64^3 over seeds 0-7 is 1.6e-14 with it and 4.5e-14 without. It is
+    the sum over the plane divided by the point count, as `ndarray.mean`
+    takes it.
     """
     k1, k2, k3 = (grid.wavenumber(a) for a in (1, 2, 3))
-    slash = _component_planes(eta.shape[:-1])
-    fhat = np.moveaxis(slash, -1, 0)  # the (2,) + dims block of both spectra
+    dims = eta.shape[:-1]
+    slash = _component_planes(dims)
+    fhat = slash.transpose(3, 0, 1, 2)  # the (2,) + dims block of both spectra
+    count = np.intp(eta[..., 0].size)
     for j in (0, 1):
-        np.subtract(eta[..., j], complex(eta[..., j].mean()), out=fhat[j])
+        np.subtract(eta[..., j], complex(np.add.reduce(eta[..., j], axis=None) / count),
+                    out=fhat[j])
         np.fft.fftn(fhat[j], out=fhat[j])
-    slabs = _slabs(eta.shape[:-1])
-    buffers = np.empty((2, slabs[0].stop) + eta.shape[1:-1], dtype=complex)
+    coef = 1j * sigma[..., np.newaxis, np.newaxis]
+    plane = coef[0] * k1[:, np.newaxis] + coef[1] * k2  # (2, 2, N1, N2)
+    line = coef[2, ..., 0] * k3  # (2, 2, N3)
+    slabs = _slabs(dims)
+    buffers = np.empty((2, slabs[0].stop) + dims[1:], dtype=complex)
 
     def times_symbol(i, j, sl, out):
         """out = (i k_a sigma[a][i, j]) (F eta)_j on the slab sl."""
-        c1, c2, c3 = 1j * sigma[:, i, j]
-        np.add((c1 * k1[sl])[:, None, None] + (c2 * k2)[:, None], c3 * k3, out=out)
+        np.add(plane[i, j, sl, :, np.newaxis], line[i, j], out=out)
         out *= fhat[j, sl]
 
     for sl in slabs:
         first, second = buffers[:, :sl.stop - sl.start]
         times_symbol(0, 0, sl, first)
-        times_symbol(0, 1, sl, second)
-        first += second
-        times_symbol(1, 0, sl, second)  # reads (F eta)_0 before it is overwritten
-        fhat[0, sl] = first
+        times_symbol(1, 0, sl, second)  # the last read of (F eta)_0 on the slab
+        times_symbol(0, 1, sl, fhat[0, sl])
+        fhat[0, sl] += first
         times_symbol(1, 1, sl, first)
-        second += first
-        fhat[1, sl] = second
+        np.add(second, first, out=fhat[1, sl])
     for j in (0, 1):
         np.fft.ifftn(fhat[j], out=fhat[j])
     return slash
@@ -225,7 +239,9 @@ class SpinorField:
     on one field shares one sigma^a d_a eta, applied as one Fourier
     symbol (`_dirac`). The finite-difference probes perturb that cached
     array too, on the grid lines through each probed point, so the
-    field is differentiated once whatever checks it. Every function of
+    field is differentiated once whatever checks it. The nonvanishing
+    floor on s is checked once too, for a field that passes it
+    (`_nonvanishing`). Every function of
     this package that takes a spinor field together with a Pauli set
     and a grid also accepts a `SpinorField` in place of the array; it
     raises ValueError if the field was built for a different Pauli set
@@ -256,6 +272,13 @@ class SpinorField:
     def A(self) -> np.ndarray:
         return _axial_density(self.eta, self.slash)
 
+    @cached_property
+    def _floor_checked(self) -> None:
+        """The nonvanishing floor on s (`_check_nonvanishing`), checked
+        once for a field that passes it. An exception is not cached, so
+        a field that fails it raises VanishingSpinor on every check."""
+        _check_nonvanishing(self.s)
+
 
 def _same_pauli(a: PauliSet, b: PauliSet) -> bool:
     return a is b or all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
@@ -275,9 +298,9 @@ def _field(eta: np.ndarray | SpinorField, pauli: PauliSet,
 
 def _nonvanishing(eta: np.ndarray | SpinorField, pauli: PauliSet,
                   grid: TorusGrid) -> SpinorField:
-    """`_field`, then the nonvanishing floor on s."""
+    """`_field`, then the nonvanishing floor on s, once per field."""
     field = _field(eta, pauli, grid)
-    _check_nonvanishing(field.s)
+    field._floor_checked  # raises VanishingSpinor for a field below the floor
     return field
 
 

@@ -17,13 +17,13 @@ from .sampling import random_bandlimited_spinor, random_wavevector
 from .spinor import (
     SpinorField,
     _axial_density,
+    _below_floor,
     _check_nonvanishing,
     _dirac,
     _field,
     _nonvanishing,
     _scalar_density,
     _stationary_density,
-    _vanishing,
     lagrangian_stationary,
     lagrangian_weyl,
 )
@@ -91,7 +91,7 @@ def weyl_residual_norm(eta: np.ndarray | SpinorField, p0: float, sign: int,
                        pauli: PauliSet, grid: TorusGrid) -> float:
     """Max over grid points of the pointwise 2-norm of the residual."""
     r = weyl_residual(eta, p0, sign, pauli, grid)
-    return float(np.sqrt(_scalar_density(r)).max())
+    return float(np.sqrt(_scalar_density(r).max()))
 
 
 _PREFACTOR = 16.0 / 9.0
@@ -311,9 +311,11 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
         flat_p = np.ravel_multi_index(tuple(point.T), grid.dims)
         lo = np.where(flat_p == i_lo, lo_else, s_flat[i_lo])[:, np.newaxis]
         hi = np.where(flat_p == i_hi, hi_else, s_flat[i_hi])[:, np.newaxis]
-        extremes = np.stack(np.broadcast_arrays(s_pm[..., 0], lo, hi), axis=-1)
-        for i, k in np.argwhere(_vanishing(extremes, axis=-1)):
-            _check_nonvanishing(extremes[i, k])  # as the perturbed field's check would
+        s_p = s_pm[..., 0]  # s at p of each perturbed field, (probe, sign)
+        failing = _below_floor(np.minimum(s_p, lo), np.maximum(s_p, hi))
+        if failing.any():  # the first failing field raises, as its own check would
+            i, k = np.argwhere(failing)[0]
+            _check_nonvanishing(np.array([s_p[i, k], lo[i, 0], hi[i, 0]]))
         # sigma^a d_a is linear: delta on component comp at p moves
         # sigma^a d_a eta at stencil point m by delta sum_a weights[a, m] sigma^a[:, comp];
         # taken past the floor, so a non-finite eta raises before any transform

@@ -383,6 +383,8 @@ class TestDictionaryAtTheEdges:
            st.integers(0, 2**31 - 1))
     @example((4, 4, 4), (0.5, 10.0, 0.5), 6.0, "conjugate", 0.25, 0)
     @example((12, 16, 8), (5.0, 7.0, 9.0), 6.0, "su2", 0.25, 1)
+    # a frame of orthonormality residual 7.9e-6 at metric condition 2.4e5
+    @example((4, 4, 4), (1.0, 1.0, 1.0), 6.0, "built", 0.25, 823)
     def test_round_trip_or_typed_error(self, dims, box, log_cond, kind, amplitude, seed):
         grid = TorusGrid(dims, box)
         rng = np.random.default_rng(seed)
@@ -397,8 +399,12 @@ class TestDictionaryAtTheEdges:
         xi = random_nonvanishing_spinor(grid, rng, amplitude=amplitude,
                                         max_mode=min(dims) // 2 - 1)
         theta, rho = spinor_to_frame(xi, pauli, metric, grid)
+        flipped_error = NoSpinLift
         try:
             rec, _ = frame_to_spinor(theta, rho, pauli, metric)
+        except NotOrthonormal:
+            # flipping theta^3 leaves the Gram matrix, so the residual, unchanged
+            flipped_error = NotOrthonormal
         except ModelError:
             pass
         else:
@@ -406,7 +412,7 @@ class TestDictionaryAtTheEdges:
             assert err <= 1e-14 * np.sqrt(np.linalg.cond(metric.g_lower))
         flipped = theta.copy()
         flipped[2] *= -1.0
-        with pytest.raises(NoSpinLift):
+        with pytest.raises(flipped_error):
             frame_to_spinor(flipped, rho, pauli, metric)
 
 

@@ -329,6 +329,39 @@ def _dirac_case(dims, box, seed, log10_cond):
     return _near_nyquist_spinor(grid, rng), sigmas, grid
 
 
+def _dirac_per_entry(eta, sigma, grid):
+    """`_dirac` with each entry of the symbol rebuilt per slab from three
+    1-D arrays, (c1 k1 + c2 k2) + c3 k3 with c = i sigma[:, i, j], and
+    the mean taken by `ndarray.mean`: the bits `_dirac` must keep."""
+    k1, k2, k3 = (grid.wavenumber(a) for a in (1, 2, 3))
+    slash = geometry_module._component_planes(eta.shape[:-1])
+    fhat = np.moveaxis(slash, -1, 0)
+    for j in (0, 1):
+        np.subtract(eta[..., j], complex(eta[..., j].mean()), out=fhat[j])
+        np.fft.fftn(fhat[j], out=fhat[j])
+    slabs = geometry_module._slabs(eta.shape[:-1])
+    buffers = np.empty((2, slabs[0].stop) + eta.shape[1:-1], dtype=complex)
+
+    def times_symbol(i, j, sl, out):
+        c1, c2, c3 = 1j * sigma[:, i, j]
+        np.add((c1 * k1[sl])[:, None, None] + (c2 * k2)[:, None], c3 * k3, out=out)
+        out *= fhat[j, sl]
+
+    for sl in slabs:
+        first, second = buffers[:, :sl.stop - sl.start]
+        times_symbol(0, 0, sl, first)
+        times_symbol(0, 1, sl, second)
+        first += second
+        times_symbol(1, 0, sl, second)
+        fhat[0, sl] = first
+        times_symbol(1, 1, sl, first)
+        second += first
+        fhat[1, sl] = second
+    for j in (0, 1):
+        np.fft.ifftn(fhat[j], out=fhat[j])
+    return slash
+
+
 class TestDiracSymbol:
     """sigma^a d_a as one Fourier symbol against sigma^a applied to the
     stack of per-axis spectral partials."""
@@ -360,6 +393,30 @@ class TestDiracSymbol:
         deta = _gradient_stack(eta, grid)
         for sigma in sigmas[:3]:
             assert _rel(_dirac(eta, mutant(sigma), grid), _oracle_slash(sigma, deta)) > 1e-2
+
+    # white noise carries every mode, the Nyquist mode of each axis
+    # included; its constant part, as a nonvanishing field's unit spinor,
+    # shows the last bit of the mean where the point count (1536 on
+    # (12,16,8)) is not a power of 2
+    @pytest.mark.parametrize("dims,box,log10_cond", [
+        ((4, 4, 4), (2.0 * np.pi,) * 3, 0.0),
+        ((12, 16, 8), (5.0, 7.0, 9.0), 6.0),  # an ill-conditioned metric
+        ((64, 32, 32), (5.0, 7.0, 9.0), 2.0),  # two x1 slabs
+    ])
+    def test_bits_of_the_per_entry_symbol(self, dims, box, log10_cond):
+        # the symbol from a plane part and a line part keeps the
+        # association (c1 k1 + c2 k2) + c3 k3, and the mean keeps the sum
+        # and division of ndarray.mean, so the result keeps every bit
+        _, sigmas, grid = _dirac_case(dims, box, 6, log10_cond)
+        rng = np.random.default_rng(6)
+        white = rng.normal(size=dims + (2,)) + 1j * rng.normal(size=dims + (2,))
+        white += np.array([0.6 - 0.8j, 3.3 + 1.7j])
+        planar = geometry_module._component_planes(dims)
+        planar[...] = white
+        for eta in (white, planar, white.real):
+            for sigma in sigmas:
+                assert np.array_equal(_dirac(eta, sigma, grid),
+                                      _dirac_per_entry(eta, sigma, grid))
 
     def test_real_array_is_differentiated_as_its_complex_copy(self):
         eta, sigmas, grid = _dirac_case((4, 6, 8), (5.0, 7.0, 9.0), 4, 1.0)
@@ -541,6 +598,44 @@ class TestELGradientAtTheEdges:
         monkeypatch.setattr(weyl_module, "_dirac",
                             lambda eta, sigma, grid: np.zeros(eta.shape, dtype=complex))
         assert _el_fd_disagreement(*case) > 1e-3
+
+
+_LAGRANGIAN_EDGE_GRIDS = [((4, 4, 4), (2.0 * np.pi,) * 3), ((12, 16, 8), (5.0, 7.0, 9.0)),
+                          ((4, 6, 10), (0.5, 10.0, 3.0))]
+
+
+class TestLagrangiansAtTheEdges:
+    """`lagrangian_stationary` and `lagrangian_weyl` on 4^3 and non-cubic
+    grids and boxes, metrics up to six decades of condition, fields with
+    modes next to and at the Nyquist mode of every axis, and one point
+    scaled by 10^U(-10, 0) toward zero. Each returns finite values or
+    raises a typed ModelError, VanishingSpinor exactly when the field
+    fails the nonvanishing floor."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(_LAGRANGIAN_EDGE_GRIDS), st.floats(0.0, 6.0),
+           st.integers(0, 2**31 - 1), st.floats(-10.0, 0.0),
+           st.sampled_from([-2.0, -0.5, 0.5, 1.0, 3.0]))
+    @example(_LAGRANGIAN_EDGE_GRIDS[0], 6.0, 0, -10.0, 1.0)  # below the floor
+    @example(_LAGRANGIAN_EDGE_GRIDS[1], 6.0, 1, 0.0, -2.0)
+    @example(_LAGRANGIAN_EDGE_GRIDS[2], 3.0, 2, -3.0, 0.5)
+    def test_finite_or_typed_error(self, case, log10_cond, seed, log10_scale, p0):
+        grid = TorusGrid(*case)
+        rng = np.random.default_rng(seed)
+        metric = _ill_conditioned_metric(rng, log10_cond)
+        pauli = build_pauli(metric)
+        eta = _near_nyquist_spinor(grid, rng)
+        eta[tuple(rng.integers(0, n) for n in grid.dims)] *= 10.0 ** log10_scale
+        vanishing = bool(spinor_module._vanishing(_scalar_density(eta)))
+        for call in (lambda: lagrangian_stationary(eta, p0, pauli, metric, grid),
+                     lambda: lagrangian_weyl(eta, p0, 1, pauli, metric, grid),
+                     lambda: lagrangian_weyl(eta, p0, -1, pauli, metric, grid)):
+            try:
+                density = call()
+            except ModelError as exc:
+                assert vanishing and isinstance(exc, VanishingSpinor), exc
+            else:
+                assert not vanishing and np.isfinite(density).all()
 
 
 class TestSpinorField:

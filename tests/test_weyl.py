@@ -667,6 +667,37 @@ class TestNonFiniteSpinors:
                 pytest.fail(name)
 
 
+class TestFloorOncePerField:
+    """The nonvanishing floor is checked once per field that passes it,
+    whichever checks read the field, and on every call for a field that
+    fails it: the failure is raised, not cached."""
+
+    def test_residuals_check_each_field_once(self, grid8, count_calls):
+        checks = count_calls("_check_nonvanishing", spinor_module, weyl_module)
+        metric = random_spd_metric(np.random.default_rng(4))
+        spec, field = planewave_solution((1, -1, 2), 1, metric, grid8)
+        noise = random_bandlimited_spinor(grid8, np.random.default_rng(5), amplitude=0.1)
+        twin = SpinorField(field.eta + noise, field.pauli, grid8)
+        p0 = abs(spec.p0)
+        weyl_module._residuals(field, p0, 1, metric, fd_seed=3)
+        weyl_module._residuals(twin, p0, 1, metric)
+        assert len(checks) == 2  # three checks read each field
+        assert checks[0][0][0] is field.s and checks[1][0][0] is twin.s
+
+    def test_a_vanishing_field_raises_on_every_call(self, grid8, count_calls):
+        checks = count_calls("_check_nonvanishing", spinor_module, weyl_module)
+        eta, p0, pauli, metric = _random_case(grid8, 2)
+        eta[1, 2, 3] = 0.0
+        field = SpinorField(eta, pauli, grid8)
+        calls = [lambda: lagrangian_stationary(field, p0, pauli, metric, grid8),
+                 lambda: lagrangian_weyl(field, p0, -1, pauli, metric, grid8),
+                 lambda: el_gradient(field, p0, pauli, metric, grid8)]
+        for call in calls + calls:
+            with pytest.raises(VanishingSpinor, match="min s = 0.000e"):
+                call()
+        assert len(checks) == 2 * len(calls)
+
+
 class TestWitnessSuite:
     def test_small_suite_passes_and_is_consistent(self, grid8, identity_metric):
         report = theorem_witness_suite(3, grid8, identity_metric, n_cases=2)

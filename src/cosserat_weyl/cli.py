@@ -206,11 +206,11 @@ def _cmd_planewave(args) -> int:
     branch = {"+": 1, "-": -1}[args.branch]
     spec, field = planewave_solution(k, branch, metric, grid)
     # the wave solves the sign-+1 equation at its signed p0 (PlaneWaveSpec)
-    res, lag = _residuals(field, spec.p0, 1, metric)
+    (res,), lag = _residuals(field[np.newaxis], spec.p0, 1, metric)
     if args.eta_out:
         write_field(args.eta_out, "spinor", field.eta, grid)
     if args.density_csv:
-        write_scalar_csv(args.density_csv, lag, grid)
+        write_scalar_csv(args.density_csv, lag[0], grid)
     report = {
         "config": _canonical_config(args, grid, metric),
         "p0": spec.p0,

@@ -50,13 +50,15 @@ def random_bandlimited_scalar(grid: TorusGrid, rng: np.random.Generator,
 def random_bandlimited_spinor(grid: TorusGrid, rng: np.random.Generator,
                               max_mode: int = 2, amplitude: float = 1.0) -> np.ndarray:
     """Complex 2-component trigonometric polynomial with per-axis mode
-    numbers bounded by ``max_mode``, ``_SPINOR_TERMS`` terms per component."""
+    numbers bounded by ``max_mode``, ``_SPINOR_TERMS`` terms per component.
+    Each coefficient's (Re, Im) is one draw of two normals, the values two
+    scalar draws would give."""
     modes = np.empty((2, _SPINOR_TERMS, 3), dtype=int)
     coeffs = np.empty((2, _SPINOR_TERMS), dtype=complex)
     for c in range(2):
         for t in range(_SPINOR_TERMS):
             modes[c, t] = rng.integers(-max_mode, max_mode + 1, size=3)
-            coeffs[c, t] = rng.normal() + 1j * rng.normal()
+            coeffs[c, t] = rng.normal(size=2).view(complex)[0]  # (Re, Im)
     field = _plane_waves(grid, modes, coeffs)
     peak = max(float(np.abs(field).max()), np.finfo(float).tiny)
     field *= amplitude / peak

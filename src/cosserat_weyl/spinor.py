@@ -16,6 +16,7 @@ reads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from functools import cached_property
 
@@ -166,26 +167,37 @@ def _metric_norm2(w: np.ndarray, g_upper: np.ndarray) -> np.ndarray:
     return norm
 
 
-def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid) -> np.ndarray:
+def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid,
+           out: np.ndarray | None = None) -> np.ndarray:
     """sigma^a d_a eta as one Fourier multiplier, F^-1[(i k_a sigma^a) F eta],
-    for any 2x2 matrices sigma[a], a = 0, 1, 2 (index a for axis a + 1).
+    for any 2x2 matrices sigma[a], a = 0, 1, 2 (index a for axis a + 1),
+    of one field (shape dims + (2,)) or of each field of a stack (shape
+    (n,) + dims + (2,)); the result has the shape of eta.
 
-    Each spinor component less its mean is written into one component
-    plane of the result (`geometry._component_planes`; eta may be real) and
-    transformed there by `fftn`, in place. The symbol is built in two
-    parts, each for all four of its entries in one operation: the
-    (x1, x2) part c1 k1 + c2 k2, of shape (2, 2, N1, N2), and the x3
-    part c3 k3, of shape (2, 2, N3), with c = i sigma. It is then applied
-    one x1 slab (`geometry._slabs`) at a time: each entry is one add of
-    its two parts, (c1 k1 + c2 k2) + c3 k3, and one multiply by a
-    spectrum, into one of two slab buffers or, once (F eta)_0 has been
-    read there for the last time, into that spectrum's slab, and each
-    row's sum is written straight into its spectrum. One `ifftn` per
-    plane then inverts it in place (the `out=` of NumPy 2). So nothing
-    grid-sized is allocated beyond the result, and no symbol is kept
-    between calls. The wavenumbers are those of `spectral_partial` (Nyquist
-    zeroed), so this is sum_a sigma[a] applied to the spectral partial
-    d_a eta, up to rounding.
+    The result is written into ``out``, a complex array of eta's shape
+    in component planes (`geometry._component_planes` of eta.shape[:-1],
+    so component j of every field is one contiguous (n,) + dims block;
+    a new one by default), which may be eta itself: then eta is
+    transformed in place. Each spinor component of each field less its
+    mean is written into its plane of the result (eta may be real), and
+    the (2, n) + dims block of all planes is transformed there by one
+    `fft` per grid axis, in place. The symbol is built in two parts,
+    each for all four of its entries in one operation: the (x1, x2) part
+    c1 k1 + c2 k2, of shape (2, 2, N1, N2), and the x3 part c3 k3, of
+    shape (2, 2, N3), with c = i sigma. It is then applied one x1 slab
+    (`geometry._slabs`) at a time: each entry is built once for every field, as one add of
+    its two parts, (c1 k1 + c2 k2) + c3 k3, into the last field's slot
+    of one of two slab buffers (or, once (F eta)_0 has been read there
+    for the last time, of that spectrum's slab), and multiplied by each
+    field's spectrum into that field's slot; each row's sum is written
+    straight into its spectrum. One `ifft` per axis then inverts the
+    block in place (the `out=` of NumPy 2). The per-axis transforms are
+    those `fftn` makes, last axis first, so each field's result keeps
+    every bit of a transform of that field alone. So nothing grid-sized
+    is allocated beyond the result, the slab buffers hold two slabs per
+    field, and no symbol is kept between calls. The wavenumbers are those
+    of `spectral_partial` (Nyquist zeroed), so this is sum_a sigma[a]
+    applied to the spectral partial d_a eta, up to rounding.
 
     The mean has zero derivative. Removing it first keeps the rounding
     of a large constant part, such as the unit spinor of a nonvanishing
@@ -195,36 +207,44 @@ def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid) -> np.ndarray:
     takes it.
     """
     k1, k2, k3 = (grid.wavenumber(a) for a in (1, 2, 3))
-    dims = eta.shape[:-1]
-    slash = _component_planes(dims)
-    fhat = slash.transpose(3, 0, 1, 2)  # the (2,) + dims block of both spectra
-    count = np.intp(eta[..., 0].size)
-    for j in (0, 1):
-        np.subtract(eta[..., j], complex(np.add.reduce(eta[..., j], axis=None) / count),
-                    out=fhat[j])
-        np.fft.fftn(fhat[j], out=fhat[j])
+    dims = eta.shape[-4:-1]
+    if out is None:
+        out = _component_planes(eta.shape[:-1])
+    stack = eta.reshape((-1,) + eta.shape[-4:])  # a field is a stack of one
+    # the (2, n) + dims block of all spectra: component j of every field is fhat[j]
+    fhat = out.reshape(stack.shape).transpose(4, 0, 1, 2, 3)
+    count = np.intp(math.prod(dims))
+    for field, spectra in zip(stack, fhat.swapaxes(0, 1)):
+        for j in (0, 1):
+            np.subtract(field[..., j], complex(np.add.reduce(field[..., j], axis=None) / count),
+                        out=spectra[j])
+    for axis in (-1, -2, -3):
+        np.fft.fft(fhat, axis=axis, out=fhat)
     coef = 1j * sigma[..., np.newaxis, np.newaxis]
     plane = coef[0] * k1[:, np.newaxis] + coef[1] * k2  # (2, 2, N1, N2)
     line = coef[2, ..., 0] * k3  # (2, 2, N3)
     slabs = _slabs(dims)
-    buffers = np.empty((2, slabs[0].stop) + dims[1:], dtype=complex)
+    buffers = np.empty((2, len(stack), slabs[0].stop) + dims[1:], dtype=complex)
 
     def times_symbol(i, j, sl, out):
-        """out = (i k_a sigma[a][i, j]) (F eta)_j on the slab sl."""
-        np.add(plane[i, j, sl, :, np.newaxis], line[i, j], out=out)
-        out *= fhat[j, sl]
+        """out[n] = (i k_a sigma[a][i, j]) (F eta)_j of field n on the
+        slab sl, the entry built once, in the last field's slot."""
+        entry = out[-1]
+        np.add(plane[i, j, sl, :, np.newaxis], line[i, j], out=entry)
+        np.multiply(entry, fhat[j, :-1, sl], out=out[:-1])
+        entry *= fhat[j, -1, sl]
 
     for sl in slabs:
-        first, second = buffers[:, :sl.stop - sl.start]
+        first, second = buffers[:, :, :sl.stop - sl.start]
         times_symbol(0, 0, sl, first)
         times_symbol(1, 0, sl, second)  # the last read of (F eta)_0 on the slab
-        times_symbol(0, 1, sl, fhat[0, sl])
-        fhat[0, sl] += first
+        times_symbol(0, 1, sl, fhat[0, :, sl])
+        fhat[0, :, sl] += first
         times_symbol(1, 1, sl, first)
-        np.add(second, first, out=fhat[1, sl])
-    for j in (0, 1):
-        np.fft.ifftn(fhat[j], out=fhat[j])
-    return slash
+        np.add(second, first, out=fhat[1, :, sl])
+    for axis in (-1, -2, -3):
+        np.fft.ifft(fhat, axis=axis, out=fhat)
+    return out
 
 
 class SpinorField:
@@ -247,6 +267,16 @@ class SpinorField:
     raises ValueError if the field was built for a different Pauli set
     or grid. The cached arrays are shared: treat them, and eta, as
     read-only.
+
+    eta may also be a stack of fields on one Pauli set and grid, of
+    shape (n,) + dims + (2,): then each cached array is the stack of the
+    fields' arrays, one `_dirac` call and its transforms serve every
+    field, the floor is checked on each field in turn, and the
+    densities (`lagrangian_stationary`, `lagrangian_weyl`) come
+    stacked; the functions that return a number take one field.
+    ``field[i]`` is field i of the stack, and ``field[np.newaxis]`` a
+    stack of one field, each sharing, as views, every array computed
+    so far.
     """
 
     def __init__(self, eta: np.ndarray, pauli: PauliSet, grid: TorusGrid):
@@ -275,9 +305,20 @@ class SpinorField:
     @cached_property
     def _floor_checked(self) -> None:
         """The nonvanishing floor on s (`_check_nonvanishing`), checked
-        once for a field that passes it. An exception is not cached, so
-        a field that fails it raises VanishingSpinor on every check."""
-        _check_nonvanishing(self.s)
+        once for a field that passes it, and on each field of a stack in
+        turn. An exception is not cached, so a field that fails it
+        raises VanishingSpinor on every check."""
+        for s in self.s.reshape((-1,) + self.grid.shape):
+            _check_nonvanishing(s)
+
+    def __getitem__(self, index) -> "SpinorField":
+        """Field ``index`` of a stack, or a stack of one for np.newaxis,
+        with every array computed so far shared as a view."""
+        part = SpinorField(self.eta[index], self.pauli, self.grid)
+        for name, value in self.__dict__.items():
+            if name not in ("eta", "pauli", "grid"):
+                part.__dict__[name] = value if value is None else value[index]
+        return part
 
 
 def _same_pauli(a: PauliSet, b: PauliSet) -> bool:

@@ -81,17 +81,37 @@ def weyl_residual(eta: np.ndarray | SpinorField, p0: float, sign: int,
                   pauli: PauliSet, grid: TorusGrid) -> np.ndarray:
     """Residual spinor field of the stationary Weyl operator,
     r = sign * p0 sigma^0 eta + i sigma^a d_a eta."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    _check_sign(sign)
     field = _field(eta, pauli, grid)
     return sign * p0 * field.eta + 1j * field.slash
+
+
+def _check_sign(sign) -> None:
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
 def weyl_residual_norm(eta: np.ndarray | SpinorField, p0: float, sign: int,
                        pauli: PauliSet, grid: TorusGrid) -> float:
     """Max over grid points of the pointwise 2-norm of the residual."""
-    r = weyl_residual(eta, p0, sign, pauli, grid)
-    return float(np.sqrt(_scalar_density(r).max()))
+    _check_sign(sign)
+    return float(_weyl_norms(_field(eta, pauli, grid), p0, sign))
+
+
+# the grid axes of a scalar field, and of a spinor field, of one field
+# or of each field of a stack
+_GRID_AXES = (-3, -2, -1)
+_FIELD_AXES = (-4, -3, -2, -1)
+
+
+def _weyl_norms(field: SpinorField, p0: float, sign: int):
+    """`weyl_residual_norm` of each field of a stack (of the field alone),
+    from one component plane of the residual at a time."""
+    def norm2(j):  # |r_j|^2, as `_scalar_density` sums it
+        r = sign * p0 * field.eta[..., j] + 1j * field.slash[..., j]
+        return r.real**2 + r.imag**2
+
+    return np.sqrt((norm2(0) + norm2(1)).max(axis=_GRID_AXES))
 
 
 _PREFACTOR = 16.0 / 9.0
@@ -179,31 +199,48 @@ def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     where the second term is d_a (G sigma^a eta) with the constant
     sigma^a taken out of the derivative. Both sigma^a d_a are applied
     as one Fourier symbol (`_dirac`): the first is the field's cached
-    one, the second is the only transform this function adds.
+    one, the second is the only transform this function adds. A stack
+    of fields (`SpinorField`) gets the stack of their gradients, from
+    one `_dirac` call for all of them.
 
-    w is accumulated in place in the array of sigma^a d_a (G eta), one
+    G eta is written into the component planes of w
+    (`geometry._component_planes`) and transformed there in place, and
+    w is accumulated in place in that array of sigma^a d_a (G eta), one
     x1 slab (`geometry._slabs`) and one component at a time:
-    += G sigma^a d_a eta, then *= i/2, then += H eta. So beyond G, G eta
-    and that `_dirac` call, only slab-sized temporaries are made.
+    += G sigma^a d_a eta, then *= i/2, then += H eta. G is formed for
+    G eta and again per slab, so it is not held through the transform:
+    beyond w, whose bytes are those of eta, and `_dirac`'s slab buffers,
+    only G and slab-sized temporaries are made.
     """
     if p0 == 0.0:
         raise ZeroFrequency("p0 must be nonzero")
     field = _nonvanishing(eta, pauli, grid)
-    g_coef = 2.0 * _PREFACTOR * field.A * metric.sqrt_det / field.s
-    w = _dirac(g_coef[..., np.newaxis] * field.eta, pauli.sigma_upper, grid)
+
+    def g_coef(at):
+        """G on the points ``at``, the same bits wherever it is formed."""
+        return 2.0 * _PREFACTOR * field.A[at] * metric.sqrt_det / field.s[at]
+
+    w = _component_planes(field.eta.shape[:-1])
+    g_slab = g_coef(Ellipsis)
+    for j in (0, 1):
+        np.multiply(g_slab, field.eta[..., j], out=w[..., j])
+    del g_slab  # formed again per slab: not held through the transform
+    w = _dirac(w, pauli.sigma_upper, grid, out=w)
     for sl in _slabs(grid.shape):
-        g_slab, axial, s = g_coef[sl], field.A[sl], field.s[sl]
+        at = (Ellipsis, sl, slice(None), slice(None))  # the x1 slab of each field
+        g_slab, axial, s = g_coef(at), field.A[at], field.s[at]
         h_coef = _PREFACTOR * (-((axial / s) ** 2) - p0 * p0) * metric.sqrt_det
         for j in (0, 1):  # one contiguous component plane of w (`_dirac`) at a time
-            w_plane = w[sl, ..., j]
-            w_plane += g_slab * field.slash[sl, ..., j]
+            w_plane = w[at + (j,)]
+            w_plane += g_slab * field.slash[at + (j,)]
             w_plane *= 0.5j
-            w_plane += h_coef * field.eta[sl, ..., j]
+            w_plane += h_coef * field.eta[at + (j,)]
     return w
 
 
-def _gradient_scale(field: SpinorField, p0: float, metric: Metric3) -> float:
-    return _PREFACTOR * metric.sqrt_det * (1.0 + p0 * p0) * np.sqrt(float(field.s.max()))
+def _gradient_scale(field: SpinorField, p0: float, metric: Metric3):
+    """The scale of the EL residuals of each field of a stack (of the field alone)."""
+    return _PREFACTOR * metric.sqrt_det * (1.0 + p0 * p0) * np.sqrt(field.s.max(axis=_GRID_AXES))
 
 
 def _sample_dofs(eta: np.ndarray, probes: int, seed: int):
@@ -286,12 +323,20 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
     dims = np.asarray(grid.dims)[:, np.newaxis]
     field = _field(eta, pauli, grid)
     eta, s_flat = field.eta, field.s.ravel()
-    # s is unchanged away from p, so the floor of a perturbed field needs
-    # only the extremes of s elsewhere: the second one where p holds the first
-    i_lo, i_hi = np.argmin(s_flat), np.argmax(s_flat)
-    lo_else, hi_else = np.delete(s_flat, i_lo).min(), np.delete(s_flat, i_hi).max()
-    signs = np.array([1.0, -1.0])
     points, comps, parts = dofs
+    # s is unchanged away from p, so the floor of a perturbed field needs
+    # only the extremes of s elsewhere: the second one where p holds the
+    # first, taken only if a probe sits there
+    flat_points = np.ravel_multi_index(tuple(points.T), grid.dims)
+    extremes = []
+    for index, extreme in ((np.argmin(s_flat), np.min), (np.argmax(s_flat), np.max)):
+        at_extreme = flat_points == index
+        elsewhere = np.full(len(flat_points), s_flat[index])
+        if at_extreme.any():
+            elsewhere[at_extreme] = extreme(np.delete(s_flat, index))
+        extremes.append(elsewhere[:, np.newaxis])
+    lo_else, hi_else = extremes
+    signs = np.array([1.0, -1.0])
     values = np.empty(len(comps))
     for start in range(0, len(comps), _FD_BLOCK):
         block = slice(start, start + _FD_BLOCK)
@@ -308,9 +353,7 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
         eta_pm = np.repeat(eta[pts][:, np.newaxis], 2, axis=1)
         eta_pm[probe[:, np.newaxis], [0, 1], 0, comp[:, np.newaxis]] += delta
         s_pm = _scalar_density(eta_pm)
-        flat_p = np.ravel_multi_index(tuple(point.T), grid.dims)
-        lo = np.where(flat_p == i_lo, lo_else, s_flat[i_lo])[:, np.newaxis]
-        hi = np.where(flat_p == i_hi, hi_else, s_flat[i_hi])[:, np.newaxis]
+        lo, hi = lo_else[block], hi_else[block]
         s_p = s_pm[..., 0]  # s at p of each perturbed field, (probe, sign)
         failing = _below_floor(np.minimum(s_p, lo), np.maximum(s_p, hi))
         if failing.any():  # the first failing field raises, as its own check would
@@ -338,10 +381,15 @@ def el_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     (`el_gradient`) at every grid point. It applies sigma^a d_a as one
     Fourier symbol, to eta (shared with every other check of the field)
     and to G eta."""
-    field = _field(eta, pauli, grid)
-    w = el_gradient(field, p0, pauli, metric, grid)
-    worst = max(np.abs(w.real).max(), np.abs(w.imag).max())
-    return float(worst) / _gradient_scale(field, p0, metric)
+    return float(_el_residuals(_field(eta, pauli, grid), p0, metric))
+
+
+def _el_residuals(field: SpinorField, p0: float, metric: Metric3):
+    """`el_residual` of each field of a stack (of the field alone)."""
+    w = el_gradient(field, p0, field.pauli, metric, field.grid)
+    re, im = np.abs(w.real).max(axis=_FIELD_AXES), np.abs(w.imag).max(axis=_FIELD_AXES)
+    # the larger of the two as max() takes it: the first unless the second is greater
+    return np.where(im > re, im, re) / _gradient_scale(field, p0, metric)
 
 
 def el_residual_fd(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
@@ -383,28 +431,31 @@ def el_gradient_fd_check(eta: np.ndarray | SpinorField, p0: float,
     return float(np.abs(fd - analytic).max()) / scale
 
 
-def _residuals(field: SpinorField, p0: float, sign: int, metric: Metric3,
+def _residuals(fields: SpinorField, p0: float, sign: int, metric: Metric3,
                fd_seed: int | None = None):
-    """Residuals of one field for the sign-``sign`` Weyl equation at
-    frequency p0, all from the field's one sigma^a d_a eta, which the FD
-    probes perturb too.
+    """Residuals of each field of a stack (`SpinorField`) for the
+    sign-``sign`` Weyl equation at frequency p0, all from the stack's one
+    sigma^a d_a eta, which the FD probes of its first field perturb too.
 
-    Returns ``(residuals, lag)``: a dict with ``weyl_residual``,
+    Returns ``(cases, lag)``: per field, a dict with ``weyl_residual``,
     ``el_residual``, ``el_residual_fd`` (`_FD_PROBES` probes, only given
-    an ``fd_seed``), ``L_max`` and ``Lpm_max``, and the stationary
-    density itself.
+    an ``fd_seed``, and only for the first field), ``L_max`` and
+    ``Lpm_max``; and the stack of the stationary densities. The
+    nonvanishing floor is checked on each field in turn.
     """
-    pauli, grid = field.pauli, field.grid
-    out = {"weyl_residual": weyl_residual_norm(field, p0, sign, pauli, grid),
-           "el_residual": el_residual(field, p0, pauli, metric, grid)}
+    pauli, grid = fields.pauli, fields.grid
+    cases = [{"weyl_residual": float(weyl), "el_residual": float(el)}
+             for weyl, el in zip(_weyl_norms(fields, p0, sign),
+                                 _el_residuals(fields, p0, metric))]
     if fd_seed is not None:
-        out["el_residual_fd"] = el_residual_fd(field, p0, pauli, metric, grid,
-                                               probes=_FD_PROBES, seed=fd_seed)
-    lag = lagrangian_stationary(field, p0, pauli, metric, grid)
-    out["L_max"] = float(np.abs(lag).max())
-    out["Lpm_max"] = float(np.abs(lagrangian_weyl(field, p0, sign, pauli, metric,
-                                                  grid)).max())
-    return out, lag
+        cases[0]["el_residual_fd"] = el_residual_fd(fields[0], p0, pauli, metric, grid,
+                                                    probes=_FD_PROBES, seed=fd_seed)
+    lag = lagrangian_stationary(fields, p0, pauli, metric, grid)
+    lpm = lagrangian_weyl(fields, p0, sign, pauli, metric, grid)
+    for case, l_max, lpm_max in zip(cases, np.abs(lag).max(axis=_GRID_AXES),
+                                    np.abs(lpm).max(axis=_GRID_AXES)):
+        case["L_max"], case["Lpm_max"] = float(l_max), float(lpm_max)
+    return cases, lag
 
 
 def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
@@ -427,7 +478,9 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
     mode of every axis: at most 3, or N/2 - 1 on an axis of N < 8
     points. A box on which the perturbation's modes, at full amplitude,
     would overflow the residuals raises OutOfRange before any case is
-    drawn (`_check_frequency` at `_PERTURB_CORNERS`).
+    drawn (`_check_frequency` at `_PERTURB_CORNERS`). Each solution and
+    its perturbed twin are evaluated as one stack of two fields
+    (`_residuals`), so they share every sigma^a d_a call.
     """
     with np.errstate(all="ignore"):  # an out-of-range frequency is rejected below
         k = 2.0 * np.pi * _PERTURB_CORNERS / np.asarray(grid.box)
@@ -440,18 +493,23 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
     for sign in (1, -1):
         for _ in range(n_cases):
             k = random_wavevector(rng, max_mode=max_mode)
-            spec, field = planewave_solution(k, sign, metric, grid)
+            spec, wave = planewave_solution(k, sign, metric, grid)
             p0 = abs(spec.p0)  # sign-s equation at positive frequency
             head = {"k": [int(m) for m in k], "branch": sign, "p0": p0}
-            res, _ = _residuals(field, p0, sign, metric, fd_seed=int(rng.integers(2**31)))
-            cases.append({"kind": "solution", **head, **res,
-                          "pass": _within_gates(res, _SOLUTION_GATED)})
-
+            fd_seed = int(rng.integers(2**31))
             noise = random_bandlimited_spinor(
                 grid, np.random.default_rng(int(rng.integers(2**31))),
                 max_mode=_PERTURB_MAX_MODE, amplitude=_PERTURB)
-            bad, _ = _residuals(SpinorField(field.eta + noise, field.pauli, grid),
-                                p0, sign, metric)
+            # the wave and its perturbed twin, one stack of two fields; each
+            # case's arrays are freed before the next case is drawn
+            pair = SpinorField(_component_planes((2,) + grid.shape), wave.pauli, grid)
+            pair.eta[...] = wave.eta
+            pair.eta[1] += noise
+            del wave, noise
+            (res, bad), _ = _residuals(pair, p0, sign, metric, fd_seed=fd_seed)
+            del pair
+            cases.append({"kind": "solution", **head, **res,
+                          "pass": _within_gates(res, _SOLUTION_GATED)})
             cases.append({"kind": "perturbed", **head, **bad,
                           "pass": bool(bad["el_residual"] >= NONSOLUTION_FLOOR
                                        and bad["weyl_residual"] >= NONSOLUTION_FLOOR)})

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosserat_weyl import TorusGrid, VanishingSpinor
+from cosserat_weyl.geometry import _plane_waves
 from cosserat_weyl.sampling import (_check_safely_nonvanishing, _perturbed_unit_spinor, random_bandlimited_scalar,
                                     random_bandlimited_spinor, random_nonvanishing_spinor)
 
@@ -109,3 +110,28 @@ def test_guard_rejects_a_non_finite_or_small_draw(s):
     # not min s > 0.05, which a NaN fails too
     with pytest.raises(VanishingSpinor):
         _check_safely_nonvanishing(np.array(s))
+
+
+def _scalar_draw_spinor(grid, rng, max_mode=2, amplitude=1.0):
+    # the sampler with each coefficient drawn as two scalar normals
+    modes = np.empty((2, 4, 3), dtype=int)
+    coeffs = np.empty((2, 4), dtype=complex)
+    for c in range(2):
+        for t in range(4):
+            modes[c, t] = rng.integers(-max_mode, max_mode + 1, size=3)
+            coeffs[c, t] = rng.normal() + 1j * rng.normal()
+    field = _plane_waves(grid, modes, coeffs)
+    field *= amplitude / max(float(np.abs(field).max()), np.finfo(float).tiny)
+    return field
+
+
+@pytest.mark.parametrize("max_mode", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 7, 123456])
+def test_one_draw_per_coefficient_keeps_the_stream(seed, max_mode):
+    # one rng.normal(size=2) per coefficient gives the values two scalar
+    # draws would, and leaves the generator where they would
+    grid = TorusGrid((4, 4, 4), (2 * np.pi,) * 3)
+    rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    field = random_bandlimited_spinor(grid, rng, max_mode=max_mode, amplitude=0.3)
+    assert np.array_equal(field, _scalar_draw_spinor(grid, scalar_rng, max_mode, 0.3))
+    assert rng.bit_generator.state == scalar_rng.bit_generator.state

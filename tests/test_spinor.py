@@ -418,6 +418,31 @@ class TestDiracSymbol:
                 assert np.array_equal(_dirac(eta, sigma, grid),
                                       _dirac_per_entry(eta, sigma, grid))
 
+    # a stack of two fields, as the witness evaluates a plane wave and
+    # its perturbed twin: one transform per axis of the whole block, and
+    # each symbol entry built once per x1 slab for both fields
+    @pytest.mark.parametrize("dims,box,log10_cond", [
+        ((4, 4, 4), (2.0 * np.pi,) * 3, 0.0),  # Nyquist content on every axis
+        ((12, 16, 8), (5.0, 7.0, 9.0), 6.0),  # an ill-conditioned metric
+        ((64, 32, 32), (5.0, 7.0, 9.0), 2.0),  # two x1 slabs
+    ])
+    def test_a_stack_keeps_each_fields_bits(self, dims, box, log10_cond):
+        eta, sigmas, grid = _dirac_case(dims, box, 8, log10_cond)
+        stack = geometry_module._component_planes((2,) + dims)
+        stack[0] = eta
+        stack[1] = 0.5 * eta.conj() + 2.0 - 1.0j
+        for sigma in sigmas:
+            each = [_dirac(field, sigma, grid) for field in stack]
+            together = _dirac(stack, sigma, grid)
+            assert together.shape == stack.shape
+            for field, expected in zip(together, each):
+                assert np.array_equal(field, expected)
+            # transformed in place, as the EL gradient transforms G eta
+            in_place = geometry_module._component_planes(stack.shape[:-1])
+            in_place[...] = stack
+            assert _dirac(in_place, sigma, grid, out=in_place) is in_place
+            assert np.array_equal(in_place, together)
+
     def test_real_array_is_differentiated_as_its_complex_copy(self):
         eta, sigmas, grid = _dirac_case((4, 6, 8), (5.0, 7.0, 9.0), 4, 1.0)
         for sigma in sigmas:
@@ -596,7 +621,7 @@ class TestELGradientAtTheEdges:
         # el_gradient (the field's sigma^a d_a eta, which the probes
         # perturb, comes from spinor's), so zeroing it drops that term
         monkeypatch.setattr(weyl_module, "_dirac",
-                            lambda eta, sigma, grid: np.zeros(eta.shape, dtype=complex))
+                            lambda eta, sigma, grid, out=None: np.zeros(eta.shape, dtype=complex))
         assert _el_fd_disagreement(*case) > 1e-3
 
 

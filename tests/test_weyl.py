@@ -564,6 +564,27 @@ class TestBatchedProbes:
                 with pytest.raises(VanishingSpinor, match=f"min s = {min_s}"):
                     fd(*args, _as_dofs([(first, 0, 0), (second, 0, 0)]))
 
+    @pytest.mark.parametrize("second_min,raises", [(5e-13, True), (2e-12, False)])
+    def test_floor_through_the_second_minimum(self, grid8, second_min, raises):
+        # a probe on the argmin p of s, where eta = (1e-9, 0): its Im probe
+        # lifts s(p) to about step^2, 3.7e-11, so the perturbed field's
+        # least s is the second minimum, at q. Below the floor (1e-12 of
+        # max s = 1) the probe raises with that min s; above it, it passes.
+        eta = np.zeros(grid8.shape + (2,), dtype=complex)
+        eta[..., 0] = 1.0
+        p, q = (3, 0, 7), (5, 5, 5)
+        eta[p + (0,)] = 1e-9
+        eta[q + (0,)] = np.sqrt(second_min)
+        assert np.argmin(_scalar_density(eta)) == np.ravel_multi_index(p, grid8.dims)
+        metric = Metric3.identity()
+        args = (eta, 0.8, build_pauli(metric), metric, grid8, _as_dofs([(p, 0, 1)]))
+        for fd in (_fd_gradient_at_dofs, _per_probe_fd, _full_grid_fd):
+            if raises:
+                with pytest.raises(VanishingSpinor, match=r"min s = 5\.000e-13,"):
+                    fd(*args)
+            else:
+                assert np.isfinite(fd(*args)).all()
+
     def test_stencil_built_once_per_grid(self, monkeypatch):
         calls = []
         original = weyl_module.spectral_partial
@@ -667,22 +688,42 @@ class TestNonFiniteSpinors:
                 pytest.fail(name)
 
 
+def _witness_pair(grid, k, seed=4):
+    """(pair, p0, metric): a plane wave of modes ``k`` and its perturbed
+    twin, one stack of two fields as the witness builds each case."""
+    metric = random_spd_metric(np.random.default_rng(seed))
+    spec, wave = planewave_solution(k, 1, metric, grid)
+    pair = SpinorField(geometry_module._component_planes((2,) + grid.shape), wave.pauli, grid)
+    pair.eta[...] = wave.eta
+    pair.eta[1] += random_bandlimited_spinor(grid, np.random.default_rng(seed + 1), amplitude=0.1)
+    return pair, abs(spec.p0), metric
+
+
 class TestFloorOncePerField:
     """The nonvanishing floor is checked once per field that passes it,
     whichever checks read the field, and on every call for a field that
     fails it: the failure is raised, not cached."""
 
     def test_residuals_check_each_field_once(self, grid8, count_calls):
+        # a witness case is one stack of the wave and its twin: the floor
+        # is checked once on each, the wave first
         checks = count_calls("_check_nonvanishing", spinor_module, weyl_module)
-        metric = random_spd_metric(np.random.default_rng(4))
-        spec, field = planewave_solution((1, -1, 2), 1, metric, grid8)
-        noise = random_bandlimited_spinor(grid8, np.random.default_rng(5), amplitude=0.1)
-        twin = SpinorField(field.eta + noise, field.pauli, grid8)
-        p0 = abs(spec.p0)
-        weyl_module._residuals(field, p0, 1, metric, fd_seed=3)
-        weyl_module._residuals(twin, p0, 1, metric)
+        pair, p0, metric = _witness_pair(grid8, (1, -1, 2))
+        weyl_module._residuals(pair, p0, 1, metric, fd_seed=3)
         assert len(checks) == 2  # three checks read each field
-        assert checks[0][0][0] is field.s and checks[1][0][0] is twin.s
+        for (args, _), s in zip(checks, pair.s):
+            assert np.shares_memory(args[0], s) and np.array_equal(args[0], s)
+
+    def test_the_twin_raises_its_own_error_after_the_wave(self, grid8):
+        # a twin below the floor fails with its own min s, and the wave
+        # below it fails first, with its own
+        for wave_too, min_s in ((False, r"0\.000e\+00"), (True, r"1\.000e-18")):
+            pair, p0, metric = _witness_pair(grid8, (1, -1, 2))
+            pair.eta[1, 2, 3, 4] = 0.0
+            if wave_too:
+                pair.eta[0, 1, 1, 1] = (1e-9, 0.0)
+            with pytest.raises(VanishingSpinor, match=f"min s = {min_s},"):
+                weyl_module._residuals(pair, p0, 1, metric, fd_seed=3)
 
     def test_a_vanishing_field_raises_on_every_call(self, grid8, count_calls):
         checks = count_calls("_check_nonvanishing", spinor_module, weyl_module)
@@ -719,16 +760,46 @@ class TestWitnessSuite:
         assert [report["config"][g] for g in gates] == [1e-12, 1e-8, 1e-12, 1e-3]
 
     def test_one_spectral_gradient_per_field(self, grid8, count_calls):
-        # each solution field and each perturbed field gets sigma^a d_a
-        # once, shared by every residual of its case (the FD probes of
-        # the solution cases included), and once more for G eta in its
-        # EL gradient
+        # each case's stack of a solution field and its perturbed twin
+        # gets sigma^a d_a once, shared by every residual of both fields
+        # (the FD probes of the solution included), and once more for the
+        # stack of G eta in their EL gradients
         dirac = count_calls("_dirac", spinor_module, weyl_module)
         metric = random_spd_metric(np.random.default_rng(4))
         report = theorem_witness_suite(4, grid8, metric, n_cases=2)
         kinds = [c["kind"] for c in report["cases"]]
-        assert kinds.count("solution") == 4
-        assert len(dirac) == 2 * len(kinds)
+        assert kinds.count("solution") == kinds.count("perturbed") == 4
+        assert len(dirac) == 2 * kinds.count("solution")
+        assert all(args[0].shape == (2,) + grid8.shape + (2,) for args, _ in dirac)
+
+    def test_a_stack_gives_each_fields_residuals(self):
+        # the residuals and density of each field of a case's stack, to the
+        # last bit, are those of the field evaluated alone
+        grid = TorusGrid((12, 16, 8), (5.0, 7.0, 9.0))
+        pair, p0, metric = _witness_pair(grid, (1, -2, 1), seed=6)
+        cases, lag = weyl_module._residuals(pair, p0, -1, metric, fd_seed=3)
+        assert "el_residual_fd" in cases[0] and "el_residual_fd" not in cases[1]
+        for i, fd_seed in ((0, 3), (1, None)):
+            alone = SpinorField(geometry_module._component_planes(grid.shape), pair.pauli, grid)
+            alone.eta[...] = pair.eta[i]
+            (expected,), expected_lag = weyl_module._residuals(alone[np.newaxis], p0, -1,
+                                                               metric, fd_seed)
+            assert list(cases[i].items()) == list(expected.items())
+            assert np.array_equal(lag[i], expected_lag[0])
+
+    def test_memory_of_one_case_at_16(self, grid16):
+        # a plane wave and its perturbed twin per sign, evaluated as one
+        # stack of two fields, peak at 10.21 times one spinor field's bytes
+        # (1.28 MiB at 16^3); evaluated one after the other, at 10.72
+        metric = random_spd_metric(np.random.default_rng(2))
+        theorem_witness_suite(2, grid16, metric, n_cases=1)  # one-time allocations untraced
+        tracemalloc.start()
+        try:
+            theorem_witness_suite(2, grid16, metric, n_cases=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.72 * grid16.num_points * 2 * 16
 
     def test_fd_probes_run_once_per_solution_case(self, grid8, count_calls):
         # the weyl.el_residual_fd span of a traced theorem job counts
@@ -754,12 +825,12 @@ class TestWitnessSuite:
         residuals = weyl_module._residuals
         planted = []
 
-        def plant(field, p0, sign, metric, fd_seed=None):
-            res, lag = residuals(field, p0, sign, metric, fd_seed)
-            if fd_seed is None and not planted:  # the first perturbed case
-                planted.append(res)
-                res = {**res, "el_residual": 0.0}
-            return res, lag
+        def plant(fields, p0, sign, metric, fd_seed=None):
+            (res, bad), lag = residuals(fields, p0, sign, metric, fd_seed)
+            if not planted:  # the first perturbed case, the first stack's twin
+                planted.append(bad)
+                bad = {**bad, "el_residual": 0.0}
+            return [res, bad], lag
 
         for seed in range(3):
             metric = random_spd_metric(np.random.default_rng(seed))
@@ -861,5 +932,6 @@ class TestTwinFrequencyBound:
                             grid, np.random.default_rng(seed),
                             max_mode=weyl_module._PERTURB_MAX_MODE, amplitude=weyl_module._PERTURB)
                         twin = SpinorField(field.eta + noise, field.pauli, grid)
-                        res, _ = weyl_module._residuals(twin, abs(spec.p0), branch, metric)
+                        (res,), _ = weyl_module._residuals(twin[np.newaxis], abs(spec.p0),
+                                                           branch, metric)
                         assert all(np.isfinite(v) for v in res.values())

@@ -59,12 +59,12 @@ def _slabs(dims: tuple, points: int | None = None) -> list[slice]:
 
 @dataclass(frozen=True)
 class Metric3:
-    """Constant positive-definite 3x3 metric with its inverse and
-    determinant precomputed."""
+    """Constant positive-definite 3x3 metric g_ab and its Cholesky factor L, g = L L^T:
+    the one source of sqrt(det g) = prod_j L_jj and of g^ab, so identities against g_ab and
+    g^ab agree to rounding at any condition (Higham, Accuracy and Stability, ch. 10)."""
 
     g_lower: np.ndarray
-    g_upper: np.ndarray
-    det_g: float
+    factor: np.ndarray
 
     @classmethod
     def from_matrix(cls, g) -> "Metric3":
@@ -73,20 +73,21 @@ class Metric3:
             raise MetricNotSPD(f"expected a 3x3 matrix, got shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise MetricNotSPD(f"metric matrix has non-finite entries: {g.tolist()}")
-        if not np.allclose(g, g.T, rtol=0.0, atol=1e-13):
+        # relative to the largest entry, so c g gets the answer of g for any c > 0
+        if not np.abs(g - g.T).max() <= 1e-13 * np.abs(g).max():
             raise MetricNotSPD("metric matrix is not symmetric")
         g = 0.5 * (g + g.T)
         try:  # Cholesky, unlike eigvalsh, keeps a tiny pivot such as 1e-309 beside 1e300
-            np.linalg.cholesky(g)
+            metric = cls(g_lower=g, factor=np.linalg.cholesky(g))
         except np.linalg.LinAlgError:
             raise MetricNotSPD("metric is not positive definite, eigenvalues "
                                f"{np.linalg.eigvalsh(g)}") from None
         with np.errstate(all="ignore"):  # overflow and underflow are rejected below
-            g_upper, det_g = np.linalg.inv(g), float(np.linalg.det(g))
-        if not (np.finfo(float).tiny <= det_g < np.inf and np.isfinite(g_upper).all()):
+            det_g, g_upper_diag = metric.sqrt_det**2, np.square(metric._inverse_factor).sum(axis=0)
+        if not (np.finfo(float).tiny <= det_g < np.inf and np.isfinite(g_upper_diag).all()):
             raise MetricNotSPD(f"metric determinant {det_g:.3e} or inverse is not a finite "
                                "normal float")
-        return cls(g_lower=g, g_upper=g_upper, det_g=det_g)
+        return metric
 
     @classmethod
     def identity(cls) -> "Metric3":
@@ -96,9 +97,29 @@ class Metric3:
     def diagonal(cls, a: float, b: float, c: float) -> "Metric3":
         return cls.from_matrix(np.diag([a, b, c]))
 
-    @property
+    @cached_property
     def sqrt_det(self) -> float:
-        return float(np.sqrt(self.det_g))
+        return math.prod(np.diagonal(self.factor).tolist())
+
+    @cached_property
+    def _inverse_factor(self) -> np.ndarray:
+        """L^-1 by forward substitution: row a is (e_a - sum_{b < a} L_ab row b) / L_aa."""
+        inverse = []
+        for a, row in enumerate(self.factor.tolist()):
+            inverse.append([(float(a == c) - sum(row[b] * inverse[b][c] for b in range(a)))
+                            / row[a] for c in range(3)])
+        return np.array(inverse)
+
+    def covector_norm2(self, x) -> np.ndarray:
+        """g^ab x_a x_b = |L^-1 x|^2 of covectors x (..., 3), one plane of L^-1 x at a time."""
+        norm = 0.0
+        for a, row in enumerate(self._inverse_factor):
+            y = row[0] * x[..., 0]
+            for b in range(1, a + 1):
+                y += row[b] * x[..., b]
+            y *= y
+            norm += y
+        return norm
 
 
 @dataclass(frozen=True)
@@ -264,14 +285,11 @@ class PauliSet:
 
 
 def build_pauli(metric: Metric3) -> PauliSet:
-    """Adapt the standard Pauli triple to ``metric``.
-
-    Uses a factor F with F F^T = g_upper (Cholesky); then
-    sigma^a = F[a, j] sigma_std^j has the required anticommutator.
-    """
-    factor = np.linalg.cholesky(metric.g_upper)
-    sigma_upper = np.einsum("aj,jkl->akl", factor, _PAULI_STANDARD)
-    sigma_lower = np.einsum("ab,bkl->akl", metric.g_lower, sigma_upper)
+    """Adapt the standard Pauli triple to ``metric`` through its factor L: sigma_a =
+    L[a, j] sigma_std^j and sigma^a = (L^-T)[a, j] sigma_std^j, so sigma^a sigma^b +
+    sigma^b sigma^a = 2 (L L^T)^-1 = 2 g^ab and sigma_a = g_ab sigma^b."""
+    sigma_upper = np.einsum("ja,jkl->akl", metric._inverse_factor, _PAULI_STANDARD)
+    sigma_lower = np.einsum("aj,jkl->akl", metric.factor, _PAULI_STANDARD)
     return PauliSet(sigma_upper=sigma_upper, sigma_lower=sigma_lower)
 
 

@@ -110,6 +110,16 @@ def _check_nonvanishing(s: np.ndarray) -> None:
                               f"min s = {np.min(s):.3e}, max s = {np.max(s):.3e}")
 
 
+def _check_nonzero_p0(p0: float) -> None:
+    if p0 == 0.0:
+        raise ZeroFrequency("p0 must be nonzero")
+
+
+def _check_sign(sign, name: str = "sign") -> None:
+    if sign not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1, got {sign}")
+
+
 def _relative_max(diff, ref) -> float:
     """max|diff| / max|ref|, the denominator floored at the tiniest float."""
     return float(np.abs(diff).max()) / max(float(np.abs(ref).max()), np.finfo(float).tiny)
@@ -151,20 +161,6 @@ def _stationary_density(s, A, p0: float, metric: Metric3):
 def _weyl_density(s, A, p0: float, sign: int, metric: Metric3):
     """(A + sign p0 s) sqrt(det g) from the bilinears."""
     return (A + sign * p0 * s) * metric.sqrt_det
-
-
-def _metric_norm2(w: np.ndarray, g_upper: np.ndarray) -> np.ndarray:
-    """g^ab w_a w_b for a real covector field w, as the quadratic form
-    sum_a w_a (g^aa w_a + 2 sum_{b > a} g^ab w_b), one component plane
-    of w at a time."""
-    norm = np.zeros(w.shape[:-1])
-    for a in range(3):
-        row = g_upper[a, a] * w[..., a]
-        for b in range(a + 1, 3):
-            row += (2.0 * g_upper[a, b]) * w[..., b]
-        row *= w[..., a]
-        norm += row
-    return norm
 
 
 def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid,
@@ -349,8 +345,7 @@ def lagrangian_stationary(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
                           metric: Metric3, grid: TorusGrid) -> np.ndarray:
     """Stationary Lagrangian density
     16/(9 s) (A^2 - (p0 s)^2) sqrt(det g)."""
-    if p0 == 0.0:
-        raise ZeroFrequency("p0 must be nonzero")
+    _check_nonzero_p0(p0)
     b = _nonvanishing(eta, pauli, grid)
     return _stationary_density(b.s, b.A, p0, metric)
 
@@ -358,10 +353,8 @@ def lagrangian_stationary(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
 def lagrangian_weyl(eta: np.ndarray | SpinorField, p0: float, sign: int,
                     pauli: PauliSet, metric: Metric3, grid: TorusGrid) -> np.ndarray:
     """Weyl Lagrangian density L_pm = (A pm p0 s) sqrt(det g)."""
-    if p0 == 0.0:
-        raise ZeroFrequency("p0 must be nonzero")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    _check_nonzero_p0(p0)
+    _check_sign(sign)
     b = _nonvanishing(eta, pauli, grid)
     return _weyl_density(b.s, b.A, p0, sign, metric)
 
@@ -373,8 +366,7 @@ def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: Paul
     floating-point noise with the conventions of this package, and 2|L|
     with the other sign.
     """
-    if p0 == 0.0:
-        raise ZeroFrequency("p0 must be nonzero")
+    _check_nonzero_p0(p0)
     try:  # L+ - L- = 2 p0 s sqrt(det g) vanishes where s does
         b = _nonvanishing(eta, pauli, grid)
     except VanishingSpinor as exc:
@@ -432,7 +424,7 @@ def lagrangian_dynamic(xi: np.ndarray | SpinorField, dxi0: np.ndarray, pauli: Pa
     space_term = 2.0 * field.A
     t = _sandwich(field.eta, pauli.sigma_lower, dxi0)
     w = -2.0 * t.imag  # i(xibar sigma_a d0 xi - c.c.), real covector
-    wnorm2 = _metric_norm2(w, metric.g_upper)
+    wnorm2 = metric.covector_norm2(w)
     return (4.0 / (9.0 * field.s)) * (space_term**2 - wnorm2) * metric.sqrt_det
 
 
@@ -442,4 +434,4 @@ def fierz_residual(eta: np.ndarray | SpinorField, pauli: PauliSet, metric: Metri
     Needs no derivative of eta."""
     field = _field(eta, pauli, grid)
     s2 = field.s**2
-    return _relative_max(_metric_norm2(field.v, metric.g_upper) - s2, s2)
+    return _relative_max(metric.covector_norm2(field.v) - s2, s2)

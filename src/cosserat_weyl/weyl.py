@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutOfRange, ZeroFrequency, ZeroWavevector
+from .errors import OutOfRange, ZeroWavevector
 from .geometry import (Metric3, PauliSet, TorusGrid, _component_planes, _highest_mode,
                        _plane_wave, _slabs, build_pauli, spectral_partial)
 from .sampling import random_bandlimited_spinor, random_wavevector
@@ -19,6 +19,8 @@ from .spinor import (
     _axial_density,
     _below_floor,
     _check_nonvanishing,
+    _check_nonzero_p0,
+    _check_sign,
     _dirac,
     _field,
     _nonvanishing,
@@ -86,11 +88,6 @@ def weyl_residual(eta: np.ndarray | SpinorField, p0: float, sign: int,
     return sign * p0 * field.eta + 1j * field.slash
 
 
-def _check_sign(sign) -> None:
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-
-
 def weyl_residual_norm(eta: np.ndarray | SpinorField, p0: float, sign: int,
                        pauli: PauliSet, grid: TorusGrid) -> float:
     """Max over grid points of the pointwise 2-norm of the residual."""
@@ -123,13 +120,14 @@ _PREFACTOR = 16.0 / 9.0
 _PERTURB_CORNERS = _PERTURB_MAX_MODE * np.array([(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)])
 
 
-def _check_frequency(p_squared, of: str, metric: Metric3, grid: TorusGrid) -> None:
-    """Raise OutOfRange unless the squared frequencies p^2 = g^ab k_a k_b
-    in ``p_squared`` (those of ``of``) are in range: the least at or
-    above the smallest normal float, and the residuals' largest product
-    on a wave of the greatest, (32/9) N p^2 sqrt(det g) (see
-    `planewave_solution`), finite."""
+def _check_frequency(modes, of: str, metric: Metric3, grid: TorusGrid):
+    """k = 2 pi m / box and p^2 = g^ab k_a k_b of the integer modes m, shape (..., 3), of
+    ``of``. Raise OutOfRange unless the least p^2 is at or above the smallest normal float
+    and the residuals' largest product on a wave of the greatest, (32/9) N p^2 sqrt(det g)
+    (see `planewave_solution`), is finite."""
     with np.errstate(all="ignore"):  # an out-of-range frequency is rejected below
+        k = 2.0 * np.pi * np.asarray(modes) / np.asarray(grid.box)
+        p_squared = metric.covector_norm2(k)
         low, high = float(np.min(p_squared)), float(np.max(p_squared))
         largest = 2.0 * _PREFACTOR * grid.num_points * high * metric.sqrt_det
     if not (np.finfo(float).tiny <= low and largest < np.inf):  # a NaN fails too
@@ -137,6 +135,7 @@ def _check_frequency(p_squared, of: str, metric: Metric3, grid: TorusGrid) -> No
                          f"{grid.box} is out of range: below the smallest normal float, or "
                          "the residuals' largest product (32/9) N p0^2 sqrt(det g) = "
                          f"{largest:.3e} overflows")
+    return k, p_squared
 
 
 def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
@@ -159,12 +158,8 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     k_modes = np.asarray(k_modes, dtype=int)
     if not np.any(k_modes != 0):
         raise ZeroWavevector("plane wave requires a nonzero mode vector")
-    if branch not in (1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
-    with np.errstate(all="ignore"):  # an out-of-range frequency is rejected below
-        k = 2.0 * np.pi * k_modes / np.asarray(grid.box)
-        p0_squared = float(k @ metric.g_upper @ k)
-    _check_frequency(p0_squared, f"modes {tuple(int(m) for m in k_modes)}", metric, grid)
+    _check_sign(branch, "branch")
+    k, p0_squared = _check_frequency(k_modes, f"modes {tuple(k_modes.tolist())}", metric, grid)
     pauli = build_pauli(metric)
     kslash = np.einsum("n,nab->ab", k, pauli.sigma_upper)
     p0 = branch * float(np.sqrt(p0_squared))
@@ -176,7 +171,7 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     eta = _component_planes(grid.shape)
     for c in (0, 1):
         np.multiply(wave, u[c], out=eta[..., c])
-    dispersion_residual = abs(p0 * p0 - p0_squared)
+    dispersion_residual = float(abs(p0 * p0 - p0_squared))
     spec = PlaneWaveSpec(u=u, p0=p0, dispersion_residual=dispersion_residual)
     return spec, SpinorField(eta, pauli, grid)
 
@@ -212,8 +207,7 @@ def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     beyond w, whose bytes are those of eta, and `_dirac`'s slab buffers,
     only G and slab-sized temporaries are made.
     """
-    if p0 == 0.0:
-        raise ZeroFrequency("p0 must be nonzero")
+    _check_nonzero_p0(p0)
     field = _nonvanishing(eta, pauli, grid)
 
     def g_coef(at):
@@ -316,8 +310,7 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
     in the order given (plus step before minus), that fails the floor
     raises its error.
     """
-    if p0 == 0.0:
-        raise ZeroFrequency("p0 must be nonzero")
+    _check_nonzero_p0(p0)
     eps_cbrt = float(np.cbrt(np.finfo(float).eps))
     offsets, weights = _line_stencil(grid)
     dims = np.asarray(grid.dims)[:, np.newaxis]
@@ -482,11 +475,8 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
     its perturbed twin are evaluated as one stack of two fields
     (`_residuals`), so they share every sigma^a d_a call.
     """
-    with np.errstate(all="ignore"):  # an out-of-range frequency is rejected below
-        k = 2.0 * np.pi * _PERTURB_CORNERS / np.asarray(grid.box)
-        corners = np.einsum("ia,ab,ib->i", k, metric.g_upper, k)
-    _check_frequency(corners, f"the perturbation's modes, up to {_PERTURB_MAX_MODE} per axis,",
-                     metric, grid)
+    _check_frequency(_PERTURB_CORNERS, f"the perturbation's modes, up to {_PERTURB_MAX_MODE} "
+                     "per axis,", metric, grid)
     max_mode = min(_MAX_MODE, *_highest_mode(grid))
     rng = np.random.default_rng(seed)
     cases = []

@@ -4,9 +4,11 @@ arithmetic, and the package's float kernels pinned to the exact values.
 The evaluator below is written from the definitions the README states,
 not from the package code:
 
-* sigma^a = F[a, i] sigma_i for the standard Pauli triple sigma_i, so
-  g^ab = (F F^T)^ab and sqrt(det g) = 1 / |det F| are rational; the
-  index is lowered with g_ab, and sigma_0 is the identity;
+* g_ab = (L L^T)_ab for a rational lower-triangular L with a positive
+  diagonal, and sigma^a = F[a, i] sigma_i for the standard Pauli triple
+  sigma_i with F = L^-T R, R a rational rotation, so g^ab = (F F^T)^ab
+  and sqrt(det g) = det L are rational; the index is lowered with g_ab,
+  and sigma_0 is the identity;
 * s = etabar sigma_0 eta, v_a = etabar sigma_a eta and
   A = (i/2)(etabar D - c.c.), where D = sigma^a d_a eta is drawn at the
   point like eta, since none of these needs more of the derivative;
@@ -121,6 +123,15 @@ def _inverse3(m):
              for col in range(3)] for row in range(3)]
 
 
+def _transpose(m):
+    return [list(column) for column in zip(*m)]
+
+
+def _matmul3(a, b):
+    return [[sum(a[row][i] * b[i][col] for i in range(3)) for col in range(3)]
+            for row in range(3)]
+
+
 @dataclass
 class Point:
     """Every exact quantity of the model at one point."""
@@ -143,6 +154,7 @@ class Case:
 
     g_upper: list
     g_lower: list
+    factor: list
     sqrt_det: Fraction
     sigma_upper: list
     sigma_lower: list
@@ -167,9 +179,7 @@ class Case:
                      (A - self.p0 * s) * root, w, theta)
 
     def metric(self) -> Metric3:
-        return Metric3(g_lower=np.array(self.g_lower, dtype=float),
-                       g_upper=np.array(self.g_upper, dtype=float),
-                       det_g=float(self.sqrt_det**2))
+        return Metric3(g_lower=_as_array(self.g_lower), factor=_as_array(self.factor))
 
     def pauli(self) -> PauliSet:
         return PauliSet(sigma_upper=_as_array(self.sigma_upper),
@@ -198,35 +208,38 @@ def _gauss(rng):
 N_POINTS = 64  # the points of a 4^3 grid
 
 
+def _rotation(rng):
+    """A rational rotation: the Cayley transform (I + S)(I - S)^-1 of a
+    rational skew-symmetric S, orthogonal with determinant +1."""
+    x, y, z = (_fraction(rng, 5) for _ in range(3))
+    skew = [[Fraction(0), -z, y], [z, Fraction(0), -x], [-y, x, Fraction(0)]]
+    plus, minus = ([[int(a == b) + sign * skew[a][b] for b in range(3)] for a in range(3)]
+                   for sign in (1, -1))
+    return _matmul3(plus, _inverse3(minus))
+
+
 @functools.cache
 def _case(kind: str) -> Case:
-    """``standard``: the identity metric; ``cholesky``: F lower triangular
-    with a positive diagonal, the factor `build_pauli` takes; ``full``: a
-    full F, its sign chosen so that det F > 0."""
+    """``standard``: the identity metric and the standard set;
+    ``cholesky``: a rational L, lower triangular with a positive diagonal,
+    and F = L^-T, the set `build_pauli` takes; ``full``: such an L and
+    F = L^-T R with R a rational rotation, a full F with det F > 0."""
     rng = random.Random(f"exact-{kind}")
-    if kind == "standard":
-        factor = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
-    elif kind == "cholesky":
-        factor = [[Fraction(rng.randint(1, 5), rng.randint(1, 5)) if a == b
-                   else _fraction(rng, 5) if b < a else Fraction(0)
-                   for b in range(3)] for a in range(3)]
-    else:
-        factor = [[Fraction(0)] * 3] * 3
-        while _det3(factor) == 0:
-            factor = [[_fraction(rng, 5) for _ in range(3)] for _ in range(3)]
-        if _det3(factor) < 0:
-            factor = [[-x for x in row] for row in factor]
-    g_upper = [[sum(factor[a][i] * factor[b][i] for i in range(3)) for b in range(3)]
-               for a in range(3)]
-    g_lower = _inverse3(g_upper)
-    sigma_upper = [_combine(factor[a], STANDARD_PAULI) for a in range(3)]
+    one = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
+    factor = one if kind == "standard" else [
+        [Fraction(rng.randint(1, 5), rng.randint(1, 5)) if a == b
+         else _fraction(rng, 5) if b < a else Fraction(0) for b in range(3)] for a in range(3)]
+    f = _matmul3(_transpose(_inverse3(factor)), _rotation(rng) if kind == "full" else one)
+    g_lower = _matmul3(factor, _transpose(factor))
+    g_upper = _matmul3(f, _transpose(f))
+    sigma_upper = [_combine(f[a], STANDARD_PAULI) for a in range(3)]
     sigma_lower = [_combine(g_lower[a], sigma_upper) for a in range(3)]
     p0 = Fraction(0)
     while p0 == 0:
         p0 = _fraction(rng)
     t = _fraction(rng)
     phase = Gauss((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))  # |phase| = 1
-    case = Case(g_upper, g_lower, 1 / abs(_det3(factor)), sigma_upper, sigma_lower,
+    case = Case(g_upper, g_lower, factor, _det3(factor), sigma_upper, sigma_lower,
                 p0, phase, [])
     while len(case.points) < N_POINTS:
         eta = (_gauss(rng), _gauss(rng))
@@ -316,7 +329,8 @@ class TestFloatKernelsAtExactPoints:
 
 @pytest.mark.parametrize("kind", ("standard", "cholesky"))
 def test_build_pauli_is_the_exact_set(kind):
-    # build_pauli takes the Cholesky factor of g^-1, which is F itself
+    # build_pauli takes sigma^a = (L^-T)[a, j] sigma_j from the Cholesky
+    # factor L of g, which is the case's own L, and F = L^-T
     case = _case(kind)
     pauli = build_pauli(case.metric())
     _assert_close(pauli.sigma_upper, case.pauli().sigma_upper)

@@ -39,15 +39,40 @@ def _wedge_1_1(a, b):
 class TestMetric3:
     def test_identity(self):
         m = Metric3.identity()
-        assert np.allclose(m.g_lower, np.eye(3))
-        assert m.det_g == pytest.approx(1.0)
+        assert np.array_equal(m.g_lower, np.eye(3)) and np.array_equal(m.factor, np.eye(3))
+        assert m.sqrt_det == 1.0
 
-    def test_inverse_and_det(self):
+    def test_factor_and_det(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             m = random_spd_metric(rng)
-            assert np.abs(m.g_upper @ m.g_lower - np.eye(3)).max() <= 1e-14
-            assert m.det_g > 0.0
+            assert np.array_equal(m.factor, np.tril(m.factor)) and (np.diag(m.factor) > 0).all()
+            residual = np.abs(m.factor @ m.factor.T - m.g_lower).max()
+            assert residual <= 1e-14 * np.abs(m.g_lower).max()
+            assert m.sqrt_det == pytest.approx(np.sqrt(np.linalg.det(m.g_lower)), rel=1e-14)
+
+    def test_covector_norm_is_the_inverse_metric_contraction(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            m = random_spd_metric(rng)
+            x = rng.normal(size=(5, 3))
+            want = np.einsum("na,ab,nb->n", x, np.linalg.inv(m.g_lower), x)
+            assert np.abs(m.covector_norm2(x) - want).max() <= 1e-14 * want.max()
+            assert m.covector_norm2(x[0]) == pytest.approx(want[0], rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    def test_symmetry_tolerance_scales_with_the_entries(self, scale):
+        # Q diag(1e-4, 1, 1e4) Q^T is asymmetric at rounding, by 4.5e-13 on
+        # entries up to 8.8e3, above an absolute 1e-13, and is accepted at
+        # any scale; an asymmetry of 1e-12 of the largest entry is not
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
+        g = q @ np.diag([1e-4, 1.0, 1e4]) @ q.T
+        assert np.abs(g - g.T).max() > 1e-13
+        Metric3.from_matrix(scale * g)
+        skewed = scale * np.eye(3)
+        skewed[0, 1] += 1e-12 * scale
+        with pytest.raises(MetricNotSPD, match="not symmetric"):
+            Metric3.from_matrix(skewed)
 
     def test_rejects_non_spd(self):
         with pytest.raises(MetricNotSPD, match=r"not positive definite, eigenvalues \[-1"):
@@ -108,15 +133,14 @@ class TestBuildPauli:
         assert np.allclose(p.sigma_upper[2] @ p.sigma_upper[2], np.eye(2))
 
     def test_diag_metric_scales_first_matrix(self):
-        # g = diag(4,1,1): g_upper = diag(1/4,1,1) so sigma^1 = sigma_x / 2
+        # g = diag(4,1,1): L = diag(2,1,1) so sigma^1 = sigma_x / 2 and sigma_1 = 2 sigma_x
         m = Metric3.diagonal(4.0, 1.0, 1.0)
         p = build_pauli(m)
-        assert np.allclose(p.sigma_upper[0], PAULI_1 / 2.0)
-        anti = p.sigma_upper[0] @ p.sigma_upper[0]
-        assert np.allclose(anti, 0.25 * np.eye(2))
+        assert np.array_equal(p.sigma_upper[0], PAULI_1 / 2.0)
+        assert np.array_equal(p.sigma_lower[0], 2.0 * PAULI_1)
         s = p.sigma_upper
         anti = s[:, np.newaxis] @ s[np.newaxis] + s[np.newaxis] @ s[:, np.newaxis]
-        target = 2.0 * m.g_upper[..., np.newaxis, np.newaxis] * np.eye(2)
+        target = 2.0 * np.diag([0.25, 1.0, 1.0])[..., np.newaxis, np.newaxis] * np.eye(2)
         assert np.abs(anti - target).max() <= 1e-14
 
     def test_anticommutator_100_random_metrics(self):
@@ -126,7 +150,7 @@ class TestBuildPauli:
             s = build_pauli(m).sigma_upper
             # sigma^a sigma^b + sigma^b sigma^a for all (a, b) pairs at once
             anti = s[:, np.newaxis] @ s[np.newaxis] + s[np.newaxis] @ s[:, np.newaxis]
-            target = 2.0 * m.g_upper[..., np.newaxis, np.newaxis] * np.eye(2)
+            target = 2.0 * np.linalg.inv(m.g_lower)[..., np.newaxis, np.newaxis] * np.eye(2)
             assert np.abs(anti - target).max() <= 1e-14
 
     def test_hermitian_and_lowering(self):
@@ -480,7 +504,7 @@ class TestTwoFormNormOracle:
             # the constant coframe Theta = L^T, g = L L^T, induces the metric
             theta = _constant_coframe(grid8, np.linalg.cholesky(metric.g_lower).T)
             omega = rng.normal(size=grid8.shape + (3,))
-            oracle = _norm2_2form_full(omega, metric.g_upper)
+            oracle = _norm2_2form_full(omega, np.linalg.inv(metric.g_lower))
             assert np.abs(_norm2_2form(omega, theta, _induced_det(theta)) - oracle).max() \
                 <= 1e-13 * np.abs(oracle).max()
 

@@ -76,14 +76,14 @@ class Metric3:
         # relative to the largest entry, so c g gets the answer of g for any c > 0
         if not np.abs(g - g.T).max() <= 1e-13 * np.abs(g).max():
             raise MetricNotSPD("metric matrix is not symmetric")
-        g = 0.5 * (g + g.T)
+        g = 0.5 * g + 0.5 * g.T  # halved first: g + g^T overflows for entries above 8.9e307
         try:  # Cholesky, unlike eigvalsh, keeps a tiny pivot such as 1e-309 beside 1e300
             metric = cls(g_lower=g, factor=np.linalg.cholesky(g))
         except np.linalg.LinAlgError:
             raise MetricNotSPD("metric is not positive definite, eigenvalues "
                                f"{np.linalg.eigvalsh(g)}") from None
-        with np.errstate(all="ignore"):  # overflow and underflow are rejected below
-            det_g, g_upper_diag = metric.sqrt_det**2, np.square(metric._inverse_factor).sum(axis=0)
+        with np.errstate(all="ignore"):  # numpy squares: inf, not OverflowError, rejected below
+            det_g, g_upper_diag = np.square(metric.sqrt_det), (metric._inverse_factor**2).sum(0)
         if not (np.finfo(float).tiny <= det_g < np.inf and np.isfinite(g_upper_diag).all()):
             raise MetricNotSPD(f"metric determinant {det_g:.3e} or inverse is not a finite "
                                "normal float")

@@ -74,6 +74,8 @@ class TestExitCodes:
             # a determinant or inverse that overflows or underflows
             (["planewave", "--k", "1,0,0", "--metric", "diag:1e300,1e300,1e300", *SMALL],
              "determinant"),
+            (["planewave", "--k", "1,0,0", "--metric", "diag:1e200,1e200,1", *SMALL],
+             "determinant"),
             (["planewave", "--k", "1,0,0", "--metric", "diag:1e-200,1e-200,1e-200",
               *SMALL], "determinant"),
             (["theorem", "--n", "1", "--metric", "diag:1,1,1e-320", *SMALL], "determinant"),

@@ -85,9 +85,10 @@ class TestMetric3:
             with pytest.raises(MetricNotSPD, match="non-finite"):
                 Metric3.from_matrix(np.diag([bad, 1.0, 1.0]))
         # finite SPD entries whose determinant or inverse overflows or
-        # underflows (a subnormal determinant included)
+        # underflows (a subnormal determinant included); sqrt(det g) of diag(1e200, 1e200, 1)
+        # and diag(1e308, 100, 1) is finite but det g is not
         for diag in ([1e300] * 3, [1e-200] * 3, [1.0, 1.0, 1e-320], [1e10, 1e10, 1e-309],
-                     [1.0, 1e300, 1e-309]):
+                     [1.0, 1e300, 1e-309], [1e200, 1e200, 1.0], [1e308, 100.0, 1.0]):
             with pytest.raises(MetricNotSPD, match="not a finite normal float"):
                 Metric3.from_matrix(np.diag(diag))
 

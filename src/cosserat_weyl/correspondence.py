@@ -27,7 +27,8 @@ from .spinor import SpinorField, _covector, _nonvanishing
 # d0 (theta^1 + i theta^2) = PHASE_RATE * i * p0 * (theta^1 + i theta^2)
 PHASE_RATE = -2.0
 
-# largest orthonormality residual `frame_to_spinor` accepts
+# largest orthonormality residual `frame_to_spinor` accepts, relative to
+# max|g_ab|: the residual of a frame built from g is rounding of g's size
 _ORTHO_TOL = 1e-6
 
 
@@ -157,7 +158,7 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
 
     Returns ``(xi, orthonormality)``: the lifted spinor, in component
     planes, and the frame's worst orthonormality residual, which must
-    not exceed `_ORTHO_TOL` (NotOrthonormal otherwise).
+    not exceed `_ORTHO_TOL` max|g_ab| (NotOrthonormal otherwise).
 
     The inverse of `_quadratic_map` gives (xi_1^2, xi_1 xi_2, xi_2^2)
     from w = s (theta^1 + i theta^2). On any Pauli set, a frame has a
@@ -177,8 +178,10 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
     # np.max, unlike Python's max, keeps a NaN in any slab
     worst = float(np.max([orthonormality_residual(theta[:, sl], metric).max()
                           for sl in slabs]))
-    if not worst <= _ORTHO_TOL:  # a NaN fails too
-        raise NotOrthonormal(f"orthonormality residual {worst:.3e} > {_ORTHO_TOL:.1e}")
+    bound = _ORTHO_TOL * float(np.abs(metric.g_lower).max())
+    if not worst <= bound:  # a NaN fails too
+        raise NotOrthonormal(f"orthonormality residual {worst:.3e} > {_ORTHO_TOL:.1e} "
+                             f"max|g_ab| = {bound:.3e}")
     check_density(rho)
 
     quad_inv = np.linalg.inv(_quadratic_map(pauli))

@@ -57,7 +57,7 @@ def _slabs(dims: tuple, points: int | None = None) -> list[slice]:
     return [slice(start, min(start + step, dims[0])) for start in range(0, dims[0], step)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity equality and hashing
 class Metric3:
     """Constant positive-definite 3x3 metric g_ab and its Cholesky factor L, g = L L^T:
     the one source of sqrt(det g) = prod_j L_jj and of g^ab, so identities against g_ab and
@@ -259,7 +259,7 @@ def _plane_waves(grid: TorusGrid, modes, coeffs) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity equality and hashing
 class PauliSet:
     """Metric-adapted Pauli matrices.
 
@@ -303,10 +303,8 @@ def spectral_partial(values: np.ndarray, axis: int, grid: TorusGrid) -> np.ndarr
     derivative is real by construction and no complex grid is built; a
     complex field takes `fft` and `ifft`.
     """
-    if axis not in (1, 2, 3):
-        raise InvalidAxis(f"axis must be 1, 2 or 3, got {axis}")
+    k = grid.wavenumber(axis)  # InvalidAxis unless axis is 1, 2 or 3
     ax = axis - 1
-    k = grid.wavenumber(axis)
     n = len(k)
     shape = [1] * values.ndim
     shape[ax] = -1

@@ -220,6 +220,37 @@ class TestFrameToSpinor:
             frame_to_spinor(theta, np.ones(shape), pauli_identity, identity_metric)
 
 
+class TestOrthonormalityScalesWithTheMetric:
+    # c Q diag(1, 2, 3) Q^T at 4^3: the package's own frame is orthonormal to
+    # rounding of max|g_ab| at every c, so the bound scales with c as well
+    @staticmethod
+    def _frame(c):
+        grid = TorusGrid((4, 4, 4), (1.0, 1.0, 1.0))
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        metric = Metric3.from_matrix(c * (q @ np.diag([1.0, 2.0, 3.0]) @ q.T))
+        pauli = build_pauli(metric)
+        xi = random_nonvanishing_spinor(grid, rng, amplitude=0.25, max_mode=1)
+        return metric, pauli, xi, spinor_to_frame(xi, pauli, metric, grid)
+
+    @pytest.mark.parametrize("c", [1e9, 1e12])
+    def test_large_metric_round_trips(self, c):
+        # absolute residuals of 1.4e-6 and 2.0e-3, 5e-16 and 7e-16 of max|g_ab|
+        metric, pauli, xi, (theta, rho) = self._frame(c)
+        rec, ortho = frame_to_spinor(theta, rho, pauli, metric)
+        assert ortho <= 1e-14 * np.abs(metric.g_lower).max()
+        err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max()) / np.abs(xi).max()
+        assert err <= 1e-13
+
+    def test_stretched_frame_of_a_small_metric_is_not_orthonormal(self):
+        # theta^1 stretched by 30%: 2.0e-9 absolute, but 0.68 of max|g_ab|
+        metric, pauli, _, (theta, rho) = self._frame(1e-9)
+        theta = theta.copy()
+        theta[0] *= 1.3
+        with pytest.raises(NotOrthonormal):
+            frame_to_spinor(theta, rho, pauli, metric)
+
+
 class TestSlabs:
     # Every other test's grid is a single slab of _SLAB_POINTS. These
     # split (12,16,8) into x1 slabs of 5, 5 and 2 planes, and (4,6,10)

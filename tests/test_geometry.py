@@ -74,6 +74,14 @@ class TestMetric3:
         with pytest.raises(MetricNotSPD, match="not symmetric"):
             Metric3.from_matrix(skewed)
 
+    def test_equality_and_hash_are_by_identity(self):
+        # array fields: a generated __eq__ raised ValueError (the truth value
+        # of an array) and the generated hash TypeError
+        a, b = Metric3.identity(), Metric3.identity()
+        assert a == a and a != b and len({a, b, a}) == 2
+        pa, pb = build_pauli(a), build_pauli(b)
+        assert pa == pa and pa != pb and len({pa, pb, pa}) == 2
+
     def test_rejects_non_spd(self):
         with pytest.raises(MetricNotSPD, match=r"not positive definite, eigenvalues \[-1"):
             Metric3.from_matrix(np.diag([1.0, -1.0, 1.0]))

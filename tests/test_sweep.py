@@ -1,7 +1,8 @@
-"""The standing report sweep (tools/sweep.py): its job list parses with
-the CLI's parser, so it cannot rot, and its comparison sorts each kind
-of difference into its outcome. The sweep itself needs git and two
-checkouts, and is not run here."""
+"""The standing report sweep (tools/sweep.py): every job of its list
+exits as the list says when run in-process, so the list is the CLI's
+exit contract, and its comparison sorts each kind of difference into
+its outcome. The sweep itself needs git and two checkouts, and is not
+run here."""
 
 import importlib.util
 import json
@@ -17,17 +18,32 @@ sweep = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(sweep)
 
 
-def test_every_job_parses():
-    parser = cli.build_parser()
-    jobs = sweep.jobs()
-    for argv in jobs:
-        try:
-            args = parser.parse_args(cli._attach_signed_values(list(argv)))
-        except SystemExit:
-            pytest.fail(f"the parser rejects job {sweep.job_name(argv)!r}")
-        assert args.command == argv[0]
-    names = [sweep.job_name(argv) for argv in jobs]
+def test_job_names_are_unique():
+    names = [sweep.job_name(job) for job in sweep.jobs()]
     assert len(set(names)) == len(names), "--allow names a job by its argv"
+
+
+def _reject_constant(name):
+    raise ValueError(f"the report holds {name}, which strict JSON has not")
+
+
+@pytest.mark.parametrize("job", sweep.jobs(), ids=sweep.job_name)
+def test_job_exits_as_listed(job, tmp_path, monkeypatch, capsys):
+    """Exit 0 or 1 writes a strict-JSON report whose verdict is the exit's;
+    exit 2 writes an error line and nothing else. A RuntimeWarning fails
+    the job through pytest's warning filter."""
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(list(job.argv))
+    out, err = capsys.readouterr()
+    assert code == job.exit, err
+    if code == 2:
+        assert err.startswith("error: ")
+        assert out == "" and not list(tmp_path.iterdir()), "exit 2 left output behind"
+        return
+    argv = job.argv
+    text = (tmp_path / argv[argv.index("--out") + 1]).read_text() if "--out" in argv else out
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert report["verdict"] == ("pass" if code == 0 else "fail")
 
 
 def _side(code=0, report=None, stderr="", files=None):

@@ -23,6 +23,10 @@ stderr. Per job it prints the working tree's exit code and one outcome:
 It exits 1 if any job has one of the last four outcomes and ``--allow``
 does not name it (a job's name is its argv, as ``--list`` prints it).
 Uses only the standard library and git.
+
+Each job also carries the exit code the working tree must give it;
+``tests/test_sweep.py`` runs every job in-process and asserts that exit,
+so the list is the CLI's exit contract as well as the sweep's input.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_MAIN = "import sys; from cosserat_weyl.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -53,73 +58,140 @@ METRICS = ("identity", "diag:1,4,9", "full:1.3,0.2,-0.1,0.9,0.15,1.1")
 FIELD_FILES = ("--eta-out", "eta.cwf", "--density-csv", "density.csv")
 
 
-def jobs() -> list[tuple[str, ...]]:
-    """The job list: each entry is the argv of one `cli.main` call."""
+class Job(NamedTuple):
+    """One ``cli.main`` call and the exit code the working tree must give it."""
+    argv: tuple[str, ...]
+    exit: int
+
+
+def jobs() -> list[Job]:
+    """The job list: the argv of each ``cli.main`` call, with its exit."""
     out = []
-    # every seeded suite on five grids, two seeds each; conformal is not seeded
+
+    def add(code, *argvs):
+        out.extend(Job(tuple(argv), code) for argv in argvs)
+
+    # every seeded suite on five grids, two seeds each; conformal is not
+    # seeded. verify scaling exits 1 on every grid under 16 points per axis,
+    # where e^h eta aliases (ROADMAP item 7)
     for grid in SUITE_GRIDS:
+        aliased = min(map(int, grid[1].split(","))) < 16
         for what in SEEDED_SUITES:
-            for seed in ("0", "5"):
-                out.append(("verify", what, "--cases", "3", "--seed", seed, *grid))
-        out.append(("verify", "conformal", *grid))
-    out.append(("verify", "conformal", "--grid", "16,16,16", "--h", "0.3*cos(x2)"))
+            add(int(what == "scaling" and aliased),
+                *(("verify", what, "--cases", "3", "--seed", seed, *grid) for seed in ("0", "5")))
+        add(0, ("verify", "conformal", *grid))
+    # conformal reads --h as e^h, which must be positive everywhere
+    add(2, ("verify", "conformal", "--grid", "16,16,16", "--h", "0.3*cos(x2)"))
+    # the axial torsion's paired complex partials on three axis lengths
+    add(0, ("verify", "conformal", "--grid", "16,12,20"))
+    # coframes in component planes on non-cubic grids and boxes
+    add(0, ("verify", "conformal", "--grid", "12,16,8", "--box", "5,7,9"))
+    # 16^3, not 8^3: e^h eta aliases on an 8-point axis; a field expression
+    # with a signed exponent; an exponent in a mode and a run of signs
+    # before a term
+    add(0, *(("verify", "scaling", "--cases", "2", "--grid", "16,16,16", *h)
+             for h in ((), ("--h", "1e-1*cos(x2)"), ("--h", "0.1*cos(1e0*x2)--0.05"))))
+    # e^h eta in component planes on a non-cubic grid (an axis of 16 points
+    # or more: e^h eta aliases on a 12-point one)
+    add(0, ("verify", "scaling", "--cases", "2", "--grid", "16,20,24"))
+    # the axis sweep of the inverse map on a non-cubic grid and box
+    add(0, ("verify", "correspondence", "--cases", "2", "--grid", "12,16,8", "--box", "5,7,9"))
     # the witness and the plane waves, with their field outputs, per metric
     for grid in WITNESS_GRIDS:
         for metric in METRICS:
-            out.append(("theorem", "--n", "2", "--metric", metric, *grid))
-            out.append(("planewave", "--k", "1,1,0", "--metric", metric, *grid, *FIELD_FILES))
-    out.append(("planewave", "--k", "-1,0,1", "--branch", "-", "--grid", "8,8,8",
-                "--out", "report.json", *FIELD_FILES))
+            add(0, ("theorem", "--n", "2", "--metric", metric, *grid),
+                ("planewave", "--k", "1,1,0", "--metric", metric, *grid, *FIELD_FILES))
+    add(0, ("planewave", "--k", "-1,0,1", "--branch", "-", "--grid", "8,8,8",
+            "--out", "report.json", *FIELD_FILES))
+    # the batched FD probes on a non-cubic grid and metric
+    add(0, ("theorem", "--n", "2", "--grid", "12,16,8", "--metric", "diag:1,4,9"))
+    # FD probes perturbing sigma^a d_a eta with off-diagonal sigma^a on a
+    # non-cubic box
+    add(0, ("theorem", "--n", "2", "--grid", "8,12,10", "--box", "5,7,9", "--metric", METRICS[2]))
+    # the witness's plane waves stay below the Nyquist mode of axes under 8
+    # points; at 4^3 the per-case path is all a job does, on an off-diagonal
+    # metric
+    add(0, ("theorem", "--n", "2", "--grid", "4,4,4"),
+        ("theorem", "--n", "2", "--grid", "4,4,4", "--metric", METRICS[2]),
+        ("theorem", "--n", "2", "--grid", "6,6,6"))
     # 64^3, and two x1 slabs of a (64,32,32) grid
-    out += [("theorem", "--n", "4", "--grid", "64,64,64"),
-            ("verify", "correspondence", "--cases", "2", "--grid", "64,64,64"),
-            ("planewave", "--k", "1,2,3", "--grid", "64,64,64", *FIELD_FILES),
-            ("verify", "correspondence", "--cases", "1", "--grid", "64,32,32"),
-            ("verify", "u1", "--cases", "1", "--grid", "64,32,32")]
-    # known failures: L_max at the rounding floor of high modes, aliasing of
-    # e^h eta and of e^h times the rotating coframe on an 8-point axis
-    out += [("planewave", "--k", "6,0,0", "--grid", "16,16,16"),
-            ("planewave", "--k", "7,1,0", "--grid", "16,16,16"),
-            ("verify", "conformal", "--grid", "8,8,8", "--h", "2+0.5*cos(x1)-0.3*sin(3*x3)")]
+    add(0, ("theorem", "--n", "4", "--grid", "64,64,64"),
+        ("verify", "correspondence", "--cases", "2", "--grid", "64,64,64"),
+        ("planewave", "--k", "1,2,3", "--grid", "64,64,64", *FIELD_FILES),
+        ("verify", "correspondence", "--cases", "1", "--grid", "64,32,32"))
+    # two x1 slabs of the sigma^a d_a symbol, and the axial torsion's
+    # paired complex partials on the same non-cubic grid
+    add(0, ("verify", "u1", "--cases", "1", "--grid", "64,32,32"),
+        ("verify", "conformal", "--grid", "64,32,32"))
+    # the witness's stack of a plane wave and its twin: each symbol entry
+    # built once per x1 slab for both fields, over two slabs
+    add(0, ("theorem", "--n", "1", "--grid", "64,32,32"))
+    # plane waves at the rounding floor of a separable field: L_max within
+    # the absolute 1e-12 gate, next to the Nyquist mode of a 16-point axis
+    # (1.1e-13 and 3.7e-13) and on an anisotropic metric
+    add(0, ("planewave", "--k", "6,0,0", "--grid", "16,16,16"),
+        ("planewave", "--k", "7,1,0", "--grid", "16,16,16"),
+        ("theorem", "--metric", "diag:1,4,9", "--grid", "16,16,16"),
+        ("planewave", "--k", "6,0,0", "--metric", "diag:1,4,9"))
+    # L_max above the absolute 1e-12 gate at the rounding floor of a 64^3
+    # wave (2.50e-12; ROADMAP item 3)
+    add(1, ("planewave", "--k", "3,2,1", "--metric", "diag:1,4,9", "--grid", "64,64,64"))
+    # e^h times the rotating coframe aliases on an 8-point axis (ROADMAP item 7)
+    add(1, ("verify", "conformal", "--grid", "8,8,8", "--h", "2+0.5*cos(x1)-0.3*sin(3*x3)"))
+    # metric condition about 1e6: sigma, p0 and sqrt(det g) from one factor of g
+    add(0, ("planewave", "--k", "0,0,1", "--grid", "8,8,8", "--metric",
+            "full:126.12158977278821,-298.47704881871073,-143.77935915277035,"
+            "710.90338999711435,340.80821138470014,163.97602023009728"))
     # inputs that exit 2 past the parser: unusable options, outputs that
     # cannot be written, metrics, scales and frequencies out of range
-    out += [("verify", "conformal", "--cases", "2", "--grid", "8,8,8"),
-            ("verify", "fierz", "--cases", "0", "--grid", "8,8,8"),
-            ("verify", "fierz", "--seed", "-1"),
-            ("verify", "fierz", "--grid", "8,8,8", "--out", "missing/r.json"),
-            ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--eta-out", "p.cwf",
-             "--density-csv", "missing/d.csv"),
-            ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--eta-out", "x",
-             "--density-csv", "x"),
-            ("planewave", "--k", "8,0,0"),
-            ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--metric", "diag:inf,1,1"),
-            ("planewave", "--k", "1,0,0", "--grid", "8,8,8",
-             "--metric", "diag:1e300,1e300,1e300"),
-            ("verify", "scaling", "--cases", "1", "--grid", "8,8,8", "--h", "0.1*cos(5*x1)"),
-            ("verify", "scaling", "--cases", "1", "--grid", "8,8,8", "--h", "800*cos(x1)"),
-            ("verify", "scaling", "--cases", "1", "--grid", "8,8,8", "--h", "400*cos(x1)"),
-            ("verify", "conformal", "--grid", "8,8,8", "--h", "1e100"),
-            ("verify", "conformal", "--grid", "8,8,8", "--h", "1e155")]
-    for box in ("1e-200,1,1", "1e-152,1,1", "3.2e-152,1,1", "1e300,1,1"):
-        out.append(("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--box", box))
-    out.append(("planewave", "--k", "1,0,0", "--grid", "32,32,32", "--box", "3.2e-151,1,1"))
-    for box in ("1e-300,1,1", "1e-152,1,1", "1e150,1e150,1e150", "1e-140,1e-140,1e-140",
-                "1e160,1e160,1e160"):
-        out.append(("theorem", "--n", "1", "--grid", "8,8,8", "--box", box))
-    out.append(("theorem", "--n", "1", "--grid", "32,32,32", "--seed", "1", "--box", "1e-152,1,1"))
+    add(2, ("verify", "conformal", "--cases", "2", "--grid", "8,8,8"),
+        ("verify", "fierz", "--cases", "0", "--grid", "8,8,8"),
+        ("verify", "fierz", "--seed", "-1"),
+        ("verify", "fierz", "--grid", "8,8,8", "--out", "missing/r.json"),
+        ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--eta-out", "p.cwf",
+         "--density-csv", "missing/d.csv"),
+        ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--eta-out", "x",
+         "--density-csv", "x"),
+        ("planewave", "--k", "8,0,0"),
+        ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--metric", "diag:inf,1,1"),
+        ("planewave", "--k", "1,0,0", "--grid", "8,8,8",
+         "--metric", "diag:1e300,1e300,1e300"),
+        # an inverse metric g^ab that overflows, found through the Cholesky factor
+        ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--metric", "diag:1e10,1e10,1e-309"),
+        # a finite sqrt(det g) whose square, det g, overflows
+        ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--metric", "diag:1e200,1e200,1"),
+        ("verify", "scaling", "--cases", "1", "--grid", "8,8,8", "--h", "0.1*cos(5*x1)"),
+        ("verify", "scaling", "--cases", "1", "--grid", "8,8,8", "--h", "800*cos(x1)"),
+        ("verify", "scaling", "--cases", "1", "--grid", "8,8,8", "--h", "400*cos(x1)"),
+        ("verify", "conformal", "--grid", "8,8,8", "--h", "1e100"),
+        ("verify", "conformal", "--grid", "8,8,8", "--h", "1e155"))
+    # a squared frequency out of range exits 2; a box just inside the bound
+    # exits 1, its L_max above the absolute 1e-12 gate (ROADMAP item 3)
+    for box, code in (("1e-200,1,1", 2), ("1e-152,1,1", 2), ("3.2e-152,1,1", 1),
+                      ("1e300,1,1", 2)):
+        add(code, ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--box", box))
+    add(1, ("planewave", "--k", "1,0,0", "--grid", "32,32,32", "--box", "3.2e-151,1,1"))
+    # the witness on tiny and huge boxes: the FD probes do not form the cell
+    # volume, and a box in range exits 1 on the absolute gates and floor
+    # (ROADMAP item 3)
+    for box, code in (("1e-300,1,1", 2), ("1e-152,1,1", 2), ("1e150,1e150,1e150", 1),
+                      ("1e-140,1e-140,1e-140", 1), ("1e160,1e160,1e160", 2)):
+        add(code, ("theorem", "--n", "1", "--grid", "8,8,8", "--box", box))
+    # a wave within the bound whose perturbed twin's modes are not
+    add(2, ("theorem", "--n", "1", "--grid", "32,32,32", "--seed", "1", "--box", "1e-152,1,1"))
     # the twins' frequency bound: boxes from the step of the perturbation's
-    # corners up to twice it, with seeds whose first wave has k1 = 0
+    # corners up to twice it, with seeds whose first wave has k1 = 0. Each
+    # exits 1 on the absolute gates (ROADMAP item 3)
     for grid, boxes in (("8,8,8", ("4.05e-152", "8.1e-152")),
                         ("16,16,16", ("1.14e-151", "2.28e-151"))):
         for box in boxes:
-            for seed in ("5", "6", "9"):
-                out.append(("theorem", "--n", "1", "--grid", grid, "--seed", seed,
-                            "--box", f"{box},1,1"))
+            add(1, *(("theorem", "--n", "1", "--grid", grid, "--seed", seed,
+                      "--box", f"{box},1,1") for seed in ("5", "6", "9")))
     return out
 
 
-def job_name(argv) -> str:
-    return " ".join(argv)
+def job_name(job: Job) -> str:
+    return " ".join(job.argv)
 
 
 def extract_base(rev: str, dest: Path) -> str:
@@ -244,7 +316,7 @@ def main(argv=None) -> int:
         short = extract_base(args.base, tmp / "base")
         sides = {"base": tmp / "base" / "src", "change": ROOT / "src"}
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [{side: pool.submit(run_job, src, tmp / "jobs" / side / str(i), job)
+            futures = [{side: pool.submit(run_job, src, tmp / "jobs" / side / str(i), job.argv)
                         for side, src in sides.items()} for i, job in enumerate(job_list)]
             counts, failed = {}, []
             for job, future in zip(job_list, futures):

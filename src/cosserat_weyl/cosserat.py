@@ -110,6 +110,7 @@ def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
 
     The norm uses the coframe's induced metric (equal to ``metric`` on
     admissible coframes), so P is exactly conformally invariant.
+    ``metric`` itself is not read: any metric gives the same bits.
     """
     check_density(rho)
     return integrate(_potential_density(theta, grid, _induced_det(theta)) * rho, grid)
@@ -148,7 +149,11 @@ def _norm2_2form(omega: np.ndarray, theta: np.ndarray, det_ind: np.ndarray) -> n
 def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
                        metric: Metric3, grid: TorusGrid) -> np.ndarray:
     """Pointwise dynamic Lagrangian density
-    (|T_ax|^2 - |theta_dot|^2) rho; its integral is P - K."""
+    (|T_ax|^2 - |theta_dot|^2) rho; its integral is P - K.
+
+    Both norms use the coframe's induced metric, as `potential_energy`
+    does; ``metric`` is not read, and any metric gives the same bits.
+    """
     check_density(rho)
     det_ind = _induced_det(theta)
     potential = _potential_density(theta, grid, det_ind)

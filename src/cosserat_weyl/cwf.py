@@ -108,16 +108,31 @@ def read_field(path):
     return kind, _unpack(kind, flat, grid), grid
 
 
+# "%.18e" of a float64 takes at most 26 bytes: a sign, 19 digits and a
+# point, and an exponent of up to three digits
+_E18 = "S26"
+
+
+def _e18(values: list) -> list:
+    """Each value as the bytes of ``%.18e``, all in one format call."""
+    return (b"%.18e\n" * len(values) % tuple(values)).split()
+
+
 def write_scalar_csv(path, field: np.ndarray, grid: TorusGrid) -> None:
     """Dump a real scalar field as CSV rows x1,x2,x3,value, one per grid
     point in C order (x1 slowest), every number as ``%.18e``: the bytes
     of ``np.savetxt`` on the stacked columns.
 
-    Each axis is formatted once, and the file is written one x1 slab at
-    a time from a template that already holds the (x2, x3) columns. Each
-    distinct bit pattern of a slab is formatted once (so -0.0 and 0.0
-    stay apart and NaNs need no special case): a density that is rounding
-    noise around zero holds few distinct values per slab.
+    Each x1 slab is written as one block of bytes: one record per row,
+    whose fixed-width fields hold the numbers, each NUL-padded to the
+    width of its column, and the separators; the NULs are then removed
+    by one ``bytes.replace``. The (x2, x3) fields and the separators are
+    filled once per file. Each distinct bit pattern of the field is
+    formatted once per file (so -0.0 and 0.0 stay apart and NaNs need no
+    special case): a density that is rounding noise around zero holds
+    few distinct values. The formatted values are dropped before a slab
+    would take them past one slab's count, so memory stays that of a few
+    slabs.
     """
     values = np.asarray(field)
     if np.iscomplexobj(values):
@@ -126,13 +141,25 @@ def write_scalar_csv(path, field: np.ndarray, grid: TorusGrid) -> None:
         raise ValueError(f"field has {values.size} values, the grid has "
                          f"{grid.num_points} points {grid.dims}")
     slabs = values.astype(np.float64, copy=False).reshape(grid.dims[0], -1)
-    x1, x2, x3 = (["%.18e" % x for x in grid.axis_coords(i)] for i in (1, 2, 3))
-    template = "".join(f"%s,{b},{c},%s\n" for b in x2 for c in x3)
+    x1, x2, x3 = (np.array(_e18(grid.axis_coords(i).tolist())) for i in (1, 2, 3))
+    columns = [("x1", x1.dtype), ("c1", "S1"), ("x2", x2.dtype), ("c2", "S1"),
+               ("x3", x3.dtype), ("c3", "S1"), ("value", _E18), ("end", "S1")]
+    block = np.empty(grid.dims[1:], dtype=columns)
+    block["c1"] = block["c2"] = block["c3"] = b","
+    block["end"] = b"\n"
+    block["x2"] = x2[:, np.newaxis]
+    block["x3"] = x3
+    rows = block.reshape(-1)
+    formatted = {}
     with open(path, "w", encoding="ascii") as handle:
         handle.write("x1,x2,x3,value\n")
         for a, row in zip(x1, slabs):
             bits, index = np.unique(row.view(np.uint64), return_inverse=True)
-            distinct = ("%.18e\n" * bits.size % tuple(bits.view(np.float64).tolist())).split("\n")
-            args = [a] * (2 * row.size)
-            args[1::2] = map(distinct.__getitem__, index.tolist())
-            handle.write(template % tuple(args))
+            if len(formatted) + bits.size > row.size:
+                formatted.clear()
+            keys = bits.tolist()
+            new = [b for b in keys if b not in formatted]
+            formatted.update(zip(new, _e18(np.array(new, np.uint64).view(np.float64).tolist())))
+            rows["x1"] = a
+            rows["value"] = np.array(list(map(formatted.__getitem__, keys)), dtype=_E18)[index]
+            handle.write(block.tobytes().replace(b"\0", b"").decode("ascii"))

@@ -16,6 +16,7 @@ reads it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import fields
 from functools import cached_property
@@ -181,10 +182,13 @@ def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid,
     each for all four of its entries in one operation: the (x1, x2) part
     c1 k1 + c2 k2, of shape (2, 2, N1, N2), and the x3 part c3 k3, of
     shape (2, 2, N3), with c = i sigma. It is then applied one x1 slab
-    (`geometry._slabs`) at a time: each entry is built once for every field, as one add of
-    its two parts, (c1 k1 + c2 k2) + c3 k3, into the last field's slot
-    of one of two slab buffers (or, once (F eta)_0 has been read there
-    for the last time, of that spectrum's slab), and multiplied by each
+    (`geometry._slabs`) at a time: each entry is built once for every
+    field, in the last field's slot of one of two slab buffers (or, once
+    (F eta)_0 has been read there for the last time, of that spectrum's
+    slab), as its x3 part copied in and its (x1, x2) part added in place,
+    so only one operand of each operation broadcasts and NumPy needs no
+    buffer of the slot's size; addition commutes, so this has the bits of
+    (c1 k1 + c2 k2) + c3 k3. Each entry is then multiplied by each
     field's spectrum into that field's slot; each row's sum is written
     straight into its spectrum. One `ifft` per axis then inverts the
     block in place (the `out=` of NumPy 2). The per-axis transforms are
@@ -226,7 +230,8 @@ def _dirac(eta: np.ndarray, sigma: np.ndarray, grid: TorusGrid,
         """out[n] = (i k_a sigma[a][i, j]) (F eta)_j of field n on the
         slab sl, the entry built once, in the last field's slot."""
         entry = out[-1]
-        np.add(plane[i, j, sl, :, np.newaxis], line[i, j], out=entry)
+        np.copyto(entry, line[i, j])
+        entry += plane[i, j, sl, :, np.newaxis]
         np.multiply(entry, fhat[j, :-1, sl], out=out[:-1])
         entry *= fhat[j, -1, sl]
 
@@ -262,7 +267,9 @@ class SpinorField:
     and a grid also accepts a `SpinorField` in place of the array; it
     raises ValueError if the field was built for a different Pauli set
     or grid. The cached arrays are shared: treat them, and eta, as
-    read-only.
+    read-only. Only the code that built a field may release one of them
+    (``del field.slash``), which is then computed again if asked for;
+    a function given a field releases what it made on a shallow copy.
 
     eta may also be a stack of fields on one Pauli set and grid, of
     shape (n,) + dims + (2,): then each cached array is the stack of the
@@ -390,6 +397,13 @@ def scaling_covariance_residual(eta: np.ndarray | SpinorField, h: np.ndarray, p0
     aliasing of e^h eta, so use a band-limit safety factor >= 4. An h
     whose e^{2h} overflows somewhere raises OutOfRange before e^h is
     used.
+
+    sigma^a d_a is applied once to each of eta (unless a given field
+    holds it already) and e^h eta, each only once that field passes the
+    nonvanishing floor, and each is released once A is read, so one of
+    them is alive at a time. eta's arrays are made on a shallow copy of
+    its field, so a given field keeps none of them and loses none of its
+    own.
     """
     field = _field(eta, pauli, grid)
     with np.errstate(over="ignore"):  # an overflow is rejected below
@@ -397,13 +411,19 @@ def scaling_covariance_residual(eta: np.ndarray | SpinorField, h: np.ndarray, p0
     peak = float(np.max(eh))
     if not peak * peak < np.inf:  # a NaN fails too
         raise OutOfRange(f"scale e^(2h) is not finite: max h = {float(np.max(h)):.6g}")
+    _check_nonzero_p0(p0)
+    base = _nonvanishing(copy.copy(field), pauli, grid)
+    base.A
+    base.__dict__.pop("slash", None)  # a given field may hold A without it
     scaled = SpinorField(_component_planes(grid.shape), pauli, grid)
     for c in (0, 1):
         np.multiply(field.eta[..., c], eh, out=scaled.eta[..., c])
+    _nonvanishing(scaled, pauli, grid).A
+    del scaled.slash
     residuals = []
     for sign in (1, -1):
         lhs = lagrangian_weyl(scaled, p0, sign, pauli, metric, grid)
-        rhs = eh * eh * lagrangian_weyl(field, p0, sign, pauli, metric, grid)
+        rhs = eh * eh * lagrangian_weyl(base, p0, sign, pauli, metric, grid)
         residuals.append(_relative_max(lhs - rhs, rhs))
     return tuple(residuals)
 

@@ -229,6 +229,23 @@ class TestEnergies:
         with pytest.raises(DegenerateDenominator):
             potential_energy(theta, rho, identity_metric, grid8)
 
+    def test_energies_read_the_induced_metric_not_the_given_one(self, grid8, identity_metric):
+        # both norms use the coframe's induced metric, so a metric the
+        # coframe is not orthonormal for gives the same bits
+        x3 = grid8.coords()[2]
+        theta = rotating_coframe(grid8, x3)
+        dtheta0 = np.zeros_like(theta)
+        dtheta0[0, ..., 1] = 1.0
+        dtheta0[2, ..., 0] = np.sin(x3)
+        rho = 1.0 + 0.25 * np.cos(x3)
+        other = Metric3.diagonal(1.0, 4.0, 9.0)
+        p = potential_energy(theta, rho, identity_metric, grid8)
+        assert float(potential_energy(theta, rho, other, grid8)).hex() == float(p).hex()
+        lag = lagrangian_coframe(theta, dtheta0, rho, identity_metric, grid8)
+        assert np.abs(lag).max() > 0.0
+        assert np.array_equal(lagrangian_coframe(theta, dtheta0, rho, other, grid8).view(np.uint64),
+                              lag.view(np.uint64))
+
 
 class TestConformal:
     def test_rescale_shapes_and_values(self, grid8):

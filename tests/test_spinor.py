@@ -207,6 +207,21 @@ class TestScalingCovariance:
         assert max(res) <= 1e-14
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [0.0, np.inf, np.nan])
+    def test_floor_is_checked_before_a_transform(self, grid8, pauli_identity, identity_metric,
+                                                 count_calls, value):
+        # a point of eta at zero, infinity or NaN fails the floor before
+        # e^h eta is formed or either field transformed, so an infinity
+        # makes no NaN (and no warning) on the way
+        eta = random_nonvanishing_spinor(grid8, np.random.default_rng(3))
+        eta[1, 2, 3] = value
+        dirac = count_calls("_dirac", spinor_module, weyl_module)
+        with pytest.raises(VanishingSpinor):
+            scaling_covariance_residual(eta, np.zeros(grid8.shape), 0.5, pauli_identity,
+                                        identity_metric, grid8)
+        assert dirac == []
+
 class TestDynamicReduction:
     def test_dynamic_equals_stationary_on_ansatz(self, grid16):
         rng = np.random.default_rng(13)
@@ -784,6 +799,27 @@ class TestSpinorField:
         spinor_to_frame(other, pauli, metric, GRID_468)
         assert len(maps) == 2
         assert "v" not in vars(other)  # the caller's field does not keep it
+
+    def test_scaling_leaves_a_given_field_as_it_was(self, count_calls):
+        # the residual makes eta's arrays on a copy of the field, so the
+        # field keeps none of them, and keeps the arrays it already held
+        metric, pauli, eta = self._setup()
+        dirac = count_calls("_dirac", spinor_module, weyl_module)
+        field = SpinorField(eta, pauli, GRID_468)
+        h = 0.1 * field.s
+
+        def residuals_keep_the_fields_arrays():
+            before = dict(vars(field))
+            residuals = scaling_covariance_residual(field, h, 0.5, pauli, metric, GRID_468)
+            assert vars(field).keys() == before.keys()
+            assert all(vars(field)[name] is value for name, value in before.items())
+            return residuals
+
+        first = residuals_keep_the_fields_arrays()
+        assert len(dirac) == 2 and "slash" not in vars(field)
+        field.A
+        assert residuals_keep_the_fields_arrays() == first
+        assert len(dirac) == 2 + 1 + 1  # field.A, then only e^h eta
 
     def test_field_for_other_pauli_set_or_grid_rejected(self):
         metric, pauli, eta = self._setup()

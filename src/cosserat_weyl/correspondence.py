@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cosserat import check_density, orthonormality_residual
+from .cosserat import _check_shapes, check_density, orthonormality_residual
 from .errors import NoSpinLift, NotOrthonormal
 from .geometry import Metric3, PauliSet, TorusGrid, _component_planes, _slabs
 from .spinor import SpinorField, _covector, _nonvanishing
@@ -170,10 +170,8 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
     The pointwise checks and the lift run one x1 slab (`_slabs`) at a
     time; only the sign sweep sees the whole grid.
     """
+    _check_shapes(theta, rho)
     dims = theta.shape[1:-1]
-    if rho.shape != dims:
-        raise ValueError(f"density of shape {rho.shape} does not match the frame's "
-                         f"grid shape {dims}")
     slabs = _slabs(dims)
     # np.max, unlike Python's max, keeps a NaN in any slab
     worst = float(np.max([orthonormality_residual(theta[:, sl], metric).max()

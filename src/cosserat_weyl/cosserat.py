@@ -21,8 +21,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDenominator, NonPositiveDensity
-from .geometry import (Metric3, TorusGrid, _component_planes, _paired_partials, _wedge_component,
-                       integrate, wedge_1_2)
+from .geometry import (Metric3, TorusGrid, _component_planes, _paired_partials, _slabs,
+                       _wedge_component, integrate, wedge_1_2)
+
+
+def _check_shapes(theta: np.ndarray, rho: np.ndarray, dtheta0: np.ndarray | None = None) -> None:
+    """Raise ValueError unless rho has the frame's grid shape and a
+    given velocity has the frame's shape: numpy would broadcast either
+    into an energy of the wrong size or value."""
+    dims = theta.shape[1:-1]
+    if np.shape(rho) != dims:
+        raise ValueError(f"density of shape {np.shape(rho)} does not match the frame's "
+                         f"grid shape {dims}")
+    if dtheta0 is not None and np.shape(dtheta0) != theta.shape:
+        raise ValueError(f"velocity of shape {np.shape(dtheta0)} does not match the frame's "
+                         f"shape {theta.shape}")
 
 
 def check_density(rho: np.ndarray) -> None:
@@ -54,11 +67,14 @@ def _triple_product(theta: np.ndarray) -> np.ndarray:
 
 
 def _induced_det(theta: np.ndarray) -> np.ndarray:
-    """det g = tau^2 of the induced metric. Raises DegenerateDenominator
-    unless it is a finite normal float at every point, as Metric3 does
-    for det g: a degenerate or out-of-range coframe has NaN energies."""
+    """det g = tau^2 of the induced metric, formed one x1 slab (`_slabs`)
+    at a time. Raises DegenerateDenominator unless it is a finite normal
+    float at every point, as Metric3 does for det g: a degenerate or
+    out-of-range coframe has NaN energies."""
+    det = np.empty(theta.shape[1:-1])
     with np.errstate(all="ignore"):  # overflow, underflow and NaN are rejected below
-        det = _triple_product(theta) ** 2
+        for sl in _slabs(det.shape):
+            np.square(_triple_product(theta[:, sl]), out=det[sl])
         lo, hi = det.min(), det.max()
     if not (np.finfo(float).tiny <= lo and hi < np.inf):
         raise DegenerateDenominator(f"induced metric determinant spans [{lo:.3e}, {hi:.3e}]: "
@@ -99,9 +115,12 @@ def axial_torsion(theta: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 def _potential_density(theta: np.ndarray, grid: TorusGrid, det_ind: np.ndarray) -> np.ndarray:
-    """Pointwise |T_ax|^2 = f^2 / det g_ind, f the axial torsion."""
+    """Pointwise |T_ax|^2 = f^2 / det g_ind, f the axial torsion, formed
+    in place in f's array."""
     f = axial_torsion(theta, grid)
-    return f * f / det_ind
+    f *= f
+    f /= det_ind
+    return f
 
 
 def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
@@ -110,8 +129,11 @@ def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
 
     The norm uses the coframe's induced metric (equal to ``metric`` on
     admissible coframes), so P is exactly conformally invariant.
-    ``metric`` itself is not read: any metric gives the same bits.
+    ``metric`` itself is not read: any metric gives the same bits. A
+    density whose shape is not the frame's grid shape
+    ``theta.shape[1:-1]`` raises ValueError.
     """
+    _check_shapes(theta, rho)
     check_density(rho)
     return integrate(_potential_density(theta, grid, _induced_det(theta)) * rho, grid)
 
@@ -153,9 +175,22 @@ def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
 
     Both norms use the coframe's induced metric, as `potential_energy`
     does; ``metric`` is not read, and any metric gives the same bits.
+    A density whose shape is not the frame's grid shape
+    ``theta.shape[1:-1]``, or a velocity whose shape is not the frame's,
+    raises ValueError.
+
+    The axial torsion needs the whole grid, so |T_ax|^2 is formed there;
+    the kinetic norm is then formed one x1 slab (`_slabs`) at a time,
+    subtracted from that array and multiplied by rho in place, with the
+    bits of the whole-grid expression.
     """
+    _check_shapes(theta, rho, dtheta0)
     check_density(rho)
     det_ind = _induced_det(theta)
-    potential = _potential_density(theta, grid, det_ind)
-    kinetic = _norm2_2form(kinetic_2form(theta, dtheta0), theta, det_ind)
-    return (potential - kinetic) * rho
+    lag = _potential_density(theta, grid, det_ind)
+    for sl in _slabs(rho.shape):
+        frame = theta[:, sl]
+        part = lag[sl]
+        part -= _norm2_2form(kinetic_2form(frame, dtheta0[:, sl]), frame, det_ind[sl])
+        part *= rho[sl]
+    return lag

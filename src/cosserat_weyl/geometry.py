@@ -21,6 +21,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +56,22 @@ def _slabs(dims: tuple, points: int | None = None) -> list[slice]:
     the first one's stop is the plane count of the largest slab."""
     step = max(1, (points or _SLAB_POINTS) // math.prod(dims[1:]))
     return [slice(start, min(start + step, dims[0])) for start in range(0, dims[0], step)]
+
+
+def _blocks(shape: tuple) -> list[tuple]:
+    """Index tuples that cover an array of leading shape ``shape`` (a
+    field, a stack of fields, the FD probes' arrays) in blocks of about
+    `_SLAB_POINTS` points: the whole array, ``()``, if it holds no more,
+    else `_slabs` of the first axis whose trailing axes hold at most
+    that many, at each index of the axes before it."""
+    if math.prod(shape) <= _SLAB_POINTS:
+        return [()]
+    lead = 0
+    while math.prod(shape[lead + 1:]) > _SLAB_POINTS:
+        lead += 1
+    slabs = _slabs(shape[lead:])
+    return [index + (sl,) for index in itertools.product(*map(range, shape[:lead]))
+            for sl in slabs]
 
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hashing

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDenominator, OutOfRange, VanishingSpinor, ZeroFrequency
-from .geometry import Metric3, PauliSet, TorusGrid, _component_planes, _slabs
+from .geometry import Metric3, PauliSet, TorusGrid, _blocks, _component_planes, _slabs
 
 # Global sign reconciling the stationary Lagrangian with its
 # factorisation through the two Weyl densities, relative to the
@@ -132,15 +132,20 @@ def _axial_density(eta: np.ndarray, slash: np.ndarray) -> np.ndarray:
 
     A = -Im(etabar . slash), exactly real by construction, taken from
     the real and imaginary views of both arrays (no conjugate copy of
-    eta): per component, Im eta Re slash - Re eta Im slash.
+    eta): per component, Im eta Re slash - Re eta Im slash. It is
+    written into the result one block of about `geometry._SLAB_POINTS`
+    points (`geometry._blocks`) at a time, so its temporaries stay a few
+    blocks whatever the leading shape.
     """
-    e1, e2 = eta[..., 0], eta[..., 1]
-    d1, d2 = slash[..., 0], slash[..., 1]
-    axial = e1.imag * d1.real
-    axial -= e1.real * d1.imag
-    second = e2.imag * d2.real
-    second -= e2.real * d2.imag
-    axial += second
+    axial = np.empty(eta.shape[:-1])
+    for block in _blocks(axial.shape):
+        e, d, out = eta[block], slash[block], axial[block]
+        e1, e2, d1, d2 = e[..., 0], e[..., 1], d[..., 0], d[..., 1]
+        np.multiply(e1.imag, d1.real, out=out)
+        out -= e1.real * d1.imag
+        second = e2.imag * d2.real
+        second -= e2.real * d2.imag
+        out += second
     return axial
 
 
@@ -270,6 +275,9 @@ class SpinorField:
     read-only. Only the code that built a field may release one of them
     (``del field.slash``), which is then computed again if asked for;
     a function given a field releases what it made on a shallow copy.
+    A function given an array builds the field itself, so it may release
+    that field's arrays once it has read them (`lagrangian_stationary`
+    drops s and sigma^a d_a eta), and the caller sees none of them.
 
     eta may also be a stack of fields on one Pauli set and grid, of
     shape (n,) + dims + (2,): then each cached array is the stack of the
@@ -351,9 +359,22 @@ def _nonvanishing(eta: np.ndarray | SpinorField, pauli: PauliSet,
 def lagrangian_stationary(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
                           metric: Metric3, grid: TorusGrid) -> np.ndarray:
     """Stationary Lagrangian density
-    16/(9 s) (A^2 - (p0 s)^2) sqrt(det g)."""
+    16/(9 s) (A^2 - (p0 s)^2) sqrt(det g).
+
+    A field this function builds from an array is its own to release:
+    s is dropped once the nonvanishing floor has been checked on it, so
+    it is not held through the transform; sigma^a d_a eta is dropped
+    once A has been read; and s is then formed again, with the same
+    bits. So while sigma^a d_a eta is alive, A is the only density
+    beside it. A given `SpinorField` keeps, and gains, every array it is
+    asked for.
+    """
     _check_nonzero_p0(p0)
     b = _nonvanishing(eta, pauli, grid)
+    if b is not eta:
+        del b.s
+        b.A
+        del b.slash
     return _stationary_density(b.s, b.A, p0, metric)
 
 

@@ -526,3 +526,33 @@ class TestStationaryFramePath:
         lag_spinor = lagrangian_stationary(eta, p0, pauli, metric, grid)
         scale = np.abs(lag_spinor).max()
         assert np.abs(lag_frame - lag_spinor).max() / scale <= 1e-10
+
+    def test_traced_peak_of_the_claim6_sequence(self):
+        # as the benchmark runs claim 6: theta, dtheta0, rho and L_frame
+        # held through lagrangian_stationary, eta drawn before tracing. In
+        # eta's bytes the peak reads 6.38, and 7.00 while A and the kinetic
+        # norm were formed over the whole grid and s was held through the
+        # transform. A grid of 2^15 points or fewer is one slab, so 32^3
+        # cannot show it
+        grid = TorusGrid((64, 64, 32), (2 * np.pi,) * 3)
+
+        def draw(seed):
+            rng = np.random.default_rng(seed)
+            metric = random_spd_metric(rng)
+            eta = random_nonvanishing_spinor(grid, rng, amplitude=0.1, max_mode=1)
+            return eta, build_pauli(metric), metric
+
+        def claim6(eta, pauli, metric):
+            theta, dtheta0, rho = stationary_frame_path(eta, 0.5, pauli, metric, grid)
+            lag_frame = lagrangian_coframe(theta, dtheta0, rho, metric, grid)
+            return lag_frame, lagrangian_stationary(eta, 0.5, pauli, metric, grid)
+
+        claim6(*draw(0))  # one-time allocations untraced
+        eta, pauli, metric = draw(1)
+        tracemalloc.start()
+        try:
+            claim6(eta, pauli, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.6 * eta.nbytes

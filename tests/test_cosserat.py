@@ -12,6 +12,7 @@ from cosserat_weyl import (
     NonPositiveDensity,
     TorusGrid,
     axial_torsion,
+    build_pauli,
     conformal_rescale,
     exterior_derivative,
     integrate,
@@ -20,11 +21,13 @@ from cosserat_weyl import (
     orthonormality_residual,
     potential_energy,
     spectral_partial,
+    stationary_frame_path,
     wedge_1_2,
 )
 from cosserat_weyl.cosserat import (_GRAM_PAIRS, _gram_entry, _induced_det, _norm2_2form,
-                                    check_density)
-from cosserat_weyl.sampling import random_bandlimited_scalar, random_spd_metric, rotating_coframe
+                                    _triple_product, check_density)
+from cosserat_weyl.sampling import (random_bandlimited_scalar, random_nonvanishing_spinor,
+                                    random_spd_metric, rotating_coframe)
 
 TWO_PI = 2.0 * np.pi
 
@@ -245,6 +248,43 @@ class TestEnergies:
         assert np.abs(lag).max() > 0.0
         assert np.array_equal(lagrangian_coframe(theta, dtheta0, rho, other, grid8).view(np.uint64),
                               lag.view(np.uint64))
+
+    def test_rejects_a_density_or_velocity_of_another_shape(self, grid8, identity_metric):
+        # numpy would broadcast them: rho of shape (8, 8, 8, 1) gave
+        # 8 times P and an (8, 8, 8, 8) Lagrangian; a scalar or a list
+        # is not an array and gets the same message
+        theta = rotating_coframe(grid8, grid8.coords()[2])
+        dtheta0 = np.zeros_like(theta)
+        for rho in (np.ones(grid8.shape + (1,)), np.ones((8, 8)), 1.0, [1.0] * 8):
+            with pytest.raises(ValueError, match="density of shape .* does not match the "
+                                                 "frame's grid shape"):
+                potential_energy(theta, rho, identity_metric, grid8)
+            with pytest.raises(ValueError, match="density of shape"):
+                lagrangian_coframe(theta, dtheta0, rho, identity_metric, grid8)
+        rho = np.ones(grid8.shape)
+        for velocity in (dtheta0[:2], dtheta0[..., np.newaxis]):
+            with pytest.raises(ValueError, match="velocity of shape .* does not match the "
+                                                 "frame's shape"):
+                lagrangian_coframe(theta, velocity, rho, identity_metric, grid8)
+
+    def test_slabs_keep_the_bits_of_the_whole_grid_form(self):
+        # (40, 32, 32) is two x1 slabs, the second short: det g, the
+        # potential and the kinetic norm keep the whole-grid bits
+        grid = TorusGrid((40, 32, 32), (5.0, 7.0, 9.0))
+        rng = np.random.default_rng(23)
+        metric = random_spd_metric(rng)
+        eta = random_nonvanishing_spinor(grid, rng, amplitude=0.1, max_mode=1)
+        theta, dtheta0, rho = stationary_frame_path(eta, 0.7, build_pauli(metric), metric, grid)
+        det_ind = _induced_det(theta)
+        whole_det = _triple_product(theta) ** 2
+        assert np.array_equal(det_ind.view(np.uint64), whole_det.view(np.uint64))
+        f = axial_torsion(theta, grid)
+        whole = (f * f / det_ind
+                 - _norm2_2form(kinetic_2form(theta, dtheta0), theta, det_ind)) * rho
+        lag = lagrangian_coframe(theta, dtheta0, rho, metric, grid)
+        assert np.array_equal(lag.view(np.uint64), whole.view(np.uint64))
+        p = potential_energy(theta, rho, metric, grid)
+        assert float(p).hex() == float(integrate(f * f / whole_det * rho, grid)).hex()
 
 
 class TestConformal:

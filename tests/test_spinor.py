@@ -530,6 +530,19 @@ class TestAxialDensity:
             assert axial.shape == eta.shape[:-1]
             assert np.all(np.abs(axial - oracle) <= 2.0 * np.spacing(np.abs(oracle)))
 
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_blocks_keep_the_bits_of_the_whole_array_form(self, lead):
+        # (40, 32, 32) is two x1 slabs, the second short; a stack of three
+        # takes them field by field
+        rng = np.random.default_rng(8)
+        shape = lead + (40, 32, 32, 2)
+        eta, slash = (geometry_module._component_planes(shape[:-1]) for _ in range(2))
+        for array in (eta, slash):
+            array[...] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        e1, e2, d1, d2 = eta[..., 0], eta[..., 1], slash[..., 0], slash[..., 1]
+        whole = (e1.imag * d1.real - e1.real * d1.imag) + (e2.imag * d2.real - e2.real * d2.imag)
+        assert np.array_equal(_axial_density(eta, slash).view(np.uint64), whole.view(np.uint64))
+
 
 def test_stationary_density_is_the_expression_bit_for_bit():
     # each operation is done in place, in the order of the expression
@@ -799,6 +812,23 @@ class TestSpinorField:
         spinor_to_frame(other, pauli, metric, GRID_468)
         assert len(maps) == 2
         assert "v" not in vars(other)  # the caller's field does not keep it
+
+    def test_stationary_density_of_an_array_keeps_the_bits(self):
+        # (40, 32, 32) is two x1 slabs, the second short; the function's
+        # own field drops s and sigma^a d_a eta, a given one keeps them
+        grid = TorusGrid((40, 32, 32), (5.0, 7.0, 9.0))
+        rng = np.random.default_rng(17)
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        eta = random_nonvanishing_spinor(grid, rng, amplitude=0.1, max_mode=1)
+        field = SpinorField(eta, pauli, grid)
+        held = {name: getattr(field, name) for name in ("s", "slash", "A")}
+        lag = lagrangian_stationary(field, 0.7, pauli, metric, grid)
+        assert all(vars(field)[name] is value for name, value in held.items())
+        fresh = lagrangian_stationary(SpinorField(eta, pauli, grid), 0.7, pauli, metric, grid)
+        from_array = lagrangian_stationary(eta, 0.7, pauli, metric, grid)
+        assert np.array_equal(from_array.view(np.uint64), fresh.view(np.uint64))
+        assert np.array_equal(from_array.view(np.uint64), lag.view(np.uint64))
 
     def test_scaling_leaves_a_given_field_as_it_was(self, count_calls):
         # the residual makes eta's arrays on a copy of the field, so the

@@ -100,7 +100,10 @@ def _cli(kind):
 
 
 def _claim6(rng, workdir, edge):
-    """The claim-6 library calls, drawn as `workload.make_job` draws them."""
+    """The claim-6 library calls, drawn as `workload.make_job` draws them.
+    The job holds what the benchmark's `workload._claim6` holds: the
+    frame, its velocity, the density and the coframe Lagrangian, all
+    alive while the spinor Lagrangian is evaluated."""
     seed = int(rng.integers(2**31))
     p0 = workload.P0_CHOICES[int(rng.integers(len(workload.P0_CHOICES)))]
 
@@ -113,9 +116,9 @@ def _claim6(rng, workdir, edge):
         pauli = package.build_pauli(metric)
 
         def run():
-            path = package.stationary_frame_path(eta, p0, pauli, metric, grid)
-            package.lagrangian_coframe(*path, metric, grid)
-            package.lagrangian_stationary(eta, p0, pauli, metric, grid)
+            theta, dtheta0, rho = package.stationary_frame_path(eta, p0, pauli, metric, grid)
+            lag_frame = package.lagrangian_coframe(theta, dtheta0, rho, metric, grid)
+            return lag_frame, package.lagrangian_stationary(eta, p0, pauli, metric, grid)
         return run
     return prepare
 

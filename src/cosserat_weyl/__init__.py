@@ -47,10 +47,8 @@ from .geometry import (
     PauliSet,
     TorusGrid,
     build_pauli,
-    exterior_derivative,
     integrate,
     spectral_partial,
-    wedge_1_2,
 )
 from .spinor import (
     FACTORIZATION_SIGN,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, NonPositiveDensity
 from .geometry import (Metric3, TorusGrid, _component_planes, _paired_partials, _slabs,
-                       _wedge_component, integrate, wedge_1_2)
+                       _wedge_component, integrate)
 
 
 def _check_shapes(theta: np.ndarray, rho: np.ndarray, dtheta0: np.ndarray | None = None) -> None:
@@ -103,8 +103,9 @@ def axial_torsion(theta: np.ndarray, grid: TorusGrid) -> np.ndarray:
     derivative along axis a are theta_c d_a theta_b - theta_b d_a theta_c,
     so f is summed straight from the paired partials
     d_a (theta_b + i theta_c) of `geometry._paired_partials`: one complex
-    field alive at a time, and no 2-form is stacked. It agrees with
-    theta^j . `exterior_derivative`(theta^j) to rounding.
+    field alive at a time, and no 2-form is stacked. It agrees to
+    rounding with (1/3) sum_j theta^j . d theta^j, each d theta^j stacked
+    from per-component `geometry.spectral_partial` calls.
     """
     f = np.zeros(grid.shape)
     for covector, b, c, dz in _paired_partials(theta, grid):
@@ -165,7 +166,7 @@ def kinetic_2form(theta: np.ndarray, dtheta0: np.ndarray) -> np.ndarray:
 def _norm2_2form(omega: np.ndarray, theta: np.ndarray, det_ind: np.ndarray) -> np.ndarray:
     """Pointwise (1/2!) w_ab w_cd g^ac g^bd in the induced metric g: the
     metric on 2-forms is g / det g, so this is sum_j (theta^j . W)^2 / det g."""
-    return sum(wedge_1_2(theta_j, omega) ** 2 for theta_j in theta) / det_ind
+    return sum(np.einsum("...i,...i->...", theta_j, omega) ** 2 for theta_j in theta) / det_ind
 
 
 def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,

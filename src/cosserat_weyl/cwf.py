@@ -83,20 +83,23 @@ def read_field(path):
         if handle.readline() != b"\n":
             raise ValueError("the CWF header line is not followed by a blank line")
         header = json.loads(head.decode("ascii"))
+        if not isinstance(header, dict):
+            raise ValueError(f"the CWF header is not a JSON object: {header!r}")
         if header.get("byte_order") != "little":
             raise ValueError("only little-endian CWF files are supported")
         for key in ("kind", "dtype", "components", "dims", "box"):
             if key not in header:
                 raise ValueError(f"CWF header has no {key!r} field")
         kind, dtype, comps = header["kind"], header["dtype"], header["components"]
-        if kind not in KIND_COMPONENTS:
+        # a list or an object in the header is no key, and cannot be hashed
+        if not isinstance(kind, str) or kind not in KIND_COMPONENTS:
             raise ValueError(f"unknown field kind {kind!r} in the header")
-        if dtype not in _DTYPES:
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise ValueError(f"unknown dtype {dtype!r} in the header (use c128 or f64)")
         if comps != KIND_COMPONENTS[kind]:
             raise ValueError(f"kind {kind!r} expects {KIND_COMPONENTS[kind]} components, "
                              f"header says {comps}")
-        grid = TorusGrid(dims=tuple(header["dims"]), box=tuple(header["box"]))
+        grid = TorusGrid(dims=header["dims"], box=header["box"])
         expected = grid.num_points * comps * np.dtype(_DTYPES[dtype]).itemsize
         size = os.fstat(handle.fileno()).st_size - handle.tell()
         if size == expected:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -143,16 +144,20 @@ class Metric3:
 class TorusGrid:
     """Uniform periodic grid on a rectangular 3-torus.
 
-    ``dims`` are the point counts per axis (even, >= 4, so the Nyquist
-    mode is unambiguous) and ``box`` the coordinate periods.
+    ``dims`` are the point counts per axis (integers, even, >= 4, so the
+    Nyquist mode is unambiguous) and ``box`` the coordinate periods.
     """
 
     dims: tuple
     box: tuple
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        box = tuple(float(length) for length in self.box)
+        try:  # operator.index takes ints and numpy integers, not a 4.9 that int() reads as 4
+            dims = tuple(map(operator.index, self.dims))
+            box = tuple(map(float, self.box))
+        except TypeError:
+            raise ValueError(f"dims must be integers and box lengths numbers, got dims "
+                             f"{self.dims!r} and box {self.box!r}") from None
         if len(dims) != 3 or len(box) != 3:
             raise ValueError("dims and box must have three entries")
         for n in dims:
@@ -360,34 +365,11 @@ def _paired_partials(covectors: np.ndarray, grid: TorusGrid):
             yield covector, b, c, z
 
 
-def exterior_derivative(theta: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Exterior derivative of a real covector field, (d theta)_ab =
-    d_a theta_b - d_b theta_a, returned as (w_23, w_31, w_12).
-
-    Along each axis a the two other components are differentiated as
-    one complex field (`_paired_partials`), three `fft`/`ifft` pairs in
-    all. With (a, b, c) cyclic, d_a theta_b enters w_c with a plus sign
-    and d_a theta_c enters w_b with a minus sign. The result agrees with
-    per-component `spectral_partial` calls to rounding.
-    """
-    out = np.zeros(theta.shape)
-    for _, b, c, dz in _paired_partials(theta[np.newaxis], grid):
-        out[..., c] += dz.real
-        out[..., b] -= dz.imag
-    return out
-
-
 def _wedge_component(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
     """Component i of the wedge of covector fields a and b in the order
     (w_23, w_31, w_12): a_j b_k - a_k b_j with (i, j, k) cyclic."""
     j, k = _CYCLIC_PAIRS[i]
     return a[..., j] * b[..., k] - a[..., k] * b[..., j]
-
-
-def wedge_1_2(a: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Wedge of a covector with a 2-form: coefficient of dx1^dx2^dx3,
-    a_1 w_23 + a_2 w_31 + a_3 w_12."""
-    return np.einsum("...i,...i->...", a, omega)
 
 
 def integrate(field: np.ndarray, grid: TorusGrid) -> float:

@@ -37,6 +37,8 @@ _SUITE_TOL = {"factorization": 1e-10, "scaling": 1e-10, "conformal": 1e-8,
               "fierz": 1e-12, "u1": 1e-13, "correspondence": 1e-10}
 # Orthonormality gate of the correspondence suite
 _FRAME_ORTHO_TOL = 1e-12
+# Amplitude of the scale h a scaling case draws when no h_field is given
+_SCALING_H_AMPLITUDE = 0.2
 
 
 def _report(what, cases, other_gates=True, **extra):
@@ -48,14 +50,16 @@ def _report(what, cases, other_gates=True, **extra):
             "pass": bool(worst <= tol and other_gates), **extra}
 
 
-def _seeded_cases(grid: TorusGrid, seed: int, n_cases: int, **spinor_kw):
-    """Yield ``(i, metric, pauli, field, p0, rng)`` per case: a random SPD
-    metric and a nonvanishing spinor from one RNG seeded with ``seed``,
-    and p0 from {+-0.5, +-1, +-2}. A suite that needs more random input
-    per case draws it from ``rng`` before asking for the next case. The
-    generator drops its own reference to a case's field before it draws
-    the next one (see `_each_case`)."""
+def _each_case(case, grid: TorusGrid, seed: int, n_cases: int, **spinor_kw) -> list:
+    """What ``case(i, metric, pauli, field, p0, rng)`` returns on each of
+    ``n_cases`` seeded cases, in order: a random SPD metric and a
+    nonvanishing spinor from one RNG seeded with ``seed``, and p0 from
+    {+-0.5, +-1, +-2}. A case that needs more random input draws it from
+    ``rng`` before the next case is drawn. The loop drops a case's field
+    before it draws the next one, so neither that field nor anything
+    ``case`` made from it is held meanwhile."""
     rng = np.random.default_rng(seed)
+    results = []
     for i in range(n_cases):
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
@@ -63,19 +67,8 @@ def _seeded_cases(grid: TorusGrid, seed: int, n_cases: int, **spinor_kw):
         # field's s, which every check of the case then reuses
         field = SpinorField(_perturbed_unit_spinor(grid, rng, **spinor_kw), pauli, grid)
         _check_safely_nonvanishing(field.s)
-        yield i, metric, pauli, field, _P0_CYCLE[i % len(_P0_CYCLE)], rng
+        results.append(case(i, metric, pauli, field, _P0_CYCLE[i % len(_P0_CYCLE)], rng))
         del field
-
-
-def _each_case(case, grid: TorusGrid, seed: int, n_cases: int, **spinor_kw) -> list:
-    """What ``case(i, metric, pauli, field, p0, rng)`` returns on each case
-    of `_seeded_cases`, in order. Neither this loop nor the generator
-    holds a case's field, or anything ``case`` made, while the next
-    case is drawn."""
-    results = []
-    for args in _seeded_cases(grid, seed, n_cases, **spinor_kw):
-        results.append(case(*args))
-        del args
     return results
 
 
@@ -92,7 +85,7 @@ def verify_factorization(grid: TorusGrid, seed: int, n_cases: int = 100) -> dict
 
 
 def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
-                   h_field: np.ndarray = None, h_amplitude: float = 0.2) -> dict:
+                   h_field: np.ndarray = None) -> dict:
     """Scaling covariance of both Weyl densities, L_pm(e^h eta) =
     e^{2h} L_pm(eta), on seeded (eta, h) pairs.
 
@@ -102,7 +95,7 @@ def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
     """
     def case(i, metric, pauli, field, p0, rng):
         h = h_field if h_field is not None else \
-            random_bandlimited_scalar(grid, rng, max_mode=1, amplitude=h_amplitude)
+            random_bandlimited_scalar(grid, rng, max_mode=1, amplitude=_SCALING_H_AMPLITUDE)
         residuals = scaling_covariance_residual(field, h, p0, pauli, metric, grid)
         return [{"case": i, "p0": p0, "weyl_sign": sign, "residual": res}
                 for sign, res in zip((1, -1), residuals)]

@@ -105,7 +105,12 @@ def test_component_count_mismatch_rejected(grid, tmp_path):
         read_field(path)
 
 
-@pytest.mark.parametrize("field, value", [("kind", "foo"), ("dtype", "f32")])
+@pytest.mark.parametrize("field, value", [
+    ("kind", "foo"), ("dtype", "f32"), ("kind", ["scalar"]), ("dtype", {"f": 64}),
+    ("dims", 8), ("box", None),
+    # 128 points, as the (4, 8, 4) grid: int() would read it as (8, 4, 4)
+    ("dims", [8.0, 4, 4.9]),
+])
 def test_unreadable_header_field_rejected(field, value, grid, tmp_path):
     path = tmp_path / "h.cwf"
     write_field(path, "scalar", np.zeros(grid.shape), grid)
@@ -126,6 +131,16 @@ def test_missing_header_field_rejected(field, grid, tmp_path):
     del header[field]
     path.write_bytes(json.dumps(header).encode() + b"\n\n" + payload)
     with pytest.raises(ValueError, match=f"no '{field}' field"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("head", [b"[1, 2]", b'"spinor"'])
+def test_header_that_is_not_an_object_rejected(head, grid, tmp_path):
+    path = tmp_path / "o.cwf"
+    write_field(path, "scalar", np.zeros(grid.shape), grid)
+    _, _, payload = path.read_bytes().partition(b"\n\n")
+    path.write_bytes(head + b"\n\n" + payload)
+    with pytest.raises(ValueError, match="not a JSON object"):
         read_field(path)
 
 

@@ -15,7 +15,6 @@ from cosserat_weyl import (
     NotHermitian,
     TorusGrid,
     build_pauli,
-    exterior_derivative,
     integrate,
     spectral_partial,
 )
@@ -109,6 +108,8 @@ class TestTorusGrid:
             TorusGrid((2, 16, 16), (1.0, 1.0, 1.0))  # too small
         with pytest.raises(ValueError):
             TorusGrid((8, 8, 8), (1.0, -1.0, 1.0))  # bad box
+        with pytest.raises(ValueError, match="integers"):
+            TorusGrid((8, 8, 4.9), (1.0, 1.0, 1.0))  # int() would read 4
 
     @pytest.mark.parametrize("length", [float("nan"), float("inf")])
     def test_rejects_non_finite_box(self, length):
@@ -358,52 +359,6 @@ class TestPlaneWaves:
         for c in range(n_comp):
             want = sum(_plane_wave(grid, m, coeff) for m, coeff in zip(modes[c], coeffs[c]))
             assert np.abs(got[..., c] - want).max() <= 1e-14 * np.abs(coeffs[c]).sum()
-
-
-class TestExteriorDerivative:
-    def test_constant_covector(self, grid8):
-        theta = np.zeros(grid8.shape + (3,))
-        theta[..., 0] = 1.0  # dx1
-        assert np.abs(exterior_derivative(theta, grid8)).max() == 0.0
-
-    def test_against_symbolic_oracle(self, grid8):
-        # theta = cos(x3) dx1 + sin(x3) dx2, oracle via sympy
-        import sympy as sp
-
-        x3s = sp.symbols("x3")
-        comps = [sp.cos(x3s), sp.sin(x3s), sp.Integer(0)]
-        # (d theta)_23 = -d3 theta_2, (d theta)_31 = d3 theta_1
-        oracle = [
-            sp.lambdify(x3s, -sp.diff(comps[1], x3s)),
-            sp.lambdify(x3s, sp.diff(comps[0], x3s)),
-            lambda v: np.zeros_like(v),
-        ]
-        x3 = grid8.coords()[2]
-        theta = np.zeros(grid8.shape + (3,))
-        theta[..., 0] = np.cos(x3)
-        theta[..., 1] = np.sin(x3)
-        d = exterior_derivative(theta, grid8)
-        for comp in range(3):
-            assert np.abs(d[..., comp] - oracle[comp](x3)).max() <= 1e-13
-
-    def test_d_of_gradient_vanishes(self, grid8):
-        f = random_bandlimited_scalar(grid8, np.random.default_rng(5))
-        grad = np.stack([spectral_partial(f, i, grid8) for i in (1, 2, 3)], axis=-1)
-        assert np.abs(exterior_derivative(grad, grid8)).max() <= 1e-12
-
-    @pytest.mark.parametrize("dims", [(4, 6, 10), (12, 16, 8), (16, 16, 16)])
-    @pytest.mark.parametrize("seed", range(2))
-    def test_paired_partials_match_per_component_partials(self, dims, seed):
-        # each axis differentiates two components as one complex field;
-        # a real partial per component gives the same 2-form to rounding
-        grid = TorusGrid(dims, (5.0, 7.0, 9.0))
-        rng = np.random.default_rng(seed)
-        theta = np.stack([random_bandlimited_scalar(grid, rng, max_mode=1) for _ in range(3)],
-                         axis=-1)
-        d = lambda comp, axis: spectral_partial(theta[..., comp], axis, grid)
-        oracle = np.stack([d(2, 2) - d(1, 3), d(0, 3) - d(2, 1), d(1, 1) - d(0, 2)], axis=-1)
-        assert np.abs(exterior_derivative(theta, grid) - oracle).max() \
-            <= 1e-14 * np.abs(oracle).max()
 
 
 def _constant_coframe(grid, frame):

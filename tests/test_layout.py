@@ -20,7 +20,6 @@ from cosserat_weyl import (
     el_gradient_fd_check,
     el_residual,
     el_residual_fd,
-    exterior_derivative,
     factorization_residual,
     fierz_residual,
     frame_to_spinor,
@@ -305,8 +304,6 @@ class TestCoframesOfAnyLayout:
         calls = [
             ("orthonormality_residual", lambda t, d: orthonormality_residual(t, metric)),
             ("axial_torsion", lambda t, d: axial_torsion(t, grid)),
-            ("exterior_derivative",
-             lambda t, d: [exterior_derivative(covector, grid) for covector in t]),
             ("potential_energy", lambda t, d: potential_energy(t, rho, metric, grid)),
             ("kinetic_2form", kinetic_2form),
             ("lagrangian_coframe", lambda t, d: lagrangian_coframe(t, d, rho, metric, grid)),

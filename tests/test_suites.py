@@ -1,5 +1,5 @@
-"""The seeded case generator shared by the `verify` suites, and the
-work the scaling suite does per case."""
+"""The seeded case loop shared by the `verify` suites, and the work
+the scaling suite does per case."""
 
 import contextlib
 import io
@@ -24,7 +24,7 @@ from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric
 from cosserat_weyl.cli import main
 from cosserat_weyl.suites import (
     VERIFIERS,
-    _seeded_cases,
+    _each_case,
     verify_factorization,
     verify_scaling,
 )
@@ -44,11 +44,13 @@ def test_seeded_cases_keep_the_explicit_draw_order(grid8, seed):
         expected.append((metric, pauli, eta, p0, rng.uniform(0.0, 2.0 * np.pi)))
 
     got = []
-    for i, metric, pauli, field, p0, case_rng in _seeded_cases(
-            grid8, seed, 4, amplitude=0.15, max_mode=1):
+
+    def case(i, metric, pauli, field, p0, case_rng):
         assert field.pauli is pauli and field.grid is grid8
+        assert i == len(got)
         got.append((metric, pauli, field.eta, p0, case_rng.uniform(0.0, 2.0 * np.pi)))
-        assert i == len(got) - 1
+
+    _each_case(case, grid8, seed, 4, amplitude=0.15, max_mode=1)
 
     assert len(got) == len(expected)
     for (m0, s0, e0, p0, u0), (m1, s1, e1, p1, u1) in zip(expected, got):
@@ -70,11 +72,14 @@ def test_one_spectral_gradient_per_scaled_field(count_calls):
     report = verify_scaling(grid, 4, n_cases=3, h_field=h)
     assert len(dirac) == 2 * 3
     assert maps == []  # nothing reads v
-    expected = [{"case": i, "p0": p0, "weyl_sign": sign, "residual": res}
-                for i, metric, pauli, field, p0, _ in _seeded_cases(grid, 4, 3,
-                                                                    max_mode=1)
-                for sign, res in zip((1, -1), scaling_covariance_residual(
-                    field, h, p0, pauli, metric, grid))]
+    expected = []
+
+    def case(i, metric, pauli, field, p0, _):
+        expected.extend({"case": i, "p0": p0, "weyl_sign": sign, "residual": res}
+                        for sign, res in zip((1, -1), scaling_covariance_residual(
+                            field, h, p0, pauli, metric, grid)))
+
+    _each_case(case, grid, 4, 3, max_mode=1)
     assert report["cases"] == expected
 
 
@@ -101,8 +106,8 @@ def test_seeded_case_guard_reads_the_fields_density(count_calls):
     # field's own s, so s is computed once per case, not once for the
     # guard and again for the checks
     densities = count_calls("_scalar_density", spinor_module, sampling_module)
-    for _, _, _, field, _, _ in _seeded_cases(TorusGrid((8, 8, 8), (6.0,) * 3), 3, 4):
-        field.s
+    _each_case(lambda i, metric, pauli, field, p0, rng: field.s,
+               TorusGrid((8, 8, 8), (6.0,) * 3), 3, 4)
     assert len(densities) == 4
 
 
@@ -142,7 +147,7 @@ def test_seeded_case_guard_rejects_a_vanishing_draw():
     else:
         pytest.fail("no vanishing draw among the seeds")
     with pytest.raises(VanishingSpinor, match="not safely nonvanishing"):
-        list(_seeded_cases(grid, seed, 1, amplitude=1.0))
+        _each_case(lambda *case: None, grid, seed, 1, amplitude=1.0)
 
 
 def test_a_wrong_factorization_sign_fails_the_gate(monkeypatch, capsys):

@@ -223,13 +223,17 @@ def stationary_frame_path(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
     the phase e^{-2 i p0 x0} (PHASE_RATE convention), so its time
     derivative is taken analytically, with no time discretisation.
 
-    Returns ``(theta, dtheta0, rho)``.
+    Returns ``(theta, dtheta0, rho)``. d0 theta^3 = 0, so the velocity
+    dtheta0 holds only d0 theta^1 and d0 theta^2: shape
+    ``(2,) + dims + (3,)``, stored as the two covectors' component
+    planes, which `cosserat.kinetic_2form` and
+    `cosserat.lagrangian_coframe` take as a velocity with a zero third
+    covector.
     """
     theta, rho = spinor_to_frame(eta, pauli, metric, grid)
     # d0 (theta^1 + i theta^2) = -2 i p0 (theta^1 + i theta^2)
     rate = PHASE_RATE * p0
-    dtheta0 = _component_planes(theta.shape[1:-1], (3, 3), float)
+    dtheta0 = _component_planes(theta.shape[1:-1], (2, 3), float)
     np.multiply(-rate, theta[1], out=dtheta0[0])
     np.multiply(rate, theta[0], out=dtheta0[1])
-    dtheta0[2] = 0.0
     return theta, dtheta0, rho

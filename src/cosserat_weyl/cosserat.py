@@ -1,10 +1,12 @@
 """Coframe kinematics and rotational-elasticity energetics.
 
 A coframe is an array of shape ``(3,) + dims + (3,)``: ``theta[j]`` is
-the j-th covector field. A coframe velocity (the time derivatives of the
-three covectors) has the same shape. Every coframe the package builds is
-stored as nine component planes, the view of one ``(3, 3) + dims``
-block (`geometry._component_planes`), and every kernel here reads each
+the j-th covector field. A coframe velocity holds the time derivatives
+of the first two or of all three covectors, shape ``(2,) + dims + (3,)``
+or the frame's: a missing third one is d0 theta^3 = 0, as on the
+stationary ansatz. Every coframe the package builds is stored as nine
+component planes, the view of one ``(3, 3) + dims`` block
+(`geometry._component_planes`), and every kernel here reads each
 theta^j_a as a plane view, so it accepts any layout. Density is a
 positive scalar field of shape ``dims``.
 
@@ -27,15 +29,15 @@ from .geometry import (Metric3, TorusGrid, _component_planes, _paired_partials, 
 
 def _check_shapes(theta: np.ndarray, rho: np.ndarray, dtheta0: np.ndarray | None = None) -> None:
     """Raise ValueError unless rho has the frame's grid shape and a
-    given velocity has the frame's shape: numpy would broadcast either
-    into an energy of the wrong size or value."""
+    given velocity holds 2 or 3 covectors on the frame's grid: numpy
+    would broadcast either into an energy of the wrong size or value."""
     dims = theta.shape[1:-1]
     if np.shape(rho) != dims:
         raise ValueError(f"density of shape {np.shape(rho)} does not match the frame's "
                          f"grid shape {dims}")
-    if dtheta0 is not None and np.shape(dtheta0) != theta.shape:
+    if dtheta0 is not None and np.shape(dtheta0) not in ((2,) + theta.shape[1:], theta.shape):
         raise ValueError(f"velocity of shape {np.shape(dtheta0)} does not match the frame's "
-                         f"shape {theta.shape}")
+                         f"shape {theta.shape} with 2 or 3 covectors")
 
 
 def check_density(rho: np.ndarray) -> None:
@@ -151,13 +153,19 @@ def conformal_rescale(theta: np.ndarray, rho: np.ndarray, h: np.ndarray):
 
 def kinetic_2form(theta: np.ndarray, dtheta0: np.ndarray) -> np.ndarray:
     """The 2-form (1/3) delta_jk theta^j ^ d0 theta^k, components
-    (w_23, w_31, w_12), stored as component planes: each plane sums its
-    three wedge components in place."""
+    (w_23, w_31, w_12), stored as component planes: each plane sums, in
+    place, the wedge components of the covectors the velocity holds. A
+    velocity of two covectors (`correspondence.stationary_frame_path`)
+    has d0 theta^3 = 0, whose wedge is not formed. A velocity of any
+    other number of covectors raises ValueError."""
+    if len(dtheta0) not in (2, 3):
+        raise ValueError(f"velocity of {len(dtheta0)} covectors: a coframe velocity has 2 "
+                         "(d0 theta^3 = 0) or 3")
     omega = _component_planes(theta.shape[1:-1], (3,), float)
     for i in range(3):
         plane = omega[..., i]
         plane[...] = _wedge_component(theta[0], dtheta0[0], i)
-        for j in (1, 2):
+        for j in range(1, len(dtheta0)):
             plane += _wedge_component(theta[j], dtheta0[j], i)
     omega /= 3.0
     return omega
@@ -176,9 +184,10 @@ def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
 
     Both norms use the coframe's induced metric, as `potential_energy`
     does; ``metric`` is not read, and any metric gives the same bits.
-    A density whose shape is not the frame's grid shape
-    ``theta.shape[1:-1]``, or a velocity whose shape is not the frame's,
-    raises ValueError.
+    The velocity holds d0 theta^1 and d0 theta^2, and d0 theta^3 too
+    unless it is zero (`kinetic_2form`). A density whose shape is not
+    the frame's grid shape ``theta.shape[1:-1]``, or a velocity that is
+    not 2 or 3 covectors on that grid, raises ValueError.
 
     The axial torsion needs the whole grid, so |T_ax|^2 is formed there;
     the kinetic norm is then formed one x1 slab (`_slabs`) at a time,

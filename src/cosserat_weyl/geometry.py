@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -140,6 +141,14 @@ class Metric3:
         return norm
 
 
+def _real_number(value) -> float:
+    """value as a float if it is a real number and not a bool; float()
+    alone would also parse a string, reading a box "579" as (5, 7, 9)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a real number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform periodic grid on a rectangular 3-torus.
@@ -154,7 +163,7 @@ class TorusGrid:
     def __post_init__(self):
         try:  # operator.index takes ints and numpy integers, not a 4.9 that int() reads as 4
             dims = tuple(map(operator.index, self.dims))
-            box = tuple(map(float, self.box))
+            box = tuple(map(_real_number, self.box))
         except TypeError:
             raise ValueError(f"dims must be integers and box lengths numbers, got dims "
                              f"{self.dims!r} and box {self.box!r}") from None

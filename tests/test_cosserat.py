@@ -257,11 +257,17 @@ class TestEnergies:
                 potential_energy(theta, rho, identity_metric, grid8)
             with pytest.raises(ValueError, match="density of shape"):
                 lagrangian_coframe(theta, dtheta0, rho, identity_metric, grid8)
+        # a velocity of two covectors has d0 theta^3 = 0; one covector
+        # would be read as two zero ones, four would index past the frame
         rho = np.ones(grid8.shape)
-        for velocity in (dtheta0[:2], dtheta0[..., np.newaxis]):
+        four = np.concatenate([dtheta0, dtheta0[:1]])
+        for velocity in (dtheta0[:1], four, dtheta0[..., np.newaxis]):
             with pytest.raises(ValueError, match="velocity of shape .* does not match the "
-                                                 "frame's shape"):
+                                                 "frame's shape .* with 2 or 3 covectors"):
                 lagrangian_coframe(theta, velocity, rho, identity_metric, grid8)
+        for velocity in (dtheta0[:1], four):
+            with pytest.raises(ValueError, match="a coframe velocity has 2"):
+                kinetic_2form(theta, velocity)
 
     def test_slabs_keep_the_bits_of_the_whole_grid_form(self):
         # (40, 32, 32) is two x1 slabs, the second short: det g, the
@@ -281,6 +287,22 @@ class TestEnergies:
         assert np.array_equal(lag.view(np.uint64), whole.view(np.uint64))
         p = potential_energy(theta, rho, metric, grid)
         assert float(p).hex() == float(integrate(f * f / whole_det * rho, grid)).hex()
+
+    def test_a_velocity_of_two_covectors_is_a_zero_third_one(self):
+        # (40, 32, 32) is two x1 slabs. The zero wedge of theta^3 can
+        # flip the sign of an exact zero of the 2-form, which the norm
+        # squares away: the Lagrangian keeps every bit
+        grid = TorusGrid((40, 32, 32), (5.0, 7.0, 9.0))
+        rng = np.random.default_rng(29)
+        metric = random_spd_metric(rng)
+        eta = random_nonvanishing_spinor(grid, rng, amplitude=0.1, max_mode=1)
+        theta, dtheta0, rho = stationary_frame_path(eta, 0.7, build_pauli(metric), metric, grid)
+        assert dtheta0.shape == (2,) + grid.shape + (3,)
+        full = np.concatenate([dtheta0, np.zeros_like(dtheta0[:1])])
+        assert np.array_equal(kinetic_2form(theta, dtheta0), kinetic_2form(theta, full))
+        lag = lagrangian_coframe(theta, dtheta0, rho, metric, grid)
+        assert np.array_equal(lag.view(np.uint64),
+                              lagrangian_coframe(theta, full, rho, metric, grid).view(np.uint64))
 
 
 class TestConformal:

@@ -110,6 +110,8 @@ def test_component_count_mismatch_rejected(grid, tmp_path):
     ("dims", 8), ("box", None),
     # 128 points, as the (4, 8, 4) grid: int() would read it as (8, 4, 4)
     ("dims", [8.0, 4, 4.9]),
+    # float() would read "579" and the strings as (5, 7, 9), true as 1
+    ("box", "579"), ("box", ["5", "7", "9"]), ("box", [True, 1, 1]),
 ])
 def test_unreadable_header_field_rejected(field, value, grid, tmp_path):
     path = tmp_path / "h.cwf"

@@ -116,6 +116,16 @@ class TestTorusGrid:
         with pytest.raises(ValueError, match="finite"):
             TorusGrid((8, 8, 8), (1.0, length, 1.0))
 
+    @pytest.mark.parametrize("box", ["579", ["5", "7", "9"], [True, 1, 1], (1.0, np.True_, 1.0)])
+    def test_rejects_a_box_of_strings_or_bools(self, box):
+        # float() would read "579" as (5, 7, 9) and True as 1
+        with pytest.raises(ValueError, match="box lengths numbers"):
+            TorusGrid((8, 8, 8), box)
+
+    def test_box_lengths_of_any_real_type(self):
+        box = TorusGrid((8, 8, 8), (np.float32(0.5), np.int64(2), 3)).box
+        assert box == (0.5, 2.0, 3.0) and all(type(length) is float for length in box)
+
     def test_wavenumbers_cached_and_read_only(self):
         g = TorusGrid((4, 6, 8), (5.0, 7.0, 9.0))
         k = g.wavenumber(2)

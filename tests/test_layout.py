@@ -56,10 +56,10 @@ def _is_component_planes(field):
     return np.moveaxis(field, -1, 0).flags.c_contiguous
 
 
-def _is_coframe_planes(theta):
-    """Each theta[j, ..., a] C-contiguous, and the coframe a view of one
-    (3, 3) + dims block."""
-    return theta.shape[0] == theta.shape[-1] == 3 \
+def _is_coframe_planes(theta, covectors=3):
+    """Each theta[j, ..., a] C-contiguous, and the coframe (or a velocity
+    of ``covectors`` covectors) a view of one (covectors, 3) + dims block."""
+    return theta.shape[0] == covectors and theta.shape[-1] == 3 \
         and np.moveaxis(theta, -1, 1).flags.c_contiguous
 
 
@@ -248,8 +248,8 @@ class TestCoframesAreBuiltAsPlanes:
             theta, _ = spinor_to_frame(given, pauli, metric, self.grid)
             assert _is_coframe_planes(theta)
             theta, dtheta0, _ = stationary_frame_path(given, 1.0, pauli, metric, self.grid)
-            assert _is_coframe_planes(theta) and _is_coframe_planes(dtheta0)
-            assert np.array_equal(dtheta0[2], np.zeros_like(dtheta0[2]))
+            # d0 theta^3 = 0 is not stored: the velocity is two covectors
+            assert _is_coframe_planes(theta) and _is_coframe_planes(dtheta0, covectors=2)
 
     @pytest.mark.parametrize("angle", ["axis", "grid"])
     def test_rotating_coframe(self, angle):
@@ -300,7 +300,7 @@ class TestCoframesOfAnyLayout:
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
         theta, dtheta0, rho = stationary_frame_path(eta, 0.7, pauli, metric, grid)
-        assert _is_coframe_planes(theta) and _is_coframe_planes(dtheta0)
+        assert _is_coframe_planes(theta) and _is_coframe_planes(dtheta0, covectors=2)
         calls = [
             ("orthonormality_residual", lambda t, d: orthonormality_residual(t, metric)),
             ("axial_torsion", lambda t, d: axial_torsion(t, grid)),

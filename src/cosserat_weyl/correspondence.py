@@ -69,11 +69,6 @@ def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
     return theta, field.s * metric.sqrt_det
 
 
-# points per chunk of `_line_signs`' overlaps: their float temporary
-# stays a small share of the spinor's bytes
-_OVERLAP_POINTS = 2**12
-
-
 def _real_pairs(z: np.ndarray) -> np.ndarray:
     """A read-only float view of a spinor field z of any layout, shape
     (2,) + z.shape[:-1] + (2,): the component axis first, (Re, Im)
@@ -109,17 +104,16 @@ def _line_signs(line: np.ndarray, axis: int) -> np.ndarray:
 
     The overlaps of the interior links (`_overlaps`) are taken from
     shifted slices straight into the returned array, at the point after
-    each link, in chunks of whole planes of the first axis (one chunk
-    when that is the link axis), and the periodic edge's apart, so
-    neither a rolled copy nor an overlap temporary of the full size is
-    made.
+    each link, in x1 slabs (`_slabs`; one chunk when x1 is the link
+    axis), and the periodic edge's apart, so neither a rolled copy nor
+    an overlap temporary of the full size is made.
     """
     def at(index):
         return (slice(None),) * axis + (index,)
 
     pairs = _real_pairs(line)
     sign = np.empty(line.shape[:-1])
-    chunks = [slice(None)] if axis == 0 else _slabs(sign.shape, _OVERLAP_POINTS)
+    chunks = [slice(None)] if axis == 0 else _slabs(sign.shape)
     for chunk in chunks:
         _overlaps(pairs[:, chunk], at(slice(None, -1)), at(slice(1, None)),
                   sign[chunk][at(slice(1, None))])

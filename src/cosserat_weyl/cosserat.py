@@ -27,12 +27,14 @@ from .geometry import (Metric3, TorusGrid, _component_planes, _paired_partials, 
                        _wedge_component, integrate)
 
 
-def _check_shapes(theta: np.ndarray, rho: np.ndarray, dtheta0: np.ndarray | None = None) -> None:
-    """Raise ValueError unless rho has the frame's grid shape and a
-    given velocity holds 2 or 3 covectors on the frame's grid: numpy
-    would broadcast either into an energy of the wrong size or value."""
+def _check_shapes(theta: np.ndarray, rho: np.ndarray | None,
+                  dtheta0: np.ndarray | None = None) -> None:
+    """Raise ValueError unless a given rho has the frame's grid shape and
+    a given velocity holds 2 (d0 theta^3 = 0) or 3 covectors on the
+    frame's grid: numpy would broadcast either into an energy of the
+    wrong size or value."""
     dims = theta.shape[1:-1]
-    if np.shape(rho) != dims:
+    if rho is not None and np.shape(rho) != dims:
         raise ValueError(f"density of shape {np.shape(rho)} does not match the frame's "
                          f"grid shape {dims}")
     if dtheta0 is not None and np.shape(dtheta0) not in ((2,) + theta.shape[1:], theta.shape):
@@ -156,11 +158,9 @@ def kinetic_2form(theta: np.ndarray, dtheta0: np.ndarray) -> np.ndarray:
     (w_23, w_31, w_12), stored as component planes: each plane sums, in
     place, the wedge components of the covectors the velocity holds. A
     velocity of two covectors (`correspondence.stationary_frame_path`)
-    has d0 theta^3 = 0, whose wedge is not formed. A velocity of any
-    other number of covectors raises ValueError."""
-    if len(dtheta0) not in (2, 3):
-        raise ValueError(f"velocity of {len(dtheta0)} covectors: a coframe velocity has 2 "
-                         "(d0 theta^3 = 0) or 3")
+    has d0 theta^3 = 0, whose wedge is not formed. A velocity that is
+    not 2 or 3 covectors on the frame's grid raises ValueError."""
+    _check_shapes(theta, None, dtheta0)
     omega = _component_planes(theta.shape[1:-1], (3,), float)
     for i in range(3):
         plane = omega[..., i]

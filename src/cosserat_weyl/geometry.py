@@ -41,22 +41,26 @@ _PAULI_STANDARD = np.stack([PAULI_1, PAULI_2, PAULI_3])
 # largest max |sigma_n - sigma_n^dagger| a Pauli set's sigma_lower may have
 _HERMITIAN_TOL = 1e-13
 
-# Grid points per x1 slab of the package's slab-by-slab passes (the
-# dictionary maps, the sigma^a d_a symbol, the EL gradient's sums):
-# their temporaries stay O(_SLAB_POINTS) whatever the grid.
-_SLAB_POINTS = 2**15
+# Points per chunk of every chunked pass of the package: the dictionary
+# maps, the sign sweep's overlaps, the sigma^a d_a symbol, the EL
+# gradient's sums, A's blocks, the FD probe blocks and the coframe
+# energies. Their temporaries stay O(_SLAB_POINTS) whatever the grid.
+# 2**13 is the largest power of two at which one sign sweep of a
+# (64,32,32) spinor stays under 0.4 of its bytes, and a 16^3 pass is
+# still one slab.
+_SLAB_POINTS = 2**13
 
 # the other two components (b, c) of a covector for axis a = 1, 2, 3,
 # with (a, b, c) a cyclic permutation of (1, 2, 3), 0-based
 _CYCLIC_PAIRS = ((1, 2), (2, 0), (0, 1))
 
 
-def _slabs(dims: tuple, points: int | None = None) -> list[slice]:
-    """Slices of whole x1 planes, about ``points`` points each
-    (`_SLAB_POINTS` by default; at least one plane), that cover a grid
-    of shape ``dims`` of any rank. No slice reaches past the grid, so
-    the first one's stop is the plane count of the largest slab."""
-    step = max(1, (points or _SLAB_POINTS) // math.prod(dims[1:]))
+def _slabs(dims: tuple) -> list[slice]:
+    """Slices of whole x1 planes, about `_SLAB_POINTS` points each (at
+    least one plane), that cover a grid of shape ``dims`` of any rank.
+    No slice reaches past the grid, so the first one's stop is the
+    plane count of the largest slab."""
+    step = max(1, _SLAB_POINTS // math.prod(dims[1:]))
     return [slice(start, min(start + step, dims[0])) for start in range(0, dims[0], step)]
 
 

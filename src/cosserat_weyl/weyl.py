@@ -280,11 +280,6 @@ def _line_stencil(grid: TorusGrid):
     return offsets, weights
 
 
-# Probes per array pass of `_fd_gradient_at_dofs`: the working set stays
-# O(_FD_BLOCK (N1 + N2 + N3)) whatever the number of probes.
-_FD_BLOCK = 64
-
-
 def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
     """Central-difference gradient of the discrete action at the real
     degrees of freedom ``dofs = (points, comp, part)`` (as drawn by
@@ -301,9 +296,11 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
     operator is linear: the step times the stencil weights of
     `_line_stencil` contracted with column comp of sigma^a. So the
     probes differentiate the action `lagrangian_stationary` evaluates
-    and take no transform of their own. All probes of a block of
-    `_FD_BLOCK`, with both signs, go through one pass of array
-    operations of shape (probe, sign, stencil point, component).
+    and take no transform of their own. The probes go through one pass
+    of array operations of shape (probe, sign, stencil point, component)
+    per block (`geometry._slabs` of that shape), both signs at once, so
+    the working set stays O(`geometry._SLAB_POINTS`) whatever the
+    number of probes.
     L_+ - L_- is taken pointwise before summing. Each perturbed field
     passes the guards of `lagrangian_stationary`: nonzero p0 and the
     nonvanishing floor relative to that field's max s; the first probe,
@@ -331,8 +328,7 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
     lo_else, hi_else = extremes
     signs = np.array([1.0, -1.0])
     values = np.empty(len(comps))
-    for start in range(0, len(comps), _FD_BLOCK):
-        block = slice(start, start + _FD_BLOCK)
+    for block in _slabs((len(comps), 4 * offsets.shape[1])):
         point, comp = points[block], comps[block]
         probe = np.arange(len(comp))
         at_dof = eta[tuple(point.T) + (comp,)]
@@ -397,8 +393,7 @@ def el_residual_fd(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     its point, so the probes cost O(N1 + N2 + N3) each on top of the
     field's sigma^a d_a eta, which they perturb and do not recompute;
     they are evaluated together, both signs at once, in one pass of
-    array operations per block of `_FD_BLOCK` probes (see
-    `_fd_gradient_at_dofs`).
+    array operations per block of probes (see `_fd_gradient_at_dofs`).
     """
     field = _field(eta, pauli, grid)
     dofs = _sample_dofs(field.eta, probes, seed)

@@ -7,6 +7,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +43,28 @@ def test_every_job_runs_on_each_copy(packages, name, tmp_path):
         low, high = result[pair]["ci95"]
         assert 0.0 < low <= high
     assert set(result["seconds"]) == set(result["tracemalloc_peak_mib"]) == set(packages)
+
+
+def test_kernel_jobs_cover_three_grid_edges():
+    for kernel in ("dirac", "maps", "elgrad"):
+        for edge in (16, 32, 64):
+            assert abbench.JOBS[f"{kernel}-{edge}"][1] == edge
+
+
+@pytest.mark.parametrize("kernel, function", [("maps", "frame_to_spinor"),
+                                              ("elgrad", "el_gradient")])
+def test_a_kernel_job_runs_once_while_prepared(packages, monkeypatch, tmp_path, kernel,
+                                               function):
+    # the timed call is a repeated one: the warm-up is part of the preparation
+    package, calls = packages["change"], []
+    original = getattr(package, function)
+    monkeypatch.setattr(package, function,
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    draw = abbench.JOBS[f"{kernel}-16"][0]
+    run = draw(np.random.default_rng(0), tmp_path, 8)(package)
+    assert len(calls) == 1
+    run()
+    assert len(calls) == 2
 
 
 def test_help_states_its_limits(capsys):

@@ -29,6 +29,7 @@ from cosserat_weyl import (
     spinor_to_frame,
     stationary_frame_path,
 )
+from cosserat_weyl.cosserat import _induced_det
 from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric, rotating_coframe
 
 
@@ -304,12 +305,49 @@ class TestSlabs:
         with pytest.raises(NoSpinLift, match="theta\\^3 points against"):
             frame_to_spinor(theta, rho, pauli, metric)
 
+    @pytest.mark.parametrize("dims,slab_points", CASES)
+    def test_sign_sweep_chunks_match_one_chunk_bit_for_bit(self, monkeypatch, dims,
+                                                           slab_points):
+        # a continuous spinor with a random sign at every point, so every
+        # chunk holds flips; the x3 sweep is chunked at the case's slab
+        # size, the x2 sweep at three x1 rows
+        rng = np.random.default_rng(5)
+        xi = random_nonvanishing_spinor(TorusGrid(dims, (5.0, 7.0, 9.0)), rng,
+                                        amplitude=0.15, max_mode=1)
+        xi *= rng.choice([-1.0, 1.0], size=dims)[..., np.newaxis]
+        whole = correspondence_module._sweep_signs(xi)
+        for points, shape in ((slab_points, dims), (3 * dims[1], dims[:2])):
+            monkeypatch.setattr(geometry_module, "_SLAB_POINTS", points)
+            assert len(geometry_module._slabs(shape)) > 1
+            signs = correspondence_module._sweep_signs(xi)
+            assert np.array_equal(signs.view(np.uint64), whole.view(np.uint64))
+
+    @pytest.mark.parametrize("dims,slab_points", CASES)
+    def test_coframe_lagrangian_in_slabs_matches_one_slab_bit_for_bit(self, monkeypatch, dims,
+                                                                     slab_points):
+        # det g and the kinetic norm of the stationary frame path, with
+        # its two-covector velocity and with a drawn third covector
+        grid = TorusGrid(dims, (5.0, 7.0, 9.0))
+        rng = np.random.default_rng(31)
+        metric = random_spd_metric(rng)
+        eta = random_nonvanishing_spinor(grid, rng, amplitude=0.3, max_mode=2)
+        theta, dtheta0, rho = stationary_frame_path(eta, 0.7, build_pauli(metric), metric, grid)
+        full = np.concatenate([dtheta0, rng.normal(size=dtheta0[:1].shape)])
+        whole = [_induced_det(theta)] + [lagrangian_coframe(theta, velocity, rho, metric, grid)
+                                         for velocity in (dtheta0, full)]
+        monkeypatch.setattr(geometry_module, "_SLAB_POINTS", slab_points)
+        assert len(geometry_module._slabs(dims)) > 1
+        sliced = [_induced_det(theta)] + [lagrangian_coframe(theta, velocity, rho, metric, grid)
+                                          for velocity in (dtheta0, full)]
+        for array, expected in zip(sliced, whole):
+            assert np.array_equal(array.view(np.uint64), expected.view(np.uint64))
+
     def test_multi_slab_lift_memory(self):
-        # (64,32,32) holds two slabs. Above its inputs, the lift peaks at
-        # 2.09 times the frame's bytes (xi and the temporaries of one
-        # half-grid slab; 2.3 with a rolled sign sweep); a whole-grid
-        # evaluation of the pointwise steps peaks at 3.35
-        grid = TorusGrid((64, 32, 32), (5.0, 7.0, 9.0))
+        # (16,32,32) holds two slabs. Above its inputs, the lift peaks at
+        # 1.90 times the frame's bytes (xi and the temporaries of one
+        # half-grid slab); a whole-grid evaluation of the pointwise steps
+        # (one slab) peaks at 3.35
+        grid = TorusGrid((16, 32, 32), (5.0, 7.0, 9.0))
         assert len(geometry_module._slabs(grid.shape)) == 2
         rng = np.random.default_rng(71)
         metric = random_spd_metric(rng)
@@ -322,7 +360,7 @@ class TestSlabs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * theta.nbytes
+        assert peak <= 2.25 * theta.nbytes
 
 
 def _roll_sweep_signs(xi):

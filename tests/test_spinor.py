@@ -418,7 +418,7 @@ class TestDiracSymbol:
     @pytest.mark.parametrize("dims,box,log10_cond", [
         ((4, 4, 4), (2.0 * np.pi,) * 3, 0.0),
         ((12, 16, 8), (5.0, 7.0, 9.0), 6.0),  # an ill-conditioned metric
-        ((64, 32, 32), (5.0, 7.0, 9.0), 2.0),  # two x1 slabs
+        ((64, 32, 32), (5.0, 7.0, 9.0), 2.0),  # several x1 slabs
     ])
     def test_bits_of_the_per_entry_symbol(self, dims, box, log10_cond):
         # the symbol from a plane part and a line part keeps the
@@ -441,7 +441,7 @@ class TestDiracSymbol:
     @pytest.mark.parametrize("dims,box,log10_cond", [
         ((4, 4, 4), (2.0 * np.pi,) * 3, 0.0),  # Nyquist content on every axis
         ((12, 16, 8), (5.0, 7.0, 9.0), 6.0),  # an ill-conditioned metric
-        ((64, 32, 32), (5.0, 7.0, 9.0), 2.0),  # two x1 slabs
+        ((64, 32, 32), (5.0, 7.0, 9.0), 2.0),  # several x1 slabs
     ])
     def test_a_stack_keeps_each_fields_bits(self, dims, box, log10_cond):
         eta, sigmas, grid = _dirac_case(dims, box, 8, log10_cond)
@@ -479,12 +479,29 @@ class TestDiracSymbol:
         for sigma, expected in zip(sigmas, whole):
             assert np.array_equal(_dirac(eta, sigma, grid), expected)
 
+    @pytest.mark.parametrize("dims,slab_points", [((12, 16, 8), 5 * 16 * 8),
+                                                  ((4, 6, 10), 3 * 6 * 10)])
+    def test_stationary_density_of_an_array_in_slabs_matches_one_slab(self, monkeypatch,
+                                                                       dims, slab_points):
+        # sigma^a d_a eta in x1 slabs and A in blocks of the same size
+        grid = TorusGrid(dims, (5.0, 7.0, 9.0))
+        rng = np.random.default_rng(37)
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        eta = random_nonvanishing_spinor(grid, rng, amplitude=0.3, max_mode=2)
+        whole = lagrangian_stationary(eta, -0.7, pauli, metric, grid)
+        monkeypatch.setattr(geometry_module, "_SLAB_POINTS", slab_points)
+        assert len(geometry_module._blocks(dims)) > 1
+        sliced = lagrangian_stationary(eta, -0.7, pauli, metric, grid)
+        assert np.array_equal(sliced.view(np.uint64), whole.view(np.uint64))
+
     def test_memory_of_a_multi_slab_call(self):
-        # (64,32,32) holds two slabs. Above its input, a call peaks at 1.63
+        # (16,32,32) holds two slabs. Above its input, a call peaks at 1.82
         # times the spinor's bytes: the two spectra, which become the
-        # result, and two slab buffers. With whole-grid symbol buffers and
-        # an output apart from the spectra it peaked at 3.14
-        grid = TorusGrid((64, 32, 32), (5.0, 7.0, 9.0))
+        # result, two slab buffers and the symbol's parts (2.32 as one
+        # slab). With whole-grid symbol buffers and an output apart from
+        # the spectra it peaked at 3.14
+        grid = TorusGrid((16, 32, 32), (5.0, 7.0, 9.0))
         assert len(geometry_module._slabs(grid.shape)) == 2
         rng = np.random.default_rng(71)
         pauli = build_pauli(random_spd_metric(rng))
@@ -532,10 +549,10 @@ class TestAxialDensity:
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_blocks_keep_the_bits_of_the_whole_array_form(self, lead):
-        # (40, 32, 32) is two x1 slabs, the second short; a stack of three
+        # (36, 32, 32) is five x1 slabs, the last short; a stack of three
         # takes them field by field
         rng = np.random.default_rng(8)
-        shape = lead + (40, 32, 32, 2)
+        shape = lead + (36, 32, 32, 2)
         eta, slash = (geometry_module._component_planes(shape[:-1]) for _ in range(2))
         for array in (eta, slash):
             array[...] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -814,9 +831,9 @@ class TestSpinorField:
         assert "v" not in vars(other)  # the caller's field does not keep it
 
     def test_stationary_density_of_an_array_keeps_the_bits(self):
-        # (40, 32, 32) is two x1 slabs, the second short; the function's
+        # (36, 32, 32) is five x1 slabs, the last short; the function's
         # own field drops s and sigma^a d_a eta, a given one keeps them
-        grid = TorusGrid((40, 32, 32), (5.0, 7.0, 9.0))
+        grid = TorusGrid((36, 32, 32), (5.0, 7.0, 9.0))
         rng = np.random.default_rng(17)
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)

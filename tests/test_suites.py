@@ -193,7 +193,7 @@ def test_no_case_is_held_while_the_next_is_drawn(monkeypatch, suite):
                                          ("u1", 6.0), ("scaling", 6.0)])
 def test_traced_peak_of_one_case(suite, bound):
     # the tracemalloc peak of one 32^3 case, in eta's bytes, reads 4.26
-    # (factorization), 3.76 (fierz), 5.26 (u1) and 5.45 (scaling). u1 and
+    # (factorization), 3.76 (fierz), 5.26 (u1) and 4.70 (scaling). u1 and
     # scaling read 9.01 and 7.07 while both fields' sigma^a d_a eta, and
     # in u1 both v, were alive at once
     grid = TorusGrid((32, 32, 32), (2.0 * np.pi,) * 3)

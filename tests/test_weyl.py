@@ -50,7 +50,6 @@ from cosserat_weyl.spinor import (
 from cosserat_weyl.weyl import (
     LAGRANGIAN_TOL,
     NONSOLUTION_FLOOR,
-    _FD_BLOCK,
     _fd_gradient_at_dofs,
     _gradient_scale,
     _line_stencil,
@@ -76,6 +75,18 @@ def _as_dofs(probes):
 
 def _join(*dofs):
     return tuple(np.concatenate(arrays) for arrays in zip(*dofs))
+
+
+def _probe_block(grid):
+    """Probes per array pass of `_fd_gradient_at_dofs` on ``grid``: the
+    first of the `geometry._slabs` of its (probe, sign x stencil point x
+    component) shape."""
+    width = 4 * _line_stencil(grid)[0].shape[1]
+    return geometry_module._slabs((geometry_module._SLAB_POINTS, width))[0].stop
+
+
+# the first probe of the second block on an 8^3 grid, plus 3
+_SECOND_BLOCK_8 = _probe_block(TorusGrid((8, 8, 8), (TWO_PI,) * 3)) + 3
 
 
 def _per_axis_slash(eta, sigma, grid):
@@ -328,12 +339,40 @@ class TestGradientInSlabs:
         assert sum(sizes) == dims[0] and len(set(sizes)) == 2
         assert np.array_equal(el_gradient(eta, -0.7, pauli, metric, grid), whole)
 
+    def test_probe_blocks_match_one_block_bit_for_bit(self, monkeypatch):
+        # 40 probes on (12,16,8) are one block; at 15 probes a block they
+        # are three, the last short. With a probe that cancels eta at p
+        # in the second block, the same field raises the same error
+        grid = TorusGrid((12, 16, 8), (5.0, 7.0, 9.0))
+        rng = np.random.default_rng(41)
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        eta = random_nonvanishing_spinor(grid, rng, amplitude=0.3, max_mode=2)
+        c = float(np.cbrt(np.finfo(float).eps))
+        p = (3, 0, 7)
+        eta[p] = (c / (1.0 - c), 0.0)  # the minus Re probe of eta_1 at p zeroes it
+        good = [probe for probe in _probes(_sample_dofs(eta, 40, seed=3)) if probe[0] != p]
+        failing = _as_dofs(good[:20] + [(p, 0, 0)] + good[20:])
+        args = (eta, -0.7, pauli, metric, grid)
+        assert _probe_block(grid) >= len(good) + 1
+        whole = _fd_gradient_at_dofs(*args, _as_dofs(good))
+        with pytest.raises(VanishingSpinor) as one_block:
+            _fd_gradient_at_dofs(*args, failing)
+        monkeypatch.setattr(geometry_module, "_SLAB_POINTS",
+                            15 * 4 * _line_stencil(grid)[0].shape[1])
+        assert _probe_block(grid) == 15 and 30 < len(good) < 45  # index 20: the second block
+        values = _fd_gradient_at_dofs(*args, _as_dofs(good))
+        assert np.array_equal(values.view(np.uint64), whole.view(np.uint64))
+        with pytest.raises(VanishingSpinor) as blocks:
+            _fd_gradient_at_dofs(*args, failing)
+        assert str(blocks.value) == str(one_block.value)
+
     def test_memory_with_the_field_derivative_cached(self):
-        # (64,32,32) holds two slabs. Above its inputs, a call on a field
-        # whose sigma^a d_a eta and A are cached peaks at 2.88 times the
+        # (16,32,32) holds two slabs. Above its inputs, a call on a field
+        # whose sigma^a d_a eta and A are cached peaks at 1.82 times the
         # spinor's bytes: G eta, its sigma^a d_a (the output), G and slab
-        # buffers. The whole-grid sums peaked at 5.64
-        grid = TorusGrid((64, 32, 32), (5.0, 7.0, 9.0))
+        # buffers (2.32 as one slab). The whole-grid sums peaked at 5.64
+        grid = TorusGrid((16, 32, 32), (5.0, 7.0, 9.0))
         assert len(geometry_module._slabs(grid.shape)) == 2
         rng = np.random.default_rng(71)
         metric = random_spd_metric(rng)
@@ -347,7 +386,7 @@ class TestGradientInSlabs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * field.eta.nbytes
+        assert peak <= 2.25 * field.eta.nbytes
 
 
 class TestLocalFiniteDifferences:
@@ -469,7 +508,7 @@ class TestBatchedProbes:
         for dofs in (edges,
                      _join(sample, sample, tuple(a[::-1] for a in edges)),  # duplicates
                      tuple(a[3:4] for a in sample),  # a single dof
-                     _sample_dofs(eta, 2 * _FD_BLOCK + 5, seed=8)):  # three blocks
+                     _sample_dofs(eta, 2 * _probe_block(grid) + 5, seed=8)):  # three blocks
             self._assert_matches_loop(eta, p0, pauli, metric, grid, dofs)
 
     @settings(max_examples=20, deadline=None)
@@ -494,7 +533,7 @@ class TestBatchedProbes:
             for point, comp, part in expected]
         assert len(_sample_dofs(eta, 10**6, seed=3)[0]) == eta.size * 2
 
-    @pytest.mark.parametrize("position", [5, _FD_BLOCK + 3])
+    @pytest.mark.parametrize("position", [5, _SECOND_BLOCK_8])
     def test_vanishing_probe_after_good_ones_raises(self, grid8, position):
         # eta = (v, 0) at p with v = step(v): the minus probe of Re eta_1
         # at p cancels eta there, while every other probe leaves the

@@ -21,8 +21,11 @@ Jobs: ``witness-16`` (``theorem --n 2`` at 16^3 on a drawn ``full:``
 metric), the four ``identities-32`` suites and the four
 ``dictionary-64`` jobs (their field outputs in a temporary directory),
 each drawn by the benchmark's own ``perfbench/workload.py``
-(``make_job``), and ``dirac-N``, one ``spinor._dirac`` call on one
-field of N^3 points.
+(``make_job``), and three kernels on one field of N^3 points:
+``dirac-N``, one ``spinor._dirac`` call; ``maps-N``, ``spinor_to_frame``
+then ``frame_to_spinor``; ``elgrad-N``, one ``el_gradient`` call on a
+field whose sigma^a d_a eta is cached. Each kernel is called once while
+it is prepared, so the timed call is a repeated one, as in timeit.
 
 Limits. Both sides share one process, so this cannot tell the sides'
 ``peak_rss_mb`` or ``setup_s`` apart, and both share numpy's FFT plan
@@ -123,18 +126,40 @@ def _claim6(rng, workdir, edge):
     return prepare
 
 
-def _dirac(rng, workdir, edge):
-    seed = int(rng.integers(2**31))
+def _kernel(call):
+    """A kernel job: ``call(package, grid, metric, pauli, eta)`` returns
+    the call to time on a drawn metric and nonvanishing spinor, which
+    runs once before it is returned."""
+    def draw(rng, workdir, edge):
+        seed = int(rng.integers(2**31))
 
-    def prepare(package):
-        grid = package.TorusGrid((edge,) * 3, (TWO_PI,) * 3)
-        lib_rng = np.random.default_rng(seed)
-        sigma = package.build_pauli(package.sampling.random_spd_metric(lib_rng)).sigma_upper
-        eta = package.sampling.random_nonvanishing_spinor(grid, lib_rng)
-        dirac = importlib.import_module(f"{package.__name__}.spinor")._dirac
-        dirac(eta, sigma, grid)  # the timed call is a repeated one, as in timeit
-        return lambda: dirac(eta, sigma, grid)
-    return prepare
+        def prepare(package):
+            grid = package.TorusGrid((edge,) * 3, (TWO_PI,) * 3)
+            lib_rng = np.random.default_rng(seed)
+            metric = package.sampling.random_spd_metric(lib_rng)
+            eta = package.sampling.random_nonvanishing_spinor(grid, lib_rng)
+            run = call(package, grid, metric, package.build_pauli(metric), eta)
+            run()
+            return run
+        return prepare
+    return draw
+
+
+def _dirac(package, grid, metric, pauli, eta):
+    dirac = importlib.import_module(f"{package.__name__}.spinor")._dirac
+    return lambda: dirac(eta, pauli.sigma_upper, grid)
+
+
+def _maps(package, grid, metric, pauli, eta):
+    def run():
+        theta, rho = package.spinor_to_frame(eta, pauli, metric, grid)
+        return package.frame_to_spinor(theta, rho, pauli, metric)
+    return run
+
+
+def _elgrad(package, grid, metric, pauli, eta):
+    field = package.SpinorField(eta, pauli, grid)  # sigma^a d_a eta cached by the first run
+    return lambda: package.el_gradient(field, 1.0, pauli, metric, grid)
 
 
 # name -> (draw, grid edge, default rounds)
@@ -145,7 +170,10 @@ JOBS = {
     **{f"dictionary-{what}": (_cli(what), 64, 20)
        for what in ("correspondence", "conformal", "planewave")},
     "dictionary-claim6": (_claim6, 64, 20),
-    **{f"dirac-{edge}": (_dirac, edge, max(20, 40000 // edge**2)) for edge in (4, 16, 32, 64)},
+    **{f"{name}-{edge}": (_kernel(call), edge, max(20, 40000 // edge**2))
+       for name, call, edges in (("dirac", _dirac, (4, 16, 32, 64)), ("maps", _maps, (16, 32, 64)),
+                                 ("elgrad", _elgrad, (16, 32, 64)))
+       for edge in edges},
 }
 
 

@@ -114,17 +114,17 @@ def jobs() -> list[Job]:
     add(0, ("theorem", "--n", "2", "--grid", "4,4,4"),
         ("theorem", "--n", "2", "--grid", "4,4,4", "--metric", METRICS[2]),
         ("theorem", "--n", "2", "--grid", "6,6,6"))
-    # 64^3, and two x1 slabs of a (64,32,32) grid
+    # 64^3, and several x1 slabs of a (64,32,32) grid
     add(0, ("theorem", "--n", "4", "--grid", "64,64,64"),
         ("verify", "correspondence", "--cases", "2", "--grid", "64,64,64"),
         ("planewave", "--k", "1,2,3", "--grid", "64,64,64", *FIELD_FILES),
         ("verify", "correspondence", "--cases", "1", "--grid", "64,32,32"))
-    # two x1 slabs of the sigma^a d_a symbol, and the axial torsion's
+    # several x1 slabs of the sigma^a d_a symbol, and the axial torsion's
     # paired complex partials on the same non-cubic grid
     add(0, ("verify", "u1", "--cases", "1", "--grid", "64,32,32"),
         ("verify", "conformal", "--grid", "64,32,32"))
     # the witness's stack of a plane wave and its twin: each symbol entry
-    # built once per x1 slab for both fields, over two slabs
+    # built once per x1 slab for both fields, over several slabs
     add(0, ("theorem", "--n", "1", "--grid", "64,32,32"))
     # plane waves at the rounding floor of a separable field: L_max within
     # the absolute 1e-12 gate, next to the Nyquist mode of a 16-point axis

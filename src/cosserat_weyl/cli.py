@@ -181,8 +181,6 @@ def _cmd_verify(args) -> int:
         if _VERIFY_KEYWORDS[opt] not in accepted:
             raise ConfigError(f"verify {args.what} takes no --{opt}")
     grid = _build_grid(args)
-    if args.cases is not None and args.cases < 1:
-        raise ConfigError("--cases must be at least 1")
     _check_seed(args.seed)
     if args.h is not None:
         given["h"] = parse_scalar_expr(args.h, grid)
@@ -225,8 +223,6 @@ def _cmd_planewave(args) -> int:
 def _cmd_theorem(args) -> int:
     grid = _build_grid(args)
     metric = _parse_metric(args.metric)
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
     _check_seed(args.seed)
     report = theorem_witness_suite(args.seed, grid, metric, n_cases=args.n)
     report["config"].update(_canonical_config(args, grid, metric))

@@ -96,9 +96,10 @@ def read_field(path):
             raise ValueError(f"unknown field kind {kind!r} in the header")
         if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise ValueError(f"unknown dtype {dtype!r} in the header (use c128 or f64)")
-        if comps != KIND_COMPONENTS[kind]:
+        # JSON true and 1.0 equal 1, but no array has a bool or float axis length
+        if type(comps) is not int or comps != KIND_COMPONENTS[kind]:
             raise ValueError(f"kind {kind!r} expects {KIND_COMPONENTS[kind]} components, "
-                             f"header says {comps}")
+                             f"header says {comps!r}")
         grid = TorusGrid(dims=header["dims"], box=header["box"])
         expected = grid.num_points * comps * np.dtype(_DTYPES[dtype]).itemsize
         size = os.fstat(handle.fileno()).st_size - handle.tell()

@@ -21,7 +21,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import operator
@@ -41,10 +40,11 @@ _PAULI_STANDARD = np.stack([PAULI_1, PAULI_2, PAULI_3])
 # largest max |sigma_n - sigma_n^dagger| a Pauli set's sigma_lower may have
 _HERMITIAN_TOL = 1e-13
 
-# Points per chunk of every chunked pass of the package: the dictionary
-# maps, the sign sweep's overlaps, the sigma^a d_a symbol, the EL
-# gradient's sums, A's blocks, the FD probe blocks and the coframe
-# energies. Their temporaries stay O(_SLAB_POINTS) whatever the grid.
+# Points per chunk of every chunked pass of the package, each chunked
+# by `_slabs`: the dictionary maps, the sign sweep's overlaps, the
+# sigma^a d_a symbol, the EL gradient's sums, A, the FD probe blocks
+# and the coframe energies. Their temporaries stay O(_SLAB_POINTS) per
+# field whatever the grid.
 # 2**13 is the largest power of two at which one sign sweep of a
 # (64,32,32) spinor stays under 0.4 of its bytes, and a 16^3 pass is
 # still one slab.
@@ -57,27 +57,12 @@ _CYCLIC_PAIRS = ((1, 2), (2, 0), (0, 1))
 
 def _slabs(dims: tuple) -> list[slice]:
     """Slices of whole x1 planes, about `_SLAB_POINTS` points each (at
-    least one plane), that cover a grid of shape ``dims`` of any rank.
-    No slice reaches past the grid, so the first one's stop is the
-    plane count of the largest slab."""
+    least one plane), that cover a grid of shape ``dims`` of any rank:
+    the package's one chunker. No slice reaches past the grid, so the
+    first one's stop is the plane count of the largest slab. A stack of
+    fields takes the same slice of every field, ``(..., sl, :, :)``."""
     step = max(1, _SLAB_POINTS // math.prod(dims[1:]))
     return [slice(start, min(start + step, dims[0])) for start in range(0, dims[0], step)]
-
-
-def _blocks(shape: tuple) -> list[tuple]:
-    """Index tuples that cover an array of leading shape ``shape`` (a
-    field, a stack of fields, the FD probes' arrays) in blocks of about
-    `_SLAB_POINTS` points: the whole array, ``()``, if it holds no more,
-    else `_slabs` of the first axis whose trailing axes hold at most
-    that many, at each index of the axes before it."""
-    if math.prod(shape) <= _SLAB_POINTS:
-        return [()]
-    lead = 0
-    while math.prod(shape[lead + 1:]) > _SLAB_POINTS:
-        lead += 1
-    slabs = _slabs(shape[lead:])
-    return [index + (sl,) for index in itertools.product(*map(range, shape[:lead]))
-            for sl in slabs]
 
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hashing

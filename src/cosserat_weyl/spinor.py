@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDenominator, OutOfRange, VanishingSpinor, ZeroFrequency
-from .geometry import Metric3, PauliSet, TorusGrid, _blocks, _component_planes, _slabs
+from .geometry import Metric3, PauliSet, TorusGrid, _component_planes, _slabs
 
 # Global sign reconciling the stationary Lagrangian with its
 # factorisation through the two Weyl densities, relative to the
@@ -133,12 +133,17 @@ def _axial_density(eta: np.ndarray, slash: np.ndarray) -> np.ndarray:
     A = -Im(etabar . slash), exactly real by construction, taken from
     the real and imaginary views of both arrays (no conjugate copy of
     eta): per component, Im eta Re slash - Re eta Im slash. It is
-    written into the result one block of about `geometry._SLAB_POINTS`
-    points (`geometry._blocks`) at a time, so its temporaries stay a few
-    blocks whatever the leading shape.
+    written into the result one x1 slab (`geometry._slabs` of the last
+    three leading axes) of every field of a stack at a time, as
+    `el_gradient` and `_dirac` take them, so its temporaries stay a few
+    slabs per field whatever the grid. An array of fewer leading axes,
+    such as the (point,) of a list of spinors, is sliced along its
+    first. Each chunk is a view, whatever the layout.
     """
     axial = np.empty(eta.shape[:-1])
-    for block in _blocks(axial.shape):
+    fields = (slice(None),) * max(axial.ndim - 3, 0)  # a stack's leading axes, whole
+    for sl in _slabs(axial.shape[-3:]):
+        block = fields + (sl,)
         e, d, out = eta[block], slash[block], axial[block]
         e1, e2, d1, d2 = e[..., 0], e[..., 1], d[..., 0], d[..., 1]
         np.multiply(e1.imag, d1.real, out=out)

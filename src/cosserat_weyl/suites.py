@@ -57,7 +57,10 @@ def _each_case(case, grid: TorusGrid, seed: int, n_cases: int, **spinor_kw) -> l
     {+-0.5, +-1, +-2}. A case that needs more random input draws it from
     ``rng`` before the next case is drawn. The loop drops a case's field
     before it draws the next one, so neither that field nor anything
-    ``case`` made from it is held meanwhile."""
+    ``case`` made from it is held meanwhile. Fewer than one case would
+    check nothing and pass: ConfigError."""
+    if n_cases < 1:
+        raise ConfigError(f"n_cases must be at least 1, got {n_cases}")
     rng = np.random.default_rng(seed)
     results = []
     for i in range(n_cases):

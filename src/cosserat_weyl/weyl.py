@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutOfRange, ZeroWavevector
+from .errors import ConfigError, OutOfRange, ZeroWavevector
 from .geometry import (Metric3, PauliSet, TorusGrid, _component_planes, _highest_mode,
                        _plane_wave, _slabs, build_pauli, spectral_partial)
 from .sampling import random_bandlimited_spinor, random_wavevector
@@ -468,8 +468,11 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
     would overflow the residuals raises OutOfRange before any case is
     drawn (`_check_frequency` at `_PERTURB_CORNERS`). Each solution and
     its perturbed twin are evaluated as one stack of two fields
-    (`_residuals`), so they share every sigma^a d_a call.
+    (`_residuals`), so they share every sigma^a d_a call. Fewer than one
+    case per sign would check nothing and pass: ConfigError.
     """
+    if n_cases < 1:
+        raise ConfigError(f"n_cases must be at least 1, got {n_cases}")
     _check_frequency(_PERTURB_CORNERS, f"the perturbation's modes, up to {_PERTURB_MAX_MODE} "
                      "per axis,", metric, grid)
     max_mode = min(_MAX_MODE, *_highest_mode(grid))

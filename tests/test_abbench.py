@@ -46,7 +46,7 @@ def test_every_job_runs_on_each_copy(packages, name, tmp_path):
 
 
 def test_kernel_jobs_cover_three_grid_edges():
-    for kernel in ("dirac", "maps", "elgrad"):
+    for kernel in ("dirac", "axial", "maps", "elgrad"):
         for edge in (16, 32, 64):
             assert abbench.JOBS[f"{kernel}-{edge}"][1] == edge
 

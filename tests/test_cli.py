@@ -54,9 +54,9 @@ class TestExitCodes:
             assert "error:" in capsys.readouterr().err
         # inputs that would check nothing, or write NaN into the report
         for argv, option in (
-            (["verify", "fierz", "--cases", "0", *SMALL], "--cases"),
-            (["verify", "fierz", "--cases", "-3", *SMALL], "--cases"),
-            (["theorem", "--n", "0", *SMALL], "--n"),
+            (["verify", "fierz", "--cases", "0", *SMALL], "n_cases must be at least 1"),
+            (["verify", "fierz", "--cases", "-3", *SMALL], "n_cases must be at least 1"),
+            (["theorem", "--n", "0", *SMALL], "n_cases must be at least 1"),
             (["verify", "fierz", "--box", "nan,1,1", *SMALL], "box"),
             (["verify", "fierz", "--box", "inf,1,1", *SMALL], "box"),
             (["verify", "conformal", "--h", "1e999", *SMALL], "finite"),

@@ -128,6 +128,31 @@ class TestFrameToSpinor:
             # the residual the lift checked is the frame's worst one
             assert ortho == orthonormality_residual(theta, metric).max()
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_overall_sign_on_a_tie_at_the_first_point(self, seed):
+        # a constant SU(2) rotation gives xi equal moduli at the first
+        # point, where rounding may make either component of the lift the
+        # larger: the overall sign still gives the larger one Re >= 0 (the
+        # principal root alone misses it on 14% of such 4^3 draws)
+        grid = TorusGrid((4, 4, 4), (2 * np.pi,) * 3)
+        rng = np.random.default_rng(seed)
+        metric = random_spd_metric(rng)
+        pauli = build_pauli(metric)
+        xi = random_nonvanishing_spinor(grid, rng)
+        a, b = xi[0, 0, 0] / np.linalg.norm(xi[0, 0, 0])
+        c, d = np.array([1.0, np.exp(1j * rng.uniform(0.0, 2 * np.pi))]) / np.sqrt(2.0)
+        # the SU(2) matrix that takes (a, b) to (c, d)
+        u = np.array([[c, -d.conjugate()], [d, c.conjugate()]]) \
+            @ np.array([[a, -b.conjugate()], [b, a.conjugate()]]).conj().T
+        xi = xi @ u.T
+        first = np.abs(xi[0, 0, 0])
+        assert abs(first[0] - first[1]) <= 1e-15 * first.max()
+        rec, _ = frame_to_spinor(*spinor_to_frame(xi, pauli, metric, grid), pauli, metric)
+        anchor = rec[0, 0, 0]
+        assert anchor[np.argmax(np.abs(anchor))].real >= 0.0
+        err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
+        assert err / np.abs(xi).max() <= 1e-10
+
     def test_round_trip_on_su2_conjugated_pauli_sets(self):
         # U sigma U^dagger with U in SU(2) is another valid Pauli set for
         # the same metric; the inverse must use the set it is given

@@ -112,6 +112,9 @@ def test_component_count_mismatch_rejected(grid, tmp_path):
     ("dims", [8.0, 4, 4.9]),
     # float() would read "579" and the strings as (5, 7, 9), true as 1
     ("box", "579"), ("box", ["5", "7", "9"]), ("box", [True, 1, 1]),
+    # equal to 1, but not an integer axis length
+    ("components", True), ("components", 1.0),
+    ("dims", [8, 8]),
 ])
 def test_unreadable_header_field_rejected(field, value, grid, tmp_path):
     path = tmp_path / "h.cwf"

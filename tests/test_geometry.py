@@ -136,6 +136,11 @@ class TestTorusGrid:
         with pytest.raises(InvalidAxis):
             g.wavenumber(4)
 
+    @pytest.mark.parametrize("axis", [0, 4])
+    def test_axis_coords_rejects_an_invalid_axis(self, axis):
+        with pytest.raises(InvalidAxis, match=f"got {axis}"):
+            TorusGrid((4, 6, 8), (5.0, 7.0, 9.0)).axis_coords(axis)
+
     def test_cell_volume(self):
         g = TorusGrid((8, 4, 16), (1.0, 2.0, 4.0))
         assert g.cell_volume == pytest.approx((1 / 8) * (2 / 4) * (4 / 16))

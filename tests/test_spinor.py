@@ -483,7 +483,7 @@ class TestDiracSymbol:
                                                   ((4, 6, 10), 3 * 6 * 10)])
     def test_stationary_density_of_an_array_in_slabs_matches_one_slab(self, monkeypatch,
                                                                        dims, slab_points):
-        # sigma^a d_a eta in x1 slabs and A in blocks of the same size
+        # sigma^a d_a eta and A in x1 slabs of the same size
         grid = TorusGrid(dims, (5.0, 7.0, 9.0))
         rng = np.random.default_rng(37)
         metric = random_spd_metric(rng)
@@ -491,7 +491,7 @@ class TestDiracSymbol:
         eta = random_nonvanishing_spinor(grid, rng, amplitude=0.3, max_mode=2)
         whole = lagrangian_stationary(eta, -0.7, pauli, metric, grid)
         monkeypatch.setattr(geometry_module, "_SLAB_POINTS", slab_points)
-        assert len(geometry_module._blocks(dims)) > 1
+        assert len(geometry_module._slabs(dims)) > 1
         sliced = lagrangian_stationary(eta, -0.7, pauli, metric, grid)
         assert np.array_equal(sliced.view(np.uint64), whole.view(np.uint64))
 
@@ -547,18 +547,61 @@ class TestAxialDensity:
             assert axial.shape == eta.shape[:-1]
             assert np.all(np.abs(axial - oracle) <= 2.0 * np.spacing(np.abs(oracle)))
 
+    @staticmethod
+    def _whole_array_form(eta, slash):
+        e1, e2, d1, d2 = eta[..., 0], eta[..., 1], slash[..., 0], slash[..., 1]
+        return (e1.imag * d1.real - e1.real * d1.imag) + (e2.imag * d2.real - e2.real * d2.imag)
+
     @pytest.mark.parametrize("lead", [(), (3,)])
-    def test_blocks_keep_the_bits_of_the_whole_array_form(self, lead):
+    def test_slabs_keep_the_bits_of_the_whole_array_form(self, lead):
         # (36, 32, 32) is five x1 slabs, the last short; a stack of three
-        # takes them field by field
+        # takes each slab of all three fields at once
         rng = np.random.default_rng(8)
         shape = lead + (36, 32, 32, 2)
         eta, slash = (geometry_module._component_planes(shape[:-1]) for _ in range(2))
         for array in (eta, slash):
             array[...] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        e1, e2, d1, d2 = eta[..., 0], eta[..., 1], slash[..., 0], slash[..., 1]
-        whole = (e1.imag * d1.real - e1.real * d1.imag) + (e2.imag * d2.real - e2.real * d2.imag)
+        assert len(geometry_module._slabs(shape[-4:-1])) == 5
+        assert np.array_equal(_axial_density(eta, slash).view(np.uint64),
+                              self._whole_array_form(eta, slash).view(np.uint64))
+
+    # a list of spinors, the FD probes' (probe, sign, stencil point) and
+    # (sign, point), a stack, and a strided view of a stack
+    @pytest.mark.parametrize("shape", [(300, 2), (40, 2, 7, 2), (2, 9, 2), (3, 12, 16, 8, 2),
+                                       "view"])
+    @pytest.mark.parametrize("slab_points", [2**6, 2**13])
+    def test_any_chunking_keeps_the_bits(self, monkeypatch, shape, slab_points):
+        rng = np.random.default_rng(12)
+        if shape == "view":
+            full = (4, 24, 16, 10, 2)
+            eta, slash = (rng.normal(size=full) + 1j * rng.normal(size=full)
+                          for _ in range(2))
+            eta, slash = eta[::2, ::2, :, 8:0:-1], slash[1::2, 1::2, :, 1:9]
+            assert not eta.flags.forc and not slash.flags.forc
+        else:
+            eta, slash = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                          for _ in range(2))
+        whole = self._whole_array_form(eta, slash)
+        monkeypatch.setattr(geometry_module, "_SLAB_POINTS", slab_points)
         assert np.array_equal(_axial_density(eta, slash).view(np.uint64), whole.view(np.uint64))
+
+    def test_memory_of_a_strided_stack(self):
+        # every chunk is a view: a strided stack is not copied whole. Above
+        # its inputs, a call on (3, 36, 32, 32) in five x1 slabs peaks at
+        # 1.45 times the result's bytes, as on a contiguous stack: the
+        # result and two temporaries of a slab of all three fields. A
+        # reshaped copy of each input would add eight
+        rng = np.random.default_rng(9)
+        full = (6, 36, 32, 32, 2)
+        eta, slash = (rng.normal(size=full) + 1j * rng.normal(size=full) for _ in range(2))
+        eta, slash = eta[::2], slash[1::2]
+        tracemalloc.start()
+        try:
+            axial = _axial_density(eta, slash)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * axial.nbytes
 
 
 def test_stationary_density_is_the_expression_bit_for_bit():

@@ -2,6 +2,7 @@
 the scaling suite does per case."""
 
 import contextlib
+import functools
 import io
 import tracemalloc
 
@@ -15,6 +16,8 @@ import cosserat_weyl.spinor as spinor_module
 import cosserat_weyl.suites as suites_module
 import cosserat_weyl.weyl as weyl_module
 from cosserat_weyl import (
+    ConfigError,
+    Metric3,
     TorusGrid,
     VanishingSpinor,
     build_pauli,
@@ -205,3 +208,16 @@ def test_traced_peak_of_one_case(suite, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * grid.num_points * 2 * 16
+
+
+@pytest.mark.parametrize("n_cases", [0, -1])
+@pytest.mark.parametrize("suite", ["factorization", "fierz", "u1", "scaling", "correspondence",
+                                   "theorem"])
+def test_a_suite_of_no_cases_is_rejected(grid8, suite, n_cases):
+    # an empty cases list would check nothing and pass
+    if suite == "theorem":
+        run = functools.partial(weyl_module.theorem_witness_suite, 0, grid8, Metric3.identity())
+    else:
+        run = functools.partial(VERIFIERS[suite], grid8, 0)
+    with pytest.raises(ConfigError, match=f"n_cases must be at least 1, got {n_cases}"):
+        run(n_cases=n_cases)

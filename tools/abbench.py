@@ -21,11 +21,13 @@ Jobs: ``witness-16`` (``theorem --n 2`` at 16^3 on a drawn ``full:``
 metric), the four ``identities-32`` suites and the four
 ``dictionary-64`` jobs (their field outputs in a temporary directory),
 each drawn by the benchmark's own ``perfbench/workload.py``
-(``make_job``), and three kernels on one field of N^3 points:
-``dirac-N``, one ``spinor._dirac`` call; ``maps-N``, ``spinor_to_frame``
-then ``frame_to_spinor``; ``elgrad-N``, one ``el_gradient`` call on a
-field whose sigma^a d_a eta is cached. Each kernel is called once while
-it is prepared, so the timed call is a repeated one, as in timeit.
+(``make_job``), and four kernels on one field of N^3 points:
+``dirac-N``, one ``spinor._dirac`` call; ``axial-N``, one
+``spinor._axial_density`` call on eta and its sigma^a d_a eta;
+``maps-N``, ``spinor_to_frame`` then ``frame_to_spinor``; ``elgrad-N``,
+one ``el_gradient`` call on a field whose sigma^a d_a eta is cached.
+Each kernel is called once while it is prepared, so the timed call is
+a repeated one, as in timeit.
 
 Limits. Both sides share one process, so this cannot tell the sides'
 ``peak_rss_mb`` or ``setup_s`` apart, and both share numpy's FFT plan
@@ -150,6 +152,12 @@ def _dirac(package, grid, metric, pauli, eta):
     return lambda: dirac(eta, pauli.sigma_upper, grid)
 
 
+def _axial(package, grid, metric, pauli, eta):
+    spinor = importlib.import_module(f"{package.__name__}.spinor")
+    slash = spinor._dirac(eta, pauli.sigma_upper, grid)
+    return lambda: spinor._axial_density(eta, slash)
+
+
 def _maps(package, grid, metric, pauli, eta):
     def run():
         theta, rho = package.spinor_to_frame(eta, pauli, metric, grid)
@@ -171,8 +179,8 @@ JOBS = {
        for what in ("correspondence", "conformal", "planewave")},
     "dictionary-claim6": (_claim6, 64, 20),
     **{f"{name}-{edge}": (_kernel(call), edge, max(20, 40000 // edge**2))
-       for name, call, edges in (("dirac", _dirac, (4, 16, 32, 64)), ("maps", _maps, (16, 32, 64)),
-                                 ("elgrad", _elgrad, (16, 32, 64)))
+       for name, call, edges in (("dirac", _dirac, (4, 16, 32, 64)), ("axial", _axial, (16, 32, 64)),
+                                 ("maps", _maps, (16, 32, 64)), ("elgrad", _elgrad, (16, 32, 64)))
        for edge in edges},
 }
 

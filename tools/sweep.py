@@ -165,6 +165,11 @@ def jobs() -> list[Job]:
         ("verify", "scaling", "--cases", "1", "--grid", "8,8,8", "--h", "400*cos(x1)"),
         ("verify", "conformal", "--grid", "8,8,8", "--h", "1e100"),
         ("verify", "conformal", "--grid", "8,8,8", "--h", "1e155"))
+    # values that do not parse, and a metric spec of no known form
+    add(2, ("planewave", "--k", "1,x,0", "--grid", "8,8,8"),
+        ("verify", "fierz", "--grid", "8,8,x"),
+        ("theorem", "--n", "1", "--grid", "8,8,8", "--metric", "bogus"),
+        ("theorem", "--n", "1", "--grid", "8,8,8", "--metric", "diag:1,a,1"))
     # a squared frequency out of range exits 2; a box just inside the bound
     # exits 1, its L_max above the absolute 1e-12 gate (ROADMAP item 3)
     for box, code in (("1e-200,1,1", 2), ("1e-152,1,1", 2), ("3.2e-152,1,1", 1),

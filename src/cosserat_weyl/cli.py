@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .cwf import write_field, write_scalar_csv
 from .errors import ConfigError, ModelError, OutOfRange
-from .geometry import Metric3, TorusGrid, _highest_mode
+from .geometry import Metric3, TorusGrid
 from .minilang import parse_scalar_expr
 from .spinor import FACTORIZATION_SIGN
 from .suites import VERIFIERS
@@ -197,10 +197,6 @@ def _cmd_planewave(args) -> int:
     grid = _build_grid(args)
     metric = _parse_metric(args.metric)
     k = _parse_values(args.k, int, "--k")
-    highest = _highest_mode(grid)
-    if any(abs(m) > top for m, top in zip(k, highest)):
-        raise ConfigError(f"--k {args.k}: each |k| must stay below the Nyquist mode "
-                          f"N/2 of its axis, at most {list(highest)} here")
     branch = {"+": 1, "-": -1}[args.branch]
     spec, field = planewave_solution(k, branch, metric, grid)
     # the wave solves the sign-+1 equation at its signed p0 (PlaneWaveSpec)

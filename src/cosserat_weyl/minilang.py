@@ -50,6 +50,7 @@ def _split_terms(text: str):
     return terms
 
 
+@np.errstate(over="ignore")  # a sum that overflows is rejected as not finite
 def parse_scalar_expr(text: str, grid: TorusGrid) -> np.ndarray:
     """Evaluate an expression like ``0.5*cos(2*x1)+sin(x3)-0.25`` on
     the grid. Raises ConfigError on anything outside the grammar, not

@@ -147,7 +147,9 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     where u is the unit eigenvector of the Hermitian matrix k_a sigma^a
     for the eigenvalue p0 = branch * sqrt(g^ab k_a k_b); ``field.eta``
     is the array, in component planes pw u[c] of the plane wave pw
-    (`geometry._component_planes`). `_check_frequency` raises
+    (`geometry._component_planes`). A mode at or above the Nyquist
+    mode N/2 of its axis aliases onto a wave that solves nothing, and
+    raises ConfigError. `_check_frequency` raises
     OutOfRange for a squared frequency p0^2 = g^ab k_a k_b below the
     smallest normal float, or one at which the residuals overflow (a box
     too large or too small for the modes): their largest product is the
@@ -159,7 +161,11 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     if not np.any(k_modes != 0):
         raise ZeroWavevector("plane wave requires a nonzero mode vector")
     _check_sign(branch, "branch")
-    k, p0_squared = _check_frequency(k_modes, f"modes {tuple(k_modes.tolist())}", metric, grid)
+    modes, highest = tuple(k_modes.tolist()), _highest_mode(grid)
+    if any(abs(m) > top for m, top in zip(modes, highest)):
+        raise ConfigError(f"modes {modes}: each |k| must stay below the Nyquist mode N/2 "
+                          f"of its axis, at most {list(highest)} here")
+    k, p0_squared = _check_frequency(k_modes, f"modes {modes}", metric, grid)
     pauli = build_pauli(metric)
     kslash = np.einsum("n,nab->ab", k, pauli.sigma_upper)
     p0 = branch * float(np.sqrt(p0_squared))

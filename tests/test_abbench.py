@@ -6,6 +6,7 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ def test_every_job_runs_on_each_copy(packages, name, tmp_path):
     result = abbench.bench_job(name, packages, rounds=2, workdir=tmp_path, edge=8)
     json.dumps(result)
     assert result["rounds"] == 2 and result["grid_edge"] == 8
+    kernel = name.split("-")[0] in ("dirac", "axial", "maps", "elgrad")
+    assert result["calls_per_run"] == (abbench.KERNEL_POINTS // 8**3 if kernel else 1)
     for pair in ("change_vs_base", "control_vs_base"):
         low, high = result[pair]["ci95"]
         assert 0.0 < low <= high
@@ -61,10 +64,29 @@ def test_a_kernel_job_runs_once_while_prepared(packages, monkeypatch, tmp_path, 
     monkeypatch.setattr(package, function,
                         lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
     draw = abbench.JOBS[f"{kernel}-16"][0]
-    run = draw(np.random.default_rng(0), tmp_path, 8)(package)
+    prepare, _ = draw(np.random.default_rng(0), tmp_path, 8)
+    run = prepare(package)
     assert len(calls) == 1
     run()
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("edge, calls", [(4, 1024), (8, 128), (16, 16), (32, 2), (64, 1)])
+def test_a_kernel_run_makes_a_count_of_calls_set_by_the_grid_edge(tmp_path, edge, calls):
+    for kernel in ("dirac", "axial", "maps", "elgrad"):
+        draw = abbench.JOBS[f"{kernel}-16"][0]
+        assert draw(np.random.default_rng(0), tmp_path, edge)[1] == calls
+    assert abbench.JOBS["witness-16"][0](np.random.default_rng(0), tmp_path, 8)[1] == 1
+
+
+def test_a_pair_makes_the_count_on_each_side_and_times_per_call(monkeypatch):
+    # a clock that advances 6 s per reading: each run of 3 calls spans 6 s
+    clock = iter(range(0, 100, 6))
+    monkeypatch.setattr(abbench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    made = []
+    prepare = lambda package: lambda: made.append(package)
+    assert abbench._pair(prepare, 3, "base", "change", swap=True) == (2.0, 2.0)
+    assert made == ["change"] * 3 + ["base"] * 3
 
 
 def test_help_states_its_limits(capsys):

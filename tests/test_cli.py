@@ -1,5 +1,8 @@
-"""Command-line interface: exit codes, report structure, determinism,
-field outputs."""
+"""Command-line interface: report structure, determinism, field
+outputs, and the exits that a row of tools/sweep.py's job list cannot
+state: the argument parser's errors, and inputs that need a
+monkeypatch or a symlink. Every other input's exit and error text is a
+row of that list, which tests/test_sweep.py runs."""
 
 import json
 import os
@@ -30,96 +33,6 @@ SMALL = ["--grid", "8,8,8"]
 
 
 class TestExitCodes:
-    def test_verify_pass(self, tmp_path):
-        code, report = _run(tmp_path, "verify", "fierz", "--cases", "3", *SMALL)
-        assert code == 0
-        assert report["verdict"] == "pass"
-
-    def test_verify_fail_exits_1(self, tmp_path):
-        # e^h eta with h = 0.5 cos(3 x1) aliases on an 8-point axis
-        code, report = _run(tmp_path, "verify", "scaling", "--cases", "1",
-                            "--h", "0.5*cos(3*x1)", *SMALL)
-        assert code == 1
-        assert report["verdict"] == "fail"
-        assert report["result"]["max_residual"] > report["result"]["tolerance"]
-
-    def test_config_errors_exit_2(self, tmp_path, capsys):
-        for argv in (
-            ["verify", "fierz", "--grid", "15,16,16"],
-            ["verify", "conformal", "--h", "tan(x1)", *SMALL],
-            ["planewave", "--k", "0,0,0", *SMALL],
-            ["planewave", "--k", "1,2", *SMALL],
-        ):
-            assert main(argv) == 2, argv
-            assert "error:" in capsys.readouterr().err
-        # inputs that would check nothing, or write NaN into the report
-        for argv, option in (
-            (["verify", "fierz", "--cases", "0", *SMALL], "n_cases must be at least 1"),
-            (["verify", "fierz", "--cases", "-3", *SMALL], "n_cases must be at least 1"),
-            (["theorem", "--n", "0", *SMALL], "n_cases must be at least 1"),
-            (["verify", "fierz", "--box", "nan,1,1", *SMALL], "box"),
-            (["verify", "fierz", "--box", "inf,1,1", *SMALL], "box"),
-            (["verify", "conformal", "--h", "1e999", *SMALL], "finite"),
-            # a scale whose coframe's induced determinant under- or overflows
-            (["verify", "conformal", "--h", "1e-100", *SMALL], "finite normal"),
-            (["verify", "conformal", "--h", "1e100", *SMALL], "finite normal"),
-            # a scale whose rescaled density overflows to inf
-            (["verify", "conformal", "--h", "1e155", *SMALL], "density must be finite"),
-            (["verify", "conformal", "--h", "1e200", *SMALL], "density must be finite"),
-            (["planewave", "--k", "1,0,0", "--metric", "diag:inf,1,1", *SMALL], "finite"),
-            (["theorem", "--n", "1", "--metric", "diag:inf,1,1", *SMALL], "finite"),
-            (["planewave", "--k", "1,0,0", "--metric", "diag:nan,1,1", *SMALL], "finite"),
-            (["planewave", "--k", "1,0,0", "--metric", "full:1,0,0,1,0,inf", *SMALL],
-             "finite"),
-            # a determinant or inverse that overflows or underflows
-            (["planewave", "--k", "1,0,0", "--metric", "diag:1e300,1e300,1e300", *SMALL],
-             "determinant"),
-            (["planewave", "--k", "1,0,0", "--metric", "diag:1e200,1e200,1", *SMALL],
-             "determinant"),
-            (["planewave", "--k", "1,0,0", "--metric", "diag:1e-200,1e-200,1e-200",
-              *SMALL], "determinant"),
-            (["theorem", "--n", "1", "--metric", "diag:1,1,1e-320", *SMALL], "determinant"),
-            (["theorem", "--n", "1", "--metric", "diag:1e10,1e10,1e-309", *SMALL],
-             "inverse"),
-            # numpy's generators take no negative seed
-            (["verify", "fierz", "--seed", "-1", *SMALL], "--seed"),
-            (["theorem", "--n", "1", "--seed", "-1", *SMALL], "--seed"),
-        ):
-            assert main(argv) == 2, argv
-            assert option in capsys.readouterr().err, argv
-        # modes at or above the Nyquist mode N/2 would alias
-        for argv, option in (
-            (["planewave", "--k", "8,0,0", "--grid", "16,16,16"], "--k"),
-            (["planewave", "--k", "9,0,0", "--grid", "16,16,16"], "--k"),
-            (["planewave", "--k", "1,-4,0", *SMALL], "--k"),
-            (["verify", "scaling", "--cases", "1", "--h", "0.1*cos(5*x1)", *SMALL],
-             "0.1*cos(5*x1)"),
-            (["verify", "conformal", "--h", "2+sin(4*x3)", *SMALL], "sin(4*x3)"),
-        ):
-            assert main(argv) == 2, argv
-            assert option in capsys.readouterr().err, argv
-        # options the suite does not use are rejected, not ignored
-        for argv, option in (
-            *((["verify", what, "--h", "1.0", *SMALL], "--h")
-              for what in ("fierz", "u1", "factorization", "correspondence")),
-            (["verify", "conformal", "--cases", "3", *SMALL], "--cases"),
-            (["verify", "conformal", "--seed", "4", *SMALL], "--seed"),
-        ):
-            assert main(argv) == 2, argv
-            assert option in capsys.readouterr().err, argv
-
-    @pytest.mark.parametrize("argv", [
-        ["verify", "fierz", "--out"],
-        ["planewave", "--k", "1,0,0", "--eta-out"],
-        ["planewave", "--k", "1,0,0", "--density-csv"],
-    ])
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
-        path = tmp_path / "missing" / "out"
-        assert main(argv + [str(path), *SMALL]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and str(path) in err
-        assert not path.parent.exists()
-
     def test_missing_output_directory_rejected_before_work(self, tmp_path, capsys,
                                                            monkeypatch):
         # each output's directory is checked before the job runs, so a
@@ -330,52 +243,6 @@ class TestTheorem:
 
 
 class TestOutOfRangeInputs:
-    # a squared frequency g^ab k_a k_b or a scale e^(2h) out of range
-    # raises a typed error: exit 2 with no NaN or Infinity written, and
-    # no RuntimeWarning (the test settings make one an error)
-    @pytest.mark.parametrize("argv, message", [
-        (["planewave", "--k", "1,0,0", "--box", "1e-200,1,1", *SMALL], "squared frequency"),
-        (["theorem", "--n", "1", "--box", "1e-300,1,1", *SMALL], "squared frequency"),
-        (["planewave", "--k", "1,0,0", "--box", "1e300,1,1", *SMALL], "squared frequency"),
-        (["verify", "scaling", "--cases", "1", "--h", "800*cos(x1)", *SMALL], "e^(2h)"),
-        (["verify", "scaling", "--cases", "1", "--h", "400*cos(x1)", *SMALL], "e^(2h)"),
-        # residuals whose largest product would overflow
-        (["planewave", "--k", "1,0,0", "--box", "1e-152,1,1", *SMALL], "squared frequency"),
-        (["theorem", "--n", "1", "--box", "1e-152,1,1", *SMALL], "squared frequency"),
-        # a wave whose perturbed twin would overflow: the twin's modes reach
-        # 2 on the short axis, where the wave's k = (0, 0, 2) has none
-        (["theorem", "--n", "1", "--grid", "32,32,32", "--seed", "1", "--box", "1e-152,1,1"],
-         "perturbation's modes"),
-    ])
-    def test_exit_2_with_no_non_finite_value(self, capsys, argv, message):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert message in captured.err and "RuntimeWarning" not in captured.err
-        assert "NaN" not in captured.out and "Infinity" not in captured.out
-
-    @pytest.mark.parametrize("grid, accepted, rejected", [
-        ("8,8,8", "3.2e-152,1,1", "1e-152,1,1"),
-        ("32,32,32", "3.2e-151,1,1", "1e-151,1,1"),
-    ])
-    def test_planewave_frequency_bound(self, tmp_path, capsys, grid, accepted, rejected):
-        # (32/9) N p0^2 sqrt(det g) must be finite: on either side of that
-        # step a job ends with no RuntimeWarning, a finite report or exit 2
-        code, report = _run(tmp_path, "planewave", "--k", "1,0,0", "--grid", grid,
-                            "--box", accepted)
-        assert code == 1 and np.isfinite(report["el_residual"])
-        assert main(["planewave", "--k", "1,0,0", "--grid", grid, "--box", rejected]) == 2
-        captured = capsys.readouterr()
-        assert "squared frequency" in captured.err and not captured.out
-
-    @pytest.mark.parametrize("box", ["1e150,1e150,1e150", "1e-140,1e-140,1e-140"])
-    def test_fd_probes_do_not_form_the_cell_volume(self, tmp_path, box):
-        # the cell volume of these boxes over- or underflows; the probes'
-        # central differences do not form it, so they stay finite
-        code, report = _run(tmp_path, "theorem", "--n", "1", "--box", box, *SMALL)
-        assert code in (0, 1)
-        solutions = [c for c in report["cases"] if c["kind"] == "solution"]
-        assert solutions and all(np.isfinite(c["el_residual_fd"]) for c in solutions)
-
     def test_a_non_finite_report_value_is_not_written(self, tmp_path, monkeypatch, capsys):
         # strict JSON has no NaN: a report holding one exits 2, unwritten
         monkeypatch.setattr(cli_module, "theorem_witness_suite",

@@ -32,6 +32,8 @@ from cosserat_weyl import (
 from cosserat_weyl.cosserat import _induced_det
 from cosserat_weyl.sampling import random_nonvanishing_spinor, random_spd_metric, rotating_coframe
 
+from helpers import constant_spinor, su2_conjugate
+
 
 def _complex_conjugate(pauli):
     # conj(sigma) is another valid Pauli set; its frames are left-handed
@@ -39,26 +41,10 @@ def _complex_conjugate(pauli):
                                sigma_lower=pauli.sigma_lower.conj())
 
 
-def _su2_conjugate(pauli, rng):
-    # U sigma U^dagger with U in SU(2) is another valid Pauli set for the
-    # same metric, with frames of the built set's handedness
-    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-    u = np.array([[a, -b.conjugate()], [b, a.conjugate()]]) / np.hypot(abs(a), abs(b))
-    return dataclasses.replace(pauli, sigma_upper=u @ pauli.sigma_upper @ u.conj().T,
-                               sigma_lower=u @ pauli.sigma_lower @ u.conj().T)
-
-
-def _constant_spinor(grid, u=(1.0, 0.0)):
-    xi = np.zeros(grid.shape + (2,), dtype=complex)
-    xi[..., 0] = u[0]
-    xi[..., 1] = u[1]
-    return xi
-
-
 class TestSpinorToFrame:
     def test_spin_up_frozen_frame(self, grid8, pauli_identity, identity_metric):
         # xi = (1, 0): theta^1 = -dx1, theta^2 = -dx2, theta^3 = dx3, rho = 1
-        theta, rho = spinor_to_frame(_constant_spinor(grid8), pauli_identity,
+        theta, rho = spinor_to_frame(constant_spinor(grid8), pauli_identity,
                                      identity_metric, grid8)
         expected = np.zeros((3,) + grid8.shape + (3,))
         expected[0, ..., 0] = -1.0
@@ -200,10 +186,10 @@ class TestFrameToSpinor:
     def test_spin_up_frozen_frame_inverts(self, grid8, pauli_identity,
                                           identity_metric):
         # xi = (1, 0) has xi_2 = 0 everywhere: only the root of xi_1^2 works
-        theta, rho = spinor_to_frame(_constant_spinor(grid8), pauli_identity,
+        theta, rho = spinor_to_frame(constant_spinor(grid8), pauli_identity,
                                      identity_metric, grid8)
         rec, _ = frame_to_spinor(theta, rho, pauli_identity, identity_metric)
-        assert np.abs(rec - _constant_spinor(grid8)).max() <= 1e-15
+        assert np.abs(rec - constant_spinor(grid8)).max() <= 1e-15
 
     def test_forward_of_inverse_is_identity(self, grid8, pauli_identity,
                                             identity_metric):
@@ -239,7 +225,7 @@ class TestFrameToSpinor:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (), (8, 8, 1), (4, 8, 8)])
     def test_rejects_density_of_another_shape(self, grid8, pauli_identity,
                                               identity_metric, shape):
-        theta, _ = spinor_to_frame(_constant_spinor(grid8), pauli_identity,
+        theta, _ = spinor_to_frame(constant_spinor(grid8), pauli_identity,
                                    identity_metric, grid8)
         with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*"
                            + re.escape(f"{grid8.shape}")):
@@ -290,7 +276,7 @@ class TestSlabs:
         grid = TorusGrid(dims, (5.0, 7.0, 9.0))
         rng = np.random.default_rng(67)
         metric = random_spd_metric(rng)
-        pauli = _su2_conjugate(build_pauli(metric), rng)
+        pauli = su2_conjugate(build_pauli(metric), rng)
         xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
         assert len(geometry_module._slabs(dims)) == 1
         frame = spinor_to_frame(xi, pauli, metric, grid)
@@ -488,7 +474,7 @@ class TestDictionaryAtTheEdges:
         g = q @ np.diag(10.0 ** (log_cond * rng.uniform(-0.5, 0.5, size=3))) @ q.T
         metric = Metric3.from_matrix(0.5 * (g + g.T))
         pauli = build_pauli(metric)
-        pauli = {"built": pauli, "su2": _su2_conjugate(pauli, rng),
+        pauli = {"built": pauli, "su2": su2_conjugate(pauli, rng),
                  "conjugate": _complex_conjugate(pauli)}[kind]
         # modes up to one below the Nyquist mode of the shortest axis
         xi = random_nonvanishing_spinor(grid, rng, amplitude=amplitude,
@@ -560,7 +546,7 @@ class TestStationaryFramePath:
         p0 = 1.5
         rate = PHASE_RATE * p0
         theta, dtheta0, rho = stationary_frame_path(
-            _constant_spinor(grid8), p0, pauli_identity, identity_metric, grid8)
+            constant_spinor(grid8), p0, pauli_identity, identity_metric, grid8)
         assert dtheta0.shape == (2,) + grid8.shape + (3,)
         assert np.abs(dtheta0[0] + rate * theta[1]).max() <= 1e-14
         assert np.abs(dtheta0[1] - rate * theta[0]).max() <= 1e-14

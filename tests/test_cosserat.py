@@ -27,6 +27,8 @@ from cosserat_weyl.cosserat import (_GRAM_PAIRS, _gram_entry, _induced_det, _nor
 from cosserat_weyl.sampling import (random_bandlimited_scalar, random_nonvanishing_spinor,
                                     random_spd_metric, rotating_coframe)
 
+from helpers import einsum_gram
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -46,11 +48,6 @@ def _kinetic_energy(theta, dtheta0, rho, grid):
     return integrate(_norm2_2form(kinetic_2form(theta, dtheta0), theta, det_ind) * rho, grid)
 
 
-def _einsum_gram(theta):
-    """Test-local oracle of the induced metric delta_jk theta^j_a theta^k_b."""
-    return np.einsum("j...a,j...b->...ab", theta, theta)
-
-
 class TestOrthonormality:
     def test_rotating_coframe_is_orthonormal(self, grid8, identity_metric):
         x3 = grid8.coords()[2]
@@ -66,7 +63,7 @@ class TestOrthonormality:
     def test_induced_metric_matches_prescribed(self, grid8, identity_metric):
         x3 = grid8.coords()[2]
         theta = rotating_coframe(grid8, 2.0 * x3)
-        g_ind, det_ind = _einsum_gram(theta), _induced_det(theta)
+        g_ind, det_ind = einsum_gram(theta), _induced_det(theta)
         g_ind_upper = np.linalg.inv(g_ind)
         assert np.abs(g_ind - np.eye(3)).max() <= 1e-14
         assert np.abs(g_ind_upper - np.eye(3)).max() <= 1e-13
@@ -77,7 +74,7 @@ class TestOrthonormality:
         rng = np.random.default_rng(len(shape))
         for scale in (1e-3, 1.0, 1e4):
             theta = scale * rng.normal(size=(3,) + shape + (3,))
-            oracle = _einsum_gram(theta)
+            oracle = einsum_gram(theta)
             for a, b in _GRAM_PAIRS:
                 entry = _gram_entry(theta, a, b)
                 assert entry.shape == shape
@@ -91,7 +88,7 @@ class TestOrthonormality:
         metric = random_spd_metric(rng)
         for scale in (1e-3, 1.0, 1e4):
             theta = scale * rng.normal(size=(3,) + shape + (3,))
-            oracle = np.abs(_einsum_gram(theta) - metric.g_lower).max(axis=(-2, -1))
+            oracle = np.abs(einsum_gram(theta) - metric.g_lower).max(axis=(-2, -1))
             res = orthonormality_residual(theta, metric)
             assert res.shape == shape
             assert np.array_equal(res, oracle)  # bit for bit

@@ -26,6 +26,8 @@ from cosserat_weyl.sampling import (random_bandlimited_scalar, random_nonvanishi
                                     random_spd_metric, rotating_coframe)
 from cosserat_weyl.spinor import _sandwich, _scalar_density
 
+from helpers import einsum_gram, su2_conjugate
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -197,14 +199,6 @@ def _skew(sigma):
     return float(np.abs(sigma - sigma.conj().swapaxes(-1, -2)).max())
 
 
-def _su2_conjugate(pauli, rng):
-    """The set U sigma U^dagger for a random U in SU(2), both placements."""
-    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-    u = np.array([[a, -b.conjugate()], [b, a.conjugate()]]) / np.hypot(abs(a), abs(b))
-    return dataclasses.replace(pauli, sigma_upper=u @ pauli.sigma_upper @ u.conj().T,
-                               sigma_lower=u @ pauli.sigma_lower @ u.conj().T)
-
-
 def _anti_hermitian(rng, skew):
     """A random anti-Hermitian triple K with max |K - K^dagger| = skew."""
     x = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
@@ -226,7 +220,7 @@ class TestPauliSetHermitian:
         sets = []
         for metric in (random_spd_metric(rng), Metric3.from_matrix(0.5 * (g + g.T))):
             pauli = build_pauli(metric)
-            sets += [pauli, _su2_conjugate(pauli, rng)]  # both construct
+            sets += [pauli, su2_conjugate(pauli, rng)]  # both construct
         # anti-Hermitian perturbations either side of the tolerance, on the
         # sets of the random metric (entries of order 1, so rounding stays
         # far below the 0.2e-13 margins)
@@ -382,11 +376,6 @@ def _constant_coframe(grid, frame):
                            (3,) + grid.shape + (3,))
 
 
-def _einsum_gram(theta):
-    """Test-local oracle of the induced metric delta_jk theta^j_a theta^k_b."""
-    return np.einsum("j...a,j...b->...ab", theta, theta)
-
-
 class TestFormNorms:
     """The coframe energetics' form norms, taken in the induced metric."""
 
@@ -498,7 +487,7 @@ class TestTwoFormNormOracle:
         rng = np.random.default_rng(seed)
         theta = _random_frames(rng, shape, 10.0**log_scale, 10.0**log_cond)
         omega = rng.normal(size=shape + (3,))
-        oracle = _norm2_2form_full(omega, np.linalg.inv(_einsum_gram(theta)))
+        oracle = _norm2_2form_full(omega, np.linalg.inv(einsum_gram(theta)))
         norm2 = _norm2_2form(omega, theta, _induced_det(theta))
         assert np.abs(norm2 - oracle).max() <= 1e-12 * oracle.max()
 
@@ -510,7 +499,7 @@ class TestTwoFormNormOracle:
             + 0.2 * rng.normal(size=(3,) + grid8.shape + (3,))
         dtheta0 = rng.normal(size=theta.shape)
         rho = 1.0 + 0.5 * rng.uniform(size=grid8.shape)
-        g_ind, det_ind = _einsum_gram(theta), _induced_det(theta)
+        g_ind, det_ind = einsum_gram(theta), _induced_det(theta)
         omega = kinetic_2form(theta, dtheta0)
         oracle = _norm2_2form_full(omega, np.linalg.inv(g_ind))
         assert np.abs(_norm2_2form(omega, theta, det_ind) - oracle).max() \

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cosserat_weyl import ConfigError, TorusGrid
-from cosserat_weyl.cli import main
 from cosserat_weyl.minilang import parse_scalar_expr
 
 
@@ -74,9 +73,9 @@ def test_rejects_non_integer_period(grid):
         parse_scalar_expr("cos(1.5*x1)", grid)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", ["1e999", "1e999*cos(x1)", f"cos({'9' * 400}*x1)",
-                                 "1e308+1e308"], ids=["const", "coef", "mode", "sum"])
+                                 "1e308+1e308", "1e308*cos(x1)+1e308*cos(x1)"],
+                         ids=["const", "coef", "mode", "sum", "trig-sum"])
 def test_rejects_non_finite_values(grid, bad):
     with pytest.raises(ConfigError, match="finite|overflows"):
         parse_scalar_expr(bad, grid)
@@ -105,15 +104,6 @@ def test_signed_exponents_stay_in_their_number(grid, text, expected):
     # operator; one number pattern serves coefficient, mode and constant,
     # and any run of signs may precede any term, its minus signs multiplying
     assert np.abs(parse_scalar_expr(text, grid) - expected(*grid.coords())).max() <= 1e-14
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("bad", ["1e999", "1e999*cos(x1)", "1e308+1e308", "e-3",
-                                 "cos(x1)e-3", "1e-", "1e-3-", "1.e-3", "1e-3e-3"])
-def test_bad_numbers_exit_2_from_the_cli(bad, capsys):
-    # a sign kept in its number's exponent lets no malformed term through
-    assert main(["verify", "conformal", "--h", bad, "--grid", "8,8,8"]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dims,box", [((8, 8, 8), (2 * np.pi,) * 3),

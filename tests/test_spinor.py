@@ -52,17 +52,12 @@ from cosserat_weyl.sampling import (
     random_spd_metric,
 )
 
-
-def _constant_spinor(grid, u=(1.0, 0.0)):
-    eta = np.zeros(grid.shape + (2,), dtype=complex)
-    eta[..., 0] = u[0]
-    eta[..., 1] = u[1]
-    return eta
+from helpers import constant_spinor
 
 
 class TestBilinears:
     def test_constant_spin_up(self, grid8, pauli_identity):
-        b = SpinorField(_constant_spinor(grid8), pauli_identity, grid8)
+        b = SpinorField(constant_spinor(grid8), pauli_identity, grid8)
         assert np.abs(b.s - 1.0).max() <= 1e-15
         assert np.abs(b.v - np.array([0.0, 0.0, 1.0])).max() <= 1e-15
         assert np.abs(b.A).max() == 0.0
@@ -108,7 +103,7 @@ class TestBilinears:
 class TestLagrangians:
     def test_constant_spinor_frozen_values(self, grid8, pauli_identity, identity_metric):
         # s = 1, A = 0, p0 = 1: L = -16/9, L_pm = pm 1
-        eta = _constant_spinor(grid8)
+        eta = constant_spinor(grid8)
         lag = lagrangian_stationary(eta, 1.0, pauli_identity, identity_metric, grid8)
         assert np.abs(lag + 16.0 / 9.0).max() <= 1e-14
         lp = lagrangian_weyl(eta, 1.0, 1, pauli_identity, identity_metric, grid8)
@@ -117,7 +112,7 @@ class TestLagrangians:
         assert np.abs(lm + 1.0).max() <= 1e-14
 
     def test_zero_frequency_rejected(self, grid8, pauli_identity, identity_metric):
-        eta = _constant_spinor(grid8)
+        eta = constant_spinor(grid8)
         with pytest.raises(ZeroFrequency):
             lagrangian_stationary(eta, 0.0, pauli_identity, identity_metric, grid8)
         with pytest.raises(ZeroFrequency):
@@ -138,7 +133,7 @@ class TestLagrangians:
 
     def test_bad_weyl_sign_rejected(self, grid8, pauli_identity, identity_metric):
         with pytest.raises(ValueError):
-            lagrangian_weyl(_constant_spinor(grid8), 1.0, 2,
+            lagrangian_weyl(constant_spinor(grid8), 1.0, 2,
                             pauli_identity, identity_metric, grid8)
 
     def test_u1_invariance(self, grid8, pauli_identity, identity_metric):
@@ -156,7 +151,7 @@ class TestFactorization:
     def test_constant_spinor_by_hand(self, grid8, pauli_identity, identity_metric):
         # L+ L- / (L+ - L-) = -1/2 at p0 = 1, and L = -16/9,
         # so the printed constant -32/9 needs sign -1
-        eta = _constant_spinor(grid8)
+        eta = constant_spinor(grid8)
         res = factorization_residual(eta, 1.0, pauli_identity, identity_metric, grid8)
         assert FACTORIZATION_SIGN == -1
         assert res.max() <= 1e-14
@@ -181,7 +176,7 @@ class TestFactorization:
 
     def test_zero_frequency_rejected(self, grid8, pauli_identity, identity_metric):
         with pytest.raises(ZeroFrequency):
-            factorization_residual(_constant_spinor(grid8), 0.0,
+            factorization_residual(constant_spinor(grid8), 0.0,
                                    pauli_identity, identity_metric, grid8)
 
 

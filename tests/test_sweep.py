@@ -33,6 +33,10 @@ def test_job_names_are_unique():
     assert len(set(names)) == len(names), "--allow names a job by its argv"
 
 
+def test_every_rejected_job_names_its_check():
+    assert all(job.says for job in sweep.jobs() if job.exit == 2)
+
+
 def _reject_constant(name):
     raise ValueError(f"the report holds {name}, which strict JSON has not")
 
@@ -40,12 +44,13 @@ def _reject_constant(name):
 @pytest.mark.parametrize("job", sweep.jobs(), ids=sweep.job_name)
 def test_job_exits_as_listed(job, tmp_path, monkeypatch, capsys):
     """Exit 0 or 1 writes a strict-JSON report whose verdict is the exit's;
-    exit 2 writes an error line and nothing else. A RuntimeWarning fails
-    the job through pytest's warning filter."""
+    exit 2 writes an error line holding the job's `says` and nothing else.
+    A RuntimeWarning fails the job through pytest's warning filter."""
     monkeypatch.chdir(tmp_path)
     code = _main_recording_reach(job)
     out, err = capsys.readouterr()
     assert code == job.exit, err
+    assert job.says in err, err
     if code == 2:
         assert err.startswith("error: ")
         assert out == "" and not list(tmp_path.iterdir()), "exit 2 left output behind"

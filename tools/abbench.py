@@ -27,7 +27,10 @@ each drawn by the benchmark's own ``perfbench/workload.py``
 ``maps-N``, ``spinor_to_frame`` then ``frame_to_spinor``; ``elgrad-N``,
 one ``el_gradient`` call on a field whose sigma^a d_a eta is cached.
 Each kernel is called once while it is prepared, so the timed call is
-a repeated one, as in timeit.
+a repeated one, as in timeit, and a timed kernel run makes one call per
+2^16 grid points (at least one: 16 calls at 16^3), as timeit's
+``number``, the same count on both sides of a pair. Times are reported
+per call.
 
 Limits. Both sides share one process, so this cannot tell the sides'
 ``peak_rss_mb`` or ``setup_s`` apart, and both share numpy's FFT plan
@@ -60,6 +63,7 @@ from sweep import ROOT, extract_base  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 BOOTSTRAP = 2000
+KERNEL_POINTS = 2**16  # grid points per call of a kernel's timed run
 
 
 def load_package(name: str, src: Path):
@@ -74,8 +78,9 @@ def load_package(name: str, src: Path):
     return package
 
 
-# -- jobs: each draw takes its input from rng and returns prepare(package),
-#    which builds the package's inputs untimed and returns the timed call
+# -- jobs: each draw takes its input from rng and returns (prepare, calls):
+#    prepare(package) builds the package's inputs untimed and returns the
+#    call to time, and each timed run makes ``calls`` calls of it
 
 def _on_grid(argv: list, edge: int) -> list:
     """``argv`` run on the grid edge^3."""
@@ -100,7 +105,7 @@ def _cli(kind):
                 if code not in (0, 1):
                     raise RuntimeError(f"{' '.join(argv)} exited {code}")
             return run
-        return prepare
+        return prepare, 1
     return draw
 
 
@@ -125,13 +130,15 @@ def _claim6(rng, workdir, edge):
             lag_frame = package.lagrangian_coframe(theta, dtheta0, rho, metric, grid)
             return lag_frame, package.lagrangian_stationary(eta, p0, pauli, metric, grid)
         return run
-    return prepare
+    return prepare, 1
 
 
 def _kernel(call):
     """A kernel job: ``call(package, grid, metric, pauli, eta)`` returns
     the call to time on a drawn metric and nonvanishing spinor, which
-    runs once before it is returned."""
+    runs once before it is returned. A timed run makes one call per
+    `KERNEL_POINTS` grid points, at least one: a single call of some µs
+    on a small grid is too short to time."""
     def draw(rng, workdir, edge):
         seed = int(rng.integers(2**31))
 
@@ -143,7 +150,7 @@ def _kernel(call):
             run = call(package, grid, metric, package.build_pauli(metric), eta)
             run()
             return run
-        return prepare
+        return prepare, max(1, KERNEL_POINTS // edge**3)
     return draw
 
 
@@ -178,7 +185,7 @@ JOBS = {
     **{f"dictionary-{what}": (_cli(what), 64, 20)
        for what in ("correspondence", "conformal", "planewave")},
     "dictionary-claim6": (_claim6, 64, 20),
-    **{f"{name}-{edge}": (_kernel(call), edge, max(20, 40000 // edge**2))
+    **{f"{name}-{edge}": (_kernel(call), edge, 100)
        for name, call, edges in (("dirac", _dirac, (4, 16, 32, 64)), ("axial", _axial, (16, 32, 64)),
                                  ("maps", _maps, (16, 32, 64)), ("elgrad", _elgrad, (16, 32, 64)))
        for edge in edges},
@@ -187,19 +194,21 @@ JOBS = {
 
 # -- timing ---------------------------------------------------------------
 
-def _timed(run) -> float:
+def _timed(run, calls: int) -> float:
+    """Seconds per call over ``calls`` calls of ``run`` in a row."""
     start = time.perf_counter()
-    run()
-    return time.perf_counter() - start
+    for _ in range(calls):
+        run()
+    return (time.perf_counter() - start) / calls
 
 
-def _pair(prepare, first, second, swap: bool) -> tuple:
-    """Times of a call on the packages ``first`` and ``second``, each
-    prepared right before the pair runs, in the order they run: the
-    second first if ``swap``."""
+def _pair(prepare, calls: int, first, second, swap: bool) -> tuple:
+    """Seconds per call on the packages ``first`` and ``second``, each
+    prepared right before the pair runs and called ``calls`` times, in
+    the order they run: the second first if ``swap``."""
     order = (second, first) if swap else (first, second)
     runs = [prepare(package) for package in order]
-    times = [_timed(run) for run in runs]
+    times = [_timed(run, calls) for run in runs]
     return tuple(reversed(times)) if swap else tuple(times)
 
 
@@ -231,21 +240,23 @@ def bench_job(name: str, packages: dict, rounds: int, workdir: Path, edge: int |
     times = {side: [] for side in packages}
     ab, aa = [], []
     for i in range(rounds):
-        prepare = draw(rng, workdir, edge)
-        base, change = _pair(prepare, packages["base"], packages["change"], swap=bool(i % 2))
-        base2, control = _pair(prepare, packages["base"], packages["control"],
+        prepare, calls = draw(rng, workdir, edge)
+        base, change = _pair(prepare, calls, packages["base"], packages["change"],
+                             swap=bool(i % 2))
+        base2, control = _pair(prepare, calls, packages["base"], packages["control"],
                                swap=not i % 2)
         for side, seconds in (("base", base), ("base", base2), ("change", change),
                               ("control", control)):
             times[side].append(seconds)
         ab.append(change / base)
         aa.append(control / base2)
-    prepare = draw(np.random.default_rng(seed), workdir, edge)
+    prepare, calls = draw(np.random.default_rng(seed), workdir, edge)
     peaks = {side: _peak(prepare(package)) for side, package in packages.items()}
     stats = np.random.default_rng(seed)
     return {
         "rounds": rounds,
         "grid_edge": edge,
+        "calls_per_run": calls,
         "change_vs_base": _summary(ab, stats),
         "control_vs_base": _summary(aa, stats),
         "seconds": {side: {"min": float(f"{min(t):.6g}"),

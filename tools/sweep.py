@@ -24,9 +24,12 @@ It exits 1 if any job has one of the last four outcomes and ``--allow``
 does not name it (a job's name is its argv, as ``--list`` prints it).
 Uses only the standard library and git.
 
-Each job also carries the exit code the working tree must give it;
-``tests/test_sweep.py`` runs every job in-process and asserts that exit,
-so the list is the CLI's exit contract as well as the sweep's input.
+Each job also carries the exit code the working tree must give it and,
+for an exit 2, the text its error line must hold, which names the check
+that rejects the input. ``tests/test_sweep.py`` runs every job
+in-process and asserts both, so the list is the CLI's exit contract as
+well as the sweep's input: an input that the CLI must reject past its
+parser is a row here, not a test of its own.
 """
 
 from __future__ import annotations
@@ -56,20 +59,28 @@ WITNESS_GRIDS = (("--grid", "8,8,8"), ("--grid", "12,16,8", "--box", "5,7,9"),
                  ("--grid", "16,16,16"), ("--grid", "4,6,10", "--box", "5,7,9"))
 METRICS = ("identity", "diag:1,4,9", "full:1.3,0.2,-0.1,0.9,0.15,1.1")
 FIELD_FILES = ("--eta-out", "eta.cwf", "--density-csv", "density.csv")
+SMALL = ("--grid", "8,8,8")
 
 
 class Job(NamedTuple):
-    """One ``cli.main`` call and the exit code the working tree must give it."""
+    """One ``cli.main`` call, the exit code the working tree must give it,
+    and text its stderr must hold: for an exit 2, the words of the check
+    that rejects the input."""
     argv: tuple[str, ...]
     exit: int
+    says: str = ""
 
 
 def jobs() -> list[Job]:
-    """The job list: the argv of each ``cli.main`` call, with its exit."""
+    """The job list: the argv of each ``cli.main`` call, with its exit
+    and, for an exit 2, the text of its error line."""
     out = []
 
-    def add(code, *argvs):
-        out.extend(Job(tuple(argv), code) for argv in argvs)
+    def add(code, *argvs, says=""):
+        out.extend(Job(tuple(argv), code, says) for argv in argvs)
+
+    def reject(says, *argvs):
+        add(2, *argvs, says=says)
 
     # every seeded suite on five grids, two seeds each; conformal is not
     # seeded. verify scaling exits 1 on every grid under 16 points per axis,
@@ -80,8 +91,6 @@ def jobs() -> list[Job]:
             add(int(what == "scaling" and aliased),
                 *(("verify", what, "--cases", "3", "--seed", seed, *grid) for seed in ("0", "5")))
         add(0, ("verify", "conformal", *grid))
-    # conformal reads --h as e^h, which must be positive everywhere
-    add(2, ("verify", "conformal", "--grid", "16,16,16", "--h", "0.3*cos(x2)"))
     # the axial torsion's paired complex partials on three axis lengths
     add(0, ("verify", "conformal", "--grid", "16,12,20"))
     # coframes in component planes on non-cubic grids and boxes
@@ -136,54 +145,97 @@ def jobs() -> list[Job]:
     # L_max above the absolute 1e-12 gate at the rounding floor of a 64^3
     # wave (2.50e-12; ROADMAP item 3)
     add(1, ("planewave", "--k", "3,2,1", "--metric", "diag:1,4,9", "--grid", "64,64,64"))
-    # e^h times the rotating coframe aliases on an 8-point axis (ROADMAP item 7)
-    add(1, ("verify", "conformal", "--grid", "8,8,8", "--h", "2+0.5*cos(x1)-0.3*sin(3*x3)"))
+    # e^h eta, and e^h times the rotating coframe, alias on an 8-point axis
+    # (ROADMAP item 7)
+    add(1, ("verify", "scaling", "--cases", "1", *SMALL, "--h", "0.5*cos(3*x1)"),
+        ("verify", "conformal", "--grid", "8,8,8", "--h", "2+0.5*cos(x1)-0.3*sin(3*x3)"))
     # metric condition about 1e6: sigma, p0 and sqrt(det g) from one factor of g
     add(0, ("planewave", "--k", "0,0,1", "--grid", "8,8,8", "--metric",
             "full:126.12158977278821,-298.47704881871073,-143.77935915277035,"
             "710.90338999711435,340.80821138470014,163.97602023009728"))
-    # inputs that exit 2 past the parser: unusable options, outputs that
-    # cannot be written, metrics, scales and frequencies out of range
-    add(2, ("verify", "conformal", "--cases", "2", "--grid", "8,8,8"),
-        ("verify", "fierz", "--cases", "0", "--grid", "8,8,8"),
-        ("verify", "fierz", "--seed", "-1"),
-        ("verify", "fierz", "--grid", "8,8,8", "--out", "missing/r.json"),
-        ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--eta-out", "p.cwf",
-         "--density-csv", "missing/d.csv"),
-        ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--eta-out", "x",
-         "--density-csv", "x"),
-        ("planewave", "--k", "8,0,0"),
-        ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--metric", "diag:inf,1,1"),
-        ("planewave", "--k", "1,0,0", "--grid", "8,8,8",
-         "--metric", "diag:1e300,1e300,1e300"),
-        # an inverse metric g^ab that overflows, found through the Cholesky factor
-        ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--metric", "diag:1e10,1e10,1e-309"),
-        # a finite sqrt(det g) whose square, det g, overflows
-        ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--metric", "diag:1e200,1e200,1"),
-        ("verify", "scaling", "--cases", "1", "--grid", "8,8,8", "--h", "0.1*cos(5*x1)"),
-        ("verify", "scaling", "--cases", "1", "--grid", "8,8,8", "--h", "800*cos(x1)"),
-        ("verify", "scaling", "--cases", "1", "--grid", "8,8,8", "--h", "400*cos(x1)"),
-        ("verify", "conformal", "--grid", "8,8,8", "--h", "1e100"),
-        ("verify", "conformal", "--grid", "8,8,8", "--h", "1e155"))
-    # values that do not parse, and a metric spec of no known form
-    add(2, ("planewave", "--k", "1,x,0", "--grid", "8,8,8"),
-        ("verify", "fierz", "--grid", "8,8,x"),
-        ("theorem", "--n", "1", "--grid", "8,8,8", "--metric", "bogus"),
-        ("theorem", "--n", "1", "--grid", "8,8,8", "--metric", "diag:1,a,1"))
+    # inputs that exit 2 past the parser, each with the text of its check:
+    # options a command does not use, and counts, seeds and grids out of range
+    wave, witness, conformal_h = (("planewave", "--k", "1,0,0", *SMALL),
+                                ("theorem", "--n", "1", *SMALL),
+                                ("verify", "conformal", *SMALL, "--h"))
+    reject("takes no --cases",
+           *(("verify", "conformal", "--cases", n, *SMALL) for n in ("2", "3")))
+    reject("takes no --seed", ("verify", "conformal", *SMALL, "--seed", "4"))
+    reject("takes no --h", *(("verify", what, *SMALL, "--h", "1.0")
+                             for what in ("fierz", "u1", "factorization", "correspondence")))
+    reject("n_cases must be at least 1", ("verify", "fierz", "--cases", "0", *SMALL),
+           ("verify", "fierz", "--cases", "-3", *SMALL), ("theorem", "--n", "0", *SMALL))
+    reject("--seed must be non-negative", ("verify", "fierz", "--seed", "-1"),
+           (*witness, "--seed", "-1"))
+    reject("grid dims must be even", ("verify", "fierz", "--grid", "15,16,16"))
+    reject("box lengths must be finite", *(("verify", "fierz", *SMALL, "--box", f"{x},1,1")
+                                           for x in ("nan", "inf")))
+    # outputs that cannot be written
+    for argv in (("verify", "fierz", *SMALL, "--out", "missing/r.json"),
+                 (*wave, "--eta-out", "p.cwf", "--density-csv", "missing/d.csv"),
+                 (*wave, "--eta-out", "missing/e.cwf"), (*wave, "--density-csv", "missing/d.csv")):
+        reject(f"{argv[-2]} {argv[-1]}: its directory does not exist", argv)
+    reject("--density-csv x: the same file as --eta-out x",
+           (*wave, "--eta-out", "x", "--density-csv", "x"))
+    # metrics out of range: an entry, a determinant that over- or underflows
+    # (diag:1e200,1e200,1: a finite sqrt(det g) whose square overflows), and
+    # an inverse metric g^ab that overflows, found through the Cholesky factor
+    reject("metric matrix has non-finite entries",
+           *((*wave, "--metric", spec) for spec in ("diag:inf,1,1", "diag:nan,1,1",
+                                                    "full:1,0,0,1,0,inf")),
+           (*witness, "--metric", "diag:inf,1,1"))
+    reject("metric determinant",
+           *((*wave, "--metric", f"diag:{d}") for d in ("1e300,1e300,1e300", "1e200,1e200,1",
+                                                       "1e-200,1e-200,1e-200")),
+           (*witness, "--metric", "diag:1,1,1e-320"))
+    reject("inverse is not a finite normal float",
+           *((*job, "--metric", "diag:1e10,1e10,1e-309") for job in (wave, witness)))
+    # modes at or above the Nyquist mode N/2 of their axis would alias
+    reject("Nyquist mode N/2", ("planewave", "--k", "8,0,0"),
+           ("planewave", "--k", "9,0,0", "--grid", "16,16,16"),
+           ("planewave", "--k", "1,-4,0", *SMALL))
+    reject("'0.1*cos(5*x1)': mode 5 is at or above the Nyquist mode",
+           ("verify", "scaling", "--cases", "1", *SMALL, "--h", "0.1*cos(5*x1)"))
+    reject("'sin(4*x3)': mode 4 is at or above the Nyquist mode", (*conformal_h, "2+sin(4*x3)"))
+    # scales out of range: e^h not positive, e^(2h) overflowing, and a
+    # coframe whose induced determinant or rescaled density over- or underflows
+    reject("must be positive everywhere",
+           ("verify", "conformal", "--grid", "16,16,16", "--h", "0.3*cos(x2)"))
+    reject("e^(2h) is not finite", *(("verify", "scaling", "--cases", "1", *SMALL, "--h", h)
+                                     for h in ("800*cos(x1)", "400*cos(x1)")))
+    reject("not a finite normal float at every point", (*conformal_h, "1e-100"),
+           (*conformal_h, "1e100"))
+    reject("density must be finite and positive", (*conformal_h, "1e155"), (*conformal_h, "1e200"))
+    # values that do not parse, numbers that are not finite, and a metric
+    # spec of no known form
+    reject("plane wave requires a nonzero mode vector", ("planewave", "--k", "0,0,0", *SMALL))
+    reject("--k expects 3 comma-separated values", ("planewave", "--k", "1,2", *SMALL))
+    reject("cannot parse --k", ("planewave", "--k", "1,x,0", *SMALL))
+    reject("cannot parse --grid", ("verify", "fierz", "--grid", "8,8,x"))
+    reject("cannot parse --metric", (*witness, "--metric", "diag:1,a,1"))
+    reject("unknown metric spec", (*witness, "--metric", "bogus"))
+    # a sign kept in its number's exponent lets no malformed term through
+    reject("grammar", *((*conformal_h, h) for h in ("tan(x1)", "e-3", "cos(x1)e-3", "1e-", "1.e-3",
+                                                  "1e-3e-3")))
+    reject("trailing operator", (*conformal_h, "1e-3-"))
+    reject("not finite", *((*conformal_h, h) for h in ("1e999", "1e999*cos(x1)", "1e308+1e308")))
     # a squared frequency out of range exits 2; a box just inside the bound
     # exits 1, its L_max above the absolute 1e-12 gate (ROADMAP item 3)
-    for box, code in (("1e-200,1,1", 2), ("1e-152,1,1", 2), ("3.2e-152,1,1", 1),
-                      ("1e300,1,1", 2)):
-        add(code, ("planewave", "--k", "1,0,0", "--grid", "8,8,8", "--box", box))
-    add(1, ("planewave", "--k", "1,0,0", "--grid", "32,32,32", "--box", "3.2e-151,1,1"))
+    for grid, box, code in (("8,8,8", "1e-200,1,1", 2), ("8,8,8", "1e-152,1,1", 2),
+                            ("8,8,8", "3.2e-152,1,1", 1), ("8,8,8", "1e300,1,1", 2),
+                            ("32,32,32", "3.2e-151,1,1", 1), ("32,32,32", "1e-151,1,1", 2)):
+        add(code, ("planewave", "--k", "1,0,0", "--grid", grid, "--box", box),
+            says="squared frequency" if code == 2 else "")
     # the witness on tiny and huge boxes: the FD probes do not form the cell
     # volume, and a box in range exits 1 on the absolute gates and floor
     # (ROADMAP item 3)
     for box, code in (("1e-300,1,1", 2), ("1e-152,1,1", 2), ("1e150,1e150,1e150", 1),
-                      ("1e-140,1e-140,1e-140", 1), ("1e160,1e160,1e160", 2)):
-        add(code, ("theorem", "--n", "1", "--grid", "8,8,8", "--box", box))
-    # a wave within the bound whose perturbed twin's modes are not
-    add(2, ("theorem", "--n", "1", "--grid", "32,32,32", "--seed", "1", "--box", "1e-152,1,1"))
+                      ("1e-140,1e-140,1e-140", 1)):
+        add(code, (*witness, "--box", box), says="squared frequency" if code == 2 else "")
+    # a box so large that the perturbation's squared frequency is subnormal,
+    # and a wave within the bound whose perturbed twin's modes are not
+    reject("of the perturbation's modes", (*witness, "--box", "1e160,1e160,1e160"),
+           ("theorem", "--n", "1", "--grid", "32,32,32", "--seed", "1", "--box", "1e-152,1,1"))
     # the twins' frequency bound: boxes from the step of the perturbation's
     # corners up to twice it, with seeds whose first wave has k1 = 0. Each
     # exits 1 on the absolute gates (ROADMAP item 3)

@@ -2,7 +2,9 @@
 outputs, and the exits that a row of tools/sweep.py's job list cannot
 state: the argument parser's errors, and inputs that need a
 monkeypatch or a symlink. Every other input's exit and error text is a
-row of that list, which tests/test_sweep.py runs."""
+row of that list, which tests/test_sweep.py runs; the few tests here
+that run such a row by hand also check what the row does not state,
+such as the report's fields or that no NaN reaches stdout."""
 
 import json
 import os
@@ -33,6 +35,19 @@ SMALL = ["--grid", "8,8,8"]
 
 
 class TestExitCodes:
+    def test_verify_pass(self, tmp_path):
+        code, report = _run(tmp_path, "verify", "fierz", "--cases", "3", *SMALL)
+        assert code == 0
+        assert report["verdict"] == "pass"
+
+    @pytest.mark.parametrize("argv", [["verify", "fierz", "--out"]])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "out"
+        assert main(argv + [str(path), *SMALL]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert not path.parent.exists()
+
     def test_missing_output_directory_rejected_before_work(self, tmp_path, capsys,
                                                            monkeypatch):
         # each output's directory is checked before the job runs, so a
@@ -243,6 +258,38 @@ class TestTheorem:
 
 
 class TestOutOfRangeInputs:
+    # a squared frequency g^ab k_a k_b or a scale e^(2h) out of range
+    # raises a typed error: exit 2 with no NaN or Infinity written, and
+    # no RuntimeWarning (the test settings make one an error)
+    @pytest.mark.parametrize("argv, message", [
+        (["planewave", "--k", "1,0,0", "--box", "1e-200,1,1", *SMALL], "squared frequency"),
+        (["theorem", "--n", "1", "--box", "1e-300,1,1", *SMALL], "squared frequency"),
+        (["planewave", "--k", "1,0,0", "--box", "1e300,1,1", *SMALL], "squared frequency"),
+        (["verify", "scaling", "--cases", "1", "--h", "800*cos(x1)", *SMALL], "e^(2h)"),
+        (["verify", "scaling", "--cases", "1", "--h", "400*cos(x1)", *SMALL], "e^(2h)"),
+        # residuals whose largest product would overflow
+        (["planewave", "--k", "1,0,0", "--box", "1e-152,1,1", *SMALL], "squared frequency"),
+        (["theorem", "--n", "1", "--box", "1e-152,1,1", *SMALL], "squared frequency"),
+        # a wave whose perturbed twin would overflow: the twin's modes reach
+        # 2 on the short axis, where the wave's k = (0, 0, 2) has none
+        (["theorem", "--n", "1", "--grid", "32,32,32", "--seed", "1", "--box", "1e-152,1,1"],
+         "perturbation's modes"),
+    ])
+    def test_exit_2_with_no_non_finite_value(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "RuntimeWarning" not in captured.err
+        assert "NaN" not in captured.out and "Infinity" not in captured.out
+
+    @pytest.mark.parametrize("box", ["1e150,1e150,1e150", "1e-140,1e-140,1e-140"])
+    def test_fd_probes_do_not_form_the_cell_volume(self, tmp_path, box):
+        # the cell volume of these boxes over- or underflows; the probes'
+        # central differences do not form it, so they stay finite
+        code, report = _run(tmp_path, "theorem", "--n", "1", "--box", box, *SMALL)
+        assert code in (0, 1)
+        solutions = [c for c in report["cases"] if c["kind"] == "solution"]
+        assert solutions and all(np.isfinite(c["el_residual_fd"]) for c in solutions)
+
     def test_a_non_finite_report_value_is_not_written(self, tmp_path, monkeypatch, capsys):
         # strict JSON has no NaN: a report holding one exits 2, unwritten
         monkeypatch.setattr(cli_module, "theorem_witness_suite",

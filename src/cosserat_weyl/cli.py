@@ -200,7 +200,7 @@ def _cmd_planewave(args) -> int:
     branch = {"+": 1, "-": -1}[args.branch]
     spec, field = planewave_solution(k, branch, metric, grid)
     # the wave solves the sign-+1 equation at its signed p0 (PlaneWaveSpec)
-    (res,), lag = _residuals(field[np.newaxis], spec.p0, 1, metric)
+    (res,), lag = _residuals(field[np.newaxis], spec.p0, 1)
     if args.eta_out:
         write_field(args.eta_out, "spinor", field.eta, grid)
     if args.density_csv:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cosserat import _check_shapes, check_density, orthonormality_residual
 from .errors import NoSpinLift, NotOrthonormal
-from .geometry import Metric3, PauliSet, TorusGrid, _component_planes, _slabs
+from .geometry import Metric3, PauliSet, TorusGrid, _component_planes, _same_value, _slabs
 from .spinor import SpinorField, _covector, _nonvanishing
 
 # d0 (theta^1 + i theta^2) = PHASE_RATE * i * p0 * (theta^1 + i theta^2)
@@ -44,7 +44,7 @@ def _quadratic_map(pauli: PauliSet) -> np.ndarray:
 
 
 def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
-                    metric: Metric3, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+                    grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     """Map a nonvanishing spinor field to its coframe + density, one
     x1 slab (`_slabs`) at a time. Returns ``(theta, rho)``; the spinor
     they come from is determined by them only up to a global sign.
@@ -66,7 +66,7 @@ def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
             np.multiply(w[..., a].real, sinv, out=theta[0, sl, ..., a])
             np.multiply(w[..., a].imag, sinv, out=theta[1, sl, ..., a])
         np.multiply(_covector(eta, pauli), sinv[..., np.newaxis], out=theta[2, sl])
-    return theta, field.s * metric.sqrt_det
+    return theta, field.s * pauli.metric.sqrt_det
 
 
 def _real_pairs(z: np.ndarray) -> np.ndarray:
@@ -146,9 +146,11 @@ def _sweep_signs(xi: np.ndarray) -> np.ndarray:
     return sign
 
 
-def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
-                    metric: Metric3) -> tuple[np.ndarray, float]:
-    """Invert `spinor_to_frame` on the given Pauli set, up to a global sign.
+def frame_to_spinor(theta: np.ndarray, rho: np.ndarray,
+                    pauli: PauliSet) -> tuple[np.ndarray, float]:
+    """Invert `spinor_to_frame` on the given Pauli set, up to a global sign:
+    the frame is orthonormal in, and the density's weight is read from,
+    the set's metric g.
 
     Returns ``(xi, orthonormality)``: the lifted spinor, in component
     planes, and the frame's worst orthonormality residual, which must
@@ -165,6 +167,7 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
     time; only the sign sweep sees the whole grid.
     """
     _check_shapes(theta, rho)
+    metric = pauli.metric
     dims = theta.shape[1:-1]
     slabs = _slabs(dims)
     # np.max, unlike Python's max, keeps a NaN in any slab
@@ -211,7 +214,9 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray, pauli: PauliSet,
 def stationary_frame_path(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
                           metric: Metric3, grid: TorusGrid):
     """Coframe path of the stationary ansatz xi = e^{-i p0 x0} eta,
-    evaluated at x0 = 0.
+    evaluated at x0 = 0. ``metric`` must equal the Pauli set's metric by
+    value (`geometry._same_value`), else ValueError: the benchmark pins
+    this signature, so it still takes both.
 
     theta^3 and rho are time-independent; theta^1 + i theta^2 carries
     the phase e^{-2 i p0 x0} (PHASE_RATE convention), so its time
@@ -224,7 +229,9 @@ def stationary_frame_path(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
     `cosserat.lagrangian_coframe` take as a velocity with a zero third
     covector.
     """
-    theta, rho = spinor_to_frame(eta, pauli, metric, grid)
+    if not _same_value(pauli.metric, metric):
+        raise ValueError("metric differs from the metric of the Pauli set")
+    theta, rho = spinor_to_frame(eta, pauli, grid)
     # d0 (theta^1 + i theta^2) = -2 i p0 (theta^1 + i theta^2)
     rate = PHASE_RATE * p0
     dtheta0 = _component_planes(theta.shape[1:-1], (2, 3), float)

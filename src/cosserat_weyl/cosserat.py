@@ -128,14 +128,12 @@ def _potential_density(theta: np.ndarray, grid: TorusGrid, det_ind: np.ndarray) 
     return f
 
 
-def potential_energy(theta: np.ndarray, rho: np.ndarray, metric: Metric3,
-                     grid: TorusGrid) -> float:
+def potential_energy(theta: np.ndarray, rho: np.ndarray, grid: TorusGrid) -> float:
     """P = integral of |T_ax|^2 rho over the torus.
 
-    The norm uses the coframe's induced metric (equal to ``metric`` on
-    admissible coframes), so P is exactly conformally invariant.
-    ``metric`` itself is not read: any metric gives the same bits. A
-    density whose shape is not the frame's grid shape
+    The norm uses the coframe's induced metric (equal to the prescribed
+    metric on admissible coframes), so P is exactly conformally
+    invariant. A density whose shape is not the frame's grid shape
     ``theta.shape[1:-1]`` raises ValueError.
     """
     _check_shapes(theta, rho)
@@ -183,7 +181,8 @@ def lagrangian_coframe(theta: np.ndarray, dtheta0: np.ndarray, rho: np.ndarray,
     (|T_ax|^2 - |theta_dot|^2) rho; its integral is P - K.
 
     Both norms use the coframe's induced metric, as `potential_energy`
-    does; ``metric`` is not read, and any metric gives the same bits.
+    does; ``metric`` is not read, and any metric gives the same bits
+    (the benchmark pins this signature).
     The velocity holds d0 theta^1 and d0 theta^2, and d0 theta^3 too
     unless it is zero (`kinetic_2form`). A density whose shape is not
     the frame's grid shape ``theta.shape[1:-1]``, or a velocity that is

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -281,12 +281,14 @@ def _plane_waves(grid: TorusGrid, modes, coeffs) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hashing
 class PauliSet:
-    """Metric-adapted Pauli matrices.
+    """Metric-adapted Pauli matrices and the metric they are adapted to.
 
     sigma_upper[a] are Hermitian 2x2 matrices satisfying
     sigma^a sigma^b + sigma^b sigma^a = 2 g^ab Id; sigma_lower is the
     index-lowered triple. sigma^0 = sigma_0 is the identity and is not
-    stored.
+    stored. ``metric`` is g, which every function given the set, or a
+    field on it, reads sqrt(det g), g^ab and g_ab from; it is trusted as
+    the two triples are (`build_pauli` makes all three from one L).
 
     sigma_lower must be Hermitian to 1e-13 in every entry (else
     NotHermitian), so |Im etabar sigma_a eta| <= s max |sigma_a -
@@ -295,6 +297,7 @@ class PauliSet:
 
     sigma_upper: np.ndarray
     sigma_lower: np.ndarray
+    metric: Metric3
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma_lower)
@@ -310,7 +313,18 @@ def build_pauli(metric: Metric3) -> PauliSet:
     sigma^b sigma^a = 2 (L L^T)^-1 = 2 g^ab and sigma_a = g_ab sigma^b."""
     sigma_upper = np.einsum("ja,jkl->akl", metric._inverse_factor, _PAULI_STANDARD)
     sigma_lower = np.einsum("aj,jkl->akl", metric.factor, _PAULI_STANDARD)
-    return PauliSet(sigma_upper=sigma_upper, sigma_lower=sigma_lower)
+    return PauliSet(sigma_upper=sigma_upper, sigma_lower=sigma_lower, metric=metric)
+
+
+def _same_value(a, b) -> bool:
+    """Whether two Pauli sets, or two metrics, which compare by identity,
+    are equal by value: every array field equal, a set's metric too."""
+    if a is b:
+        return True
+    if isinstance(a, (PauliSet, Metric3)):
+        return type(a) is type(b) and all(_same_value(getattr(a, f.name), getattr(b, f.name))
+                                          for f in fields(a))
+    return np.array_equal(a, b)
 
 
 def spectral_partial(values: np.ndarray, axis: int, grid: TorusGrid) -> np.ndarray:

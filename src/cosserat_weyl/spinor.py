@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateDenominator, OutOfRange, VanishingSpinor, ZeroFrequency
-from .geometry import Metric3, PauliSet, TorusGrid, _component_planes, _slabs
+from .geometry import Metric3, PauliSet, TorusGrid, _component_planes, _same_value, _slabs
 
 # Global sign reconciling the stationary Lagrangian with its
 # factorisation through the two Weyl densities, relative to the
@@ -272,14 +271,16 @@ class SpinorField:
     array too, on the grid lines through each probed point, so the
     field is differentiated once whatever checks it. The nonvanishing
     floor on s is checked once too, for a field that passes it
-    (`_nonvanishing`). Every function of
-    this package that takes a spinor field together with a Pauli set
-    and a grid also accepts a `SpinorField` in place of the array; it
-    raises ValueError if the field was built for a different Pauli set
-    or grid. The cached arrays are shared: treat them, and eta, as
-    read-only. Only the code that built a field may release one of them
-    (``del field.slash``), which is then computed again if asked for;
-    a function given a field releases what it made on a shallow copy.
+    (`_nonvanishing`). The field's metric is its Pauli set's
+    (`PauliSet.metric`). Every function of this package that takes a
+    spinor field together with a Pauli set and a grid also accepts a
+    `SpinorField` in place of the array; it raises ValueError if the
+    field was built for a different Pauli set (compared by value, metric
+    included: `geometry._same_value`) or grid. The cached arrays are
+    shared: treat them, and eta, as read-only. Only the code that built
+    a field may release one of them (``del field.slash``), which is then
+    computed again if asked for; a function given a field releases what
+    it made on a shallow copy.
     A function given an array builds the field itself, so it may release
     that field's arrays once it has read them (`lagrangian_stationary`
     drops s and sigma^a d_a eta), and the caller sees none of them.
@@ -337,18 +338,13 @@ class SpinorField:
         return part
 
 
-def _same_pauli(a: PauliSet, b: PauliSet) -> bool:
-    return a is b or all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
-                         for f in fields(PauliSet))
-
-
 def _field(eta: np.ndarray | SpinorField, pauli: PauliSet,
            grid: TorusGrid) -> SpinorField:
     """eta as a `SpinorField` on (pauli, grid); a given field must have
     been built for both."""
     if not isinstance(eta, SpinorField):
         return SpinorField(eta, pauli, grid)
-    if eta.grid != grid or not _same_pauli(eta.pauli, pauli):
+    if eta.grid != grid or not _same_value(eta.pauli, pauli):
         raise ValueError("spinor field was built for a different Pauli set or grid")
     return eta
 
@@ -364,7 +360,9 @@ def _nonvanishing(eta: np.ndarray | SpinorField, pauli: PauliSet,
 def lagrangian_stationary(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
                           metric: Metric3, grid: TorusGrid) -> np.ndarray:
     """Stationary Lagrangian density
-    16/(9 s) (A^2 - (p0 s)^2) sqrt(det g).
+    16/(9 s) (A^2 - (p0 s)^2) sqrt(det g), g the Pauli set's metric.
+    ``metric`` must equal it by value (`geometry._same_value`), else
+    ValueError: the benchmark pins this signature, so it still takes both.
 
     A field this function builds from an array is its own to release:
     s is dropped once the nonvanishing floor has been checked on it, so
@@ -376,24 +374,26 @@ def lagrangian_stationary(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
     """
     _check_nonzero_p0(p0)
     b = _nonvanishing(eta, pauli, grid)
+    if not _same_value(pauli.metric, metric):
+        raise ValueError("metric differs from the metric of the Pauli set")
     if b is not eta:
         del b.s
         b.A
         del b.slash
-    return _stationary_density(b.s, b.A, p0, metric)
+    return _stationary_density(b.s, b.A, p0, pauli.metric)
 
 
 def lagrangian_weyl(eta: np.ndarray | SpinorField, p0: float, sign: int,
-                    pauli: PauliSet, metric: Metric3, grid: TorusGrid) -> np.ndarray:
+                    pauli: PauliSet, grid: TorusGrid) -> np.ndarray:
     """Weyl Lagrangian density L_pm = (A pm p0 s) sqrt(det g)."""
     _check_nonzero_p0(p0)
     _check_sign(sign)
     b = _nonvanishing(eta, pauli, grid)
-    return _weyl_density(b.s, b.A, p0, sign, metric)
+    return _weyl_density(b.s, b.A, p0, sign, pauli.metric)
 
 
 def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
-                           metric: Metric3, grid: TorusGrid) -> np.ndarray:
+                           grid: TorusGrid) -> np.ndarray:
     """Pointwise residual of the factorisation of the stationary density
     through L_+ and L_-, |L - FACTORIZATION_SIGN (-32 p0/9) L_+ L_- / (L_+ - L_-)|:
     floating-point noise with the conventions of this package, and 2|L|
@@ -404,6 +404,7 @@ def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: Paul
         b = _nonvanishing(eta, pauli, grid)
     except VanishingSpinor as exc:
         raise DegenerateDenominator(f"|L+ - L-| below threshold: {exc}") from None
+    metric = pauli.metric
     denom = 2.0 * p0 * b.s * metric.sqrt_det
     lag = _stationary_density(b.s, b.A, p0, metric)
     lp = _weyl_density(b.s, b.A, p0, 1, metric)
@@ -413,8 +414,7 @@ def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: Paul
 
 
 def scaling_covariance_residual(eta: np.ndarray | SpinorField, h: np.ndarray, p0: float,
-                                pauli: PauliSet, metric: Metric3,
-                                grid: TorusGrid) -> tuple[float, float]:
+                                pauli: PauliSet, grid: TorusGrid) -> tuple[float, float]:
     """Max-norm residuals of L_pm(e^h eta) = e^{2h} L_pm(eta), relative
     to the field scale, for the Weyl signs (+1, -1), both from one field
     of e^h eta, so it is differentiated once.
@@ -448,14 +448,14 @@ def scaling_covariance_residual(eta: np.ndarray | SpinorField, h: np.ndarray, p0
     del scaled.slash
     residuals = []
     for sign in (1, -1):
-        lhs = lagrangian_weyl(scaled, p0, sign, pauli, metric, grid)
-        rhs = eh * eh * lagrangian_weyl(base, p0, sign, pauli, metric, grid)
+        lhs = lagrangian_weyl(scaled, p0, sign, pauli, grid)
+        rhs = eh * eh * lagrangian_weyl(base, p0, sign, pauli, grid)
         residuals.append(_relative_max(lhs - rhs, rhs))
     return tuple(residuals)
 
 
 def lagrangian_dynamic(xi: np.ndarray | SpinorField, dxi0: np.ndarray, pauli: PauliSet,
-                       metric: Metric3, grid: TorusGrid) -> np.ndarray:
+                       grid: TorusGrid) -> np.ndarray:
     """Dynamic Lagrangian density at a fixed time, given the field and
     its time derivative on that slice:
 
@@ -470,14 +470,14 @@ def lagrangian_dynamic(xi: np.ndarray | SpinorField, dxi0: np.ndarray, pauli: Pa
     space_term = 2.0 * field.A
     t = _sandwich(field.eta, pauli.sigma_lower, dxi0)
     w = -2.0 * t.imag  # i(xibar sigma_a d0 xi - c.c.), real covector
-    wnorm2 = metric.covector_norm2(w)
-    return (4.0 / (9.0 * field.s)) * (space_term**2 - wnorm2) * metric.sqrt_det
+    wnorm2 = pauli.metric.covector_norm2(w)
+    return (4.0 / (9.0 * field.s)) * (space_term**2 - wnorm2) * pauli.metric.sqrt_det
 
 
-def fierz_residual(eta: np.ndarray | SpinorField, pauli: PauliSet, metric: Metric3,
+def fierz_residual(eta: np.ndarray | SpinorField, pauli: PauliSet,
                    grid: TorusGrid) -> float:
     """Max-norm residual of g^ab v_a v_b = s^2, relative to max s^2.
     Needs no derivative of eta."""
     field = _field(eta, pauli, grid)
     s2 = field.s**2
-    return _relative_max(metric.covector_norm2(field.v) - s2, s2)
+    return _relative_max(pauli.metric.covector_norm2(field.v) - s2, s2)

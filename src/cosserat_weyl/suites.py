@@ -12,7 +12,7 @@ import numpy as np
 from .correspondence import frame_to_spinor, spinor_to_frame
 from .cosserat import conformal_rescale, potential_energy
 from .errors import ConfigError
-from .geometry import Metric3, TorusGrid, _plane_wave, build_pauli
+from .geometry import TorusGrid, _plane_wave, build_pauli
 from .sampling import (
     _check_safely_nonvanishing,
     _perturbed_unit_spinor,
@@ -51,9 +51,10 @@ def _report(what, cases, other_gates=True, **extra):
 
 
 def _each_case(case, grid: TorusGrid, seed: int, n_cases: int, **spinor_kw) -> list:
-    """What ``case(i, metric, pauli, field, p0, rng)`` returns on each of
-    ``n_cases`` seeded cases, in order: a random SPD metric and a
-    nonvanishing spinor from one RNG seeded with ``seed``, and p0 from
+    """What ``case(i, field, p0, rng)`` returns on each of ``n_cases``
+    seeded cases, in order: a nonvanishing spinor on the Pauli set of a
+    random SPD metric (``field.pauli``, which carries that metric), both
+    from one RNG seeded with ``seed``, and p0 from
     {+-0.5, +-1, +-2}. A case that needs more random input draws it from
     ``rng`` before the next case is drawn. The loop drops a case's field
     before it draws the next one, so neither that field nor anything
@@ -64,13 +65,12 @@ def _each_case(case, grid: TorusGrid, seed: int, n_cases: int, **spinor_kw) -> l
     rng = np.random.default_rng(seed)
     results = []
     for i in range(n_cases):
-        metric = random_spd_metric(rng)
-        pauli = build_pauli(metric)
+        pauli = build_pauli(random_spd_metric(rng))
         # the draw of random_nonvanishing_spinor, its guard run on the
         # field's s, which every check of the case then reuses
         field = SpinorField(_perturbed_unit_spinor(grid, rng, **spinor_kw), pauli, grid)
         _check_safely_nonvanishing(field.s)
-        results.append(case(i, metric, pauli, field, _P0_CYCLE[i % len(_P0_CYCLE)], rng))
+        results.append(case(i, field, _P0_CYCLE[i % len(_P0_CYCLE)], rng))
         del field
     return results
 
@@ -79,9 +79,10 @@ def verify_factorization(grid: TorusGrid, seed: int, n_cases: int = 100) -> dict
     """Pointwise relative factorisation residual on random nonvanishing
     band-limited spinors, random SPD metrics and p0 in {+-0.5, +-1, +-2},
     with the one global sign `spinor.FACTORIZATION_SIGN`."""
-    def case(i, metric, pauli, field, p0, _):
-        res = factorization_residual(field, p0, pauli, metric, grid)
-        lag = lagrangian_stationary(field, p0, pauli, metric, grid)
+    def case(i, field, p0, _):
+        pauli = field.pauli
+        res = factorization_residual(field, p0, pauli, grid)
+        lag = lagrangian_stationary(field, p0, pauli, pauli.metric, grid)
         return {"case": i, "p0": p0, "residual": _relative_max(res, lag)}
 
     return _report("factorization", _each_case(case, grid, seed, n_cases))
@@ -96,10 +97,10 @@ def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
     residual is set by aliasing of e^h eta, so h must stay small and
     smooth relative to the Nyquist mode (band-limit safety factor 4).
     """
-    def case(i, metric, pauli, field, p0, rng):
+    def case(i, field, p0, rng):
         h = h_field if h_field is not None else \
             random_bandlimited_scalar(grid, rng, max_mode=1, amplitude=_SCALING_H_AMPLITUDE)
-        residuals = scaling_covariance_residual(field, h, p0, pauli, metric, grid)
+        residuals = scaling_covariance_residual(field, h, p0, field.pauli, grid)
         return [{"case": i, "p0": p0, "weyl_sign": sign, "residual": res}
                 for sign, res in zip((1, -1), residuals)]
 
@@ -118,13 +119,12 @@ def verify_conformal(grid: TorusGrid, h_field: np.ndarray = None) -> dict:
         h_field = 1.5 + _plane_wave(grid, (1, 0, 0), 1.0).real
     if float(np.min(h_field)) <= 0.0:
         raise ConfigError("conformal scale e^h must be positive everywhere")
-    metric = Metric3.identity()
     theta = rotating_coframe(grid, 2.0 * np.pi * grid.axis_coords(3) / grid.box[2])
     rho = np.ones(grid.shape)
-    p_base = potential_energy(theta, rho, metric, grid)
+    p_base = potential_energy(theta, rho, grid)
     # rebinding frees the unscaled pair before the rescaled one is differentiated
     theta, rho = conformal_rescale(theta, rho, np.log(h_field))
-    p_scaled = potential_energy(theta, rho, metric, grid)
+    p_scaled = potential_energy(theta, rho, grid)
     cases = [{"P": p_base, "P_rescaled": p_scaled,
               "residual": _relative_max(p_scaled - p_base, p_base)}]
     return _report("conformal", cases)
@@ -132,20 +132,21 @@ def verify_conformal(grid: TorusGrid, h_field: np.ndarray = None) -> dict:
 
 def verify_fierz(grid: TorusGrid, seed: int, n_cases: int = 50) -> dict:
     """Fierz identity g^ab v_a v_b = s^2 on random spinors and metrics."""
-    def case(i, metric, pauli, field, _, __):
-        return {"case": i, "residual": fierz_residual(field, pauli, metric, grid)}
+    def case(i, field, _, __):
+        return {"case": i, "residual": fierz_residual(field, field.pauli, grid)}
 
     return _report("fierz", _each_case(case, grid, seed, n_cases))
 
 
 def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20) -> dict:
     """Invariance of all spinor-module outputs under a constant phase."""
-    def case(i, metric, pauli, field, p0, rng):
+    def case(i, field, p0, rng):
         # both fields are the case's own, so each v and sigma^a d_a eta is
         # released once it has served: one pair of v, and one sigma^a d_a
         # eta, alive at a time. The worst residual does not depend on the
         # order of the comparisons
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        pauli = field.pauli
         rotated = SpinorField(phase * field.eta, pauli, grid)
         worst = _relative_max(field.v - rotated.v, field.v)
         del field.v, rotated.v
@@ -155,20 +156,20 @@ def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20) -> dict:
         worst = max(worst, _relative_max(field.A - rotated.A, field.A))
         del rotated.slash
         for sign in (1, -1):
-            lhs, rhs = (lagrangian_weyl(f, p0, sign, pauli, metric, grid) for f in (field, rotated))
+            lhs, rhs = (lagrangian_weyl(f, p0, sign, pauli, grid) for f in (field, rotated))
             worst = max(worst, _relative_max(lhs - rhs, lhs))
         return {"case": i, "p0": p0, "residual": worst}
 
     return _report("u1", _each_case(case, grid, seed, n_cases))
 
 
-def _correspondence_case(i, metric, pauli, field, _, __) -> dict:
+def _correspondence_case(i, field, _, __) -> dict:
     """One correspondence case: its orthonormality and round trip. The
     frame and density die before the round trip is measured, and the
     lifted spinor when it returns."""
     xi = field.eta
-    theta, rho = spinor_to_frame(field, pauli, metric, field.grid)
-    xi_rec, ortho = frame_to_spinor(theta, rho, pauli, metric)
+    theta, rho = spinor_to_frame(field, field.pauli, field.grid)
+    xi_rec, ortho = frame_to_spinor(theta, rho, field.pauli)
     del theta, rho
     scale = float(np.abs(xi).max())
     roundtrip = min(float(np.abs(xi_rec - xi).max()),

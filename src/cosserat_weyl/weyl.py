@@ -183,7 +183,7 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
 
 
 def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
-                metric: Metric3, grid: TorusGrid) -> np.ndarray:
+                grid: TorusGrid) -> np.ndarray:
     """Variational derivative of the discrete stationary action with
     respect to etabar, as a spinor field w.
 
@@ -215,6 +215,7 @@ def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     """
     _check_nonzero_p0(p0)
     field = _nonvanishing(eta, pauli, grid)
+    metric = pauli.metric
 
     def g_coef(at):
         """G on the points ``at``, the same bits wherever it is formed."""
@@ -238,9 +239,10 @@ def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     return w
 
 
-def _gradient_scale(field: SpinorField, p0: float, metric: Metric3):
+def _gradient_scale(field: SpinorField, p0: float):
     """The scale of the EL residuals of each field of a stack (of the field alone)."""
-    return _PREFACTOR * metric.sqrt_det * (1.0 + p0 * p0) * np.sqrt(field.s.max(axis=_GRID_AXES))
+    return (_PREFACTOR * field.pauli.metric.sqrt_det * (1.0 + p0 * p0)
+            * np.sqrt(field.s.max(axis=_GRID_AXES)))
 
 
 def _sample_dofs(eta: np.ndarray, probes: int, seed: int):
@@ -286,7 +288,7 @@ def _line_stencil(grid: TorusGrid):
     return offsets, weights
 
 
-def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
+def _fd_gradient_at_dofs(eta, p0, pauli, grid, dofs):
     """Central-difference gradient of the discrete action at the real
     degrees of freedom ``dofs = (points, comp, part)`` (as drawn by
     `_sample_dofs`), rescaled to be comparable with Re/Im of
@@ -361,7 +363,7 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
         slash_pm = field.slash[pts][:, np.newaxis] + delta[:, :, np.newaxis, np.newaxis] \
             * column[:, np.newaxis]
         axial = _axial_density(eta_pm, slash_pm)
-        lag_pm = _stationary_density(s_pm, axial, p0, metric)
+        lag_pm = _stationary_density(s_pm, axial, p0, pauli.metric)
         # the action's central difference, cell_volume sum(L_+ - L_-) / (2 step),
         # over the 2 cell_volume of `el_gradient`'s scaling: the cell volume,
         # which can under- or overflow, cancels and is not formed
@@ -370,26 +372,25 @@ def _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs):
 
 
 def el_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
-                metric: Metric3, grid: TorusGrid) -> float:
+                grid: TorusGrid) -> float:
     """Scale-normalised max-norm of the gradient of the discrete
     stationary action: the closed-form variational derivative
     (`el_gradient`) at every grid point. It applies sigma^a d_a as one
     Fourier symbol, to eta (shared with every other check of the field)
     and to G eta."""
-    return float(_el_residuals(_field(eta, pauli, grid), p0, metric))
+    return float(_el_residuals(_field(eta, pauli, grid), p0))
 
 
-def _el_residuals(field: SpinorField, p0: float, metric: Metric3):
+def _el_residuals(field: SpinorField, p0: float):
     """`el_residual` of each field of a stack (of the field alone)."""
-    w = el_gradient(field, p0, field.pauli, metric, field.grid)
+    w = el_gradient(field, p0, field.pauli, field.grid)
     re, im = np.abs(w.real).max(axis=_FIELD_AXES), np.abs(w.imag).max(axis=_FIELD_AXES)
     # the larger of the two as max() takes it: the first unless the second is greater
-    return np.where(im > re, im, re) / _gradient_scale(field, p0, metric)
+    return np.where(im > re, im, re) / _gradient_scale(field, p0)
 
 
 def el_residual_fd(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
-                   metric: Metric3, grid: TorusGrid, probes: int = 64,
-                   seed: int = 0) -> float:
+                   grid: TorusGrid, probes: int = 64, seed: int = 0) -> float:
     """`el_residual` from finite differences: the max-norm of the
     gradient at ``probes`` (at least 1) seeded random real degrees of
     freedom, each a central difference of the discrete action (step
@@ -403,20 +404,19 @@ def el_residual_fd(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     """
     field = _field(eta, pauli, grid)
     dofs = _sample_dofs(field.eta, probes, seed)
-    values = _fd_gradient_at_dofs(field, p0, pauli, metric, grid, dofs)
-    return float(np.abs(values).max()) / _gradient_scale(field, p0, metric)
+    values = _fd_gradient_at_dofs(field, p0, pauli, grid, dofs)
+    return float(np.abs(values).max()) / _gradient_scale(field, p0)
 
 
-def el_gradient_fd_check(eta: np.ndarray | SpinorField, p0: float,
-                         pauli: PauliSet, metric: Metric3, grid: TorusGrid,
-                         probes: int = 64, seed: int = 0) -> float:
+def el_gradient_fd_check(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
+                         grid: TorusGrid, probes: int = 64, seed: int = 0) -> float:
     """Relative max-norm disagreement between the analytic and the
     finite-difference gradients on a common random subsample of
     degrees of freedom."""
     field = _field(eta, pauli, grid)
     dofs = _sample_dofs(field.eta, probes, seed)
-    fd = _fd_gradient_at_dofs(field, p0, pauli, metric, grid, dofs)
-    w = el_gradient(field, p0, pauli, metric, grid)
+    fd = _fd_gradient_at_dofs(field, p0, pauli, grid, dofs)
+    w = el_gradient(field, p0, pauli, grid)
     points, comp, part = dofs
     at_dofs = w[tuple(points.T) + (comp,)]
     analytic = np.where(part == 0, at_dofs.real, at_dofs.imag)
@@ -425,8 +425,7 @@ def el_gradient_fd_check(eta: np.ndarray | SpinorField, p0: float,
     return float(np.abs(fd - analytic).max()) / scale
 
 
-def _residuals(fields: SpinorField, p0: float, sign: int, metric: Metric3,
-               fd_seed: int | None = None):
+def _residuals(fields: SpinorField, p0: float, sign: int, fd_seed: int | None = None):
     """Residuals of each field of a stack (`SpinorField`) for the
     sign-``sign`` Weyl equation at frequency p0, all from the stack's one
     sigma^a d_a eta, which the FD probes of its first field perturb too.
@@ -440,12 +439,12 @@ def _residuals(fields: SpinorField, p0: float, sign: int, metric: Metric3,
     pauli, grid = fields.pauli, fields.grid
     cases = [{"weyl_residual": float(weyl), "el_residual": float(el)}
              for weyl, el in zip(_weyl_norms(fields, p0, sign),
-                                 _el_residuals(fields, p0, metric))]
+                                 _el_residuals(fields, p0))]
     if fd_seed is not None:
-        cases[0]["el_residual_fd"] = el_residual_fd(fields[0], p0, pauli, metric, grid,
+        cases[0]["el_residual_fd"] = el_residual_fd(fields[0], p0, pauli, grid,
                                                     probes=_FD_PROBES, seed=fd_seed)
-    lag = lagrangian_stationary(fields, p0, pauli, metric, grid)
-    lpm = lagrangian_weyl(fields, p0, sign, pauli, metric, grid)
+    lag = lagrangian_stationary(fields, p0, pauli, pauli.metric, grid)
+    lpm = lagrangian_weyl(fields, p0, sign, pauli, grid)
     for case, l_max, lpm_max in zip(cases, np.abs(lag).max(axis=_GRID_AXES),
                                     np.abs(lpm).max(axis=_GRID_AXES)):
         case["L_max"], case["Lpm_max"] = float(l_max), float(lpm_max)
@@ -500,7 +499,7 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
             pair.eta[...] = wave.eta
             pair.eta[1] += noise
             del wave, noise
-            (res, bad), _ = _residuals(pair, p0, sign, metric, fd_seed=fd_seed)
+            (res, bad), _ = _residuals(pair, p0, sign, fd_seed=fd_seed)
             del pair
             cases.append({"kind": "solution", **head, **res,
                           "pass": _within_gates(res, _SOLUTION_GATED)})

@@ -191,7 +191,7 @@ def test_acceptance_9_gradient_cross_check():
         eta = random_nonvanishing_spinor(grid, rng, max_mode=1)
         p0 = 0.5 if i % 2 == 0 else -1.0
         worst = max(worst, el_gradient_fd_check(
-            eta, p0, pauli, metric, grid, probes=64,
+            eta, p0, pauli, grid, probes=64,
             seed=int(rng.integers(2**31))))
     _report(9, "variational gradient cross-check", worst <= 1e-6,
             f"max rel disagreement {worst:.3e} over 10 fields")

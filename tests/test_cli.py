@@ -192,9 +192,6 @@ class TestVerifyReports:
                             "--h", "2.0+cos(x1)", *SMALL)
         assert code == 0
 
-    def test_conformal_rejects_nonpositive_scale(self, tmp_path):
-        assert main(["verify", "conformal", "--h", "0.5*cos(x1)", *SMALL]) == 2
-
     def test_correspondence_suite(self, tmp_path):
         code, report = _run(tmp_path, "verify", "correspondence",
                             "--cases", "3", *SMALL)

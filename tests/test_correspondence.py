@@ -41,11 +41,19 @@ def _complex_conjugate(pauli):
                                sigma_lower=pauli.sigma_lower.conj())
 
 
+def test_conjugate_sets_keep_their_metric():
+    # both conjugations give another Pauli set of the same metric, which
+    # the maps read the density's weight and the orthonormality from
+    metric = Metric3.diagonal(1.0, 4.0, 9.0)
+    pauli = build_pauli(metric)
+    for other in (_complex_conjugate(pauli), su2_conjugate(pauli, np.random.default_rng(5))):
+        assert other.metric is metric
+
+
 class TestSpinorToFrame:
-    def test_spin_up_frozen_frame(self, grid8, pauli_identity, identity_metric):
+    def test_spin_up_frozen_frame(self, grid8, pauli_identity):
         # xi = (1, 0): theta^1 = -dx1, theta^2 = -dx2, theta^3 = dx3, rho = 1
-        theta, rho = spinor_to_frame(constant_spinor(grid8), pauli_identity,
-                                     identity_metric, grid8)
+        theta, rho = spinor_to_frame(constant_spinor(grid8), pauli_identity, grid8)
         expected = np.zeros((3,) + grid8.shape + (3,))
         expected[0, ..., 0] = -1.0
         expected[1, ..., 1] = -1.0
@@ -63,7 +71,7 @@ class TestSpinorToFrame:
             xihat = np.stack([xi[..., 1].conj(), -xi[..., 0].conj()], axis=-1)
             w = np.einsum("...i,aij,...j->...a", xihat.conj(), pauli.sigma_lower, xi)
             s = np.einsum("...i,...i->...", xi.conj(), xi).real[..., np.newaxis]
-            theta, _ = spinor_to_frame(xi, pauli, metric, grid8)
+            theta, _ = spinor_to_frame(xi, pauli, grid8)
             assert np.abs(theta[0] + 1j * theta[1] - w / s).max() <= 1e-13
 
     def test_image_is_orthonormal(self, grid8):
@@ -72,32 +80,29 @@ class TestSpinorToFrame:
             metric = random_spd_metric(rng)
             pauli = build_pauli(metric)
             xi = random_nonvanishing_spinor(grid8, rng)
-            theta, rho = spinor_to_frame(xi, pauli, metric, grid8)
+            theta, rho = spinor_to_frame(xi, pauli, grid8)
             assert orthonormality_residual(theta, metric).max() <= 1e-13
             assert np.min(rho) > 0.0
 
-    def test_phase_rotates_first_two_covectors(self, grid8, pauli_identity,
-                                               identity_metric):
+    def test_phase_rotates_first_two_covectors(self, grid8, pauli_identity):
         # xi -> e^{i phi} xi multiplies theta^1 + i theta^2 by e^{2 i phi}
         rng = np.random.default_rng(4)
         xi = random_nonvanishing_spinor(grid8, rng)
         phi = 0.37
-        theta, rho = spinor_to_frame(xi, pauli_identity, identity_metric, grid8)
-        theta_rot, rho_rot = spinor_to_frame(np.exp(1j * phi) * xi, pauli_identity,
-                                             identity_metric, grid8)
+        theta, rho = spinor_to_frame(xi, pauli_identity, grid8)
+        theta_rot, rho_rot = spinor_to_frame(np.exp(1j * phi) * xi, pauli_identity, grid8)
         w_base = theta[0] + 1j * theta[1]
         w_rot = theta_rot[0] + 1j * theta_rot[1]
         assert np.abs(w_rot - np.exp(2j * phi) * w_base).max() <= 1e-13
         assert np.abs(theta_rot[2] - theta[2]).max() <= 1e-14
         assert np.abs(rho_rot - rho).max() <= 1e-14
 
-    def test_vanishing_spinor_rejected(self, grid8, pauli_identity,
-                                       identity_metric):
+    def test_vanishing_spinor_rejected(self, grid8, pauli_identity):
         x1 = grid8.coords()[0]
         xi = np.zeros(grid8.shape + (2,), dtype=complex)
         xi[..., 0] = np.cos(x1)
         with pytest.raises(VanishingSpinor):
-            spinor_to_frame(xi, pauli_identity, identity_metric, grid8)
+            spinor_to_frame(xi, pauli_identity, grid8)
 
 
 class TestFrameToSpinor:
@@ -107,8 +112,8 @@ class TestFrameToSpinor:
             metric = random_spd_metric(rng)
             pauli = build_pauli(metric)
             xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
-            theta, rho = spinor_to_frame(xi, pauli, metric, grid8)
-            rec, ortho = frame_to_spinor(theta, rho, pauli, metric)
+            theta, rho = spinor_to_frame(xi, pauli, grid8)
+            rec, ortho = frame_to_spinor(theta, rho, pauli)
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
             assert err / np.abs(xi).max() <= 1e-11
             # the residual the lift checked is the frame's worst one
@@ -133,7 +138,7 @@ class TestFrameToSpinor:
         xi = xi @ u.T
         first = np.abs(xi[0, 0, 0])
         assert abs(first[0] - first[1]) <= 1e-15 * first.max()
-        rec, _ = frame_to_spinor(*spinor_to_frame(xi, pauli, metric, grid), pauli, metric)
+        rec, _ = frame_to_spinor(*spinor_to_frame(xi, pauli, grid), pauli)
         anchor = rec[0, 0, 0]
         assert anchor[np.argmax(np.abs(anchor))].real >= 0.0
         err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
@@ -154,8 +159,8 @@ class TestFrameToSpinor:
                 pauli, sigma_upper=u @ pauli.sigma_upper @ u.conj().T,
                 sigma_lower=u @ pauli.sigma_lower @ u.conj().T)
             xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
-            theta, rho = spinor_to_frame(xi, conj, metric, grid)
-            rec, _ = frame_to_spinor(theta, rho, conj, metric)
+            theta, rho = spinor_to_frame(xi, conj, grid)
+            rec, _ = frame_to_spinor(theta, rho, conj)
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
             assert err / np.abs(xi).max() <= 1e-14
 
@@ -165,8 +170,8 @@ class TestFrameToSpinor:
             metric = random_spd_metric(rng)
             conj = _complex_conjugate(build_pauli(metric))
             xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
-            theta, rho = spinor_to_frame(xi, conj, metric, grid8)
-            rec, _ = frame_to_spinor(theta, rho, conj, metric)
+            theta, rho = spinor_to_frame(xi, conj, grid8)
+            rec, _ = frame_to_spinor(theta, rho, conj)
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
             assert err / np.abs(xi).max() <= 1e-14
 
@@ -176,42 +181,37 @@ class TestFrameToSpinor:
         metric = random_spd_metric(rng)
         for pauli in (build_pauli(metric), _complex_conjugate(build_pauli(metric))):
             xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
-            theta, rho = spinor_to_frame(xi, pauli, metric, grid8)
+            theta, rho = spinor_to_frame(xi, pauli, grid8)
             flipped = theta.copy()
             flipped[2] *= -1.0
             assert orthonormality_residual(flipped, metric).max() <= 1e-13
             with pytest.raises(NoSpinLift):
-                frame_to_spinor(flipped, rho, pauli, metric)
+                frame_to_spinor(flipped, rho, pauli)
 
-    def test_spin_up_frozen_frame_inverts(self, grid8, pauli_identity,
-                                          identity_metric):
+    def test_spin_up_frozen_frame_inverts(self, grid8, pauli_identity):
         # xi = (1, 0) has xi_2 = 0 everywhere: only the root of xi_1^2 works
-        theta, rho = spinor_to_frame(constant_spinor(grid8), pauli_identity,
-                                     identity_metric, grid8)
-        rec, _ = frame_to_spinor(theta, rho, pauli_identity, identity_metric)
+        theta, rho = spinor_to_frame(constant_spinor(grid8), pauli_identity, grid8)
+        rec, _ = frame_to_spinor(theta, rho, pauli_identity)
         assert np.abs(rec - constant_spinor(grid8)).max() <= 1e-15
 
-    def test_forward_of_inverse_is_identity(self, grid8, pauli_identity,
-                                            identity_metric):
+    def test_forward_of_inverse_is_identity(self, grid8, pauli_identity):
         # the frame image is sign-blind, so this direction has no ambiguity
         rng = np.random.default_rng(29)
         xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
-        theta, rho = spinor_to_frame(xi, pauli_identity, identity_metric, grid8)
-        rec, _ = frame_to_spinor(theta, rho, pauli_identity, identity_metric)
-        theta2, rho2 = spinor_to_frame(rec, pauli_identity, identity_metric, grid8)
+        theta, rho = spinor_to_frame(xi, pauli_identity, grid8)
+        rec, _ = frame_to_spinor(theta, rho, pauli_identity)
+        theta2, rho2 = spinor_to_frame(rec, pauli_identity, grid8)
         assert np.abs(theta2 - theta).max() <= 1e-12
         assert np.abs(rho2 - rho).max() <= 1e-12
 
-    def test_rejects_non_orthonormal_frame(self, grid8, pauli_identity,
-                                           identity_metric):
+    def test_rejects_non_orthonormal_frame(self, grid8, pauli_identity):
         theta = np.zeros((3,) + grid8.shape + (3,))
         for j in range(3):
             theta[j, ..., j] = 2.0
         with pytest.raises(NotOrthonormal):
-            frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity, identity_metric)
+            frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity)
 
-    def test_rejects_nonpositive_density(self, grid8, pauli_identity,
-                                         identity_metric):
+    def test_rejects_nonpositive_density(self, grid8, pauli_identity):
         theta = np.zeros((3,) + grid8.shape + (3,))
         theta[0, ..., 0] = -1.0
         theta[1, ..., 1] = -1.0
@@ -220,16 +220,14 @@ class TestFrameToSpinor:
             rho = np.ones(grid8.shape)
             rho[0, 0, 0] = value
             with pytest.raises(NonPositiveDensity, match="finite and positive"):
-                frame_to_spinor(theta, rho, pauli_identity, identity_metric)
+                frame_to_spinor(theta, rho, pauli_identity)
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (), (8, 8, 1), (4, 8, 8)])
-    def test_rejects_density_of_another_shape(self, grid8, pauli_identity,
-                                              identity_metric, shape):
-        theta, _ = spinor_to_frame(constant_spinor(grid8), pauli_identity,
-                                   identity_metric, grid8)
+    def test_rejects_density_of_another_shape(self, grid8, pauli_identity, shape):
+        theta, _ = spinor_to_frame(constant_spinor(grid8), pauli_identity, grid8)
         with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*"
                            + re.escape(f"{grid8.shape}")):
-            frame_to_spinor(theta, np.ones(shape), pauli_identity, identity_metric)
+            frame_to_spinor(theta, np.ones(shape), pauli_identity)
 
 
 class TestOrthonormalityScalesWithTheMetric:
@@ -243,24 +241,24 @@ class TestOrthonormalityScalesWithTheMetric:
         metric = Metric3.from_matrix(c * (q @ np.diag([1.0, 2.0, 3.0]) @ q.T))
         pauli = build_pauli(metric)
         xi = random_nonvanishing_spinor(grid, rng, amplitude=0.25, max_mode=1)
-        return metric, pauli, xi, spinor_to_frame(xi, pauli, metric, grid)
+        return metric, pauli, xi, spinor_to_frame(xi, pauli, grid)
 
     @pytest.mark.parametrize("c", [1e9, 1e12])
     def test_large_metric_round_trips(self, c):
         # absolute residuals of 1.4e-6 and 2.0e-3, 5e-16 and 7e-16 of max|g_ab|
         metric, pauli, xi, (theta, rho) = self._frame(c)
-        rec, ortho = frame_to_spinor(theta, rho, pauli, metric)
+        rec, ortho = frame_to_spinor(theta, rho, pauli)
         assert ortho <= 1e-14 * np.abs(metric.g_lower).max()
         err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max()) / np.abs(xi).max()
         assert err <= 1e-13
 
     def test_stretched_frame_of_a_small_metric_is_not_orthonormal(self):
         # theta^1 stretched by 30%: 2.0e-9 absolute, but 0.68 of max|g_ab|
-        metric, pauli, _, (theta, rho) = self._frame(1e-9)
+        _, pauli, _, (theta, rho) = self._frame(1e-9)
         theta = theta.copy()
         theta[0] *= 1.3
         with pytest.raises(NotOrthonormal):
-            frame_to_spinor(theta, rho, pauli, metric)
+            frame_to_spinor(theta, rho, pauli)
 
 
 class TestSlabs:
@@ -279,8 +277,8 @@ class TestSlabs:
         pauli = su2_conjugate(build_pauli(metric), rng)
         xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
         assert len(geometry_module._slabs(dims)) == 1
-        frame = spinor_to_frame(xi, pauli, metric, grid)
-        lift = frame_to_spinor(*frame, pauli, metric)
+        frame = spinor_to_frame(xi, pauli, grid)
+        lift = frame_to_spinor(*frame, pauli)
         monkeypatch.setattr(geometry_module, "_SLAB_POINTS", slab_points)
         slabs = geometry_module._slabs(dims)
         sizes = [len(range(dims[0])[sl]) for sl in slabs]
@@ -289,32 +287,32 @@ class TestSlabs:
 
     @pytest.mark.parametrize("dims,slab_points", CASES)
     def test_slabs_match_one_slab_bit_for_bit(self, monkeypatch, dims, slab_points):
-        grid, metric, pauli, xi, (theta, rho), (xi_rec, ortho), _ = self._case(
+        grid, _, pauli, xi, (theta, rho), (xi_rec, ortho), _ = self._case(
             dims, monkeypatch, slab_points)
-        sliced_theta, sliced_rho = spinor_to_frame(xi, pauli, metric, grid)
+        sliced_theta, sliced_rho = spinor_to_frame(xi, pauli, grid)
         assert np.array_equal(sliced_theta, theta)
         assert np.array_equal(sliced_rho, rho)
-        lift = frame_to_spinor(sliced_theta, sliced_rho, pauli, metric)
+        lift = frame_to_spinor(sliced_theta, sliced_rho, pauli)
         assert np.array_equal(lift[0], xi_rec)
         assert lift[1] == ortho
 
     @pytest.mark.parametrize("dims,slab_points", CASES)
     def test_nan_in_the_last_slab_is_not_orthonormal(self, monkeypatch, dims, slab_points):
-        _, metric, pauli, _, (theta, rho), _, slabs = self._case(dims, monkeypatch,
+        _, _, pauli, _, (theta, rho), _, slabs = self._case(dims, monkeypatch,
                                                                  slab_points)
         theta = theta.copy()
         theta[0, slabs[-1].start, 1, 2, 0] = np.nan
         with pytest.raises(NotOrthonormal):
-            frame_to_spinor(theta, rho, pauli, metric)
+            frame_to_spinor(theta, rho, pauli)
 
     @pytest.mark.parametrize("dims,slab_points", CASES)
     def test_flip_in_the_last_slab_has_no_lift(self, monkeypatch, dims, slab_points):
-        _, metric, pauli, _, (theta, rho), _, slabs = self._case(dims, monkeypatch,
+        _, _, pauli, _, (theta, rho), _, slabs = self._case(dims, monkeypatch,
                                                                  slab_points)
         theta = theta.copy()
         theta[2, slabs[-1]] *= -1.0
         with pytest.raises(NoSpinLift, match="theta\\^3 points against"):
-            frame_to_spinor(theta, rho, pauli, metric)
+            frame_to_spinor(theta, rho, pauli)
 
     @pytest.mark.parametrize("dims,slab_points", CASES)
     def test_sign_sweep_chunks_match_one_chunk_bit_for_bit(self, monkeypatch, dims,
@@ -364,10 +362,10 @@ class TestSlabs:
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
         xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
-        theta, rho = spinor_to_frame(xi, pauli, metric, grid)
+        theta, rho = spinor_to_frame(xi, pauli, grid)
         tracemalloc.start()
         try:
-            frame_to_spinor(theta, rho, pauli, metric)
+            frame_to_spinor(theta, rho, pauli)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -479,10 +477,10 @@ class TestDictionaryAtTheEdges:
         # modes up to one below the Nyquist mode of the shortest axis
         xi = random_nonvanishing_spinor(grid, rng, amplitude=amplitude,
                                         max_mode=min(dims) // 2 - 1)
-        theta, rho = spinor_to_frame(xi, pauli, metric, grid)
+        theta, rho = spinor_to_frame(xi, pauli, grid)
         flipped_error = NoSpinLift
         try:
-            rec, _ = frame_to_spinor(theta, rho, pauli, metric)
+            rec, _ = frame_to_spinor(theta, rho, pauli)
         except NotOrthonormal:
             # flipping theta^3 leaves the Gram matrix, so the residual, unchanged
             flipped_error = NotOrthonormal
@@ -494,7 +492,7 @@ class TestDictionaryAtTheEdges:
         flipped = theta.copy()
         flipped[2] *= -1.0
         with pytest.raises(flipped_error):
-            frame_to_spinor(flipped, rho, pauli, metric)
+            frame_to_spinor(flipped, rho, pauli)
 
 
 class TestSpinLiftAroundCycles:
@@ -511,30 +509,30 @@ class TestSpinLiftAroundCycles:
         theta = self._turning_frame(grid8, axis, 1)
         assert orthonormality_residual(theta, identity_metric).max() <= 1e-15
         with pytest.raises(NoSpinLift, match=f"x{axis} cycle"):
-            frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity, identity_metric)
+            frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity)
 
-    def test_one_turn_on_a_non_cubic_grid(self, pauli_identity, identity_metric):
+    def test_one_turn_on_a_non_cubic_grid(self, pauli_identity):
         grid = TorusGrid((12, 16, 8), (5.0, 7.0, 9.0))
         for axis in (1, 2, 3):
             with pytest.raises(NoSpinLift, match=f"x{axis} cycle"):
                 frame_to_spinor(self._turning_frame(grid, axis, 3), np.ones(grid.shape),
-                                pauli_identity, identity_metric)
+                                pauli_identity)
 
     @pytest.mark.parametrize("axis", [1, 2, 3])
-    def test_two_turns_lift(self, grid8, pauli_identity, identity_metric, axis):
+    def test_two_turns_lift(self, grid8, pauli_identity, axis):
         theta = self._turning_frame(grid8, axis, 2)
-        rec, _ = frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity, identity_metric)
-        theta_rec, _ = spinor_to_frame(rec, pauli_identity, identity_metric, grid8)
+        rec, _ = frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity)
+        theta_rec, _ = spinor_to_frame(rec, pauli_identity, grid8)
         assert np.abs(theta_rec - theta).max() <= 1e-12
         # continuous: neighbours along every axis, the periodic edge included
         for ax in range(3):
             assert np.abs(np.roll(rec, -1, ax) - rec).max() <= 0.8
 
-    def test_nan_frame_is_not_orthonormal(self, grid8, pauli_identity, identity_metric):
+    def test_nan_frame_is_not_orthonormal(self, grid8, pauli_identity):
         theta = self._turning_frame(grid8, 3, 2)
         theta[0, 1, 2, 3, 0] = np.nan
         with pytest.raises(NotOrthonormal):
-            frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity, identity_metric)
+            frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity)
 
 
 class TestStationaryFramePath:

@@ -183,7 +183,7 @@ class Case:
 
     def pauli(self) -> PauliSet:
         return PauliSet(sigma_upper=_as_array(self.sigma_upper),
-                        sigma_lower=_as_array(self.sigma_lower))
+                        sigma_lower=_as_array(self.sigma_lower), metric=self.metric())
 
     def array(self, name) -> np.ndarray:
         return _as_array([getattr(p, name) for p in self.points])
@@ -319,8 +319,7 @@ class TestFloatKernelsAtExactPoints:
         # derivative of them
         case = _case(kind)
         grid = TorusGrid((4, 4, 4), (1.0, 1.0, 1.0))
-        theta, rho = spinor_to_frame(case.array("eta").reshape(4, 4, 4, 2), case.pauli(),
-                                     case.metric(), grid)
+        theta, rho = spinor_to_frame(case.array("eta").reshape(4, 4, 4, 2), case.pauli(), grid)
         exact = np.moveaxis(case.array("theta"), 0, 1).reshape(3, 4, 4, 4, 3)
         _assert_close(theta, exact)
         exact = _as_array([p.s * case.sqrt_det for p in case.points]).reshape(4, 4, 4)

@@ -132,8 +132,8 @@ class TestBuildersReturnPlanes:
         eta = _interleaved(random_nonvanishing_spinor(self.grid, rng, amplitude=0.15,
                                                       max_mode=1))
         assert _is_component_planes(_dirac(eta, pauli.sigma_upper, self.grid))
-        theta, rho = spinor_to_frame(eta, pauli, metric, self.grid)
-        assert _is_component_planes(frame_to_spinor(theta, rho, pauli, metric)[0])
+        theta, rho = spinor_to_frame(eta, pauli, self.grid)
+        assert _is_component_planes(frame_to_spinor(theta, rho, pauli)[0])
 
     def test_phase_and_scale_of_a_suite_case(self, monkeypatch):
         # the rotated field of verify u1 and e^h eta of verify scaling
@@ -160,7 +160,7 @@ class TestBuildersReturnPlanes:
         metric = random_spd_metric(rng)
         eta = _interleaved(random_nonvanishing_spinor(self.grid, rng, max_mode=1))
         h = random_bandlimited_scalar(self.grid, rng, max_mode=1, amplitude=0.2)
-        scaling_covariance_residual(eta, h, 0.5, build_pauli(metric), metric, self.grid)
+        scaling_covariance_residual(eta, h, 0.5, build_pauli(metric), self.grid)
         scaled = [e for e in seen if e is not eta]
         assert scaled and all(_is_component_planes(e) for e in scaled)
 
@@ -181,25 +181,25 @@ class TestAnyLayoutIsAccepted:
             ("_dirac", lambda e: _dirac(e, pauli.sigma_upper, grid)),
             ("lagrangian_stationary",
              lambda e: lagrangian_stationary(e, 0.5, pauli, metric, grid)),
-            ("lagrangian_weyl", lambda e: lagrangian_weyl(e, -1.0, 1, pauli, metric, grid)),
+            ("lagrangian_weyl", lambda e: lagrangian_weyl(e, -1.0, 1, pauli, grid)),
             ("factorization_residual",
-             lambda e: factorization_residual(e, 2.0, pauli, metric, grid)),
+             lambda e: factorization_residual(e, 2.0, pauli, grid)),
             ("scaling_covariance_residual",
-             lambda e: scaling_covariance_residual(e, h, 1.0, pauli, metric, grid)),
-            ("lagrangian_dynamic", lambda e: lagrangian_dynamic(e, dxi0, pauli, metric, grid)),
+             lambda e: scaling_covariance_residual(e, h, 1.0, pauli, grid)),
+            ("lagrangian_dynamic", lambda e: lagrangian_dynamic(e, dxi0, pauli, grid)),
             ("lagrangian_dynamic of dxi0",
              lambda e: lagrangian_dynamic(planar, dxi0 if e is planar else _interleaved(dxi0),
-                                          pauli, metric, grid)),
-            ("fierz_residual", lambda e: fierz_residual(e, pauli, metric, grid)),
+                                          pauli, grid)),
+            ("fierz_residual", lambda e: fierz_residual(e, pauli, grid)),
             ("weyl_residual", lambda e: weyl_residual(e, 0.5, -1, pauli, grid)),
             ("weyl_residual_norm", lambda e: weyl_residual_norm(e, 0.5, 1, pauli, grid)),
-            ("el_gradient", lambda e: el_gradient(e, -0.5, pauli, metric, grid)),
-            ("el_residual", lambda e: el_residual(e, 0.5, pauli, metric, grid)),
+            ("el_gradient", lambda e: el_gradient(e, -0.5, pauli, grid)),
+            ("el_residual", lambda e: el_residual(e, 0.5, pauli, grid)),
             ("el_residual_fd",
-             lambda e: el_residual_fd(e, 0.5, pauli, metric, grid, probes=8, seed=1)),
+             lambda e: el_residual_fd(e, 0.5, pauli, grid, probes=8, seed=1)),
             ("el_gradient_fd_check",
-             lambda e: el_gradient_fd_check(e, 1.0, pauli, metric, grid, probes=8)),
-            ("spinor_to_frame", lambda e: spinor_to_frame(e, pauli, metric, grid)),
+             lambda e: el_gradient_fd_check(e, 1.0, pauli, grid, probes=8)),
+            ("spinor_to_frame", lambda e: spinor_to_frame(e, pauli, grid)),
             ("stationary_frame_path",
              lambda e: stationary_frame_path(e, 1.0, pauli, metric, grid)),
         ]
@@ -245,7 +245,7 @@ class TestCoframesAreBuiltAsPlanes:
     def test_the_dictionary(self):
         metric, pauli, eta = self._frame_path(9)
         for given in (eta, _interleaved(eta)):
-            theta, _ = spinor_to_frame(given, pauli, metric, self.grid)
+            theta, _ = spinor_to_frame(given, pauli, self.grid)
             assert _is_coframe_planes(theta)
             theta, dtheta0, _ = stationary_frame_path(given, 1.0, pauli, metric, self.grid)
             # d0 theta^3 = 0 is not stored: the velocity is two covectors
@@ -304,10 +304,10 @@ class TestCoframesOfAnyLayout:
         calls = [
             ("orthonormality_residual", lambda t, d: orthonormality_residual(t, metric)),
             ("axial_torsion", lambda t, d: axial_torsion(t, grid)),
-            ("potential_energy", lambda t, d: potential_energy(t, rho, metric, grid)),
+            ("potential_energy", lambda t, d: potential_energy(t, rho, grid)),
             ("kinetic_2form", kinetic_2form),
             ("lagrangian_coframe", lambda t, d: lagrangian_coframe(t, d, rho, metric, grid)),
-            ("frame_to_spinor", lambda t, d: frame_to_spinor(t, rho, pauli, metric)),
+            ("frame_to_spinor", lambda t, d: frame_to_spinor(t, rho, pauli)),
         ]
         interleaved = [(_interleaved(theta), dtheta0), (theta, _interleaved(dtheta0)),
                        (_interleaved(theta), _interleaved(dtheta0))]

@@ -40,11 +40,12 @@ from cosserat_weyl import (
     planewave_solution,
     scaling_covariance_residual,
     spinor_to_frame,
+    stationary_frame_path,
     theorem_witness_suite,
     weyl_residual,
     weyl_residual_norm,
 )
-from cosserat_weyl.geometry import spectral_partial
+from cosserat_weyl.geometry import _same_value, spectral_partial
 from cosserat_weyl.spinor import _axial_density, _covector, _dirac, _sandwich, _scalar_density
 from cosserat_weyl.sampling import (
     random_bandlimited_scalar,
@@ -97,7 +98,7 @@ class TestBilinears:
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid, rng)
-        assert fierz_residual(eta, pauli, metric, grid) <= 1e-13
+        assert fierz_residual(eta, pauli, grid) <= 1e-13
 
 
 class TestLagrangians:
@@ -106,8 +107,8 @@ class TestLagrangians:
         eta = constant_spinor(grid8)
         lag = lagrangian_stationary(eta, 1.0, pauli_identity, identity_metric, grid8)
         assert np.abs(lag + 16.0 / 9.0).max() <= 1e-14
-        lp = lagrangian_weyl(eta, 1.0, 1, pauli_identity, identity_metric, grid8)
-        lm = lagrangian_weyl(eta, 1.0, -1, pauli_identity, identity_metric, grid8)
+        lp = lagrangian_weyl(eta, 1.0, 1, pauli_identity, grid8)
+        lm = lagrangian_weyl(eta, 1.0, -1, pauli_identity, grid8)
         assert np.abs(lp - 1.0).max() <= 1e-14
         assert np.abs(lm + 1.0).max() <= 1e-14
 
@@ -116,25 +117,23 @@ class TestLagrangians:
         with pytest.raises(ZeroFrequency):
             lagrangian_stationary(eta, 0.0, pauli_identity, identity_metric, grid8)
         with pytest.raises(ZeroFrequency):
-            lagrangian_weyl(eta, 0.0, 1, pauli_identity, identity_metric, grid8)
+            lagrangian_weyl(eta, 0.0, 1, pauli_identity, grid8)
 
-    def test_vanishing_spinor_rejected(self, grid8, pauli_identity, identity_metric):
+    def test_vanishing_spinor_rejected(self, grid8, pauli_identity):
         x1 = grid8.coords()[0]
         eta = np.zeros(grid8.shape + (2,), dtype=complex)
         eta[..., 0] = np.cos(x1)  # vanishes on a plane
         for call in (
-            lambda: lagrangian_weyl(eta, 1.0, -1, pauli_identity, identity_metric, grid8),
-            lambda: lagrangian_dynamic(eta, -1j * eta, pauli_identity, identity_metric,
-                                       grid8),
-            lambda: el_gradient(eta, 1.0, pauli_identity, identity_metric, grid8),
+            lambda: lagrangian_weyl(eta, 1.0, -1, pauli_identity, grid8),
+            lambda: lagrangian_dynamic(eta, -1j * eta, pauli_identity, grid8),
+            lambda: el_gradient(eta, 1.0, pauli_identity, grid8),
         ):
             with pytest.raises(VanishingSpinor):
                 call()
 
-    def test_bad_weyl_sign_rejected(self, grid8, pauli_identity, identity_metric):
+    def test_bad_weyl_sign_rejected(self, grid8, pauli_identity):
         with pytest.raises(ValueError):
-            lagrangian_weyl(constant_spinor(grid8), 1.0, 2,
-                            pauli_identity, identity_metric, grid8)
+            lagrangian_weyl(constant_spinor(grid8), 1.0, 2, pauli_identity, grid8)
 
     def test_u1_invariance(self, grid8, pauli_identity, identity_metric):
         rng = np.random.default_rng(7)
@@ -148,11 +147,11 @@ class TestLagrangians:
 
 
 class TestFactorization:
-    def test_constant_spinor_by_hand(self, grid8, pauli_identity, identity_metric):
+    def test_constant_spinor_by_hand(self, grid8, pauli_identity):
         # L+ L- / (L+ - L-) = -1/2 at p0 = 1, and L = -16/9,
         # so the printed constant -32/9 needs sign -1
         eta = constant_spinor(grid8)
-        res = factorization_residual(eta, 1.0, pauli_identity, identity_metric, grid8)
+        res = factorization_residual(eta, 1.0, pauli_identity, grid8)
         assert FACTORIZATION_SIGN == -1
         assert res.max() <= 1e-14
 
@@ -162,22 +161,21 @@ class TestFactorization:
             metric = random_spd_metric(rng)
             pauli = build_pauli(metric)
             eta = random_nonvanishing_spinor(grid16, rng)
-            res = factorization_residual(eta, p0, pauli, metric, grid16)
+            res = factorization_residual(eta, p0, pauli, grid16)
             lag = lagrangian_stationary(eta, p0, pauli, metric, grid16)
             assert res.max() / np.abs(lag).max() <= 1e-12
 
-    def test_degenerate_denominator(self, grid8, pauli_identity, identity_metric):
+    def test_degenerate_denominator(self, grid8, pauli_identity):
         # s vanishes on the x1 = pi/2 plane, so L+ - L- does too
         x1 = grid8.coords()[0]
         eta = np.zeros(grid8.shape + (2,), dtype=complex)
         eta[..., 0] = np.cos(x1)
         with pytest.raises(DegenerateDenominator):
-            factorization_residual(eta, 1.0, pauli_identity, identity_metric, grid8)
+            factorization_residual(eta, 1.0, pauli_identity, grid8)
 
-    def test_zero_frequency_rejected(self, grid8, pauli_identity, identity_metric):
+    def test_zero_frequency_rejected(self, grid8, pauli_identity):
         with pytest.raises(ZeroFrequency):
-            factorization_residual(constant_spinor(grid8), 0.0,
-                                   pauli_identity, identity_metric, grid8)
+            factorization_residual(constant_spinor(grid8), 0.0, pauli_identity, grid8)
 
 
 class TestScalingCovariance:
@@ -190,22 +188,20 @@ class TestScalingCovariance:
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid, rng, max_mode=1)
         h = random_bandlimited_scalar(grid, rng, max_mode=1, amplitude=0.2)
-        for res in scaling_covariance_residual(eta, h, 0.5, pauli, metric, grid):
+        for res in scaling_covariance_residual(eta, h, 0.5, pauli, grid):
             assert res <= 1e-10
 
-    def test_constant_rescaling_is_exact(self, grid8, pauli_identity, identity_metric):
+    def test_constant_rescaling_is_exact(self, grid8, pauli_identity):
         rng = np.random.default_rng(2)
         eta = random_nonvanishing_spinor(grid8, rng)
         h = np.full(grid8.shape, 0.7)
-        res = scaling_covariance_residual(eta, h, 1.0, pauli_identity,
-                                          identity_metric, grid8)
+        res = scaling_covariance_residual(eta, h, 1.0, pauli_identity, grid8)
         assert max(res) <= 1e-14
 
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [0.0, np.inf, np.nan])
-    def test_floor_is_checked_before_a_transform(self, grid8, pauli_identity, identity_metric,
-                                                 count_calls, value):
+    def test_floor_is_checked_before_a_transform(self, grid8, pauli_identity, count_calls, value):
         # a point of eta at zero, infinity or NaN fails the floor before
         # e^h eta is formed or either field transformed, so an infinity
         # makes no NaN (and no warning) on the way
@@ -213,8 +209,7 @@ class TestScalingCovariance:
         eta[1, 2, 3] = value
         dirac = count_calls("_dirac", spinor_module, weyl_module)
         with pytest.raises(VanishingSpinor):
-            scaling_covariance_residual(eta, np.zeros(grid8.shape), 0.5, pauli_identity,
-                                        identity_metric, grid8)
+            scaling_covariance_residual(eta, np.zeros(grid8.shape), 0.5, pauli_identity, grid8)
         assert dirac == []
 
 class TestDynamicReduction:
@@ -225,7 +220,7 @@ class TestDynamicReduction:
             pauli = build_pauli(metric)
             eta = random_nonvanishing_spinor(grid16, rng)
             # the slice x0 = 0 of xi = e^{-i p0 x0} eta: (xi, d0 xi) = (eta, -i p0 eta)
-            dyn = lagrangian_dynamic(eta, -1j * p0 * eta, pauli, metric, grid16)
+            dyn = lagrangian_dynamic(eta, -1j * p0 * eta, pauli, grid16)
             stat = lagrangian_stationary(eta, p0, pauli, metric, grid16)
             scale = np.abs(stat).max()
             assert np.abs(dyn - stat).max() / scale <= 1e-13
@@ -234,6 +229,7 @@ class TestDynamicReduction:
 # -- explicit Pauli arithmetic and the shared field ---------------------------
 
 GRID_468 = TorusGrid((4, 6, 8), (5.0, 7.0, 9.0))
+GRID_8 = TorusGrid((8, 8, 8), (2.0 * np.pi,) * 3)
 
 
 def _oracle_sandwich(eta, sigma, xi):
@@ -678,7 +674,7 @@ def _el_fd_disagreement(dims, box, seed, log10_cond, p0):
     rng = np.random.default_rng(seed)
     metric = _ill_conditioned_metric(rng, log10_cond)
     eta = random_nonvanishing_spinor(grid, rng, max_mode=1)
-    return el_gradient_fd_check(eta, p0, build_pauli(metric), metric, grid,
+    return el_gradient_fd_check(eta, p0, build_pauli(metric), grid,
                                 probes=64, seed=seed)
 
 
@@ -738,8 +734,8 @@ class TestLagrangiansAtTheEdges:
         eta[tuple(rng.integers(0, n) for n in grid.dims)] *= 10.0 ** log10_scale
         vanishing = bool(spinor_module._vanishing(_scalar_density(eta)))
         for call in (lambda: lagrangian_stationary(eta, p0, pauli, metric, grid),
-                     lambda: lagrangian_weyl(eta, p0, 1, pauli, metric, grid),
-                     lambda: lagrangian_weyl(eta, p0, -1, pauli, metric, grid)):
+                     lambda: lagrangian_weyl(eta, p0, 1, pauli, grid),
+                     lambda: lagrangian_weyl(eta, p0, -1, pauli, grid)):
             try:
                 density = call()
             except ModelError as exc:
@@ -770,8 +766,8 @@ def _one_factor_residuals(seed, log10_cond):
     kk = 2.0 * np.pi * k / np.asarray(grid.box)
     kslash = np.einsum("a,akl->kl", kk, pauli.sigma_upper)
     xi = random_nonvanishing_spinor(grid, rng, amplitude=0.25, max_mode=1)
-    theta, rho = spinor_to_frame(xi, pauli, metric, grid)
-    rec, _ = frame_to_spinor(theta, rho, pauli, metric)
+    theta, rho = spinor_to_frame(xi, pauli, grid)
+    rec, _ = frame_to_spinor(theta, rho, pauli)
     return {
         "clifford_lower": _rel(_anticommutators(pauli.sigma_lower),
                                2.0 * metric.g_lower[..., np.newaxis, np.newaxis] * np.eye(2)),
@@ -780,7 +776,7 @@ def _one_factor_residuals(seed, log10_cond):
         # relative to |g^ab| |k_a| |k_b|, the scale of the contraction's rounding
         "plane_wave": np.abs(kslash @ kslash - spec.p0**2 * np.eye(2)).max()
         / (np.abs(kk) @ np.abs(g_upper) @ np.abs(kk)),
-        "fierz": fierz_residual(xi, pauli, metric, grid),
+        "fierz": fierz_residual(xi, pauli, grid),
         "orthonormality": orthonormality_residual(theta, metric).max()
         / np.abs(metric.g_lower).max(),
         "round_trip": min(np.abs(rec - xi).max(), np.abs(rec + xi).max()) / np.abs(xi).max(),
@@ -823,28 +819,28 @@ class TestSpinorField:
             lambda e: spinor_module._field(e, pauli, grid).A,
             lambda e: spinor_module._field(e, pauli, grid).v,
             lambda e: lagrangian_stationary(e, 0.7, pauli, metric, grid),
-            lambda e: lagrangian_weyl(e, 0.7, -1, pauli, metric, grid),
-            lambda e: factorization_residual(e, 0.7, pauli, metric, grid),
-            lambda e: fierz_residual(e, pauli, metric, grid),
-            lambda e: lagrangian_dynamic(e, dxi0, pauli, metric, grid),
+            lambda e: lagrangian_weyl(e, 0.7, -1, pauli, grid),
+            lambda e: factorization_residual(e, 0.7, pauli, grid),
+            lambda e: fierz_residual(e, pauli, grid),
+            lambda e: lagrangian_dynamic(e, dxi0, pauli, grid),
             lambda e: weyl_residual(e, 0.7, 1, pauli, grid),
-            lambda e: el_gradient(e, 0.7, pauli, metric, grid),
-            lambda e: el_residual_fd(e, 0.7, pauli, metric, grid, probes=8),
-            lambda e: spinor_to_frame(e, pauli, metric, grid)[0],
+            lambda e: el_gradient(e, 0.7, pauli, grid),
+            lambda e: el_residual_fd(e, 0.7, pauli, grid, probes=8),
+            lambda e: spinor_to_frame(e, pauli, grid)[0],
         ):
             assert np.array_equal(fn(field), fn(eta))
 
     def test_each_quantity_is_computed_once(self, count_calls):
         metric, pauli, eta = self._setup()
         dirac = count_calls("_dirac", spinor_module, weyl_module)
-        fierz_residual(SpinorField(eta, pauli, GRID_468), pauli, metric, GRID_468)
+        fierz_residual(SpinorField(eta, pauli, GRID_468), pauli, GRID_468)
         assert dirac == []  # the Fierz identity needs no derivative
         field = SpinorField(eta, pauli, GRID_468)
         lagrangian_stationary(field, 0.5, pauli, metric, GRID_468)
-        lagrangian_weyl(field, 0.5, 1, pauli, metric, GRID_468)
+        lagrangian_weyl(field, 0.5, 1, pauli, GRID_468)
         weyl_residual_norm(field, 0.5, 1, pauli, GRID_468)
-        el_residual(field, 0.5, pauli, metric, GRID_468)
-        el_residual_fd(field, 0.5, pauli, metric, GRID_468, probes=4)
+        el_residual(field, 0.5, pauli, GRID_468)
+        el_residual_fd(field, 0.5, pauli, GRID_468, probes=4)
         # sigma^a d_a eta once for the field, shared by the FD probes, and
         # once for G eta in the EL gradient
         assert len(dirac) == 2
@@ -854,17 +850,17 @@ class TestSpinorField:
         maps = count_calls("_covector", spinor_module, correspondence_module)
         field = SpinorField(eta, pauli, GRID_468)
         lagrangian_stationary(field, 0.5, pauli, metric, GRID_468)
-        factorization_residual(field, 0.5, pauli, metric, GRID_468)
-        scaling_covariance_residual(field, 0.1 * field.s, 0.5, pauli, metric, GRID_468)
-        el_gradient(field, 0.5, pauli, metric, GRID_468)
-        el_residual_fd(field, 0.5, pauli, metric, GRID_468, probes=8)
+        factorization_residual(field, 0.5, pauli, GRID_468)
+        scaling_covariance_residual(field, 0.1 * field.s, 0.5, pauli, GRID_468)
+        el_gradient(field, 0.5, pauli, GRID_468)
+        el_residual_fd(field, 0.5, pauli, GRID_468, probes=8)
         theorem_witness_suite(1, GRID_468, metric, n_cases=2)
         assert maps == []  # no check of the field or of a probe reads v
-        fierz_residual(field, pauli, metric, GRID_468)
-        fierz_residual(field, pauli, metric, GRID_468)
+        fierz_residual(field, pauli, GRID_468)
+        fierz_residual(field, pauli, GRID_468)
         assert len(maps) == 1  # built on the first read, then cached
         other = SpinorField(eta, pauli, GRID_468)
-        spinor_to_frame(other, pauli, metric, GRID_468)
+        spinor_to_frame(other, pauli, GRID_468)
         assert len(maps) == 2
         assert "v" not in vars(other)  # the caller's field does not keep it
 
@@ -888,14 +884,14 @@ class TestSpinorField:
     def test_scaling_leaves_a_given_field_as_it_was(self, count_calls):
         # the residual makes eta's arrays on a copy of the field, so the
         # field keeps none of them, and keeps the arrays it already held
-        metric, pauli, eta = self._setup()
+        _, pauli, eta = self._setup()
         dirac = count_calls("_dirac", spinor_module, weyl_module)
         field = SpinorField(eta, pauli, GRID_468)
         h = 0.1 * field.s
 
         def residuals_keep_the_fields_arrays():
             before = dict(vars(field))
-            residuals = scaling_covariance_residual(field, h, 0.5, pauli, metric, GRID_468)
+            residuals = scaling_covariance_residual(field, h, 0.5, pauli, GRID_468)
             assert vars(field).keys() == before.keys()
             assert all(vars(field)[name] is value for name, value in before.items())
             return residuals
@@ -913,10 +909,10 @@ class TestSpinorField:
         field = SpinorField(eta, pauli, GRID_468)
         calls = [
             lambda p, g: lagrangian_stationary(field, 0.5, p, metric, g),
-            lambda p, g: fierz_residual(field, p, metric, g),
+            lambda p, g: fierz_residual(field, p, g),
             lambda p, g: weyl_residual_norm(field, 0.5, 1, p, g),
-            lambda p, g: el_residual(field, 0.5, p, metric, g),
-            lambda p, g: spinor_to_frame(field, p, metric, g),
+            lambda p, g: el_residual(field, 0.5, p, g),
+            lambda p, g: spinor_to_frame(field, p, g),
         ]
         for call in calls:
             for p, g in ((other_pauli, GRID_468), (pauli, other_grid)):
@@ -932,5 +928,73 @@ class TestSpinorField:
         with pytest.raises(NotHermitian, match="not Hermitian"):
             dataclasses.replace(pauli, sigma_lower=1j * pauli.sigma_lower)
         with pytest.raises(NotHermitian):
-            PauliSet(sigma_upper=pauli.sigma_upper, sigma_lower=1j * pauli.sigma_lower)
+            PauliSet(sigma_upper=pauli.sigma_upper, sigma_lower=1j * pauli.sigma_lower,
+                     metric=pauli.metric)
         assert issubclass(NotHermitian, ModelError)
+
+
+class TestPauliSetCarriesItsMetric:
+    """A Pauli set fixes its metric, sigma^a sigma^b + sigma^b sigma^a =
+    2 g^ab, so the set carries it, and every function given a set or a
+    field on one reads sqrt(det g), g^ab and g_ab from it. The two
+    functions whose signature the benchmark pins still take a metric
+    beside the set, and reject one of another value."""
+
+    @staticmethod
+    def _wave():
+        # the plane wave (1,1,0) on diag(1,4,9), sqrt(det g) = 6
+        spec, field = planewave_solution((1, 1, 0), 1, Metric3.diagonal(1.0, 4.0, 9.0), GRID_8)
+        return spec.p0, field
+
+    def test_sets_compare_their_metrics_by_value(self):
+        metric = Metric3.diagonal(1.0, 4.0, 9.0)
+        pauli = build_pauli(metric)
+        assert pauli.metric is metric
+        assert _same_value(pauli, build_pauli(Metric3.diagonal(1.0, 4.0, 9.0)))
+        assert not _same_value(pauli, build_pauli(Metric3.identity()))
+        # the same triples on another metric are another set
+        assert not _same_value(pauli, dataclasses.replace(pauli, metric=Metric3.identity()))
+
+    def test_a_field_on_another_metrics_set_is_rejected(self):
+        p0, field = self._wave()
+        calls = [
+            lambda p: el_residual(field, p0, p, GRID_8),
+            lambda p: spinor_to_frame(field, p, GRID_8),
+            lambda p: lagrangian_weyl(field, p0, 1, p, GRID_8),
+            lambda p: fierz_residual(field, p, GRID_8),
+        ]
+        other = build_pauli(Metric3.identity())
+        for call in calls:
+            for pauli in (other, dataclasses.replace(field.pauli, metric=Metric3.identity())):
+                with pytest.raises(ValueError, match="different Pauli set or grid"):
+                    call(pauli)
+            call(build_pauli(Metric3.diagonal(1.0, 4.0, 9.0)))
+
+    def test_the_fields_metric_sets_the_volume_form(self):
+        # el_residual on the right set is rounding, and spinor_to_frame's
+        # density is s sqrt(det g) = 6 s: neither can be handed the
+        # identity metric any more
+        p0, field = self._wave()
+        assert el_residual(field, p0, field.pauli, GRID_8) <= 1e-13
+        _, rho = spinor_to_frame(field, field.pauli, GRID_8)
+        assert np.array_equal(rho, field.s * 6.0)
+
+    def test_pinned_signatures_reject_a_metric_other_than_the_sets(self):
+        p0, field = self._wave()
+        for metric in (Metric3.identity(), Metric3.diagonal(1.0, 4.0, 8.0)):
+            with pytest.raises(ValueError, match="metric differs from the metric of the Pauli"):
+                lagrangian_stationary(field.eta, p0, field.pauli, metric, GRID_8)
+            with pytest.raises(ValueError, match="metric differs from the metric of the Pauli"):
+                stationary_frame_path(field.eta, p0, field.pauli, metric, GRID_8)
+
+    def test_pinned_signatures_take_an_equal_metric_built_separately(self):
+        p0, field = self._wave()
+        equal = Metric3.diagonal(1.0, 4.0, 9.0)
+        assert equal is not field.pauli.metric
+        lag = lagrangian_stationary(field.eta, p0, field.pauli, equal, GRID_8)
+        assert np.array_equal(lag, lagrangian_stationary(field.eta, p0, field.pauli,
+                                                         field.pauli.metric, GRID_8))
+        assert np.abs(lag).max() <= 1e-12
+        theta, _, rho = stationary_frame_path(field.eta, p0, field.pauli, equal, GRID_8)
+        assert np.array_equal(rho, field.s * 6.0)
+        assert orthonormality_residual(theta, equal).max() <= 1e-13

@@ -48,10 +48,11 @@ def test_seeded_cases_keep_the_explicit_draw_order(grid8, seed):
 
     got = []
 
-    def case(i, metric, pauli, field, p0, case_rng):
-        assert field.pauli is pauli and field.grid is grid8
+    def case(i, field, p0, case_rng):
+        assert field.grid is grid8
         assert i == len(got)
-        got.append((metric, pauli, field.eta, p0, case_rng.uniform(0.0, 2.0 * np.pi)))
+        got.append((field.pauli.metric, field.pauli, field.eta, p0,
+                    case_rng.uniform(0.0, 2.0 * np.pi)))
 
     _each_case(case, grid8, seed, 4, amplitude=0.15, max_mode=1)
 
@@ -77,10 +78,10 @@ def test_one_spectral_gradient_per_scaled_field(count_calls):
     assert maps == []  # nothing reads v
     expected = []
 
-    def case(i, metric, pauli, field, p0, _):
+    def case(i, field, p0, _):
         expected.extend({"case": i, "p0": p0, "weyl_sign": sign, "residual": res}
                         for sign, res in zip((1, -1), scaling_covariance_residual(
-                            field, h, p0, pauli, metric, grid)))
+                            field, h, p0, field.pauli, grid)))
 
     _each_case(case, grid, 4, 3, max_mode=1)
     assert report["cases"] == expected
@@ -109,7 +110,7 @@ def test_seeded_case_guard_reads_the_fields_density(count_calls):
     # field's own s, so s is computed once per case, not once for the
     # guard and again for the checks
     densities = count_calls("_scalar_density", spinor_module, sampling_module)
-    _each_case(lambda i, metric, pauli, field, p0, rng: field.s,
+    _each_case(lambda i, field, p0, rng: field.s,
                TorusGrid((8, 8, 8), (6.0,) * 3), 3, 4)
     assert len(densities) == 4
 

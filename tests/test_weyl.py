@@ -97,7 +97,7 @@ def _per_axis_slash(eta, sigma, grid):
     return np.einsum("nab,n...b->...a", sigma, deta)
 
 
-def _per_axis_lagrangian(eta, p0, pauli, metric, grid):
+def _per_axis_lagrangian(eta, p0, pauli, grid):
     """`lagrangian_stationary`, guards included, with sigma^a d_a eta
     taken as sigma^a applied to the stack of per-axis spectral partials:
     the discrete action the local stencil differentiates exactly. (The
@@ -107,10 +107,10 @@ def _per_axis_lagrangian(eta, p0, pauli, metric, grid):
         raise ZeroFrequency("p0 must be nonzero")
     field = _nonvanishing(eta, pauli, grid)
     axial = _axial_density(eta, _per_axis_slash(eta, pauli.sigma_upper, grid))
-    return _stationary_density(field.s, axial, p0, metric)
+    return _stationary_density(field.s, axial, p0, pauli.metric)
 
 
-def _full_grid_fd(eta, p0, pauli, metric, grid, dofs):
+def _full_grid_fd(eta, p0, pauli, grid, dofs):
     """Oracle: central differences of the action from two full-grid
     Lagrangians per probe."""
     eps_cbrt = float(np.cbrt(np.finfo(float).eps))
@@ -121,13 +121,13 @@ def _full_grid_fd(eta, p0, pauli, metric, grid, dofs):
         plus, minus = eta.copy(), eta.copy()
         plus[idx] += step if part == 0 else 1j * step
         minus[idx] -= step if part == 0 else 1j * step
-        diff = _per_axis_lagrangian(plus, p0, pauli, metric, grid) \
-            - _per_axis_lagrangian(minus, p0, pauli, metric, grid)
+        diff = _per_axis_lagrangian(plus, p0, pauli, grid) \
+            - _per_axis_lagrangian(minus, p0, pauli, grid)
         values.append(integrate(diff, grid) / (2.0 * step) / (2.0 * grid.cell_volume))
     return np.array(values)
 
 
-def _per_probe_fd(eta, p0, pauli, metric, grid, dofs):
+def _per_probe_fd(eta, p0, pauli, grid, dofs):
     """Oracle: the local finite differences one probe at a time, each on
     the three grid lines through its point, with the guards of each
     perturbed field checked as the probe comes."""
@@ -157,7 +157,7 @@ def _per_probe_fd(eta, p0, pauli, metric, grid, dofs):
         for k in range(2):
             _check_nonvanishing(np.array([s_pm[k, 0], s_flat[lo], s_flat[hi]]))
         axial = _axial_density(eta_pm, slash_pm)
-        lag_pm = _stationary_density(s_pm, axial, p0, metric)
+        lag_pm = _stationary_density(s_pm, axial, p0, pauli.metric)
         values.append(np.sum(lag_pm[0] - lag_pm[1]) / (4.0 * step))
     return np.array(values)
 
@@ -274,35 +274,35 @@ class TestVariationalGradient:
         for k, branch in (((0, 0, 1), 1), ((1, -2, 1), -1)):
             spec, eta = planewave_solution(k, branch, identity_metric, grid16)
             p0 = abs(spec.p0)
-            assert el_residual(eta, p0, pauli, identity_metric, grid16) <= 1e-13
-            assert el_residual_fd(eta, p0, pauli, identity_metric, grid16,
+            assert el_residual(eta, p0, pauli, grid16) <= 1e-13
+            assert el_residual_fd(eta, p0, pauli, grid16,
                                   probes=8, seed=1) <= 1e-8
 
     def test_nonzero_away_from_solutions(self, grid8, identity_metric):
         pauli = build_pauli(identity_metric)
         rng = np.random.default_rng(5)
         eta = random_nonvanishing_spinor(grid8, rng)
-        assert el_residual(eta, 1.0, pauli, identity_metric, grid8) >= 1e-3
+        assert el_residual(eta, 1.0, pauli, grid8) >= 1e-3
 
     def test_fd_agrees_with_analytic(self, grid8):
         rng = np.random.default_rng(9)
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid8, rng, max_mode=1)
-        assert el_gradient_fd_check(eta, 0.5, pauli, metric, grid8,
+        assert el_gradient_fd_check(eta, 0.5, pauli, grid8,
                                     probes=32, seed=3) <= 1e-7
 
-    def test_gradient_shape(self, grid8, pauli_identity, identity_metric):
+    def test_gradient_shape(self, grid8, pauli_identity):
         eta = np.zeros(grid8.shape + (2,), dtype=complex)
         eta[..., 0] = 1.0
-        w = el_gradient(eta, 1.0, pauli_identity, identity_metric, grid8)
+        w = el_gradient(eta, 1.0, pauli_identity, grid8)
         assert w.shape == eta.shape
 
 
-def _el_gradient_oracle(eta, p0, pauli, metric, grid):
+def _el_gradient_oracle(eta, p0, pauli, grid):
     """The closed-form gradient with einsum contractions and the second
     term as d_a (G sigma^a eta), one axis at a time."""
-    c = 16.0 / 9.0
+    c, metric = 16.0 / 9.0, pauli.metric
     s = np.einsum("...a,...a->...", eta.conj(), eta).real
     deta = np.stack([spectral_partial(eta, n, grid) for n in (1, 2, 3)])
     slash = np.einsum("nab,n...b->...a", pauli.sigma_upper, deta)
@@ -324,8 +324,8 @@ class TestAnalyticGradientOracle:
         _, wave = planewave_solution((1, 2, 3), 1, metric, grid)
         for eta in (random_nonvanishing_spinor(grid, rng, max_mode=1),
                     wave.eta + random_nonvanishing_spinor(grid, rng, amplitude=0.1)):
-            oracle = _el_gradient_oracle(eta, 0.8, pauli, metric, grid)
-            w = el_gradient(eta, 0.8, pauli, metric, grid)
+            oracle = _el_gradient_oracle(eta, 0.8, pauli, grid)
+            w = el_gradient(eta, 0.8, pauli, grid)
             assert np.abs(w - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
@@ -340,11 +340,11 @@ class TestGradientInSlabs:
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid, rng, amplitude=0.3, max_mode=2)
-        whole = el_gradient(eta, -0.7, pauli, metric, grid)
+        whole = el_gradient(eta, -0.7, pauli, grid)
         monkeypatch.setattr(geometry_module, "_SLAB_POINTS", slab_points)
         sizes = [len(range(dims[0])[sl]) for sl in geometry_module._slabs(dims)]
         assert sum(sizes) == dims[0] and len(set(sizes)) == 2
-        assert np.array_equal(el_gradient(eta, -0.7, pauli, metric, grid), whole)
+        assert np.array_equal(el_gradient(eta, -0.7, pauli, grid), whole)
 
     def test_probe_blocks_match_one_block_bit_for_bit(self, monkeypatch):
         # 40 probes on (12,16,8) are one block; at 15 probes a block they
@@ -360,7 +360,7 @@ class TestGradientInSlabs:
         eta[p] = (c / (1.0 - c), 0.0)  # the minus Re probe of eta_1 at p zeroes it
         good = [probe for probe in _probes(_sample_dofs(eta, 40, seed=3)) if probe[0] != p]
         failing = _as_dofs(good[:20] + [(p, 0, 0)] + good[20:])
-        args = (eta, -0.7, pauli, metric, grid)
+        args = (eta, -0.7, pauli, grid)
         assert _probe_block(grid) >= len(good) + 1
         whole = _fd_gradient_at_dofs(*args, _as_dofs(good))
         with pytest.raises(VanishingSpinor) as one_block:
@@ -386,10 +386,10 @@ class TestGradientInSlabs:
         pauli = build_pauli(metric)
         field = SpinorField(random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1),
                             pauli, grid)
-        el_gradient(field, 1.0, pauli, metric, grid)  # one-time allocations untraced
+        el_gradient(field, 1.0, pauli, grid)  # one-time allocations untraced
         tracemalloc.start()
         try:
-            el_gradient(field, 1.0, pauli, metric, grid)
+            el_gradient(field, 1.0, pauli, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -420,9 +420,9 @@ class TestLocalFiniteDifferences:
             spec, wave = planewave_solution(plane_wave, 1, metric, grid)
             eta, p0 = wave.eta, abs(spec.p0)
         dofs = _join(_edge_dofs(grid), _sample_dofs(eta, 16, seed=7))
-        local = _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs)
-        oracle = _full_grid_fd(eta, p0, pauli, metric, grid, dofs)
-        scale = _gradient_scale(SpinorField(eta, pauli, grid), p0, metric)
+        local = _fd_gradient_at_dofs(eta, p0, pauli, grid, dofs)
+        oracle = _full_grid_fd(eta, p0, pauli, grid, dofs)
+        scale = _gradient_scale(SpinorField(eta, pauli, grid), p0)
         assert np.abs(local - oracle).max() <= 1e-9 * scale
 
     @pytest.mark.parametrize("dims,box", [
@@ -436,7 +436,7 @@ class TestLocalFiniteDifferences:
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid, rng, max_mode=1)
-        assert el_gradient_fd_check(eta, 0.5, pauli, metric, grid,
+        assert el_gradient_fd_check(eta, 0.5, pauli, grid,
                                     probes=4 * grid.num_points, seed=2) <= 1e-7
 
     def test_guards_of_full_grid_path_still_fire(self, grid8):
@@ -445,15 +445,15 @@ class TestLocalFiniteDifferences:
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid8, rng)
         with pytest.raises(ZeroFrequency):
-            el_residual_fd(eta, 0.0, pauli, metric, grid8, probes=4)
+            el_residual_fd(eta, 0.0, pauli, grid8, probes=4)
         with pytest.raises(ZeroFrequency):
-            el_residual(eta, 0.0, pauli, metric, grid8)
+            el_residual(eta, 0.0, pauli, grid8)
         with pytest.raises(ZeroFrequency):
-            el_gradient(eta, 0.0, pauli, metric, grid8)
+            el_gradient(eta, 0.0, pauli, grid8)
         near_zero = eta.copy()
         near_zero[2, 5, 7] *= 1e-7
         with pytest.raises(VanishingSpinor):
-            el_residual_fd(near_zero, 0.8, pauli, metric, grid8, probes=8)
+            el_residual_fd(near_zero, 0.8, pauli, grid8, probes=8)
         # a set with complex v cannot be built, so no probe checks v
         with pytest.raises(NotHermitian):
             dataclasses.replace(pauli, sigma_lower=1j * pauli.sigma_lower)
@@ -467,7 +467,7 @@ class TestLocalFiniteDifferences:
         eta[..., 0] = amplitude
         eta[3, 0, 7] = 0.0
         metric = Metric3.identity()
-        args = (0.8, build_pauli(metric), metric, grid8, _as_dofs([((3, 0, 7), 0, 0)]))
+        args = (0.8, build_pauli(metric), grid8, _as_dofs([((3, 0, 7), 0, 0)]))
         for fd in (_fd_gradient_at_dofs, _full_grid_fd):
             if raises:
                 with pytest.raises(VanishingSpinor):
@@ -495,10 +495,10 @@ class TestBatchedProbes:
     leaves room for an einsum kernel that sums in another order."""
 
     @staticmethod
-    def _assert_matches_loop(eta, p0, pauli, metric, grid, dofs):
-        batched = _fd_gradient_at_dofs(eta, p0, pauli, metric, grid, dofs)
-        loop = _per_probe_fd(eta, p0, pauli, metric, grid, dofs)
-        scale = _gradient_scale(SpinorField(eta, pauli, grid), p0, metric)
+    def _assert_matches_loop(eta, p0, pauli, grid, dofs):
+        batched = _fd_gradient_at_dofs(eta, p0, pauli, grid, dofs)
+        loop = _per_probe_fd(eta, p0, pauli, grid, dofs)
+        scale = _gradient_scale(SpinorField(eta, pauli, grid), p0)
         assert batched.shape == loop.shape == (len(dofs[1]),)
         assert np.abs(batched - loop).max() <= 1e-15 * scale
 
@@ -509,14 +509,14 @@ class TestBatchedProbes:
     ])
     def test_matches_per_probe_loop(self, dims, box, plane_wave):
         grid = TorusGrid(dims, box)
-        eta, p0, pauli, metric = _random_case(grid, sum(dims), plane_wave)
+        eta, p0, pauli, _ = _random_case(grid, sum(dims), plane_wave)
         edges = _edge_dofs(grid)
         sample = _sample_dofs(eta, 24, seed=5)
         for dofs in (edges,
                      _join(sample, sample, tuple(a[::-1] for a in edges)),  # duplicates
                      tuple(a[3:4] for a in sample),  # a single dof
                      _sample_dofs(eta, 2 * _probe_block(grid) + 5, seed=8)):  # three blocks
-            self._assert_matches_loop(eta, p0, pauli, metric, grid, dofs)
+            self._assert_matches_loop(eta, p0, pauli, grid, dofs)
 
     @settings(max_examples=20, deadline=None)
     @given(st.tuples(*[st.integers(2, 6).map(lambda half: 2 * half)] * 3),
@@ -524,9 +524,9 @@ class TestBatchedProbes:
            st.integers(0, 2**31 - 1))
     def test_matches_per_probe_loop_on_any_grid(self, dims, box, seed):
         grid = TorusGrid(dims, box)
-        eta, p0, pauli, metric = _random_case(grid, seed)
+        eta, p0, pauli, _ = _random_case(grid, seed)
         dofs = _join(_edge_dofs(grid), _sample_dofs(eta, 40, seed=seed))
-        self._assert_matches_loop(eta, p0, pauli, metric, grid, dofs)
+        self._assert_matches_loop(eta, p0, pauli, grid, dofs)
 
     def test_sampled_dofs_are_the_flat_draw(self, grid8):
         # the probed dofs are those of rng.choice over the flat
@@ -550,8 +550,7 @@ class TestBatchedProbes:
         eta[..., 0] = 1.0
         p = (3, 0, 7)
         eta[p + (0,)] = c / (1.0 - c)
-        metric = Metric3.identity()
-        args = (0.8, build_pauli(metric), metric, grid8)
+        args = (0.8, build_pauli(Metric3.identity()), grid8)
         good = [probe for probe in _probes(_sample_dofs(eta, position, seed=1))
                 if probe[0] != p]
         dofs = _as_dofs(good + [(p, 0, 0)] + good[:3])
@@ -583,7 +582,7 @@ class TestBatchedProbes:
         pauli = build_pauli(metric)
         lagrangian_stationary(eta, 0.8, pauli, metric, grid8)
         for fd in (_fd_gradient_at_dofs, _per_probe_fd, _full_grid_fd):
-            args = (eta, 0.8, pauli, metric, grid8, _as_dofs([(p, 0, part)]))
+            args = (eta, 0.8, pauli, grid8, _as_dofs([(p, 0, part)]))
             if raised:
                 with pytest.raises(VanishingSpinor):
                     fd(*args)
@@ -602,8 +601,7 @@ class TestBatchedProbes:
         p, q = (1, 6, 2), (0, 0, 0)
         eta[p + (0,)] = -v
         eta[q + (0,)] = -1.001 * v
-        metric = Metric3.identity()
-        args = (eta, 0.8, build_pauli(metric), metric, grid8)
+        args = (eta, 0.8, build_pauli(Metric3.identity()), grid8)
         for fd in (_fd_gradient_at_dofs, _per_probe_fd):
             for first, min_s in ((p, r"0\.000e\+00,"), (q, r"3\.66.e-17,")):
                 second = q if first == p else p
@@ -622,8 +620,7 @@ class TestBatchedProbes:
         eta[p + (0,)] = 1e-9
         eta[q + (0,)] = np.sqrt(second_min)
         assert np.argmin(_scalar_density(eta)) == np.ravel_multi_index(p, grid8.dims)
-        metric = Metric3.identity()
-        args = (eta, 0.8, build_pauli(metric), metric, grid8, _as_dofs([(p, 0, 1)]))
+        args = (eta, 0.8, build_pauli(Metric3.identity()), grid8, _as_dofs([(p, 0, 1)]))
         for fd in (_fd_gradient_at_dofs, _per_probe_fd, _full_grid_fd):
             if raises:
                 with pytest.raises(VanishingSpinor, match=r"min s = 5\.000e-13,"):
@@ -640,19 +637,19 @@ class TestBatchedProbes:
         dims, box = (6, 4, 8), (3.0, 5.0, 7.0)
         for seed in (0, 1):  # two fields on two equal grids
             grid = TorusGrid(dims, box)
-            eta, p0, pauli, metric = _random_case(grid, seed)
-            el_residual_fd(eta, p0, pauli, metric, grid, probes=4, seed=seed)
+            eta, p0, pauli, _ = _random_case(grid, seed)
+            el_residual_fd(eta, p0, pauli, grid, probes=4, seed=seed)
         assert len(calls) == 3  # one kernel per axis
         offsets, weights = _line_stencil(TorusGrid(dims, box))
         assert not offsets.flags.writeable and not weights.flags.writeable
 
     @pytest.mark.parametrize("probes", [0, -2])
     def test_probe_count_below_one_rejected(self, grid8, probes):
-        eta, p0, pauli, metric = _random_case(grid8, 3)
+        eta, p0, pauli, _ = _random_case(grid8, 3)
         with pytest.raises(ValueError, match="probes must be at least 1"):
-            el_residual_fd(eta, p0, pauli, metric, grid8, probes=probes)
+            el_residual_fd(eta, p0, pauli, grid8, probes=probes)
         with pytest.raises(ValueError, match="probes must be at least 1"):
-            el_gradient_fd_check(eta, p0, pauli, metric, grid8, probes=probes)
+            el_gradient_fd_check(eta, p0, pauli, grid8, probes=probes)
 
 
 _NEAR_VANISHING_GRIDS = [((4, 4, 4), (TWO_PI,) * 3),
@@ -684,9 +681,9 @@ class TestNearVanishingSpinors:
         s = _scalar_density(eta)
         assert np.argmin(s) == np.ravel_multi_index(tuple(dofs[0][0]), grid.dims)
         vanishing = bool(_vanishing(s))
-        args = (pauli, metric, grid)
+        args = (pauli, grid)
         calls = {
-            "lagrangian_stationary": lambda: lagrangian_stationary(eta, p0, *args),
+            "lagrangian_stationary": lambda: lagrangian_stationary(eta, p0, pauli, metric, grid),
             "factorization_residual": lambda: factorization_residual(eta, p0, *args),
             "el_gradient": lambda: el_gradient(eta, p0, *args),
             "spinor_to_frame": lambda: spinor_to_frame(eta, *args)[0],
@@ -698,7 +695,7 @@ class TestNearVanishingSpinors:
             else:
                 assert np.isfinite(call()).all(), name
         try:
-            _full_grid_fd(eta, p0, pauli, metric, grid, dofs)
+            _full_grid_fd(eta, p0, pauli, grid, dofs)
             perturbed_vanishing = False
         except VanishingSpinor:
             perturbed_vanishing = True
@@ -720,9 +717,9 @@ class TestNonFiniteSpinors:
     def test_typed_error(self, grid8, value):
         eta, p0, pauli, metric = _random_case(grid8, 0)
         eta[1, 2, 3, 0] = value
-        args = (pauli, metric, grid8)
+        args = (pauli, grid8)
         calls = {
-            "lagrangian_stationary": lambda: lagrangian_stationary(eta, p0, *args),
+            "lagrangian_stationary": lambda: lagrangian_stationary(eta, p0, pauli, metric, grid8),
             "lagrangian_weyl": lambda: lagrangian_weyl(eta, p0, 1, *args),
             "el_gradient": lambda: el_gradient(eta, p0, *args),
             "el_residual_fd": lambda: el_residual_fd(eta, p0, *args, probes=16),
@@ -735,14 +732,14 @@ class TestNonFiniteSpinors:
 
 
 def _witness_pair(grid, k, seed=4):
-    """(pair, p0, metric): a plane wave of modes ``k`` and its perturbed
+    """(pair, p0): a plane wave of modes ``k`` and its perturbed
     twin, one stack of two fields as the witness builds each case."""
     metric = random_spd_metric(np.random.default_rng(seed))
     spec, wave = planewave_solution(k, 1, metric, grid)
     pair = SpinorField(geometry_module._component_planes((2,) + grid.shape), wave.pauli, grid)
     pair.eta[...] = wave.eta
     pair.eta[1] += random_bandlimited_spinor(grid, np.random.default_rng(seed + 1), amplitude=0.1)
-    return pair, abs(spec.p0), metric
+    return pair, abs(spec.p0)
 
 
 class TestFloorOncePerField:
@@ -754,8 +751,8 @@ class TestFloorOncePerField:
         # a witness case is one stack of the wave and its twin: the floor
         # is checked once on each, the wave first
         checks = count_calls("_check_nonvanishing", spinor_module, weyl_module)
-        pair, p0, metric = _witness_pair(grid8, (1, -1, 2))
-        weyl_module._residuals(pair, p0, 1, metric, fd_seed=3)
+        pair, p0 = _witness_pair(grid8, (1, -1, 2))
+        weyl_module._residuals(pair, p0, 1, fd_seed=3)
         assert len(checks) == 2  # three checks read each field
         for (args, _), s in zip(checks, pair.s):
             assert np.shares_memory(args[0], s) and np.array_equal(args[0], s)
@@ -764,12 +761,12 @@ class TestFloorOncePerField:
         # a twin below the floor fails with its own min s, and the wave
         # below it fails first, with its own
         for wave_too, min_s in ((False, r"0\.000e\+00"), (True, r"1\.000e-18")):
-            pair, p0, metric = _witness_pair(grid8, (1, -1, 2))
+            pair, p0 = _witness_pair(grid8, (1, -1, 2))
             pair.eta[1, 2, 3, 4] = 0.0
             if wave_too:
                 pair.eta[0, 1, 1, 1] = (1e-9, 0.0)
             with pytest.raises(VanishingSpinor, match=f"min s = {min_s},"):
-                weyl_module._residuals(pair, p0, 1, metric, fd_seed=3)
+                weyl_module._residuals(pair, p0, 1, fd_seed=3)
 
     def test_a_vanishing_field_raises_on_every_call(self, grid8, count_calls):
         checks = count_calls("_check_nonvanishing", spinor_module, weyl_module)
@@ -777,8 +774,8 @@ class TestFloorOncePerField:
         eta[1, 2, 3] = 0.0
         field = SpinorField(eta, pauli, grid8)
         calls = [lambda: lagrangian_stationary(field, p0, pauli, metric, grid8),
-                 lambda: lagrangian_weyl(field, p0, -1, pauli, metric, grid8),
-                 lambda: el_gradient(field, p0, pauli, metric, grid8)]
+                 lambda: lagrangian_weyl(field, p0, -1, pauli, grid8),
+                 lambda: el_gradient(field, p0, pauli, grid8)]
         for call in calls + calls:
             with pytest.raises(VanishingSpinor, match="min s = 0.000e"):
                 call()
@@ -822,14 +819,13 @@ class TestWitnessSuite:
         # the residuals and density of each field of a case's stack, to the
         # last bit, are those of the field evaluated alone
         grid = TorusGrid((12, 16, 8), (5.0, 7.0, 9.0))
-        pair, p0, metric = _witness_pair(grid, (1, -2, 1), seed=6)
-        cases, lag = weyl_module._residuals(pair, p0, -1, metric, fd_seed=3)
+        pair, p0 = _witness_pair(grid, (1, -2, 1), seed=6)
+        cases, lag = weyl_module._residuals(pair, p0, -1, fd_seed=3)
         assert "el_residual_fd" in cases[0] and "el_residual_fd" not in cases[1]
         for i, fd_seed in ((0, 3), (1, None)):
             alone = SpinorField(geometry_module._component_planes(grid.shape), pair.pauli, grid)
             alone.eta[...] = pair.eta[i]
-            (expected,), expected_lag = weyl_module._residuals(alone[np.newaxis], p0, -1,
-                                                               metric, fd_seed)
+            (expected,), expected_lag = weyl_module._residuals(alone[np.newaxis], p0, -1, fd_seed)
             assert list(cases[i].items()) == list(expected.items())
             assert np.array_equal(lag[i], expected_lag[0])
 
@@ -871,8 +867,8 @@ class TestWitnessSuite:
         residuals = weyl_module._residuals
         planted = []
 
-        def plant(fields, p0, sign, metric, fd_seed=None):
-            (res, bad), lag = residuals(fields, p0, sign, metric, fd_seed)
+        def plant(fields, p0, sign, fd_seed=None):
+            (res, bad), lag = residuals(fields, p0, sign, fd_seed)
             if not planted:  # the first perturbed case, the first stack's twin
                 planted.append(bad)
                 bad = {**bad, "el_residual": 0.0}
@@ -978,6 +974,5 @@ class TestTwinFrequencyBound:
                             grid, np.random.default_rng(seed),
                             max_mode=weyl_module._PERTURB_MAX_MODE, amplitude=weyl_module._PERTURB)
                         twin = SpinorField(field.eta + noise, field.pauli, grid)
-                        (res,), _ = weyl_module._residuals(twin[np.newaxis], abs(spec.p0),
-                                                           branch, metric)
+                        (res,), _ = weyl_module._residuals(twin[np.newaxis], abs(spec.p0), branch)
                         assert all(np.isfinite(v) for v in res.values())

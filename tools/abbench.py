@@ -26,6 +26,11 @@ each drawn by the benchmark's own ``perfbench/workload.py``
 ``spinor._axial_density`` call on eta and its sigma^a d_a eta;
 ``maps-N``, ``spinor_to_frame`` then ``frame_to_spinor``; ``elgrad-N``,
 one ``el_gradient`` call on a field whose sigma^a d_a eta is cached.
+``maps-N`` and ``elgrad-N`` call the signatures in which a Pauli set
+carries its metric, so they need a ``--base`` at or after that change
+(one that no longer passes ``metric`` to ``spinor_to_frame``,
+``frame_to_spinor`` and ``el_gradient``); the CLI jobs and the other
+kernels run on any base.
 Each kernel is called once while it is prepared, so the timed call is
 a repeated one, as in timeit, and a timed kernel run makes one call per
 2^16 grid points (at least one: 16 calls at 16^3), as timeit's
@@ -134,9 +139,9 @@ def _claim6(rng, workdir, edge):
 
 
 def _kernel(call):
-    """A kernel job: ``call(package, grid, metric, pauli, eta)`` returns
-    the call to time on a drawn metric and nonvanishing spinor, which
-    runs once before it is returned. A timed run makes one call per
+    """A kernel job: ``call(package, grid, pauli, eta)`` returns the call
+    to time on the Pauli set of a drawn metric and a nonvanishing spinor,
+    which runs once before it is returned. A timed run makes one call per
     `KERNEL_POINTS` grid points, at least one: a single call of some µs
     on a small grid is too short to time."""
     def draw(rng, workdir, edge):
@@ -147,34 +152,34 @@ def _kernel(call):
             lib_rng = np.random.default_rng(seed)
             metric = package.sampling.random_spd_metric(lib_rng)
             eta = package.sampling.random_nonvanishing_spinor(grid, lib_rng)
-            run = call(package, grid, metric, package.build_pauli(metric), eta)
+            run = call(package, grid, package.build_pauli(metric), eta)
             run()
             return run
         return prepare, max(1, KERNEL_POINTS // edge**3)
     return draw
 
 
-def _dirac(package, grid, metric, pauli, eta):
+def _dirac(package, grid, pauli, eta):
     dirac = importlib.import_module(f"{package.__name__}.spinor")._dirac
     return lambda: dirac(eta, pauli.sigma_upper, grid)
 
 
-def _axial(package, grid, metric, pauli, eta):
+def _axial(package, grid, pauli, eta):
     spinor = importlib.import_module(f"{package.__name__}.spinor")
     slash = spinor._dirac(eta, pauli.sigma_upper, grid)
     return lambda: spinor._axial_density(eta, slash)
 
 
-def _maps(package, grid, metric, pauli, eta):
+def _maps(package, grid, pauli, eta):
     def run():
-        theta, rho = package.spinor_to_frame(eta, pauli, metric, grid)
-        return package.frame_to_spinor(theta, rho, pauli, metric)
+        theta, rho = package.spinor_to_frame(eta, pauli, grid)
+        return package.frame_to_spinor(theta, rho, pauli)
     return run
 
 
-def _elgrad(package, grid, metric, pauli, eta):
+def _elgrad(package, grid, pauli, eta):
     field = package.SpinorField(eta, pauli, grid)  # sigma^a d_a eta cached by the first run
-    return lambda: package.el_gradient(field, 1.0, pauli, metric, grid)
+    return lambda: package.el_gradient(field, 1.0, pauli, grid)
 
 
 # name -> (draw, grid edge, default rounds)

@@ -200,7 +200,8 @@ def jobs() -> list[Job]:
     # scales out of range: e^h not positive, e^(2h) overflowing, and a
     # coframe whose induced determinant or rescaled density over- or underflows
     reject("must be positive everywhere",
-           ("verify", "conformal", "--grid", "16,16,16", "--h", "0.3*cos(x2)"))
+           ("verify", "conformal", "--grid", "16,16,16", "--h", "0.3*cos(x2)"),
+           (*conformal_h, "0.5*cos(x1)"))
     reject("e^(2h) is not finite", *(("verify", "scaling", "--cases", "1", *SMALL, "--h", h)
                                      for h in ("800*cos(x1)", "400*cos(x1)")))
     reject("not a finite normal float at every point", (*conformal_h, "1e-100"),

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .cwf import write_field, write_scalar_csv
 from .errors import ConfigError, ModelError, OutOfRange
-from .geometry import Metric3, TorusGrid
+from .geometry import Metric3, TorusGrid, build_pauli
 from .minilang import parse_scalar_expr
 from .spinor import FACTORIZATION_SIGN
 from .suites import VERIFIERS
@@ -198,7 +198,7 @@ def _cmd_planewave(args) -> int:
     metric = _parse_metric(args.metric)
     k = _parse_values(args.k, int, "--k")
     branch = {"+": 1, "-": -1}[args.branch]
-    spec, field = planewave_solution(k, branch, metric, grid)
+    spec, field = planewave_solution(k, branch, build_pauli(metric), grid)
     # the wave solves the sign-+1 equation at its signed p0 (PlaneWaveSpec)
     (res,), lag = _residuals(field[np.newaxis], spec.p0, 1)
     if args.eta_out:

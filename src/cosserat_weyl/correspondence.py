@@ -22,7 +22,7 @@ import numpy as np
 from .cosserat import _check_shapes, check_density, orthonormality_residual
 from .errors import NoSpinLift, NotOrthonormal
 from .geometry import Metric3, PauliSet, TorusGrid, _component_planes, _same_value, _slabs
-from .spinor import SpinorField, _covector, _nonvanishing
+from .spinor import SpinorField, _covector, _field, _nonvanishing
 
 # d0 (theta^1 + i theta^2) = PHASE_RATE * i * p0 * (theta^1 + i theta^2)
 PHASE_RATE = -2.0
@@ -43,8 +43,7 @@ def _quadratic_map(pauli: PauliSet) -> np.ndarray:
                      jsigma[:, 1, 1]], axis=-1)
 
 
-def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
-                    grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+def spinor_to_frame(field: SpinorField) -> tuple[np.ndarray, np.ndarray]:
     """Map a nonvanishing spinor field to its coframe + density, one
     x1 slab (`_slabs`) at a time. Returns ``(theta, rho)``; the spinor
     they come from is determined by them only up to a global sign.
@@ -53,7 +52,7 @@ def spinor_to_frame(xi: np.ndarray | SpinorField, pauli: PauliSet,
     it on a given field. theta is stored as component planes
     (`geometry._component_planes`), and each plane theta^j_a is written
     once per slab."""
-    field = _nonvanishing(xi, pauli, grid)
+    pauli = _nonvanishing(field).pauli
     quad_t = _quadratic_map(pauli).T
     theta = _component_planes(field.s.shape, (3, 3), float)
     for sl in _slabs(field.s.shape):
@@ -214,9 +213,9 @@ def frame_to_spinor(theta: np.ndarray, rho: np.ndarray,
 def stationary_frame_path(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
                           metric: Metric3, grid: TorusGrid):
     """Coframe path of the stationary ansatz xi = e^{-i p0 x0} eta,
-    evaluated at x0 = 0. ``metric`` must equal the Pauli set's metric by
-    value (`geometry._same_value`), else ValueError: the benchmark pins
-    this signature, so it still takes both.
+    evaluated at x0 = 0. The benchmark pins this signature
+    (`spinor._field`), and ``metric`` must equal the Pauli set's metric
+    by value (`geometry._same_value`), else ValueError.
 
     theta^3 and rho are time-independent; theta^1 + i theta^2 carries
     the phase e^{-2 i p0 x0} (PHASE_RATE convention), so its time
@@ -231,7 +230,7 @@ def stationary_frame_path(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
     """
     if not _same_value(pauli.metric, metric):
         raise ValueError("metric differs from the metric of the Pauli set")
-    theta, rho = spinor_to_frame(eta, pauli, grid)
+    theta, rho = spinor_to_frame(_field(eta, pauli, grid))
     # d0 (theta^1 + i theta^2) = -2 i p0 (theta^1 + i theta^2)
     rate = PHASE_RATE * p0
     dtheta0 = _component_planes(theta.shape[1:-1], (2, 3), float)

@@ -271,32 +271,36 @@ class SpinorField:
     array too, on the grid lines through each probed point, so the
     field is differentiated once whatever checks it. The nonvanishing
     floor on s is checked once too, for a field that passes it
-    (`_nonvanishing`). The field's metric is its Pauli set's
-    (`PauliSet.metric`). Every function of this package that takes a
-    spinor field together with a Pauli set and a grid also accepts a
-    `SpinorField` in place of the array; it raises ValueError if the
-    field was built for a different Pauli set (compared by value, metric
-    included: `geometry._same_value`) or grid. The cached arrays are
-    shared: treat them, and eta, as read-only. Only the code that built
-    a field may release one of them (``del field.slash``), which is then
-    computed again if asked for; a function given a field releases what
-    it made on a shallow copy.
-    A function given an array builds the field itself, so it may release
-    that field's arrays once it has read them (`lagrangian_stationary`
-    drops s and sigma^a d_a eta), and the caller sees none of them.
+    (`_nonvanishing`). Every function of this package that takes a field
+    reads its Pauli set, and so its metric (`PauliSet.metric`), and its
+    grid from it; eta's shape must be the grid's + (2,), else ValueError.
+    Only the three the benchmark calls with arrays (`lagrangian_stationary`,
+    `weyl.weyl_residual_norm`, `correspondence.stationary_frame_path`)
+    take a Pauli set and grid, with an array or a field built for both
+    (by value: `geometry._same_value`; else ValueError). The cached
+    arrays are shared: treat them, and eta, as read-only. Only the code
+    that built a field may release one (``del field.slash``), which is
+    then computed again if asked for; a function given a field releases
+    what it made on a shallow copy, and one given an array builds the
+    field itself, so it may release that field's arrays once it has
+    read them (`lagrangian_stationary` drops s and sigma^a d_a eta).
 
     eta may also be a stack of fields on one Pauli set and grid, of
     shape (n,) + dims + (2,): then each cached array is the stack of the
     fields' arrays, one `_dirac` call and its transforms serve every
     field, the floor is checked on each field in turn, and the
     densities (`lagrangian_stationary`, `lagrangian_weyl`) come
-    stacked; the functions that return a number take one field.
+    stacked; the functions that return a number take one field and
+    raise ValueError for a stack.
     ``field[i]`` is field i of the stack, and ``field[np.newaxis]`` a
     stack of one field, each sharing, as views, every array computed
     so far.
     """
 
     def __init__(self, eta: np.ndarray, pauli: PauliSet, grid: TorusGrid):
+        if eta.shape[-4:] != grid.shape + (2,) or eta.ndim > 5:
+            raise ValueError(f"spinor field of shape {eta.shape} is not {grid.shape + (2,)} "
+                             f"or (n,) + that on grid {grid.shape}")
         self.eta = eta
         self.pauli = pauli
         self.grid = grid
@@ -349,11 +353,16 @@ def _field(eta: np.ndarray | SpinorField, pauli: PauliSet,
     return eta
 
 
-def _nonvanishing(eta: np.ndarray | SpinorField, pauli: PauliSet,
-                  grid: TorusGrid) -> SpinorField:
-    """`_field`, then the nonvanishing floor on s, once per field."""
-    field = _field(eta, pauli, grid)
+def _nonvanishing(field: SpinorField) -> SpinorField:
+    """The field, once the nonvanishing floor on its s has passed (once per field)."""
     field._floor_checked  # raises VanishingSpinor for a field below the floor
+    return field
+
+
+def _one_field(field: SpinorField, name: str) -> SpinorField:
+    """The field, unless it is a stack, which ``name`` rejects: ValueError."""
+    if field.eta.ndim > 4:
+        raise ValueError(f"{name} takes one field, got a stack of {len(field.eta)}")
     return field
 
 
@@ -361,8 +370,8 @@ def lagrangian_stationary(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
                           metric: Metric3, grid: TorusGrid) -> np.ndarray:
     """Stationary Lagrangian density
     16/(9 s) (A^2 - (p0 s)^2) sqrt(det g), g the Pauli set's metric.
-    ``metric`` must equal it by value (`geometry._same_value`), else
-    ValueError: the benchmark pins this signature, so it still takes both.
+    The benchmark pins this signature (`_field`), and ``metric`` must
+    equal the set's by value (`geometry._same_value`), else ValueError.
 
     A field this function builds from an array is its own to release:
     s is dropped once the nonvanishing floor has been checked on it, so
@@ -373,7 +382,7 @@ def lagrangian_stationary(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
     asked for.
     """
     _check_nonzero_p0(p0)
-    b = _nonvanishing(eta, pauli, grid)
+    b = _nonvanishing(_field(eta, pauli, grid))
     if not _same_value(pauli.metric, metric):
         raise ValueError("metric differs from the metric of the Pauli set")
     if b is not eta:
@@ -383,17 +392,15 @@ def lagrangian_stationary(eta: np.ndarray | SpinorField, p0: float, pauli: Pauli
     return _stationary_density(b.s, b.A, p0, pauli.metric)
 
 
-def lagrangian_weyl(eta: np.ndarray | SpinorField, p0: float, sign: int,
-                    pauli: PauliSet, grid: TorusGrid) -> np.ndarray:
+def lagrangian_weyl(field: SpinorField, p0: float, sign: int) -> np.ndarray:
     """Weyl Lagrangian density L_pm = (A pm p0 s) sqrt(det g)."""
     _check_nonzero_p0(p0)
     _check_sign(sign)
-    b = _nonvanishing(eta, pauli, grid)
-    return _weyl_density(b.s, b.A, p0, sign, pauli.metric)
+    b = _nonvanishing(field)
+    return _weyl_density(b.s, b.A, p0, sign, field.pauli.metric)
 
 
-def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
-                           grid: TorusGrid) -> np.ndarray:
+def factorization_residual(field: SpinorField, p0: float) -> np.ndarray:
     """Pointwise residual of the factorisation of the stationary density
     through L_+ and L_-, |L - FACTORIZATION_SIGN (-32 p0/9) L_+ L_- / (L_+ - L_-)|:
     floating-point noise with the conventions of this package, and 2|L|
@@ -401,10 +408,10 @@ def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: Paul
     """
     _check_nonzero_p0(p0)
     try:  # L+ - L- = 2 p0 s sqrt(det g) vanishes where s does
-        b = _nonvanishing(eta, pauli, grid)
+        b = _nonvanishing(field)
     except VanishingSpinor as exc:
         raise DegenerateDenominator(f"|L+ - L-| below threshold: {exc}") from None
-    metric = pauli.metric
+    metric = field.pauli.metric
     denom = 2.0 * p0 * b.s * metric.sqrt_det
     lag = _stationary_density(b.s, b.A, p0, metric)
     lp = _weyl_density(b.s, b.A, p0, 1, metric)
@@ -413,8 +420,8 @@ def factorization_residual(eta: np.ndarray | SpinorField, p0: float, pauli: Paul
     return np.abs(lag - FACTORIZATION_SIGN * quotient)
 
 
-def scaling_covariance_residual(eta: np.ndarray | SpinorField, h: np.ndarray, p0: float,
-                                pauli: PauliSet, grid: TorusGrid) -> tuple[float, float]:
+def scaling_covariance_residual(field: SpinorField, h: np.ndarray,
+                                p0: float) -> tuple[float, float]:
     """Max-norm residuals of L_pm(e^h eta) = e^{2h} L_pm(eta), relative
     to the field scale, for the Weyl signs (+1, -1), both from one field
     of e^h eta, so it is differentiated once.
@@ -431,33 +438,32 @@ def scaling_covariance_residual(eta: np.ndarray | SpinorField, h: np.ndarray, p0
     its field, so a given field keeps none of them and loses none of its
     own.
     """
-    field = _field(eta, pauli, grid)
+    _one_field(field, "scaling_covariance_residual")
     with np.errstate(over="ignore"):  # an overflow is rejected below
         eh = np.exp(h)
     peak = float(np.max(eh))
     if not peak * peak < np.inf:  # a NaN fails too
         raise OutOfRange(f"scale e^(2h) is not finite: max h = {float(np.max(h)):.6g}")
     _check_nonzero_p0(p0)
-    base = _nonvanishing(copy.copy(field), pauli, grid)
+    base = _nonvanishing(copy.copy(field))
     base.A
     base.__dict__.pop("slash", None)  # a given field may hold A without it
-    scaled = SpinorField(_component_planes(grid.shape), pauli, grid)
+    scaled = SpinorField(_component_planes(field.grid.shape), field.pauli, field.grid)
     for c in (0, 1):
         np.multiply(field.eta[..., c], eh, out=scaled.eta[..., c])
-    _nonvanishing(scaled, pauli, grid).A
+    _nonvanishing(scaled).A
     del scaled.slash
     residuals = []
     for sign in (1, -1):
-        lhs = lagrangian_weyl(scaled, p0, sign, pauli, grid)
-        rhs = eh * eh * lagrangian_weyl(base, p0, sign, pauli, grid)
+        lhs = lagrangian_weyl(scaled, p0, sign)
+        rhs = eh * eh * lagrangian_weyl(base, p0, sign)
         residuals.append(_relative_max(lhs - rhs, rhs))
     return tuple(residuals)
 
 
-def lagrangian_dynamic(xi: np.ndarray | SpinorField, dxi0: np.ndarray, pauli: PauliSet,
-                       grid: TorusGrid) -> np.ndarray:
-    """Dynamic Lagrangian density at a fixed time, given the field and
-    its time derivative on that slice:
+def lagrangian_dynamic(field: SpinorField, dxi0: np.ndarray) -> np.ndarray:
+    """Dynamic Lagrangian density at a fixed time, given the field xi
+    and its time derivative on that slice:
 
         4/(9 s) ( [i(xibar sigma^a d_a xi - c.c.)]^2
                   - |i(xibar sigma_a d_0 xi - c.c.)|^2 ) sqrt(det g)
@@ -466,18 +472,17 @@ def lagrangian_dynamic(xi: np.ndarray | SpinorField, dxi0: np.ndarray, pauli: Pa
     this reduces pointwise to `lagrangian_stationary` (via the Fierz
     identity g^ab v_a v_b = s^2).
     """
-    field = _nonvanishing(xi, pauli, grid)
+    metric = _nonvanishing(field).pauli.metric
     space_term = 2.0 * field.A
-    t = _sandwich(field.eta, pauli.sigma_lower, dxi0)
+    t = _sandwich(field.eta, field.pauli.sigma_lower, dxi0)
     w = -2.0 * t.imag  # i(xibar sigma_a d0 xi - c.c.), real covector
-    wnorm2 = pauli.metric.covector_norm2(w)
-    return (4.0 / (9.0 * field.s)) * (space_term**2 - wnorm2) * pauli.metric.sqrt_det
+    wnorm2 = metric.covector_norm2(w)
+    return (4.0 / (9.0 * field.s)) * (space_term**2 - wnorm2) * metric.sqrt_det
 
 
-def fierz_residual(eta: np.ndarray | SpinorField, pauli: PauliSet,
-                   grid: TorusGrid) -> float:
+def fierz_residual(field: SpinorField) -> float:
     """Max-norm residual of g^ab v_a v_b = s^2, relative to max s^2.
     Needs no derivative of eta."""
-    field = _field(eta, pauli, grid)
+    _one_field(field, "fierz_residual")
     s2 = field.s**2
-    return _relative_max(pauli.metric.covector_norm2(field.v) - s2, s2)
+    return _relative_max(field.pauli.metric.covector_norm2(field.v) - s2, s2)

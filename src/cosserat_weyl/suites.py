@@ -81,7 +81,7 @@ def verify_factorization(grid: TorusGrid, seed: int, n_cases: int = 100) -> dict
     with the one global sign `spinor.FACTORIZATION_SIGN`."""
     def case(i, field, p0, _):
         pauli = field.pauli
-        res = factorization_residual(field, p0, pauli, grid)
+        res = factorization_residual(field, p0)
         lag = lagrangian_stationary(field, p0, pauli, pauli.metric, grid)
         return {"case": i, "p0": p0, "residual": _relative_max(res, lag)}
 
@@ -100,7 +100,7 @@ def verify_scaling(grid: TorusGrid, seed: int, n_cases: int = 20,
     def case(i, field, p0, rng):
         h = h_field if h_field is not None else \
             random_bandlimited_scalar(grid, rng, max_mode=1, amplitude=_SCALING_H_AMPLITUDE)
-        residuals = scaling_covariance_residual(field, h, p0, field.pauli, grid)
+        residuals = scaling_covariance_residual(field, h, p0)
         return [{"case": i, "p0": p0, "weyl_sign": sign, "residual": res}
                 for sign, res in zip((1, -1), residuals)]
 
@@ -133,7 +133,7 @@ def verify_conformal(grid: TorusGrid, h_field: np.ndarray = None) -> dict:
 def verify_fierz(grid: TorusGrid, seed: int, n_cases: int = 50) -> dict:
     """Fierz identity g^ab v_a v_b = s^2 on random spinors and metrics."""
     def case(i, field, _, __):
-        return {"case": i, "residual": fierz_residual(field, field.pauli, grid)}
+        return {"case": i, "residual": fierz_residual(field)}
 
     return _report("fierz", _each_case(case, grid, seed, n_cases))
 
@@ -146,8 +146,7 @@ def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20) -> dict:
         # eta, alive at a time. The worst residual does not depend on the
         # order of the comparisons
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        pauli = field.pauli
-        rotated = SpinorField(phase * field.eta, pauli, grid)
+        rotated = SpinorField(phase * field.eta, field.pauli, grid)
         worst = _relative_max(field.v - rotated.v, field.v)
         del field.v, rotated.v
         worst = max(worst, _relative_max(field.s - rotated.s, field.s))
@@ -156,7 +155,7 @@ def verify_u1(grid: TorusGrid, seed: int, n_cases: int = 20) -> dict:
         worst = max(worst, _relative_max(field.A - rotated.A, field.A))
         del rotated.slash
         for sign in (1, -1):
-            lhs, rhs = (lagrangian_weyl(f, p0, sign, pauli, grid) for f in (field, rotated))
+            lhs, rhs = (lagrangian_weyl(f, p0, sign) for f in (field, rotated))
             worst = max(worst, _relative_max(lhs - rhs, lhs))
         return {"case": i, "p0": p0, "residual": worst}
 
@@ -168,7 +167,7 @@ def _correspondence_case(i, field, _, __) -> dict:
     frame and density die before the round trip is measured, and the
     lifted spinor when it returns."""
     xi = field.eta
-    theta, rho = spinor_to_frame(field, field.pauli, field.grid)
+    theta, rho = spinor_to_frame(field)
     xi_rec, ortho = frame_to_spinor(theta, rho, field.pauli)
     del theta, rho
     scale = float(np.abs(xi).max())

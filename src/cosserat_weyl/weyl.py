@@ -24,6 +24,7 @@ from .spinor import (
     _dirac,
     _field,
     _nonvanishing,
+    _one_field,
     _scalar_density,
     _stationary_density,
     lagrangian_stationary,
@@ -79,20 +80,20 @@ class PlaneWaveSpec:
     dispersion_residual: float
 
 
-def weyl_residual(eta: np.ndarray | SpinorField, p0: float, sign: int,
-                  pauli: PauliSet, grid: TorusGrid) -> np.ndarray:
+def weyl_residual(field: SpinorField, p0: float, sign: int) -> np.ndarray:
     """Residual spinor field of the stationary Weyl operator,
     r = sign * p0 sigma^0 eta + i sigma^a d_a eta."""
     _check_sign(sign)
-    field = _field(eta, pauli, grid)
     return sign * p0 * field.eta + 1j * field.slash
 
 
 def weyl_residual_norm(eta: np.ndarray | SpinorField, p0: float, sign: int,
                        pauli: PauliSet, grid: TorusGrid) -> float:
-    """Max over grid points of the pointwise 2-norm of the residual."""
+    """Max over grid points of the pointwise 2-norm of the residual of
+    one field; the benchmark pins this signature (`spinor._field`)."""
     _check_sign(sign)
-    return float(_weyl_norms(_field(eta, pauli, grid), p0, sign))
+    field = _one_field(_field(eta, pauli, grid), "weyl_residual_norm")
+    return float(_weyl_norms(field, p0, sign))
 
 
 # the grid axes of a scalar field, and of a spinor field, of one field
@@ -138,14 +139,14 @@ def _check_frequency(modes, of: str, metric: Metric3, grid: TorusGrid):
     return k, p_squared
 
 
-def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
+def planewave_solution(k_modes, branch: int, pauli: PauliSet, grid: TorusGrid):
     """Exact plane-wave Weyl solution for integer mode vector
     ``k_modes``.
 
     Returns ``(spec, field)``: a `PlaneWaveSpec` of u and p0, and a
-    `SpinorField` of eta = u e^{i k.x} on the Pauli set of ``metric``,
-    where u is the unit eigenvector of the Hermitian matrix k_a sigma^a
-    for the eigenvalue p0 = branch * sqrt(g^ab k_a k_b); ``field.eta``
+    `SpinorField` of eta = u e^{i k.x} on ``pauli``, where u is the unit
+    eigenvector of the Hermitian matrix k_a sigma^a for the eigenvalue
+    p0 = branch * sqrt(g^ab k_a k_b), g the set's metric; ``field.eta``
     is the array, in component planes pw u[c] of the plane wave pw
     (`geometry._component_planes`). A mode at or above the Nyquist
     mode N/2 of its axis aliases onto a wave that solves nothing, and
@@ -165,8 +166,7 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     if any(abs(m) > top for m, top in zip(modes, highest)):
         raise ConfigError(f"modes {modes}: each |k| must stay below the Nyquist mode N/2 "
                           f"of its axis, at most {list(highest)} here")
-    k, p0_squared = _check_frequency(k_modes, f"modes {modes}", metric, grid)
-    pauli = build_pauli(metric)
+    k, p0_squared = _check_frequency(k_modes, f"modes {modes}", pauli.metric, grid)
     kslash = np.einsum("n,nab->ab", k, pauli.sigma_upper)
     p0 = branch * float(np.sqrt(p0_squared))
     eigvals, eigvecs = np.linalg.eigh(kslash)
@@ -182,8 +182,7 @@ def planewave_solution(k_modes, branch: int, metric: Metric3, grid: TorusGrid):
     return spec, SpinorField(eta, pauli, grid)
 
 
-def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
-                grid: TorusGrid) -> np.ndarray:
+def el_gradient(field: SpinorField, p0: float) -> np.ndarray:
     """Variational derivative of the discrete stationary action with
     respect to etabar, as a spinor field w.
 
@@ -214,8 +213,7 @@ def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     only G and slab-sized temporaries are made.
     """
     _check_nonzero_p0(p0)
-    field = _nonvanishing(eta, pauli, grid)
-    metric = pauli.metric
+    metric = _nonvanishing(field).pauli.metric
 
     def g_coef(at):
         """G on the points ``at``, the same bits wherever it is formed."""
@@ -226,8 +224,8 @@ def el_gradient(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     for j in (0, 1):
         np.multiply(g_slab, field.eta[..., j], out=w[..., j])
     del g_slab  # formed again per slab: not held through the transform
-    w = _dirac(w, pauli.sigma_upper, grid, out=w)
-    for sl in _slabs(grid.shape):
+    w = _dirac(w, field.pauli.sigma_upper, field.grid, out=w)
+    for sl in _slabs(field.grid.shape):
         at = (Ellipsis, sl, slice(None), slice(None))  # the x1 slab of each field
         g_slab, axial, s = g_coef(at), field.A[at], field.s[at]
         h_coef = _PREFACTOR * (-((axial / s) ** 2) - p0 * p0) * metric.sqrt_det
@@ -288,7 +286,7 @@ def _line_stencil(grid: TorusGrid):
     return offsets, weights
 
 
-def _fd_gradient_at_dofs(eta, p0, pauli, grid, dofs):
+def _fd_gradient_at_dofs(field, p0, dofs):
     """Central-difference gradient of the discrete action at the real
     degrees of freedom ``dofs = (points, comp, part)`` (as drawn by
     `_sample_dofs`), rescaled to be comparable with Re/Im of
@@ -317,9 +315,9 @@ def _fd_gradient_at_dofs(eta, p0, pauli, grid, dofs):
     """
     _check_nonzero_p0(p0)
     eps_cbrt = float(np.cbrt(np.finfo(float).eps))
+    pauli, grid = field.pauli, field.grid
     offsets, weights = _line_stencil(grid)
     dims = np.asarray(grid.dims)[:, np.newaxis]
-    field = _field(eta, pauli, grid)
     eta, s_flat = field.eta, field.s.ravel()
     points, comps, parts = dofs
     # s is unchanged away from p, so the floor of a perturbed field needs
@@ -371,26 +369,24 @@ def _fd_gradient_at_dofs(eta, p0, pauli, grid, dofs):
     return values
 
 
-def el_residual(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
-                grid: TorusGrid) -> float:
+def el_residual(field: SpinorField, p0: float) -> float:
     """Scale-normalised max-norm of the gradient of the discrete
     stationary action: the closed-form variational derivative
     (`el_gradient`) at every grid point. It applies sigma^a d_a as one
     Fourier symbol, to eta (shared with every other check of the field)
     and to G eta."""
-    return float(_el_residuals(_field(eta, pauli, grid), p0))
+    return float(_el_residuals(_one_field(field, "el_residual"), p0))
 
 
 def _el_residuals(field: SpinorField, p0: float):
     """`el_residual` of each field of a stack (of the field alone)."""
-    w = el_gradient(field, p0, field.pauli, field.grid)
+    w = el_gradient(field, p0)
     re, im = np.abs(w.real).max(axis=_FIELD_AXES), np.abs(w.imag).max(axis=_FIELD_AXES)
     # the larger of the two as max() takes it: the first unless the second is greater
     return np.where(im > re, im, re) / _gradient_scale(field, p0)
 
 
-def el_residual_fd(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
-                   grid: TorusGrid, probes: int = 64, seed: int = 0) -> float:
+def el_residual_fd(field: SpinorField, p0: float, probes: int = 64, seed: int = 0) -> float:
     """`el_residual` from finite differences: the max-norm of the
     gradient at ``probes`` (at least 1) seeded random real degrees of
     freedom, each a central difference of the discrete action (step
@@ -402,21 +398,19 @@ def el_residual_fd(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
     they are evaluated together, both signs at once, in one pass of
     array operations per block of probes (see `_fd_gradient_at_dofs`).
     """
-    field = _field(eta, pauli, grid)
-    dofs = _sample_dofs(field.eta, probes, seed)
-    values = _fd_gradient_at_dofs(field, p0, pauli, grid, dofs)
+    dofs = _sample_dofs(_one_field(field, "el_residual_fd").eta, probes, seed)
+    values = _fd_gradient_at_dofs(field, p0, dofs)
     return float(np.abs(values).max()) / _gradient_scale(field, p0)
 
 
-def el_gradient_fd_check(eta: np.ndarray | SpinorField, p0: float, pauli: PauliSet,
-                         grid: TorusGrid, probes: int = 64, seed: int = 0) -> float:
+def el_gradient_fd_check(field: SpinorField, p0: float, probes: int = 64,
+                         seed: int = 0) -> float:
     """Relative max-norm disagreement between the analytic and the
     finite-difference gradients on a common random subsample of
     degrees of freedom."""
-    field = _field(eta, pauli, grid)
-    dofs = _sample_dofs(field.eta, probes, seed)
-    fd = _fd_gradient_at_dofs(field, p0, pauli, grid, dofs)
-    w = el_gradient(field, p0, pauli, grid)
+    dofs = _sample_dofs(_one_field(field, "el_gradient_fd_check").eta, probes, seed)
+    fd = _fd_gradient_at_dofs(field, p0, dofs)
+    w = el_gradient(field, p0)
     points, comp, part = dofs
     at_dofs = w[tuple(points.T) + (comp,)]
     analytic = np.where(part == 0, at_dofs.real, at_dofs.imag)
@@ -436,15 +430,14 @@ def _residuals(fields: SpinorField, p0: float, sign: int, fd_seed: int | None = 
     ``Lpm_max``; and the stack of the stationary densities. The
     nonvanishing floor is checked on each field in turn.
     """
-    pauli, grid = fields.pauli, fields.grid
     cases = [{"weyl_residual": float(weyl), "el_residual": float(el)}
              for weyl, el in zip(_weyl_norms(fields, p0, sign),
                                  _el_residuals(fields, p0))]
     if fd_seed is not None:
-        cases[0]["el_residual_fd"] = el_residual_fd(fields[0], p0, pauli, grid,
-                                                    probes=_FD_PROBES, seed=fd_seed)
-    lag = lagrangian_stationary(fields, p0, pauli, pauli.metric, grid)
-    lpm = lagrangian_weyl(fields, p0, sign, pauli, grid)
+        cases[0]["el_residual_fd"] = el_residual_fd(fields[0], p0, probes=_FD_PROBES,
+                                                    seed=fd_seed)
+    lag = lagrangian_stationary(fields, p0, fields.pauli, fields.pauli.metric, fields.grid)
+    lpm = lagrangian_weyl(fields, p0, sign)
     for case, l_max, lpm_max in zip(cases, np.abs(lag).max(axis=_GRID_AXES),
                                     np.abs(lpm).max(axis=_GRID_AXES)):
         case["L_max"], case["Lpm_max"] = float(l_max), float(lpm_max)
@@ -481,12 +474,13 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
     _check_frequency(_PERTURB_CORNERS, f"the perturbation's modes, up to {_PERTURB_MAX_MODE} "
                      "per axis,", metric, grid)
     max_mode = min(_MAX_MODE, *_highest_mode(grid))
+    pauli = build_pauli(metric)
     rng = np.random.default_rng(seed)
     cases = []
     for sign in (1, -1):
         for _ in range(n_cases):
             k = random_wavevector(rng, max_mode=max_mode)
-            spec, wave = planewave_solution(k, sign, metric, grid)
+            spec, wave = planewave_solution(k, sign, pauli, grid)
             p0 = abs(spec.p0)  # sign-s equation at positive frequency
             head = {"k": [int(m) for m in k], "branch": sign, "p0": p0}
             fd_seed = int(rng.integers(2**31))
@@ -495,7 +489,7 @@ def theorem_witness_suite(seed: int, grid: TorusGrid, metric: Metric3,
                 max_mode=_PERTURB_MAX_MODE, amplitude=_PERTURB)
             # the wave and its perturbed twin, one stack of two fields; each
             # case's arrays are freed before the next case is drawn
-            pair = SpinorField(_component_planes((2,) + grid.shape), wave.pauli, grid)
+            pair = SpinorField(_component_planes((2,) + grid.shape), pauli, grid)
             pair.eta[...] = wave.eta
             pair.eta[1] += noise
             del wave, noise

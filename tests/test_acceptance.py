@@ -11,6 +11,7 @@ import numpy as np
 
 from cosserat_weyl import (
     FACTORIZATION_SIGN,
+    SpinorField,
     TorusGrid,
     build_pauli,
     el_gradient_fd_check,
@@ -122,7 +123,7 @@ def test_acceptance_5_dispersion_relation():
         metric = random_spd_metric(rng)
         k = random_wavevector(rng, max_mode=3)
         branch = 1 if i % 2 == 0 else -1
-        spec, _ = planewave_solution(k, branch, metric, grid)
+        spec, _ = planewave_solution(k, branch, build_pauli(metric), grid)
         worst = max(worst, spec.dispersion_residual)
     _report(5, "dispersion relation", worst <= 1e-12,
             f"max |p0^2 - g^ab k_a k_b| = {worst:.3e} over 50 cases")
@@ -168,7 +169,7 @@ def test_acceptance_8_energy_balance_at_solutions():
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
         k = random_wavevector(rng, max_mode=3)
-        spec, eta = planewave_solution(k, 1 if i % 2 == 0 else -1, metric, grid)
+        spec, eta = planewave_solution(k, 1 if i % 2 == 0 else -1, pauli, grid)
         p0 = abs(spec.p0)
         theta, dtheta0, rho = stationary_frame_path(eta, p0, pauli, metric, grid)
         lag = lagrangian_coframe(theta, dtheta0, rho, metric, grid)
@@ -191,7 +192,7 @@ def test_acceptance_9_gradient_cross_check():
         eta = random_nonvanishing_spinor(grid, rng, max_mode=1)
         p0 = 0.5 if i % 2 == 0 else -1.0
         worst = max(worst, el_gradient_fd_check(
-            eta, p0, pauli, grid, probes=64,
+            SpinorField(eta, pauli, grid), p0, probes=64,
             seed=int(rng.integers(2**31))))
     _report(9, "variational gradient cross-check", worst <= 1e-6,
             f"max rel disagreement {worst:.3e} over 10 fields")

@@ -19,6 +19,7 @@ from cosserat_weyl import (
     NonPositiveDensity,
     NotOrthonormal,
     PHASE_RATE,
+    SpinorField,
     TorusGrid,
     VanishingSpinor,
     build_pauli,
@@ -53,7 +54,7 @@ def test_conjugate_sets_keep_their_metric():
 class TestSpinorToFrame:
     def test_spin_up_frozen_frame(self, grid8, pauli_identity):
         # xi = (1, 0): theta^1 = -dx1, theta^2 = -dx2, theta^3 = dx3, rho = 1
-        theta, rho = spinor_to_frame(constant_spinor(grid8), pauli_identity, grid8)
+        theta, rho = spinor_to_frame(SpinorField(constant_spinor(grid8), pauli_identity, grid8))
         expected = np.zeros((3,) + grid8.shape + (3,))
         expected[0, ..., 0] = -1.0
         expected[1, ..., 1] = -1.0
@@ -71,7 +72,7 @@ class TestSpinorToFrame:
             xihat = np.stack([xi[..., 1].conj(), -xi[..., 0].conj()], axis=-1)
             w = np.einsum("...i,aij,...j->...a", xihat.conj(), pauli.sigma_lower, xi)
             s = np.einsum("...i,...i->...", xi.conj(), xi).real[..., np.newaxis]
-            theta, _ = spinor_to_frame(xi, pauli, grid8)
+            theta, _ = spinor_to_frame(SpinorField(xi, pauli, grid8))
             assert np.abs(theta[0] + 1j * theta[1] - w / s).max() <= 1e-13
 
     def test_image_is_orthonormal(self, grid8):
@@ -80,7 +81,7 @@ class TestSpinorToFrame:
             metric = random_spd_metric(rng)
             pauli = build_pauli(metric)
             xi = random_nonvanishing_spinor(grid8, rng)
-            theta, rho = spinor_to_frame(xi, pauli, grid8)
+            theta, rho = spinor_to_frame(SpinorField(xi, pauli, grid8))
             assert orthonormality_residual(theta, metric).max() <= 1e-13
             assert np.min(rho) > 0.0
 
@@ -89,8 +90,9 @@ class TestSpinorToFrame:
         rng = np.random.default_rng(4)
         xi = random_nonvanishing_spinor(grid8, rng)
         phi = 0.37
-        theta, rho = spinor_to_frame(xi, pauli_identity, grid8)
-        theta_rot, rho_rot = spinor_to_frame(np.exp(1j * phi) * xi, pauli_identity, grid8)
+        theta, rho = spinor_to_frame(SpinorField(xi, pauli_identity, grid8))
+        rotated = SpinorField(np.exp(1j * phi) * xi, pauli_identity, grid8)
+        theta_rot, rho_rot = spinor_to_frame(rotated)
         w_base = theta[0] + 1j * theta[1]
         w_rot = theta_rot[0] + 1j * theta_rot[1]
         assert np.abs(w_rot - np.exp(2j * phi) * w_base).max() <= 1e-13
@@ -102,7 +104,7 @@ class TestSpinorToFrame:
         xi = np.zeros(grid8.shape + (2,), dtype=complex)
         xi[..., 0] = np.cos(x1)
         with pytest.raises(VanishingSpinor):
-            spinor_to_frame(xi, pauli_identity, grid8)
+            spinor_to_frame(SpinorField(xi, pauli_identity, grid8))
 
 
 class TestFrameToSpinor:
@@ -112,7 +114,7 @@ class TestFrameToSpinor:
             metric = random_spd_metric(rng)
             pauli = build_pauli(metric)
             xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
-            theta, rho = spinor_to_frame(xi, pauli, grid8)
+            theta, rho = spinor_to_frame(SpinorField(xi, pauli, grid8))
             rec, ortho = frame_to_spinor(theta, rho, pauli)
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
             assert err / np.abs(xi).max() <= 1e-11
@@ -138,7 +140,7 @@ class TestFrameToSpinor:
         xi = xi @ u.T
         first = np.abs(xi[0, 0, 0])
         assert abs(first[0] - first[1]) <= 1e-15 * first.max()
-        rec, _ = frame_to_spinor(*spinor_to_frame(xi, pauli, grid), pauli)
+        rec, _ = frame_to_spinor(*spinor_to_frame(SpinorField(xi, pauli, grid)), pauli)
         anchor = rec[0, 0, 0]
         assert anchor[np.argmax(np.abs(anchor))].real >= 0.0
         err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
@@ -159,7 +161,7 @@ class TestFrameToSpinor:
                 pauli, sigma_upper=u @ pauli.sigma_upper @ u.conj().T,
                 sigma_lower=u @ pauli.sigma_lower @ u.conj().T)
             xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
-            theta, rho = spinor_to_frame(xi, conj, grid)
+            theta, rho = spinor_to_frame(SpinorField(xi, conj, grid))
             rec, _ = frame_to_spinor(theta, rho, conj)
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
             assert err / np.abs(xi).max() <= 1e-14
@@ -170,7 +172,7 @@ class TestFrameToSpinor:
             metric = random_spd_metric(rng)
             conj = _complex_conjugate(build_pauli(metric))
             xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
-            theta, rho = spinor_to_frame(xi, conj, grid8)
+            theta, rho = spinor_to_frame(SpinorField(xi, conj, grid8))
             rec, _ = frame_to_spinor(theta, rho, conj)
             err = min(np.abs(rec - xi).max(), np.abs(rec + xi).max())
             assert err / np.abs(xi).max() <= 1e-14
@@ -181,7 +183,7 @@ class TestFrameToSpinor:
         metric = random_spd_metric(rng)
         for pauli in (build_pauli(metric), _complex_conjugate(build_pauli(metric))):
             xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
-            theta, rho = spinor_to_frame(xi, pauli, grid8)
+            theta, rho = spinor_to_frame(SpinorField(xi, pauli, grid8))
             flipped = theta.copy()
             flipped[2] *= -1.0
             assert orthonormality_residual(flipped, metric).max() <= 1e-13
@@ -190,7 +192,7 @@ class TestFrameToSpinor:
 
     def test_spin_up_frozen_frame_inverts(self, grid8, pauli_identity):
         # xi = (1, 0) has xi_2 = 0 everywhere: only the root of xi_1^2 works
-        theta, rho = spinor_to_frame(constant_spinor(grid8), pauli_identity, grid8)
+        theta, rho = spinor_to_frame(SpinorField(constant_spinor(grid8), pauli_identity, grid8))
         rec, _ = frame_to_spinor(theta, rho, pauli_identity)
         assert np.abs(rec - constant_spinor(grid8)).max() <= 1e-15
 
@@ -198,9 +200,9 @@ class TestFrameToSpinor:
         # the frame image is sign-blind, so this direction has no ambiguity
         rng = np.random.default_rng(29)
         xi = random_nonvanishing_spinor(grid8, rng, amplitude=0.15, max_mode=1)
-        theta, rho = spinor_to_frame(xi, pauli_identity, grid8)
+        theta, rho = spinor_to_frame(SpinorField(xi, pauli_identity, grid8))
         rec, _ = frame_to_spinor(theta, rho, pauli_identity)
-        theta2, rho2 = spinor_to_frame(rec, pauli_identity, grid8)
+        theta2, rho2 = spinor_to_frame(SpinorField(rec, pauli_identity, grid8))
         assert np.abs(theta2 - theta).max() <= 1e-12
         assert np.abs(rho2 - rho).max() <= 1e-12
 
@@ -224,7 +226,7 @@ class TestFrameToSpinor:
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (), (8, 8, 1), (4, 8, 8)])
     def test_rejects_density_of_another_shape(self, grid8, pauli_identity, shape):
-        theta, _ = spinor_to_frame(constant_spinor(grid8), pauli_identity, grid8)
+        theta, _ = spinor_to_frame(SpinorField(constant_spinor(grid8), pauli_identity, grid8))
         with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*"
                            + re.escape(f"{grid8.shape}")):
             frame_to_spinor(theta, np.ones(shape), pauli_identity)
@@ -241,7 +243,7 @@ class TestOrthonormalityScalesWithTheMetric:
         metric = Metric3.from_matrix(c * (q @ np.diag([1.0, 2.0, 3.0]) @ q.T))
         pauli = build_pauli(metric)
         xi = random_nonvanishing_spinor(grid, rng, amplitude=0.25, max_mode=1)
-        return metric, pauli, xi, spinor_to_frame(xi, pauli, grid)
+        return metric, pauli, xi, spinor_to_frame(SpinorField(xi, pauli, grid))
 
     @pytest.mark.parametrize("c", [1e9, 1e12])
     def test_large_metric_round_trips(self, c):
@@ -277,7 +279,7 @@ class TestSlabs:
         pauli = su2_conjugate(build_pauli(metric), rng)
         xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
         assert len(geometry_module._slabs(dims)) == 1
-        frame = spinor_to_frame(xi, pauli, grid)
+        frame = spinor_to_frame(SpinorField(xi, pauli, grid))
         lift = frame_to_spinor(*frame, pauli)
         monkeypatch.setattr(geometry_module, "_SLAB_POINTS", slab_points)
         slabs = geometry_module._slabs(dims)
@@ -289,7 +291,7 @@ class TestSlabs:
     def test_slabs_match_one_slab_bit_for_bit(self, monkeypatch, dims, slab_points):
         grid, _, pauli, xi, (theta, rho), (xi_rec, ortho), _ = self._case(
             dims, monkeypatch, slab_points)
-        sliced_theta, sliced_rho = spinor_to_frame(xi, pauli, grid)
+        sliced_theta, sliced_rho = spinor_to_frame(SpinorField(xi, pauli, grid))
         assert np.array_equal(sliced_theta, theta)
         assert np.array_equal(sliced_rho, rho)
         lift = frame_to_spinor(sliced_theta, sliced_rho, pauli)
@@ -362,7 +364,7 @@ class TestSlabs:
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
         xi = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
-        theta, rho = spinor_to_frame(xi, pauli, grid)
+        theta, rho = spinor_to_frame(SpinorField(xi, pauli, grid))
         tracemalloc.start()
         try:
             frame_to_spinor(theta, rho, pauli)
@@ -477,7 +479,7 @@ class TestDictionaryAtTheEdges:
         # modes up to one below the Nyquist mode of the shortest axis
         xi = random_nonvanishing_spinor(grid, rng, amplitude=amplitude,
                                         max_mode=min(dims) // 2 - 1)
-        theta, rho = spinor_to_frame(xi, pauli, grid)
+        theta, rho = spinor_to_frame(SpinorField(xi, pauli, grid))
         flipped_error = NoSpinLift
         try:
             rec, _ = frame_to_spinor(theta, rho, pauli)
@@ -522,7 +524,7 @@ class TestSpinLiftAroundCycles:
     def test_two_turns_lift(self, grid8, pauli_identity, axis):
         theta = self._turning_frame(grid8, axis, 2)
         rec, _ = frame_to_spinor(theta, np.ones(grid8.shape), pauli_identity)
-        theta_rec, _ = spinor_to_frame(rec, pauli_identity, grid8)
+        theta_rec, _ = spinor_to_frame(SpinorField(rec, pauli_identity, grid8))
         assert np.abs(theta_rec - theta).max() <= 1e-12
         # continuous: neighbours along every axis, the periodic edge included
         for ax in range(3):

@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from cosserat_weyl import (Metric3, TorusGrid, lagrangian_stationary, planewave_solution,
-                           read_field, write_field, write_scalar_csv)
+from cosserat_weyl import (Metric3, TorusGrid, build_pauli, lagrangian_stationary,
+                           planewave_solution, read_field, write_field, write_scalar_csv)
 from cosserat_weyl.cwf import KIND_COMPONENTS
 
 
@@ -213,7 +213,7 @@ def test_scalar_csv_planewave_density_matches_savetxt(tmp_path):
     # distinct values per slab, each formatted once
     grid = TorusGrid((12, 16, 8), (1.0, 2.5, 7.0))
     metric = Metric3.diagonal(1.0, 4.0, 9.0)
-    spec, field = planewave_solution((1, 2, 0), 1, metric, grid)
+    spec, field = planewave_solution((1, 2, 0), 1, build_pauli(metric), grid)
     density = lagrangian_stationary(field, spec.p0, field.pauli, metric, grid)
     assert np.unique(density).size < grid.num_points // 10
     _assert_csv_matches_savetxt(density, grid, tmp_path)

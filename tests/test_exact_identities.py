@@ -36,6 +36,7 @@ from cosserat_weyl import (
     PHASE_RATE,
     Metric3,
     PauliSet,
+    SpinorField,
     TorusGrid,
     build_pauli,
     spinor_to_frame,
@@ -319,7 +320,8 @@ class TestFloatKernelsAtExactPoints:
         # derivative of them
         case = _case(kind)
         grid = TorusGrid((4, 4, 4), (1.0, 1.0, 1.0))
-        theta, rho = spinor_to_frame(case.array("eta").reshape(4, 4, 4, 2), case.pauli(), grid)
+        eta = case.array("eta").reshape(4, 4, 4, 2)
+        theta, rho = spinor_to_frame(SpinorField(eta, case.pauli(), grid))
         exact = np.moveaxis(case.array("theta"), 0, 1).reshape(3, 4, 4, 4, 3)
         _assert_close(theta, exact)
         exact = _as_array([p.s * case.sqrt_det for p in case.points]).reshape(4, 4, 4)

@@ -121,8 +121,8 @@ class TestBuildersReturnPlanes:
         assert eta.shape == self.grid.dims + (2,) and _is_component_planes(eta)
 
     def test_plane_wave_solution(self):
-        _, field = planewave_solution((1, -2, 1), -1, Metric3.diagonal(1.0, 4.0, 9.0),
-                                      self.grid)
+        pauli = build_pauli(Metric3.diagonal(1.0, 4.0, 9.0))
+        _, field = planewave_solution((1, -2, 1), -1, pauli, self.grid)
         assert _is_component_planes(field.eta)
 
     def test_dirac_and_the_lift(self):
@@ -132,7 +132,7 @@ class TestBuildersReturnPlanes:
         eta = _interleaved(random_nonvanishing_spinor(self.grid, rng, amplitude=0.15,
                                                       max_mode=1))
         assert _is_component_planes(_dirac(eta, pauli.sigma_upper, self.grid))
-        theta, rho = spinor_to_frame(eta, pauli, self.grid)
+        theta, rho = spinor_to_frame(SpinorField(eta, pauli, self.grid))
         assert _is_component_planes(frame_to_spinor(theta, rho, pauli)[0])
 
     def test_phase_and_scale_of_a_suite_case(self, monkeypatch):
@@ -160,7 +160,7 @@ class TestBuildersReturnPlanes:
         metric = random_spd_metric(rng)
         eta = _interleaved(random_nonvanishing_spinor(self.grid, rng, max_mode=1))
         h = random_bandlimited_scalar(self.grid, rng, max_mode=1, amplitude=0.2)
-        scaling_covariance_residual(eta, h, 0.5, build_pauli(metric), self.grid)
+        scaling_covariance_residual(SpinorField(eta, build_pauli(metric), self.grid), h, 0.5)
         scaled = [e for e in seen if e is not eta]
         assert scaled and all(_is_component_planes(e) for e in scaled)
 
@@ -181,25 +181,27 @@ class TestAnyLayoutIsAccepted:
             ("_dirac", lambda e: _dirac(e, pauli.sigma_upper, grid)),
             ("lagrangian_stationary",
              lambda e: lagrangian_stationary(e, 0.5, pauli, metric, grid)),
-            ("lagrangian_weyl", lambda e: lagrangian_weyl(e, -1.0, 1, pauli, grid)),
+            ("lagrangian_weyl",
+             lambda e: lagrangian_weyl(SpinorField(e, pauli, grid), -1.0, 1)),
             ("factorization_residual",
-             lambda e: factorization_residual(e, 2.0, pauli, grid)),
+             lambda e: factorization_residual(SpinorField(e, pauli, grid), 2.0)),
             ("scaling_covariance_residual",
-             lambda e: scaling_covariance_residual(e, h, 1.0, pauli, grid)),
-            ("lagrangian_dynamic", lambda e: lagrangian_dynamic(e, dxi0, pauli, grid)),
+             lambda e: scaling_covariance_residual(SpinorField(e, pauli, grid), h, 1.0)),
+            ("lagrangian_dynamic",
+             lambda e: lagrangian_dynamic(SpinorField(e, pauli, grid), dxi0)),
             ("lagrangian_dynamic of dxi0",
-             lambda e: lagrangian_dynamic(planar, dxi0 if e is planar else _interleaved(dxi0),
-                                          pauli, grid)),
-            ("fierz_residual", lambda e: fierz_residual(e, pauli, grid)),
-            ("weyl_residual", lambda e: weyl_residual(e, 0.5, -1, pauli, grid)),
+             lambda e: lagrangian_dynamic(SpinorField(planar, pauli, grid),
+                                          dxi0 if e is planar else _interleaved(dxi0))),
+            ("fierz_residual", lambda e: fierz_residual(SpinorField(e, pauli, grid))),
+            ("weyl_residual", lambda e: weyl_residual(SpinorField(e, pauli, grid), 0.5, -1)),
             ("weyl_residual_norm", lambda e: weyl_residual_norm(e, 0.5, 1, pauli, grid)),
-            ("el_gradient", lambda e: el_gradient(e, -0.5, pauli, grid)),
-            ("el_residual", lambda e: el_residual(e, 0.5, pauli, grid)),
+            ("el_gradient", lambda e: el_gradient(SpinorField(e, pauli, grid), -0.5)),
+            ("el_residual", lambda e: el_residual(SpinorField(e, pauli, grid), 0.5)),
             ("el_residual_fd",
-             lambda e: el_residual_fd(e, 0.5, pauli, grid, probes=8, seed=1)),
+             lambda e: el_residual_fd(SpinorField(e, pauli, grid), 0.5, probes=8, seed=1)),
             ("el_gradient_fd_check",
-             lambda e: el_gradient_fd_check(e, 1.0, pauli, grid, probes=8)),
-            ("spinor_to_frame", lambda e: spinor_to_frame(e, pauli, grid)),
+             lambda e: el_gradient_fd_check(SpinorField(e, pauli, grid), 1.0, probes=8)),
+            ("spinor_to_frame", lambda e: spinor_to_frame(SpinorField(e, pauli, grid))),
             ("stationary_frame_path",
              lambda e: stationary_frame_path(e, 1.0, pauli, metric, grid)),
         ]
@@ -245,7 +247,7 @@ class TestCoframesAreBuiltAsPlanes:
     def test_the_dictionary(self):
         metric, pauli, eta = self._frame_path(9)
         for given in (eta, _interleaved(eta)):
-            theta, _ = spinor_to_frame(given, pauli, self.grid)
+            theta, _ = spinor_to_frame(SpinorField(given, pauli, self.grid))
             assert _is_coframe_planes(theta)
             theta, dtheta0, _ = stationary_frame_path(given, 1.0, pauli, metric, self.grid)
             # d0 theta^3 = 0 is not stored: the velocity is two covectors

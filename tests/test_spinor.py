@@ -98,7 +98,7 @@ class TestBilinears:
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid, rng)
-        assert fierz_residual(eta, pauli, grid) <= 1e-13
+        assert fierz_residual(SpinorField(eta, pauli, grid)) <= 1e-13
 
 
 class TestLagrangians:
@@ -107,8 +107,8 @@ class TestLagrangians:
         eta = constant_spinor(grid8)
         lag = lagrangian_stationary(eta, 1.0, pauli_identity, identity_metric, grid8)
         assert np.abs(lag + 16.0 / 9.0).max() <= 1e-14
-        lp = lagrangian_weyl(eta, 1.0, 1, pauli_identity, grid8)
-        lm = lagrangian_weyl(eta, 1.0, -1, pauli_identity, grid8)
+        lp = lagrangian_weyl(SpinorField(eta, pauli_identity, grid8), 1.0, 1)
+        lm = lagrangian_weyl(SpinorField(eta, pauli_identity, grid8), 1.0, -1)
         assert np.abs(lp - 1.0).max() <= 1e-14
         assert np.abs(lm + 1.0).max() <= 1e-14
 
@@ -117,23 +117,23 @@ class TestLagrangians:
         with pytest.raises(ZeroFrequency):
             lagrangian_stationary(eta, 0.0, pauli_identity, identity_metric, grid8)
         with pytest.raises(ZeroFrequency):
-            lagrangian_weyl(eta, 0.0, 1, pauli_identity, grid8)
+            lagrangian_weyl(SpinorField(eta, pauli_identity, grid8), 0.0, 1)
 
     def test_vanishing_spinor_rejected(self, grid8, pauli_identity):
         x1 = grid8.coords()[0]
         eta = np.zeros(grid8.shape + (2,), dtype=complex)
         eta[..., 0] = np.cos(x1)  # vanishes on a plane
         for call in (
-            lambda: lagrangian_weyl(eta, 1.0, -1, pauli_identity, grid8),
-            lambda: lagrangian_dynamic(eta, -1j * eta, pauli_identity, grid8),
-            lambda: el_gradient(eta, 1.0, pauli_identity, grid8),
+            lambda: lagrangian_weyl(SpinorField(eta, pauli_identity, grid8), 1.0, -1),
+            lambda: lagrangian_dynamic(SpinorField(eta, pauli_identity, grid8), -1j * eta),
+            lambda: el_gradient(SpinorField(eta, pauli_identity, grid8), 1.0),
         ):
             with pytest.raises(VanishingSpinor):
                 call()
 
     def test_bad_weyl_sign_rejected(self, grid8, pauli_identity):
         with pytest.raises(ValueError):
-            lagrangian_weyl(constant_spinor(grid8), 1.0, 2, pauli_identity, grid8)
+            lagrangian_weyl(SpinorField(constant_spinor(grid8), pauli_identity, grid8), 1.0, 2)
 
     def test_u1_invariance(self, grid8, pauli_identity, identity_metric):
         rng = np.random.default_rng(7)
@@ -151,7 +151,7 @@ class TestFactorization:
         # L+ L- / (L+ - L-) = -1/2 at p0 = 1, and L = -16/9,
         # so the printed constant -32/9 needs sign -1
         eta = constant_spinor(grid8)
-        res = factorization_residual(eta, 1.0, pauli_identity, grid8)
+        res = factorization_residual(SpinorField(eta, pauli_identity, grid8), 1.0)
         assert FACTORIZATION_SIGN == -1
         assert res.max() <= 1e-14
 
@@ -161,7 +161,7 @@ class TestFactorization:
             metric = random_spd_metric(rng)
             pauli = build_pauli(metric)
             eta = random_nonvanishing_spinor(grid16, rng)
-            res = factorization_residual(eta, p0, pauli, grid16)
+            res = factorization_residual(SpinorField(eta, pauli, grid16), p0)
             lag = lagrangian_stationary(eta, p0, pauli, metric, grid16)
             assert res.max() / np.abs(lag).max() <= 1e-12
 
@@ -171,11 +171,12 @@ class TestFactorization:
         eta = np.zeros(grid8.shape + (2,), dtype=complex)
         eta[..., 0] = np.cos(x1)
         with pytest.raises(DegenerateDenominator):
-            factorization_residual(eta, 1.0, pauli_identity, grid8)
+            factorization_residual(SpinorField(eta, pauli_identity, grid8), 1.0)
 
     def test_zero_frequency_rejected(self, grid8, pauli_identity):
         with pytest.raises(ZeroFrequency):
-            factorization_residual(constant_spinor(grid8), 0.0, pauli_identity, grid8)
+            factorization_residual(SpinorField(constant_spinor(grid8), pauli_identity, grid8),
+                                   0.0)
 
 
 class TestScalingCovariance:
@@ -188,14 +189,14 @@ class TestScalingCovariance:
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid, rng, max_mode=1)
         h = random_bandlimited_scalar(grid, rng, max_mode=1, amplitude=0.2)
-        for res in scaling_covariance_residual(eta, h, 0.5, pauli, grid):
+        for res in scaling_covariance_residual(SpinorField(eta, pauli, grid), h, 0.5):
             assert res <= 1e-10
 
     def test_constant_rescaling_is_exact(self, grid8, pauli_identity):
         rng = np.random.default_rng(2)
         eta = random_nonvanishing_spinor(grid8, rng)
         h = np.full(grid8.shape, 0.7)
-        res = scaling_covariance_residual(eta, h, 1.0, pauli_identity, grid8)
+        res = scaling_covariance_residual(SpinorField(eta, pauli_identity, grid8), h, 1.0)
         assert max(res) <= 1e-14
 
 
@@ -209,7 +210,8 @@ class TestScalingCovariance:
         eta[1, 2, 3] = value
         dirac = count_calls("_dirac", spinor_module, weyl_module)
         with pytest.raises(VanishingSpinor):
-            scaling_covariance_residual(eta, np.zeros(grid8.shape), 0.5, pauli_identity, grid8)
+            scaling_covariance_residual(SpinorField(eta, pauli_identity, grid8),
+                                        np.zeros(grid8.shape), 0.5)
         assert dirac == []
 
 class TestDynamicReduction:
@@ -220,7 +222,7 @@ class TestDynamicReduction:
             pauli = build_pauli(metric)
             eta = random_nonvanishing_spinor(grid16, rng)
             # the slice x0 = 0 of xi = e^{-i p0 x0} eta: (xi, d0 xi) = (eta, -i p0 eta)
-            dyn = lagrangian_dynamic(eta, -1j * p0 * eta, pauli, grid16)
+            dyn = lagrangian_dynamic(SpinorField(eta, pauli, grid16), -1j * p0 * eta)
             stat = lagrangian_stationary(eta, p0, pauli, metric, grid16)
             scale = np.abs(stat).max()
             assert np.abs(dyn - stat).max() / scale <= 1e-13
@@ -257,7 +259,7 @@ def _metric_pauli_and_fields(seed):
     metric = random_spd_metric(rng)
     pauli = build_pauli(metric)
     eta = random_nonvanishing_spinor(GRID_468, rng, max_mode=1)
-    _, wave = planewave_solution((1, 2, 3), 1 if seed % 2 else -1, metric, GRID_468)
+    _, wave = planewave_solution((1, 2, 3), 1 if seed % 2 else -1, pauli, GRID_468)
     return metric, pauli, rng, (eta, wave.eta)
 
 
@@ -674,7 +676,7 @@ def _el_fd_disagreement(dims, box, seed, log10_cond, p0):
     rng = np.random.default_rng(seed)
     metric = _ill_conditioned_metric(rng, log10_cond)
     eta = random_nonvanishing_spinor(grid, rng, max_mode=1)
-    return el_gradient_fd_check(eta, p0, build_pauli(metric), grid,
+    return el_gradient_fd_check(SpinorField(eta, build_pauli(metric), grid), p0,
                                 probes=64, seed=seed)
 
 
@@ -734,8 +736,8 @@ class TestLagrangiansAtTheEdges:
         eta[tuple(rng.integers(0, n) for n in grid.dims)] *= 10.0 ** log10_scale
         vanishing = bool(spinor_module._vanishing(_scalar_density(eta)))
         for call in (lambda: lagrangian_stationary(eta, p0, pauli, metric, grid),
-                     lambda: lagrangian_weyl(eta, p0, 1, pauli, grid),
-                     lambda: lagrangian_weyl(eta, p0, -1, pauli, grid)):
+                     lambda: lagrangian_weyl(SpinorField(eta, pauli, grid), p0, 1),
+                     lambda: lagrangian_weyl(SpinorField(eta, pauli, grid), p0, -1)):
             try:
                 density = call()
             except ModelError as exc:
@@ -762,11 +764,11 @@ def _one_factor_residuals(seed, log10_cond):
                - metric.covector_norm2(unit[:, np.newaxis] - unit)) / 4.0
     k = rng.integers(-1, 2, size=3)
     k[rng.integers(3)] = 1  # a nonzero mode vector
-    spec, _ = planewave_solution(k, 1, metric, grid)
+    spec, _ = planewave_solution(k, 1, pauli, grid)
     kk = 2.0 * np.pi * k / np.asarray(grid.box)
     kslash = np.einsum("a,akl->kl", kk, pauli.sigma_upper)
     xi = random_nonvanishing_spinor(grid, rng, amplitude=0.25, max_mode=1)
-    theta, rho = spinor_to_frame(xi, pauli, grid)
+    theta, rho = spinor_to_frame(SpinorField(xi, pauli, grid))
     rec, _ = frame_to_spinor(theta, rho, pauli)
     return {
         "clifford_lower": _rel(_anticommutators(pauli.sigma_lower),
@@ -776,7 +778,7 @@ def _one_factor_residuals(seed, log10_cond):
         # relative to |g^ab| |k_a| |k_b|, the scale of the contraction's rounding
         "plane_wave": np.abs(kslash @ kslash - spec.p0**2 * np.eye(2)).max()
         / (np.abs(kk) @ np.abs(g_upper) @ np.abs(kk)),
-        "fierz": fierz_residual(xi, pauli, grid),
+        "fierz": fierz_residual(SpinorField(xi, pauli, grid)),
         "orthonormality": orthonormality_residual(theta, metric).max()
         / np.abs(metric.g_lower).max(),
         "round_trip": min(np.abs(rec - xi).max(), np.abs(rec + xi).max()) / np.abs(xi).max(),
@@ -811,36 +813,43 @@ class TestSpinorField:
         return metric, pauli, eta
 
     def test_field_and_array_give_identical_results(self):
+        # one field, its arrays cached by each call in turn, against a
+        # fresh field per call; the pinned functions also take the array
         metric, pauli, eta = self._setup()
         grid = GRID_468
         field = SpinorField(eta, pauli, grid)
         dxi0 = -0.7j * eta
         for fn in (
-            lambda e: spinor_module._field(e, pauli, grid).A,
-            lambda e: spinor_module._field(e, pauli, grid).v,
+            lambda f: f.A,
+            lambda f: f.v,
+            lambda f: lagrangian_weyl(f, 0.7, -1),
+            lambda f: factorization_residual(f, 0.7),
+            lambda f: fierz_residual(f),
+            lambda f: lagrangian_dynamic(f, dxi0),
+            lambda f: weyl_residual(f, 0.7, 1),
+            lambda f: el_gradient(f, 0.7),
+            lambda f: el_residual_fd(f, 0.7, probes=8),
+            lambda f: spinor_to_frame(f)[0],
+        ):
+            assert np.array_equal(fn(field), fn(SpinorField(eta, pauli, grid)))
+        for fn in (
             lambda e: lagrangian_stationary(e, 0.7, pauli, metric, grid),
-            lambda e: lagrangian_weyl(e, 0.7, -1, pauli, grid),
-            lambda e: factorization_residual(e, 0.7, pauli, grid),
-            lambda e: fierz_residual(e, pauli, grid),
-            lambda e: lagrangian_dynamic(e, dxi0, pauli, grid),
-            lambda e: weyl_residual(e, 0.7, 1, pauli, grid),
-            lambda e: el_gradient(e, 0.7, pauli, grid),
-            lambda e: el_residual_fd(e, 0.7, pauli, grid, probes=8),
-            lambda e: spinor_to_frame(e, pauli, grid)[0],
+            lambda e: weyl_residual_norm(e, 0.7, 1, pauli, grid),
+            lambda e: stationary_frame_path(e, 0.7, pauli, metric, grid)[1],
         ):
             assert np.array_equal(fn(field), fn(eta))
 
     def test_each_quantity_is_computed_once(self, count_calls):
         metric, pauli, eta = self._setup()
         dirac = count_calls("_dirac", spinor_module, weyl_module)
-        fierz_residual(SpinorField(eta, pauli, GRID_468), pauli, GRID_468)
+        fierz_residual(SpinorField(eta, pauli, GRID_468))
         assert dirac == []  # the Fierz identity needs no derivative
         field = SpinorField(eta, pauli, GRID_468)
         lagrangian_stationary(field, 0.5, pauli, metric, GRID_468)
-        lagrangian_weyl(field, 0.5, 1, pauli, GRID_468)
+        lagrangian_weyl(field, 0.5, 1)
         weyl_residual_norm(field, 0.5, 1, pauli, GRID_468)
-        el_residual(field, 0.5, pauli, GRID_468)
-        el_residual_fd(field, 0.5, pauli, GRID_468, probes=4)
+        el_residual(field, 0.5)
+        el_residual_fd(field, 0.5, probes=4)
         # sigma^a d_a eta once for the field, shared by the FD probes, and
         # once for G eta in the EL gradient
         assert len(dirac) == 2
@@ -850,17 +859,17 @@ class TestSpinorField:
         maps = count_calls("_covector", spinor_module, correspondence_module)
         field = SpinorField(eta, pauli, GRID_468)
         lagrangian_stationary(field, 0.5, pauli, metric, GRID_468)
-        factorization_residual(field, 0.5, pauli, GRID_468)
-        scaling_covariance_residual(field, 0.1 * field.s, 0.5, pauli, GRID_468)
-        el_gradient(field, 0.5, pauli, GRID_468)
-        el_residual_fd(field, 0.5, pauli, GRID_468, probes=8)
+        factorization_residual(field, 0.5)
+        scaling_covariance_residual(field, 0.1 * field.s, 0.5)
+        el_gradient(field, 0.5)
+        el_residual_fd(field, 0.5, probes=8)
         theorem_witness_suite(1, GRID_468, metric, n_cases=2)
         assert maps == []  # no check of the field or of a probe reads v
-        fierz_residual(field, pauli, GRID_468)
-        fierz_residual(field, pauli, GRID_468)
+        fierz_residual(field)
+        fierz_residual(field)
         assert len(maps) == 1  # built on the first read, then cached
         other = SpinorField(eta, pauli, GRID_468)
-        spinor_to_frame(other, pauli, GRID_468)
+        spinor_to_frame(other)
         assert len(maps) == 2
         assert "v" not in vars(other)  # the caller's field does not keep it
 
@@ -891,7 +900,7 @@ class TestSpinorField:
 
         def residuals_keep_the_fields_arrays():
             before = dict(vars(field))
-            residuals = scaling_covariance_residual(field, h, 0.5, pauli, GRID_468)
+            residuals = scaling_covariance_residual(field, h, 0.5)
             assert vars(field).keys() == before.keys()
             assert all(vars(field)[name] is value for name, value in before.items())
             return residuals
@@ -909,10 +918,8 @@ class TestSpinorField:
         field = SpinorField(eta, pauli, GRID_468)
         calls = [
             lambda p, g: lagrangian_stationary(field, 0.5, p, metric, g),
-            lambda p, g: fierz_residual(field, p, g),
             lambda p, g: weyl_residual_norm(field, 0.5, 1, p, g),
-            lambda p, g: el_residual(field, 0.5, p, g),
-            lambda p, g: spinor_to_frame(field, p, g),
+            lambda p, g: stationary_frame_path(field, 0.5, p, p.metric, g),
         ]
         for call in calls:
             for p, g in ((other_pauli, GRID_468), (pauli, other_grid)):
@@ -920,6 +927,41 @@ class TestSpinorField:
                     call(p, g)
             # an equal Pauli set built separately is the same Pauli set
             call(build_pauli(metric), TorusGrid((4, 6, 8), (5.0, 7.0, 9.0)))
+
+    def test_shape_must_fit_the_grid(self):
+        # an 8^3 eta on the grid (8,6,8): fierz_residual once read 3.7e-16
+        # on it, and the other kernels failed inside numpy
+        pauli = build_pauli(Metric3.identity())
+        eta = random_nonvanishing_spinor(GRID_8, np.random.default_rng(0))
+        grid = TorusGrid((8, 6, 8), (2.0 * np.pi,) * 3)
+        names_both = r"\(8, 8, 8, 2\) is not \(8, 6, 8, 2\)"
+        with pytest.raises(ValueError, match=names_both):
+            SpinorField(eta, pauli, grid)
+        with pytest.raises(ValueError, match=names_both):
+            lagrangian_stationary(eta, 0.5, pauli, pauli.metric, grid)
+        for wrong in (eta[0], eta[..., 0], eta[np.newaxis, np.newaxis]):
+            with pytest.raises(ValueError, match="is not"):
+                SpinorField(wrong, pauli, GRID_8)
+        assert SpinorField(np.stack([eta, eta]), pauli, GRID_8)[1].eta.shape == eta.shape
+
+    @pytest.mark.parametrize("name,call", [
+        ("weyl_residual_norm", lambda f: weyl_residual_norm(f, 0.5, 1, f.pauli, f.grid)),
+        ("el_residual", lambda f: el_residual(f, 0.5)),
+        ("el_residual_fd", lambda f: el_residual_fd(f, 0.5, probes=4)),
+        ("el_gradient_fd_check", lambda f: el_gradient_fd_check(f, 0.5, probes=4)),
+        ("scaling_covariance_residual",
+         lambda f: scaling_covariance_residual(f, np.zeros(f.grid.shape), 0.5)),
+        ("fierz_residual", fierz_residual),
+    ])
+    def test_a_function_that_returns_a_number_rejects_a_stack(self, name, call):
+        # each once returned one number for the pair, or failed inside numpy
+        pauli = build_pauli(Metric3.identity())
+        rng = np.random.default_rng(3)
+        eta = np.stack([random_nonvanishing_spinor(GRID_8, rng) for _ in range(2)])
+        stack = SpinorField(eta, pauli, GRID_8)
+        with pytest.raises(ValueError, match=f"^{name} takes one field, got a stack of 2$"):
+            call(stack)
+        assert np.all(np.isfinite(call(stack[0])))
 
     def test_non_hermitian_pauli_set_fails_reality_check(self):
         # a set whose v would be complex is rejected when it is built, so
@@ -943,7 +985,8 @@ class TestPauliSetCarriesItsMetric:
     @staticmethod
     def _wave():
         # the plane wave (1,1,0) on diag(1,4,9), sqrt(det g) = 6
-        spec, field = planewave_solution((1, 1, 0), 1, Metric3.diagonal(1.0, 4.0, 9.0), GRID_8)
+        pauli = build_pauli(Metric3.diagonal(1.0, 4.0, 9.0))
+        spec, field = planewave_solution((1, 1, 0), 1, pauli, GRID_8)
         return spec.p0, field
 
     def test_sets_compare_their_metrics_by_value(self):
@@ -958,10 +1001,9 @@ class TestPauliSetCarriesItsMetric:
     def test_a_field_on_another_metrics_set_is_rejected(self):
         p0, field = self._wave()
         calls = [
-            lambda p: el_residual(field, p0, p, GRID_8),
-            lambda p: spinor_to_frame(field, p, GRID_8),
-            lambda p: lagrangian_weyl(field, p0, 1, p, GRID_8),
-            lambda p: fierz_residual(field, p, GRID_8),
+            lambda p: lagrangian_stationary(field, p0, p, p.metric, GRID_8),
+            lambda p: weyl_residual_norm(field, p0, 1, p, GRID_8),
+            lambda p: stationary_frame_path(field, p0, p, p.metric, GRID_8),
         ]
         other = build_pauli(Metric3.identity())
         for call in calls:
@@ -975,8 +1017,8 @@ class TestPauliSetCarriesItsMetric:
         # density is s sqrt(det g) = 6 s: neither can be handed the
         # identity metric any more
         p0, field = self._wave()
-        assert el_residual(field, p0, field.pauli, GRID_8) <= 1e-13
-        _, rho = spinor_to_frame(field, field.pauli, GRID_8)
+        assert el_residual(field, p0) <= 1e-13
+        _, rho = spinor_to_frame(field)
         assert np.array_equal(rho, field.s * 6.0)
 
     def test_pinned_signatures_reject_a_metric_other_than_the_sets(self):

@@ -80,8 +80,8 @@ def test_one_spectral_gradient_per_scaled_field(count_calls):
 
     def case(i, field, p0, _):
         expected.extend({"case": i, "p0": p0, "weyl_sign": sign, "residual": res}
-                        for sign, res in zip((1, -1), scaling_covariance_residual(
-                            field, h, p0, field.pauli, grid)))
+                        for sign, res in zip((1, -1),
+                                             scaling_covariance_residual(field, h, p0)))
 
     _each_case(case, grid, 4, 3, max_mode=1)
     assert report["cases"] == expected

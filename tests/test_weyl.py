@@ -105,9 +105,14 @@ def _per_axis_lagrangian(eta, p0, pauli, grid):
     rounds every point differently; the FD step would amplify that.)"""
     if p0 == 0.0:
         raise ZeroFrequency("p0 must be nonzero")
-    field = _nonvanishing(eta, pauli, grid)
+    field = _nonvanishing(SpinorField(eta, pauli, grid))
     axial = _axial_density(eta, _per_axis_slash(eta, pauli.sigma_upper, grid))
     return _stationary_density(field.s, axial, p0, pauli.metric)
+
+
+def _fd_at_dofs(eta, p0, pauli, grid, dofs):
+    """`_fd_gradient_at_dofs` on a field of eta, in the oracles' signature."""
+    return _fd_gradient_at_dofs(SpinorField(eta, pauli, grid), p0, dofs)
 
 
 def _full_grid_fd(eta, p0, pauli, grid, dofs):
@@ -183,39 +188,37 @@ class TestWeylResidual:
     def test_bad_sign_rejected(self, grid8, pauli_identity):
         eta = np.zeros(grid8.shape + (2,), dtype=complex)
         with pytest.raises(ValueError):
-            weyl_residual(eta, 1.0, 0, pauli_identity, grid8)
+            weyl_residual(SpinorField(eta, pauli_identity, grid8), 1.0, 0)
 
 
 class TestPlaneWaves:
-    def test_axis_mode_identity_metric(self, grid8, identity_metric):
-        spec, eta = planewave_solution((0, 0, 1), 1, identity_metric, grid8)
+    def test_axis_mode_identity_metric(self, grid8, pauli_identity):
+        spec, field = planewave_solution((0, 0, 1), 1, pauli_identity, grid8)
         assert spec.p0 == pytest.approx(1.0, abs=1e-14)
         assert spec.dispersion_residual <= 1e-13
-        pauli = build_pauli(identity_metric)
-        assert weyl_residual_norm(eta, spec.p0, 1, pauli, grid8) <= 1e-13
+        assert weyl_residual_norm(field, spec.p0, 1, pauli_identity, grid8) <= 1e-13
 
     def test_anisotropic_metric_frequency(self, grid8):
         # k = (0,0,1), g = diag(1,1,4): p0 = sqrt(g^33) = 1/2
         metric = Metric3.diagonal(1.0, 1.0, 4.0)
-        spec, _ = planewave_solution((0, 0, 1), 1, metric, grid8)
+        spec, _ = planewave_solution((0, 0, 1), 1, build_pauli(metric), grid8)
         assert spec.p0 == pytest.approx(0.5, abs=1e-14)
 
-    def test_diagonal_mode(self, grid8, identity_metric):
-        spec, _ = planewave_solution((1, 1, 0), -1, identity_metric, grid8)
+    def test_diagonal_mode(self, grid8, pauli_identity):
+        spec, _ = planewave_solution((1, 1, 0), -1, pauli_identity, grid8)
         assert spec.p0 == pytest.approx(-np.sqrt(2.0), abs=1e-13)
 
-    def test_wrong_sign_residual_is_twice_p0(self, grid8, identity_metric):
+    def test_wrong_sign_residual_is_twice_p0(self, grid8, pauli_identity):
         # exact solution of one equation misses the other by 2 |p0| sqrt(s)
-        spec, eta = planewave_solution((0, 0, 2), 1, identity_metric, grid8)
-        pauli = build_pauli(identity_metric)
-        wrong = weyl_residual_norm(eta, spec.p0, -1, pauli, grid8)
+        spec, field = planewave_solution((0, 0, 2), 1, pauli_identity, grid8)
+        wrong = weyl_residual_norm(field, spec.p0, -1, pauli_identity, grid8)
         assert wrong == pytest.approx(2.0 * abs(spec.p0), rel=1e-12)
 
-    def test_zero_mode_rejected(self, grid8, identity_metric):
+    def test_zero_mode_rejected(self, grid8, pauli_identity):
         with pytest.raises(ZeroWavevector):
-            planewave_solution((0, 0, 0), 1, identity_metric, grid8)
+            planewave_solution((0, 0, 0), 1, pauli_identity, grid8)
         with pytest.raises(ValueError):
-            planewave_solution((0, 0, 1), 0, identity_metric, grid8)
+            planewave_solution((0, 0, 1), 0, pauli_identity, grid8)
 
     def test_dispersion_random_metrics(self, grid8):
         rng = np.random.default_rng(21)
@@ -225,7 +228,7 @@ class TestPlaneWaves:
             if not np.any(k):
                 continue
             for branch in (1, -1):
-                spec, field = planewave_solution(k, branch, metric, grid8)
+                spec, field = planewave_solution(k, branch, build_pauli(metric), grid8)
                 assert spec.dispersion_residual <= 1e-12
                 # the wave solves the sign-+1 equation at its signed p0 and
                 # misses the other one by 2 |p0| (|eta| = 1 pointwise)
@@ -244,15 +247,16 @@ class TestPlaneWaves:
         # the full-grid exp(i k.x) u that the per-axis product replaced
         grid = TorusGrid(dims, box)
         x1, x2, x3 = grid.coords()
+        pauli = build_pauli(metric)
         for k in ((1, 0, 0), (3, 2, 1), (-2, 3, -4), (3, 3, 3)):
             for branch in (1, -1):
                 if any(2 * abs(m) >= n for m, n in zip(k, dims)):
                     # -4 on an 8-point axis is its Nyquist mode: the wave
                     # would alias and solve nothing
                     with pytest.raises(ConfigError, match="Nyquist"):
-                        planewave_solution(k, branch, metric, grid)
+                        planewave_solution(k, branch, pauli, grid)
                     continue
-                spec, field = planewave_solution(k, branch, metric, grid)
+                spec, field = planewave_solution(k, branch, pauli, grid)
                 kphys = 2.0 * np.pi * np.asarray(k) / np.asarray(box)
                 phase = np.exp(1j * (kphys[0] * x1 + kphys[1] * x2 + kphys[2] * x3))
                 assert np.abs(field.eta - phase[..., None] * spec.u).max() <= 2e-14
@@ -263,39 +267,36 @@ class TestPlaneWaves:
         # with exp(i k.x) evaluated on the full grid, these waves had
         # L_max 1.1e-12 - 1.4e-12 at 16^3 on diag(1,4,9), over the gate
         metric = Metric3.diagonal(1.0, 4.0, 9.0)
-        spec, field = planewave_solution(k, branch, metric, grid16)
+        spec, field = planewave_solution(k, branch, build_pauli(metric), grid16)
         lag = lagrangian_stationary(field, spec.p0, field.pauli, metric, grid16)
         assert np.abs(lag).max() <= LAGRANGIAN_TOL
 
 
 class TestVariationalGradient:
-    def test_vanishes_at_plane_wave_solutions(self, grid16, identity_metric):
-        pauli = build_pauli(identity_metric)
+    def test_vanishes_at_plane_wave_solutions(self, grid16, pauli_identity):
         for k, branch in (((0, 0, 1), 1), ((1, -2, 1), -1)):
-            spec, eta = planewave_solution(k, branch, identity_metric, grid16)
+            spec, field = planewave_solution(k, branch, pauli_identity, grid16)
             p0 = abs(spec.p0)
-            assert el_residual(eta, p0, pauli, grid16) <= 1e-13
-            assert el_residual_fd(eta, p0, pauli, grid16,
-                                  probes=8, seed=1) <= 1e-8
+            assert el_residual(field, p0) <= 1e-13
+            assert el_residual_fd(field, p0, probes=8, seed=1) <= 1e-8
 
-    def test_nonzero_away_from_solutions(self, grid8, identity_metric):
-        pauli = build_pauli(identity_metric)
+    def test_nonzero_away_from_solutions(self, grid8, pauli_identity):
         rng = np.random.default_rng(5)
         eta = random_nonvanishing_spinor(grid8, rng)
-        assert el_residual(eta, 1.0, pauli, grid8) >= 1e-3
+        assert el_residual(SpinorField(eta, pauli_identity, grid8), 1.0) >= 1e-3
 
     def test_fd_agrees_with_analytic(self, grid8):
         rng = np.random.default_rng(9)
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid8, rng, max_mode=1)
-        assert el_gradient_fd_check(eta, 0.5, pauli, grid8,
+        assert el_gradient_fd_check(SpinorField(eta, pauli, grid8), 0.5,
                                     probes=32, seed=3) <= 1e-7
 
     def test_gradient_shape(self, grid8, pauli_identity):
         eta = np.zeros(grid8.shape + (2,), dtype=complex)
         eta[..., 0] = 1.0
-        w = el_gradient(eta, 1.0, pauli_identity, grid8)
+        w = el_gradient(SpinorField(eta, pauli_identity, grid8), 1.0)
         assert w.shape == eta.shape
 
 
@@ -321,11 +322,11 @@ class TestAnalyticGradientOracle:
         rng = np.random.default_rng(seed)
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
-        _, wave = planewave_solution((1, 2, 3), 1, metric, grid)
+        _, wave = planewave_solution((1, 2, 3), 1, pauli, grid)
         for eta in (random_nonvanishing_spinor(grid, rng, max_mode=1),
                     wave.eta + random_nonvanishing_spinor(grid, rng, amplitude=0.1)):
             oracle = _el_gradient_oracle(eta, 0.8, pauli, grid)
-            w = el_gradient(eta, 0.8, pauli, grid)
+            w = el_gradient(SpinorField(eta, pauli, grid), 0.8)
             assert np.abs(w - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
@@ -340,11 +341,11 @@ class TestGradientInSlabs:
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid, rng, amplitude=0.3, max_mode=2)
-        whole = el_gradient(eta, -0.7, pauli, grid)
+        whole = el_gradient(SpinorField(eta, pauli, grid), -0.7)
         monkeypatch.setattr(geometry_module, "_SLAB_POINTS", slab_points)
         sizes = [len(range(dims[0])[sl]) for sl in geometry_module._slabs(dims)]
         assert sum(sizes) == dims[0] and len(set(sizes)) == 2
-        assert np.array_equal(el_gradient(eta, -0.7, pauli, grid), whole)
+        assert np.array_equal(el_gradient(SpinorField(eta, pauli, grid), -0.7), whole)
 
     def test_probe_blocks_match_one_block_bit_for_bit(self, monkeypatch):
         # 40 probes on (12,16,8) are one block; at 15 probes a block they
@@ -362,16 +363,16 @@ class TestGradientInSlabs:
         failing = _as_dofs(good[:20] + [(p, 0, 0)] + good[20:])
         args = (eta, -0.7, pauli, grid)
         assert _probe_block(grid) >= len(good) + 1
-        whole = _fd_gradient_at_dofs(*args, _as_dofs(good))
+        whole = _fd_at_dofs(*args, _as_dofs(good))
         with pytest.raises(VanishingSpinor) as one_block:
-            _fd_gradient_at_dofs(*args, failing)
+            _fd_at_dofs(*args, failing)
         monkeypatch.setattr(geometry_module, "_SLAB_POINTS",
                             15 * 4 * _line_stencil(grid)[0].shape[1])
         assert _probe_block(grid) == 15 and 30 < len(good) < 45  # index 20: the second block
-        values = _fd_gradient_at_dofs(*args, _as_dofs(good))
+        values = _fd_at_dofs(*args, _as_dofs(good))
         assert np.array_equal(values.view(np.uint64), whole.view(np.uint64))
         with pytest.raises(VanishingSpinor) as blocks:
-            _fd_gradient_at_dofs(*args, failing)
+            _fd_at_dofs(*args, failing)
         assert str(blocks.value) == str(one_block.value)
 
     def test_memory_with_the_field_derivative_cached(self):
@@ -386,10 +387,10 @@ class TestGradientInSlabs:
         pauli = build_pauli(metric)
         field = SpinorField(random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1),
                             pauli, grid)
-        el_gradient(field, 1.0, pauli, grid)  # one-time allocations untraced
+        el_gradient(field, 1.0)  # one-time allocations untraced
         tracemalloc.start()
         try:
-            el_gradient(field, 1.0, pauli, grid)
+            el_gradient(field, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,10 +418,10 @@ class TestLocalFiniteDifferences:
         if plane_wave is None:
             eta, p0 = random_nonvanishing_spinor(grid, rng, max_mode=1), 0.8
         else:
-            spec, wave = planewave_solution(plane_wave, 1, metric, grid)
+            spec, wave = planewave_solution(plane_wave, 1, pauli, grid)
             eta, p0 = wave.eta, abs(spec.p0)
         dofs = _join(_edge_dofs(grid), _sample_dofs(eta, 16, seed=7))
-        local = _fd_gradient_at_dofs(eta, p0, pauli, grid, dofs)
+        local = _fd_at_dofs(eta, p0, pauli, grid, dofs)
         oracle = _full_grid_fd(eta, p0, pauli, grid, dofs)
         scale = _gradient_scale(SpinorField(eta, pauli, grid), p0)
         assert np.abs(local - oracle).max() <= 1e-9 * scale
@@ -436,7 +437,7 @@ class TestLocalFiniteDifferences:
         metric = random_spd_metric(rng)
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid, rng, max_mode=1)
-        assert el_gradient_fd_check(eta, 0.5, pauli, grid,
+        assert el_gradient_fd_check(SpinorField(eta, pauli, grid), 0.5,
                                     probes=4 * grid.num_points, seed=2) <= 1e-7
 
     def test_guards_of_full_grid_path_still_fire(self, grid8):
@@ -445,15 +446,15 @@ class TestLocalFiniteDifferences:
         pauli = build_pauli(metric)
         eta = random_nonvanishing_spinor(grid8, rng)
         with pytest.raises(ZeroFrequency):
-            el_residual_fd(eta, 0.0, pauli, grid8, probes=4)
+            el_residual_fd(SpinorField(eta, pauli, grid8), 0.0, probes=4)
         with pytest.raises(ZeroFrequency):
-            el_residual(eta, 0.0, pauli, grid8)
+            el_residual(SpinorField(eta, pauli, grid8), 0.0)
         with pytest.raises(ZeroFrequency):
-            el_gradient(eta, 0.0, pauli, grid8)
+            el_gradient(SpinorField(eta, pauli, grid8), 0.0)
         near_zero = eta.copy()
         near_zero[2, 5, 7] *= 1e-7
         with pytest.raises(VanishingSpinor):
-            el_residual_fd(near_zero, 0.8, pauli, grid8, probes=8)
+            el_residual_fd(SpinorField(near_zero, pauli, grid8), 0.8, probes=8)
         # a set with complex v cannot be built, so no probe checks v
         with pytest.raises(NotHermitian):
             dataclasses.replace(pauli, sigma_lower=1j * pauli.sigma_lower)
@@ -468,7 +469,7 @@ class TestLocalFiniteDifferences:
         eta[3, 0, 7] = 0.0
         metric = Metric3.identity()
         args = (0.8, build_pauli(metric), grid8, _as_dofs([((3, 0, 7), 0, 0)]))
-        for fd in (_fd_gradient_at_dofs, _full_grid_fd):
+        for fd in (_fd_at_dofs, _full_grid_fd):
             if raises:
                 with pytest.raises(VanishingSpinor):
                     fd(eta, *args)
@@ -484,7 +485,7 @@ def _random_case(grid, seed, plane_wave=None):
     pauli = build_pauli(metric)
     if plane_wave is None:
         return random_nonvanishing_spinor(grid, rng, max_mode=1), 0.8, pauli, metric
-    spec, wave = planewave_solution(plane_wave, 1, metric, grid)
+    spec, wave = planewave_solution(plane_wave, 1, pauli, grid)
     return wave.eta, abs(spec.p0), pauli, metric
 
 
@@ -496,7 +497,7 @@ class TestBatchedProbes:
 
     @staticmethod
     def _assert_matches_loop(eta, p0, pauli, grid, dofs):
-        batched = _fd_gradient_at_dofs(eta, p0, pauli, grid, dofs)
+        batched = _fd_at_dofs(eta, p0, pauli, grid, dofs)
         loop = _per_probe_fd(eta, p0, pauli, grid, dofs)
         scale = _gradient_scale(SpinorField(eta, pauli, grid), p0)
         assert batched.shape == loop.shape == (len(dofs[1]),)
@@ -554,7 +555,7 @@ class TestBatchedProbes:
         good = [probe for probe in _probes(_sample_dofs(eta, position, seed=1))
                 if probe[0] != p]
         dofs = _as_dofs(good + [(p, 0, 0)] + good[:3])
-        for fd in (_fd_gradient_at_dofs, _per_probe_fd):
+        for fd in (_fd_at_dofs, _per_probe_fd):
             assert np.isfinite(fd(eta, *args, _as_dofs(good))).all()
             with pytest.raises(VanishingSpinor):
                 fd(eta, *args, dofs)
@@ -581,7 +582,7 @@ class TestBatchedProbes:
         metric = Metric3.identity()
         pauli = build_pauli(metric)
         lagrangian_stationary(eta, 0.8, pauli, metric, grid8)
-        for fd in (_fd_gradient_at_dofs, _per_probe_fd, _full_grid_fd):
+        for fd in (_fd_at_dofs, _per_probe_fd, _full_grid_fd):
             args = (eta, 0.8, pauli, grid8, _as_dofs([(p, 0, part)]))
             if raised:
                 with pytest.raises(VanishingSpinor):
@@ -602,7 +603,7 @@ class TestBatchedProbes:
         eta[p + (0,)] = -v
         eta[q + (0,)] = -1.001 * v
         args = (eta, 0.8, build_pauli(Metric3.identity()), grid8)
-        for fd in (_fd_gradient_at_dofs, _per_probe_fd):
+        for fd in (_fd_at_dofs, _per_probe_fd):
             for first, min_s in ((p, r"0\.000e\+00,"), (q, r"3\.66.e-17,")):
                 second = q if first == p else p
                 with pytest.raises(VanishingSpinor, match=f"min s = {min_s}"):
@@ -621,7 +622,7 @@ class TestBatchedProbes:
         eta[q + (0,)] = np.sqrt(second_min)
         assert np.argmin(_scalar_density(eta)) == np.ravel_multi_index(p, grid8.dims)
         args = (eta, 0.8, build_pauli(Metric3.identity()), grid8, _as_dofs([(p, 0, 1)]))
-        for fd in (_fd_gradient_at_dofs, _per_probe_fd, _full_grid_fd):
+        for fd in (_fd_at_dofs, _per_probe_fd, _full_grid_fd):
             if raises:
                 with pytest.raises(VanishingSpinor, match=r"min s = 5\.000e-13,"):
                     fd(*args)
@@ -638,7 +639,7 @@ class TestBatchedProbes:
         for seed in (0, 1):  # two fields on two equal grids
             grid = TorusGrid(dims, box)
             eta, p0, pauli, _ = _random_case(grid, seed)
-            el_residual_fd(eta, p0, pauli, grid, probes=4, seed=seed)
+            el_residual_fd(SpinorField(eta, pauli, grid), p0, probes=4, seed=seed)
         assert len(calls) == 3  # one kernel per axis
         offsets, weights = _line_stencil(TorusGrid(dims, box))
         assert not offsets.flags.writeable and not weights.flags.writeable
@@ -647,9 +648,9 @@ class TestBatchedProbes:
     def test_probe_count_below_one_rejected(self, grid8, probes):
         eta, p0, pauli, _ = _random_case(grid8, 3)
         with pytest.raises(ValueError, match="probes must be at least 1"):
-            el_residual_fd(eta, p0, pauli, grid8, probes=probes)
+            el_residual_fd(SpinorField(eta, pauli, grid8), p0, probes=probes)
         with pytest.raises(ValueError, match="probes must be at least 1"):
-            el_gradient_fd_check(eta, p0, pauli, grid8, probes=probes)
+            el_gradient_fd_check(SpinorField(eta, pauli, grid8), p0, probes=probes)
 
 
 _NEAR_VANISHING_GRIDS = [((4, 4, 4), (TWO_PI,) * 3),
@@ -681,12 +682,12 @@ class TestNearVanishingSpinors:
         s = _scalar_density(eta)
         assert np.argmin(s) == np.ravel_multi_index(tuple(dofs[0][0]), grid.dims)
         vanishing = bool(_vanishing(s))
-        args = (pauli, grid)
+        fresh = lambda: SpinorField(eta, pauli, grid)  # a field per call
         calls = {
             "lagrangian_stationary": lambda: lagrangian_stationary(eta, p0, pauli, metric, grid),
-            "factorization_residual": lambda: factorization_residual(eta, p0, *args),
-            "el_gradient": lambda: el_gradient(eta, p0, *args),
-            "spinor_to_frame": lambda: spinor_to_frame(eta, *args)[0],
+            "factorization_residual": lambda: factorization_residual(fresh(), p0),
+            "el_gradient": lambda: el_gradient(fresh(), p0),
+            "spinor_to_frame": lambda: spinor_to_frame(fresh())[0],
         }
         for name, call in calls.items():
             if vanishing:
@@ -702,9 +703,9 @@ class TestNearVanishingSpinors:
         assert perturbed_vanishing or not vanishing
         if perturbed_vanishing:
             with pytest.raises(VanishingSpinor):
-                el_residual_fd(eta, p0, *args, probes=16, seed=seed)
+                el_residual_fd(fresh(), p0, probes=16, seed=seed)
         else:
-            assert np.isfinite(el_residual_fd(eta, p0, *args, probes=16, seed=seed))
+            assert np.isfinite(el_residual_fd(fresh(), p0, probes=16, seed=seed))
 
 
 class TestNonFiniteSpinors:
@@ -717,13 +718,13 @@ class TestNonFiniteSpinors:
     def test_typed_error(self, grid8, value):
         eta, p0, pauli, metric = _random_case(grid8, 0)
         eta[1, 2, 3, 0] = value
-        args = (pauli, grid8)
+        fresh = lambda: SpinorField(eta, pauli, grid8)  # a field per call
         calls = {
             "lagrangian_stationary": lambda: lagrangian_stationary(eta, p0, pauli, metric, grid8),
-            "lagrangian_weyl": lambda: lagrangian_weyl(eta, p0, 1, *args),
-            "el_gradient": lambda: el_gradient(eta, p0, *args),
-            "el_residual_fd": lambda: el_residual_fd(eta, p0, *args, probes=16),
-            "spinor_to_frame": lambda: spinor_to_frame(eta, *args),
+            "lagrangian_weyl": lambda: lagrangian_weyl(fresh(), p0, 1),
+            "el_gradient": lambda: el_gradient(fresh(), p0),
+            "el_residual_fd": lambda: el_residual_fd(fresh(), p0, probes=16),
+            "spinor_to_frame": lambda: spinor_to_frame(fresh()),
         }
         for name, call in calls.items():
             with pytest.raises(VanishingSpinor, match="not finite"):
@@ -735,7 +736,7 @@ def _witness_pair(grid, k, seed=4):
     """(pair, p0): a plane wave of modes ``k`` and its perturbed
     twin, one stack of two fields as the witness builds each case."""
     metric = random_spd_metric(np.random.default_rng(seed))
-    spec, wave = planewave_solution(k, 1, metric, grid)
+    spec, wave = planewave_solution(k, 1, build_pauli(metric), grid)
     pair = SpinorField(geometry_module._component_planes((2,) + grid.shape), wave.pauli, grid)
     pair.eta[...] = wave.eta
     pair.eta[1] += random_bandlimited_spinor(grid, np.random.default_rng(seed + 1), amplitude=0.1)
@@ -774,8 +775,8 @@ class TestFloorOncePerField:
         eta[1, 2, 3] = 0.0
         field = SpinorField(eta, pauli, grid8)
         calls = [lambda: lagrangian_stationary(field, p0, pauli, metric, grid8),
-                 lambda: lagrangian_weyl(field, p0, -1, pauli, grid8),
-                 lambda: el_gradient(field, p0, pauli, grid8)]
+                 lambda: lagrangian_weyl(field, p0, -1),
+                 lambda: el_gradient(field, p0)]
         for call in calls + calls:
             with pytest.raises(VanishingSpinor, match="min s = 0.000e"):
                 call()
@@ -964,11 +965,12 @@ class TestTwinFrequencyBound:
         [[1.3, 0.2, -0.1], [0.2, 0.9, 0.15], [-0.1, 0.15, 1.1]])], ids=["identity", "full"])
     def test_no_warning_from_the_step_to_twice_it(self, dims, metric, monkeypatch):
         step = self._step(dims, metric, monkeypatch)
+        pauli = build_pauli(metric)
         for factor in (1.0, 1.4, 2.0):
             grid = TorusGrid(dims, (step * factor, 1.0, 1.0))
             for k in self.WAVES:
                 for branch in (1, -1):
-                    spec, field = planewave_solution(k, branch, metric, grid)
+                    spec, field = planewave_solution(k, branch, pauli, grid)
                     for seed in range(3):
                         noise = random_bandlimited_spinor(
                             grid, np.random.default_rng(seed),

@@ -26,10 +26,10 @@ each drawn by the benchmark's own ``perfbench/workload.py``
 ``spinor._axial_density`` call on eta and its sigma^a d_a eta;
 ``maps-N``, ``spinor_to_frame`` then ``frame_to_spinor``; ``elgrad-N``,
 one ``el_gradient`` call on a field whose sigma^a d_a eta is cached.
-``maps-N`` and ``elgrad-N`` call the signatures in which a Pauli set
-carries its metric, so they need a ``--base`` at or after that change
-(one that no longer passes ``metric`` to ``spinor_to_frame``,
-``frame_to_spinor`` and ``el_gradient``); the CLI jobs and the other
+``maps-N`` and ``elgrad-N`` call the signatures in which a
+``SpinorField`` carries its Pauli set and grid, so they need a
+``--base`` at or after that change (one whose ``spinor_to_frame`` and
+``el_gradient`` take the field alone); the CLI jobs and the other
 kernels run on any base.
 Each kernel is called once while it is prepared, so the timed call is
 a repeated one, as in timeit, and a timed kernel run makes one call per
@@ -172,14 +172,14 @@ def _axial(package, grid, pauli, eta):
 
 def _maps(package, grid, pauli, eta):
     def run():
-        theta, rho = package.spinor_to_frame(eta, pauli, grid)
+        theta, rho = package.spinor_to_frame(package.SpinorField(eta, pauli, grid))
         return package.frame_to_spinor(theta, rho, pauli)
     return run
 
 
 def _elgrad(package, grid, pauli, eta):
     field = package.SpinorField(eta, pauli, grid)  # sigma^a d_a eta cached by the first run
-    return lambda: package.el_gradient(field, 1.0, pauli, grid)
+    return lambda: package.el_gradient(field, 1.0)
 
 
 # name -> (draw, grid edge, default rounds)

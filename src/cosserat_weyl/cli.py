@@ -202,7 +202,7 @@ def _cmd_planewave(args) -> int:
     # the wave solves the sign-+1 equation at its signed p0 (PlaneWaveSpec)
     (res,), lag = _residuals(field[np.newaxis], spec.p0, 1)
     if args.eta_out:
-        write_field(args.eta_out, "spinor", field.eta, grid)
+        write_field(args.eta_out, field.eta, grid)
     if args.density_csv:
         write_scalar_csv(args.density_csv, lag[0], grid)
     report = {

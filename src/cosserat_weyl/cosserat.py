@@ -109,8 +109,12 @@ def axial_torsion(theta: np.ndarray, grid: TorusGrid) -> np.ndarray:
     d_a (theta_b + i theta_c) of `geometry._paired_partials`: one complex
     field alive at a time, and no 2-form is stacked. It agrees to
     rounding with (1/3) sum_j theta^j . d theta^j, each d theta^j stacked
-    from per-component `geometry.spectral_partial` calls.
+    from per-component `geometry.spectral_partial` calls. A frame whose
+    grid shape ``theta.shape[1:-1]`` is not the grid's raises ValueError.
     """
+    if theta.shape[1:-1] != grid.shape:
+        raise ValueError(f"frame of grid shape {theta.shape[1:-1]} does not match the grid "
+                         f"shape {grid.shape}")
     f = np.zeros(grid.shape)
     for covector, b, c, dz in _paired_partials(theta, grid):
         f += covector[..., c] * dz.real

@@ -1,6 +1,10 @@
-"""CWF v1 field files: a one-line JSON header, a blank line, then raw
-little-endian IEEE-754 values, row-major in (x1, x2, x3) with the
-component index fastest. Complex values are stored as (re, im) pairs.
+"""CWF v1 field files hold one spinor field, the one ``planewave
+--eta-out`` writes: a one-line JSON header, a blank line, then the two
+complex components of each point as little-endian float64 (re, im)
+pairs, row-major in (x1, x2, x3) with the component index fastest.
+The header's kind is always ``spinor``, its components 2 and its dtype
+``c128``; a nonvanishing spinor determines the model's coframe and
+density (`correspondence.spinor_to_frame`).
 """
 
 from __future__ import annotations
@@ -12,72 +16,31 @@ import numpy as np
 
 from .geometry import TorusGrid
 
-KIND_COMPONENTS = {
-    "scalar": 1,
-    "density": 1,
-    "covector": 3,
-    "twoform": 3,
-    "threeform": 1,
-    "spinor": 2,
-    "coframe": 9,
-}
-
-_COMPLEX_KINDS = {"spinor"}
-
-# header dtype -> numpy dtype of the payload
-_DTYPES = {"c128": "<c16", "f64": "<f8"}
-
-
-def _pack(kind: str, values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    comps = KIND_COMPONENTS[kind]
-    if kind == "coframe":
-        # (3, dims, 3) -> (dims, 9), frame index slowest within the point
-        flat = np.moveaxis(values, 0, -2).reshape(grid.shape + (9,))
-    else:
-        flat = values.reshape(grid.shape + (comps,))
-    return np.ascontiguousarray(flat)
-
-
-def _unpack(kind: str, flat: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    if kind == "coframe":
-        return np.moveaxis(flat.reshape(grid.shape + (3, 3)), -2, 0)
-    return flat.reshape(_field_shape(kind, grid))
-
-
-def _field_shape(kind: str, grid: TorusGrid) -> tuple:
-    """Array shape of a field of ``kind``, as `read_field` returns it."""
-    if kind == "coframe":
-        return (3,) + grid.shape + (3,)
-    comps = KIND_COMPONENTS[kind]
-    return grid.shape if comps == 1 else grid.shape + (comps,)
-
-
-def write_field(path, kind: str, values: np.ndarray, grid: TorusGrid) -> None:
-    if kind not in KIND_COMPONENTS:
-        raise ValueError(f"unknown field kind {kind!r}")
-    expected = _field_shape(kind, grid)
-    if np.shape(values) != expected:
-        raise ValueError(f"a {kind} field on a {grid.dims} grid has shape "
-                         f"{expected}, got {np.shape(values)}")
-    dtype = "c128" if kind in _COMPLEX_KINDS or np.iscomplexobj(values) else "f64"
-    flat = _pack(kind, values, grid).astype(_DTYPES[dtype], copy=False)
+def write_field(path, eta: np.ndarray, grid: TorusGrid) -> None:
+    """Write a spinor field of shape ``grid.shape + (2,)``, in any layout,
+    as CWF v1 ``c128``."""
+    expected = grid.shape + (2,)
+    if np.shape(eta) != expected:
+        raise ValueError(f"a spinor field on a {grid.dims} grid has shape "
+                         f"{expected}, got {np.shape(eta)}")
     header = {
-        "kind": kind,
+        "kind": "spinor",
         "dims": list(grid.dims),
         "box": list(grid.box),
-        "components": KIND_COMPONENTS[kind],
-        "dtype": dtype,
+        "components": 2,
+        "dtype": "c128",
         "byte_order": "little",
     }
     with open(path, "wb") as handle:
         handle.write(json.dumps(header).encode("ascii"))
         handle.write(b"\n\n")
-        handle.write(flat.data)
+        handle.write(np.ascontiguousarray(eta, dtype="<c16").data)
 
 
 def read_field(path):
-    """Read a CWF v1 file; returns ``(kind, values, grid)``. The payload
-    is read once, straight into the returned array."""
+    """Read a CWF v1 file; returns ``(kind, eta, grid)``, the kind always
+    ``"spinor"`` and eta C-contiguous. The payload is read once, straight
+    into the returned array."""
     with open(path, "rb") as handle:
         head = handle.readline()
         if handle.readline() != b"\n":
@@ -91,25 +54,23 @@ def read_field(path):
             if key not in header:
                 raise ValueError(f"CWF header has no {key!r} field")
         kind, dtype, comps = header["kind"], header["dtype"], header["components"]
-        # a list or an object in the header is no key, and cannot be hashed
-        if not isinstance(kind, str) or kind not in KIND_COMPONENTS:
+        if kind != "spinor":
             raise ValueError(f"unknown field kind {kind!r} in the header")
-        if not isinstance(dtype, str) or dtype not in _DTYPES:
-            raise ValueError(f"unknown dtype {dtype!r} in the header (use c128 or f64)")
-        # JSON true and 1.0 equal 1, but no array has a bool or float axis length
-        if type(comps) is not int or comps != KIND_COMPONENTS[kind]:
-            raise ValueError(f"kind {kind!r} expects {KIND_COMPONENTS[kind]} components, "
-                             f"header says {comps!r}")
+        if dtype != "c128":
+            raise ValueError(f"unknown dtype {dtype!r} in the header (use c128)")
+        # JSON 2.0 equals 2, but no array has a float axis length
+        if type(comps) is not int or comps != 2:
+            raise ValueError(f"kind 'spinor' expects 2 components, header says {comps!r}")
         grid = TorusGrid(dims=header["dims"], box=header["box"])
-        expected = grid.num_points * comps * np.dtype(_DTYPES[dtype]).itemsize
+        expected = grid.num_points * 32  # two 16-byte c128 values per point
         size = os.fstat(handle.fileno()).st_size - handle.tell()
         if size == expected:
-            flat = np.empty(grid.shape + (comps,), dtype=_DTYPES[dtype])
-            size = handle.readinto(flat)  # short only if the file shrank meanwhile
+            eta = np.empty(grid.shape + (2,), dtype="<c16")
+            size = handle.readinto(eta)  # short only if the file shrank meanwhile
         if size != expected:
             raise ValueError(f"payload is {size} bytes, the header implies "
                              f"{expected} ({grid.dims}, {comps} x {dtype})")
-    return kind, _unpack(kind, flat, grid), grid
+    return kind, eta, grid
 
 
 # "%.18e" of a float64 takes at most 26 bytes: a sign, 19 digits and a
@@ -123,9 +84,10 @@ def _e18(values: list) -> list:
 
 
 def write_scalar_csv(path, field: np.ndarray, grid: TorusGrid) -> None:
-    """Dump a real scalar field as CSV rows x1,x2,x3,value, one per grid
-    point in C order (x1 slowest), every number as ``%.18e``: the bytes
-    of ``np.savetxt`` on the stacked columns.
+    """Dump a real scalar field of the grid's shape as CSV rows
+    x1,x2,x3,value, one per grid point in C order (x1 slowest), every
+    number as ``%.18e``: the bytes of ``np.savetxt`` on the stacked
+    columns.
 
     Each x1 slab is written as one block of bytes: one record per row,
     whose fixed-width fields hold the numbers, each NUL-padded to the
@@ -141,9 +103,9 @@ def write_scalar_csv(path, field: np.ndarray, grid: TorusGrid) -> None:
     values = np.asarray(field)
     if np.iscomplexobj(values):
         raise ValueError("write_scalar_csv takes a real field, got a complex one")
-    if values.size != grid.num_points:
-        raise ValueError(f"field has {values.size} values, the grid has "
-                         f"{grid.num_points} points {grid.dims}")
+    if values.shape != grid.shape:
+        raise ValueError(f"field has shape {values.shape}, the grid has "
+                         f"{grid.num_points} points {grid.shape}")
     slabs = values.astype(np.float64, copy=False).reshape(grid.dims[0], -1)
     x1, x2, x3 = (np.array(_e18(grid.axis_coords(i).tolist())) for i in (1, 2, 3))
     columns = [("x1", x1.dtype), ("c1", "S1"), ("x2", x2.dtype), ("c2", "S1"),

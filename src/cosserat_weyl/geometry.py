@@ -385,5 +385,9 @@ def _wedge_component(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
 
 
 def integrate(field: np.ndarray, grid: TorusGrid) -> float:
-    """Cell-volume-weighted sum; exact for band-limited integrands."""
+    """Cell-volume-weighted sum; exact for band-limited integrands. A
+    field whose shape is not the grid's raises ValueError."""
+    if np.shape(field) != grid.shape:
+        raise ValueError(f"field of shape {np.shape(field)} does not match the grid "
+                         f"shape {grid.shape}")
     return float(grid.cell_volume * np.sum(field))

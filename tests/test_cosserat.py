@@ -1,6 +1,7 @@
 """Coframe energetics: torsion, potential/kinetic energies, conformal
 rescaling, orthonormality."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -266,6 +267,20 @@ class TestEnergies:
                 with pytest.raises(ValueError, match="velocity of shape .* does not match the "
                                                      "frame's shape .* with 2 or 3 covectors"):
                     call()
+
+    def test_rejects_a_frame_of_another_grid(self, grid8, grid16, identity_metric):
+        # an 8^3 frame on a 16^3 grid failed in numpy's broadcast, whose
+        # message names neither grid
+        theta = rotating_coframe(grid8, grid8.coords()[2])
+        rho = np.ones(grid8.shape)
+        message = re.escape("frame of grid shape (8, 8, 8) does not match the grid "
+                            "shape (16, 16, 16)")
+        for call in (lambda: axial_torsion(theta, grid16),
+                     lambda: potential_energy(theta, rho, grid16),
+                     lambda: lagrangian_coframe(theta, np.zeros_like(theta), rho,
+                                                identity_metric, grid16)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_slabs_keep_the_bits_of_the_whole_grid_form(self):
         # (36, 32, 32) is five x1 slabs, the last short: det g, the

@@ -2,6 +2,7 @@
 form norms, integration."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -515,6 +516,13 @@ class TestIntegrate:
         for dims in ((8, 8, 8), (8, 16, 4)):
             g = TorusGrid(dims, (TWO_PI, TWO_PI, TWO_PI))
             assert integrate(np.ones(g.shape), g) == pytest.approx(TWO_PI**3)
+
+    def test_rejects_a_field_of_another_shape(self, grid16):
+        # the 8^3 ones summed to 31.0 with the 16^3 cell volume, not 248.05
+        message = re.escape("field of shape (8, 8, 8) does not match the grid "
+                            "shape (16, 16, 16)")
+        with pytest.raises(ValueError, match=message):
+            integrate(np.ones((8, 8, 8)), grid16)
 
     def test_mean_zero_mode(self, grid8):
         x1 = grid8.coords()[0]

@@ -321,12 +321,22 @@ class TestCoframesOfAnyLayout:
                 assert all(np.array_equal(g, w) for g, w in pairs), name
 
     def test_write_field_keeps_its_bytes(self, tmp_path):
+        # a coframe is stored as its spin lift, a spinor in planes as
+        # planewave --eta-out writes one: either layout of the frame, or
+        # of the lift, gives the same file, and the frame reads back
         grid = TorusGrid((4, 6, 10), (5.0, 7.0, 9.0))
-        theta = rotating_coframe(grid, grid.coords()[0] + 2.0 * grid.coords()[2])
-        assert _is_coframe_planes(theta)
-        planar, interleaved = tmp_path / "planar.cwf", tmp_path / "interleaved.cwf"
-        write_field(planar, "coframe", theta, grid)
-        write_field(interleaved, "coframe", _interleaved(theta), grid)
-        assert planar.read_bytes() == interleaved.read_bytes()
-        kind, values, _ = read_field(planar)
-        assert kind == "coframe" and np.array_equal(values, theta)
+        rng = np.random.default_rng(12)
+        pauli = build_pauli(random_spd_metric(rng))
+        eta = random_nonvanishing_spinor(grid, rng, amplitude=0.15, max_mode=1)
+        theta, rho = spinor_to_frame(SpinorField(eta, pauli, grid))
+        xi = frame_to_spinor(theta, rho, pauli)[0]
+        assert _is_coframe_planes(theta) and _is_component_planes(xi)
+        paths = [tmp_path / f"{name}.cwf" for name in ("planar", "interleaved", "frame")]
+        write_field(paths[0], xi, grid)
+        write_field(paths[1], _interleaved(xi), grid)
+        write_field(paths[2], frame_to_spinor(_interleaved(theta), rho, pauli)[0], grid)
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+        kind, values, _ = read_field(paths[0])
+        assert kind == "spinor" and np.array_equal(values, xi)
+        back, rho_back = spinor_to_frame(SpinorField(values, pauli, grid))
+        assert np.abs(back - theta).max() <= 1e-13 and np.abs(rho_back - rho).max() <= 1e-13

@@ -73,7 +73,6 @@ UNREACHED = {
     "cosserat._norm2_2form": "claim 6: lagrangian_coframe's kinetic norm",
     "geometry._wedge_component": "claim 6: kinetic_2form's wedges",
     "cwf.read_field": "perfbench's planewave job reads back the spinor the CLI wrote",
-    "cwf._unpack": "read_field's payload layout",
     "weyl.weyl_residual_norm": "perfbench's planewave job checks the read-back spinor with it",
     "sampling.random_nonvanishing_spinor": "the claim-6 draws of perfbench and "
                                            "tools/abbench.py",

@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDenominator, NonPositiveDensity
-from .geometry import (Metric3, TorusGrid, _component_planes, _paired_partials, _slabs,
-                       _wedge_component, integrate)
+from .geometry import (Metric3, TorusGrid, _check_shape, _component_planes, _paired_partials,
+                       _slabs, _wedge_component, integrate)
 
 
 def _check_shapes(theta: np.ndarray, rho: np.ndarray | None,
@@ -34,9 +34,8 @@ def _check_shapes(theta: np.ndarray, rho: np.ndarray | None,
     frame's grid: numpy would broadcast either into an energy of the
     wrong size or value."""
     dims = theta.shape[1:-1]
-    if rho is not None and np.shape(rho) != dims:
-        raise ValueError(f"density of shape {np.shape(rho)} does not match the frame's "
-                         f"grid shape {dims}")
+    if rho is not None:
+        _check_shape(np.shape(rho), dims, "density of shape", "the frame's grid")
     if dtheta0 is not None and np.shape(dtheta0) not in ((2,) + theta.shape[1:], theta.shape):
         raise ValueError(f"velocity of shape {np.shape(dtheta0)} does not match the frame's "
                          f"shape {theta.shape} with 2 or 3 covectors")
@@ -112,9 +111,7 @@ def axial_torsion(theta: np.ndarray, grid: TorusGrid) -> np.ndarray:
     from per-component `geometry.spectral_partial` calls. A frame whose
     grid shape ``theta.shape[1:-1]`` is not the grid's raises ValueError.
     """
-    if theta.shape[1:-1] != grid.shape:
-        raise ValueError(f"frame of grid shape {theta.shape[1:-1]} does not match the grid "
-                         f"shape {grid.shape}")
+    _check_shape(theta.shape[1:-1], grid.shape, "frame of grid shape")
     f = np.zeros(grid.shape)
     for covector, b, c, dz in _paired_partials(theta, grid):
         f += covector[..., c] * dz.real
@@ -147,7 +144,10 @@ def potential_energy(theta: np.ndarray, rho: np.ndarray, grid: TorusGrid) -> flo
 
 def conformal_rescale(theta: np.ndarray, rho: np.ndarray, h: np.ndarray):
     """Rescale theta^j -> e^h theta^j and rho -> e^{2h} rho; the rescaled
-    coframe is stored as component planes."""
+    coframe is stored as component planes. A rho or h whose shape is not
+    the frame's grid shape raises ValueError."""
+    _check_shapes(theta, rho)
+    _check_shape(np.shape(h), theta.shape[1:-1], "scale h of shape", "the frame's grid")
     eh = np.exp(h)
     scaled = _component_planes(theta.shape[1:-1], (3, 3), float)
     with np.errstate(over="ignore"):  # an infinite density fails check_density

@@ -384,10 +384,15 @@ def _wedge_component(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
     return a[..., j] * b[..., k] - a[..., k] * b[..., j]
 
 
+def _check_shape(shape: tuple, expected: tuple, what: str, whose: str = "the grid") -> None:
+    """Raise ValueError, naming both shapes, unless ``what`` has ``whose`` shape: numpy
+    would broadcast another shape into a result of the wrong size or value."""
+    if shape != expected:
+        raise ValueError(f"{what} {shape} does not match {whose} shape {expected}")
+
+
 def integrate(field: np.ndarray, grid: TorusGrid) -> float:
     """Cell-volume-weighted sum; exact for band-limited integrands. A
     field whose shape is not the grid's raises ValueError."""
-    if np.shape(field) != grid.shape:
-        raise ValueError(f"field of shape {np.shape(field)} does not match the grid "
-                         f"shape {grid.shape}")
+    _check_shape(np.shape(field), grid.shape, "field of shape")
     return float(grid.cell_volume * np.sum(field))

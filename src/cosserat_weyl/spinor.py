@@ -23,7 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDenominator, OutOfRange, VanishingSpinor, ZeroFrequency
-from .geometry import Metric3, PauliSet, TorusGrid, _component_planes, _same_value, _slabs
+from .geometry import (Metric3, PauliSet, TorusGrid, _check_shape, _component_planes,
+                       _same_value, _slabs)
 
 # Global sign reconciling the stationary Lagrangian with its
 # factorisation through the two Weyl densities, relative to the
@@ -99,13 +100,8 @@ def _below_floor(low, high):
     return ~(low > 1e-12 * high)
 
 
-def _vanishing(s: np.ndarray):
-    """Whether s fails the nonvanishing floor (`_below_floor`)."""
-    return _below_floor(s.min(), s.max())
-
-
 def _check_nonvanishing(s: np.ndarray) -> None:
-    if _vanishing(s):
+    if _below_floor(s.min(), s.max()):
         raise VanishingSpinor(f"spinor magnitude too small or not finite: "
                               f"min s = {np.min(s):.3e}, max s = {np.max(s):.3e}")
 
@@ -400,12 +396,13 @@ def lagrangian_weyl(field: SpinorField, p0: float, sign: int) -> np.ndarray:
     return _weyl_density(b.s, b.A, p0, sign, field.pauli.metric)
 
 
-def factorization_residual(field: SpinorField, p0: float) -> np.ndarray:
-    """Pointwise residual of the factorisation of the stationary density
-    through L_+ and L_-, |L - FACTORIZATION_SIGN (-32 p0/9) L_+ L_- / (L_+ - L_-)|:
-    floating-point noise with the conventions of this package, and 2|L|
-    with the other sign.
+def factorization_residual(field: SpinorField, p0: float) -> float:
+    """Max-norm residual of the factorisation of the stationary density L
+    through L_+ and L_-, L = FACTORIZATION_SIGN (-32 p0/9) L_+ L_- / (L_+ - L_-),
+    relative to max |L|: floating-point noise with the conventions of
+    this package, and 2 with the other sign.
     """
+    _one_field(field, "factorization_residual")
     _check_nonzero_p0(p0)
     try:  # L+ - L- = 2 p0 s sqrt(det g) vanishes where s does
         b = _nonvanishing(field)
@@ -417,7 +414,7 @@ def factorization_residual(field: SpinorField, p0: float) -> np.ndarray:
     lp = _weyl_density(b.s, b.A, p0, 1, metric)
     lm = _weyl_density(b.s, b.A, p0, -1, metric)
     quotient = (-32.0 * p0 / 9.0) * lp * lm / denom
-    return np.abs(lag - FACTORIZATION_SIGN * quotient)
+    return _relative_max(lag - FACTORIZATION_SIGN * quotient, lag)
 
 
 def scaling_covariance_residual(field: SpinorField, h: np.ndarray,
@@ -428,8 +425,8 @@ def scaling_covariance_residual(field: SpinorField, h: np.ndarray,
 
     Exact pointwise in the continuum; on the grid limited only by
     aliasing of e^h eta, so use a band-limit safety factor >= 4. An h
-    whose e^{2h} overflows somewhere raises OutOfRange before e^h is
-    used.
+    not of the grid's shape raises ValueError, and one whose e^{2h}
+    overflows somewhere OutOfRange, before e^h is used.
 
     sigma^a d_a is applied once to each of eta (unless a given field
     holds it already) and e^h eta, each only once that field passes the
@@ -439,6 +436,7 @@ def scaling_covariance_residual(field: SpinorField, h: np.ndarray,
     own.
     """
     _one_field(field, "scaling_covariance_residual")
+    _check_shape(np.shape(h), field.grid.shape, "scale h of shape")
     with np.errstate(over="ignore"):  # an overflow is rejected below
         eh = np.exp(h)
     peak = float(np.max(eh))
@@ -470,8 +468,10 @@ def lagrangian_dynamic(field: SpinorField, dxi0: np.ndarray) -> np.ndarray:
 
     where the covector norm is g^ab w_a w_b. For the stationary ansatz
     this reduces pointwise to `lagrangian_stationary` (via the Fierz
-    identity g^ab v_a v_b = s^2).
+    identity g^ab v_a v_b = s^2). A dxi0 whose shape is not eta's raises
+    ValueError.
     """
+    _check_shape(np.shape(dxi0), field.eta.shape, "dxi0 of shape", "the field's")
     metric = _nonvanishing(field).pauli.metric
     space_term = 2.0 * field.A
     t = _sandwich(field.eta, field.pauli.sigma_lower, dxi0)

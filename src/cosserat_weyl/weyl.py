@@ -91,7 +91,6 @@ def weyl_residual_norm(eta: np.ndarray | SpinorField, p0: float, sign: int,
                        pauli: PauliSet, grid: TorusGrid) -> float:
     """Max over grid points of the pointwise 2-norm of the residual of
     one field; the benchmark pins this signature (`spinor._field`)."""
-    _check_sign(sign)
     field = _one_field(_field(eta, pauli, grid), "weyl_residual_norm")
     return float(_weyl_norms(field, p0, sign))
 
@@ -104,12 +103,8 @@ _FIELD_AXES = (-4, -3, -2, -1)
 
 def _weyl_norms(field: SpinorField, p0: float, sign: int):
     """`weyl_residual_norm` of each field of a stack (of the field alone),
-    from one component plane of the residual at a time."""
-    def norm2(j):  # |r_j|^2, as `_scalar_density` sums it
-        r = sign * p0 * field.eta[..., j] + 1j * field.slash[..., j]
-        return r.real**2 + r.imag**2
-
-    return np.sqrt((norm2(0) + norm2(1)).max(axis=_GRID_AXES))
+    from the residual `weyl_residual` forms."""
+    return np.sqrt(_scalar_density(weyl_residual(field, p0, sign)).max(axis=_GRID_AXES))
 
 
 _PREFACTOR = 16.0 / 9.0

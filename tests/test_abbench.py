@@ -40,7 +40,7 @@ def test_every_job_runs_on_each_copy(packages, name, tmp_path):
     result = abbench.bench_job(name, packages, rounds=2, workdir=tmp_path, edge=8)
     json.dumps(result)
     assert result["rounds"] == 2 and result["grid_edge"] == 8
-    kernel = name.split("-")[0] in ("dirac", "axial", "maps", "elgrad")
+    kernel = name.split("-")[0] in ("dirac", "axial", "maps", "elgrad", "weyl")
     assert result["calls_per_run"] == (abbench.KERNEL_POINTS // 8**3 if kernel else 1)
     for pair in ("change_vs_base", "control_vs_base"):
         low, high = result[pair]["ci95"]
@@ -49,7 +49,7 @@ def test_every_job_runs_on_each_copy(packages, name, tmp_path):
 
 
 def test_kernel_jobs_cover_three_grid_edges():
-    for kernel in ("dirac", "axial", "maps", "elgrad"):
+    for kernel in ("dirac", "axial", "maps", "elgrad", "weyl"):
         for edge in (16, 32, 64):
             assert abbench.JOBS[f"{kernel}-{edge}"][1] == edge
 
@@ -73,7 +73,7 @@ def test_a_kernel_job_runs_once_while_prepared(packages, monkeypatch, tmp_path, 
 
 @pytest.mark.parametrize("edge, calls", [(4, 1024), (8, 128), (16, 16), (32, 2), (64, 1)])
 def test_a_kernel_run_makes_a_count_of_calls_set_by_the_grid_edge(tmp_path, edge, calls):
-    for kernel in ("dirac", "axial", "maps", "elgrad"):
+    for kernel in ("dirac", "axial", "maps", "elgrad", "weyl"):
         draw = abbench.JOBS[f"{kernel}-16"][0]
         assert draw(np.random.default_rng(0), tmp_path, edge)[1] == calls
     assert abbench.JOBS["witness-16"][0](np.random.default_rng(0), tmp_path, 8)[1] == 1

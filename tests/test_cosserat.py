@@ -327,6 +327,19 @@ class TestConformal:
         assert np.abs(theta2 - 2.0 * theta).max() <= 1e-14
         assert np.abs(rho2 - 4.0).max() <= 1e-13
 
+    def test_rejects_a_density_or_scale_of_another_shape(self, grid8):
+        # numpy broadcast each of these into an (8, 8, 8) frame and density
+        theta = rotating_coframe(grid8, grid8.coords()[2])
+        rho, h = np.ones(grid8.shape), np.zeros(grid8.shape)
+        with pytest.raises(ValueError, match=re.escape(
+                "density of shape (8,) does not match the frame's grid shape (8, 8, 8)")):
+            conformal_rescale(theta, np.ones(8), h)
+        for shape in ((8,), (8, 1, 1), (8, 8, 1)):
+            message = re.escape(f"scale h of shape {shape} does not match the frame's grid "
+                                "shape (8, 8, 8)")
+            with pytest.raises(ValueError, match=message):
+                conformal_rescale(theta, rho, np.zeros(shape))
+
     def test_potential_energy_invariant_under_rescaling(self, grid8):
         x1, _, x3 = grid8.coords()
         theta = rotating_coframe(grid8, x3)

@@ -2,6 +2,7 @@
 factorisation identity, scaling covariance and the dynamic reduction."""
 
 import dataclasses
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -153,7 +154,7 @@ class TestFactorization:
         eta = constant_spinor(grid8)
         res = factorization_residual(SpinorField(eta, pauli_identity, grid8), 1.0)
         assert FACTORIZATION_SIGN == -1
-        assert res.max() <= 1e-14
+        assert isinstance(res, float) and res <= 1e-14
 
     def test_sign_is_global_constant(self, grid16):
         rng = np.random.default_rng(11)
@@ -161,9 +162,7 @@ class TestFactorization:
             metric = random_spd_metric(rng)
             pauli = build_pauli(metric)
             eta = random_nonvanishing_spinor(grid16, rng)
-            res = factorization_residual(SpinorField(eta, pauli, grid16), p0)
-            lag = lagrangian_stationary(eta, p0, pauli, metric, grid16)
-            assert res.max() / np.abs(lag).max() <= 1e-12
+            assert factorization_residual(SpinorField(eta, pauli, grid16), p0) <= 1e-12
 
     def test_degenerate_denominator(self, grid8, pauli_identity):
         # s vanishes on the x1 = pi/2 plane, so L+ - L- does too
@@ -177,6 +176,13 @@ class TestFactorization:
         with pytest.raises(ZeroFrequency):
             factorization_residual(SpinorField(constant_spinor(grid8), pauli_identity, grid8),
                                    0.0)
+
+    def test_the_other_sign_reads_two(self, grid8, pauli_identity, monkeypatch):
+        # L - (+1)(-L) = 2L, relative to max |L|
+        eta = random_nonvanishing_spinor(grid8, np.random.default_rng(4))
+        monkeypatch.setattr(spinor_module, "FACTORIZATION_SIGN", -FACTORIZATION_SIGN)
+        res = factorization_residual(SpinorField(eta, pauli_identity, grid8), 0.5)
+        assert res == pytest.approx(2.0, rel=1e-12)
 
 
 class TestScalingCovariance:
@@ -214,6 +220,17 @@ class TestScalingCovariance:
                                         np.zeros(grid8.shape), 0.5)
         assert dirac == []
 
+    def test_rejects_a_scale_of_another_shape(self, grid8, pauli_identity):
+        # numpy broadcast each of these h onto the grid: the residuals read 4e-16
+        field = SpinorField(random_nonvanishing_spinor(grid8, np.random.default_rng(5)),
+                            pauli_identity, grid8)
+        for shape in ((8,), (8, 1, 1), (8, 8, 1)):
+            message = re.escape(f"scale h of shape {shape} does not match the grid "
+                                "shape (8, 8, 8)")
+            with pytest.raises(ValueError, match=message):
+                scaling_covariance_residual(field, np.zeros(shape), 0.5)
+
+
 class TestDynamicReduction:
     def test_dynamic_equals_stationary_on_ansatz(self, grid16):
         rng = np.random.default_rng(13)
@@ -226,6 +243,16 @@ class TestDynamicReduction:
             stat = lagrangian_stationary(eta, p0, pauli, metric, grid16)
             scale = np.abs(stat).max()
             assert np.abs(dyn - stat).max() / scale <= 1e-13
+
+    def test_rejects_a_time_derivative_of_another_shape(self, grid8, pauli_identity):
+        # numpy broadcast each of these onto the field into an (8, 8, 8) density
+        field = SpinorField(random_nonvanishing_spinor(grid8, np.random.default_rng(6)),
+                            pauli_identity, grid8)
+        for shape in ((2,), (8, 2)):
+            message = re.escape(f"dxi0 of shape {shape} does not match the field's shape "
+                                "(8, 8, 8, 2)")
+            with pytest.raises(ValueError, match=message):
+                lagrangian_dynamic(field, np.ones(shape, dtype=complex))
 
 
 # -- explicit Pauli arithmetic and the shared field ---------------------------
@@ -734,7 +761,8 @@ class TestLagrangiansAtTheEdges:
         pauli = build_pauli(metric)
         eta = _near_nyquist_spinor(grid, rng)
         eta[tuple(rng.integers(0, n) for n in grid.dims)] *= 10.0 ** log10_scale
-        vanishing = bool(spinor_module._vanishing(_scalar_density(eta)))
+        s = _scalar_density(eta)
+        vanishing = bool(spinor_module._below_floor(s.min(), s.max()))
         for call in (lambda: lagrangian_stationary(eta, p0, pauli, metric, grid),
                      lambda: lagrangian_weyl(SpinorField(eta, pauli, grid), p0, 1),
                      lambda: lagrangian_weyl(SpinorField(eta, pauli, grid), p0, -1)):
@@ -952,6 +980,7 @@ class TestSpinorField:
         ("scaling_covariance_residual",
          lambda f: scaling_covariance_residual(f, np.zeros(f.grid.shape), 0.5)),
         ("fierz_residual", fierz_residual),
+        ("factorization_residual", lambda f: factorization_residual(f, 0.5)),
     ])
     def test_a_function_that_returns_a_number_rejects_a_stack(self, name, call):
         # each once returned one number for the pair, or failed inside numpy

@@ -79,7 +79,6 @@ UNREACHED = {
     "weyl.el_gradient_fd_check": "ROADMAP item 14 reports the same comparison",
     "spinor.lagrangian_dynamic": "ROADMAP item 13: claim 6 off the stationary ansatz",
     "spinor._sandwich": "lagrangian_dynamic's bilinear",
-    "weyl.weyl_residual": "ROADMAP item 26: the split of the Weyl residual r",
     "weyl.el_residual": "library API: the one-field form of the stack kernel that "
                         "theorem reaches",
     "geometry.TorusGrid.coords": "library API: README Conventions keeps it for callers",

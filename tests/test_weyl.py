@@ -34,6 +34,7 @@ from cosserat_weyl import (
     weyl_residual,
     weyl_residual_norm,
 )
+import cosserat_weyl.cli as cli_module
 import cosserat_weyl.geometry as geometry_module
 import cosserat_weyl.spinor as spinor_module
 import cosserat_weyl.weyl as weyl_module
@@ -42,11 +43,11 @@ from cosserat_weyl.sampling import (random_bandlimited_spinor, random_nonvanishi
                                     random_spd_metric)
 from cosserat_weyl.spinor import (
     _axial_density,
+    _below_floor,
     _check_nonvanishing,
     _nonvanishing,
     _scalar_density,
     _stationary_density,
-    _vanishing,
 )
 from cosserat_weyl.weyl import (
     LAGRANGIAN_TOL,
@@ -189,6 +190,19 @@ class TestWeylResidual:
         eta = np.zeros(grid8.shape + (2,), dtype=complex)
         with pytest.raises(ValueError):
             weyl_residual(SpinorField(eta, pauli_identity, grid8), 1.0, 0)
+
+    @pytest.mark.parametrize("argv", [["planewave", "--k", "1,1,0"], ["theorem", "--n", "1"]])
+    def test_the_gated_residual_is_weyl_residual(self, argv, monkeypatch, capsys):
+        # a fault planted in the one formula of r, its i dropped, fails
+        # the gates of both commands that report r
+        def planted(field, p0, sign):
+            return sign * p0 * field.eta + field.slash
+
+        argv = argv + ["--grid", "8,8,8"]
+        assert cli_module.main(argv) == 0
+        monkeypatch.setattr(weyl_module, "weyl_residual", planted)
+        assert cli_module.main(argv) == 1
+        capsys.readouterr()
 
 
 class TestPlaneWaves:
@@ -663,7 +677,7 @@ class TestNearVanishingSpinors:
     10^U(-8, -4), so that min s / max s falls on either side of the
     1e-12 floor. Every function of the field returns finite values, or
     raises the typed error of the floor; it raises exactly when
-    `_vanishing(s)` holds. The FD probes evaluate perturbed fields, so
+    `_below_floor(s.min(), s.max())` holds. The FD probes evaluate perturbed fields, so
     they raise exactly when one of those vanishes (the full-grid oracle
     says which), and so always when the field itself does; some land on
     the argmin of s."""
@@ -681,7 +695,7 @@ class TestNearVanishingSpinors:
         eta[tuple(dofs[0][0])] *= 10.0 ** log10_scale
         s = _scalar_density(eta)
         assert np.argmin(s) == np.ravel_multi_index(tuple(dofs[0][0]), grid.dims)
-        vanishing = bool(_vanishing(s))
+        vanishing = bool(_below_floor(s.min(), s.max()))
         fresh = lambda: SpinorField(eta, pauli, grid)  # a field per call
         calls = {
             "lagrangian_stationary": lambda: lagrangian_stationary(eta, p0, pauli, metric, grid),

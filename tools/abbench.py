@@ -21,16 +21,18 @@ Jobs: ``witness-16`` (``theorem --n 2`` at 16^3 on a drawn ``full:``
 metric), the four ``identities-32`` suites and the four
 ``dictionary-64`` jobs (their field outputs in a temporary directory),
 each drawn by the benchmark's own ``perfbench/workload.py``
-(``make_job``), and four kernels on one field of N^3 points:
+(``make_job``), and five kernels on one field of N^3 points:
 ``dirac-N``, one ``spinor._dirac`` call; ``axial-N``, one
 ``spinor._axial_density`` call on eta and its sigma^a d_a eta;
 ``maps-N``, ``spinor_to_frame`` then ``frame_to_spinor``; ``elgrad-N``,
-one ``el_gradient`` call on a field whose sigma^a d_a eta is cached.
-``maps-N`` and ``elgrad-N`` call the signatures in which a
+one ``el_gradient`` call on a field whose sigma^a d_a eta is cached;
+``weyl-N``, one ``weyl._weyl_norms`` call (the Weyl residual r and its
+max norm) on such a field.
+``maps-N``, ``elgrad-N`` and ``weyl-N`` call the signatures in which a
 ``SpinorField`` carries its Pauli set and grid, so they need a
-``--base`` at or after that change (one whose ``spinor_to_frame`` and
-``el_gradient`` take the field alone); the CLI jobs and the other
-kernels run on any base.
+``--base`` at or after that change (one whose ``spinor_to_frame``,
+``el_gradient`` and ``_weyl_norms`` take the field alone); the CLI jobs
+and the other kernels run on any base.
 Each kernel is called once while it is prepared, so the timed call is
 a repeated one, as in timeit, and a timed kernel run makes one call per
 2^16 grid points (at least one: 16 calls at 16^3), as timeit's
@@ -182,6 +184,12 @@ def _elgrad(package, grid, pauli, eta):
     return lambda: package.el_gradient(field, 1.0)
 
 
+def _weyl(package, grid, pauli, eta):
+    norms = importlib.import_module(f"{package.__name__}.weyl")._weyl_norms
+    field = package.SpinorField(eta, pauli, grid)  # sigma^a d_a eta cached by the first run
+    return lambda: norms(field, 1.0, 1)
+
+
 # name -> (draw, grid edge, default rounds)
 JOBS = {
     "witness-16": (_cli("theorem"), 16, 300),
@@ -192,7 +200,8 @@ JOBS = {
     "dictionary-claim6": (_claim6, 64, 20),
     **{f"{name}-{edge}": (_kernel(call), edge, 100)
        for name, call, edges in (("dirac", _dirac, (4, 16, 32, 64)), ("axial", _axial, (16, 32, 64)),
-                                 ("maps", _maps, (16, 32, 64)), ("elgrad", _elgrad, (16, 32, 64)))
+                                 ("maps", _maps, (16, 32, 64)), ("elgrad", _elgrad, (16, 32, 64)),
+                                 ("weyl", _weyl, (16, 32, 64)))
        for edge in edges},
 }
 
